@@ -31,8 +31,7 @@ from typing import Dict, Optional
 
 from ..core.ids import common_prefix_len, gcp
 from ..core.keyspace import in_interval_open_closed
-from ..sim.engine import Simulator
-from ..sim.network import Envelope, Network
+from ..sim.network import Envelope
 from . import messages as m
 
 
@@ -112,11 +111,9 @@ class ProtocolEngine:
     :class:`~repro.net.transport.Transport` surface (``register`` /
     ``unregister`` / ``send`` plus a clock), so the same protocol code
     runs under the discrete-event simulator and under a live asyncio
-    event loop.  The transport-first form ``ProtocolEngine(transport=t)``
-    is the API; constructing with nothing builds a default
-    :class:`~repro.net.transport.SimTransport`, and the legacy
-    ``sim=``/``network=`` arguments still do the same but emit a
-    :class:`DeprecationWarning` (migration note: docs/runtime.md).
+    event loop.  ``ProtocolEngine(transport=t)`` is the API; constructing
+    with nothing builds a default
+    :class:`~repro.net.transport.SimTransport`.
     ``self.sim`` / ``self.net`` stay bound to the simulator and network
     for existing callers; under a non-sim transport those aliases point
     at the transport itself and :meth:`run` defers to ``await
@@ -133,8 +130,6 @@ class ProtocolEngine:
 
     def __init__(
         self,
-        sim: Optional[Simulator] = None,
-        network: Optional[Network] = None,
         transport=None,
         *,
         client_endpoint: str = "@client",
@@ -146,19 +141,7 @@ class ProtocolEngine:
             # module scope.
             from ..net.transport import SimTransport
 
-            if sim is not None or network is not None:
-                import warnings
-
-                warnings.warn(
-                    "ProtocolEngine(sim=..., network=...) is deprecated; "
-                    "pass transport=SimTransport(sim=..., network=...) "
-                    "instead (see docs/runtime.md)",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            transport = SimTransport(sim=sim, network=network)
-        elif sim is not None or network is not None:
-            raise ValueError("pass either transport= or sim=/network=, not both")
+            transport = SimTransport()
         self.transport = transport
         self.sim = getattr(transport, "sim", transport)
         self.net = getattr(transport, "network", transport)
@@ -204,7 +187,7 @@ class ProtocolEngine:
 
         ``seed`` is a registry-assisted shortcut: the id of a peer believed
         to be the joiner's ring successor (as handed out by
-        :class:`repro.net.bootstrap.BootstrapRegistry`).  The
+        :func:`repro.net.cluster.successor_of`).  The
         ``NewPredecessor`` request is sent straight to that peer — O(1)
         instead of a ring walk — and Algorithm 2's interval check still
         forwards it along the ring if the registry's view was stale.

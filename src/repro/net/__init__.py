@@ -19,27 +19,34 @@ implementations —
   in deterministic global FIFO order (tier-1 testable).
 
 The *same* protocol objects (:class:`repro.dlpt.protocol.ProtocolEngine`)
-run unchanged on either transport.  On top sit the broker-style bootstrap
-registry (:mod:`repro.net.bootstrap`), the futures-style client library
+run unchanged on either transport.  On top sits one *backend* surface
+(:mod:`repro.net.cluster`: operate the ring, answer at quiescence) with
+two implementations — the in-process
+:class:`~repro.net.cluster.LocalCluster` and the
+:class:`~repro.net.procgroup.MultiProcessCluster` of engine groups in
+worker processes — and, over either, the ``"@broker"`` RPC endpoint
+(:mod:`repro.net.bootstrap`), the futures-style client library
 (:mod:`repro.net.client`), the ``python -m repro serve`` cluster launcher
 (:mod:`repro.net.serve`) and — the proof obligation — the differential
-trace-conformance harness (:mod:`repro.net.conformance`) that replays a
-recorded ``repro-trace/1`` workload through both transports and asserts
-the canonicalised outcome streams are equal.  See ``docs/runtime.md``.
+trace-conformance harness (:mod:`repro.net.conformance`) whose one driver
+loop replays a recorded ``repro-trace/1`` workload through every
+transport and topology and asserts the canonicalised outcome streams are
+equal.  See ``docs/runtime.md``.
 """
 
 from .asyncio_transport import AsyncioTransport, LoopbackAsyncioTransport
-from .bootstrap import BootstrapRegistry, Broker
+from .bootstrap import Broker
 from .client import DLPTClient, DLPTClientError
+from .cluster import LocalCluster
 from .transport import SimTransport, Transport, TransportError
 from .wire import WIRE_SCHEMA, WireError, decode_frame, encode_frame
 
 __all__ = [
     "AsyncioTransport",
-    "BootstrapRegistry",
     "Broker",
     "DLPTClient",
     "DLPTClientError",
+    "LocalCluster",
     "LoopbackAsyncioTransport",
     "SimTransport",
     "Transport",

@@ -31,6 +31,10 @@ address, broker-style.  Internals:
   transiently mid-cascade), then raises the first handler exception if
   any handler failed.
 
+Everything but the first bullet lives in :class:`SocketTransport`, the
+base :class:`AsyncioTransport` shares with the per-group
+:class:`~repro.net.p2p.PeerAsyncioTransport`.
+
 :class:`LoopbackAsyncioTransport` keeps the event loop, the counters and
 the full wire-codec round-trip, but replaces the sockets with a single
 in-process FIFO queue drained by one pump task — deterministic global
@@ -42,7 +46,7 @@ from __future__ import annotations
 import asyncio
 import os
 import tempfile
-from typing import Any, Callable, Dict, Hashable, Optional
+from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 from ..sim.network import Envelope
 from .transport import Handler, Transport, TransportError
@@ -55,8 +59,39 @@ _READ_CHUNK = 1 << 16
 CONTROL_ENDPOINT = "@transport"
 
 
-class AsyncioTransport(Transport):
-    """Length-prefixed JSON frames over TCP or Unix-domain sockets."""
+async def dial(address: tuple) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+    """Open a stream to a transport ``address`` (``("unix", path)`` or
+    ``("tcp", host, port)``)."""
+    if address[0] == "unix":
+        return await asyncio.open_unix_connection(address[1])
+    if address[0] == "tcp":
+        return await asyncio.open_connection(address[1], address[2])
+    raise TransportError(f"undialable address {address!r}")
+
+
+def hello_frame(**fields: Any) -> bytes:
+    """The frame every connection opens with (``_handle_hello``)."""
+    return encode_frame(
+        CONTROL_ENDPOINT, CONTROL_ENDPOINT, {"hello": WIRE_SCHEMA, **fields}
+    )
+
+
+class SocketTransport(Transport):
+    """What every socket transport shares: one UNIX/TCP listener, hello
+    frames, per-endpoint inbox queues + consumer tasks, reply routing to
+    connected clients, the monotonic clock and the counter-polling drain.
+
+    Subclasses supply :meth:`send` (how an outbound message reaches the
+    wire), :meth:`_ingress` (how an inbound frame enters the accounting
+    domain) and their own outbound machinery in ``start``/``close``.
+    Endpoints whose name starts with one of ``control_prefixes`` bypass
+    every counter (none do by default).
+    """
+
+    #: ``tempfile.mkdtemp`` prefix / socket file name of the default
+    #: (no ``path=``) Unix-domain listener.
+    _TEMP_PREFIX = "repro-net-"
+    _SOCKET_NAME = "dlpt.sock"
 
     def __init__(
         self,
@@ -65,18 +100,16 @@ class AsyncioTransport(Transport):
         host: Optional[str] = None,
         port: int = 0,
         drain_timeout: float = 60.0,
+        control_prefixes: tuple = (),
     ) -> None:
         self._handlers: Dict[Hashable, Handler] = {}
         self._inboxes: Dict[Hashable, asyncio.Queue] = {}
         self._consumers: Dict[Hashable, asyncio.Task] = {}
         #: endpoint -> StreamWriter of the remote connection hosting it.
         self._routes: Dict[Hashable, asyncio.StreamWriter] = {}
-        self._outbox: Optional[asyncio.Queue] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._t0 = 0.0
         self._server: Optional[asyncio.AbstractServer] = None
-        self._client_writer: Optional[asyncio.StreamWriter] = None
-        self._writer_task: Optional[asyncio.Task] = None
         self._tempdir: Optional[str] = None
         self._started = False
         self._use_tcp = host is not None
@@ -86,12 +119,16 @@ class AsyncioTransport(Transport):
         #: ``("unix", path)`` or ``("tcp", host, port)`` once started.
         self.address: Optional[tuple] = None
         self.drain_timeout = drain_timeout
-        #: Handler/codec exceptions, surfaced by :meth:`drain`.
+        self.control_prefixes = tuple(control_prefixes)
+        #: Handler/codec/link exceptions, surfaced by :meth:`drain`.
         self.errors: list[BaseException] = []
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
         self.messages_dead_lettered = 0
+
+    def _is_control(self, endpoint: Hashable) -> bool:
+        return isinstance(endpoint, str) and endpoint.startswith(self.control_prefixes)
 
     # -- endpoints ---------------------------------------------------------
 
@@ -104,50 +141,30 @@ class AsyncioTransport(Transport):
     def is_registered(self, endpoint: Hashable) -> bool:
         return endpoint in self._handlers
 
-    # -- delivery ----------------------------------------------------------
-
-    def send(self, src: Hashable, dst: Hashable, payload: Any) -> None:
-        if not self._started:
-            raise TransportError("transport is not started")
-        self.messages_sent += 1
-        self._outbox.put_nowait((src, dst, payload))
-
-    async def _write_outbox(self) -> None:
-        while True:
-            src, dst, payload = await self._outbox.get()
-            try:
-                frame = encode_frame(src, dst, payload)
-            except WireError as exc:
-                self.messages_dropped += 1
-                self.errors.append(exc)
-                continue
-            self._client_writer.write(frame)
-            await self._client_writer.drain()
-
     # -- listener side -----------------------------------------------------
 
     async def _on_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         frames = FrameReader()
-        internal: Optional[bool] = None
+        hello: Optional[dict] = None
         try:
             while True:
                 chunk = await reader.read(_READ_CHUNK)
                 if not chunk:
                     break
                 for env in frames.feed(chunk):
-                    if internal is None:
-                        internal = self._handle_hello(env, writer)
+                    if hello is None:
+                        hello = self._handle_hello(env, writer)
                         continue
-                    if not internal:
-                        # Remote ingress: the frame enters this transport's
-                        # accounting domain here, and its origin endpoint
-                        # becomes routable back over this connection.
-                        self.messages_sent += 1
-                        self._routes[env.src] = writer
+                    self._ingress(hello, env, writer)
                     self._route(env)
         except (ConnectionError, asyncio.IncompleteReadError):
+            pass
+        except asyncio.CancelledError:
+            # Loop teardown cancels server-spawned connection tasks that
+            # were never individually awaited; exiting quietly keeps the
+            # stream protocol's done-callback from logging it.
             pass
         except WireError as exc:
             self.errors.append(exc)
@@ -157,10 +174,11 @@ class AsyncioTransport(Transport):
                 del self._routes[ep]
             writer.close()
 
-    def _handle_hello(self, env: Envelope, writer: asyncio.StreamWriter) -> bool:
-        """First frame of every connection: ``{"hello": ..., "internal":
-        bool, "endpoint": optional}``.  Returns whether the connection is
-        the transport's own loopback (whose frames are already counted)."""
+    def _handle_hello(self, env: Envelope, writer: asyncio.StreamWriter) -> dict:
+        """First frame of every connection: ``{"hello": ..., "endpoint":
+        optional, ...}``.  A named endpoint (a client's private reply
+        sink) becomes routable back over this connection; the payload is
+        returned for :meth:`_ingress` to tell connection kinds apart."""
         payload = env.payload
         if (
             env.dst != CONTROL_ENDPOINT
@@ -171,7 +189,11 @@ class AsyncioTransport(Transport):
         endpoint = payload.get("endpoint")
         if endpoint is not None:
             self._routes[endpoint] = writer
-        return bool(payload.get("internal"))
+        return payload
+
+    def _ingress(self, hello: dict, env: Envelope, writer: asyncio.StreamWriter) -> None:
+        """Account for one inbound frame of a connection opened by ``hello``."""
+        raise NotImplementedError
 
     def _route(self, env: Envelope) -> None:
         """Fan a decoded frame out: local inbox, remote route or dead."""
@@ -179,8 +201,9 @@ class AsyncioTransport(Transport):
             self._ensure_consumer(env.dst).put_nowait(env)
         elif env.dst in self._routes:
             self._routes[env.dst].write(encode_frame(env.src, env.dst, env.payload))
-            self.messages_delivered += 1
-        else:
+            if not self._is_control(env.dst):
+                self.messages_delivered += 1
+        elif not self._is_control(env.dst):
             self.messages_dead_lettered += 1
 
     def _ensure_consumer(self, endpoint: Hashable) -> asyncio.Queue:
@@ -202,15 +225,18 @@ class AsyncioTransport(Transport):
         """Run the destination handler; registration is checked *here* (at
         delivery time, like the simulator's network) so an endpoint that
         unregistered with messages still inbound dead-letters them."""
+        counted = not self._is_control(env.dst)
         handler = self._handlers.get(env.dst)
         if handler is None:
-            self.messages_dead_lettered += 1
+            if counted:
+                self.messages_dead_lettered += 1
             return
         try:
             handler(env)
         except Exception as exc:  # surfaced at drain(); keep consuming
             self.errors.append(exc)
-        self.messages_delivered += 1
+        if counted:
+            self.messages_delivered += 1
 
     # -- clock & timers ----------------------------------------------------
 
@@ -226,58 +252,39 @@ class AsyncioTransport(Transport):
 
     # -- lifecycle ---------------------------------------------------------
 
-    async def start(self) -> None:
-        if self._started:
-            return
+    async def _listen(self) -> None:
+        """Bind the listener and publish :attr:`address`."""
         self._loop = asyncio.get_running_loop()
         self._t0 = self._loop.time()
-        self._outbox = asyncio.Queue()
         if self._use_tcp:
             self._server = await asyncio.start_server(
                 self._on_connection, self._host, self._port
             )
             sockname = self._server.sockets[0].getsockname()
             self.address = ("tcp", sockname[0], sockname[1])
-            reader, writer = await asyncio.open_connection(sockname[0], sockname[1])
         else:
             if self._path is None:
-                self._tempdir = tempfile.mkdtemp(prefix="repro-net-")
-                self._path = os.path.join(self._tempdir, "dlpt.sock")
+                self._tempdir = tempfile.mkdtemp(prefix=self._TEMP_PREFIX)
+                self._path = os.path.join(self._tempdir, self._SOCKET_NAME)
             self._server = await asyncio.start_unix_server(
                 self._on_connection, path=self._path
             )
             self.address = ("unix", self._path)
-            reader, writer = await asyncio.open_unix_connection(self._path)
-        self._client_writer = writer
-        writer.write(
-            encode_frame(
-                CONTROL_ENDPOINT,
-                CONTROL_ENDPOINT,
-                {"hello": WIRE_SCHEMA, "internal": True},
-            )
-        )
-        await writer.drain()
-        self._writer_task = self._loop.create_task(self._write_outbox())
-        self._started = True
 
-    async def close(self) -> None:
+    async def _stop(self, tasks) -> None:
+        """Cancel ``tasks`` (the subclass's own) and every consumer, and
+        forget the inboxes and client routes."""
         self._started = False
-        tasks = [t for t in [self._writer_task, *self._consumers.values()] if t]
+        tasks = [t for t in [*tasks, *self._consumers.values()] if t]
         for task in tasks:
             task.cancel()
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
-        self._writer_task = None
         self._consumers.clear()
         self._inboxes.clear()
         self._routes.clear()
-        if self._client_writer is not None:
-            self._client_writer.close()
-            try:
-                await self._client_writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._client_writer = None
+
+    async def _unlisten(self) -> None:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -299,6 +306,8 @@ class AsyncioTransport(Transport):
     # -- quiescence --------------------------------------------------------
 
     async def drain(self) -> None:
+        """Local quiescence: no counted message of this transport is in
+        flight (transitively); then surface the first handler error."""
         deadline = self._loop.time() + self.drain_timeout
         spins = 0
         while self.in_flight > 0:
@@ -314,8 +323,81 @@ class AsyncioTransport(Transport):
         if self.errors:
             errors, self.errors = self.errors, []
             raise TransportError(
-                f"{len(errors)} handler/codec error(s) during drain"
+                f"{len(errors)} handler/codec/link error(s) during drain"
             ) from errors[0]
+
+
+class AsyncioTransport(SocketTransport):
+    """Length-prefixed JSON frames over TCP or Unix-domain sockets: every
+    ``send`` crosses the transport's own loopback connection."""
+
+    def __init__(
+        self,
+        *,
+        path: Optional[str] = None,
+        host: Optional[str] = None,
+        port: int = 0,
+        drain_timeout: float = 60.0,
+    ) -> None:
+        super().__init__(path=path, host=host, port=port, drain_timeout=drain_timeout)
+        self._outbox: Optional[asyncio.Queue] = None
+        self._client_writer: Optional[asyncio.StreamWriter] = None
+        self._writer_task: Optional[asyncio.Task] = None
+
+    # -- delivery ----------------------------------------------------------
+
+    def send(self, src: Hashable, dst: Hashable, payload: Any) -> None:
+        if not self._started:
+            raise TransportError("transport is not started")
+        self.messages_sent += 1
+        self._outbox.put_nowait((src, dst, payload))
+
+    async def _write_outbox(self) -> None:
+        while True:
+            src, dst, payload = await self._outbox.get()
+            try:
+                frame = encode_frame(src, dst, payload)
+            except WireError as exc:
+                self.messages_dropped += 1
+                self.errors.append(exc)
+                continue
+            self._client_writer.write(frame)
+            await self._client_writer.drain()
+
+    def _ingress(self, hello: dict, env: Envelope, writer: asyncio.StreamWriter) -> None:
+        if not hello.get("internal"):
+            # Remote ingress: the frame enters this transport's accounting
+            # domain here (the loopback's own frames were counted by
+            # ``send``), and its origin endpoint becomes routable back
+            # over this connection.
+            self.messages_sent += 1
+            self._routes[env.src] = writer
+
+    # -- lifecycle ---------------------------------------------------------
+
+    async def start(self) -> None:
+        if self._started:
+            return
+        await self._listen()
+        self._outbox = asyncio.Queue()
+        _reader, writer = await dial(self.address)
+        self._client_writer = writer
+        writer.write(hello_frame(internal=True))
+        await writer.drain()
+        self._writer_task = self._loop.create_task(self._write_outbox())
+        self._started = True
+
+    async def close(self) -> None:
+        await self._stop([self._writer_task])
+        self._writer_task = None
+        if self._client_writer is not None:
+            self._client_writer.close()
+            try:
+                await self._client_writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+            self._client_writer = None
+        await self._unlisten()
 
 
 class LoopbackAsyncioTransport(AsyncioTransport):

@@ -1,26 +1,19 @@
-"""Bootstrap registry + broker: the cluster's well-known rendezvous.
+"""The broker: the cluster's well-known RPC rendezvous, plus its journal.
 
-Joining a DLPT ring without help is an O(ring) walk: ``NewPredecessor``
-forwards peer to peer until Algorithm 2's interval check succeeds.  Real
-deployments (and distributed-futures brokers like SCOOP's) keep a
-rendezvous process that already knows the membership, so a joiner can be
-handed its ring position directly.  :class:`BootstrapRegistry` is that
-oracle: a deterministic view over the engine's live peers answering "who
-is my successor?" (the peer whose arc ``(pred, id]`` will contain the
-joiner) plus a bounded list of seed peers.  Joins seeded this way send
-one ``NewPredecessor`` straight to the successor — O(1) messages — and
-remain correct under staleness because Algorithm 2 still forwards along
-the ring when the interval check fails.
-
-:class:`Broker` is the serving half: a ``"@broker"`` endpoint on the
-transport accepting JSON request payloads (``op`` + ``id`` + ``reply_to``)
-and answering with correlated JSON replies.  Requests are served strictly
-one at a time, each followed by ``await transport.drain()`` before the
-reply is sent — the protocol has no per-operation acknowledgements, so
-quiescence *is* the completion signal.  Operations: ``register``,
-``discover``, ``discover_batch``, ``search``, ``peer_join``,
-``peer_leave``, ``info``.  :class:`~repro.net.client.DLPTClient` is the
-matching caller.
+:class:`Broker` is a ``"@broker"`` endpoint on a transport accepting JSON
+request payloads (``op`` + ``id`` + ``reply_to``) and answering with
+correlated JSON replies.  It owns admission (backpressure, fairness,
+idempotency) and one ``_OPS`` table of few-line handlers; the operations
+themselves are a *backend*'s (:mod:`repro.net.cluster`) — the in-process
+:class:`~repro.net.cluster.LocalCluster` or the
+:class:`~repro.net.procgroup.MultiProcessCluster` — so clients get
+identical reply shapes from both topologies.  Requests are served
+strictly one at a time, and every backend operation ends at quiescence
+before the reply is sent — the protocol has no per-operation
+acknowledgements, so quiescence *is* the completion signal.  Operations:
+``register``, ``discover``, ``discover_batch``, ``search``,
+``peer_join``, ``peer_leave``, ``info``.
+:class:`~repro.net.client.DLPTClient` is the matching caller.
 
 Robustness under client floods (``inbox_limit=``):
 
@@ -43,14 +36,13 @@ re-registers.
 from __future__ import annotations
 
 import asyncio
-import bisect
 import collections
 import json
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from ..dlpt.protocol import ProtocolEngine
 from ..sim.network import Envelope
+from .cluster import admission, successor_of
 from .policy import RetryPolicy
 from .transport import Transport
 
@@ -59,34 +51,6 @@ BROKER_ENDPOINT = "@broker"
 
 #: Schema tag of the registry journal's JSONL records.
 REGISTRY_SCHEMA = "repro-registry/1"
-
-
-class BootstrapRegistry:
-    """Ring-position oracle over a :class:`ProtocolEngine`'s live peers."""
-
-    def __init__(self, engine: ProtocolEngine) -> None:
-        self.engine = engine
-
-    def live_ids(self) -> List[str]:
-        """Sorted ids of the peers currently joined to the ring."""
-        return sorted(p.id for p in self.engine.peers.values() if p.joined)
-
-    def successor_of(self, peer_id: str) -> Optional[str]:
-        """The live peer that will become ``peer_id``'s ring successor:
-        the lowest live id >= ``peer_id``, wrapping to the minimum."""
-        ids = self.live_ids()
-        if not ids:
-            return None
-        return ids[bisect.bisect_left(ids, peer_id) % len(ids)]
-
-    def admission(self, peer_id: str, n_seeds: int = 3) -> Dict[str, object]:
-        """What a joiner needs: its successor seed plus a few live peers
-        (the joiner's initial neighbour knowledge)."""
-        ids = self.live_ids()
-        successor = self.successor_of(peer_id)
-        i = bisect.bisect_left(ids, peer_id)
-        seeds = [ids[(i + k) % len(ids)] for k in range(min(n_seeds, len(ids)))]
-        return {"peer": peer_id, "successor": successor, "seeds": seeds}
 
 
 class RegistryJournal:
@@ -163,13 +127,9 @@ class RegistryJournal:
         return live
 
     def successor_of(self, peer_id: str) -> Optional[str]:
-        """The recovered successor oracle (same rule as the live
-        :meth:`BootstrapRegistry.successor_of`): lowest recovered id >=
-        ``peer_id``, wrapping to the minimum."""
-        ids = sorted(self.replay())
-        if not ids:
-            return None
-        return ids[bisect.bisect_left(ids, peer_id) % len(ids)]
+        """The recovered successor oracle (the live backends' rule,
+        :func:`repro.net.cluster.successor_of`, over the replayed ids)."""
+        return successor_of(sorted(self.replay()), peer_id)
 
 
 class Broker:
@@ -179,27 +139,21 @@ class Broker:
     #: Completed replies kept for idempotent retries, per broker.
     COMPLETED_CACHE = 256
 
-    #: Exception types a subclass declares *transient* (e.g. the cluster
-    #: is mid-recovery): ``_handle`` answers them with a backpressure
-    #: (``busy``) reply instead of a definitive error, so resilient
-    #: clients retry through the outage rather than failing.
-    RETRYABLE_ERRORS: tuple = ()
-
     def __init__(
         self,
-        engine: Optional[ProtocolEngine],
-        transport: Optional[Transport] = None,
+        backend,
+        transport: Transport,
         *,
         inbox_limit: Optional[int] = None,
         retry_after: float = 0.05,
         journal: Optional[RegistryJournal] = None,
     ) -> None:
-        # ``engine=None`` is for subclasses that delegate the operations
-        # elsewhere (``repro.net.serve.ClusterBroker``); they must supply
-        # ``transport`` and override every ``_OPS`` handler.
-        self.engine = engine
-        self.transport = transport if transport is not None else engine.transport
-        self.registry = BootstrapRegistry(engine)
+        #: What executes the operations (:mod:`repro.net.cluster`).
+        self.backend = backend
+        #: Where clients reach ``"@broker"`` — the backend's own transport
+        #: for a :class:`~repro.net.cluster.LocalCluster`, a separate
+        #: client-facing listener in front of a multi-process ring.
+        self.transport = transport
         self.journal = journal
         self.inbox_limit = inbox_limit
         self.retry_after = retry_after
@@ -337,9 +291,10 @@ class Broker:
                 raise ValueError(f"unknown broker op {op!r}")
             result = await handler(self, request)
             reply.update(ok=True, **result)
-        except self.RETRYABLE_ERRORS as exc:
-            # Transient (the cluster is healing): tell the client to come
-            # back, exactly like inbox backpressure.
+        except self.backend.RETRYABLE_ERRORS as exc:
+            # Transient (the backend declares it: a multi-process ring
+            # mid-recovery): tell the client to come back, exactly like
+            # inbox backpressure, so it retries through the outage.
             reply.update(
                 ok=False,
                 busy=True,
@@ -352,124 +307,61 @@ class Broker:
 
     # -- operations --------------------------------------------------------
 
-    def _entry(self) -> Optional[str]:
-        """A deterministic entry node for client ops (lowest label)."""
-        locator = self.engine.locator
-        return min(locator) if locator else None
+    @staticmethod
+    def _answered(reply):
+        """A backend answers ``None`` when there is no entry node."""
+        if reply is None:
+            raise RuntimeError("tree is empty")
+        return reply
 
     async def _op_register(self, request: dict) -> dict:
-        key = str(request["key"])
-        self.engine.insert_data(key, request.get("datum"), via=self._entry())
-        await self.transport.drain()
-        host = self.engine.locator.get(key)
-        if host is None:
+        result = await self.backend.register(str(request["key"]), request.get("datum"))
+        if result["host"] is None:
             # Under fault injection the insertion can be lost in flight;
             # an ok-reply here would be a *false acknowledgement* — the
             # client must see a failure so it (or its retry policy) knows
             # the registration did not land.
-            raise RuntimeError(f"registration of {key!r} did not install a host")
-        return {"key": key, "host": host}
-
-    def _collect_replies(self, mark: int) -> list:
-        replies = self.engine.discovery_replies[mark:]
-        del self.engine.discovery_replies[mark:]
-        return replies
-
-    @staticmethod
-    def _reply_record(engine: ProtocolEngine, reply) -> dict:
-        return {
-            "key": reply.key,
-            "found": reply.found,
-            "data": sorted(reply.data, key=repr),
-            "hops": reply.hops,
-            "host": engine.locator.get(reply.key),
-        }
+            raise RuntimeError(
+                f"registration of {result['key']!r} did not install a host"
+            )
+        return result
 
     async def _op_discover(self, request: dict) -> dict:
-        key = str(request["key"])
-        mark = len(self.engine.discovery_replies)
-        self.engine.discover(key, via=self._entry())
-        await self.transport.drain()
-        replies = self._collect_replies(mark)
-        if len(replies) != 1:
-            raise RuntimeError(f"expected 1 reply for {key!r}, got {len(replies)}")
-        return self._reply_record(self.engine, replies[0])
+        return self._answered(await self.backend.discover(str(request["key"])))
 
     async def _op_discover_batch(self, request: dict) -> dict:
         keys = [str(k) for k in request["keys"]]
-        mark = len(self.engine.discovery_replies)
-        entry = self._entry()
-        for key in keys:
-            self.engine.discover(key, via=entry)
-        await self.transport.drain()
-        # Replies land in delivery order, which a live transport does not
-        # tie to issue order: re-associate by key (duplicates in the batch
-        # get identical answers, so bucket order is immaterial).
-        buckets: Dict[str, list] = {}
-        for reply in self._collect_replies(mark):
-            buckets.setdefault(reply.key, []).append(reply)
-        results = [
-            self._reply_record(self.engine, buckets[key].pop()) for key in keys
-        ]
-        return {"results": results}
+        return {"results": self._answered(await self.backend.discover_many(keys))}
 
     async def _op_search(self, request: dict) -> dict:
-        """One set query (``kind`` ``"prefix"`` or ``"range"``) served by
-        the scan-token walk; the reply carries the sorted matched keys."""
-        kind = str(request["kind"])
-        lo = str(request["lo"])
-        hi = str(request.get("hi", ""))
-        mark = len(self.engine.query_replies)
-        self.engine.search_query(kind, lo, hi, via=self._entry())
-        await self.transport.drain()
-        replies = self.engine.query_replies[mark:]
-        del self.engine.query_replies[mark:]
-        if len(replies) != 1:
-            raise RuntimeError(
-                f"expected 1 reply for {kind} query {lo!r}, got {len(replies)}"
+        return self._answered(
+            await self.backend.search(
+                str(request["kind"]), str(request["lo"]), str(request.get("hi", ""))
             )
-        reply = replies[0]
-        return {
-            "kind": reply.kind,
-            "lo": reply.lo,
-            "hi": reply.hi,
-            "keys": list(reply.keys),
-            "hops": reply.hops,
-        }
+        )
 
     async def _op_peer_join(self, request: dict) -> dict:
         peer_id = str(request["peer"])
         capacity = int(request.get("capacity", 10))
-        admission = self.registry.admission(peer_id)
-        if not self.engine.peers:
-            self.engine.bootstrap_peer(peer_id, capacity)
-        else:
-            self.engine.join_peer(peer_id, capacity, seed=admission["successor"])
-        await self.transport.drain()
-        peer = self.engine.peers[peer_id]
+        admitted = admission(self.backend.live_ids(), peer_id)
+        ring = await self.backend.join(peer_id, capacity)
         if self.journal is not None:
             self.journal.record("join", peer_id, capacity)
-        return {**admission, "pred": peer.pred, "succ": peer.succ}
+        return {**admitted, **ring}
 
     async def _op_peer_leave(self, request: dict) -> dict:
         peer_id = str(request["peer"])
-        self.engine.leave_peer(peer_id)
-        await self.transport.drain()
+        await self.backend.leave(peer_id)
         if self.journal is not None:
             self.journal.record("leave", peer_id)
-        return {"peer": peer_id, "peers": len(self.registry.live_ids())}
+        return {"peer": peer_id, "peers": len(self.backend.live_ids())}
 
     async def _op_info(self, request: dict) -> dict:
-        engine = self.engine
-        keys = sorted(
-            label
-            for label, host in engine.locator.items()
-            if engine.peers[host].nodes[label].data
-        )
+        snap = await self.backend.snapshot()
         return {
-            "peers": len(self.registry.live_ids()),
-            "nodes": len(engine.locator),
-            "keys": keys,
+            "peers": len(snap["live"]),
+            "nodes": len(snap["hosted"]),
+            "keys": sorted(label for label, filled in snap["hosted"].items() if filled),
             "served": self.requests_served,
             "rejected": self.requests_rejected,
             "pending": self.pending,

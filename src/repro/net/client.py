@@ -117,7 +117,7 @@ class DLPTClient:
         self._ids = itertools.count(1)
         self._pending: Dict[int, asyncio.Future] = {}
         self._rpc_tasks: set = set()
-        self._loop = asyncio.get_event_loop()
+        self._loop = asyncio.get_running_loop()
         self._read_task = self._loop.create_task(self._read_loop())
 
     # -- connection --------------------------------------------------------

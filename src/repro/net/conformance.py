@@ -7,7 +7,9 @@ protocol engine on the discrete-event transport, on a live asyncio
 transport (:func:`replay_trace`), and on a ring spread over OS processes
 exchanging protocol messages peer-to-peer
 (:func:`replay_trace_multiprocess`), canonicalise the outcome streams,
-and assert equality.
+and assert equality.  Every leg runs the *same* driver loop
+(:func:`_replay`) against a :mod:`repro.net.cluster` backend; the two
+public functions only construct the backend.
 
 What makes the comparison sound:
 
@@ -40,7 +42,6 @@ Partition events are out of scope for the message-level engine and raise
 
 from __future__ import annotations
 
-import bisect
 import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -51,6 +52,7 @@ from ..experiments.runner import record_single
 from ..peers.churn import ChurnModel
 from ..workloads.keys import grid_service_corpus
 from ..workloads.traces import WorkloadTrace
+from .cluster import LocalCluster
 from .transport import Transport
 
 #: Identifier space for driver-drawn peer ids (lowercase keeps them in the
@@ -132,241 +134,36 @@ def _draw_peer_id(rng: random.Random, taken) -> str:
             return pid
 
 
-def _entry_for(engine: ProtocolEngine, preferred: Optional[str] = None) -> Optional[str]:
-    if preferred is not None and preferred in engine.locator:
-        return preferred
-    return min(engine.locator) if engine.locator else None
-
-
-def crash_peer_live(engine: ProtocolEngine, transport: Transport, victim_id: str) -> None:
-    """Fail-stop crash + ``r=1`` recovery, on any transport.
-
-    The victim's endpoint vanishes mid-air (no goodbye protocol); the
-    driver then applies what the failure detector + successor-replication
-    policy of :mod:`repro.faults` would conclude: neighbours splice their
-    ring pointers past the victim, and the successor adopts the victim's
-    node replicas (which the mapping rule now assigns to it).  Driver-side
-    state surgery only — no messages — so it is transport-independent by
-    construction.
-    """
-    transport.unregister(victim_id)
-    victim = engine.peers.pop(victim_id)
-    if victim.succ == victim_id:
-        # Last peer of the ring: everything it hosted dies with it.
-        for label in victim.nodes:
-            engine.locator.pop(label, None)
-        return
-    successor = engine.peers[victim.succ]
-    predecessor = engine.peers[victim.pred]
-    successor.pred = victim.pred if victim.pred != victim_id else successor.id
-    predecessor.succ = victim.succ
-    for label, state in victim.nodes.items():
-        successor.nodes[label] = state
-        engine.locator[label] = successor.id
-
-
-async def replay_trace(
-    trace: WorkloadTrace,
-    transport: Transport,
-    *,
-    n_bootstrap: Optional[int] = None,
-    capacity: int = 10,
+async def _replay(
+    trace: WorkloadTrace, backend, n_bootstrap: Optional[int], capacity: int
 ) -> ReplayReport:
-    """Replay a recorded workload through ``transport``; returns the
-    canonical outcome stream.
-
-    ``n_bootstrap`` is the initial platform size (the trace records only
-    the workload-side events; the bootstrap population comes from the
-    recording's configuration and is stored in ``trace.meta``).
-    """
-    if n_bootstrap is None:
-        n_bootstrap = int(trace.meta.get("n_bootstrap", 0))
-    if n_bootstrap < 1:
-        raise ConformanceError("n_bootstrap must be >= 1 (set trace.meta['n_bootstrap'])")
-
-    await transport.start()
-    engine = ProtocolEngine(transport=transport)
-    rng = random.Random(trace.seed ^ 0x5EED)
-    report = ReplayReport()
-
-    def live_ids() -> List[str]:
-        return sorted(p.id for p in engine.peers.values() if p.joined)
-
-    def successor_of(peer_id: str) -> str:
-        ids = live_ids()
-        return ids[bisect.bisect_left(ids, peer_id) % len(ids)]
-
-    async def join(peer_id: str, cap: int) -> None:
-        if not engine.peers:
-            engine.bootstrap_peer(peer_id, cap)
-        else:
-            engine.join_peer(peer_id, cap, seed=successor_of(peer_id))
-        await transport.drain()
-
-    # Bootstrap population: ids drawn from the driver rng, identically on
-    # every transport.
-    for _ in range(n_bootstrap):
-        await join(_draw_peer_id(rng, engine.peers), capacity)
-
-    for unit_index, unit in enumerate(trace.units):
-        crashes = 0
-
-        for cap in unit.joins:
-            await join(_draw_peer_id(rng, engine.peers), cap)
-
-        leaves = 0
-        for index in unit.leaves:
-            ids = live_ids()
-            if len(ids) <= 1:
-                continue
-            engine.leave_peer(ids[index % len(ids)])
-            await transport.drain()
-            leaves += 1
-
-        for event in unit.faults:
-            kind = event[0]
-            if kind != "crash":
-                raise ConformanceError(
-                    f"unit {unit_index}: fault kind {kind!r} is not replayable "
-                    "at the message level (crash only)"
-                )
-            ids = live_ids()
-            if len(ids) <= 1:
-                continue
-            crash_peer_live(engine, transport, ids[event[1] % len(ids)])
-            await transport.drain()
-            crashes += 1
-
-        for key in unit.registrations:
-            engine.insert_data(key, via=_entry_for(engine))
-            await transport.drain()
-
-        request_outcomes = []
-        for key, entry_label in unit.requests:
-            via = _entry_for(engine, entry_label)
-            mark = len(engine.discovery_replies)
-            if via is None:
-                request_outcomes.append((key, False, None, 0))
-                continue
-            engine.discover(key, via=via)
-            await transport.drain()
-            replies = engine.discovery_replies[mark:]
-            del engine.discovery_replies[mark:]
-            if len(replies) != 1:
-                raise ConformanceError(
-                    f"unit {unit_index}: {len(replies)} replies for one request"
-                )
-            reply = replies[0]
-            request_outcomes.append(
-                (key, reply.found, engine.locator.get(key), reply.hops)
-            )
-
-        query_outcomes = []
-        for event in unit.queries:
-            kind = event[0]
-            lo = event[1]
-            hi = event[2] if kind == "range" else ""
-            entry_label = event[-1]
-            via = _entry_for(engine, entry_label)
-            if via is None:
-                query_outcomes.append((kind, lo, hi, (), 0))
-                continue
-            mark = len(engine.query_replies)
-            if kind == "exact":
-                # The engine's scan walk serves exact probes as the
-                # degenerate range [key, key].
-                engine.search_query("range", lo, lo, via=via)
-            else:
-                engine.search_query(kind, lo, hi, via=via)
-            await transport.drain()
-            replies = engine.query_replies[mark:]
-            del engine.query_replies[mark:]
-            if len(replies) != 1:
-                raise ConformanceError(
-                    f"unit {unit_index}: {len(replies)} replies for one query"
-                )
-            reply = replies[0]
-            query_outcomes.append((kind, lo, hi, tuple(reply.keys), reply.hops))
-
-        registered = tuple(
-            sorted(
-                label
-                for label, host in engine.locator.items()
-                if engine.peers[host].nodes[label].data
-            )
-        )
-        report.outcomes.append(
-            UnitOutcome(
-                unit=unit_index,
-                n_peers=len(live_ids()),
-                n_nodes=len(engine.locator),
-                keys=registered,
-                requests=tuple(request_outcomes),
-                joins=len(unit.joins),
-                leaves=leaves,
-                crashes=crashes,
-                queries=tuple(query_outcomes),
-            )
-        )
-
-    report.messages_sent = transport.messages_sent
-    report.messages_delivered = transport.messages_delivered
-    report.messages_dead_lettered = transport.messages_dead_lettered
-    await transport.close()
-    return report
-
-
-async def replay_trace_multiprocess(
-    trace: WorkloadTrace,
-    *,
-    processes: int = 2,
-    n_bootstrap: Optional[int] = None,
-    capacity: int = 10,
-    chaos=None,
-) -> ReplayReport:
-    """Replay a recorded workload through a multi-process ring.
-
-    ``chaos`` (a :mod:`repro.net.chaos` plan/spec) injects seeded faults
-    into every worker transport during the replay — with an
-    outcome-preserving plan (delay/reorder) the canonical stream must
-    *still* equal the oracle's.
-
-    The third leg of the differential: the same trace, the same driver
-    RNG, the same drain-between-ops discipline as :func:`replay_trace`,
-    but every operation goes through a
-    :class:`~repro.net.procgroup.MultiProcessCluster` — engine groups in
-    separate OS processes exchanging protocol messages over peer-to-peer
-    sockets.  The canonical outcome stream must equal the sim and
-    loopback replays; message totals are the summed per-group transport
-    counters (higher than single-engine replays by exactly the locator
-    replication traffic, so only the conservation invariant — not the
-    totals — is comparable across topologies).
-    """
-    from .procgroup import MultiProcessCluster
-
-    if n_bootstrap is None:
-        n_bootstrap = int(trace.meta.get("n_bootstrap", 0))
-    if n_bootstrap < 1:
-        raise ConformanceError("n_bootstrap must be >= 1 (set trace.meta['n_bootstrap'])")
-
-    cluster = MultiProcessCluster(processes=processes, chaos=chaos)
-    await cluster.start()
-    rng = random.Random(trace.seed ^ 0x5EED)
-    report = ReplayReport()
+    """The one driver loop every leg runs: ``backend`` is a started
+    :class:`~repro.net.cluster.LocalCluster` (sim, loopback, live socket)
+    or :class:`~repro.net.procgroup.MultiProcessCluster`; it is closed on
+    the way out."""
     try:
+        if n_bootstrap is None:
+            n_bootstrap = int(trace.meta.get("n_bootstrap", 0))
+        if n_bootstrap < 1:
+            raise ConformanceError("n_bootstrap must be >= 1 (set trace.meta['n_bootstrap'])")
+        rng = random.Random(trace.seed ^ 0x5EED)
+        report = ReplayReport()
+
+        # Bootstrap population: ids drawn from the driver rng, identically
+        # on every backend.
         for _ in range(n_bootstrap):
-            await cluster.join(_draw_peer_id(rng, cluster.members), capacity)
+            await backend.join(_draw_peer_id(rng, backend.live_ids()), capacity)
 
         for unit_index, unit in enumerate(trace.units):
             for cap in unit.joins:
-                await cluster.join(_draw_peer_id(rng, cluster.members), cap)
+                await backend.join(_draw_peer_id(rng, backend.live_ids()), cap)
 
             leaves = 0
             for index in unit.leaves:
-                ids = cluster.live_ids()
+                ids = backend.live_ids()
                 if len(ids) <= 1:
                     continue
-                await cluster.leave(ids[index % len(ids)])
+                await backend.leave(ids[index % len(ids)])
                 leaves += 1
 
             crashes = 0
@@ -377,18 +174,18 @@ async def replay_trace_multiprocess(
                         f"unit {unit_index}: fault kind {kind!r} is not replayable "
                         "at the message level (crash only)"
                     )
-                ids = cluster.live_ids()
+                ids = backend.live_ids()
                 if len(ids) <= 1:
                     continue
-                await cluster.crash(ids[event[1] % len(ids)])
+                await backend.crash(ids[event[1] % len(ids)])
                 crashes += 1
 
             for key in unit.registrations:
-                await cluster.register(key)
+                await backend.register(key)
 
             request_outcomes = []
             for key, entry_label in unit.requests:
-                reply = await cluster.discover(key, via=entry_label)
+                reply = await backend.discover(key, via=entry_label)
                 if reply is None:
                     request_outcomes.append((key, False, None, 0))
                 else:
@@ -403,10 +200,11 @@ async def replay_trace_multiprocess(
                 hi = event[2] if kind == "range" else ""
                 entry_label = event[-1]
                 if kind == "exact":
-                    # Same degenerate-range mapping as ``replay_trace``.
-                    reply = await cluster.search("range", lo, lo, via=entry_label)
+                    # The engine's scan walk serves exact probes as the
+                    # degenerate range [key, key].
+                    reply = await backend.search("range", lo, lo, via=entry_label)
                 else:
-                    reply = await cluster.search(kind, lo, hi, via=entry_label)
+                    reply = await backend.search(kind, lo, hi, via=entry_label)
                 if reply is None:
                     query_outcomes.append((kind, lo, hi, (), 0))
                 else:
@@ -414,7 +212,7 @@ async def replay_trace_multiprocess(
                         (kind, lo, hi, tuple(reply["keys"]), reply["hops"])
                     )
 
-            snap = await cluster.snapshot()
+            snap = await backend.snapshot()
             registered = tuple(
                 sorted(label for label, filled in snap["hosted"].items() if filled)
             )
@@ -432,13 +230,61 @@ async def replay_trace_multiprocess(
                 )
             )
 
-        totals = await cluster.counters()
+        totals = await backend.counters()
         report.messages_sent = sum(c["sent"] for c in totals)
         report.messages_delivered = sum(c["delivered"] for c in totals)
         report.messages_dead_lettered = sum(c["dead_lettered"] for c in totals)
+        return report
     finally:
-        await cluster.close()
-    return report
+        await backend.close()
+
+
+async def replay_trace(
+    trace: WorkloadTrace,
+    transport: Transport,
+    *,
+    n_bootstrap: Optional[int] = None,
+    capacity: int = 10,
+) -> ReplayReport:
+    """Replay a recorded workload through one engine on ``transport``;
+    returns the canonical outcome stream.
+
+    ``n_bootstrap`` is the initial platform size (the trace records only
+    the workload-side events; the bootstrap population comes from the
+    recording's configuration and is stored in ``trace.meta``).
+    """
+    await transport.start()
+    backend = LocalCluster(ProtocolEngine(transport=transport))
+    return await _replay(trace, backend, n_bootstrap, capacity)
+
+
+async def replay_trace_multiprocess(
+    trace: WorkloadTrace,
+    *,
+    processes: int = 2,
+    n_bootstrap: Optional[int] = None,
+    capacity: int = 10,
+    chaos=None,
+) -> ReplayReport:
+    """Replay a recorded workload through a multi-process ring: the same
+    driver loop as :func:`replay_trace`, against a
+    :class:`~repro.net.procgroup.MultiProcessCluster` — engine groups in
+    separate OS processes exchanging protocol messages over peer-to-peer
+    sockets.
+
+    ``chaos`` (a :mod:`repro.net.chaos` plan/spec) injects seeded faults
+    into every worker transport during the replay — with an
+    outcome-preserving plan (delay/reorder) the canonical stream must
+    *still* equal the oracle's.  Message totals are the summed per-group
+    transport counters (higher than single-engine replays by exactly the
+    locator replication traffic, so only the conservation invariant — not
+    the totals — is comparable across topologies).
+    """
+    from .procgroup import MultiProcessCluster
+
+    backend = MultiProcessCluster(processes=processes, chaos=chaos)
+    await backend.start()
+    return await _replay(trace, backend, n_bootstrap, capacity)
 
 
 def diff_streams(a: List[UnitOutcome], b: List[UnitOutcome]) -> List[str]:

@@ -39,22 +39,14 @@ quiescence it is measuring.
 from __future__ import annotations
 
 import asyncio
-import os
-import tempfile
 import zlib
-from typing import Any, Callable, Dict, Hashable, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Optional
 
 from ..sim.network import Envelope
+from .asyncio_transport import SocketTransport, dial, hello_frame
 from .policy import RetryPolicy
-from .transport import Handler, Transport, TransportError
-from .wire import WIRE_SCHEMA, FrameReader, WireError, encode_frame
-
-#: Socket read chunk size; frames reassemble across chunks via FrameReader.
-_READ_CHUNK = 1 << 16
-
-#: The reserved endpoint hello frames are addressed to (shared with
-#: :mod:`repro.net.asyncio_transport` so clients speak to either).
-CONTROL_ENDPOINT = "@transport"
+from .transport import TransportError
+from .wire import WireError, encode_frame
 
 #: Endpoint-name prefixes that mark control-plane traffic (uncounted).
 DEFAULT_CONTROL_PREFIXES = ("@ctl", "@coord")
@@ -73,16 +65,11 @@ class _Link:
         self.writer: Optional[asyncio.StreamWriter] = None
 
 
-async def _dial(address: tuple) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-    if address[0] == "unix":
-        return await asyncio.open_unix_connection(address[1])
-    if address[0] == "tcp":
-        return await asyncio.open_connection(address[1], address[2])
-    raise TransportError(f"undialable address {address!r}")
-
-
-class PeerAsyncioTransport(Transport):
+class PeerAsyncioTransport(SocketTransport):
     """Per-group listener + outbound connection cache (see module doc)."""
+
+    _TEMP_PREFIX = "repro-p2p-"
+    _SOCKET_NAME = "peer.sock"
 
     def __init__(
         self,
@@ -98,37 +85,20 @@ class PeerAsyncioTransport(Transport):
         dial_jitter: float = 0.25,
         control_prefixes: tuple = DEFAULT_CONTROL_PREFIXES,
     ) -> None:
-        self._handlers: Dict[Hashable, Handler] = {}
-        self._inboxes: Dict[Hashable, asyncio.Queue] = {}
-        self._consumers: Dict[Hashable, asyncio.Task] = {}
-        #: endpoint -> StreamWriter of the client connection hosting it.
-        self._routes: Dict[Hashable, asyncio.StreamWriter] = {}
+        super().__init__(
+            path=path,
+            host=host,
+            port=port,
+            drain_timeout=drain_timeout,
+            control_prefixes=control_prefixes,
+        )
         self._links: Dict[tuple, _Link] = {}
         self._resolve = resolve
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._t0 = 0.0
-        self._server: Optional[asyncio.AbstractServer] = None
         self._reaper_task: Optional[asyncio.Task] = None
-        self._tempdir: Optional[str] = None
-        self._started = False
-        self._use_tcp = host is not None
-        self._host = host
-        self._port = port
-        self._path = path
-        #: ``("unix", path)`` or ``("tcp", host, port)`` once started.
-        self.address: Optional[tuple] = None
-        self.drain_timeout = drain_timeout
         self.idle_timeout = idle_timeout
         self.dial_retries = dial_retries
         self.dial_backoff = dial_backoff
         self.dial_jitter = dial_jitter
-        self.control_prefixes = tuple(control_prefixes)
-        #: Handler/codec/link exceptions, surfaced by :meth:`drain`.
-        self.errors: list[BaseException] = []
-        self.messages_sent = 0
-        self.messages_delivered = 0
-        self.messages_dropped = 0
-        self.messages_dead_lettered = 0
         #: Inter-group wire frames written / read (control plane excluded).
         self.frames_out = 0
         self.frames_in = 0
@@ -136,25 +106,11 @@ class PeerAsyncioTransport(Transport):
         self.links_dialed = 0
         self.links_reaped = 0
 
-    def _is_control(self, endpoint: Hashable) -> bool:
-        return isinstance(endpoint, str) and endpoint.startswith(self.control_prefixes)
-
     def set_resolve(self, resolve: Optional[Callable[[Hashable], Optional[tuple]]]) -> None:
         """Install (or replace) the endpoint resolver.  The multi-process
         runtime can only build the full address map after every group has
         bound its listener, so the resolver arrives post-``start()``."""
         self._resolve = resolve
-
-    # -- endpoints ---------------------------------------------------------
-
-    def register(self, endpoint: Hashable, handler: Handler) -> None:
-        self._handlers[endpoint] = handler
-
-    def unregister(self, endpoint: Hashable) -> None:
-        self._handlers.pop(endpoint, None)
-
-    def is_registered(self, endpoint: Hashable) -> bool:
-        return endpoint in self._handlers
 
     # -- delivery ----------------------------------------------------------
 
@@ -212,7 +168,7 @@ class PeerAsyncioTransport(Transport):
         policy = self._dial_policy(link.address)
         for attempt in range(self.dial_retries + 1):
             try:
-                _reader, writer = await _dial(link.address)
+                _reader, writer = await dial(link.address)
                 break
             except OSError as exc:
                 if attempt == self.dial_retries:
@@ -221,13 +177,7 @@ class PeerAsyncioTransport(Transport):
                 await asyncio.sleep(policy.delay(attempt + 1))
         link.writer = writer
         self.links_dialed += 1
-        writer.write(
-            encode_frame(
-                CONTROL_ENDPOINT,
-                CONTROL_ENDPOINT,
-                {"hello": WIRE_SCHEMA, "kind": "peer"},
-            )
-        )
+        writer.write(hello_frame(kind="peer"))
         try:
             while True:
                 src, dst, payload, control = await link.outbox.get()
@@ -251,11 +201,24 @@ class PeerAsyncioTransport(Transport):
         """The link is unusable: count its queued frames dropped, forget it
         (a later send re-dials from scratch), and surface the error."""
         self.errors.append(exc)
+        self._drop_queued(link)
+        self._links.pop(link.address, None)
+
+    def _drop_queued(self, link: _Link) -> None:
+        """The wire contract for a dead connection: its queued
+        non-control frames count dropped."""
         while not link.outbox.empty():
             _src, _dst, _payload, control = link.outbox.get_nowait()
             if not control:
                 self.messages_dropped += 1
-        self._links.pop(link.address, None)
+
+    def _sever(self, link: _Link) -> None:
+        """Tear an (already forgotten) link down without recording an error."""
+        if link.task is not None:
+            link.task.cancel()
+        self._drop_queued(link)
+        if link.writer is not None:
+            link.writer.close()
 
     def kill_link(self, dst: Hashable) -> bool:
         """Sever the cached link under ``dst`` mid-flight (chaos's
@@ -270,14 +233,7 @@ class PeerAsyncioTransport(Transport):
         link = self._links.pop(address, None)
         if link is None:
             return False
-        if link.task is not None:
-            link.task.cancel()
-        while not link.outbox.empty():
-            _src, _dst, _payload, control = link.outbox.get_nowait()
-            if not control:
-                self.messages_dropped += 1
-        if link.writer is not None:
-            link.writer.close()
+        self._sever(link)
         return True
 
     def reset_links(self) -> None:
@@ -285,14 +241,7 @@ class PeerAsyncioTransport(Transport):
         may have respawned at new addresses).  Queued non-control frames
         count dropped; subsequent sends re-resolve and re-dial."""
         for link in list(self._links.values()):
-            if link.task is not None:
-                link.task.cancel()
-            while not link.outbox.empty():
-                _src, _dst, _payload, control = link.outbox.get_nowait()
-                if not control:
-                    self.messages_dropped += 1
-            if link.writer is not None:
-                link.writer.close()
+            self._sever(link)
         self._links.clear()
 
     def reset_accounting(self) -> None:
@@ -327,208 +276,37 @@ class PeerAsyncioTransport(Transport):
 
     # -- listener side -----------------------------------------------------
 
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        frames = FrameReader()
-        kind: Optional[str] = None
-        try:
-            while True:
-                chunk = await reader.read(_READ_CHUNK)
-                if not chunk:
-                    break
-                for env in frames.feed(chunk):
-                    if kind is None:
-                        kind = self._handle_hello(env, writer)
-                        continue
-                    if kind == "peer":
-                        # Inter-group ingress: the frame enters this group's
-                        # accounting domain here.
-                        if not self._is_control(env.dst):
-                            self.messages_sent += 1
-                            self.frames_in += 1
-                    else:
-                        # Client ingress (broker RPCs): counted like the
-                        # broker transport's remote ingress; the client's
-                        # origin endpoint becomes routable back.
-                        if not self._is_control(env.dst):
-                            self.messages_sent += 1
-                        self._routes[env.src] = writer
-                    self._route_local(env)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            # Loop teardown cancels server-spawned connection tasks that
-            # were never individually awaited; exiting quietly keeps the
-            # stream protocol's done-callback from logging it.
-            pass
-        except WireError as exc:
-            self.errors.append(exc)
-        finally:
-            stale = [ep for ep, w in self._routes.items() if w is writer]
-            for ep in stale:
-                del self._routes[ep]
-            writer.close()
-
-    def _handle_hello(self, env: Envelope, writer: asyncio.StreamWriter) -> str:
-        """First frame of every connection.  Peer links say ``kind:
-        "peer"``; anything else (a :class:`~repro.net.client.DLPTClient`
-        hello, which carries ``endpoint``) is a client connection."""
-        payload = env.payload
-        if (
-            env.dst != CONTROL_ENDPOINT
-            or not isinstance(payload, dict)
-            or payload.get("hello") != WIRE_SCHEMA
-        ):
-            raise WireError(f"connection did not open with a hello frame: {env!r}")
-        if payload.get("kind") == "peer":
-            return "peer"
-        endpoint = payload.get("endpoint")
-        if endpoint is not None:
-            self._routes[endpoint] = writer
-        return "client"
-
-    def _route_local(self, env: Envelope) -> None:
-        """An ingress frame lands: local inbox, client route or dead."""
-        control = self._is_control(env.dst)
-        if env.dst in self._handlers or env.dst in self._inboxes:
-            self._ensure_consumer(env.dst).put_nowait(env)
-        elif env.dst in self._routes:
-            self._routes[env.dst].write(encode_frame(env.src, env.dst, env.payload))
-            if not control:
-                self.messages_delivered += 1
+    def _ingress(self, hello: dict, env: Envelope, writer: asyncio.StreamWriter) -> None:
+        counted = not self._is_control(env.dst)
+        if counted:
+            self.messages_sent += 1
+        if hello.get("kind") == "peer":
+            # Inter-group ingress: the frame enters this group's
+            # accounting domain here.
+            if counted:
+                self.frames_in += 1
         else:
-            if not control:
-                self.messages_dead_lettered += 1
-
-    def _ensure_consumer(self, endpoint: Hashable) -> asyncio.Queue:
-        inbox = self._inboxes.get(endpoint)
-        if inbox is None:
-            inbox = asyncio.Queue()
-            self._inboxes[endpoint] = inbox
-            self._consumers[endpoint] = self._loop.create_task(
-                self._consume(endpoint, inbox)
-            )
-        return inbox
-
-    async def _consume(self, endpoint: Hashable, inbox: asyncio.Queue) -> None:
-        while True:
-            env = await inbox.get()
-            self._deliver(env)
-
-    def _deliver(self, env: Envelope) -> None:
-        """Run the destination handler; registration is checked at delivery
-        time (like the simulator's network) so an endpoint that
-        unregistered with messages still inbound dead-letters them."""
-        control = self._is_control(env.dst)
-        handler = self._handlers.get(env.dst)
-        if handler is None:
-            if not control:
-                self.messages_dead_lettered += 1
-            return
-        try:
-            handler(env)
-        except Exception as exc:  # surfaced at drain(); keep consuming
-            self.errors.append(exc)
-        if not control:
-            self.messages_delivered += 1
-
-    # -- clock & timers ----------------------------------------------------
-
-    def now(self) -> float:
-        if self._loop is None:
-            return 0.0
-        return self._loop.time() - self._t0
-
-    def call_later(self, delay: float, action: Callable[[], Any]):
-        if self._loop is None:
-            raise TransportError("transport is not started")
-        return self._loop.call_later(delay, action)
+            # Client ingress (broker RPCs; a DLPTClient hello carries
+            # ``endpoint``, not ``kind``): the client's origin endpoint
+            # becomes routable back.
+            self._routes[env.src] = writer
 
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
         if self._started:
             return
-        self._loop = asyncio.get_running_loop()
-        self._t0 = self._loop.time()
-        if self._use_tcp:
-            self._server = await asyncio.start_server(
-                self._on_connection, self._host, self._port
-            )
-            sockname = self._server.sockets[0].getsockname()
-            self.address = ("tcp", sockname[0], sockname[1])
-        else:
-            if self._path is None:
-                self._tempdir = tempfile.mkdtemp(prefix="repro-p2p-")
-                self._path = os.path.join(self._tempdir, "peer.sock")
-            self._server = await asyncio.start_unix_server(
-                self._on_connection, path=self._path
-            )
-            self.address = ("unix", self._path)
+        await self._listen()
         self._reaper_task = self._loop.create_task(self._reap_idle())
         self._started = True
 
     async def close(self) -> None:
-        self._started = False
-        tasks = [
-            t
-            for t in [
-                self._reaper_task,
-                *(link.task for link in self._links.values()),
-                *self._consumers.values(),
-            ]
-            if t
-        ]
-        for task in tasks:
-            task.cancel()
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+        await self._stop(
+            [self._reaper_task, *(link.task for link in self._links.values())]
+        )
         self._reaper_task = None
         for link in self._links.values():
             if link.writer is not None:
                 link.writer.close()
         self._links.clear()
-        self._consumers.clear()
-        self._inboxes.clear()
-        self._routes.clear()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if not self._use_tcp and self._path is not None:
-            # Clean shutdown never leaves a stale socket file behind.
-            try:
-                os.unlink(self._path)
-            except OSError:
-                pass
-        if self._tempdir is not None:
-            try:
-                os.rmdir(self._tempdir)
-            except OSError:
-                pass
-            self._tempdir = None
-
-    # -- quiescence --------------------------------------------------------
-
-    async def drain(self) -> None:
-        """Local quiescence: no *data-plane* message of this group is in
-        flight.  Cluster-wide quiescence additionally needs the frame sums
-        (module doc) — that loop lives in :mod:`repro.net.procgroup`."""
-        deadline = self._loop.time() + self.drain_timeout
-        spins = 0
-        while self.in_flight > 0:
-            if self._loop.time() > deadline:
-                raise TransportError(
-                    f"drain timed out after {self.drain_timeout}s with "
-                    f"{self.in_flight} messages in flight"
-                )
-            spins += 1
-            # Mostly bare yields (everything lives on this loop); back off
-            # to a real sleep periodically so socket I/O is never starved.
-            await asyncio.sleep(0 if spins % 64 else 0.001)
-        if self.errors:
-            errors, self.errors = self.errors, []
-            raise TransportError(
-                f"{len(errors)} handler/codec/link error(s) during drain"
-            ) from errors[0]
+        await self._unlisten()

@@ -38,7 +38,7 @@ Crashes are the coordinator's job (fail-stop has no goodbye protocol):
 its ν, ``adopt`` installs those nodes on the successor, ``set_succ`` /
 ``set_pred`` splice the neighbours' ring pointers, and a ``locator_set``
 broadcast repoints every group's location table — the exact decomposition
-of :func:`repro.net.conformance.crash_peer_live` into control RPCs.
+of :meth:`repro.net.cluster.LocalCluster.crash` into control RPCs.
 """
 
 from __future__ import annotations
@@ -50,6 +50,15 @@ import zlib
 from typing import Dict, List, Optional, Tuple
 
 from ..sim.network import Envelope
+from .cluster import (
+    engine_snapshot,
+    entry_for,
+    successor_of,
+    take_discovery_replies,
+    take_query_replies,
+    toggle_chaos,
+    transport_counters,
+)
 from .p2p import PeerAsyncioTransport
 from .transport import TransportError
 from .wire import decode_node_payload, encode_node_payload
@@ -151,12 +160,6 @@ class _Worker:
             reply,
         )
 
-    def _entry_for(self, preferred: Optional[str]) -> Optional[str]:
-        locator = self.engine.locator
-        if preferred is not None and preferred in locator:
-            return preferred
-        return min(locator) if locator else None
-
     def _op_bootstrap(self, request: dict) -> dict:
         self.engine.bootstrap_peer(str(request["peer"]), int(request["capacity"]))
         return {}
@@ -232,19 +235,19 @@ class _Worker:
         return {}
 
     def _op_insert(self, request: dict) -> dict:
-        via = self._entry_for(request.get("via"))
+        via = entry_for(self.engine, request.get("via"))
         self.engine.insert_data(str(request["key"]), request.get("datum"), via=via)
         return {}
 
     def _op_discover(self, request: dict) -> dict:
-        via = self._entry_for(request.get("via"))
+        via = entry_for(self.engine, request.get("via"))
         if via is None:
             return {"issued": False}
         self.engine.discover(str(request["key"]), via=via)
         return {"issued": True}
 
     def _op_search(self, request: dict) -> dict:
-        via = self._entry_for(request.get("via"))
+        via = entry_for(self.engine, request.get("via"))
         if via is None:
             return {"issued": False}
         self.engine.search_query(
@@ -253,51 +256,18 @@ class _Worker:
         return {"issued": True}
 
     def _op_collect(self, request: dict) -> dict:
-        engine = self.engine
-        discovery = [
-            {
-                "key": r.key,
-                "found": r.found,
-                "data": sorted(r.data, key=repr),
-                "hops": r.hops,
-                "host": engine.locator.get(r.key),
-            }
-            for r in engine.discovery_replies
-        ]
-        engine.discovery_replies.clear()
-        queries = [
-            {
-                "kind": r.kind,
-                "lo": r.lo,
-                "hi": r.hi,
-                "keys": list(r.keys),
-                "hops": r.hops,
-            }
-            for r in engine.query_replies
-        ]
-        engine.query_replies.clear()
-        return {"discovery": discovery, "queries": queries}
+        return {
+            "discovery": take_discovery_replies(self.engine),
+            "queries": take_query_replies(self.engine),
+        }
 
     def _op_snapshot(self, request: dict) -> dict:
-        engine = self.engine
-        hosted = {}
-        for peer in engine.peers.values():
-            for label, st in peer.nodes.items():
-                hosted[label] = bool(st.data)
-        return {
-            "live": sorted(p.id for p in engine.peers.values() if p.joined),
-            "hosted": hosted,
-            "locator_size": len(engine.locator),
-        }
+        return engine_snapshot(self.engine)
 
     def _op_counters(self, request: dict) -> dict:
         t = self.transport
         return {
-            "in_flight": t.in_flight,
-            "sent": t.messages_sent,
-            "delivered": t.messages_delivered,
-            "dropped": t.messages_dropped,
-            "dead_lettered": t.messages_dead_lettered,
+            **transport_counters(t),
             "frames_out": t.frames_out,
             "frames_in": t.frames_in,
             "errors": len(t.errors),
@@ -306,11 +276,7 @@ class _Worker:
 
     def _op_chaos(self, request: dict) -> dict:
         """Toggle fault injection (a no-op on a plain transport)."""
-        t = self.transport
-        if hasattr(t, "plan") and hasattr(t, "enabled"):
-            t.enabled = bool(request["enabled"])
-            return {"chaos": True, "enabled": t.enabled}
-        return {"chaos": False}
+        return {"chaos": toggle_chaos(self.transport, bool(request["enabled"]))}
 
     def _op_ping(self, request: dict) -> dict:
         """Heartbeat probe: proves the worker's event loop is servicing
@@ -421,13 +387,20 @@ def _worker_main(index: int, n_groups: int, conn, chaos=None) -> None:
 class MultiProcessCluster:
     """Parent-side handle on a ring spread over worker processes.
 
-    Exposes engine-shaped operations (``join`` / ``leave`` / ``crash`` /
-    ``register`` / ``discover`` / ``search``) that each end at global
+    The multi-process backend (surface: :mod:`repro.net.cluster`): the
+    same ``join`` / ``leave`` / ``crash`` / ``register`` / ``discover`` /
+    ``discover_many`` / ``search`` / ``snapshot`` operations as
+    :class:`~repro.net.cluster.LocalCluster`, each ending at *global*
     quiescence, plus the raw :meth:`call` control RPC and the
     :meth:`drain` loop they are built from.  Membership is tracked here —
     the coordinator *is* the bootstrap registry of the multi-process
     runtime (``successor_of`` seeds every join with O(1) messages).
     """
+
+    #: A supervisor-driven recovery (and a worker silently dying, as a
+    #: control-RPC timeout) is *transient*: the broker answers these with
+    #: backpressure so a resilient client retries through the outage.
+    RETRYABLE_ERRORS: tuple = (ClusterRecovering, asyncio.TimeoutError)
 
     def __init__(
         self,
@@ -752,12 +725,7 @@ class MultiProcessCluster:
         return sorted(self.members)
 
     def successor_of(self, peer_id: str) -> Optional[str]:
-        import bisect
-
-        ids = self.live_ids()
-        if not ids:
-            return None
-        return ids[bisect.bisect_left(ids, peer_id) % len(ids)]
+        return successor_of(self.live_ids(), peer_id)
 
     async def _admit(self, peer_id: str, capacity: int) -> dict:
         """The raw admission (shared by :meth:`join` and recovery's
@@ -776,11 +744,11 @@ class MultiProcessCluster:
         await self.drain()
         self.members[peer_id] = capacity
         ring = await self.call(group, "ring", peer=peer_id)
-        return {"pred": ring.get("pred"), "succ": ring.get("succ")}
+        return {"group": group, "pred": ring.get("pred"), "succ": ring.get("succ")}
 
     async def join(self, peer_id: str, capacity: int = 10) -> dict:
         """Admit ``peer_id`` (bootstrap when first), drain, and return its
-        settled ring pointers ``{"pred": ..., "succ": ...}``."""
+        settled ring pointers plus placement ``{"group", "pred", "succ"}``."""
         self._check_ready()
         return await self._admit(peer_id, capacity)
 
@@ -794,7 +762,7 @@ class MultiProcessCluster:
 
     async def crash(self, victim_id: str) -> None:
         """Fail-stop crash + ``r=1`` recovery, decomposed into control
-        RPCs (the multi-process :func:`~repro.net.conformance.crash_peer_live`)."""
+        RPCs (the multi-process :meth:`~repro.net.cluster.LocalCluster.crash`)."""
         self._check_ready()
         if victim_id not in self.members:
             raise ClusterError(f"peer {victim_id!r} not joined")
@@ -870,6 +838,17 @@ class MultiProcessCluster:
         if len(replies) != 1:
             raise ClusterError(f"{len(replies)} replies for one discovery of {key!r}")
         return replies[0]
+
+    async def discover_many(self, keys) -> Optional[List[dict]]:
+        """A batch of discoveries, answered in request order (one global
+        drain each); ``None`` when the tree is empty."""
+        results = []
+        for key in keys:
+            reply = await self.discover(key)
+            if reply is None:
+                return None
+            results.append(reply)
+        return results
 
     async def search(
         self, kind: str, lo: str, hi: str = "", via: Optional[str] = None

@@ -11,9 +11,10 @@ traffic before shutdown.
 
 ``--processes N`` (N >= 2) instead spreads the ring over N engine-group
 worker processes (:class:`~repro.net.procgroup.MultiProcessCluster`,
-peer-to-peer sockets between groups) and serves clients through
-:class:`ClusterBroker` — the same ``"@broker"`` wire contract, so
-:class:`~repro.net.client.DLPTClient` cannot tell the topologies apart.
+peer-to-peer sockets between groups) and serves clients through the same
+:class:`~repro.net.bootstrap.Broker` over that backend — one ``"@broker"``
+wire contract, so :class:`~repro.net.client.DLPTClient` cannot tell the
+topologies apart.
 
 ``--journal PATH`` persists membership as ``repro-registry/1`` JSONL;
 on startup a non-empty journal is replayed and the recovered peers are
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import bisect
 import contextlib
 import os
 import signal
@@ -44,7 +44,8 @@ from .asyncio_transport import AsyncioTransport
 from .bootstrap import Broker, RegistryJournal
 from .chaos import ChaosTransport
 from .client import DLPTClient
-from .procgroup import ClusterRecovering, MultiProcessCluster, group_of
+from .cluster import LocalCluster
+from .procgroup import MultiProcessCluster
 
 #: Keys the demo registers and then discovers over the socket.
 DEMO_KEYS = (
@@ -69,15 +70,24 @@ def peer_ids(n: int) -> List[str]:
     return sorted(set(ids))
 
 
-def _initial_members(n_peers: int, capacity: int, journal):
-    """The topology to admit at startup: the journal's recovered
-    membership when non-empty, else the default ``peer_ids`` spread.
-    Returns ``(members, recovered)`` — fresh topologies get journaled,
-    recovered ones are already on disk."""
-    replayed = journal.replay() if journal is not None else {}
-    if replayed:
-        return replayed, True
-    return {pid: capacity for pid in peer_ids(n_peers)}, False
+async def _admit_members(backend, n_peers: int, capacity: int, journal, chaos) -> None:
+    """The bring-up both topologies share: admit the initial topology —
+    the journal's recovered membership when non-empty, else the default
+    ``peer_ids`` spread — through ``backend.join``, journaling fresh
+    topologies (recovered ones are already on disk), with fault injection
+    held off until the ring is up: chaos perturbs serving, not bring-up."""
+    members = journal.replay() if journal is not None else {}
+    recovered = bool(members)
+    if not recovered:
+        members = {pid: capacity for pid in peer_ids(n_peers)}
+    if chaos is not None:
+        await backend.set_chaos(False)
+    for pid in sorted(members):
+        await backend.join(pid, members[pid])
+        if journal is not None and not recovered:
+            journal.record("join", pid, members[pid])
+    if chaos is not None:
+        await backend.set_chaos(True)
 
 
 async def start_cluster(
@@ -100,148 +110,25 @@ async def start_cluster(
     replayed and its membership re-admitted instead of the default.
     ``chaos`` (a plan/spec per :mod:`repro.net.chaos`) wraps the transport
     in a :class:`~repro.net.chaos.ChaosTransport`, enabled only once the
-    initial topology is up — chaos perturbs serving, not bring-up."""
+    initial topology is up."""
     transport = AsyncioTransport(
         host=host if tcp else None, port=port, path=None if tcp else path
     )
     await transport.start()
     if chaos is not None:
         transport = ChaosTransport(transport, chaos)
-        transport.enabled = False
     engine = ProtocolEngine(transport=transport)
     broker = Broker(
-        engine,
+        LocalCluster(engine),
         transport,
         inbox_limit=inbox_limit,
         retry_after=retry_after,
         journal=journal,
     )
     await broker.start()
-    members, recovered = _initial_members(n_peers, capacity, journal)
-    ids = sorted(members)
-    engine.bootstrap_peer(ids[0], members[ids[0]])
-    for pid in ids[1:]:
-        engine.join_peer(pid, members[pid], seed=broker.registry.successor_of(pid))
-        await transport.drain()
-    if journal is not None and not recovered:
-        for pid in ids:
-            journal.record("join", pid, members[pid])
+    await _admit_members(broker.backend, n_peers, capacity, journal, chaos)
     engine.check_ring()
-    if chaos is not None:
-        transport.enabled = True
     return transport, engine, broker
-
-
-class ClusterBroker(Broker):
-    """The ``"@broker"`` RPC surface served by a multi-process ring.
-
-    Inherits :class:`~repro.net.bootstrap.Broker`'s admission control
-    (bounded inbox with ``busy`` replies, per-client round-robin,
-    idempotent retries by correlation id) and serving loop unchanged;
-    every operation delegates to the coordinator's control plane instead
-    of a local engine, so clients get identical reply shapes from both
-    topologies.
-
-    A supervisor-driven recovery surfaces as :class:`~repro.net.procgroup
-    .ClusterRecovering` (and a worker silently dying, as a control-RPC
-    timeout); both are *transient*, so they map to backpressure replies —
-    a resilient client retries through the outage instead of failing.
-    """
-
-    RETRYABLE_ERRORS = (ClusterRecovering, asyncio.TimeoutError)
-
-    def __init__(
-        self,
-        cluster: MultiProcessCluster,
-        transport,
-        *,
-        inbox_limit: Optional[int] = None,
-        retry_after: float = 0.05,
-        journal: Optional[RegistryJournal] = None,
-    ) -> None:
-        super().__init__(
-            None,
-            transport,
-            inbox_limit=inbox_limit,
-            retry_after=retry_after,
-            journal=journal,
-        )
-        self.cluster = cluster
-
-    async def _op_register(self, request: dict) -> dict:
-        return await self.cluster.register(str(request["key"]), request.get("datum"))
-
-    async def _op_discover(self, request: dict) -> dict:
-        key = str(request["key"])
-        reply = await self.cluster.discover(key)
-        if reply is None:
-            raise RuntimeError(f"no entry node for {key!r} (empty tree)")
-        return reply
-
-    async def _op_discover_batch(self, request: dict) -> dict:
-        results = []
-        for key in [str(k) for k in request["keys"]]:
-            reply = await self.cluster.discover(key)
-            if reply is None:
-                raise RuntimeError(f"no entry node for {key!r} (empty tree)")
-            results.append(reply)
-        return {"results": results}
-
-    async def _op_search(self, request: dict) -> dict:
-        reply = await self.cluster.search(
-            str(request["kind"]), str(request["lo"]), str(request.get("hi", ""))
-        )
-        if reply is None:
-            raise RuntimeError("no entry node (empty tree)")
-        return reply
-
-    async def _op_peer_join(self, request: dict) -> dict:
-        peer_id = str(request["peer"])
-        capacity = int(request.get("capacity", 10))
-        ids = self.cluster.live_ids()
-        successor = self.cluster.successor_of(peer_id)
-        i = bisect.bisect_left(ids, peer_id)
-        seeds = [ids[(i + k) % len(ids)] for k in range(min(3, len(ids)))]
-        ring = await self.cluster.join(peer_id, capacity)
-        if self.journal is not None:
-            self.journal.record("join", peer_id, capacity)
-        return {
-            "peer": peer_id,
-            "successor": successor,
-            "seeds": seeds,
-            "group": group_of(peer_id, self.cluster.n_groups),
-            **ring,
-        }
-
-    async def _op_peer_leave(self, request: dict) -> dict:
-        peer_id = str(request["peer"])
-        await self.cluster.leave(peer_id)
-        if self.journal is not None:
-            self.journal.record("leave", peer_id)
-        return {"peer": peer_id, "peers": len(self.cluster.members)}
-
-    async def _op_info(self, request: dict) -> dict:
-        snap = await self.cluster.snapshot()
-        keys = sorted(label for label, filled in snap["hosted"].items() if filled)
-        return {
-            "peers": len(snap["live"]),
-            "nodes": len(snap["hosted"]),
-            "keys": keys,
-            "served": self.requests_served,
-            "rejected": self.requests_rejected,
-            "pending": self.pending,
-            "max_pending": self.max_pending,
-        }
-
-    _OPS = {
-        "register": _op_register,
-        "discover": _op_discover,
-        "discover_batch": _op_discover_batch,
-        "search": _op_search,
-        "peer_join": _op_peer_join,
-        "peer_leave": _op_peer_leave,
-        "info": _op_info,
-    }
 
 
 async def start_multiprocess_cluster(
@@ -262,9 +149,9 @@ async def start_multiprocess_cluster(
     heartbeat_timeout: float = 2.0,
 ):
     """Bring up ``processes`` engine-group workers, a client-facing
-    listener and the :class:`ClusterBroker`; returns ``(transport,
-    cluster, broker)`` ready to serve.  ``chaos`` injects the given fault
-    plan into every worker transport (enabled once the topology is up);
+    listener and the broker over them; returns ``(transport, cluster,
+    broker)`` ready to serve.  ``chaos`` injects the given fault plan into
+    every worker transport (enabled once the topology is up);
     ``supervise`` starts the coordinator's heartbeat/restart supervisor
     (:meth:`MultiProcessCluster._supervise`)."""
     cluster = MultiProcessCluster(
@@ -284,7 +171,7 @@ async def start_multiprocess_cluster(
     except BaseException:
         await cluster.close()
         raise
-    broker = ClusterBroker(
+    broker = Broker(
         cluster,
         transport,
         inbox_limit=inbox_limit,
@@ -292,15 +179,7 @@ async def start_multiprocess_cluster(
         journal=journal,
     )
     await broker.start()
-    if cluster.chaos is not None:
-        await cluster.set_chaos(False)  # bring-up runs fault-free
-    members, recovered = _initial_members(n_peers, capacity, journal)
-    for pid in sorted(members):
-        await cluster.join(pid, members[pid])
-        if journal is not None and not recovered:
-            journal.record("join", pid, members[pid])
-    if cluster.chaos is not None:
-        await cluster.set_chaos(True)
+    await _admit_members(cluster, n_peers, capacity, journal, chaos)
     return transport, cluster, broker
 
 
@@ -365,36 +244,21 @@ async def serve(args, out=print) -> int:
     if supervise and not multiprocess:
         out("warning: --supervise needs --processes >= 2; ignoring")
         supervise = False
-    closers = []
+    kwargs = dict(
+        tcp=args.tcp,
+        host=args.host,
+        port=args.port,
+        path=args.path,
+        capacity=args.capacity,
+        journal=journal,
+        chaos=chaos,
+    )
+    start = start_cluster
+    if multiprocess:
+        start = start_multiprocess_cluster
+        kwargs.update(processes=args.processes, supervise=supervise)
     try:
-        if multiprocess:
-            transport, cluster, broker = await start_multiprocess_cluster(
-                args.peers,
-                processes=args.processes,
-                tcp=args.tcp,
-                host=args.host,
-                port=args.port,
-                path=args.path,
-                capacity=args.capacity,
-                journal=journal,
-                chaos=chaos,
-                supervise=supervise,
-            )
-            drain = cluster.drain
-            closers = [broker.close, transport.close, cluster.close]
-        else:
-            transport, engine, broker = await start_cluster(
-                args.peers,
-                tcp=args.tcp,
-                host=args.host,
-                port=args.port,
-                path=args.path,
-                capacity=args.capacity,
-                journal=journal,
-                chaos=chaos,
-            )
-            drain = transport.drain
-            closers = [broker.close, transport.close]
+        transport, _, broker = await start(args.peers, **kwargs)
     except OSError as exc:
         message = f"error: cannot bind {_bind_target(args)}: {exc}"
         if not args.tcp and args.path and os.path.exists(args.path):
@@ -403,11 +267,9 @@ async def serve(args, out=print) -> int:
         if journal is not None:
             journal.close()
         return 1
+    backend = broker.backend
     try:
-        n_live = (
-            len(cluster.members) if multiprocess else len(broker.registry.live_ids())
-        )
-        topology = f"{n_live} peers" + (
+        topology = f"{len(backend.live_ids())} peers" + (
             f" across {args.processes} processes" if multiprocess else ""
         )
         out(f"cluster up: {topology}, listening on {transport.address}")
@@ -423,11 +285,12 @@ async def serve(args, out=print) -> int:
         out("serving until SIGTERM (drains in-flight traffic on shutdown)")
         await wait_for_shutdown()
         out("shutdown: draining")
-        await drain()
+        await backend.drain()
         return 0
     finally:
-        for closer in closers:
-            await closer()
+        await broker.close()
+        await transport.close()
+        await backend.close()
 
 
 def build_parser() -> argparse.ArgumentParser:

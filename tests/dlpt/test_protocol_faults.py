@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.baselines.dlpt_dht import HashedMapping
 from repro.core.alphabet import BINARY
 from repro.dlpt.protocol import ProtocolEngine
@@ -99,23 +97,7 @@ class TestMappingGuards:
 
 
 class TestLegacyConstructor:
-    """The transport-first API: sim=/network= still works but warns."""
-
-    def test_sim_network_kwargs_warn_but_work(self):
-        sim = Simulator()
-        net = Network(sim)
-        with pytest.warns(DeprecationWarning, match="transport="):
-            eng = ProtocolEngine(sim=sim, network=net)
-        eng.bootstrap_peer("mmmm")
-        eng.insert_data("10")
-        eng.run()
-        assert eng.node_labels() == {"10"}
-
-    def test_transport_plus_legacy_kwargs_rejected(self):
-        sim = Simulator()
-        net = Network(sim)
-        with pytest.raises(ValueError, match="not both"):
-            ProtocolEngine(sim=sim, transport=SimTransport(sim=sim, network=net))
+    """The transport-first API: the engine builds its own SimTransport."""
 
     def test_bare_constructor_stays_silent(self):
         import warnings

@@ -160,7 +160,8 @@ class TestRuntimeDoc:
                        "conformance", "python -m repro serve",
                        "pytest -m net", "@broker", "DLPTClient",
                        "--processes", "retry_after", "busy",
-                       "parse_spec", "SpecError", "DeprecationWarning",
+                       "parse_spec", "SpecError", "LocalCluster",
+                       "MultiProcessCluster", "successor_of",
                        "Failure semantics", "ChaosTransport", "chaos:",
                        "--chaos", "--supervise", "RetryPolicy", "jitter",
                        "heartbeat", "crash", "ClusterRecovering",

@@ -31,6 +31,7 @@ from repro.net.client import (
     DLPTClientError,
     DLPTClientTimeout,
 )
+from repro.net.cluster import LocalCluster
 from repro.net.serve import start_cluster
 from repro.net.wire import FrameReader, encode_frame
 
@@ -72,7 +73,7 @@ async def _broker(**kwargs):
     transport = LoopbackAsyncioTransport()
     await transport.start()
     engine = ProtocolEngine(transport=transport)
-    broker = Broker(engine, transport, **kwargs)
+    broker = Broker(LocalCluster(engine), transport, **kwargs)
     await broker.start()
     engine.bootstrap_peer("pm", 10)
     await transport.drain()
@@ -335,6 +336,12 @@ async def _client_pair(script, default="ok", **policy):
 
 
 class TestClientPolicy:
+    def test_construction_outside_a_running_loop_raises(self):
+        """The client binds the *running* loop (its reader task lives on
+        it); there is no silently-created or wrong loop to bind instead."""
+        with pytest.raises(RuntimeError, match="no running event loop"):
+            DLPTClient(None, None, "@client-test")
+
     def test_default_policy_is_bare(self):
         async def body():
             client, server = await _client_pair({})

@@ -7,9 +7,11 @@ import asyncio
 import pytest
 
 from repro.dlpt.protocol import ProtocolEngine
-from repro.net.asyncio_transport import LoopbackAsyncioTransport
-from repro.net.bootstrap import BROKER_ENDPOINT, BootstrapRegistry, Broker
+from repro.net.asyncio_transport import AsyncioTransport, LoopbackAsyncioTransport
+from repro.net.bootstrap import BROKER_ENDPOINT, Broker
 from repro.net.client import DLPTClient, DLPTClientError
+from repro.net.cluster import LocalCluster, admission
+from repro.net.procgroup import MultiProcessCluster
 from repro.net.serve import start_cluster
 
 pytestmark = pytest.mark.asyncio
@@ -21,7 +23,7 @@ class TestBootstrapRegistry:
             transport = LoopbackAsyncioTransport()
             await transport.start()
             engine = ProtocolEngine(transport=transport)
-            registry = BootstrapRegistry(engine)
+            registry = LocalCluster(engine)
             engine.bootstrap_peer("m", 10)
             await transport.drain()
             for pid in ("d", "t"):
@@ -32,9 +34,9 @@ class TestBootstrapRegistry:
             assert registry.successor_of("d") == "d"
             assert registry.successor_of("e") == "m"
             assert registry.successor_of("z") == "d"  # wraps to the minimum
-            admission = registry.admission("e")
-            assert admission["successor"] == "m"
-            assert admission["seeds"][0] == "m"
+            admitted = admission(registry.live_ids(), "e")
+            assert admitted["successor"] == "m"
+            assert admitted["seeds"][0] == "m"
             await transport.close()
 
         asyncio.run(body())
@@ -47,7 +49,7 @@ class TestBootstrapRegistry:
             transport = LoopbackAsyncioTransport()
             await transport.start()
             engine = ProtocolEngine(transport=transport)
-            registry = BootstrapRegistry(engine)
+            registry = LocalCluster(engine)
             for pid in ("ba", "bc", "be", "bg", "bi", "bk", "bm", "bo"):
                 if not engine.peers:
                     engine.bootstrap_peer(pid, 10)
@@ -83,11 +85,13 @@ class _LoopbackClient:
         rid, self._next_id = self._next_id, self._next_id + 1
         body.update(id=rid, reply_to=self.endpoint)
         self.transport.send(self.endpoint, BROKER_ENDPOINT, body)
-        for _ in range(10_000):
+        # Bare yields first (loopback answers within a few), then real
+        # sleeps so a multi-process backend's workers get the CPU.
+        for spin in range(40_000):
             for reply in self.replies:
                 if reply.get("id") == rid:
                     return reply
-            await asyncio.sleep(0)
+            await asyncio.sleep(0 if spin < 10_000 else 0.001)
         raise AssertionError(f"no reply for request {rid}")
 
 
@@ -96,7 +100,7 @@ class TestBrokerLoopback:
         transport = LoopbackAsyncioTransport()
         await transport.start()
         engine = ProtocolEngine(transport=transport)
-        broker = Broker(engine, transport)
+        broker = Broker(LocalCluster(engine), transport)
         await broker.start()
         for pid in ("pa", "pd", "pg", "pj"):
             reply = await _LoopbackClient(transport, f"@adm-{pid}").call(
@@ -205,6 +209,122 @@ class TestBrokerLoopback:
             await transport.close()
 
         asyncio.run(body())
+
+
+#: The reply contract, per scripted step: the key set every backend must
+#: answer with (``group`` — the worker placement — is the multi-process
+#: ring's one documented extra, on ``peer_join``).
+_OK = {"id", "ok"}
+_ERROR = {"id", "ok", "error"}
+_DISCOVERY = {"key", "found", "data", "hops", "host"}
+_QUERY = {"kind", "lo", "hi", "keys", "hops"}
+_ADMISSION = _OK | {"peer", "successor", "seeds", "pred", "succ"}
+_EXPECTED_KEYS = {
+    "join:pa": _ADMISSION,
+    "join:pd": _ADMISSION,
+    "join:pg": _ADMISSION,
+    "empty:discover": _ERROR,
+    "empty:discover_batch": _ERROR,
+    "empty:search": _ERROR,
+    "register": _OK | {"key", "host"},
+    "register:2": _OK | {"key", "host"},
+    "discover:hit": _OK | _DISCOVERY,
+    "discover:miss": _OK | _DISCOVERY,
+    "discover_batch": _OK | {"results"},
+    "search:prefix": _OK | _QUERY,
+    "search:range": _OK | _QUERY,
+    "search:bad": _ERROR,
+    "unknown": _ERROR,
+    "info": _OK
+    | {"peers", "nodes", "keys", "served", "rejected", "pending", "max_pending"},
+    "leave": _OK | {"peer", "peers"},
+}
+
+
+async def _rpc_script(transport):
+    """Every broker op once, in a fixed order, against whatever backend
+    serves ``"@broker"`` on ``transport``; returns ``{step: reply}``."""
+    client = _LoopbackClient(transport, "@script")
+    steps = [
+        ("join:pa", dict(op="peer_join", peer="pa", capacity=10)),
+        ("join:pd", dict(op="peer_join", peer="pd", capacity=10)),
+        ("join:pg", dict(op="peer_join", peer="pg", capacity=10)),
+        ("empty:discover", dict(op="discover", key="dgemm")),
+        ("empty:discover_batch", dict(op="discover_batch", keys=["dgemm"])),
+        ("empty:search", dict(op="search", kind="prefix", lo="dg")),
+        ("register", dict(op="register", key="dgemm", datum=42)),
+        ("register:2", dict(op="register", key="dgemv")),
+        ("discover:hit", dict(op="discover", key="dgemm")),
+        ("discover:miss", dict(op="discover", key="nope")),
+        ("discover_batch", dict(op="discover_batch", keys=["dgemv", "dgemm"])),
+        ("search:prefix", dict(op="search", kind="prefix", lo="dge")),
+        ("search:range", dict(op="search", kind="range", lo="dgemm", hi="pz")),
+        ("search:bad", dict(op="search", kind="glob", lo="d*")),
+        ("unknown", dict(op="frobnicate")),
+        ("info", dict(op="info")),
+        ("leave", dict(op="peer_leave", peer="pd")),
+    ]
+    return {step: await client.call(**body) for step, body in steps}
+
+
+async def _local_script():
+    transport = LoopbackAsyncioTransport()
+    await transport.start()
+    broker = Broker(LocalCluster(ProtocolEngine(transport=transport)), transport)
+    await broker.start()
+    try:
+        return await _rpc_script(transport)
+    finally:
+        await broker.close()
+        await transport.close()
+
+
+def _check_contract(replies, extra=frozenset()):
+    for step, expected in _EXPECTED_KEYS.items():
+        allowed = extra if step.startswith("join:") else frozenset()
+        assert set(replies[step]) - allowed == expected, step
+    assert set(replies["discover_batch"]["results"][0]) == _DISCOVERY
+    # One broker, one empty-tree answer — whatever the op or topology.
+    for step in ("empty:discover", "empty:discover_batch", "empty:search"):
+        assert replies[step]["error"] == "RuntimeError: tree is empty", step
+    assert "kind" in replies["search:bad"]["error"]
+    assert "unknown broker op" in replies["unknown"]["error"]
+
+
+class TestBrokerBackends:
+    """One ``Broker``, two backends: the same RPC script must produce the
+    same reply shapes (and the same answers) from both."""
+
+    def test_local_backend_reply_contract(self):
+        replies = asyncio.run(_local_script())
+        _check_contract(replies)
+        assert replies["discover:hit"]["data"] == [42]
+        assert replies["search:prefix"]["keys"] == ["dgemm", "dgemv"]
+
+    @pytest.mark.net
+    def test_multiprocess_backend_answers_like_the_local_one(self):
+        async def body():
+            cluster = MultiProcessCluster(processes=2)
+            await cluster.start()
+            transport = AsyncioTransport()
+            await transport.start()
+            broker = Broker(cluster, transport)
+            await broker.start()
+            try:
+                return await _rpc_script(transport)
+            finally:
+                await broker.close()
+                await transport.close()
+                await cluster.close()
+
+        multi = asyncio.run(body())
+        _check_contract(multi, extra={"group"})
+        local = asyncio.run(_local_script())
+        volatile = {"id", "group", "served", "error"}
+        for step in _EXPECTED_KEYS:
+            assert {k: v for k, v in multi[step].items() if k not in volatile} == {
+                k: v for k, v in local[step].items() if k not in volatile
+            }, step
 
 
 @pytest.mark.net

@@ -33,6 +33,7 @@ from repro.net.chaos import (
     parse_chaos,
 )
 from repro.net.client import DLPTClient
+from repro.net.cluster import LocalCluster
 from repro.net.conformance import (
     diff_streams,
     record_conformance_trace,
@@ -435,7 +436,7 @@ class TestChaosLive:
                 only=lambda s, d: isinstance(d, str) and d.startswith("@client-"),
             )
             engine = ProtocolEngine(transport=transport)
-            broker = Broker(engine, transport)
+            broker = Broker(LocalCluster(engine), transport)
             await broker.start()
             engine.bootstrap_peer("pm", 10)
             await transport.drain()

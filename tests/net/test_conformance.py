@@ -17,9 +17,9 @@ import pytest
 
 from repro.dlpt.protocol import ProtocolEngine
 from repro.net.asyncio_transport import AsyncioTransport, LoopbackAsyncioTransport
+from repro.net.cluster import LocalCluster
 from repro.net.conformance import (
     ConformanceError,
-    crash_peer_live,
     diff_streams,
     record_conformance_trace,
     replay_trace,
@@ -194,8 +194,7 @@ def _crash_restart_scenario(transport):
             await transport.drain()
 
         victim = engine.locator["ga"]
-        crash_peer_live(engine, transport, victim)
-        await transport.drain()
+        await LocalCluster(engine).crash(victim)
         survived = engine.locator["ga"]
 
         # The victim restarts under its old endpoint id (re-registering

@@ -236,7 +236,7 @@ class TestSupervision:
                 for pid in self.PEERS:
                     await cluster.join(pid)
                     # The cluster API leaves journaling of joins to the
-                    # serving layer (ClusterBroker); mirror it here so
+                    # serving layer (the Broker); mirror it here so
                     # the crash events have a membership to subtract from.
                     journal.record("join", pid, 10)
                 for key in self.KEYS:
