@@ -10,13 +10,17 @@ implementations —
 * :class:`~repro.net.transport.SimTransport` wraps the existing
   :class:`~repro.sim.engine.Simulator` + :class:`~repro.sim.network.Network`
   pair, byte-identical to driving them directly;
-* :class:`~repro.net.asyncio_transport.AsyncioTransport` speaks
-  length-prefixed JSON frames (schema ``repro-wire/1``,
+* :class:`~repro.net.asyncio_transport.AsyncioTransport`, the one socket
+  transport, speaks length-prefixed JSON frames (schema ``repro-wire/1``,
   :mod:`repro.net.wire`) over TCP or Unix-domain sockets on an asyncio
-  event loop, with per-endpoint inbox queues and a monotonic clock; its
-  :class:`~repro.net.asyncio_transport.LoopbackAsyncioTransport` subclass
-  keeps the event loop and the wire codec but delivers frames in-process
-  in deterministic global FIFO order (tier-1 testable).
+  event loop: endpoints registered on it are delivered in-process through
+  per-endpoint inbox queues, connected clients get their replies over
+  their connection, and everything else travels over lazily dialed links
+  to the listener a resolver names — so a single-process ring is the
+  transport with no resolver, and a multi-process one the same class per
+  group; its :class:`~repro.net.asyncio_transport.LoopbackAsyncioTransport`
+  subclass keeps the event loop and runs the wire codec on every hop but
+  delivers in-process in deterministic global FIFO order (tier-1 testable).
 
 The *same* protocol objects (:class:`repro.dlpt.protocol.ProtocolEngine`)
 run unchanged on either transport.  On top sits one *backend* surface

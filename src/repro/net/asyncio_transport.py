@@ -1,26 +1,33 @@
-"""The asyncio transport: ``repro-wire/1`` frames over real sockets.
+"""The asyncio transports: ``repro-wire/1`` frames over real sockets.
 
 :class:`AsyncioTransport` implements the :class:`~repro.net.transport.Transport`
-contract on an asyncio event loop.  One listener socket (a Unix-domain
-socket by default, TCP with ``host=``) multiplexes *all* endpoints — each
-frame names its destination endpoint, so a whole peer cluster shares one
-address, broker-style.  Internals:
+contract on an asyncio event loop.  The paper's system model has one
+communication substrate — any peer reaches any other by its id — and this
+is its one socket realisation, at *engine-group* granularity: a group is
+the set of endpoints registered on one transport (its peers, its broker,
+its client sink).
 
-* ``send()`` is synchronous (protocol handlers call it mid-message): it
-  counts the message and enqueues it on a single outbound queue; a writer
-  task encodes frames and pushes them through the transport's own loopback
-  connection to the listener.  The single queue + single connection gives
-  global FIFO on the wire, strictly stronger than the per-(src, dst) FIFO
-  the contract demands.
-* The listener fans frames out to **per-endpoint inbox queues**, each
-  drained by a consumer task that runs the endpoint's handler; endpoints
-  therefore process their inboxes concurrently, so *cross*-endpoint
-  interleavings are scheduler-defined — exactly the nondeterminism the
-  conformance harness canonicalises away.
-* External processes (e.g. :class:`~repro.net.client.DLPTClient`) connect
-  to the same listener, introduce themselves with a hello frame, and get
-  per-connection **reply routing**: frames addressed to an endpoint that
-  lives on a remote connection are forwarded back over it.
+* **One listener** per transport (a Unix-domain socket by default, TCP
+  with ``host=``); each frame names its destination endpoint.
+* ``send()`` is synchronous (protocol handlers call it mid-message) and
+  picks the route by where the destination lives: **local endpoints** go
+  straight to their per-endpoint inbox queue, each drained by a consumer
+  task that runs the handler (endpoints process their inboxes
+  concurrently, so cross-endpoint interleavings are scheduler-defined —
+  the nondeterminism the conformance harness canonicalises away);
+  **connected clients** (:class:`~repro.net.client.DLPTClient`: the hello
+  frame names a private reply endpoint) get the frame written back over
+  their connection; **everything else** resolves through the
+  ``set_resolve(endpoint -> address)`` callback to another group's
+  listener and travels over a cached link — **lazy dial** on first use,
+  **idle reap** after ``idle_timeout`` silent seconds (the next frame
+  redials), **reconnect with backoff** (the shared
+  :class:`~repro.net.policy.RetryPolicy`; when the dial budget is
+  exhausted the queued frames count dropped, never wedged).
+* A single-process ring is the transport with **no resolver**: every peer
+  is local, nothing is dialed, and an unknown destination dead-letters.
+  The multi-process runtime (:mod:`repro.net.procgroup`) gives every
+  worker and the coordinator the same class plus a resolver.
 * The clock is the loop's monotonic clock (seconds since ``start()``);
   timers are ``loop.call_later``.  There is deliberately no RNG: losses
   and delays are the operating system's, never sampled — see the contract
@@ -31,14 +38,22 @@ address, broker-style.  Internals:
   transiently mid-cascade), then raises the first handler exception if
   any handler failed.
 
-Everything but the first bullet lives in :class:`SocketTransport`, the
-base :class:`AsyncioTransport` shares with the per-group
-:class:`~repro.net.p2p.PeerAsyncioTransport`.
+Accounting: the invariant holds at quiescence *per group* — a cross-group
+frame counts ``delivered`` at the sender once written to the link and
+``sent`` at the receiver on ingress, so cluster-wide sums also balance.
+``frames_out`` / ``frames_in`` count inter-group wire frames only; a
+cluster is globally quiescent when every group's ``in_flight`` is zero
+**and** ``Σ frames_out == Σ frames_in`` (a frame can sit in a socket
+buffer after the sender counted it delivered — the frame totals catch
+exactly that window).  Endpoints named with a :data:`CONTROL_PREFIXES`
+prefix (the :mod:`repro.net.procgroup` control plane) bypass every
+counter, so coordinator polling never perturbs the quiescence it measures.
 
 :class:`LoopbackAsyncioTransport` keeps the event loop, the counters and
-the full wire-codec round-trip, but replaces the sockets with a single
-in-process FIFO queue drained by one pump task — deterministic global
-delivery order, byte-faithful frames, runnable in tier-1 CI.
+a full wire-codec round-trip on *every* hop, but replaces the sockets
+with a single in-process FIFO queue drained by one pump task —
+deterministic global delivery order, byte-faithful frames, runnable in
+tier-1 CI.
 """
 
 from __future__ import annotations
@@ -46,9 +61,11 @@ from __future__ import annotations
 import asyncio
 import os
 import tempfile
+import zlib
 from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 from ..sim.network import Envelope
+from .policy import RetryPolicy
 from .transport import Handler, Transport, TransportError
 from .wire import WIRE_SCHEMA, FrameReader, WireError, decode_frame, encode_frame
 
@@ -57,6 +74,13 @@ _READ_CHUNK = 1 << 16
 
 #: The reserved endpoint hello frames are addressed to.
 CONTROL_ENDPOINT = "@transport"
+
+#: Endpoint-name prefixes that mark control-plane traffic (uncounted).
+CONTROL_PREFIXES = ("@ctl", "@coord")
+
+
+def _is_control(endpoint: Hashable) -> bool:
+    return isinstance(endpoint, str) and endpoint.startswith(CONTROL_PREFIXES)
 
 
 async def dial(address: tuple) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
@@ -70,28 +94,30 @@ async def dial(address: tuple) -> Tuple[asyncio.StreamReader, asyncio.StreamWrit
 
 
 def hello_frame(**fields: Any) -> bytes:
-    """The frame every connection opens with (``_handle_hello``)."""
+    """The frame every connection opens with: ``endpoint=`` introduces a
+    client's private reply endpoint, ``kind="peer"`` an inter-group link."""
     return encode_frame(
         CONTROL_ENDPOINT, CONTROL_ENDPOINT, {"hello": WIRE_SCHEMA, **fields}
     )
 
 
-class SocketTransport(Transport):
-    """What every socket transport shares: one UNIX/TCP listener, hello
-    frames, per-endpoint inbox queues + consumer tasks, reply routing to
-    connected clients, the monotonic clock and the counter-polling drain.
+class _Link:
+    """One cached outbound connection: an outbox and its writer task."""
 
-    Subclasses supply :meth:`send` (how an outbound message reaches the
-    wire), :meth:`_ingress` (how an inbound frame enters the accounting
-    domain) and their own outbound machinery in ``start``/``close``.
-    Endpoints whose name starts with one of ``control_prefixes`` bypass
-    every counter (none do by default).
-    """
+    __slots__ = ("address", "outbox", "task", "last_used", "writer")
 
-    #: ``tempfile.mkdtemp`` prefix / socket file name of the default
-    #: (no ``path=``) Unix-domain listener.
-    _TEMP_PREFIX = "repro-net-"
-    _SOCKET_NAME = "dlpt.sock"
+    def __init__(self, address: tuple, loop: asyncio.AbstractEventLoop) -> None:
+        self.address = address
+        self.outbox: asyncio.Queue = asyncio.Queue()
+        self.task: Optional[asyncio.Task] = None
+        self.last_used: float = loop.time()
+        self.writer: Optional[asyncio.StreamWriter] = None
+
+
+class AsyncioTransport(Transport):
+    """Length-prefixed JSON frames over TCP or Unix-domain sockets: one
+    listener, in-process delivery to local endpoints, reply routing to
+    connected clients, lazily dialed links to other groups (module doc)."""
 
     def __init__(
         self,
@@ -100,13 +126,18 @@ class SocketTransport(Transport):
         host: Optional[str] = None,
         port: int = 0,
         drain_timeout: float = 60.0,
-        control_prefixes: tuple = (),
+        idle_timeout: float = 30.0,
+        dial_retries: int = 5,
+        dial_backoff: float = 0.05,
     ) -> None:
         self._handlers: Dict[Hashable, Handler] = {}
         self._inboxes: Dict[Hashable, asyncio.Queue] = {}
         self._consumers: Dict[Hashable, asyncio.Task] = {}
-        #: endpoint -> StreamWriter of the remote connection hosting it.
+        #: endpoint -> StreamWriter of the client connection hosting it.
         self._routes: Dict[Hashable, asyncio.StreamWriter] = {}
+        self._links: Dict[tuple, _Link] = {}
+        self._resolve: Optional[Callable[[Hashable], Optional[tuple]]] = None
+        self._reaper_task: Optional[asyncio.Task] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._t0 = 0.0
         self._server: Optional[asyncio.AbstractServer] = None
@@ -119,16 +150,27 @@ class SocketTransport(Transport):
         #: ``("unix", path)`` or ``("tcp", host, port)`` once started.
         self.address: Optional[tuple] = None
         self.drain_timeout = drain_timeout
-        self.control_prefixes = tuple(control_prefixes)
+        self.idle_timeout = idle_timeout
+        self.dial_retries = dial_retries
+        self.dial_backoff = dial_backoff
         #: Handler/codec/link exceptions, surfaced by :meth:`drain`.
         self.errors: list[BaseException] = []
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
         self.messages_dead_lettered = 0
+        #: Inter-group wire frames written / read (control plane excluded).
+        self.frames_out = 0
+        self.frames_in = 0
+        #: Links dialed / reaped over the transport's lifetime.
+        self.links_dialed = 0
+        self.links_reaped = 0
 
-    def _is_control(self, endpoint: Hashable) -> bool:
-        return isinstance(endpoint, str) and endpoint.startswith(self.control_prefixes)
+    def set_resolve(self, resolve: Optional[Callable[[Hashable], Optional[tuple]]]) -> None:
+        """Install (or replace) the endpoint resolver.  The multi-process
+        runtime can only build the full address map after every group has
+        bound its listener, so the resolver arrives post-``start()``."""
+        self._resolve = resolve
 
     # -- endpoints ---------------------------------------------------------
 
@@ -141,70 +183,47 @@ class SocketTransport(Transport):
     def is_registered(self, endpoint: Hashable) -> bool:
         return endpoint in self._handlers
 
-    # -- listener side -----------------------------------------------------
+    # -- delivery ----------------------------------------------------------
 
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        frames = FrameReader()
-        hello: Optional[dict] = None
+    def send(self, src: Hashable, dst: Hashable, payload: Any) -> None:
+        if not self._started:
+            raise TransportError("transport is not started")
+        counted = not _is_control(dst)
+        if counted:
+            self.messages_sent += 1
+        env = Envelope(src=src, dst=dst, payload=payload)
+        if self._deliver_here(env):
+            return
+        address = self._resolve(dst) if self._resolve is not None else None
+        if address is None or address == self.address:
+            if counted:
+                self.messages_dead_lettered += 1
+            return
+        self._link_to(address).outbox.put_nowait(env)
+
+    def _deliver_here(self, env: Envelope) -> bool:
+        """Hand ``env`` to what this listener hosts — a local endpoint's
+        inbox, or the connection of the client that introduced ``dst``
+        (it leaves the cluster's frame accounting there); ``False`` when
+        ``dst`` is neither."""
+        dst = env.dst
+        if dst in self._handlers or dst in self._inboxes:
+            self._ensure_consumer(dst).put_nowait(env)
+            return True
+        writer = self._routes.get(dst)
+        if writer is None:
+            return False
+        counted = not _is_control(dst)
         try:
-            while True:
-                chunk = await reader.read(_READ_CHUNK)
-                if not chunk:
-                    break
-                for env in frames.feed(chunk):
-                    if hello is None:
-                        hello = self._handle_hello(env, writer)
-                        continue
-                    self._ingress(hello, env, writer)
-                    self._route(env)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            # Loop teardown cancels server-spawned connection tasks that
-            # were never individually awaited; exiting quietly keeps the
-            # stream protocol's done-callback from logging it.
-            pass
+            writer.write(encode_frame(env.src, dst, env.payload))
         except WireError as exc:
             self.errors.append(exc)
-        finally:
-            stale = [ep for ep, w in self._routes.items() if w is writer]
-            for ep in stale:
-                del self._routes[ep]
-            writer.close()
-
-    def _handle_hello(self, env: Envelope, writer: asyncio.StreamWriter) -> dict:
-        """First frame of every connection: ``{"hello": ..., "endpoint":
-        optional, ...}``.  A named endpoint (a client's private reply
-        sink) becomes routable back over this connection; the payload is
-        returned for :meth:`_ingress` to tell connection kinds apart."""
-        payload = env.payload
-        if (
-            env.dst != CONTROL_ENDPOINT
-            or not isinstance(payload, dict)
-            or payload.get("hello") != WIRE_SCHEMA
-        ):
-            raise WireError(f"connection did not open with a hello frame: {env!r}")
-        endpoint = payload.get("endpoint")
-        if endpoint is not None:
-            self._routes[endpoint] = writer
-        return payload
-
-    def _ingress(self, hello: dict, env: Envelope, writer: asyncio.StreamWriter) -> None:
-        """Account for one inbound frame of a connection opened by ``hello``."""
-        raise NotImplementedError
-
-    def _route(self, env: Envelope) -> None:
-        """Fan a decoded frame out: local inbox, remote route or dead."""
-        if env.dst in self._handlers or env.dst in self._inboxes:
-            self._ensure_consumer(env.dst).put_nowait(env)
-        elif env.dst in self._routes:
-            self._routes[env.dst].write(encode_frame(env.src, env.dst, env.payload))
-            if not self._is_control(env.dst):
-                self.messages_delivered += 1
-        elif not self._is_control(env.dst):
-            self.messages_dead_lettered += 1
+            if counted:
+                self.messages_dropped += 1
+            return True
+        if counted:
+            self.messages_delivered += 1
+        return True
 
     def _ensure_consumer(self, endpoint: Hashable) -> asyncio.Queue:
         inbox = self._inboxes.get(endpoint)
@@ -225,7 +244,7 @@ class SocketTransport(Transport):
         """Run the destination handler; registration is checked *here* (at
         delivery time, like the simulator's network) so an endpoint that
         unregistered with messages still inbound dead-letters them."""
-        counted = not self._is_control(env.dst)
+        counted = not _is_control(env.dst)
         handler = self._handlers.get(env.dst)
         if handler is None:
             if counted:
@@ -237,6 +256,198 @@ class SocketTransport(Transport):
             self.errors.append(exc)
         if counted:
             self.messages_delivered += 1
+
+    # -- outbound links ----------------------------------------------------
+
+    def _link_to(self, address: tuple) -> _Link:
+        link = self._links.get(address)
+        if link is None:
+            link = _Link(address, self._loop)
+            self._links[address] = link
+            link.task = self._loop.create_task(self._run_link(link))
+        link.last_used = self._loop.time()
+        return link
+
+    async def _run_link(self, link: _Link) -> None:
+        """Dial (with backoff), then pump the link's outbox onto the wire."""
+        # Seeded per (own, destination) address so two groups redialing
+        # the same dead peer desynchronize from each other.
+        policy = RetryPolicy(
+            retries=self.dial_retries,
+            backoff=self.dial_backoff,
+            seed=zlib.crc32(repr((self.address, link.address)).encode("utf-8")),
+        )
+        for attempt in range(self.dial_retries + 1):
+            try:
+                _reader, writer = await dial(link.address)
+                break
+            except OSError as exc:
+                if attempt == self.dial_retries:
+                    self._fail_link(link, exc)
+                    return
+                await asyncio.sleep(policy.delay(attempt + 1))
+        link.writer = writer
+        self.links_dialed += 1
+        writer.write(hello_frame(kind="peer"))
+        try:
+            while True:
+                env = await link.outbox.get()
+                try:
+                    frame = encode_frame(env.src, env.dst, env.payload)
+                except WireError as exc:
+                    self.messages_dropped += 1
+                    self.errors.append(exc)
+                    continue
+                writer.write(frame)
+                await writer.drain()
+                if not _is_control(env.dst):
+                    self.messages_delivered += 1
+                    self.frames_out += 1
+        except (ConnectionError, OSError) as exc:
+            self._fail_link(link, exc)
+        finally:
+            writer.close()
+
+    def _fail_link(self, link: _Link, exc: BaseException) -> None:
+        """The link is unusable: count its queued frames dropped, forget it
+        (a later send re-dials from scratch), and surface the error."""
+        self.errors.append(exc)
+        self._drop_queued(link)
+        self._links.pop(link.address, None)
+
+    def _drop_queued(self, link: _Link) -> None:
+        """The wire contract for a dead connection: its queued
+        non-control frames count dropped."""
+        while not link.outbox.empty():
+            if not _is_control(link.outbox.get_nowait().dst):
+                self.messages_dropped += 1
+
+    def _sever(self, link: _Link) -> None:
+        """Tear an (already forgotten) link down without recording an error."""
+        if link.task is not None:
+            link.task.cancel()
+        self._drop_queued(link)
+        if link.writer is not None:
+            link.writer.close()
+
+    def kill_link(self, dst: Hashable) -> bool:
+        """Sever the cached link under ``dst`` mid-flight (chaos's
+        connection-kill fault).  Queued non-control frames count dropped —
+        the wire contract for a dead connection — but no error is
+        recorded: a kill is an injected fault, not a transport defect, and
+        the next send to the address re-dials from scratch.  Returns
+        whether a link was actually severed."""
+        address = self._resolve(dst) if self._resolve is not None else None
+        if address is None:
+            return False
+        link = self._links.pop(address, None)
+        if link is None:
+            return False
+        self._sever(link)
+        return True
+
+    def reset_links(self) -> None:
+        """Forget every cached outbound link (supervisor recovery: peers
+        may have respawned at new addresses).  Queued non-control frames
+        count dropped; subsequent sends re-resolve and re-dial."""
+        for link in list(self._links.values()):
+            self._sever(link)
+        self._links.clear()
+
+    def reset_accounting(self) -> None:
+        """Zero the message/frame counters: a fresh accounting epoch.
+
+        After a worker crash, frames written to the dead process
+        (``frames_out``) have no matching ingress anywhere, so the cluster
+        frame sums can never balance again.  Recovery resets every
+        surviving transport's epoch instead of trying to reconstruct what
+        the dead worker had absorbed."""
+        self.messages_sent = 0
+        self.messages_delivered = 0
+        self.messages_dropped = 0
+        self.messages_dead_lettered = 0
+        self.frames_out = 0
+        self.frames_in = 0
+
+    async def _reap_idle(self) -> None:
+        period = max(self.idle_timeout / 4, 0.01)
+        while True:
+            await asyncio.sleep(period)
+            now = self._loop.time()
+            for address, link in list(self._links.items()):
+                if (
+                    link.outbox.empty()
+                    and now - link.last_used > self.idle_timeout
+                    and link.task is not None
+                ):
+                    link.task.cancel()
+                    self._links.pop(address, None)
+                    self.links_reaped += 1
+
+    # -- listener side -----------------------------------------------------
+
+    async def _on_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        frames = FrameReader()
+        peer: Optional[bool] = None
+        try:
+            while True:
+                chunk = await reader.read(_READ_CHUNK)
+                if not chunk:
+                    break
+                for env in frames.feed(chunk):
+                    if peer is None:
+                        peer = self._handle_hello(env, writer)
+                    else:
+                        self._ingress(env, writer, peer)
+        except (ConnectionError, asyncio.IncompleteReadError):
+            pass
+        except asyncio.CancelledError:
+            # Loop teardown cancels server-spawned connection tasks that
+            # were never individually awaited; exiting quietly keeps the
+            # stream protocol's done-callback from logging it.
+            pass
+        except WireError as exc:
+            self.errors.append(exc)
+        finally:
+            stale = [ep for ep, w in self._routes.items() if w is writer]
+            for ep in stale:
+                del self._routes[ep]
+            writer.close()
+
+    def _handle_hello(self, env: Envelope, writer: asyncio.StreamWriter) -> bool:
+        """First frame of every connection (:func:`hello_frame`).  A named
+        ``endpoint`` (a client's private reply sink) becomes routable back
+        over this connection; returns whether the connection is another
+        group's link rather than a client."""
+        payload = env.payload
+        if (
+            env.dst != CONTROL_ENDPOINT
+            or not isinstance(payload, dict)
+            or payload.get("hello") != WIRE_SCHEMA
+        ):
+            raise WireError(f"connection did not open with a hello frame: {env!r}")
+        endpoint = payload.get("endpoint")
+        if endpoint is not None:
+            self._routes[endpoint] = writer
+        return payload.get("kind") == "peer"
+
+    def _ingress(self, env: Envelope, writer: asyncio.StreamWriter, peer: bool) -> None:
+        """One inbound frame enters this group's accounting domain; a
+        frame for an endpoint this listener does not host dead-letters
+        (frames are never forwarded a second hop)."""
+        counted = not _is_control(env.dst)
+        if counted:
+            self.messages_sent += 1
+            if peer:
+                self.frames_in += 1
+        if not peer:
+            # Client ingress (broker RPCs): the origin endpoint becomes
+            # routable back over this connection.
+            self._routes[env.src] = writer
+        if not self._deliver_here(env) and counted:
+            self.messages_dead_lettered += 1
 
     # -- clock & timers ----------------------------------------------------
 
@@ -252,8 +463,10 @@ class SocketTransport(Transport):
 
     # -- lifecycle ---------------------------------------------------------
 
-    async def _listen(self) -> None:
+    async def start(self) -> None:
         """Bind the listener and publish :attr:`address`."""
+        if self._started:
+            return
         self._loop = asyncio.get_running_loop()
         self._t0 = self._loop.time()
         if self._use_tcp:
@@ -264,27 +477,32 @@ class SocketTransport(Transport):
             self.address = ("tcp", sockname[0], sockname[1])
         else:
             if self._path is None:
-                self._tempdir = tempfile.mkdtemp(prefix=self._TEMP_PREFIX)
-                self._path = os.path.join(self._tempdir, self._SOCKET_NAME)
+                self._tempdir = tempfile.mkdtemp(prefix="repro-net-")
+                self._path = os.path.join(self._tempdir, "dlpt.sock")
             self._server = await asyncio.start_unix_server(
                 self._on_connection, path=self._path
             )
             self.address = ("unix", self._path)
+        self._reaper_task = self._loop.create_task(self._reap_idle())
+        self._started = True
 
-    async def _stop(self, tasks) -> None:
-        """Cancel ``tasks`` (the subclass's own) and every consumer, and
-        forget the inboxes and client routes."""
+    async def close(self) -> None:
         self._started = False
-        tasks = [t for t in [*tasks, *self._consumers.values()] if t]
+        tasks = [
+            self._reaper_task,
+            *(link.task for link in self._links.values()),
+            *self._consumers.values(),
+        ]
+        self.reset_links()
+        tasks = [t for t in tasks if t]
         for task in tasks:
             task.cancel()
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
+        self._reaper_task = None
         self._consumers.clear()
         self._inboxes.clear()
         self._routes.clear()
-
-    async def _unlisten(self) -> None:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -327,79 +545,6 @@ class SocketTransport(Transport):
             ) from errors[0]
 
 
-class AsyncioTransport(SocketTransport):
-    """Length-prefixed JSON frames over TCP or Unix-domain sockets: every
-    ``send`` crosses the transport's own loopback connection."""
-
-    def __init__(
-        self,
-        *,
-        path: Optional[str] = None,
-        host: Optional[str] = None,
-        port: int = 0,
-        drain_timeout: float = 60.0,
-    ) -> None:
-        super().__init__(path=path, host=host, port=port, drain_timeout=drain_timeout)
-        self._outbox: Optional[asyncio.Queue] = None
-        self._client_writer: Optional[asyncio.StreamWriter] = None
-        self._writer_task: Optional[asyncio.Task] = None
-
-    # -- delivery ----------------------------------------------------------
-
-    def send(self, src: Hashable, dst: Hashable, payload: Any) -> None:
-        if not self._started:
-            raise TransportError("transport is not started")
-        self.messages_sent += 1
-        self._outbox.put_nowait((src, dst, payload))
-
-    async def _write_outbox(self) -> None:
-        while True:
-            src, dst, payload = await self._outbox.get()
-            try:
-                frame = encode_frame(src, dst, payload)
-            except WireError as exc:
-                self.messages_dropped += 1
-                self.errors.append(exc)
-                continue
-            self._client_writer.write(frame)
-            await self._client_writer.drain()
-
-    def _ingress(self, hello: dict, env: Envelope, writer: asyncio.StreamWriter) -> None:
-        if not hello.get("internal"):
-            # Remote ingress: the frame enters this transport's accounting
-            # domain here (the loopback's own frames were counted by
-            # ``send``), and its origin endpoint becomes routable back
-            # over this connection.
-            self.messages_sent += 1
-            self._routes[env.src] = writer
-
-    # -- lifecycle ---------------------------------------------------------
-
-    async def start(self) -> None:
-        if self._started:
-            return
-        await self._listen()
-        self._outbox = asyncio.Queue()
-        _reader, writer = await dial(self.address)
-        self._client_writer = writer
-        writer.write(hello_frame(internal=True))
-        await writer.drain()
-        self._writer_task = self._loop.create_task(self._write_outbox())
-        self._started = True
-
-    async def close(self) -> None:
-        await self._stop([self._writer_task])
-        self._writer_task = None
-        if self._client_writer is not None:
-            self._client_writer.close()
-            try:
-                await self._client_writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._client_writer = None
-        await self._unlisten()
-
-
 class LoopbackAsyncioTransport(AsyncioTransport):
     """Deterministic in-process variant: no sockets, one global FIFO.
 
@@ -418,11 +563,14 @@ class LoopbackAsyncioTransport(AsyncioTransport):
     def send(self, src: Hashable, dst: Hashable, payload: Any) -> None:
         if not self._started:
             raise TransportError("transport is not started")
-        self.messages_sent += 1
+        counted = not _is_control(dst)
+        if counted:
+            self.messages_sent += 1
         try:
             frame = encode_frame(src, dst, payload)
         except WireError as exc:
-            self.messages_dropped += 1
+            if counted:
+                self.messages_dropped += 1
             self.errors.append(exc)
             return
         self._queue.put_nowait(decode_frame(frame))

@@ -45,6 +45,7 @@ from ..sim.network import Envelope
 from .cluster import admission, successor_of
 from .policy import RetryPolicy
 from .transport import Transport
+from .wire import require_scalar
 
 #: The broker's well-known endpoint name.
 BROKER_ENDPOINT = "@broker"
@@ -315,7 +316,10 @@ class Broker:
         return reply
 
     async def _op_register(self, request: dict) -> dict:
-        result = await self.backend.register(str(request["key"]), request.get("datum"))
+        # Outside input enters here: a datum the codec could not carry
+        # between peers is refused before any handler mutates the tree.
+        datum = require_scalar(request.get("datum"))
+        result = await self.backend.register(str(request["key"]), datum)
         if result["host"] is None:
             # Under fault injection the insertion can be lost in flight;
             # an ok-reply here would be a *false acknowledgement* — the

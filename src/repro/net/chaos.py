@@ -15,9 +15,9 @@ adversities the sim already measures.  Fault modes, driven by a
 * ``reorder:P`` — like ``delay`` with an infinitesimal hold, forcing
   cross-pair reordering without measurable latency;
 * ``kill:P`` — with probability ``P`` the link under the destination is
-  severed mid-flight (:meth:`~repro.net.p2p.PeerAsyncioTransport
+  severed mid-flight (:meth:`~repro.net.asyncio_transport.AsyncioTransport
   .kill_link`); queued frames are counted dropped and the next send
-  re-dials — a no-op on transports without links;
+  re-dials — a no-op where the destination is not behind a link;
 * ``crash_storm:RATE[:start=S][:end=S]`` — fail-stop endpoint crashes:
   with per-send probability ``RATE`` (inside the optional transport-clock
   window) a random non-``@`` endpoint is unregistered, exactly the
@@ -55,11 +55,12 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Deque, Dict, Hashable, Optional, Tuple
 
 from ..util.specs import SpecError, parse_options, register_spec_kind
+from . import asyncio_transport
 from .transport import Handler, Transport, TransportError
 
 #: Endpoint-name prefixes never perturbed by chaos (the control plane and
 #: connection hellos must stay reliable or the experiment can't observe).
-CONTROL_PREFIXES = ("@ctl", "@coord", "@transport")
+CONTROL_PREFIXES = (*asyncio_transport.CONTROL_PREFIXES, asyncio_transport.CONTROL_ENDPOINT)
 
 #: The hold applied by ``reorder`` (long enough to yield the event loop /
 #: advance the sim queue, short enough to be latency-free in practice).

@@ -45,11 +45,10 @@ import os
 import zlib
 from typing import Dict, Optional, Sequence
 
-from .asyncio_transport import CONTROL_ENDPOINT
-from .policy import RetryPolicy
-from .wire import WIRE_SCHEMA, FrameReader, encode_frame
-
+from .asyncio_transport import dial, hello_frame
 from .bootstrap import BROKER_ENDPOINT
+from .policy import RetryPolicy
+from .wire import FrameReader, encode_frame
 
 _client_counter = itertools.count(1)
 
@@ -150,20 +149,8 @@ class DLPTClient:
     @staticmethod
     async def _open(address: tuple, endpoint: str):
         """Dial ``address`` and send the hello introducing ``endpoint``."""
-        kind = address[0]
-        if kind == "unix":
-            reader, writer = await asyncio.open_unix_connection(address[1])
-        elif kind == "tcp":
-            reader, writer = await asyncio.open_connection(address[1], address[2])
-        else:
-            raise ValueError(f"unknown address {address!r}")
-        writer.write(
-            encode_frame(
-                endpoint,
-                CONTROL_ENDPOINT,
-                {"hello": WIRE_SCHEMA, "endpoint": endpoint},
-            )
-        )
+        reader, writer = await dial(address)
+        writer.write(hello_frame(endpoint=endpoint))
         await writer.drain()
         return reader, writer
 

@@ -2,7 +2,7 @@
 
 Before this module, the serving stack had three ad-hoc backoff policies:
 the client's ``connect(..., retries=, backoff=)`` exponential doubling,
-the peer-to-peer transport's ``dial_backoff`` dial loop, and the broker's
+the socket transport's ``dial_backoff`` link-dial loop, and the broker's
 fixed ``retry_after`` backpressure hint.  Three implementations of the
 same idea drift — and none of them had jitter, so synchronized clients
 retried in lockstep (a retry storm: every waiter sleeps the identical
@@ -18,7 +18,7 @@ the same policy sees the exact same delays.  Jitter only ever *shortens*
 a delay, so every existing timeout bound stays valid.
 
 Consumers: :class:`~repro.net.client.DLPTClient` (RPC retries),
-:class:`~repro.net.p2p.PeerAsyncioTransport` (dial backoff) and
+:class:`~repro.net.asyncio_transport.AsyncioTransport` (link dial backoff) and
 :class:`~repro.net.bootstrap.Broker` (the ``retry_after`` hint).
 """
 

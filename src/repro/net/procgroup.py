@@ -2,8 +2,8 @@
 
 The scaling step beyond one process: the ring's peers are partitioned
 into *engine groups*, each group a ``ProtocolEngine`` +
-:class:`~repro.net.p2p.PeerAsyncioTransport` pair living in its own
-worker process (``multiprocessing`` spawn).  Protocol messages between
+:class:`~repro.net.asyncio_transport.AsyncioTransport` pair living in its
+own worker process (``multiprocessing`` spawn).  Protocol messages between
 peers of different groups cross real sockets; a parent-side
 :class:`MultiProcessCluster` coordinates membership, placement and
 global quiescence over a control plane that never perturbs the data
@@ -50,6 +50,7 @@ import zlib
 from typing import Dict, List, Optional, Tuple
 
 from ..sim.network import Envelope
+from .asyncio_transport import AsyncioTransport
 from .cluster import (
     engine_snapshot,
     entry_for,
@@ -59,7 +60,6 @@ from .cluster import (
     toggle_chaos,
     transport_counters,
 )
-from .p2p import PeerAsyncioTransport
 from .transport import TransportError
 from .wire import decode_node_payload, encode_node_payload
 
@@ -265,13 +265,17 @@ class _Worker:
         return engine_snapshot(self.engine)
 
     def _op_counters(self, request: dict) -> dict:
+        """Counters plus the transport errors since the last poll, handed
+        over and forgotten: the polling :meth:`MultiProcessCluster.drain`
+        raises them once, so one operation fails, not every later one."""
         t = self.transport
+        errors = [repr(e) for e in t.errors]
+        t.errors.clear()
         return {
             **transport_counters(t),
             "frames_out": t.frames_out,
             "frames_in": t.frames_in,
-            "errors": len(t.errors),
-            "error_texts": [repr(e) for e in t.errors[:4]],
+            "errors": errors,
         }
 
     def _op_chaos(self, request: dict) -> dict:
@@ -338,7 +342,7 @@ class _Worker:
 async def _worker_async(index: int, n_groups: int, conn, chaos=None) -> None:
     from ..dlpt.protocol import ProtocolEngine
 
-    transport = PeerAsyncioTransport()
+    transport = AsyncioTransport()
     await transport.start()
     if chaos is not None:
         from .chaos import ChaosTransport
@@ -442,7 +446,7 @@ class MultiProcessCluster:
         self.crashed_peers: List[str] = []
         self.supervisor_errors: List[BaseException] = []
         self._recovering = False
-        self.transport: Optional[PeerAsyncioTransport] = None
+        self.transport: Optional[AsyncioTransport] = None
         self._ctx = None
         self._procs: list = []
         self._conns: list = []
@@ -483,7 +487,7 @@ class MultiProcessCluster:
         for group in indices:
             for attempt in range(40):
                 try:
-                    await self.call(group, "counters", timeout=0.5)
+                    await self.call(group, "ping", timeout=0.5)
                     break
                 except asyncio.TimeoutError:
                     if attempt == 39:
@@ -498,7 +502,7 @@ class MultiProcessCluster:
         self._groups = [
             await self._await_address(index) for index in range(self.n_groups)
         ]
-        self.transport = PeerAsyncioTransport()
+        self.transport = AsyncioTransport()
         await self.transport.start()
         self.transport.register(COORD_ENDPOINT, self._on_reply)
         self.transport.set_resolve(
@@ -583,11 +587,10 @@ class MultiProcessCluster:
         previous: Optional[Tuple] = None
         while True:
             snaps = await self.counters()
-            errors = sum(s["errors"] for s in snaps)
+            errors = [text for s in snaps for text in s["errors"]]
             if errors:
-                texts = [t for s in snaps for t in s.get("error_texts", ())]
                 raise ClusterError(
-                    f"{errors} worker transport error(s): {texts[:4]}"
+                    f"{len(errors)} worker transport error(s): {errors[:4]}"
                 )
             quiet = all(s["in_flight"] == 0 for s in snaps) and sum(
                 s["frames_out"] for s in snaps

@@ -10,8 +10,9 @@ endpoint; then serves until SIGTERM/SIGINT, draining in-flight protocol
 traffic before shutdown.
 
 ``--processes N`` (N >= 2) instead spreads the ring over N engine-group
-worker processes (:class:`~repro.net.procgroup.MultiProcessCluster`,
-peer-to-peer sockets between groups) and serves clients through the same
+worker processes (:class:`~repro.net.procgroup.MultiProcessCluster`:
+the same transport class per group, with a resolver so cross-group
+messages travel over dialed links) and serves clients through the same
 :class:`~repro.net.bootstrap.Broker` over that backend — one ``"@broker"``
 wire contract, so :class:`~repro.net.client.DLPTClient` cannot tell the
 topologies apart.
@@ -19,14 +20,15 @@ topologies apart.
 ``--journal PATH`` persists membership as ``repro-registry/1`` JSONL;
 on startup a non-empty journal is replayed and the recovered peers are
 re-admitted in place of the default topology — the restart-recovery half
-of the bootstrap registry.
+of the bootstrap registry.  A corrupt journal exits 2 with a one-line
+``path:lineno: …`` error before any socket is bound.
 
 ``--demo`` connects a client to the listener, registers a few service
 keys, discovers them (plus one deliberate miss) over the real socket,
 prints the results and exits — the self-check of the acceptance
 criteria.  Bind failures (port in use, stale socket path) exit non-zero
 with a one-line error instead of a traceback; the listening socket file
-is unlinked on clean shutdown.
+is unlinked on clean shutdown and when bring-up fails after the bind.
 """
 
 from __future__ import annotations
@@ -114,20 +116,26 @@ async def start_cluster(
     transport = AsyncioTransport(
         host=host if tcp else None, port=port, path=None if tcp else path
     )
-    await transport.start()
     if chaos is not None:
         transport = ChaosTransport(transport, chaos)
-    engine = ProtocolEngine(transport=transport)
-    broker = Broker(
-        LocalCluster(engine),
-        transport,
-        inbox_limit=inbox_limit,
-        retry_after=retry_after,
-        journal=journal,
-    )
-    await broker.start()
-    await _admit_members(broker.backend, n_peers, capacity, journal, chaos)
-    engine.check_ring()
+    # Whatever is opened here is closed again if admission raises: a
+    # failed bring-up must not leave a bound socket file behind.
+    async with contextlib.AsyncExitStack() as opened:
+        await transport.start()
+        opened.push_async_callback(transport.close)
+        engine = ProtocolEngine(transport=transport)
+        broker = Broker(
+            LocalCluster(engine),
+            transport,
+            inbox_limit=inbox_limit,
+            retry_after=retry_after,
+            journal=journal,
+        )
+        await broker.start()
+        opened.push_async_callback(broker.close)
+        await _admit_members(broker.backend, n_peers, capacity, journal, chaos)
+        engine.check_ring()
+        opened.pop_all()
     return transport, engine, broker
 
 
@@ -162,24 +170,25 @@ async def start_multiprocess_cluster(
         heartbeat_timeout=heartbeat_timeout,
         journal=journal,
     )
-    await cluster.start()
     transport = AsyncioTransport(
         host=host if tcp else None, port=port, path=None if tcp else path
     )
-    try:
+    async with contextlib.AsyncExitStack() as opened:  # as in start_cluster
+        await cluster.start()
+        opened.push_async_callback(cluster.close)
         await transport.start()
-    except BaseException:
-        await cluster.close()
-        raise
-    broker = Broker(
-        cluster,
-        transport,
-        inbox_limit=inbox_limit,
-        retry_after=retry_after,
-        journal=journal,
-    )
-    await broker.start()
-    await _admit_members(cluster, n_peers, capacity, journal, chaos)
+        opened.push_async_callback(transport.close)
+        broker = Broker(
+            cluster,
+            transport,
+            inbox_limit=inbox_limit,
+            retry_after=retry_after,
+            journal=journal,
+        )
+        await broker.start()
+        opened.push_async_callback(broker.close)
+        await _admit_members(cluster, n_peers, capacity, journal, chaos)
+        opened.pop_all()
     return transport, cluster, broker
 
 
@@ -239,6 +248,13 @@ def _bind_target(args) -> str:
 async def serve(args, out=print) -> int:
     multiprocess = args.processes > 1
     journal = RegistryJournal(args.journal) if args.journal else None
+    if journal is not None:
+        # A corrupt journal fails here, before any socket exists.
+        try:
+            journal.replay()
+        except ValueError as exc:
+            out(f"error: {exc}")
+            return 2
     chaos = parse_spec("chaos", args.chaos) if getattr(args, "chaos", None) else None
     supervise = bool(getattr(args, "supervise", False))
     if supervise and not multiprocess:

@@ -82,16 +82,19 @@ class WireError(ValueError):
 # -- payload serde -----------------------------------------------------------
 
 
-def _encode_node_payload(payload: m.NodePayload) -> dict:
+def encode_node_payload(payload: m.NodePayload) -> dict:
+    """JSON object form of one :class:`~repro.dlpt.messages.NodePayload`
+    (also shipped inside the multi-process control RPCs)."""
     return {
         "label": payload.label,
         "father": payload.father,
         "children": sorted(payload.children),
-        "data": [_require_scalar(d) for d in payload.data],
+        "data": [require_scalar(d) for d in payload.data],
     }
 
 
-def _decode_node_payload(obj: Any) -> m.NodePayload:
+def decode_node_payload(obj: Any) -> m.NodePayload:
+    """Inverse of :func:`encode_node_payload`."""
     try:
         return m.NodePayload(
             label=str(obj["label"]),
@@ -103,19 +106,11 @@ def _decode_node_payload(obj: Any) -> m.NodePayload:
         raise WireError(f"malformed NodePayload object: {obj!r}") from exc
 
 
-#: Public aliases: the multi-process control plane (repro.net.procgroup)
-#: ships NodePayload objects inside plain-JSON control RPCs.
-def encode_node_payload(payload: m.NodePayload) -> dict:
-    """JSON object form of one :class:`~repro.dlpt.messages.NodePayload`."""
-    return _encode_node_payload(payload)
-
-
-def decode_node_payload(obj: Any) -> m.NodePayload:
-    """Inverse of :func:`encode_node_payload`."""
-    return _decode_node_payload(obj)
-
-
-def _require_scalar(value: Any) -> Any:
+def require_scalar(value: Any) -> Any:
+    """The one rule for what a registered ``datum`` may be: a JSON scalar.
+    Returns ``value``; raises :class:`WireError` otherwise.  The broker
+    applies it at admission (:mod:`repro.net.bootstrap`), the codec on
+    every frame."""
     if value is None or isinstance(value, (str, int, float, bool)):
         return value
     raise WireError(
@@ -132,14 +127,14 @@ def encode_payload(payload: Any) -> Tuple[str, Any]:
         fields = dict(vars(payload))
         if name in _PAYLOAD_FIELDS:
             key = _PAYLOAD_FIELDS[name]
-            fields[key] = _encode_node_payload(fields[key])
+            fields[key] = encode_node_payload(fields[key])
         elif name in _PAYLOAD_TUPLE_FIELDS:
             key = _PAYLOAD_TUPLE_FIELDS[name]
-            fields[key] = [_encode_node_payload(p) for p in fields[key]]
+            fields[key] = [encode_node_payload(p) for p in fields[key]]
         elif name == "DataInsertion":
-            fields["datum"] = _require_scalar(fields["datum"])
+            fields["datum"] = require_scalar(fields["datum"])
         elif name == "DiscoveryReply":
-            fields["data"] = [_require_scalar(d) for d in fields["data"]]
+            fields["data"] = [require_scalar(d) for d in fields["data"]]
         elif name in _STRING_TUPLE_FIELDS:
             for key in _STRING_TUPLE_FIELDS[name]:
                 fields[key] = list(fields[key])
@@ -162,10 +157,10 @@ def decode_payload(name: str, fields: Any) -> Any:
     try:
         if name in _PAYLOAD_FIELDS:
             key = _PAYLOAD_FIELDS[name]
-            fields[key] = _decode_node_payload(fields[key])
+            fields[key] = decode_node_payload(fields[key])
         elif name in _PAYLOAD_TUPLE_FIELDS:
             key = _PAYLOAD_TUPLE_FIELDS[name]
-            fields[key] = tuple(_decode_node_payload(p) for p in fields[key])
+            fields[key] = tuple(decode_node_payload(p) for p in fields[key])
         elif name == "DiscoveryReply":
             fields["data"] = tuple(fields["data"])
         elif name in _STRING_TUPLE_FIELDS:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import ast
 import doctest
 import pathlib
+import re
 
 import pytest
 
@@ -156,7 +157,8 @@ class TestRuntimeDoc:
         doc = self.DOC.read_text()
         for needle in ("Transport", "repro-wire/1", "drain", "dead-letter",
                        "SimTransport", "AsyncioTransport",
-                       "LoopbackAsyncioTransport", "PeerAsyncioTransport",
+                       "LoopbackAsyncioTransport", "set_resolve",
+                       "one socket transport", "require_scalar",
                        "conformance", "python -m repro serve",
                        "pytest -m net", "@broker", "DLPTClient",
                        "--processes", "retry_after", "busy",
@@ -167,6 +169,16 @@ class TestRuntimeDoc:
                        "heartbeat", "crash", "ClusterRecovering",
                        "DLPTClientReset", "crash_storm", "partition"):
             assert needle in doc, f"docs/runtime.md must document {needle}"
+
+    def test_every_test_the_guide_names_exists(self):
+        """Failure-semantics rows name the test that provokes them; a
+        renamed or deleted test must not leave the row pointing nowhere."""
+        named = re.findall(r"`(tests/[\w/]+\.py)((?:::\w+)*)`", self.DOC.read_text())
+        assert named, "docs/runtime.md names no tests"
+        for path, names in named:
+            source = (REPO_ROOT / path).read_text()
+            for name in filter(None, names.split("::")):
+                assert re.search(rf"(class|def) {name}\b", source), f"{path}::{name}"
 
     def test_documented_schema_tag_matches_the_code(self):
         from repro.net.bootstrap import REGISTRY_SCHEMA

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import contextlib
 
 import pytest
 
@@ -267,16 +268,66 @@ async def _rpc_script(transport):
     return {step: await client.call(**body) for step, body in steps}
 
 
-async def _local_script():
+@contextlib.asynccontextmanager
+async def _local_broker():
+    """``"@broker"`` over a :class:`LocalCluster` on the loopback
+    transport; yields ``(transport, engine)``."""
     transport = LoopbackAsyncioTransport()
     await transport.start()
-    broker = Broker(LocalCluster(ProtocolEngine(transport=transport)), transport)
+    engine = ProtocolEngine(transport=transport)
+    broker = Broker(LocalCluster(engine), transport)
     await broker.start()
     try:
-        return await _rpc_script(transport)
+        yield transport, engine
     finally:
         await broker.close()
         await transport.close()
+
+
+@contextlib.asynccontextmanager
+async def _multiprocess_broker():
+    """``"@broker"`` on a client-facing socket listener in front of a
+    2-process ring; yields the listener's transport."""
+    cluster = MultiProcessCluster(processes=2)
+    await cluster.start()
+    transport = AsyncioTransport()
+    await transport.start()
+    broker = Broker(cluster, transport)
+    await broker.start()
+    try:
+        yield transport
+    finally:
+        await broker.close()
+        await transport.close()
+        await cluster.close()
+
+
+async def _local_script():
+    async with _local_broker() as (transport, _engine):
+        return await _rpc_script(transport)
+
+
+async def _refused_datum_script(transport):
+    """A non-scalar ``datum`` is outside input the protocol cannot carry:
+    the broker must refuse it before any handler runs — the reply names
+    the datum, the tree is exactly as it was, and the same connection
+    keeps getting service."""
+    client = _LoopbackClient(transport, "@datum")
+    for pid in ("pa", "pd", "pg"):
+        assert (await client.call(op="peer_join", peer=pid, capacity=10))["ok"]
+    # With "dgemm" in the tree, inserting "dgemv" splits a structural node
+    # "dgem" first — the half-done mutation an unvalidated datum leaves.
+    assert (await client.call(op="register", key="dgemm"))["ok"]
+    before = await client.call(op="info")
+    bad = await client.call(op="register", key="dgemv", datum={"rich": [1]})
+    assert not bad["ok"]
+    assert "not wire-encodable" in bad["error"] and "{'rich': [1]}" in bad["error"]
+    after = await client.call(op="info")
+    for field in ("peers", "nodes", "keys"):
+        assert after[field] == before[field], field
+    assert (await client.call(op="register", key="dgemv", datum=7))["ok"]
+    hit = await client.call(op="discover", key="dgemv")
+    assert hit["ok"] and hit["found"] and hit["data"] == [7]
 
 
 def _check_contract(replies, extra=frozenset()):
@@ -304,18 +355,8 @@ class TestBrokerBackends:
     @pytest.mark.net
     def test_multiprocess_backend_answers_like_the_local_one(self):
         async def body():
-            cluster = MultiProcessCluster(processes=2)
-            await cluster.start()
-            transport = AsyncioTransport()
-            await transport.start()
-            broker = Broker(cluster, transport)
-            await broker.start()
-            try:
+            async with _multiprocess_broker() as transport:
                 return await _rpc_script(transport)
-            finally:
-                await broker.close()
-                await transport.close()
-                await cluster.close()
 
         multi = asyncio.run(body())
         _check_contract(multi, extra={"group"})
@@ -325,6 +366,26 @@ class TestBrokerBackends:
             assert {k: v for k, v in multi[step].items() if k not in volatile} == {
                 k: v for k, v in local[step].items() if k not in volatile
             }, step
+
+
+    def test_local_backend_refuses_a_non_scalar_datum(self):
+        async def body():
+            async with _local_broker() as (transport, engine):
+                await _refused_datum_script(transport)
+                engine.check_tree()
+
+        asyncio.run(body())
+
+    @pytest.mark.net
+    def test_multiprocess_backend_refuses_a_non_scalar_datum(self):
+        """Before the admission check this raised ``TypeError: unhashable
+        type`` inside a worker handler after the tree was already split."""
+
+        async def body():
+            async with _multiprocess_broker() as transport:
+                await _refused_datum_script(transport)
+
+        asyncio.run(body())
 
 
 @pytest.mark.net
@@ -369,9 +430,9 @@ class TestSocketClient:
             try:
                 # A non-scalar datum crosses the client/broker hop fine
                 # (it is plain JSON) but cannot enter the protocol: the
-                # broker's own wire codec rejects it, and the failure
-                # comes back as a correlated error reply.
-                with pytest.raises(DLPTClientError, match="TransportError"):
+                # broker rejects it at admission by the wire codec's rule,
+                # and the failure comes back as a correlated error reply.
+                with pytest.raises(DLPTClientError, match="not wire-encodable"):
                     await client.register("key", datum={"rich": [1, 2]})
                 # The same connection still gets service afterwards.
                 assert (await client.info())["peers"] == 6

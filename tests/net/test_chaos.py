@@ -40,7 +40,6 @@ from repro.net.conformance import (
     replay_trace,
     replay_trace_multiprocess,
 )
-from repro.net.p2p import PeerAsyncioTransport
 from repro.net.transport import SimTransport
 from repro.util.specs import SpecError, parse_spec, spec_hash
 
@@ -389,8 +388,8 @@ class TestChaosLive:
 
     def test_kill_chaos_severed_links_redial(self):
         async def body():
-            a = ChaosTransport(PeerAsyncioTransport(), "kill:1.0+seed=1")
-            b = PeerAsyncioTransport()
+            a = ChaosTransport(AsyncioTransport(), "kill:1.0+seed=1")
+            b = AsyncioTransport()
             await a.start()
             await b.start()
             a.set_resolve(lambda endpoint: b.address)

@@ -176,6 +176,34 @@ class TestClusterLifecycle:
 
         asyncio.run(body())
 
+    def test_worker_handler_error_fails_one_drain_not_the_cluster(self):
+        """A handler exception inside a worker is handed to the
+        coordinator and raised by exactly one drain; it used to stay in
+        the worker's error list and fail every later operation."""
+
+        async def body():
+            cluster = MultiProcessCluster(processes=2)
+            await cluster.start()
+            try:
+                for pid in ("pa", "pd", "pg", "pj"):
+                    await cluster.join(pid)
+                await cluster.register("dgemm")
+                # The backend API trusts its caller (the broker is the
+                # admission boundary): an unhashable datum for an existing
+                # key blows up in the hosting peer's handler — or in the
+                # codec of the link towards it — without touching the tree.
+                with pytest.raises(ClusterError, match="worker transport error"):
+                    await cluster.register("dgemm", datum={"rich": [1]})
+                await cluster.drain()
+                for _ in range(2):  # one discovery issued from each group
+                    hit = await cluster.discover("dgemm")
+                    assert hit["found"] and hit["host"] == "pa"
+                _assert_balanced(await cluster.counters())
+            finally:
+                await cluster.close()
+
+        asyncio.run(body())
+
     def test_empty_tree_has_no_entry_node(self):
         async def body():
             cluster = MultiProcessCluster(processes=1)

@@ -103,6 +103,36 @@ class TestBindFailure:
             holder.close()
 
 
+class TestCorruptJournal:
+    """A malformed ``--journal`` fails before the bind (exit 2, one line);
+    it used to die with a traceback *after* binding and leave the socket
+    file behind, so the next start hit "stale socket"."""
+
+    def test_cli_exits_two_before_binding(self, tmp_path, capsys):
+        journal, sock = tmp_path / "j.jsonl", tmp_path / "s.sock"
+        journal.write_text("not json\n")
+        rc = repro_main(
+            ["serve", "--peers", "2", "--path", str(sock), "--journal", str(journal)]
+        )
+        assert rc == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {journal}:1: not JSON")
+        assert not sock.exists()
+
+    @pytest.mark.net
+    @pytest.mark.parametrize("start", [start_cluster, start_multiprocess_cluster])
+    def test_failed_admission_closes_what_bring_up_opened(self, tmp_path, start):
+        journal, sock = tmp_path / "j.jsonl", tmp_path / "s.sock"
+        journal.write_text("not json\n")
+        kwargs = {"processes": 2} if start is start_multiprocess_cluster else {}
+        with pytest.raises(ValueError, match="not JSON"):
+            asyncio.run(
+                start(2, path=str(sock), journal=RegistryJournal(str(journal)), **kwargs)
+            )
+        assert not sock.exists()
+
+
 @pytest.mark.net
 class TestSocketLifecycle:
     def test_clean_shutdown_unlinks_user_supplied_socket(self, tmp_path):

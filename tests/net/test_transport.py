@@ -14,16 +14,20 @@ from __future__ import annotations
 import asyncio
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from strategies import wire_message_builders
 
 from repro.dlpt import messages as m
 from repro.net.asyncio_transport import (
+    _READ_CHUNK,
     CONTROL_ENDPOINT,
     AsyncioTransport,
     LoopbackAsyncioTransport,
 )
-from repro.net.p2p import PeerAsyncioTransport
 from repro.net.transport import SimTransport, TransportError
-from repro.net.wire import WIRE_SCHEMA, encode_frame
+from repro.net.wire import MESSAGE_TYPES, WIRE_SCHEMA, encode_frame
 
 pytestmark = pytest.mark.asyncio
 
@@ -34,12 +38,6 @@ TRANSPORT_PARAMS = [
     pytest.param(
         lambda: AsyncioTransport(host="127.0.0.1"),
         id="asyncio-tcp",
-        marks=pytest.mark.net,
-    ),
-    pytest.param(PeerAsyncioTransport, id="p2p-unix", marks=pytest.mark.net),
-    pytest.param(
-        lambda: PeerAsyncioTransport(host="127.0.0.1"),
-        id="p2p-tcp",
         marks=pytest.mark.net,
     ),
 ]
@@ -289,14 +287,15 @@ async def _poll(predicate, timeout: float = 5.0) -> None:
 
 @pytest.mark.net
 class TestPeerToPeerSpecifics:
-    """The p2p transport's own surface: lazy dial, link cache, idle reap,
-    reconnect-with-backoff, drop accounting, control-plane bypass."""
+    """The socket transport with a resolver (more than one group): lazy
+    dial, link cache, idle reap, reconnect-with-backoff, drop accounting,
+    control-plane bypass."""
 
     @staticmethod
     async def _pair(**kwargs):
         """Two transports; ``a`` resolves every endpoint to ``b``."""
-        a = PeerAsyncioTransport(**kwargs)
-        b = PeerAsyncioTransport()
+        a = AsyncioTransport(**kwargs)
+        b = AsyncioTransport()
         await a.start()
         await b.start()
         a.set_resolve(lambda endpoint: b.address)
@@ -319,6 +318,46 @@ class TestPeerToPeerSpecifics:
             assert b.messages_sent == b.messages_delivered == 3
             assert a.frames_out == 3 == b.frames_in
             assert a.frames_in == 0 == b.frames_out
+            await a.close()
+            await b.close()
+
+        asyncio.run(body())
+
+    @settings(max_examples=5, deadline=None)
+    @given(
+        messages=st.tuples(
+            *(wire_message_builders[name] for name in sorted(MESSAGE_TYPES))
+        )
+    )
+    def test_every_message_type_crosses_a_real_link(self, messages):
+        """One instance of every wire message type, plus a ν transfer
+        larger than one socket read, sent A → B over a dialed link and
+        compared for equality on arrival.  A single-group ring delivers
+        in-process, so this is where each type provably survives
+        encode → kernel → chunked decode."""
+        big = m.LeaveTransfer(
+            pred="a",
+            nodes=tuple(
+                m.NodePayload(
+                    label=f"a{i}", father="a", children=frozenset(), data=("x" * 64,)
+                )
+                for i in range(1000)
+            ),
+        )
+        assert len(encode_frame("local", "remote", big)) > _READ_CHUNK
+        sent = [*messages, big]
+
+        async def body():
+            a, b = await self._pair()
+            got = []
+            b.register("remote", lambda env: got.append(env.payload))
+            for message in sent:
+                a.send("local", "remote", message)
+            await a.drain()
+            await _poll(lambda: len(got) == len(sent))
+            assert got == sent
+            assert [type(p) for p in got] == [type(p) for p in sent]
+            assert a.frames_out == len(sent) == b.frames_in
             await a.close()
             await b.close()
 
@@ -359,7 +398,7 @@ class TestPeerToPeerSpecifics:
 
     def test_dial_failure_drops_queued_frames(self):
         async def body():
-            a = PeerAsyncioTransport(dial_retries=1, dial_backoff=0.01)
+            a = AsyncioTransport(dial_retries=1, dial_backoff=0.01)
             await a.start()
             a.set_resolve(lambda endpoint: ("unix", "/nonexistent/peer.sock"))
             a.send("x", "remote", _msg(1))
@@ -377,12 +416,12 @@ class TestPeerToPeerSpecifics:
             # The peer is not up yet: frames queue while the dialer backs
             # off, and flow once the listener finally binds.
             path = str(tmp_path / "late-peer.sock")
-            a = PeerAsyncioTransport(dial_retries=8, dial_backoff=0.05)
+            a = AsyncioTransport(dial_retries=8, dial_backoff=0.05)
             await a.start()
             a.set_resolve(lambda endpoint: ("unix", path))
             a.send("x", "remote", _msg(7))
             await asyncio.sleep(0.1)
-            b = PeerAsyncioTransport(path=path)
+            b = AsyncioTransport(path=path)
             got = []
             await b.start()
             b.register("remote", lambda env: got.append(env.payload.datum))
@@ -450,7 +489,7 @@ class TestPeerToPeerSpecifics:
 
     def test_unresolvable_endpoint_dead_letters(self):
         async def body():
-            a = PeerAsyncioTransport()
+            a = AsyncioTransport()
             await a.start()
             # No resolver at all: only local endpoints exist.
             a.send("x", "elsewhere", _msg(1))
@@ -472,15 +511,11 @@ class TestMidFrameConnectionLoss:
     """A connection dying *inside* a length-prefixed frame: the torn
     frame must be discarded at the reader — never half-delivered, never
     counted — and the listener must keep serving subsequent connections.
-    Exercised against all four socket transports."""
+    Exercised on both socket families."""
 
     SOCKET_TRANSPORTS = [
         pytest.param(AsyncioTransport, id="asyncio-unix"),
         pytest.param(lambda: AsyncioTransport(host="127.0.0.1"), id="asyncio-tcp"),
-        pytest.param(PeerAsyncioTransport, id="p2p-unix"),
-        pytest.param(
-            lambda: PeerAsyncioTransport(host="127.0.0.1"), id="p2p-tcp"
-        ),
     ]
 
     @staticmethod
