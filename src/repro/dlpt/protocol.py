@@ -60,6 +60,15 @@ class NodeState:
             self._sorted = idx
         return idx
 
+    def payload(self) -> m.NodePayload:
+        """This node as it travels: a migration, a departure, a crash."""
+        return m.NodePayload(
+            label=self.label,
+            father=self.father,
+            children=frozenset(self.children),
+            data=tuple(self.data),
+        )
+
     def replace_child(self, old: str, new: str) -> None:
         """Swap a child label in place (``UpdateChild``): the only child
         mutation that keeps the count — dirty the snapshot by hand."""
@@ -205,7 +214,7 @@ class ProtocolEngine:
             via = next(iter(self.locator), None)
         if via is None:
             # Empty tree: seed the NewPredecessor walk at any joined peer.
-            seed = next(pid for pid in self.peers if self.peers[pid].joined)
+            seed = self._any_joined_peer()
             self.transport.send(peer_id, seed, m.NewPredecessor(joiner=peer_id, capacity=capacity))
         else:
             self.send_to_node(
@@ -217,6 +226,15 @@ class ProtocolEngine:
     def _install_peer(self, peer: ProtocolPeer) -> None:
         self.peers[peer.id] = peer
         self.transport.register(peer.id, self._on_peer_message)
+
+    def _any_joined_peer(self) -> str:
+        """Where a walk that no tree node can route starts; an empty ring
+        is a named error, not a ``StopIteration`` leaking into (and out
+        of) whatever coroutine issued the operation."""
+        for pid, peer in self.peers.items():
+            if peer.joined:
+                return pid
+        raise RuntimeError("no peers joined")
 
     def leave_peer(self, peer_id: str) -> None:
         """Graceful departure: hand ν to the successor, then disappear.
@@ -231,15 +249,7 @@ class ProtocolEngine:
             raise KeyError(f"peer {peer_id!r} not joined")
         if peer.succ == peer.id:
             raise RuntimeError("cannot leave a single-peer ring")
-        payloads = tuple(
-            m.NodePayload(
-                label=st.label,
-                father=st.father,
-                children=frozenset(st.children),
-                data=tuple(st.data),
-            )
-            for st in peer.nodes.values()
-        )
+        payloads = tuple(st.payload() for st in peer.nodes.values())
         self.transport.send(peer.id, peer.succ, m.LeaveTransfer(pred=peer.pred, nodes=payloads))
         self.transport.send(peer.id, peer.pred, m.UpdateSuccessor(new_successor=peer.succ))
         peer.nodes.clear()
@@ -272,7 +282,7 @@ class ProtocolEngine:
         if not self.locator:
             # Empty tree: fabricate the root node and find it a host.
             payload = m.NodePayload(label=key, father=None, children=frozenset(), data=(datum,))
-            start = next(pid for pid in self.peers if self.peers[pid].joined)
+            start = self._any_joined_peer()
             self.transport.send(self._client_endpoint, start, m.Host(payload=payload))
             return
         if via is None:
@@ -423,18 +433,7 @@ class ProtocolEngine:
         moving_labels = [
             lbl for lbl in peer.nodes if in_interval_open_closed(lbl, pred, joiner)
         ]
-        payloads = []
-        for lbl in moving_labels:
-            st = peer.nodes.pop(lbl)
-            payloads.append(
-                m.NodePayload(
-                    label=st.label,
-                    father=st.father,
-                    children=frozenset(st.children),
-                    data=tuple(st.data),
-                )
-            )
-        return payloads
+        return [peer.nodes.pop(lbl).payload() for lbl in moving_labels]
 
     def _send_your_information(
         self, peer: ProtocolPeer, joiner: str, pred: str, moving: list[m.NodePayload]

@@ -23,18 +23,19 @@ implementations —
   delivers in-process in deterministic global FIFO order (tier-1 testable).
 
 The *same* protocol objects (:class:`repro.dlpt.protocol.ProtocolEngine`)
-run unchanged on either transport.  On top sits one *backend* surface
-(:mod:`repro.net.cluster`: operate the ring, answer at quiescence) with
-two implementations — the in-process
-:class:`~repro.net.cluster.LocalCluster` and the
-:class:`~repro.net.procgroup.MultiProcessCluster` of engine groups in
-worker processes — and, over either, the ``"@broker"`` RPC endpoint
-(:mod:`repro.net.bootstrap`), the futures-style client library
-(:mod:`repro.net.client`), the ``python -m repro serve`` cluster launcher
-(:mod:`repro.net.serve`) and — the proof obligation — the differential
-trace-conformance harness (:mod:`repro.net.conformance`) whose one driver
-loop replays a recorded ``repro-trace/1`` workload through every
-transport and topology and asserts the canonicalised outcome streams are
+run unchanged on either transport.  On top sits one *cluster* layer
+(:mod:`repro.net.cluster`): every engine-group step and every backend
+operation (issue steps, await quiescence, read the answer) written once,
+with the in-process :class:`~repro.net.cluster.LocalCluster` as the
+one-group case and the :class:`~repro.net.procgroup.MultiProcessCluster`
+of worker processes as the N-group case — and, over either, the
+``"@broker"`` RPC endpoint (:mod:`repro.net.bootstrap`), the
+futures-style client library (:mod:`repro.net.client`), the
+``python -m repro serve`` cluster launcher (:mod:`repro.net.serve`) and —
+the proof obligation — the differential trace-conformance harness
+(:mod:`repro.net.conformance`) whose one driver loop replays a recorded
+``repro-trace/1`` workload through every transport and topology and
+asserts the canonicalised outcome streams are
 equal.  See ``docs/runtime.md``.
 """
 

@@ -2,20 +2,21 @@
 
 :class:`Broker` is a ``"@broker"`` endpoint on a transport accepting JSON
 request payloads (``op`` + ``id`` + ``reply_to``) and answering with
-correlated JSON replies.  It owns admission (backpressure, fairness,
-idempotency) and one ``_OPS`` table of few-line handlers; the operations
-themselves are a *backend*'s (:mod:`repro.net.cluster`) — the in-process
-:class:`~repro.net.cluster.LocalCluster` or the
-:class:`~repro.net.procgroup.MultiProcessCluster` — so clients get
-identical reply shapes from both topologies.  Requests are served
-strictly one at a time, and every backend operation ends at quiescence
-before the reply is sent — the protocol has no per-operation
-acknowledgements, so quiescence *is* the completion signal.  Operations:
-``register``, ``discover``, ``discover_batch``, ``search``,
+correlated JSON replies.  It owns admission (argument validation,
+backpressure, fairness, idempotency) and one ``_OPS`` table of few-line
+handlers; the operations themselves are the cluster layer's
+(:mod:`repro.net.cluster`), so clients get identical reply shapes — and
+identical errors — from an in-process ring and a multi-process one.
+Outside input enters here: every argument is type-checked, never coerced,
+and a malformed request is answered with an error naming the field before
+the backend is called.  Requests are served strictly one at a time, and
+every backend operation ends at quiescence before the reply is sent.
+Operations: ``register``, ``discover``, ``discover_batch``, ``search``,
 ``peer_join``, ``peer_leave``, ``info``.
 :class:`~repro.net.client.DLPTClient` is the matching caller.
 
-Robustness under client floods (``inbox_limit=``):
+Robustness under client floods, when ``inbox_limit=`` is set (the default
+``None`` queues without bound):
 
 * the pending-request inbox is **bounded** — a request arriving when the
   inbox is full is answered immediately with an explicit backpressure
@@ -131,6 +132,16 @@ class RegistryJournal:
         """The recovered successor oracle (the live backends' rule,
         :func:`repro.net.cluster.successor_of`, over the replayed ids)."""
         return successor_of(sorted(self.replay()), peer_id)
+
+
+def _text(request: dict, field: str, default: object = None) -> str:
+    """A string argument of an RPC.  Outside input enters at the broker, so
+    it is validated, never coerced: ``str()`` would ack a ``None`` key as
+    the key ``"None"``."""
+    value = request.get(field, default)
+    if not isinstance(value, str):
+        raise ValueError(f"{field!r} must be a string, got {value!r}")
+    return value
 
 
 class Broker:
@@ -319,7 +330,7 @@ class Broker:
         # Outside input enters here: a datum the codec could not carry
         # between peers is refused before any handler mutates the tree.
         datum = require_scalar(request.get("datum"))
-        result = await self.backend.register(str(request["key"]), datum)
+        result = await self.backend.register(_text(request, "key"), datum)
         if result["host"] is None:
             # Under fault injection the insertion can be lost in flight;
             # an ok-reply here would be a *false acknowledgement* — the
@@ -331,22 +342,28 @@ class Broker:
         return result
 
     async def _op_discover(self, request: dict) -> dict:
-        return self._answered(await self.backend.discover(str(request["key"])))
+        return self._answered(await self.backend.discover(_text(request, "key")))
 
     async def _op_discover_batch(self, request: dict) -> dict:
-        keys = [str(k) for k in request["keys"]]
+        keys = request.get("keys")
+        if not isinstance(keys, list) or not all(isinstance(k, str) for k in keys):
+            raise ValueError(f"'keys' must be a list of strings, got {keys!r}")
         return {"results": self._answered(await self.backend.discover_many(keys))}
 
     async def _op_search(self, request: dict) -> dict:
         return self._answered(
             await self.backend.search(
-                str(request["kind"]), str(request["lo"]), str(request.get("hi", ""))
+                _text(request, "kind"), _text(request, "lo"), _text(request, "hi", "")
             )
         )
 
     async def _op_peer_join(self, request: dict) -> dict:
-        peer_id = str(request["peer"])
-        capacity = int(request.get("capacity", 10))
+        peer_id = _text(request, "peer")
+        capacity = request.get("capacity", 10)
+        if not peer_id:
+            raise ValueError("'peer' must be non-empty")
+        if isinstance(capacity, bool) or not isinstance(capacity, int) or capacity < 1:
+            raise ValueError(f"'capacity' must be an integer >= 1, got {capacity!r}")
         admitted = admission(self.backend.live_ids(), peer_id)
         ring = await self.backend.join(peer_id, capacity)
         if self.journal is not None:
@@ -354,7 +371,7 @@ class Broker:
         return {**admitted, **ring}
 
     async def _op_peer_leave(self, request: dict) -> dict:
-        peer_id = str(request["peer"])
+        peer_id = _text(request, "peer")
         await self.backend.leave(peer_id)
         if self.journal is not None:
             self.journal.record("leave", peer_id)

@@ -29,13 +29,11 @@ What makes the comparison sound:
   host, logical hops)``.  Wall-clock, byte counts and cross-pair message
   interleavings are deliberately excluded.
 
-Crashes (``["crash", index]`` trace events) are mapped onto the fail-stop
-semantics of :mod:`repro.faults`: the victim — the ``index % n``-th live
-peer in id order, exactly the trace's ring-position draw — abruptly
-unregisters its endpoint (no goodbye messages), the driver plays failure
-detector by splicing the ring pointers of its neighbours, and the
-successor adopts the victim's node replicas (the ``r=1``
-successor-replication policy), all identically on either transport.
+Crashes (``["crash", index]`` trace events) pick the victim — the
+``index % n``-th live peer in id order, exactly the trace's ring-position
+draw — and apply the backend's one ``crash`` operation
+(:meth:`repro.net.cluster.Cluster.crash`: fail-stop, ``r=1`` successor
+adoption), identically on every transport and topology.
 Partition events are out of scope for the message-level engine and raise
 :class:`ConformanceError`.
 """

@@ -4,17 +4,21 @@ The scaling step beyond one process: the ring's peers are partitioned
 into *engine groups*, each group a ``ProtocolEngine`` +
 :class:`~repro.net.asyncio_transport.AsyncioTransport` pair living in its
 own worker process (``multiprocessing`` spawn).  Protocol messages between
-peers of different groups cross real sockets; a parent-side
-:class:`MultiProcessCluster` coordinates membership, placement and
-global quiescence over a control plane that never perturbs the data
-plane it measures.
+peers of different groups cross real sockets.  The operations and the
+steps they are made of are :mod:`repro.net.cluster`'s — a worker *is* an
+:class:`~repro.net.cluster.EngineGroup` behind a control endpoint, and
+:class:`MultiProcessCluster` is the :class:`~repro.net.cluster.Cluster`
+whose ``call`` is a control RPC and whose ``drain`` is global quiescence.
+This module adds only what separate processes need: spawn and lifecycle,
+the control plane (which never perturbs the data plane it measures),
+locator replication, supervision, and the ledgers recovery replays.
 
 Topology and addressing:
 
 * **Placement** is static: peer ``p`` lives in group
-  ``zlib.crc32(p) % n_groups`` (:func:`group_of`), so every group can
-  resolve any peer id to the owning group's listener address without
-  coordination.
+  ``zlib.crc32(p) % n_groups`` (:func:`~repro.net.cluster.group_of`), so
+  every group can resolve any peer id to the owning group's listener
+  address without coordination.
 * **Per-group endpoints** — group ``i`` registers its control RPC
   endpoint ``@ctl-i`` (control plane, uncounted), its locator-sync sink
   ``@sync-i`` (data plane, counted) and its engine's private client
@@ -32,13 +36,6 @@ Global quiescence (the multi-process ``drain``): every group reports
 delivered by its sender but not yet ingressed), observed stable across
 two consecutive polls.  Counter polls travel on the control plane, so
 polling cannot keep the cluster awake.
-
-Crashes are the coordinator's job (fail-stop has no goodbye protocol):
-``crash_pop`` rips the victim's endpoint out of its group and returns
-its ν, ``adopt`` installs those nodes on the successor, ``set_succ`` /
-``set_pred`` splice the neighbours' ring pointers, and a ``locator_set``
-broadcast repoints every group's location table — the exact decomposition
-of :meth:`repro.net.cluster.LocalCluster.crash` into control RPCs.
 """
 
 from __future__ import annotations
@@ -46,22 +43,16 @@ from __future__ import annotations
 import asyncio
 import itertools
 import multiprocessing
-import zlib
 from typing import Dict, List, Optional, Tuple
 
+from ..dlpt.protocol import ProtocolEngine
 from ..sim.network import Envelope
 from .asyncio_transport import AsyncioTransport
-from .cluster import (
-    engine_snapshot,
-    entry_for,
-    successor_of,
-    take_discovery_replies,
-    take_query_replies,
-    toggle_chaos,
-    transport_counters,
-)
+from .cluster import STEPS, Cluster, ClusterError, EngineGroup, group_of
 from .transport import TransportError
-from .wire import decode_node_payload, encode_node_payload
+
+#: How long :meth:`MultiProcessCluster.drain` waits for global quiescence.
+DRAIN_TIMEOUT = 60.0
 
 #: Endpoint naming scheme (group index ``i``).
 COORD_ENDPOINT = "@coord"
@@ -70,19 +61,10 @@ SYNC_PREFIX = "@sync-"
 CLIENT_PREFIX = "@client-g"
 
 
-class ClusterError(RuntimeError):
-    """A control RPC failed, or the cluster lost a worker."""
-
-
 class ClusterRecovering(ClusterError):
     """The supervisor is mid-recovery; the operation is retryable once
     the cluster has healed (the serve layer maps this to a backpressure
     reply, so resilient clients ride through the outage)."""
-
-
-def group_of(peer_id: str, n_groups: int) -> int:
-    """The owning group of ``peer_id``: stable, coordination-free."""
-    return zlib.crc32(peer_id.encode("utf-8")) % n_groups
 
 
 def _make_resolver(n_groups: int, groups: List[tuple], coord: Optional[tuple]):
@@ -109,14 +91,19 @@ def _make_resolver(n_groups: int, groups: List[tuple], coord: Optional[tuple]):
 # ---------------------------------------------------------------------------
 
 
-class _Worker:
-    """One engine group: the control RPC surface around a local engine."""
+class _Worker(EngineGroup):
+    """One engine group behind its control endpoint: the shared steps,
+    plus what only a separate process needs — locator replication, the
+    frame/error extension of ``counters``, heartbeat, reset, shutdown."""
 
-    def __init__(self, index: int, n_groups: int, transport, engine, stop) -> None:
+    #: What the control endpoint dispatches: the shared steps plus the
+    #: worker's own three.
+    OPS = STEPS | {"ping", "reset", "shutdown"}
+
+    def __init__(self, index: int, n_groups: int, engine, stop) -> None:
+        super().__init__(engine)
         self.index = index
         self.n_groups = n_groups
-        self.transport = transport
-        self.engine = engine
         self.stop = stop
 
     # -- locator replication ------------------------------------------------
@@ -130,171 +117,53 @@ class _Worker:
                 self.transport.send(src, f"{SYNC_PREFIX}{g}", {"label": label, "host": host})
 
     def on_sync(self, env: Envelope) -> None:
-        body = env.payload
-        self._set_location(str(body["label"]), str(body["host"]))
-
-    def _set_location(self, label: str, host: str) -> None:
-        self.engine.locator[label] = host
-        # Flush messages parked for the label, exactly as a local install
-        # would (a SearchingHost can race the Host hop across groups).
-        parked = self.engine.pending_node_messages.pop(label, None)
-        if parked:
-            for src, msg in parked:
-                self.transport.send(src, host, msg)
+        self.locator_set({env.payload["label"]: env.payload["host"]})
 
     # -- control RPCs -------------------------------------------------------
 
     def on_control(self, env: Envelope) -> None:
-        request = env.payload
-        if not isinstance(request, dict):
+        if not isinstance(env.payload, dict):
             return
-        reply = {"id": request.get("id")}
+        body = dict(env.payload)
+        reply = {"id": body.pop("id", None)}
+        reply_to = body.pop("reply_to", COORD_ENDPOINT)
+        op = body.pop("op", None)
         try:
-            handler = self._OPS[request.get("op")]
-            reply.update(ok=True, **handler(self, request))
+            if op not in self.OPS:
+                raise ClusterError(f"unknown control op {op!r}")
+            reply.update(ok=True, **(getattr(self, op)(**body) or {}))
         except Exception as exc:
             reply.update(ok=False, error=f"{type(exc).__name__}: {exc}")
-        self.transport.send(
-            f"{CTL_PREFIX}{self.index}",
-            request.get("reply_to", COORD_ENDPOINT),
-            reply,
-        )
+        self.transport.send(f"{CTL_PREFIX}{self.index}", reply_to, reply)
 
-    def _op_bootstrap(self, request: dict) -> dict:
-        self.engine.bootstrap_peer(str(request["peer"]), int(request["capacity"]))
-        return {}
-
-    def _op_join(self, request: dict) -> dict:
-        self.engine.join_peer(
-            str(request["peer"]), int(request["capacity"]), seed=request["seed"]
-        )
-        return {}
-
-    def _op_leave(self, request: dict) -> dict:
-        self.engine.leave_peer(str(request["peer"]))
-        return {}
-
-    def _op_crash_pop(self, request: dict) -> dict:
-        victim_id = str(request["peer"])
-        self.transport.unregister(victim_id)
-        victim = self.engine.peers.pop(victim_id)
-        from ..dlpt import messages as m
-
-        nodes = [
-            encode_node_payload(
-                m.NodePayload(
-                    label=st.label,
-                    father=st.father,
-                    children=frozenset(st.children),
-                    data=tuple(st.data),
-                )
-            )
-            for st in victim.nodes.values()
-        ]
-        return {"pred": victim.pred, "succ": victim.succ, "nodes": nodes}
-
-    def _op_adopt(self, request: dict) -> dict:
-        from ..dlpt.protocol import NodeState
-
-        peer = self.engine.peers[str(request["peer"])]
-        for obj in request["nodes"]:
-            payload = decode_node_payload(obj)
-            peer.nodes[payload.label] = NodeState(
-                label=payload.label,
-                father=payload.father,
-                children=set(payload.children),
-                data=set(payload.data),
-            )
-            # Location broadcast is the coordinator's locator_set; no hook.
-            self.engine.locator[payload.label] = peer.id
-        return {}
-
-    def _op_ring(self, request: dict) -> dict:
-        peer = self.engine.peers[str(request["peer"])]
-        return {"pred": peer.pred, "succ": peer.succ}
-
-    def _op_locate(self, request: dict) -> dict:
-        return {"host": self.engine.locator.get(str(request["label"]))}
-
-    def _op_set_succ(self, request: dict) -> dict:
-        self.engine.peers[str(request["peer"])].succ = str(request["succ"])
-        return {}
-
-    def _op_set_pred(self, request: dict) -> dict:
-        self.engine.peers[str(request["peer"])].pred = str(request["pred"])
-        return {}
-
-    def _op_locator_set(self, request: dict) -> dict:
-        for label, host in request["entries"].items():
-            self._set_location(str(label), str(host))
-        return {}
-
-    def _op_locator_del(self, request: dict) -> dict:
-        for label in request["labels"]:
-            self.engine.locator.pop(str(label), None)
-        return {}
-
-    def _op_insert(self, request: dict) -> dict:
-        via = entry_for(self.engine, request.get("via"))
-        self.engine.insert_data(str(request["key"]), request.get("datum"), via=via)
-        return {}
-
-    def _op_discover(self, request: dict) -> dict:
-        via = entry_for(self.engine, request.get("via"))
-        if via is None:
-            return {"issued": False}
-        self.engine.discover(str(request["key"]), via=via)
-        return {"issued": True}
-
-    def _op_search(self, request: dict) -> dict:
-        via = entry_for(self.engine, request.get("via"))
-        if via is None:
-            return {"issued": False}
-        self.engine.search_query(
-            str(request["kind"]), str(request["lo"]), str(request.get("hi", "")), via=via
-        )
-        return {"issued": True}
-
-    def _op_collect(self, request: dict) -> dict:
-        return {
-            "discovery": take_discovery_replies(self.engine),
-            "queries": take_query_replies(self.engine),
-        }
-
-    def _op_snapshot(self, request: dict) -> dict:
-        return engine_snapshot(self.engine)
-
-    def _op_counters(self, request: dict) -> dict:
-        """Counters plus the transport errors since the last poll, handed
-        over and forgotten: the polling :meth:`MultiProcessCluster.drain`
-        raises them once, so one operation fails, not every later one."""
+    def counters(self) -> dict:
+        """The shared counters plus this group's inter-group frame totals
+        and the transport errors since the last poll, handed over and
+        forgotten: the polling :meth:`MultiProcessCluster.drain` raises
+        them once, so one operation fails, not every later one."""
         t = self.transport
         errors = [repr(e) for e in t.errors]
         t.errors.clear()
         return {
-            **transport_counters(t),
+            **super().counters(),
             "frames_out": t.frames_out,
             "frames_in": t.frames_in,
             "errors": errors,
         }
 
-    def _op_chaos(self, request: dict) -> dict:
-        """Toggle fault injection (a no-op on a plain transport)."""
-        return {"chaos": toggle_chaos(self.transport, bool(request["enabled"]))}
-
-    def _op_ping(self, request: dict) -> dict:
+    def ping(self) -> dict:
         """Heartbeat probe: proves the worker's event loop is servicing
         its control endpoint, not merely that the process exists."""
         return {"pong": True, "uptime": self.transport.now()}
 
-    def _op_reset(self, request: dict) -> dict:
+    def reset(self, groups: list, coord: Optional[list]) -> None:
         """Supervisor recovery: wipe this group back to a blank engine.
 
         Addresses arrive as JSON lists over the control plane; they must
         be re-tupled or the resolver would hand the link cache unhashable
         keys (and ``address == self.address`` would never match)."""
-        groups = [tuple(a) for a in request["groups"]]
-        coord = tuple(request["coord"]) if request.get("coord") else None
+        groups = [tuple(a) for a in groups]
+        coord = tuple(coord) if coord else None
         engine, t = self.engine, self.transport
         for peer_id in list(engine.peers):
             t.unregister(peer_id)
@@ -307,41 +176,13 @@ class _Worker:
         t.reset_links()
         t.errors.clear()
         t.reset_accounting()
-        return {}
 
-    def _op_shutdown(self, request: dict) -> dict:
+    def shutdown(self) -> None:
         # Reply first; stop a beat later so the reply frame leaves the link.
         asyncio.get_running_loop().call_later(0.05, self.stop.set)
-        return {}
-
-    _OPS = {
-        "bootstrap": _op_bootstrap,
-        "join": _op_join,
-        "leave": _op_leave,
-        "crash_pop": _op_crash_pop,
-        "adopt": _op_adopt,
-        "ring": _op_ring,
-        "locate": _op_locate,
-        "set_succ": _op_set_succ,
-        "set_pred": _op_set_pred,
-        "locator_set": _op_locator_set,
-        "locator_del": _op_locator_del,
-        "insert": _op_insert,
-        "discover": _op_discover,
-        "search": _op_search,
-        "collect": _op_collect,
-        "snapshot": _op_snapshot,
-        "counters": _op_counters,
-        "chaos": _op_chaos,
-        "ping": _op_ping,
-        "reset": _op_reset,
-        "shutdown": _op_shutdown,
-    }
 
 
 async def _worker_async(index: int, n_groups: int, conn, chaos=None) -> None:
-    from ..dlpt.protocol import ProtocolEngine
-
     transport = AsyncioTransport()
     await transport.start()
     if chaos is not None:
@@ -352,14 +193,9 @@ async def _worker_async(index: int, n_groups: int, conn, chaos=None) -> None:
         transport = ChaosTransport(
             transport, chaos, seed=chaos.seed + index * 7919
         )
-    stop = asyncio.Event()
-    worker = _Worker(index, n_groups, transport, None, stop)
-    engine = ProtocolEngine(
-        transport=transport,
-        client_endpoint=f"{CLIENT_PREFIX}{index}",
-        on_node_installed=worker.broadcast_install,
-    )
-    worker.engine = engine
+    engine = ProtocolEngine(transport=transport, client_endpoint=f"{CLIENT_PREFIX}{index}")
+    worker = _Worker(index, n_groups, engine, asyncio.Event())
+    engine.on_node_installed = worker.broadcast_install
     # Register every endpoint BEFORE publishing the address: the first
     # control RPC may arrive the instant the coordinator learns it.
     transport.register(f"{CTL_PREFIX}{index}", worker.on_control)
@@ -372,7 +208,7 @@ async def _worker_async(index: int, n_groups: int, conn, chaos=None) -> None:
         _make_resolver(n_groups, handshake["groups"], handshake["coord"])
     )
     try:
-        await stop.wait()
+        await worker.stop.wait()
     finally:
         await transport.close()
         conn.close()
@@ -388,17 +224,16 @@ def _worker_main(index: int, n_groups: int, conn, chaos=None) -> None:
 # ---------------------------------------------------------------------------
 
 
-class MultiProcessCluster:
+class MultiProcessCluster(Cluster):
     """Parent-side handle on a ring spread over worker processes.
 
-    The multi-process backend (surface: :mod:`repro.net.cluster`): the
-    same ``join`` / ``leave`` / ``crash`` / ``register`` / ``discover`` /
-    ``discover_many`` / ``search`` / ``snapshot`` operations as
-    :class:`~repro.net.cluster.LocalCluster`, each ending at *global*
-    quiescence, plus the raw :meth:`call` control RPC and the
-    :meth:`drain` loop they are built from.  Membership is tracked here —
-    the coordinator *is* the bootstrap registry of the multi-process
-    runtime (``successor_of`` seeds every join with O(1) messages).
+    The N-group backend (:mod:`repro.net.cluster`): every operation is
+    the shared one, reaching a group through the :meth:`call` control RPC
+    and ending at *global* quiescence (:meth:`drain`); the overrides here
+    only refuse work mid-recovery and keep the ledgers.  Membership is
+    tracked here — the coordinator *is* the bootstrap registry of the
+    multi-process runtime (``successor_of`` seeds every join with O(1)
+    messages).
     """
 
     #: A supervisor-driven recovery (and a worker silently dying, as a
@@ -410,7 +245,6 @@ class MultiProcessCluster:
         self,
         processes: int = 2,
         *,
-        drain_timeout: float = 60.0,
         rpc_timeout: float = 30.0,
         chaos=None,
         supervise: bool = False,
@@ -421,7 +255,6 @@ class MultiProcessCluster:
         if processes < 1:
             raise ValueError("processes must be >= 1")
         self.n_groups = processes
-        self.drain_timeout = drain_timeout
         self.rpc_timeout = rpc_timeout
         if chaos is not None:
             from .chaos import parse_chaos
@@ -454,7 +287,6 @@ class MultiProcessCluster:
         self._supervise_task: Optional[asyncio.Task] = None
         self._ids = itertools.count(1)
         self._pending: Dict[int, asyncio.Future] = {}
-        self._op_count = 0
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -571,19 +403,11 @@ class MultiProcessCluster:
 
     # -- quiescence ---------------------------------------------------------
 
-    async def counters(self) -> List[dict]:
-        return [await self.call(g, "counters") for g in range(self.n_groups)]
-
-    async def set_chaos(self, enabled: bool) -> None:
-        """Toggle fault injection on every worker (no-op without chaos)."""
-        for g in range(self.n_groups):
-            await self.call(g, "chaos", enabled=enabled)
-
     async def drain(self) -> List[dict]:
         """Wait for *global* quiescence: every group idle, frame sums
         balanced, stable across two consecutive polls (module doc)."""
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.drain_timeout
+        deadline = loop.time() + DRAIN_TIMEOUT
         previous: Optional[Tuple] = None
         while True:
             snaps = await self.counters()
@@ -604,7 +428,7 @@ class MultiProcessCluster:
             previous = signature if quiet else None
             if loop.time() > deadline:
                 raise TransportError(
-                    f"cluster drain timed out after {self.drain_timeout}s: {snaps}"
+                    f"cluster drain timed out after {DRAIN_TIMEOUT}s: {snaps}"
                 )
             await asyncio.sleep(0.002)
 
@@ -711,178 +535,73 @@ class MultiProcessCluster:
             # here could silently lose a ledgered registration.
             if self.chaos is not None:
                 await self.set_chaos(False)
+            # The replay runs the shared admission and insertion directly:
+            # past the ready check, and without re-journaling or re-acking.
             self.members = {}
             for peer, capacity in survivors:
-                await self._admit(peer, capacity)
+                await super().join(peer, capacity)
+                self.members[peer] = capacity
             if self.members:
                 for key, datum in list(self.registrations.items()):
-                    await self._register_raw(key, datum)
+                    await super().register(key, datum)
             if self.chaos is not None:
                 await self.set_chaos(True)
         finally:
             self._recovering = False
 
-    # -- membership ---------------------------------------------------------
+    # -- operations: the shared ones, behind the ready check, + ledgers -------
 
-    def live_ids(self) -> List[str]:
-        return sorted(self.members)
-
-    def successor_of(self, peer_id: str) -> Optional[str]:
-        return successor_of(self.live_ids(), peer_id)
-
-    async def _admit(self, peer_id: str, capacity: int) -> dict:
-        """The raw admission (shared by :meth:`join` and recovery's
-        membership replay — the replay must not re-journal joins)."""
-        group = group_of(peer_id, self.n_groups)
-        if not self.members:
-            await self.call(group, "bootstrap", peer=peer_id, capacity=capacity)
-        else:
-            await self.call(
-                group,
-                "join",
-                peer=peer_id,
-                capacity=capacity,
-                seed=self.successor_of(peer_id),
-            )
-        await self.drain()
-        self.members[peer_id] = capacity
-        ring = await self.call(group, "ring", peer=peer_id)
-        return {"group": group, "pred": ring.get("pred"), "succ": ring.get("succ")}
+    def _members(self) -> Dict[str, int]:
+        return self.members
 
     async def join(self, peer_id: str, capacity: int = 10) -> dict:
-        """Admit ``peer_id`` (bootstrap when first), drain, and return its
-        settled ring pointers plus placement ``{"group", "pred", "succ"}``."""
+        """The shared admission, plus the worker placement: returns
+        ``{"group", "pred", "succ"}``."""
         self._check_ready()
-        return await self._admit(peer_id, capacity)
+        ring = await super().join(peer_id, capacity)
+        self.members[peer_id] = capacity
+        return {"group": self._home(peer_id), **ring}
 
     async def leave(self, peer_id: str) -> None:
         self._check_ready()
-        if peer_id not in self.members:
-            raise ClusterError(f"peer {peer_id!r} not joined")
-        await self.call(group_of(peer_id, self.n_groups), "leave", peer=peer_id)
-        await self.drain()
+        await super().leave(peer_id)
         del self.members[peer_id]
 
     async def crash(self, victim_id: str) -> None:
-        """Fail-stop crash + ``r=1`` recovery, decomposed into control
-        RPCs (the multi-process :meth:`~repro.net.cluster.LocalCluster.crash`)."""
         self._check_ready()
-        if victim_id not in self.members:
-            raise ClusterError(f"peer {victim_id!r} not joined")
-        popped = await self.call(
-            group_of(victim_id, self.n_groups), "crash_pop", peer=victim_id
-        )
+        await super().crash(victim_id)
         del self.members[victim_id]
-        pred, succ, nodes = popped["pred"], popped["succ"], popped["nodes"]
-        if succ == victim_id:
-            # Last peer of the ring: everything it hosted dies with it —
-            # including its acknowledged registrations (there is no
-            # surviving replica to recover them from at r=1).
-            labels = [obj["label"] for obj in nodes]
-            for label in labels:
-                self.registrations.pop(label, None)
-            for g in range(self.n_groups):
-                await self.call(g, "locator_del", labels=labels)
-            return
-        await self.call(group_of(succ, self.n_groups), "adopt", peer=succ, nodes=nodes)
-        new_pred = pred if pred != victim_id else succ
-        await self.call(group_of(succ, self.n_groups), "set_pred", peer=succ, pred=new_pred)
-        await self.call(group_of(pred, self.n_groups), "set_succ", peer=pred, succ=succ)
-        entries = {obj["label"]: succ for obj in nodes}
-        if entries:
-            for g in range(self.n_groups):
-                await self.call(g, "locator_set", entries=entries)
-
-    # -- data-plane operations ---------------------------------------------
-
-    def _insert_group(self) -> int:
-        """Inserts must start where a joined peer lives (the empty-tree
-        Host walk needs a local starting peer): the min live id's group."""
         if not self.members:
-            raise ClusterError("no peers joined")
-        return group_of(min(self.members), self.n_groups)
-
-    def _rotate_group(self) -> int:
-        self._op_count += 1
-        return self._op_count % self.n_groups
-
-    async def _register_raw(
-        self, key: str, datum: object = None, via: Optional[str] = None
-    ) -> dict:
-        group = self._insert_group()
-        await self.call(group, "insert", key=key, datum=datum, via=via)
-        await self.drain()
-        located = await self.call(group, "locate", label=key)
-        return {"key": key, "host": located.get("host")}
+            # The last peer hosted everything, acknowledged registrations
+            # included: at r=1 there is no surviving replica to recover
+            # them from.
+            self.registrations.clear()
 
     async def register(self, key: str, datum: object = None, via: Optional[str] = None) -> dict:
-        """Insert ``key`` at quiescence; returns ``{"key", "host"}`` (the
-        hosting peer per the post-drain replicated locator).  A located
-        result enters the acknowledged-registration ledger, which recovery
-        replays — acknowledging a registration *is* the promise it
-        survives a worker crash."""
+        """The shared insertion; a located result enters the
+        acknowledged-registration ledger, which recovery replays —
+        acknowledging a registration *is* the promise it survives a
+        worker crash."""
         self._check_ready()
-        result = await self._register_raw(key, datum, via)
-        if result.get("host") is not None:
+        result = await super().register(key, datum, via)
+        if result["host"] is not None:
             self.registrations[key] = datum
         return result
 
     async def discover(self, key: str, via: Optional[str] = None) -> Optional[dict]:
-        """One discovery at quiescence; ``None`` when the tree is empty
-        (no entry node), else the broker-shaped reply record."""
         self._check_ready()
-        group = self._rotate_group()
-        issued = await self.call(group, "discover", key=key, via=via)
-        if not issued.get("issued"):
-            return None
-        await self.drain()
-        got = await self.call(group, "collect")
-        replies = got["discovery"]
-        if len(replies) != 1:
-            raise ClusterError(f"{len(replies)} replies for one discovery of {key!r}")
-        return replies[0]
+        return await super().discover(key, via)
 
     async def discover_many(self, keys) -> Optional[List[dict]]:
-        """A batch of discoveries, answered in request order (one global
-        drain each); ``None`` when the tree is empty."""
-        results = []
-        for key in keys:
-            reply = await self.discover(key)
-            if reply is None:
-                return None
-            results.append(reply)
-        return results
+        self._check_ready()
+        return await super().discover_many(keys)
 
     async def search(
         self, kind: str, lo: str, hi: str = "", via: Optional[str] = None
     ) -> Optional[dict]:
-        """One set query at quiescence; ``None`` when the tree is empty."""
         self._check_ready()
-        group = self._rotate_group()
-        issued = await self.call(group, "search", kind=kind, lo=lo, hi=hi, via=via)
-        if not issued.get("issued"):
-            return None
-        await self.drain()
-        got = await self.call(group, "collect")
-        replies = got["queries"]
-        if len(replies) != 1:
-            raise ClusterError(f"{len(replies)} replies for one {kind} query")
-        return replies[0]
+        return await super().search(kind, lo, hi, via)
 
     async def snapshot(self) -> dict:
-        """The union view over all groups: live peers, hosted labels (with
-        a filled-data flag) and per-group locator sizes."""
         self._check_ready()
-        live: List[str] = []
-        hosted: Dict[str, bool] = {}
-        locator_sizes = []
-        for g in range(self.n_groups):
-            snap = await self.call(g, "snapshot")
-            live.extend(snap["live"])
-            hosted.update(snap["hosted"])
-            locator_sizes.append(snap["locator_size"])
-        return {
-            "live": sorted(live),
-            "hosted": hosted,
-            "locator_sizes": locator_sizes,
-        }
+        return await super().snapshot()

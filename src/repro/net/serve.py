@@ -153,8 +153,6 @@ async def start_multiprocess_cluster(
     journal: Optional[RegistryJournal] = None,
     chaos=None,
     supervise: bool = False,
-    heartbeat_interval: float = 0.25,
-    heartbeat_timeout: float = 2.0,
 ):
     """Bring up ``processes`` engine-group workers, a client-facing
     listener and the broker over them; returns ``(transport, cluster,
@@ -163,12 +161,7 @@ async def start_multiprocess_cluster(
     ``supervise`` starts the coordinator's heartbeat/restart supervisor
     (:meth:`MultiProcessCluster._supervise`)."""
     cluster = MultiProcessCluster(
-        processes=processes,
-        chaos=chaos,
-        supervise=supervise,
-        heartbeat_interval=heartbeat_interval,
-        heartbeat_timeout=heartbeat_timeout,
-        journal=journal,
+        processes=processes, chaos=chaos, supervise=supervise, journal=journal
     )
     transport = AsyncioTransport(
         host=host if tcp else None, port=port, path=None if tcp else path

@@ -147,6 +147,12 @@ class TestDiscovery:
         with pytest.raises(RuntimeError):
             eng.discover("x")
 
+    def test_insert_on_an_empty_ring_is_a_named_error(self):
+        """Not a ``StopIteration``: inside a coroutine that leaks out as
+        ``RuntimeError: coroutine raised StopIteration``."""
+        with pytest.raises(RuntimeError, match="no peers joined"):
+            ProtocolEngine().insert_data("x")
+
     def test_hop_counts_reported(self):
         eng = engine_with_peers(["mmmm"])
         for k in ("01", "10101", "10111"):

@@ -9,7 +9,7 @@ import pytest
 
 from repro.dlpt.protocol import ProtocolEngine
 from repro.net.asyncio_transport import AsyncioTransport, LoopbackAsyncioTransport
-from repro.net.bootstrap import BROKER_ENDPOINT, Broker
+from repro.net.bootstrap import BROKER_ENDPOINT, Broker, RegistryJournal
 from repro.net.client import DLPTClient, DLPTClientError
 from repro.net.cluster import LocalCluster, admission
 from repro.net.procgroup import MultiProcessCluster
@@ -96,12 +96,32 @@ class _LoopbackClient:
         raise AssertionError(f"no reply for request {rid}")
 
 
+#: Malformed arguments, each with the field the error reply must name.
+_MALFORMED = [
+    (dict(op="register", key=None), "key"),
+    (dict(op="register", key=5), "key"),
+    (dict(op="register"), "key"),
+    (dict(op="discover", key=["dgemm"]), "key"),
+    (dict(op="discover_batch", keys="dge"), "keys"),
+    (dict(op="discover_batch", keys=["dgemm", 7]), "keys"),
+    (dict(op="search", kind="prefix", lo=None), "lo"),
+    (dict(op="search", kind="range", lo="a", hi=5), "hi"),
+    (dict(op="search", kind=7, lo="a"), "kind"),
+    (dict(op="peer_join", peer="", capacity=10), "peer"),
+    (dict(op="peer_join", peer=None, capacity=10), "peer"),
+    (dict(op="peer_join", peer="px", capacity=0), "capacity"),
+    (dict(op="peer_join", peer="px", capacity=True), "capacity"),
+    (dict(op="peer_join", peer="px", capacity="10"), "capacity"),
+    (dict(op="peer_leave", peer=None), "peer"),
+]
+
+
 class TestBrokerLoopback:
-    async def _cluster(self):
+    async def _cluster(self, journal=None):
         transport = LoopbackAsyncioTransport()
         await transport.start()
         engine = ProtocolEngine(transport=transport)
-        broker = Broker(LocalCluster(engine), transport)
+        broker = Broker(LocalCluster(engine), transport, journal=journal)
         await broker.start()
         for pid in ("pa", "pd", "pg", "pj"):
             reply = await _LoopbackClient(transport, f"@adm-{pid}").call(
@@ -198,6 +218,38 @@ class TestBrokerLoopback:
 
         asyncio.run(body())
 
+    @pytest.mark.parametrize(
+        "request_body, field",
+        _MALFORMED,
+        ids=[f"{body['op']}:{field}={body.get(field)!r}" for body, field in _MALFORMED],
+    )
+    def test_malformed_arguments_are_refused_not_coerced(self, tmp_path, request_body, field):
+        """Outside input is validated at the broker: the error names the
+        field, the backend is never called (tree, membership and journal
+        untouched) and the same endpoint keeps getting service.  Coercion
+        acked ``key=None`` as the key ``"None"``, looked ``keys="dge"`` up
+        as ``d``, ``g``, ``e`` and admitted (and journaled) a peer of
+        capacity 0."""
+
+        async def body():
+            path = tmp_path / "registry.jsonl"
+            transport, engine, broker = await self._cluster(RegistryJournal(str(path)))
+            client = _LoopbackClient(transport)
+            assert (await client.call(op="register", key="dgemm"))["ok"]
+            before, journaled = await client.call(op="info"), path.read_text()
+            bad = await client.call(**request_body)
+            assert not bad["ok"] and repr(field) in bad["error"], bad
+            after = await client.call(op="info")
+            for name in ("peers", "nodes", "keys"):
+                assert after[name] == before[name], name
+            assert path.read_text() == journaled
+            hit = await client.call(op="discover", key="dgemm")
+            assert hit["ok"] and hit["found"]
+            await broker.close()
+            await transport.close()
+
+        asyncio.run(body())
+
     def test_unknown_op_is_an_error_reply(self):
         async def body():
             transport, engine, broker = await self._cluster()
@@ -221,6 +273,7 @@ _DISCOVERY = {"key", "found", "data", "hops", "host"}
 _QUERY = {"kind", "lo", "hi", "keys", "hops"}
 _ADMISSION = _OK | {"peer", "successor", "seeds", "pred", "succ"}
 _EXPECTED_KEYS = {
+    "empty:register": _ERROR,
     "join:pa": _ADMISSION,
     "join:pd": _ADMISSION,
     "join:pg": _ADMISSION,
@@ -239,6 +292,7 @@ _EXPECTED_KEYS = {
     "info": _OK
     | {"peers", "nodes", "keys", "served", "rejected", "pending", "max_pending"},
     "leave": _OK | {"peer", "peers"},
+    "leave:unknown": _ERROR,
 }
 
 
@@ -247,6 +301,7 @@ async def _rpc_script(transport):
     serves ``"@broker"`` on ``transport``; returns ``{step: reply}``."""
     client = _LoopbackClient(transport, "@script")
     steps = [
+        ("empty:register", dict(op="register", key="too-early")),
         ("join:pa", dict(op="peer_join", peer="pa", capacity=10)),
         ("join:pd", dict(op="peer_join", peer="pd", capacity=10)),
         ("join:pg", dict(op="peer_join", peer="pg", capacity=10)),
@@ -264,6 +319,7 @@ async def _rpc_script(transport):
         ("unknown", dict(op="frobnicate")),
         ("info", dict(op="info")),
         ("leave", dict(op="peer_leave", peer="pd")),
+        ("leave:unknown", dict(op="peer_leave", peer="nobody")),
     ]
     return {step: await client.call(**body) for step, body in steps}
 
@@ -338,6 +394,10 @@ def _check_contract(replies, extra=frozenset()):
     # One broker, one empty-tree answer — whatever the op or topology.
     for step in ("empty:discover", "empty:discover_batch", "empty:search"):
         assert replies[step]["error"] == "RuntimeError: tree is empty", step
+    # ...and one operation layer, so one wording for what the ring itself
+    # refuses, whichever process notices.
+    assert replies["empty:register"]["error"] == "ClusterError: no peers joined"
+    assert replies["leave:unknown"]["error"] == "ClusterError: peer 'nobody' not joined"
     assert "kind" in replies["search:bad"]["error"]
     assert "unknown broker op" in replies["unknown"]["error"]
 
@@ -366,6 +426,8 @@ class TestBrokerBackends:
             assert {k: v for k, v in multi[step].items() if k not in volatile} == {
                 k: v for k, v in local[step].items() if k not in volatile
             }, step
+        for step in ("empty:register", "leave:unknown"):
+            assert multi[step]["error"] == local[step]["error"], step
 
 
     def test_local_backend_refuses_a_non_scalar_datum(self):

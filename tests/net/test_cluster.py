@@ -1,0 +1,171 @@
+"""The cluster layer's own contract (:mod:`repro.net.cluster`): every
+operation is one sequence of engine-group steps ending at one quiescence
+wait, and it is the same sequence on both backends.
+
+Tier-1 drives a :class:`LocalCluster` on the loopback transport; the
+``net``-marked twin spawns a 2-process ring.
+"""
+
+from __future__ import annotations
+
+import asyncio
+
+import pytest
+
+from repro.dlpt.protocol import ProtocolEngine
+from repro.net.asyncio_transport import LoopbackAsyncioTransport
+from repro.net.cluster import ClusterError, LocalCluster
+from repro.net.procgroup import MultiProcessCluster, group_of
+
+pytestmark = pytest.mark.asyncio
+
+PEERS = ["pa", "pd", "pg", "pj", "pm", "pq"]
+REGISTERED = ["dgemm", "dgemv", "dtrsm", "pdgemm", "sgemm", "zherk"]
+#: 18 keys in a scrambled order, with duplicates and one miss.
+BATCH = (REGISTERED + ["no-such-key"] + REGISTERED[::-1] + REGISTERED[:5])[::-1]
+
+
+def _count_calls(owner, name):
+    """Wrap ``owner.name`` (an async callable) on the instance, as the
+    serve benchmark's probe does; returns the one-element call tally."""
+    original, tally = getattr(owner, name), [0]
+
+    async def counted(*args, **kwargs):
+        tally[0] += 1
+        return await original(*args, **kwargs)
+
+    setattr(owner, name, counted)
+    return tally
+
+
+async def _local_cluster(peers):
+    transport = LoopbackAsyncioTransport()
+    await transport.start()
+    cluster = LocalCluster(ProtocolEngine(transport=transport))
+    for pid in peers:
+        await cluster.join(pid)
+    return cluster
+
+
+async def _batch_equals_singles(cluster):
+    """``discover_many`` answers in request order with exactly the
+    records per-key ``discover`` gives."""
+    singles = {key: await cluster.discover(key) for key in set(BATCH)}
+    rows = await cluster.discover_many(BATCH)
+    assert [row["key"] for row in rows] == BATCH
+    assert rows == [singles[key] for key in BATCH]
+    assert [row["found"] for row in rows] == [key in REGISTERED for key in BATCH]
+
+
+class TestLocalCluster:
+    def test_a_batch_shares_one_drain(self):
+        """``scan_batch`` depends on it: 18 discoveries, one wait."""
+
+        async def body():
+            cluster = await _local_cluster(PEERS)
+            for key in REGISTERED:
+                await cluster.register(key)
+            await _batch_equals_singles(cluster)
+            drains = _count_calls(cluster.transport, "drain")
+            await cluster.discover_many(BATCH)
+            assert drains[0] == 1
+            await cluster.close()
+
+        asyncio.run(body())
+
+    def test_crash_travels_through_the_steps(self):
+        """The victim's ν reaches its successor through ``crash_pop`` →
+        ``adopt`` — the wire form of the node payloads — not by moving
+        ``NodeState`` objects: what arrives must equal what left."""
+
+        async def body():
+            cluster = await _local_cluster(["pa", "pg", "pm"])
+            engine = cluster.engine
+            data = {"pbab": {1, 2.5, "three"}, "pbac": {"pbac"}, "pc": {True}}
+            for key, items in data.items():
+                for datum in items:
+                    await cluster.register(key, datum)
+            victim = engine.peers["pg"]
+            left = {
+                label: (st.father, set(st.children), set(st.data))
+                for label, st in victim.nodes.items()
+            }
+            # The fixture: a multi-datum node, and a structural node
+            # ("pba": no data, two children), among at least three.
+            assert len(left) >= 3 and left["pbab"][2] == data["pbab"]
+            assert left["pba"] == ("p", {"pbab", "pbac"}, set())
+
+            steps, call = [], cluster.call
+
+            def recorded(group, step, **body):
+                steps.append(step)
+                return call(group, step, **body)
+
+            cluster.call = recorded
+            await cluster.crash("pg")
+            cluster.call = call
+            assert steps == ["crash_pop", "adopt", "set_pred", "set_succ", "locator_set"]
+
+            assert cluster.live_ids() == ["pa", "pm"]
+            heir = engine.peers["pm"]
+            for label, copy in left.items():
+                st = heir.nodes[label]
+                assert (st.label, st.father, st.children, st.data) == (label, *copy)
+                assert engine.locator[label] == "pm"
+            engine.check_ring()
+            engine.check_tree()
+            engine.check_mapping()
+            for key, items in data.items():
+                hit = await cluster.discover(key)
+                assert hit["found"] and hit["host"] == "pm"
+                assert hit["data"] == sorted(items, key=repr)
+            await cluster.close()
+
+        asyncio.run(body())
+
+    def test_crashing_the_last_peer_empties_the_ring(self):
+        async def body():
+            cluster = await _local_cluster(["pa", "pg"])
+            for key in REGISTERED:
+                await cluster.register(key)
+            await cluster.crash("pa")
+            assert (await cluster.discover("dgemm"))["host"] == "pg"
+            await cluster.crash("pg")
+            assert cluster.live_ids() == [] and cluster.engine.locator == {}
+            assert await cluster.discover("dgemm") is None
+            with pytest.raises(ClusterError, match="no peers joined"):
+                await cluster.register("too-late")
+            with pytest.raises(ClusterError, match="not joined"):
+                await cluster.crash("pg")
+            await cluster.close()
+
+        asyncio.run(body())
+
+
+@pytest.mark.net
+class TestMultiProcessCluster:
+    def test_a_batch_costs_one_quiescence_wait(self):
+        """One ``drain()`` per batch, so a batch costs the ``counters()``
+        polls of one wait, not of one wait per key (>= 36 for these 18)."""
+
+        async def body():
+            cluster = MultiProcessCluster(processes=2)
+            await cluster.start()
+            try:
+                assert len({group_of(p, 2) for p in PEERS}) == 2
+                for pid in PEERS:
+                    await cluster.join(pid)
+                for key in REGISTERED:
+                    await cluster.register(key)
+                await _batch_equals_singles(cluster)
+                drains = _count_calls(cluster, "drain")
+                polls = _count_calls(cluster, "counters")
+                await cluster.discover_many(BATCH)
+                assert drains[0] == 1
+                # A wait is two equal quiet polls, plus one for each the
+                # batch's traffic was still in flight at.
+                assert 2 <= polls[0] < len(BATCH)
+            finally:
+                await cluster.close()
+
+        asyncio.run(body())
