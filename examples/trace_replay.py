@@ -25,8 +25,8 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.metrics import phase_breakdown, run_metrics_dict
 from repro.experiments.runner import record_single, replay_single
 from repro.experiments.tables import phase_table
-from repro.lb import balancer_from_spec
 from repro.peers.churn import DYNAMIC
+from repro.util.specs import parse_spec
 from repro.workloads.traces import WorkloadTrace
 
 
@@ -43,7 +43,7 @@ def main() -> None:
             "amplitude": 0.4,
             "inner": "flash_crowd:S3L:onset=25:half_life=6",
         },
-        lb=balancer_from_spec("mlt"),
+        lb=parse_spec("balancer", "mlt"),
     )
 
     print(f"recording:  {config.describe()}")
@@ -63,7 +63,7 @@ def main() -> None:
 
     print("\nsame trace, every balancer:")
     for spec in ("mlt", "kc", "nolb"):
-        res = replay_single(config.with_lb(balancer_from_spec(spec)), reloaded)
+        res = replay_single(config.with_lb(parse_spec("balancer", spec)), reloaded)
         pct = 100.0 * res.total_satisfied / res.total_issued
         print(f"  {spec:>4}: {res.total_satisfied}/{res.total_issued} satisfied ({pct:.1f}%)")
 

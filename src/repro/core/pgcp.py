@@ -52,11 +52,6 @@ class PGCPNode:
     def is_leaf(self) -> bool:
         return not self.children
 
-    @property
-    def is_filled(self) -> bool:
-        """A *filled* node stores at least one registered datum."""
-        return bool(self.data)
-
     def child_towards(self, key: str) -> Optional["PGCPNode"]:
         """The child whose subtree could contain ``key`` (shares a prefix
         longer than this node's label), or ``None``."""

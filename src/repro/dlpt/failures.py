@@ -182,26 +182,17 @@ def repair(
     system: DLPTSystem,
     replication: ReplicationManager | None = None,
     lost_keys: frozenset[str] = frozenset(),
-    construction: str | None = None,
 ) -> RepairReport:
     """Rebuild a consistent PGCP tree after crashes.
 
     Strategy: collect the surviving *filled* keys (from orphaned fragments)
     plus every lost key recoverable from replicas, reset the tree, and
-    re-register everything through the normal Algorithm 3 path.  This is
-    the simple, provably correct repair — O(|N|) insertions — and its cost
-    is exactly what the paper means by trie maintenance being expensive;
-    the fault-injection bench measures it.
-
-    ``construction`` selects how the re-registrations are applied:
-    ``"bulk"`` routes the whole damaged key set through
-    :meth:`DLPTSystem.register_pairs` (one sorted insert walk plus one
-    deferred placement pass), ``"seed"`` re-registers per datum (the
-    pre-batch loop), and ``None`` (default) picks ``"bulk"`` exactly when
-    the mapping supports deferred placement — so the frozen seed reference
-    keeps timing the sequential rebuild while live systems repair in one
-    batch.  Both paths produce identical trees and mappings
-    (property-tested).
+    re-register everything through the normal Algorithm 3 path
+    (:meth:`DLPTSystem.register_pairs`: one sorted insert walk plus one
+    deferred placement pass where the mapping supports it).  This is the
+    simple, provably correct repair — O(|N|) insertions — and its cost is
+    exactly what the paper means by trie maintenance being expensive; the
+    fault-injection bench measures it.
     """
     tree = system.tree
     # Survey survivors: every currently indexed filled node.
@@ -243,18 +234,8 @@ def repair(
     for key, data in recovered.items():
         for datum in data or {key}:
             pairs.append((key, datum))
-    if construction is None:
-        construction = (
-            "bulk" if getattr(system.mapping, "place_batch", None) is not None else "seed"
-        )
-    if construction == "bulk":
-        if pairs:
-            system.register_pairs(pairs)
-    elif construction == "seed":
-        for key, datum in pairs:
-            system.register(key, datum)
-    else:
-        raise ValueError(f"unknown construction implementation {construction!r}")
+    if pairs:
+        system.register_pairs(pairs)
     reinserted = len(pairs)
     if replication is not None:
         replication.replicate_all()

@@ -35,6 +35,11 @@ class ExperimentConfig:
 
     ``load_fraction`` is Table 1's load: requests issued per unit divided by
     the platform's aggregate capacity at that unit.
+
+    Every field is part of *what* is simulated and enters
+    :meth:`signature`.  Which implementation simulates it is not a config
+    matter: the runner takes the system class as an argument
+    (``run_single(config, system_factory=...)``).
     """
 
     # platform
@@ -67,22 +72,6 @@ class ExperimentConfig:
     #: density), "uniform" draws uniform random digit strings (ablation —
     #: leaves service-name clusters on very few peers).
     peer_ids: str = "corpus"
-    #: Request-resolution implementation: "indexed" (the live
-    #: :class:`repro.dlpt.routing.DiscoveryRouter` fast path, default) or
-    #: "seed" (the frozen per-request walk in
-    #: :mod:`repro.perf.reference_routing`).  The two produce identical
-    #: results (property-tested); "seed" exists so the ``replay`` benchmark
-    #: can time the before/after honestly and is never what an experiment
-    #: should select.
-    discovery: str = "indexed"
-    #: Tree-construction implementation: "bulk" (the batched
-    #: :meth:`repro.dlpt.system.DLPTSystem.register_batch` fast path —
-    #: sorted-cursor inserts plus one deferred mapping placement pass per
-    #: batch, default) or "seed" (the frozen per-key loops of
-    #: :mod:`repro.perf.reference_construction`).  The two build identical
-    #: systems (property-tested); "seed" exists so the construction
-    #: benchmarks can time the before/after honestly.
-    construction: str = "bulk"
 
     # dynamics
     churn: ChurnModel = STABLE
@@ -121,16 +110,6 @@ class ExperimentConfig:
         self.fault_plan = parse_spec("faults", self.faults)
         # Query specs likewise (QuerySpecError on bad input).
         self.query_plan = parse_spec("queries", self.queries)
-        if self.discovery not in ("indexed", "seed"):
-            raise ValueError(
-                f"unknown discovery implementation {self.discovery!r} "
-                "(expected 'indexed' or 'seed')"
-            )
-        if self.construction not in ("bulk", "seed"):
-            raise ValueError(
-                f"unknown construction implementation {self.construction!r} "
-                "(expected 'bulk' or 'seed')"
-            )
 
     def with_lb(self, lb: LoadBalancer) -> "ExperimentConfig":
         """The same experiment under a different balancer — the controlled
@@ -211,16 +190,6 @@ class ExperimentConfig:
             # Added only when a query axis exists: query-free configs keep
             # the pre-query signature bytes (same rule as ``faults``).
             signature["queries"] = spec_signature("queries", self.query_plan)
-        if self.discovery != "indexed":
-            # Same back-compat rule: the default implementation keeps the
-            # pre-existing signature bytes.  "seed" runs are distinguished
-            # anyway — the implementations are result-equivalent, but a
-            # cache must never silently alias a benchmark's reference runs.
-            signature["discovery"] = self.discovery
-        if self.construction != "bulk":
-            # Same back-compat rule as ``discovery``: the default (bulk)
-            # keeps the pre-existing signature bytes.
-            signature["construction"] = self.construction
         return signature
 
     def describe(self) -> str:

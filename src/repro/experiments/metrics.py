@@ -163,18 +163,6 @@ class UnitStats:
         return self.physical_hops / self.satisfied if self.satisfied else 0.0
 
     @property
-    def queries_satisfied_pct(self) -> float:
-        if not self.queries_issued:
-            return 0.0
-        return 100.0 * self.queries_satisfied / self.queries_issued
-
-    @property
-    def mean_query_hops(self) -> float:
-        if not self.queries_satisfied:
-            return 0.0
-        return self.query_logical_hops / self.queries_satisfied
-
-    @property
     def p95_hops(self) -> float:
         return percentile_from_counts(self.hop_histogram, 95.0)
 
@@ -193,13 +181,6 @@ class UnitStats:
         if self.keys_expected == 0:
             return 100.0
         return 100.0 * self.keys_present / self.keys_expected
-
-    @property
-    def lookup_failure_pct(self) -> float:
-        """Requests whose key was not found in the tree (missing nodes —
-        the availability signal of crash damage; capacity drops are
-        counted separately in ``dropped``)."""
-        return 100.0 * self.not_found / self.issued if self.issued else 0.0
 
 
 @dataclass

@@ -42,14 +42,22 @@ from .config import ExperimentConfig
 from .metrics import ExperimentSeries, RunResult, UnitStats
 
 
-def build_system(config: ExperimentConfig, streams: RngStreams) -> DLPTSystem:
-    """Bootstrap the platform: peers only, no services yet."""
+def build_system(
+    config: ExperimentConfig,
+    streams: RngStreams,
+    system_factory: Callable[..., DLPTSystem] = DLPTSystem,
+) -> DLPTSystem:
+    """Bootstrap the platform: peers only, no services yet.
+
+    ``system_factory`` is the class to construct — :class:`DLPTSystem`, or
+    a subclass with the same constructor (the bench harness hands in its
+    frozen reference, :class:`repro.perf.reference.SeedDLPTSystem`)."""
     sampler = (
         corpus_peer_id_sampler(config.corpus, config.alphabet)
         if config.peer_ids == "corpus"
         else None
     )
-    system = DLPTSystem(
+    system = system_factory(
         alphabet=config.alphabet,
         capacity_model=config.capacity_model,
         mapping_factory=config.mapping_factory,
@@ -58,14 +66,10 @@ def build_system(config: ExperimentConfig, streams: RngStreams) -> DLPTSystem:
     boot = streams.stream("bootstrap")
     cap = streams.stream("capacity")
     # Capacities are pre-drawn in peer order: the "capacity" and
-    # "bootstrap" streams are independent, so both construction paths
-    # consume each stream in exactly the same per-peer sequence.
+    # "bootstrap" streams are independent, so a batched and a per-peer
+    # ``add_peers`` consume each stream in exactly the same sequence.
     capacities = [config.capacity_model.sample(cap) for _ in range(config.n_peers)]
-    if config.construction == "seed":
-        for capacity in capacities:
-            system.add_peer(boot, capacity=capacity)
-    else:
-        system.add_peers(boot, config.n_peers, capacities=capacities)
+    system.add_peers(boot, config.n_peers, capacities=capacities)
     return system
 
 
@@ -107,6 +111,7 @@ def run_single(
     run_index: int = 0,
     recorder: Optional[TraceRecorder] = None,
     replay: Optional[WorkloadTrace] = None,
+    system_factory: Callable[..., DLPTSystem] = DLPTSystem,
 ) -> RunResult:
     """Execute one full simulation run and return its per-unit series.
 
@@ -116,6 +121,8 @@ def run_single(
     run from a recorded trace instead of the workload RNG streams: the
     trace's joins, leaves, registrations and requests are re-issued
     verbatim while the balancer and mapping under test react live.
+    ``system_factory`` is the system class the run is executed on (see
+    :func:`build_system`); it never changes a run's metrics.
     """
     if recorder is not None and replay is not None:
         raise ValueError("cannot record and replay in the same run")
@@ -127,7 +134,7 @@ def run_single(
         run_index = replay.run_index
         master_seed = replay.seed
     streams = RngStreams(master_seed).spawn(run_index)
-    system = build_system(config, streams)
+    system = build_system(config, streams, system_factory)
     batches = [] if replay is not None else growth_batches(config, streams)
 
     # Fault injection: driven by the config's fault plan, or — when a
@@ -160,42 +167,15 @@ def run_single(
     total_units = replay.n_units if replay is not None else config.total_units
     schedule = config.schedule
     accounting = config.accounting
-    # The request-serving strategy: the indexed batch fast path by default,
-    # or the frozen per-request reference walk when a benchmark pins
-    # ``discovery="seed"`` (imported lazily; experiments never pay for it).
-    if config.discovery == "seed":
-        from ..perf.reference_routing import seed_discover
 
-        def serve_requests(pairs, stats: UnitStats) -> None:
-            node_of = system.tree.node
-            hist = stats.hop_histogram
-            for key, entry in pairs:
-                stats.issued += 1
-                if node_of(entry) is None:
-                    # The recorded entry node does not exist in *this*
-                    # system (a fault trace replayed under a weaker repair
-                    # policy): the client knocked on a dead node.
-                    stats.not_found += 1
-                    continue
-                outcome = seed_discover(
-                    system, key, entry_label=entry, accounting=accounting
-                )
-                if outcome.satisfied:
-                    stats.satisfied += 1
-                    stats.logical_hops += outcome.logical_hops
-                    stats.physical_hops += outcome.physical_hops
-                    hist[outcome.logical_hops] = hist.get(outcome.logical_hops, 0) + 1
-                elif outcome.dropped:
-                    stats.dropped += 1
-                else:
-                    stats.not_found += 1
-    else:
-
-        def serve_requests(pairs, stats: UnitStats) -> None:
-            batch = system.discover_batch(
-                pairs, accounting=accounting, skip_missing_entries=True
-            )
-            stats.absorb_requests(batch)
+    def serve_requests(pairs, stats: UnitStats) -> None:
+        # ``skip_missing_entries``: a recorded entry node may not exist in
+        # *this* system (a fault trace replayed under a weaker repair
+        # policy) — the client knocked on a dead node.
+        batch = system.discover_batch(
+            pairs, accounting=accounting, skip_missing_entries=True
+        )
+        stats.absorb_requests(batch)
 
     for unit in range(total_units):
         stats = UnitStats()
@@ -262,15 +242,10 @@ def run_single(
             if recorder is not None:
                 for key in registrations:
                     recorder.registration(key)
-            # Batched registration (the bulk construction fast path) or the
-            # frozen per-key loop under ``construction="seed"``.  Replica
-            # refreshes run after the batch: hosts and data are identical
-            # either way within one step, so the interleaving is equivalent.
-            if config.construction == "seed":
-                for key in registrations:
-                    system.register(key)
-            else:
-                system.register_batch(registrations)
+            # One batched registration.  Replica refreshes run after the
+            # batch: hosts and data are the same as under per-key
+            # interleaving within one step, so the order is equivalent.
+            system.register_batch(registrations)
             available.extend(registrations)
             if injector is not None:
                 for key in registrations:

@@ -29,7 +29,7 @@ from .schedules import (
     PartitionSchedule,
     PartitionStart,
 )
-from .spec import FAULT_KINDS, FaultSpecError, faults_signature, parse_faults
+from .spec import FAULT_KINDS, FaultSpecError, faults_signature
 
 __all__ = [
     "CorrelatedCrash",
@@ -46,5 +46,4 @@ __all__ = [
     "PartitionStart",
     "REPLAY_POLICY_PLAN",
     "faults_signature",
-    "parse_faults",
 ]

@@ -38,7 +38,7 @@ from .schedules import (
     PartitionSchedule,
 )
 
-#: Spec kinds accepted by :func:`parse_faults` (string and dict forms).
+#: Fault spec kinds (string and dict forms).
 FAULT_KINDS = ("crash_storm", "correlated", "partition", "mixed")
 
 #: Options that configure the response policy rather than the schedule.
@@ -214,7 +214,15 @@ def _parse_schedule(spec: object, allow_policy: bool) -> Tuple[FaultSchedule, Di
     )
 
 
-def _parse_faults(spec: object) -> Optional[FaultPlan]:
+def _parse_plan(spec: object) -> Optional[FaultPlan]:
+    """Build and validate a :class:`FaultPlan` from any spec form (the
+    ``"faults"`` kind of :func:`repro.util.specs.parse_spec`).
+
+    ``None`` passes through (no faults); a ready plan is returned as-is; a
+    bare schedule is wrapped with the default policy (``r=1``,
+    ``repair_every=1``).  Raises :class:`FaultSpecError` with the offending
+    spec on any problem.
+    """
     if spec is None:
         return None
     if isinstance(spec, FaultPlan):
@@ -226,23 +234,6 @@ def _parse_faults(spec: object) -> Optional[FaultPlan]:
     if "repair_every" in policy:
         kwargs["repair_every"] = policy["repair_every"]
     return _apply(FaultPlan, {"schedule": schedule, **kwargs}, spec)
-
-
-def parse_faults(spec: object) -> Optional[FaultPlan]:
-    """Build and validate a :class:`FaultPlan` from any spec form.
-
-    ``None`` passes through (no faults); a ready plan is returned as-is; a
-    bare schedule is wrapped with the default policy (``r=1``,
-    ``repair_every=1``).  Raises :class:`FaultSpecError` with the offending
-    spec on any problem.
-
-    .. deprecated::
-        Thin shim over the unified registry; new code should call
-        ``repro.util.specs.parse_spec("faults", spec)``.
-    """
-    from ..util.specs import parse_spec
-
-    return parse_spec("faults", spec)
 
 
 def _schedule_signature(schedule: FaultSchedule) -> Dict[str, Any]:
@@ -300,4 +291,4 @@ def faults_signature(plan: Optional[FaultPlan]) -> Optional[Dict[str, Any]]:
     }
 
 
-register_spec_kind("faults", _parse_faults, faults_signature)
+register_spec_kind("faults", _parse_plan, faults_signature)

@@ -1,12 +1,12 @@
 """Load balancing heuristics: No-LB baseline, MLT, and KC (k-choices).
 
-:func:`balancer_from_spec` builds a heuristic from a compact spec string —
-the ablation hook the CLI and bench harnesses use to sweep balancer
-parameters (``"mlt:fraction=0.5"``, ``"kc:k=8"``) without constructing
-objects in calling code.  The parser registers as the ``"balancer"`` kind
-of the unified spec registry (:mod:`repro.util.specs`), raising
-:class:`BalancerSpecError`; :func:`balancer_signature` is the kind's
-canonical hash structure.
+``parse_spec("balancer", "mlt:fraction=0.5")`` builds a heuristic from a
+compact spec string — the ablation hook the CLI and bench harnesses use
+to sweep balancer parameters (``"mlt:fraction=0.5"``, ``"kc:k=8"``)
+without constructing objects in calling code.  The parser registers here
+as the ``"balancer"`` kind of the spec registry (:mod:`repro.util.specs`),
+raising :class:`BalancerSpecError`; :func:`balancer_signature` is the
+kind's canonical hash structure.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .nolb import NoLB
 
 __all__ = [
     "LoadBalancer", "NoLB", "MLT", "KChoices", "best_split", "SplitDecision",
-    "balancer_from_spec", "balancer_signature", "BalancerSpecError",
+    "balancer_signature", "BalancerSpecError",
 ]
 
 
@@ -33,6 +33,14 @@ class BalancerSpecError(SpecError):
 
 
 def _parse_balancer(spec: object) -> LoadBalancer:
+    """Build a balancer from ``name[:key=value...]`` (the ``"balancer"``
+    kind of :func:`repro.util.specs.parse_spec`).
+
+    Names (case-insensitive): ``nolb``, ``mlt``, ``kc`` (alias
+    ``kchoices``).  Options map to the constructors: ``mlt:fraction=0.5``,
+    ``mlt:allow_empty=1``, ``kc:k=8``.  Raises :class:`BalancerSpecError`
+    (a :class:`ValueError`) naming the spec on any unknown name or option.
+    """
     if isinstance(spec, LoadBalancer):
         return spec
     if not isinstance(spec, str):
@@ -64,23 +72,6 @@ def _parse_balancer(spec: object) -> LoadBalancer:
     raise BalancerSpecError(
         f"unknown balancer {name!r} in spec {spec!r} (known: nolb, mlt, kc)"
     )
-
-
-def balancer_from_spec(spec: str) -> LoadBalancer:
-    """Build a balancer from ``name[:key=value...]``.
-
-    Names (case-insensitive): ``nolb``, ``mlt``, ``kc`` (alias
-    ``kchoices``).  Options map to the constructors: ``mlt:fraction=0.5``,
-    ``mlt:allow_empty=1``, ``kc:k=8``.  Raises :class:`BalancerSpecError`
-    (a :class:`ValueError`) naming the spec on any unknown name or option.
-
-    .. deprecated::
-        Thin shim over the unified registry; new code should call
-        ``repro.util.specs.parse_spec("balancer", spec)``.
-    """
-    from ..util.specs import parse_spec
-
-    return parse_spec("balancer", spec)
 
 
 def balancer_signature(balancer: LoadBalancer) -> dict:

@@ -44,7 +44,6 @@ from typing import Dict, Optional, Tuple
 
 from ..sim.network import Envelope
 from .cluster import admission, successor_of
-from .policy import RetryPolicy
 from .transport import Transport
 from .wire import require_scalar
 
@@ -169,11 +168,6 @@ class Broker:
         self.journal = journal
         self.inbox_limit = inbox_limit
         self.retry_after = retry_after
-        #: The backpressure hint expressed as the shared policy shape
-        #: (:mod:`repro.net.policy`).  ``jitter=0``: the broker's hint is
-        #: a *contract value* clients schedule against — the jitter that
-        #: breaks retry storms is applied client-side, per client seed.
-        self.retry_policy = RetryPolicy(retries=0, backoff=retry_after, jitter=0.0)
         self.requests_served = 0
         self.requests_rejected = 0
         self.duplicates_absorbed = 0

@@ -17,9 +17,8 @@ two processes with different seeds desynchronize, while a test re-running
 the same policy sees the exact same delays.  Jitter only ever *shortens*
 a delay, so every existing timeout bound stays valid.
 
-Consumers: :class:`~repro.net.client.DLPTClient` (RPC retries),
-:class:`~repro.net.asyncio_transport.AsyncioTransport` (link dial backoff) and
-:class:`~repro.net.bootstrap.Broker` (the ``retry_after`` hint).
+Consumers: :class:`~repro.net.client.DLPTClient` (RPC retries) and
+:class:`~repro.net.asyncio_transport.AsyncioTransport` (link dial backoff).
 """
 
 from __future__ import annotations

@@ -6,12 +6,14 @@ keeps that claim honest across PRs:
 
 * :mod:`repro.perf.timing` — statistical wall-clock measurement (warmup
   pass plus median-of-k repetitions, fresh state per repetition);
-* :mod:`repro.perf.reference` — a faithful copy of the seed's per-label
-  mapping implementation, kept as the "before" side of every speedup
-  number and as the oracle of the migration-equivalence property test;
-* :mod:`repro.perf.reference_routing` — the matching copy of the seed's
-  per-request discovery walk, the "before" of the request-path speedups
-  and the oracle of the discovery-equivalence property test;
+* :mod:`repro.perf.reference` — the frozen seed reference as one class,
+  :class:`~repro.perf.reference.SeedDLPTSystem` (per-label mapping,
+  per-peer/per-key construction loops, per-request serving loop): the
+  "before" side of every speedup number and the oracle of the migration-
+  and construction-equivalence property tests;
+* :mod:`repro.perf.reference_routing` — the seed's per-request discovery
+  walk that class serves with, and the oracle of the
+  discovery-equivalence property test;
 * :mod:`repro.perf.scenarios` — the scenario registry (``build``,
   ``growth``, ``churn_storm``, ``request_flood``) with ``micro`` (CI-fast)
   and ``scale`` (10⁴-peer) parameter suites;

@@ -1,18 +1,33 @@
-"""Reference (seed) mapping implementations — the "before" of every speedup.
+"""The frozen seed reference — the "before" of every speedup.
 
-These classes are byte-for-byte behavioural copies of the repository's
-original per-label mapping code: membership changes scan the successor's
-whole node set with a Python-level interval predicate per label, and every
-migration updates the host map and peer node-sets one label at a time.
+:class:`SeedDLPTSystem` is the one seam through which a benchmark or an
+equivalence test selects the reference implementation: construct it
+instead of :class:`repro.dlpt.system.DLPTSystem` and every batch entry
+point — ``add_peers``, ``register_batch``, ``register_pairs``,
+``discover_batch`` — runs the repository's original per-peer, per-key,
+per-datum and per-request loops over the original per-label mapping
+(:class:`SeedLexicographicMapping`, the default ``mapping_factory``) and
+the original per-request walk (:mod:`repro.perf.reference_routing`).
+Nothing else selects it: no option on the experiment config, the runner
+or ``repair`` — the implementation is the class you construct
+(``run_single(config, system_factory=SeedDLPTSystem)``).
 
-They are intentionally NOT used by the live system.  They exist so that
+The mapping classes are byte-for-byte behavioural copies of the original
+per-label code: membership changes scan the successor's whole node set
+with a Python-level interval predicate per label, and every migration
+updates the host map and peer node-sets one label at a time.
+
+None of this is used by the live system.  It exists so that
 
 * :mod:`repro.perf.bench` can report honest before/after timings against
-  the interval-batched implementations on identical workloads, and
-* ``tests/dlpt/test_mapping_equivalence.py`` can property-check that the
-  optimised :class:`repro.dlpt.mapping.LexicographicMapping` produces
-  byte-identical ``host`` maps and ``migrations`` counters on random
-  join/leave/reposition sequences.
+  the interval-batched mapping, the indexed discovery router and the bulk
+  construction path on identical workloads, and
+* ``tests/dlpt/test_mapping_equivalence.py`` and
+  ``tests/core/test_construction_equivalence.py`` can property-check that
+  the optimised :class:`repro.dlpt.mapping.LexicographicMapping` and the
+  batched :meth:`DLPTSystem.register_batch` / :meth:`PGCPTree.insert_batch`
+  fast path produce byte-identical ``host`` maps, ``migrations`` counters,
+  trees and run metrics.
 
 Do not "optimise" this module; its slowness is its specification.
 """
@@ -23,9 +38,12 @@ from typing import Dict, Set
 
 from ..core.keyspace import in_interval_open_closed
 from ..dht.hashing import DEFAULT_BITS, hash_to_int
+from ..dlpt.routing import BatchOutcome
+from ..dlpt.system import DLPTSystem
 from ..peers.peer import Peer
 from ..peers.ring import Ring
 from ..util.sortedlist import SortedList
+from .reference_routing import seed_discover
 
 
 class SeedLexicographicMapping:
@@ -225,3 +243,76 @@ class SeedHashedMapping:
             assert label in peer.nodes
         counted = sum(len(p.nodes) for p in self.ring)
         assert counted == len(self.host)
+
+
+class SeedDLPTSystem(DLPTSystem):
+    """A :class:`DLPTSystem` whose batch entry points are the seed's loops
+    (module doc); every other operation is inherited."""
+
+    def __init__(self, *, mapping_factory=None, **kwargs) -> None:
+        super().__init__(
+            mapping_factory=mapping_factory or SeedLexicographicMapping, **kwargs
+        )
+
+    def add_peers(self, rng, n_peers=None, capacities=None, peer_ids=None):
+        """The seed's bootstrap loop (the pre-batch ``DLPTSystem.build``):
+        one ring insert and one mapping join hook per peer, in caller
+        order."""
+        count = len(peer_ids) if peer_ids is not None else n_peers
+        return [
+            self.add_peer(
+                rng,
+                peer_id=peer_ids[i] if peer_ids is not None else None,
+                capacity=capacities[i] if capacities is not None else None,
+            )
+            for i in range(count)
+        ]
+
+    def register_batch(self, keys) -> int:
+        """The seed's registration loop (the pre-batch growth path): every
+        key pays a full root-descent insert, and every created node a
+        hook-driven mapping placement."""
+        register = self.register
+        for key in keys:
+            register(key)
+        return len(keys)
+
+    def register_pairs(self, pairs) -> int:
+        """The seed's repair loop: one :meth:`register` per datum."""
+        pairs = list(pairs)
+        for key, datum in pairs:
+            self.register(key, datum)
+        return len(pairs)
+
+    def discover_batch(
+        self,
+        pairs,
+        accounting: str = "destination",
+        skip_missing_entries: bool = False,
+    ) -> BatchOutcome:
+        """The seed's serving loop: one :func:`seed_discover` walk and one
+        outcome object per request, folded into the batch counters."""
+        stats = BatchOutcome()
+        node_of = self.tree.node
+        hist = stats.hop_histogram
+        for key, entry in pairs:
+            stats.issued += 1
+            if skip_missing_entries and node_of(entry) is None:
+                # The recorded entry node does not exist in *this*
+                # system (a fault trace replayed under a weaker repair
+                # policy): the client knocked on a dead node.
+                stats.not_found += 1
+                continue
+            outcome = seed_discover(
+                self, key, entry_label=entry, accounting=accounting
+            )
+            if outcome.satisfied:
+                stats.satisfied += 1
+                stats.logical_hops += outcome.logical_hops
+                stats.physical_hops += outcome.physical_hops
+                hist[outcome.logical_hops] = hist.get(outcome.logical_hops, 0) + 1
+            elif outcome.dropped:
+                stats.dropped += 1
+            else:
+                stats.not_found += 1
+        return stats

@@ -4,12 +4,13 @@ Byte-for-byte behavioural copies of the repository's pre-fast-path request
 serving: a per-request up-then-down tree walk (parent pointers upward, one
 child probe plus a GCP recomputation per downward step) followed by a
 per-label host lookup loop for physical-hop counting and capacity
-accounting.  Like :mod:`repro.perf.reference` for the mapping layer, these
-functions are intentionally NOT used by the live system; they exist so that
+accounting.  These functions are intentionally NOT used by the live
+system; they exist so that
 
-* :mod:`repro.perf.scenarios` can time the request-serving scenarios
-  (``request_flood``, ``flash_crowd``, ``replay``) honestly under the
-  ``seed`` implementation axis, and
+* :meth:`repro.perf.reference.SeedDLPTSystem.discover_batch` (the
+  ``replay`` scenario, the throughput suite) and the ``request_flood`` /
+  ``flash_crowd`` scenarios of :mod:`repro.perf.scenarios` can time the
+  ``seed`` side of the implementation axis honestly, and
 * ``tests/dlpt/test_discovery_equivalence.py`` can property-check that the
   indexed :class:`repro.dlpt.routing.DiscoveryRouter` fast path produces
   identical outcomes (satisfied/found/hops/drops) and identical peer-side

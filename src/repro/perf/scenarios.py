@@ -11,17 +11,20 @@ two parameter *suites*:
 
 Each scenario separates untimed ``prepare`` (state construction, id/corpus
 generation) from the timed ``execute`` so the measurement covers only the
-system operations under study.  The ``impl`` axis selects the frozen seed
-implementations versus the live code: ``"seed"`` pairs the per-label
-reference mapping (:mod:`repro.perf.reference`) with the per-request
-reference discovery walk (:mod:`repro.perf.reference_routing`) and the
-per-peer/per-key construction loops
-(:mod:`repro.perf.reference_construction`); ``"optimised"`` runs the live
+system operations under study.  The ``impl`` axis picks the system class
+once (:func:`_system_class`): ``"seed"`` constructs the frozen
+:class:`repro.perf.reference.SeedDLPTSystem` — the per-label reference
+mapping, the per-request reference discovery walk
+(:mod:`repro.perf.reference_routing`) and the per-peer/per-key
+construction loops behind the ordinary batch entry points;
+``"optimised"`` constructs the live :class:`DLPTSystem` — the
 interval-batched :class:`repro.dlpt.mapping.LexicographicMapping`, the
 indexed, batched discovery fast path
 (:class:`repro.dlpt.routing.DiscoveryRouter` via
 :meth:`DLPTSystem.discover_batch`), and the bulk construction path
-(:meth:`DLPTSystem.add_peers` + :meth:`DLPTSystem.register_batch`).
+(:meth:`DLPTSystem.add_peers` + :meth:`DLPTSystem.register_batch`).  The
+scenarios then call ``add_peers`` / ``register_batch`` / ``discover_batch``
+on whatever they were handed.
 
 The ``churn_storm`` scenario is the headline: a flash-crowd region of the
 identifier space loses all its peers (their node intervals pile up on the
@@ -49,12 +52,12 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict
 
 from ..core.alphabet import PRINTABLE
 from ..dlpt.system import DLPTSystem
 from ..peers.capacity import FixedCapacity
-from .reference import SeedLexicographicMapping
+from .reference import SeedDLPTSystem
 
 #: Fraction of peers whose identifiers align with the key namespace (the
 #: paper's premise that "some regions of the ring are more densely
@@ -64,11 +67,11 @@ _ALIGNED_FRACTION = 0.8
 _FAMILY_DIGITS = string.ascii_lowercase
 
 
-def _mapping_factory(impl: str) -> Optional[Callable]:
+def _system_class(impl: str) -> type[DLPTSystem]:
     if impl == "seed":
-        return SeedLexicographicMapping
+        return SeedDLPTSystem
     if impl == "optimised":
-        return None  # DLPTSystem default: the live LexicographicMapping
+        return DLPTSystem
     raise ValueError(f"unknown impl {impl!r} (expected 'seed' or 'optimised')")
 
 
@@ -107,17 +110,20 @@ def _peer_ids(rng: random.Random, n_peers: int, corpus: list[str]) -> list[str]:
     return sorted(ids)
 
 
+def _new_system(params: Dict[str, Any], impl: str) -> DLPTSystem:
+    return _system_class(impl)(
+        alphabet=PRINTABLE,
+        capacity_model=FixedCapacity(params.get("capacity", 1_000_000)),
+    )
+
+
 def _build_system(params: Dict[str, Any], impl: str, rng: random.Random,
                   register: bool = True) -> tuple[DLPTSystem, list[str]]:
     corpus = clustered_corpus(rng, params["n_keys"], params["families"])
-    system = DLPTSystem(
-        alphabet=PRINTABLE,
-        capacity_model=FixedCapacity(params.get("capacity", 1_000_000)),
-        mapping_factory=_mapping_factory(impl),
-    )
-    # Untimed state construction: the batch paths apply under the live
-    # mapping and fall back to the sequential loops under the seed one —
-    # either way the resulting platform is identical (property-tested).
+    system = _new_system(params, impl)
+    # Untimed state construction: batched under the live class, the
+    # sequential loops under the seed one — either way the resulting
+    # platform is identical (property-tested).
     system.add_peers(rng, peer_ids=_peer_ids(rng, params["n_peers"], corpus))
     if register:
         system.register_batch(corpus)
@@ -128,7 +134,7 @@ def _build_system(params: Dict[str, Any], impl: str, rng: random.Random,
 
 
 def _prepare_build(params: Dict[str, Any], impl: str) -> Dict[str, Any]:
-    _mapping_factory(impl)  # validate the axis before the timed phase
+    _system_class(impl)  # validate the axis before the timed phase
     rng = random.Random(params["seed"])
     corpus = clustered_corpus(rng, params["n_keys"], params["families"])
     return {
@@ -141,38 +147,20 @@ def _prepare_build(params: Dict[str, Any], impl: str) -> Dict[str, Any]:
 
 
 def _execute_build(state: Dict[str, Any]) -> DLPTSystem:
-    params = state["params"]
-    impl = state["impl"]
-    system = DLPTSystem(
-        alphabet=PRINTABLE,
-        capacity_model=FixedCapacity(params.get("capacity", 1_000_000)),
-        mapping_factory=_mapping_factory(impl),
-    )
-    rng = state["rng"]
-    if impl == "seed":
-        from .reference_construction import seed_build_platform, seed_register_all
-
-        seed_build_platform(system, rng, peer_ids=state["peer_ids"])
-        seed_register_all(system, state["corpus"])
-    else:
-        system.add_peers(rng, peer_ids=state["peer_ids"])
-        system.register_batch(state["corpus"])
+    system = _new_system(state["params"], state["impl"])
+    system.add_peers(state["rng"], peer_ids=state["peer_ids"])
+    system.register_batch(state["corpus"])
     return system
 
 
 def _prepare_growth(params: Dict[str, Any], impl: str) -> Dict[str, Any]:
     rng = random.Random(params["seed"])
     system, corpus = _build_system(params, impl, rng, register=False)
-    return {"system": system, "corpus": corpus, "impl": impl}
+    return {"system": system, "corpus": corpus}
 
 
 def _execute_growth(state: Dict[str, Any]) -> None:
-    if state["impl"] == "seed":
-        from .reference_construction import seed_register_all
-
-        seed_register_all(state["system"], state["corpus"])
-    else:
-        state["system"].register_batch(state["corpus"])
+    state["system"].register_batch(state["corpus"])
 
 
 def _prepare_churn_storm(params: Dict[str, Any], impl: str) -> Dict[str, Any]:
@@ -394,36 +382,33 @@ def _prepare_replay(params: Dict[str, Any], impl: str) -> Dict[str, Any]:
     from ..lb.mlt import MLT
     from ..peers.churn import DYNAMIC
 
-    def config_for(which: str) -> "ExperimentConfig":
-        return ExperimentConfig(
-            n_peers=params["n_peers"],
-            total_units=params["units"],
-            growth_units=max(1, params["units"] // 5),
-            load_fraction=params.get("load", 0.5),
-            workload=f"flash_crowd:S3L:onset={params['units'] // 4}",
-            churn=DYNAMIC,
-            lb=MLT(),
-            mapping_factory=_mapping_factory(which),
-            discovery="seed" if which == "seed" else "indexed",
-            construction="seed" if which == "seed" else "bulk",
-            seed=params["seed"],
-        )
-
+    config = ExperimentConfig(
+        n_peers=params["n_peers"],
+        total_units=params["units"],
+        growth_units=max(1, params["units"] // 5),
+        load_fraction=params.get("load", 0.5),
+        workload=f"flash_crowd:S3L:onset={params['units'] // 4}",
+        churn=DYNAMIC,
+        lb=MLT(),
+        seed=params["seed"],
+    )
     # The trace depends only on the workload streams (impl-independent);
     # record it once per parameter set, untimed, and reuse it across every
     # warmup/repeat/impl preparation (prepare runs before each execute).
     key = tuple(sorted(params.items()))
     trace = _REPLAY_TRACES.get(key)
     if trace is None:
-        _, trace = record_single(config_for("optimised"))
+        _, trace = record_single(config)
         _REPLAY_TRACES[key] = trace
-    return {"config": config_for(impl), "trace": trace}
+    return {"config": config, "trace": trace, "system_factory": _system_class(impl)}
 
 
 def _execute_replay(state: Dict[str, Any]) -> int:
     from ..experiments.runner import run_single
 
-    result = run_single(state["config"], replay=state["trace"])
+    result = run_single(
+        state["config"], replay=state["trace"], system_factory=state["system_factory"]
+    )
     return result.total_satisfied
 
 

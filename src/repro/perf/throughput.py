@@ -68,24 +68,6 @@ def _run_impl(params: Dict[str, Any], impl: str, rounds: int) -> Dict[str, Any]:
     hot = [k for k in corpus if k.startswith(family_prefix(0))]
     hot_fraction = params["hot_fraction"]
 
-    if impl == "seed":
-        from .reference_routing import seed_discover
-
-        def serve(pairs):
-            satisfied = dropped = 0
-            for key, entry in pairs:
-                outcome = seed_discover(system, key, entry_label=entry)
-                if outcome.satisfied:
-                    satisfied += 1
-                elif outcome.dropped:
-                    dropped += 1
-            return satisfied, dropped
-    else:
-
-        def serve(pairs):
-            batch = system.discover_batch(pairs)
-            return batch.satisfied, batch.dropped
-
     rate = float(params["start_rate"])
     min_rate, max_rate = params["min_rate"], params["max_rate"]
     ramp, tolerance = params["ramp"], params["drop_tolerance"]
@@ -109,15 +91,15 @@ def _run_impl(params: Dict[str, Any], impl: str, rounds: int) -> Dict[str, Any]:
             keys = [corpus[rng.randrange(n_corpus)] for _ in range(n)]
         pairs = list(zip(keys, system.random_entry_labels(rng, n)))
         t0 = perf_counter()
-        sat, dropped = serve(pairs)
+        batch = system.discover_batch(pairs)
         dt = perf_counter() - t0
         system.end_time_unit()  # round == time unit: capacity budgets reset
         latencies.append(dt)
         elapsed += dt
         total += n
-        satisfied_total += sat
-        dropped_total += dropped
-        if dropped > tolerance * n:
+        satisfied_total += batch.satisfied
+        dropped_total += batch.dropped
+        if batch.dropped > tolerance * n:
             rate = max(min_rate, rate * 0.5)  # multiplicative backoff
             throttled += 1
         else:

@@ -94,24 +94,20 @@ class SweepPlan:
     cells: List[SweepCell] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        seen: Dict[str, SweepCell] = {}
+        seen: set[str] = set()
         deduped: List[SweepCell] = []
         for cell in self.cells:
             key = cell.key()
             if key not in seen:
-                seen[key] = cell
+                seen.add(key)
                 deduped.append(cell)
         self.cells = deduped
-        self._by_key = seen
 
     def __len__(self) -> int:
         return len(self.cells)
 
     def keys(self) -> List[str]:
         return [cell.key() for cell in self.cells]
-
-    def cell_for(self, key: str) -> SweepCell:
-        return self._by_key[key]
 
     def shard_split(
         self, shard: int, n_shards: int

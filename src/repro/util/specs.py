@@ -25,10 +25,8 @@ working) naming the offending spec.  The per-kind error classes —
 ``BalancerSpecError`` — all derive from it, so one ``except SpecError``
 guards any mixed configuration surface.
 
-The pre-registry entry points (``repro.workloads.spec.parse_workload``,
-``repro.faults.spec.parse_faults``, ``repro.workloads.queries
-.parse_queries``, ``repro.lb.balancer_from_spec``) remain as thin
-deprecated shims over this registry.
+:func:`parse_spec` is the only entry point: the per-module parsers are
+private to their modules and reachable through their kind alone.
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ from .requests import (
 from .queries import (
     QUERY_KINDS,
     QueryWorkload,
-    parse_queries,
     parse_query_event,
     queries_signature,
     query_from_event,
@@ -41,7 +40,6 @@ from .queries import (
 from .spec import (
     WORKLOAD_KINDS,
     WorkloadSpecError,
-    parse_workload,
     workload_signature,
 )
 from .traces import (
@@ -61,9 +59,8 @@ __all__ = [
     "Phase", "PhasedSchedule", "figure8_schedule",
     "FlashCrowd", "DiurnalSchedule", "AdversarialPrefixStacking",
     "MixedSchedule", "SchedulePhase", "SteadySchedule", "as_schedule",
-    "WORKLOAD_KINDS", "WorkloadSpecError", "parse_workload",
-    "workload_signature",
-    "QUERY_KINDS", "QueryWorkload", "parse_queries", "parse_query_event",
+    "WORKLOAD_KINDS", "WorkloadSpecError", "workload_signature",
+    "QUERY_KINDS", "QueryWorkload", "parse_query_event",
     "queries_signature", "query_from_event",
     "TRACE_SCHEMA", "TraceError", "TraceRecorder", "TraceUnit",
     "WorkloadTrace",

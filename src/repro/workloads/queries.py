@@ -35,7 +35,7 @@ from ..core.queries import (
 )
 from ..util.specs import parse_options, register_spec_kind, split_spec
 
-#: Spec kinds accepted by :func:`parse_queries`.
+#: Query-workload spec kinds.
 QUERY_KINDS = ("mixed", "prefix", "range", "exact")
 
 #: The cycle order of ``kind="mixed"``.
@@ -141,7 +141,15 @@ def _int_option(value: str, spec: str) -> int:
 _OPTION_FIELDS = {"n": "n_per_unit", "len": "prefix_len", "span": "range_span"}
 
 
-def _parse_queries(spec: object) -> Optional[QueryWorkload]:
+def _parse_query_workload(spec: object) -> Optional[QueryWorkload]:
+    """Build and validate a :class:`QueryWorkload` from any spec form (the
+    ``"queries"`` kind of :func:`repro.util.specs.parse_spec`).
+
+    Accepts ``None`` (no query axis), a spec string, a dict (string-spec
+    keys or QueryWorkload field names), or a ready :class:`QueryWorkload`.
+    Raises :class:`QuerySpecError` naming the offending spec on any
+    problem.
+    """
     if spec is None:
         return None
     if isinstance(spec, QueryWorkload):
@@ -176,23 +184,6 @@ def _parse_queries(spec: object) -> Optional[QueryWorkload]:
     )
 
 
-def parse_queries(spec: object) -> Optional[QueryWorkload]:
-    """Build and validate a :class:`QueryWorkload` from any spec form.
-
-    Accepts ``None`` (no query axis), a spec string, a dict (string-spec
-    keys or QueryWorkload field names), or a ready :class:`QueryWorkload`.
-    Raises :class:`QuerySpecError` naming the offending spec on any
-    problem.
-
-    .. deprecated::
-        Thin shim over the unified registry; new code should call
-        ``repro.util.specs.parse_spec("queries", spec)``.
-    """
-    from ..util.specs import parse_spec
-
-    return parse_spec("queries", spec)
-
-
 def queries_signature(plan: QueryWorkload) -> dict:
     """Canonical, JSON-serialisable identity of a query plan (the
     ``queries`` component of ``ExperimentConfig.signature()``)."""
@@ -204,4 +195,4 @@ def queries_signature(plan: QueryWorkload) -> dict:
     }
 
 
-register_spec_kind("queries", _parse_queries, queries_signature)
+register_spec_kind("queries", _parse_query_workload, queries_signature)

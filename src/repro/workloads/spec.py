@@ -48,7 +48,7 @@ from .requests import (
     generator_name,
 )
 
-#: Spec kinds accepted by :func:`parse_workload` (string and dict forms).
+#: Workload spec kinds (string and dict forms).
 WORKLOAD_KINDS = (
     "uniform", "zipf", "hotspot", "figure8",
     "flash_crowd", "diurnal", "adversarial", "mixed",
@@ -133,20 +133,20 @@ def _parse_dict(spec: Dict[str, Any]) -> object:
                     SchedulePhase(
                         start=int(raw["start"]),
                         end=int(raw["end"]),
-                        source=parse_workload(raw["workload"]),
+                        source=_parse_schedule(raw["workload"]),
                         rate=float(raw.get("rate", 1.0)),
                     )
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise WorkloadSpecError(f"bad mixed phase {raw!r}: {exc}") from exc
         fallback = (
-            parse_workload(spec["fallback"]) if "fallback" in spec else None
+            _parse_schedule(spec["fallback"]) if "fallback" in spec else None
         )
         return _apply(MixedSchedule, {"phases": phases, "fallback": fallback}, str(spec))
     if kind == "diurnal":
         kwargs = {k: v for k, v in spec.items() if k not in ("kind", "inner")}
         if "inner" in spec:
-            kwargs["inner"] = parse_workload(spec["inner"])
+            kwargs["inner"] = _parse_schedule(spec["inner"])
         return _apply(DiurnalSchedule, kwargs, str(spec))
     if kind in WORKLOAD_KINDS:
         # Generic form: {"kind": "flash_crowd", "prefix": "S3L", "onset": 40}
@@ -166,7 +166,14 @@ def _parse_dict(spec: Dict[str, Any]) -> object:
     )
 
 
-def _parse_workload(spec: object) -> WorkloadSchedule:
+def _parse_schedule(spec: object) -> WorkloadSchedule:
+    """Build and validate a :class:`WorkloadSchedule` from any spec form
+    (the ``"workload"`` kind of :func:`repro.util.specs.parse_spec`).
+
+    Accepts a spec string, a composing dict, a ready schedule, or a bare
+    generator (wrapped into a steady schedule).  Raises
+    :class:`WorkloadSpecError` with the offending spec on any problem.
+    """
     if spec is None:
         built: object = UniformRequests()
     elif isinstance(spec, str):
@@ -179,22 +186,6 @@ def _parse_workload(spec: object) -> WorkloadSchedule:
         return as_schedule(built)
     except TypeError as exc:
         raise WorkloadSpecError(str(exc)) from exc
-
-
-def parse_workload(spec: object) -> WorkloadSchedule:
-    """Build and validate a :class:`WorkloadSchedule` from any spec form.
-
-    Accepts a spec string, a composing dict, a ready schedule, or a bare
-    generator (wrapped into a steady schedule).  Raises
-    :class:`WorkloadSpecError` with the offending spec on any problem.
-
-    .. deprecated::
-        Thin shim over the unified registry; new code should call
-        ``repro.util.specs.parse_spec("workload", spec)``.
-    """
-    from ..util.specs import parse_spec
-
-    return parse_spec("workload", spec)
 
 
 def workload_signature(obj: object) -> object:
@@ -284,4 +275,4 @@ def workload_signature(obj: object) -> object:
     }
 
 
-register_spec_kind("workload", _parse_workload, workload_signature)
+register_spec_kind("workload", _parse_schedule, workload_signature)

@@ -43,7 +43,7 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 TRACE_SCHEMA = "repro-trace/1"
 
@@ -258,14 +258,3 @@ class TraceRecorder:
             units=list(self._units),
         )
 
-
-def merge_request_streams(traces: Iterable[WorkloadTrace]) -> List[List[Tuple[str, str]]]:
-    """Unit-aligned union of several traces' request streams (analysis
-    helper: compare what distinct recordings asked for, unit by unit)."""
-    merged: List[List[Tuple[str, str]]] = []
-    for trace in traces:
-        for i, unit in enumerate(trace.units):
-            while len(merged) <= i:
-                merged.append([])
-            merged[i].extend(unit.requests)
-    return merged

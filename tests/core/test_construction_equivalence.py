@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +26,7 @@ from repro.core.pgcp import PGCPTree
 from repro.dlpt.failures import ReplicationManager, crash_peer, repair
 from repro.dlpt.system import DLPTSystem
 from repro.peers.capacity import FixedCapacity
+from repro.perf.reference import SeedDLPTSystem
 
 ALPHABET = Alphabet(digits=("a", "b", "c"), name="abc")
 
@@ -223,11 +223,12 @@ class TestAfterFaults:
     )
     def test_repair_bulk_matches_repair_seed(self, peer_ids, keys, crash_draws):
         """Fault repair through register_pairs rebuilds the exact tree the
-        per-key re-registration loop would, and reconciles the key counter
-        after the crash surgery that bypassed the normal remove path."""
+        per-key re-registration loop (the frozen reference system, seed
+        mapping included) would, and reconciles the key counter after the
+        crash surgery that bypassed the normal remove path."""
         twins = []
-        for _ in range(2):
-            system = DLPTSystem(alphabet=ALPHABET, capacity_model=FixedCapacity(3))
+        for system_class in (DLPTSystem, SeedDLPTSystem):
+            system = system_class(alphabet=ALPHABET, capacity_model=FixedCapacity(3))
             system.add_peers(random.Random(0), peer_ids=peer_ids)
             system.register_batch(keys)
             twins.append(system)
@@ -247,15 +248,17 @@ class TestAfterFaults:
             # Crash surgery must keep the counter consistent pre-repair.
             for system in twins:
                 assert system.registered_key_count == len(system.tree.keys())
-        repair(bulk_sys, replications[0], lost_keys=frozenset(lost), construction="bulk")
-        repair(seed_sys, replications[1], lost_keys=frozenset(lost), construction="seed")
+        repair(bulk_sys, replications[0], lost_keys=frozenset(lost))
+        repair(seed_sys, replications[1], lost_keys=frozenset(lost))
         assert_equivalent(bulk_sys, seed_sys)
         assert bulk_sys.registered_key_count == len(bulk_sys.tree.keys())
 
 
 class TestRunnerEquivalence:
-    """End-to-end: ExperimentConfig(construction=...) is metrics-invariant
-    and trace replay stays byte-identical under the default bulk path."""
+    """End-to-end: a run is metrics-invariant under the system class it is
+    executed on (live vs the frozen ``SeedDLPTSystem``: construction,
+    serving and mapping all differ), and trace replay stays byte-identical
+    under the default bulk path."""
 
     def _config(self, **overrides):
         from repro.experiments.config import ExperimentConfig
@@ -285,7 +288,7 @@ class TestRunnerEquivalence:
 
         cfg = self._config()
         bulk = run_single(cfg, 0)
-        seed = run_single(replace(cfg, construction="seed"), 0)
+        seed = run_single(cfg, 0, system_factory=SeedDLPTSystem)
         assert self._metrics_bytes(bulk) == self._metrics_bytes(seed)
 
     def test_construction_axis_invariant_under_faults(self):
@@ -295,7 +298,7 @@ class TestRunnerEquivalence:
 
         cfg = self._config(faults="crash_storm:0.05:r=2")
         bulk = run_single(cfg, 0)
-        seed = run_single(replace(cfg, construction="seed"), 0)
+        seed = run_single(cfg, 0, system_factory=SeedDLPTSystem)
         assert self._metrics_bytes(bulk) == self._metrics_bytes(seed)
 
     def test_record_replay_byte_identical_under_bulk(self):
@@ -306,8 +309,3 @@ class TestRunnerEquivalence:
         result, trace = record_single(cfg, 0)
         replayed = replay_single(cfg, WorkloadTrace.loads(trace.dumps()))
         assert self._metrics_bytes(replayed) == self._metrics_bytes(result)
-
-    def test_signature_key_only_when_non_default(self):
-        cfg = self._config()
-        assert "construction" not in cfg.signature()
-        assert replace(cfg, construction="seed").signature()["construction"] == "seed"

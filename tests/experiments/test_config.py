@@ -44,3 +44,29 @@ class TestDerived:
     def test_describe_mentions_lb_and_load(self):
         text = ExperimentConfig(load_fraction=0.4).describe()
         assert "NoLB" in text and "40%" in text
+
+
+class TestSignatureIsStable:
+    """``signature()`` is the sweep store's address: cells computed by an
+    earlier revision must stay reachable, so its canonical-JSON hash is
+    pinned for a default, a fault-bearing and a query-bearing config."""
+
+    @pytest.mark.parametrize(
+        "overrides, sha256",
+        [
+            ({}, "e187f80b4f3d9d6c1d93bec7cac189f0aedd39fe7481ffb480116d7f37c1bbae"),
+            (
+                {"faults": "crash_storm:0.05:r=2"},
+                "3ff48f6e06a975639be77d2cbfeee7e6341c4e6ef30ffca72a222a599235e431",
+            ),
+            (
+                {"queries": "mixed:n=4"},
+                "569683211a3066d4cba0485cce02cdaa6a3d43118ff6f9f0ff1f6b39fb475da4",
+            ),
+        ],
+        ids=["default", "faults", "queries"],
+    )
+    def test_golden_hashes(self, overrides, sha256):
+        from repro.sweeps.plan import signature_hash
+
+        assert signature_hash(ExperimentConfig(**overrides).signature()) == sha256

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.faults import (
@@ -12,9 +14,11 @@ from repro.faults import (
     MixedFaults,
     PartitionSchedule,
     faults_signature,
-    parse_faults,
 )
 from repro.sweeps.plan import canonical_json
+from repro.util.specs import parse_spec
+
+parse_faults = functools.partial(parse_spec, "faults")
 
 
 class TestParseStrings:

@@ -3,8 +3,7 @@
 Every compact-spec syntax (workloads, faults, queries, balancers) goes
 through ``repro.util.specs.parse_spec``; these tests pin the registry
 contract — one entry point, one ``SpecError`` hierarchy, one stable
-``spec_hash`` — and that the pre-registry module entry points remain
-working shims over it.
+``spec_hash``.
 """
 
 from __future__ import annotations
@@ -12,8 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.queries import QuerySpecError
-from repro.faults.spec import FaultSpecError, parse_faults
-from repro.lb import BalancerSpecError, balancer_from_spec
+from repro.faults.spec import FaultSpecError
+from repro.lb import BalancerSpecError
 from repro.util.specs import (
     SpecError,
     UnknownSpecKindError,
@@ -25,8 +24,7 @@ from repro.util.specs import (
     spec_signature,
     split_spec,
 )
-from repro.workloads.queries import parse_queries
-from repro.workloads.spec import WorkloadSpecError, parse_workload
+from repro.workloads.spec import WorkloadSpecError
 
 
 class TestTokenisation:
@@ -128,26 +126,3 @@ class TestSignatureHashing:
             from repro.util import specs
 
             specs._REGISTRY.pop("dictly", None)
-
-
-class TestDeprecatedShims:
-    """The four pre-registry entry points still work and agree with the
-    registry (they are documented as thin shims over ``parse_spec``)."""
-
-    def test_parse_workload_matches_registry(self):
-        assert spec_signature("workload", parse_workload("zipf:1.2")) == (
-            spec_signature("workload", parse_spec("workload", "zipf:1.2"))
-        )
-
-    def test_parse_faults_matches_registry(self):
-        assert spec_signature("faults", parse_faults("crash_storm:0.05")) == (
-            spec_signature("faults", parse_spec("faults", "crash_storm:0.05"))
-        )
-
-    def test_parse_queries_matches_registry(self):
-        assert parse_queries("mixed:n=2") == parse_spec("queries", "mixed:n=2")
-
-    def test_balancer_from_spec_matches_registry(self):
-        lhs = balancer_from_spec("mlt:fraction=0.5")
-        rhs = parse_spec("balancer", "mlt:fraction=0.5")
-        assert type(lhs) is type(rhs)

@@ -3,6 +3,7 @@ and end-to-end record/replay through the experiment runner."""
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 
@@ -14,15 +15,17 @@ from repro.experiments.metrics import run_metrics_dict
 from repro.experiments.runner import record_single, replay_single, run_single
 from repro.lb.mlt import MLT
 from repro.peers.churn import DYNAMIC
+from repro.util.specs import parse_spec
 from repro.workloads.queries import (
     QUERY_EVENT_ARITY,
     QueryWorkload,
-    parse_queries,
     parse_query_event,
     queries_signature,
     query_from_event,
 )
 from repro.workloads.traces import TraceUnit, WorkloadTrace
+
+parse_queries = functools.partial(parse_spec, "queries")
 
 
 class TestParseQueries:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.lb import balancer_from_spec
+from repro.util.specs import parse_spec
 from repro.workloads.dynamics import (
     AdversarialPrefixStacking,
     DiurnalSchedule,
@@ -19,7 +21,10 @@ from repro.workloads.requests import (
     WorkloadSchedule,
     ZipfRequests,
 )
-from repro.workloads.spec import WORKLOAD_KINDS, WorkloadSpecError, parse_workload
+from repro.workloads.spec import WORKLOAD_KINDS, WorkloadSpecError
+
+parse_workload = functools.partial(parse_spec, "workload")
+balancer_from_spec = functools.partial(parse_spec, "balancer")
 
 
 class TestStringSpecs:
