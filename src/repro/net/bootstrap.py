@@ -9,11 +9,25 @@ handlers; the operations themselves are the cluster layer's
 identical errors — from an in-process ring and a multi-process one.
 Outside input enters here: every argument is type-checked, never coerced,
 and a malformed request is answered with an error naming the field before
-the backend is called.  Requests are served strictly one at a time, and
-every backend operation ends at quiescence before the reply is sent.
-Operations: ``register``, ``discover``, ``discover_batch``, ``search``,
-``peer_join``, ``peer_leave``, ``info``.
+the backend is called — the envelope's own ``id`` and ``reply_to``
+included.  Operations: ``register``, ``discover``, ``discover_batch``,
+``search``, ``peer_join``, ``peer_leave``, ``info``.
 :class:`~repro.net.client.DLPTClient` is the matching caller.
+
+Service order and quiescence.  Pending requests are popped round-robin
+over clients, and every backend operation ends at quiescence before its
+reply is sent.  The *run* of pending reads-by-key (``discover``,
+``discover_batch``) at the head of that rotation is served as **one
+group under one quiescence wait**: all their keys go through the
+backend's ``discover_many`` once, the rows are split back per request and
+the replies leave in pop order.  Every other op ends the run and is
+served alone, so a write is a barrier (a read popped after it sees it, a
+read popped before it does not) and per-client FIFO is untouched; a lone
+read is simply the group of one.  A group holds at most
+:attr:`Broker.READ_GROUP` requests, so a flooder's backlog cannot become
+one giant group a polite client must wait out.  ``search`` stays a group
+of one until set-query replies carry request identity (two concurrent
+queries over the same range could not be told apart).
 
 Robustness under client floods, when ``inbox_limit=`` is set (the default
 ``None`` queues without bound):
@@ -40,7 +54,7 @@ import asyncio
 import collections
 import json
 import os
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..sim.network import Envelope
 from .cluster import admission, successor_of
@@ -143,12 +157,41 @@ def _text(request: dict, field: str, default: object = None) -> str:
     return value
 
 
+#: The reads-by-key: what a run of pending requests may be grouped from.
+READ_OPS = ("discover", "discover_batch")
+
+
+def _wanted(request: dict) -> List[str]:
+    """The keys a read asks for: ``discover`` one, ``discover_batch`` a list."""
+    if request["op"] == "discover":
+        return [_text(request, "key")]
+    keys = request.get("keys")
+    if not isinstance(keys, list) or not all(isinstance(k, str) for k in keys):
+        raise ValueError(f"'keys' must be a list of strings, got {keys!r}")
+    return keys
+
+
+def _shaped(request: dict, rows: list) -> object:
+    """A read's outcome from its own rows: the first lost reply fails it
+    whole (its reply is one frame), else the op's result fields."""
+    for row in rows:
+        if isinstance(row, Exception):
+            return row
+    return rows[0] if request["op"] == "discover" else {"results": rows}
+
+
 class Broker:
-    """The ``"@broker"`` RPC endpoint: serialised ops + drain-then-reply,
-    with bounded-inbox backpressure and per-client fairness (module doc)."""
+    """The ``"@broker"`` RPC endpoint: drain-then-reply — the pending run
+    of reads as one group under one drain, every other op alone — with
+    bounded-inbox backpressure and per-client fairness (module doc)."""
 
     #: Completed replies kept for idempotent retries, per broker.
     COMPLETED_CACHE = 256
+
+    #: Most reads served as one group.  The bound is what a polite client
+    #: can be made to wait behind a flooder's backlog: one group, not all
+    #: of it.
+    READ_GROUP = 16
 
     def __init__(
         self,
@@ -212,6 +255,22 @@ class Broker:
         request = env.payload
         client = request.get("reply_to", env.src)
         rid = request.get("id")
+        # The envelope is outside input too, and nothing here may raise:
+        # this runs inside the transport's delivery, which files an
+        # exception for whoever drains next — another client's operation.
+        refused = None
+        if not isinstance(client, str):
+            client, refused = env.src, f"'reply_to' must be a string, got {client!r}"
+        if rid is not None and not isinstance(rid, (int, str)):
+            rid, refused = None, f"'id' must be an integer or a string, got {rid!r}"
+        if refused is not None:
+            if isinstance(client, str):  # else there is nobody to answer
+                self.transport.send(
+                    BROKER_ENDPOINT,
+                    client,
+                    {"id": rid, "ok": False, "error": f"ValueError: {refused}"},
+                )
+            return
         key = (client, rid)
         if rid is not None:
             cached = self._completed.get(key)
@@ -269,47 +328,102 @@ class Broker:
             self._available.clear()
         return client, request
 
+    def _next_group(self) -> List[Tuple[object, dict]]:
+        """The next request in rotation and — when it is a read — the run
+        of reads pending behind it, up to :attr:`READ_GROUP`.  Anything
+        else ends the run (and is a group of its own when it comes first),
+        so pop order is exactly one-at-a-time service order."""
+        group = [self._next_request()]
+        if group[0][1].get("op") in READ_OPS:
+            while (
+                len(group) < self.READ_GROUP
+                and self._rr
+                and self._queues[self._rr[0]][0].get("op") in READ_OPS
+            ):
+                group.append(self._next_request())
+        return group
+
     async def _serve(self) -> None:
         while True:
             await self._available.wait()
-            client, request = self._next_request()
-            reply = await self._handle(request)
-            rid = request.get("id")
-            if rid is not None:
-                key = (client, rid)
-                self._inflight.discard(key)
-                # Busy replies are *transient* — caching one would pin a
-                # retrying client to the rejection forever (its same-id
-                # retry would hit the cache, never the recovered broker).
-                if not reply.get("busy"):
-                    self._completed[key] = reply
-                    while len(self._completed) > self.COMPLETED_CACHE:
-                        self._completed.popitem(last=False)
-            self.transport.send(BROKER_ENDPOINT, client, reply)
-            self.requests_served += 1
+            group = self._next_group()
+            outcomes = await self._outcomes([request for _client, request in group])
+            for (client, request), outcome in zip(group, outcomes):
+                self._answer(client, request, outcome)
 
-    async def _handle(self, request: dict) -> dict:
-        reply = {"id": request.get("id")}
+    async def _outcomes(self, requests: List[dict]) -> list:
+        """What each request of a group comes to, in order: its result
+        fields, or the exception that ended it."""
+        if requests[0].get("op") in READ_OPS:
+            return await self._discover(requests)
+        (request,) = requests
         try:
             op = request.get("op")
             handler = self._OPS.get(op)
             if handler is None:
                 raise ValueError(f"unknown broker op {op!r}")
-            result = await handler(self, request)
-            reply.update(ok=True, **result)
-        except self.backend.RETRYABLE_ERRORS as exc:
+            return [await handler(self, request)]
+        except Exception as exc:
+            return [exc]
+
+    async def _discover(self, requests: List[dict]) -> list:
+        """Reads, one or many: issue every member's keys through one
+        ``discover_many`` — one quiescence wait — and hand each member its
+        own rows back.  A malformed member fails alone before the backend
+        is called; a lost reply fails the member that owns the key; what
+        ends the shared wait itself (an empty tree, a transport error, a
+        ring mid-recovery) is every member's outcome."""
+        outcomes: list = []  # first pass: a member's keys, or the error refusing it
+        keys: List[str] = []
+        for request in requests:
+            try:
+                outcomes.append(_wanted(request))
+            except ValueError as exc:
+                outcomes.append(exc)
+            else:
+                keys += outcomes[-1]
+        try:
+            rows = self._answered(await self.backend.discover_many(keys))
+        except Exception as exc:
+            rows = [exc] * len(keys)
+        taken = 0
+        for index, wanted in enumerate(outcomes):
+            if isinstance(wanted, list):
+                outcomes[index] = _shaped(requests[index], rows[taken : taken + len(wanted)])
+                taken += len(wanted)
+        return outcomes
+
+    def _answer(self, client: object, request: dict, outcome: object) -> None:
+        """Send one request's correlated reply and close its idempotency
+        bookkeeping."""
+        rid = request.get("id")
+        reply = {"id": rid}
+        if isinstance(outcome, self.backend.RETRYABLE_ERRORS):
             # Transient (the backend declares it: a multi-process ring
             # mid-recovery): tell the client to come back, exactly like
             # inbox backpressure, so it retries through the outage.
             reply.update(
                 ok=False,
                 busy=True,
-                error=f"retry: {type(exc).__name__}: {exc}",
+                error=f"retry: {type(outcome).__name__}: {outcome}",
                 retry_after=self.retry_after,
             )
-        except Exception as exc:  # every other failure is a definitive error
-            reply.update(ok=False, error=f"{type(exc).__name__}: {exc}")
-        return reply
+        elif isinstance(outcome, Exception):  # every other failure is definitive
+            reply.update(ok=False, error=f"{type(outcome).__name__}: {outcome}")
+        else:
+            reply.update(ok=True, **outcome)
+        if rid is not None:
+            key = (client, rid)
+            self._inflight.discard(key)
+            # Busy replies are *transient* — caching one would pin a
+            # retrying client to the rejection forever (its same-id
+            # retry would hit the cache, never the recovered broker).
+            if not reply.get("busy"):
+                self._completed[key] = reply
+                while len(self._completed) > self.COMPLETED_CACHE:
+                    self._completed.popitem(last=False)
+        self.transport.send(BROKER_ENDPOINT, client, reply)
+        self.requests_served += 1
 
     # -- operations --------------------------------------------------------
 
@@ -334,15 +448,6 @@ class Broker:
                 f"registration of {result['key']!r} did not install a host"
             )
         return result
-
-    async def _op_discover(self, request: dict) -> dict:
-        return self._answered(await self.backend.discover(_text(request, "key")))
-
-    async def _op_discover_batch(self, request: dict) -> dict:
-        keys = request.get("keys")
-        if not isinstance(keys, list) or not all(isinstance(k, str) for k in keys):
-            raise ValueError(f"'keys' must be a list of strings, got {keys!r}")
-        return {"results": self._answered(await self.backend.discover_many(keys))}
 
     async def _op_search(self, request: dict) -> dict:
         return self._answered(
@@ -385,8 +490,6 @@ class Broker:
 
     _OPS = {
         "register": _op_register,
-        "discover": _op_discover,
-        "discover_batch": _op_discover_batch,
         "search": _op_search,
         "peer_join": _op_peer_join,
         "peer_leave": _op_peer_leave,

@@ -255,10 +255,20 @@ class EngineGroup:
 STEPS = frozenset(name for name in vars(EngineGroup) if not name.startswith("_"))
 
 
-def _one(replies: List[dict], what: str) -> dict:
-    if len(replies) != 1:
-        raise ClusterError(f"expected 1 reply for {what}, got {len(replies)}")
-    return replies[0]
+def _settled(landed: Sequence[dict], asked: int, what: str, *names):
+    """The reply record when exactly the ``asked`` replies landed, else
+    the :class:`ClusterError` counting them (``what % names`` says for
+    what) — returned, not raised, so a batch can report it per key."""
+    if len(landed) != asked:
+        noun = "reply" if asked == 1 else "replies"
+        return ClusterError(f"expected {asked} {noun} for {what % names}, got {len(landed)}")
+    return landed[0]
+
+
+def _raised(outcome):
+    if isinstance(outcome, ClusterError):
+        raise outcome
+    return outcome
 
 
 class Cluster:
@@ -366,26 +376,32 @@ class Cluster:
         return (await self.call(group, "collect"))[replies]
 
     async def discover(self, key: str, via: Optional[str] = None) -> Optional[dict]:
-        """One discovery at quiescence; ``None`` when the tree is empty
-        (no entry node), else the reply record."""
-        replies = await self._ask("discover", "discovery", keys=[key], via=via)
-        return None if replies is None else _one(replies, f"discovery of {key!r}")
+        """One discovery at quiescence — the batch of one; ``None`` when
+        the tree is empty (no entry node), else the reply record."""
+        rows = await self.discover_many([key], via)
+        return None if rows is None else _raised(rows[0])
 
-    async def discover_many(self, keys: Sequence[str]) -> Optional[List[dict]]:
+    async def discover_many(self, keys: Sequence[str], via: Optional[str] = None) -> Optional[list]:
         """A batch of discoveries sharing one quiescence wait, answered in
-        request order; ``None`` when the tree is empty."""
+        request order; ``None`` when the tree is empty.  The outcome is
+        per key: its reply record, or — when a reply was lost in flight —
+        the :class:`ClusterError` counting what landed instead, so a
+        caller serving several requests fails only the owner of that key."""
         if not keys:
             return []
-        replies = await self._ask("discover", "discovery", keys=list(keys), via=None)
+        replies = await self._ask("discover", "discovery", keys=list(keys), via=via)
         if replies is None:
             return None
         # Replies land in delivery order, which a live transport does not
         # tie to issue order: re-associate by key (duplicates in the batch
-        # get identical answers, so bucket order is immaterial).
-        buckets: Dict[str, list] = {}
+        # get identical answers, so one record answers them all).
+        landed: Dict[str, list] = {}
         for record in replies:
-            buckets.setdefault(record["key"], []).append(record)
-        return [buckets[key].pop() for key in keys]
+            landed.setdefault(record["key"], []).append(record)
+        asked: Dict[str, int] = {}
+        for key in keys:
+            asked[key] = asked.get(key, 0) + 1
+        return [_settled(landed.get(key, ()), asked[key], "discovery of %r", key) for key in keys]
 
     async def search(
         self, kind: str, lo: str, hi: str = "", via: Optional[str] = None
@@ -393,7 +409,9 @@ class Cluster:
         """One set query (``kind`` ``"prefix"`` or ``"range"``) served by
         the scan-token walk; ``None`` when the tree is empty."""
         replies = await self._ask("search", "queries", kind=kind, lo=lo, hi=hi, via=via)
-        return None if replies is None else _one(replies, f"{kind} query {lo!r}")
+        if replies is None:
+            return None
+        return _raised(_settled(replies, 1, "%s query %r", kind, lo))
 
     # -- introspection ------------------------------------------------------
 

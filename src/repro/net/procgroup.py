@@ -588,13 +588,10 @@ class MultiProcessCluster(Cluster):
             self.registrations[key] = datum
         return result
 
-    async def discover(self, key: str, via: Optional[str] = None) -> Optional[dict]:
+    async def discover_many(self, keys, via: Optional[str] = None) -> Optional[list]:
+        # ``discover`` is the batch of one: this check covers both.
         self._check_ready()
-        return await super().discover(key, via)
-
-    async def discover_many(self, keys) -> Optional[List[dict]]:
-        self._check_ready()
-        return await super().discover_many(keys)
+        return await super().discover_many(keys, via)
 
     async def search(
         self, kind: str, lo: str, hi: str = "", via: Optional[str] = None

@@ -250,6 +250,52 @@ class TestBrokerLoopback:
 
         asyncio.run(body())
 
+    @pytest.mark.parametrize(
+        "envelope, field, answered_over",
+        [
+            (dict(op="info", id=[1, 2], reply_to="@a"), "id", "@a"),
+            (dict(op="info", id={"n": 1}, reply_to="@a"), "id", "@a"),
+            (dict(op="info", id=1.5, reply_to="@a"), "id", "@a"),
+            (dict(op="info", id=3, reply_to=["@a"]), "reply_to", "@a-conn"),
+            (dict(op="info", id=3, reply_to=None), "reply_to", "@a-conn"),
+        ],
+        ids=["id=list", "id=dict", "id=float", "reply_to=list", "reply_to=None"],
+    )
+    def test_malformed_envelope_is_answered_and_fails_nobody_else(
+        self, envelope, field, answered_over
+    ):
+        """``id`` and ``reply_to`` are outside input like every argument.
+        An unhashable ``id`` used to raise inside ``Broker._on_message`` —
+        i.e. inside the transport's delivery, which files the error for
+        whoever drains next: the sender got no reply at all and an
+        unrelated client's next operation failed with ``TransportError:
+        1 handler/codec/link error(s) during drain``."""
+
+        async def body():
+            transport, engine, broker = await self._cluster()
+            inboxes = {"@a": [], "@a-conn": []}
+            for endpoint, inbox in inboxes.items():
+                transport.register(endpoint, lambda env, inbox=inbox: inbox.append(env.payload))
+            other = _LoopbackClient(transport, "@b")
+            assert (await other.call(op="register", key="dgemm", datum=1))["ok"]
+            served = broker.requests_served
+            transport.send("@a-conn", BROKER_ENDPOINT, envelope)
+            # The very next operation of another client is served normally ...
+            hit = await other.call(op="discover", key="dgemm")
+            assert hit["ok"] and hit["found"] and hit["data"] == [1], hit
+            assert transport.errors == []
+            # ... and the sender was told which field, where it can be reached.
+            (reply,) = inboxes[answered_over]
+            assert not reply["ok"] and repr(field) in reply["error"], reply
+            assert reply["id"] == (3 if field == "reply_to" else None)
+            assert inboxes["@a" if answered_over != "@a" else "@a-conn"] == []
+            # It was refused at admission: never queued, never served.
+            assert broker.requests_served == served + 1 and not broker._inflight
+            await broker.close()
+            await transport.close()
+
+        asyncio.run(body())
+
     def test_unknown_op_is_an_error_reply(self):
         async def body():
             transport, engine, broker = await self._cluster()

@@ -14,6 +14,7 @@ import pytest
 
 from repro.dlpt.protocol import ProtocolEngine
 from repro.net.asyncio_transport import LoopbackAsyncioTransport
+from repro.net.chaos import ChaosTransport
 from repro.net.cluster import ClusterError, LocalCluster
 from repro.net.procgroup import MultiProcessCluster, group_of
 
@@ -36,6 +37,23 @@ def _count_calls(owner, name):
 
     setattr(owner, name, counted)
     return tally
+
+
+def lossy_loopback():
+    """A loopback transport that can lose discovery replies: returns
+    ``(transport, lose)``; ``lose(n)`` drops the ``n``-th reply (from 0)
+    to reach the engine's reply sink from now on, and nothing else."""
+    fate = [iter(())]
+    transport = ChaosTransport(
+        LoopbackAsyncioTransport(),
+        "drop:1.0",
+        only=lambda src, dst: dst == "@client" and next(fate[0], False),
+    )
+
+    def lose(n):
+        fate[0] = iter([False] * n + [True])
+
+    return transport, lose
 
 
 async def _local_cluster(peers):
@@ -69,6 +87,43 @@ class TestLocalCluster:
             drains = _count_calls(cluster.transport, "drain")
             await cluster.discover_many(BATCH)
             assert drains[0] == 1
+            await cluster.close()
+
+        asyncio.run(body())
+
+    def test_a_lost_reply_is_a_per_key_outcome_in_discovers_words(self):
+        """A discovery reply dropped in flight used to end ``discover_many``
+        in ``KeyError: 'dtrsm'``; it is the one lost key's outcome, worded
+        as ``discover`` words it, beside every other key's record."""
+
+        async def body():
+            transport, lose = lossy_loopback()
+            await transport.start()
+            cluster = LocalCluster(ProtocolEngine(transport=transport))
+            for pid in PEERS:
+                await cluster.join(pid)
+            for key in REGISTERED:
+                await cluster.register(key)
+            singles = {key: await cluster.discover(key) for key in REGISTERED}
+            lose(2)
+            rows = await cluster.discover_many(REGISTERED)
+            (lost,) = [key for key, row in zip(REGISTERED, rows) if isinstance(row, ClusterError)]
+            for key, row in zip(REGISTERED, rows):
+                if key == lost:
+                    assert str(row) == f"expected 1 reply for discovery of {lost!r}, got 0"
+                else:
+                    assert row == singles[key]
+            # A key asked twice owes two replies: one lost fails both askers.
+            lose(0)
+            rows = await cluster.discover_many(["dgemm", "dgemm"])
+            assert [str(row) for row in rows] == [
+                "expected 2 replies for discovery of 'dgemm', got 1"
+            ] * 2
+            lose(0)
+            with pytest.raises(ClusterError, match="expected 1 reply for discovery of 'zherk', got 0"):
+                await cluster.discover("zherk")
+            assert await cluster.discover("zherk") == singles["zherk"]
+            assert transport.chaos_dropped == 3
             await cluster.close()
 
         asyncio.run(body())
