@@ -86,13 +86,10 @@ def route_path(tree: PGCPTree, entry_label: str, key: str) -> RoutePath:
         child = node.child_towards(key)
         if child is None:
             return RoutePath(labels=labels, found=False)
-        cpl = common_prefix_len(child.label, key)
-        if cpl < len(child.label):
-            # The child diverges from the key before its own label ends; the
-            # key, if it existed, would sit between node and child.
-            if cpl == len(key):
-                # key is a proper prefix of child: its node does not exist.
-                return RoutePath(labels=labels, found=False)
+        if common_prefix_len(child.label, key) < len(child.label):
+            # The child diverges from the key before its own label ends (or
+            # the key is a proper prefix of it): the key, if it existed,
+            # would sit between node and child.
             return RoutePath(labels=labels, found=False)
         node = child
         labels.append(node.label)

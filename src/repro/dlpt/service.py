@@ -98,20 +98,24 @@ class DiscoveryService:
         hop counts, scan size and the capacity verdict."""
         return self.system.search(query, entry_label=entry_label, rng=rng)
 
+    def _primary_names(self, query, entry_label: Optional[str], rng) -> list[str]:
+        """The registered primary names among a routed query's results
+        (attribute keys and foreign data share the tree)."""
+        outcome = self.execute(query, entry_label, rng)
+        return [k for k in outcome.results if k in self._records]
+
     def complete(
         self, partial: str, entry_label: Optional[str] = None, rng=None
     ) -> list[str]:
         """All registered primary names extending ``partial`` (automatic
         completion of partial search strings), served by the routed scan."""
-        outcome = self.execute(PrefixQuery(partial), entry_label, rng)
-        return [k for k in outcome.results if k in self._records]
+        return self._primary_names(PrefixQuery(partial), entry_label, rng)
 
     def range_search(
         self, lo: str, hi: str, entry_label: Optional[str] = None, rng=None
     ) -> list[str]:
         """Registered primary names within the lexicographic range."""
-        outcome = self.execute(RangeQuery(lo, hi), entry_label, rng)
-        return [k for k in outcome.results if k in self._records]
+        return self._primary_names(RangeQuery(lo, hi), entry_label, rng)
 
     def search(
         self,
@@ -121,8 +125,7 @@ class DiscoveryService:
     ) -> list[str]:
         """Evaluate a single query object against primary names."""
         if isinstance(query, (ExactQuery, PrefixQuery, RangeQuery)):
-            outcome = self.execute(query, entry_label, rng)
-            return [k for k in outcome.results if k in self._records]
+            return self._primary_names(query, entry_label, rng)
         raise TypeError(f"unsupported query type {type(query)!r}")
 
     def multi_attribute_search(
@@ -139,8 +142,7 @@ class DiscoveryService:
         :meth:`DLPTSystem.search` returns for a multi-attribute query — is
         exactly the conjunctive answer.
         """
-        outcome = self.execute(query, entry_label, rng)
-        return [k for k in outcome.results if k in self._records]
+        return self._primary_names(query, entry_label, rng)
 
     # -- cost estimation ----------------------------------------------------
 

@@ -3,14 +3,13 @@
 from .ascii_plot import ascii_plot
 from .config import ExperimentConfig
 from .figures import ALL_FIGURES, FigureResult, figure4, figure5, figure6, figure7, figure8, figure9
-from .parallel import compare_balancers_parallel, run_many_parallel
 from .metrics import ExperimentSeries, RunResult, UnitStats, gain_table_row
-from .runner import compare_balancers, run_many, run_single
+from .runner import compare_balancers, run_labeled_series, run_many, run_single
 from .tables import Table1Result, Table2Result, table1, table2
 
 __all__ = [
     "ExperimentConfig", "run_single", "run_many", "compare_balancers",
-    "run_many_parallel", "compare_balancers_parallel",
+    "run_labeled_series",
     "RunResult", "UnitStats", "ExperimentSeries", "gain_table_row",
     "FigureResult", "figure4", "figure5", "figure6", "figure7", "figure8",
     "figure9", "ALL_FIGURES",

@@ -15,9 +15,9 @@ Usage (after ``pip install -e .`` / ``python setup.py develop``)::
     python -m repro list
 
 Figures print an ASCII plot plus the per-unit series table; tables print
-the paper-layout text table.  ``--workers`` > 1 uses the process-parallel
-runner for the figure sweeps (default: the ``REPRO_WORKERS`` environment
-variable if set, else 1).  ``run`` executes one configuration under
+the paper-layout text table.  ``--workers`` > 1 runs each batch of curves
+on one process pool (default: the ``REPRO_WORKERS`` environment variable
+if set, else 1).  ``run`` executes one configuration under
 any workload spec (see :mod:`repro.workloads.spec`), optionally recording
 the workload to a ``repro-trace/1`` JSONL file (``--trace``) or replaying
 one (``--replay``), and reports a per-phase breakdown.  ``paper`` and
@@ -28,11 +28,14 @@ sharding, manifest — see :mod:`repro.sweeps` and ``docs/reproduction.md``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 
 from .figures import ALL_FIGURES
+from .parallel import env_workers
+from .runner import run_labeled_series
 from .tables import paper_table2_text, phase_table, table1, table2
 
 _EXPERIMENTS = sorted(ALL_FIGURES) + ["table1", "table2"]
@@ -306,43 +309,33 @@ def main(argv=None) -> int:
         return 0
 
     if args.workers is None:
-        from .parallel import env_workers
-
         try:
             args.workers = env_workers(default=1)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    run_series = None
-    if args.workers > 1:
-        # Every harness accepts a SeriesRunner; hand it a pool-backed one
-        # whose process pool persists across the whole sweep.
-        from .parallel import PooledSeriesRunner
-
-        run_series = PooledSeriesRunner(args.workers)
+    # Every harness hands its whole batch of curves to one runner; bind the
+    # worker count so all the batch's runs share one pool.
+    run_series = functools.partial(run_labeled_series, workers=args.workers)
 
     start = time.perf_counter()
-    try:
-        if args.experiment in ALL_FIGURES:
-            kwargs = dict(n_peers=args.peers)
-            if args.runs is not None:
-                kwargs["n_runs"] = args.runs
-            fig = ALL_FIGURES[args.experiment](run_series=run_series, **kwargs)
-            _print_figure(fig, args.no_plot)
-        elif args.experiment == "table1":
-            res = table1(n_runs=args.runs or 5, n_peers=args.peers,
-                         run_series=run_series)
-            print(f"# Table 1: gains of KC and MLT over no-LB  (runs={res.n_runs})")
-            print(res.as_text())
-        else:  # table2
-            res = table2()
-            print("# Table 2: complexities of close trie-structured approaches")
-            print(res.as_text())
-            print("\npaper (analytic):")
-            print(paper_table2_text())
-    finally:
-        if run_series is not None:
-            run_series.close()
+    if args.experiment in ALL_FIGURES:
+        kwargs = dict(n_peers=args.peers)
+        if args.runs is not None:
+            kwargs["n_runs"] = args.runs
+        fig = ALL_FIGURES[args.experiment](run_series=run_series, **kwargs)
+        _print_figure(fig, args.no_plot)
+    elif args.experiment == "table1":
+        res = table1(n_runs=args.runs or 5, n_peers=args.peers,
+                     run_series=run_series)
+        print(f"# Table 1: gains of KC and MLT over no-LB  (runs={res.n_runs})")
+        print(res.as_text())
+    else:  # table2
+        res = table2()
+        print("# Table 2: complexities of close trie-structured approaches")
+        print(res.as_text())
+        print("\npaper (analytic):")
+        print(paper_table2_text())
     elapsed = time.perf_counter() - start
     print(f"\n[{args.experiment} regenerated in {elapsed:.1f}s]")
     return 0

@@ -5,8 +5,8 @@ common-random-numbers configuration and returns a :class:`FigureResult`
 whose series are the per-unit mean curves the paper plots.
 
 ``n_runs`` defaults follow the paper (30 for Figures 4–7, 50 for Figure 8,
-100 for Figure 9); the benchmarks pass smaller values to stay laptop-quick
-and EXPERIMENTS.md records both settings.
+100 for Figure 9); the ``smoke`` / ``quick`` profiles of ``python -m repro
+paper`` pass smaller values to stay laptop-quick.
 """
 
 from __future__ import annotations
@@ -264,8 +264,8 @@ def figure9(
     * physical hops under the lexicographic mapping with MLT enabled.
     """
     configs = figure9_configs(intensity=intensity, **overrides)
-    series = run_labeled_series(
-        run_series, [(cfg, label) for label, cfg in configs.items()], n_runs
+    series = (run_series or run_labeled_series)(
+        [(cfg, label) for label, cfg in configs.items()], n_runs
     )
     lex, rnd = series["lexicographic+MLT"], series["random-mapping"]
     total = configs["lexicographic+MLT"].total_units
@@ -351,8 +351,8 @@ def fault_availability(
     fail-stop crashes destroy.
     """
     configs = fault_availability_configs(**overrides)
-    results = run_labeled_series(
-        run_series, [(cfg, label) for label, cfg in configs.items()], n_runs
+    results = (run_series or run_labeled_series)(
+        [(cfg, label) for label, cfg in configs.items()], n_runs
     )
     series = {
         f"crash rate {rate:.0%}": np.array(
@@ -400,8 +400,8 @@ def fault_repair(
     the paper's Section 2 worries about.
     """
     configs = fault_repair_configs(**overrides)
-    results = run_labeled_series(
-        run_series, [(cfg, label) for label, cfg in configs.items()], n_runs
+    results = (run_series or run_labeled_series)(
+        [(cfg, label) for label, cfg in configs.items()], n_runs
     )
     series = {
         f"repair ops/crash (r={r})": np.array(

@@ -18,6 +18,7 @@ replays).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -336,8 +337,21 @@ def phase_breakdown(
     return phases
 
 
+#: The one field list both serialisers derive from: every ``UnitStats``
+#: field; its histograms (hops/delay → count), which the store document
+#: keeps and the metrics document reports as derived percentiles.
+_UNIT_FIELDS = tuple(f.name for f in dataclasses.fields(UnitStats))
+_HISTOGRAM_FIELDS = tuple(
+    f.name for f in dataclasses.fields(UnitStats) if f.default_factory is dict
+)
+_METRICS_FIELDS = tuple(n for n in _UNIT_FIELDS if n not in _HISTOGRAM_FIELDS) + (
+    "p95_hops", "p99_hops", "p95_ttr",
+)
+
+
 def run_metrics_dict(result: RunResult, label: str = "") -> Dict[str, Any]:
-    """A run as a stable, JSON-serialisable document.
+    """A run as a stable, JSON-serialisable document: every scalar
+    :class:`UnitStats` field plus the derived percentiles.
 
     This is the artefact trace replays are byte-compared on: serialising
     with ``json.dumps(..., sort_keys=True)`` yields identical bytes exactly
@@ -349,97 +363,35 @@ def run_metrics_dict(result: RunResult, label: str = "") -> Dict[str, Any]:
         "total_issued": result.total_issued,
         "total_satisfied": result.total_satisfied,
         "units": [
-            {
-                "issued": u.issued,
-                "satisfied": u.satisfied,
-                "dropped": u.dropped,
-                "not_found": u.not_found,
-                "logical_hops": u.logical_hops,
-                "physical_hops": u.physical_hops,
-                "migrations": u.migrations,
-                "peers": u.peers,
-                "nodes": u.nodes,
-                "aggregate_capacity": u.aggregate_capacity,
-                "load_imbalance": u.load_imbalance,
-                "p95_hops": u.p95_hops,
-                "p99_hops": u.p99_hops,
-                "crashes": u.crashes,
-                "partitioned": u.partitioned,
-                "keys_lost": u.keys_lost,
-                "keys_recovered": u.keys_recovered,
-                "keys_unrecoverable": u.keys_unrecoverable,
-                "repair_cost": u.repair_cost,
-                "keys_present": u.keys_present,
-                "keys_expected": u.keys_expected,
-                "p95_ttr": u.p95_ttr,
-                "queries_issued": u.queries_issued,
-                "queries_satisfied": u.queries_satisfied,
-                "queries_dropped": u.queries_dropped,
-                "query_results": u.query_results,
-                "query_logical_hops": u.query_logical_hops,
-                "query_physical_hops": u.query_physical_hops,
-            }
-            for u in result.units
+            {name: getattr(u, name) for name in _METRICS_FIELDS} for u in result.units
         ],
     }
 
 
 def run_result_to_dict(result: RunResult) -> Dict[str, Any]:
     """Full-fidelity JSON form of a run: every :class:`UnitStats` field,
-    including the hop histogram (JSON object keys are strings; the loader
+    including the histograms (JSON object keys are strings; the loader
     converts them back).  Unlike :func:`run_metrics_dict` — a *reporting*
     document that serialises derived percentiles — this round-trips exactly,
     which is what the sweep result store needs for byte-identical cache
     hits."""
-    return {
-        "units": [
-            {
-                "issued": u.issued,
-                "satisfied": u.satisfied,
-                "dropped": u.dropped,
-                "not_found": u.not_found,
-                "logical_hops": u.logical_hops,
-                "physical_hops": u.physical_hops,
-                "migrations": u.migrations,
-                "peers": u.peers,
-                "nodes": u.nodes,
-                "aggregate_capacity": u.aggregate_capacity,
-                "load_imbalance": u.load_imbalance,
-                "hop_histogram": {str(k): v for k, v in sorted(u.hop_histogram.items())},
-                "crashes": u.crashes,
-                "partitioned": u.partitioned,
-                "keys_lost": u.keys_lost,
-                "keys_recovered": u.keys_recovered,
-                "keys_unrecoverable": u.keys_unrecoverable,
-                "repair_cost": u.repair_cost,
-                "keys_present": u.keys_present,
-                "keys_expected": u.keys_expected,
-                "ttr_histogram": {str(k): v for k, v in sorted(u.ttr_histogram.items())},
-                "queries_issued": u.queries_issued,
-                "queries_satisfied": u.queries_satisfied,
-                "queries_dropped": u.queries_dropped,
-                "query_results": u.query_results,
-                "query_logical_hops": u.query_logical_hops,
-                "query_physical_hops": u.query_physical_hops,
-                "query_hop_histogram": {
-                    str(k): v for k, v in sorted(u.query_hop_histogram.items())
-                },
-            }
-            for u in result.units
-        ],
-    }
+    units = []
+    for u in result.units:
+        doc = {name: getattr(u, name) for name in _UNIT_FIELDS}
+        for name in _HISTOGRAM_FIELDS:
+            doc[name] = {str(k): v for k, v in sorted(doc[name].items())}
+        units.append(doc)
+    return {"units": units}
 
 
 def run_result_from_dict(doc: Dict[str, Any]) -> RunResult:
-    """Inverse of :func:`run_result_to_dict`.  Documents written before the
-    fault-injection fields existed load with those fields defaulted."""
+    """Inverse of :func:`run_result_to_dict`.  Documents written before a
+    field existed load with that field defaulted."""
     units = []
     for u in doc["units"]:
         fields = dict(u)
-        for histogram in ("hop_histogram", "ttr_histogram", "query_hop_histogram"):
-            fields[histogram] = {
-                int(k): v for k, v in fields.get(histogram, {}).items()
-            }
+        for name in _HISTOGRAM_FIELDS:
+            fields[name] = {int(k): v for k, v in fields.get(name, {}).items()}
         units.append(UnitStats(**fields))
     return RunResult(units=units)
 

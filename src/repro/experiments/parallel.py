@@ -1,28 +1,19 @@
-"""Process-parallel experiment execution.
+"""How many worker processes a batch of runs gets.
 
 The paper's sweeps repeat every configuration 30–100 times; runs are
-embarrassingly parallel (independent seeds), so this module fans them out
-over a process pool.  Following the HPC guidance this codebase was written
-under — make it correct first, then parallelise the outer loop where the
-profile says the time goes — the unit of work is one whole simulation run
-(seconds of work per task, so IPC overhead is negligible).
-
-``run_many_parallel`` is a drop-in replacement for
-:func:`repro.experiments.runner.run_many`; results are identical run for
-run because each run derives its RNG streams from ``(seed, run_index)``
-regardless of which process executes it.
+embarrassingly parallel (independent seeds), so
+:func:`repro.experiments.runner.run_many_configs` fans them out over a
+process pool — the unit of work is one whole simulation run (seconds of
+work per task, so IPC overhead is negligible).  This module is the one
+sizing policy behind that pool: an explicit ``workers`` argument
+(``--workers``), else the ``REPRO_WORKERS`` environment variable, else the
+CPU count.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import Optional, Sequence
-
-from ..lb.base import LoadBalancer
-from .config import ExperimentConfig
-from .metrics import ExperimentSeries
-from .runner import run_single
+from typing import Optional
 
 
 def env_workers(default: Optional[int] = None) -> Optional[int]:
@@ -60,130 +51,3 @@ def default_workers() -> int:
     if workers is not None:
         return workers
     return min(os.cpu_count() or 1, 16)
-
-
-def _run_one(args: tuple[ExperimentConfig, int]):
-    config, index = args
-    return run_single(config, index)
-
-
-def _chunksize(n_tasks: int, workers: int) -> int:
-    """Submission chunk for ``ProcessPoolExecutor.map``: ~4 chunks per
-    worker balances IPC overhead (one pickle round-trip per chunk) against
-    tail latency when run times vary."""
-    return max(1, n_tasks // (workers * 4))
-
-
-def run_many_configs(
-    tasks: Sequence[tuple[ExperimentConfig, int]],
-    workers: Optional[int] = None,
-) -> list:
-    """Execute heterogeneous ``(config, run_index)`` tasks over one shared
-    pool, preserving order.
-
-    This is the saturation primitive every multi-configuration sweep builds
-    on: submitting *all* tasks to a single pool keeps every worker busy even
-    when individual configurations repeat fewer times than there are
-    workers.  Falls back to in-process execution for a single task/worker.
-    """
-    workers = workers if workers is not None else default_workers()
-    if workers <= 1 or len(tasks) <= 1:
-        return [_run_one(t) for t in tasks]
-    pool_workers = min(workers, len(tasks))
-    with ProcessPoolExecutor(max_workers=pool_workers) as pool:
-        return list(
-            pool.map(_run_one, list(tasks), chunksize=_chunksize(len(tasks), pool_workers))
-        )
-
-
-def run_many_parallel(
-    config: ExperimentConfig,
-    n_runs: int,
-    label: Optional[str] = None,
-    workers: Optional[int] = None,
-) -> ExperimentSeries:
-    """Repeat ``config`` ``n_runs`` times across a process pool.
-
-    Falls back to sequential execution for a single run or worker (no pool
-    start-up cost when it cannot pay off).
-    """
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
-    runs = run_many_configs([(config, i) for i in range(n_runs)], workers=workers)
-    return ExperimentSeries(label=label or config.lb.name, runs=runs)
-
-
-class PooledSeriesRunner:
-    """A :data:`~repro.experiments.runner.SeriesRunner` that keeps one
-    process pool alive across calls.
-
-    Pool start-up is paid once per runner instead of once per series, and
-    consumers that hold several configurations at once (the three-balancer
-    comparison behind every figure) call :meth:`run_batch` to fan *all*
-    their runs over the pool together — full saturation even when a single
-    series repeats fewer times than there are workers.  Use as a context
-    manager (the CLI's ``--workers`` path does).
-    """
-
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
-        self._pool = ProcessPoolExecutor(max_workers=workers)
-
-    def __call__(
-        self, config: ExperimentConfig, n_runs: int, label: str
-    ) -> ExperimentSeries:
-        return self.run_batch([(config, label)], n_runs)[label]
-
-    def run_batch(
-        self,
-        configs: Sequence[tuple[ExperimentConfig, str]],
-        n_runs: int,
-    ) -> dict[str, ExperimentSeries]:
-        """Run several ``(config, label)`` series at once on the shared
-        pool; returns label → series.  The optional fast path
-        :func:`~repro.experiments.runner.compare_balancers` probes for."""
-        tasks = [(config, i) for config, _ in configs for i in range(n_runs)]
-        runs = list(
-            self._pool.map(
-                _run_one, tasks, chunksize=_chunksize(len(tasks), self.workers)
-            )
-        )
-        out: dict[str, ExperimentSeries] = {}
-        cursor = 0
-        for _, label in configs:
-            out[label] = ExperimentSeries(
-                label=label, runs=runs[cursor : cursor + n_runs]
-            )
-            cursor += n_runs
-        return out
-
-    def close(self) -> None:
-        self._pool.shutdown()
-
-    def __enter__(self) -> "PooledSeriesRunner":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def compare_balancers_parallel(
-    config: ExperimentConfig,
-    balancers: Sequence[LoadBalancer],
-    n_runs: int,
-    workers: Optional[int] = None,
-) -> dict[str, ExperimentSeries]:
-    """Parallel counterpart of
-    :func:`repro.experiments.runner.compare_balancers`: all
-    (balancer, run) tasks share one pool so the sweep saturates it."""
-    tasks = [
-        (config.with_lb(lb), i) for lb in balancers for i in range(n_runs)
-    ]
-    results = run_many_configs(tasks, workers=workers)
-    out: dict[str, ExperimentSeries] = {}
-    for (cfg, _), run in zip(tasks, results):
-        out.setdefault(cfg.lb.name, ExperimentSeries(label=cfg.lb.name, runs=[]))
-        out[cfg.lb.name].runs.append(run)
-    return out

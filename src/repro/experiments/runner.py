@@ -27,11 +27,17 @@ drawing from the workload streams.  A trace replayed against its own
 configuration reproduces the run exactly (byte-identical metrics); replayed
 against a different balancer or mapping it holds the traffic fixed while
 the system under test varies.
+
+Repetition: the unit that runs is a batch of labelled configs
+(:func:`run_labeled_series`), every ``(config, run_index)`` task of it on
+one pool (:func:`run_many_configs`); :func:`run_many` and
+:func:`compare_balancers` are its one-config and per-balancer spellings.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..dlpt.system import DLPTSystem, corpus_peer_id_sampler
 from ..faults.injector import REPLAY_POLICY_PLAN, FaultInjector
@@ -40,6 +46,7 @@ from ..workloads.queries import query_from_event
 from ..workloads.traces import TraceRecorder, WorkloadTrace
 from .config import ExperimentConfig
 from .metrics import ExperimentSeries, RunResult, UnitStats
+from .parallel import default_workers
 
 
 def build_system(
@@ -340,50 +347,93 @@ def replay_single(config: ExperimentConfig, trace: WorkloadTrace) -> RunResult:
     return run_single(config, replay=trace)
 
 
+def run_many_configs(
+    tasks: Sequence[Tuple[ExperimentConfig, int]],
+    workers: Optional[int] = None,
+) -> List[RunResult]:
+    """Execute heterogeneous ``(config, run_index)`` tasks over one shared
+    pool, preserving order.
+
+    The one pool primitive: every batch — a figure's curves, a sweep
+    wave's cells — submits *all* its tasks here, so every worker stays
+    busy even when a configuration repeats fewer times than there are
+    workers.  In-process for a single task or worker (``workers=None``
+    takes ``REPRO_WORKERS`` / the CPU count).  Results are identical to
+    sequential execution because each run derives its RNG streams from
+    ``(seed, run_index)`` regardless of which process executes it.
+    """
+    workers = workers if workers is not None else default_workers()
+    if workers <= 1 or len(tasks) <= 1:
+        return [run_single(config, index) for config, index in tasks]
+    pool_workers = min(workers, len(tasks))
+    configs, indices = zip(*tasks)
+    # ~4 chunks per worker balances IPC overhead (one pickle round-trip
+    # per chunk) against tail latency when run times vary.
+    chunksize = max(1, len(tasks) // (pool_workers * 4))
+    with ProcessPoolExecutor(max_workers=pool_workers) as pool:
+        return list(pool.map(run_single, configs, indices, chunksize=chunksize))
+
+
+#: Anything that runs a batch of labelled configurations ``n_runs`` times
+#: each: ``run_series(labeled_configs, n_runs) -> {label: series}``, where
+#: ``labeled_configs`` is a sequence of ``(config, label)`` pairs.  The
+#: batch is the only unit that runs: :func:`run_labeled_series` is the
+#: default (the CLI binds its ``workers``), and :mod:`repro.sweeps` serves
+#: the same contract from its result store.
+SeriesRunner = Callable[
+    [Sequence[Tuple[ExperimentConfig, str]], int], Dict[str, ExperimentSeries]
+]
+
+
+def unique_labels(labeled_configs: Sequence[Tuple[ExperimentConfig, str]]) -> List[str]:
+    """The batch's labels in order; refuses a repeated one.  A batch's
+    result is keyed by label, so two configs under one label could only be
+    dropped or merged — every :data:`SeriesRunner` checks before any run
+    starts."""
+    labels: List[str] = []
+    for _, label in labeled_configs:
+        if label in labels:
+            raise ValueError(
+                f"duplicate series label {label!r}: every config of a batch "
+                "needs its own label"
+            )
+        labels.append(label)
+    return labels
+
+
+def run_labeled_series(
+    labeled_configs: Sequence[Tuple[ExperimentConfig, str]],
+    n_runs: int,
+    workers: Optional[int] = 1,
+) -> Dict[str, ExperimentSeries]:
+    """Run every ``(config, label)`` pair ``n_runs`` times; the default
+    :data:`SeriesRunner`.
+
+    All ``(config, run_index)`` tasks of the batch share one pool
+    (:func:`run_many_configs`), in-process at the default ``workers=1``.
+    """
+    if n_runs < 1:
+        raise ValueError("n_runs must be >= 1")
+    labels = unique_labels(labeled_configs)
+    runs = run_many_configs(
+        [(config, i) for config, _ in labeled_configs for i in range(n_runs)],
+        workers=workers,
+    )
+    return {
+        label: ExperimentSeries(label=label, runs=runs[k * n_runs : (k + 1) * n_runs])
+        for k, label in enumerate(labels)
+    }
+
+
 def run_many(
     config: ExperimentConfig,
     n_runs: int,
     label: Optional[str] = None,
 ) -> ExperimentSeries:
-    """Repeat a configuration ``n_runs`` times (paper: 30/50/100)."""
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
-    runs = [run_single(config, i) for i in range(n_runs)]
-    return ExperimentSeries(label=label or config.lb.name, runs=runs)
-
-
-#: Anything that produces the repeated-run series of one configuration:
-#: ``run_series(config, n_runs, label) -> ExperimentSeries``.  The default
-#: is sequential :func:`run_many`; the CLI swaps in the process-parallel
-#: runner and :mod:`repro.sweeps` a store-cached one.  A runner may
-#: additionally expose ``run_batch(configs, n_runs) -> {label: series}``
-#: (e.g. :class:`~repro.experiments.parallel.PooledSeriesRunner`) to
-#: receive several series' runs at once — :func:`run_labeled_series`
-#: probes for it.
-SeriesRunner = Callable[[ExperimentConfig, int, str], ExperimentSeries]
-
-
-def run_labeled_series(
-    run_series: Optional[SeriesRunner],
-    labeled_configs,
-    n_runs: int,
-) -> dict[str, ExperimentSeries]:
-    """Produce one series per ``(config, label)`` pair via ``run_series``.
-
-    The single dispatch point for every multi-series harness: defaults to
-    sequential :func:`run_many`, and hands the whole batch to the runner's
-    ``run_batch`` when it has one so a shared pool stays saturated even
-    when ``n_runs`` is below the worker count.
-    """
-    if run_series is None:
-        run_series = lambda cfg, n, label: run_many(cfg, n, label=label)  # noqa: E731
-    run_batch = getattr(run_series, "run_batch", None)
-    if run_batch is not None:
-        return run_batch(list(labeled_configs), n_runs)
-    return {
-        label: run_series(config, n_runs, label)
-        for config, label in labeled_configs
-    }
+    """Repeat a configuration ``n_runs`` times (paper: 30/50/100): the
+    batch of one."""
+    label = label or config.lb.name
+    return run_labeled_series([(config, label)], n_runs)[label]
 
 
 def compare_balancers(
@@ -391,10 +441,10 @@ def compare_balancers(
     balancers,
     n_runs: int,
     run_series: Optional[SeriesRunner] = None,
-) -> dict[str, ExperimentSeries]:
+) -> Dict[str, ExperimentSeries]:
     """Run the same experiment under each balancer (common random numbers);
-    the figures' three-curve layout.  ``run_series`` overrides how each
-    per-balancer series is produced (parallel pool, result-store cache)."""
-    return run_labeled_series(
-        run_series, [(config.with_lb(lb), lb.name) for lb in balancers], n_runs
+    the figures' three-curve layout.  ``run_series`` overrides how the
+    batch is run (a worker count, the result-store cache)."""
+    return (run_series or run_labeled_series)(
+        [(config.with_lb(lb), lb.name) for lb in balancers], n_runs
     )

@@ -259,7 +259,7 @@ def phase_table(phases: Sequence[PhaseStats]) -> str:
 
 def paper_table2_text() -> str:
     """The analytic Table 2 as printed in the paper, for side-by-side
-    comparison in EXPERIMENTS.md."""
+    comparison with the measured one."""
     return (
         "Functionality   P-Grid        PHT           DLPT\n"
         "Tree Routing    O(log |Pi|)   O(D log P)    O(D)\n"

@@ -7,7 +7,7 @@ replication / repair primitives of :mod:`repro.dlpt.failures`:
 
 * :mod:`repro.faults.schedules` — declarative fault schedules (crash
   storms, correlated crash bursts, network partitions, phase-spliced
-  mixes) emitting timed events through the discrete-event engine;
+  mixes) emitting timed one-shot events and per-unit crash rates;
 * :mod:`repro.faults.spec` — compact spec strings/dicts
   (``"crash_storm:0.02:r=2"``) with parse-time validation and the
   canonical ``faults_signature`` the sweep store hashes;

@@ -1,11 +1,10 @@
 """The fault injector: timed fault events applied to a live system.
 
 One :class:`FaultInjector` accompanies one simulation run.  At construction
-it schedules every deterministic one-shot of the fault plan (correlated
-crash bursts, partition openings) on a discrete-event
-:class:`~repro.sim.engine.Simulator`; each time unit the runner calls
-:meth:`FaultInjector.begin_unit`, which advances the simulated clock to
-collect the events that fired, draws the rate-based storm crashes, applies
+it sorts the deterministic one-shots of the fault plan (correlated crash
+bursts, partition openings) by unit; each time unit the runner calls
+:meth:`FaultInjector.begin_unit`, which takes the one-shots that have come
+due, draws the rate-based storm crashes, applies
 everything to the system (fail-stop crashes via
 :func:`repro.dlpt.failures.crash_peer`, partitions by exhausting the
 affected peers' capacity budget for the unit), runs the repair policy, and
@@ -22,11 +21,11 @@ faults into a different system.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import List, Optional, Set, Tuple
 
 from ..dlpt.failures import ReplicationManager, crash_peer, repair
 from ..dlpt.system import DLPTSystem
-from ..sim.engine import Simulator
 from .schedules import CrashBurst, FaultPlan, PartitionStart
 
 
@@ -90,14 +89,11 @@ class FaultInjector:
             if plan.replication > 0
             else None
         )
-        self.sim = Simulator()
-        self._emitted: List[object] = []
-        for at, event in plan.schedule.timed_events():
-            self.sim.schedule_at(
-                at,
-                lambda event=event: self._emitted.append(event),
-                label=type(event).__name__,
-            )
+        #: The plan's pending one-shots in firing order: by unit, ties in
+        #: the schedule's own order (the sort is stable).
+        self._timed = deque(
+            sorted(plan.schedule.timed_events(), key=lambda timed: timed[0])
+        )
         #: Keys destroyed since the last repair pass.
         self._pending_lost: Set[str] = set()
         #: Units of damaging crashes awaiting repair (time-to-repair input).
@@ -150,8 +146,9 @@ class FaultInjector:
 
     def _generate(self, unit: int) -> List[list]:
         """This unit's concrete fault events as JSON-able trace records."""
-        self.sim.run(until=unit)
-        events, self._emitted = self._emitted, []
+        events = []
+        while self._timed and self._timed[0][0] <= unit:
+            events.append(self._timed.popleft()[1])
         records: List[list] = []
         n = len(self.system.ring)
         drawn = 0

@@ -6,9 +6,9 @@ a :class:`FaultPlan`).  Schedules expose two channels:
 
 * :meth:`~FaultSchedule.timed_events` — deterministic one-shot events
   (a correlated crash burst at unit ``t``, a partition opening at ``t`` and
-  healing ``duration`` units later).  The injector schedules these on the
-  discrete-event engine (:class:`repro.sim.engine.Simulator`) once, and
-  each unit advances the simulated clock to collect what fired.
+  healing ``duration`` units later).  The injector sorts these by unit
+  once (stably: same-unit events fire in the schedule's order), and each
+  unit takes the ones that have come due.
 * :meth:`~FaultSchedule.crash_rate` — the per-peer, per-unit crash
   probability of rate-based schedules (crash storms); the injector turns
   it into an integral crash count by stochastic rounding, mirroring the

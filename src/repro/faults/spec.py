@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..util.specs import SpecError, parse_options, register_spec_kind, split_spec
+from ..util.specs import SpecError, register_spec_kind, spec_helpers, split_spec
 from .schedules import (
     CorrelatedCrash,
     CrashStorm,
@@ -49,28 +49,7 @@ class FaultSpecError(SpecError):
     """A fault spec that cannot be parsed or validated."""
 
 
-def _number(token: str, spec: object) -> float:
-    try:
-        return int(token) if str(token).lstrip("+-").isdigit() else float(token)
-    except ValueError:
-        raise FaultSpecError(
-            f"fault spec {spec!r}: {token!r} is not a number"
-        ) from None
-
-
-def _options(tokens: List[str], spec: str) -> Dict[str, float]:
-    try:
-        raw = parse_options(tokens, spec, label="fault spec")
-    except ValueError as exc:
-        raise FaultSpecError(str(exc)) from exc
-    return {key: _number(value, spec) for key, value in raw.items()}
-
-
-def _apply(factory, kwargs: Dict[str, Any], spec: object):
-    try:
-        return factory(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise FaultSpecError(f"fault spec {spec!r}: {exc}") from exc
+_number, _options, _apply = spec_helpers("fault spec", FaultSpecError)
 
 
 def _split_policy(

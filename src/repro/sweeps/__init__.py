@@ -26,7 +26,6 @@ from .orchestrator import (
     CellOutcome,
     SweepReport,
     cached_series_runner,
-    compute_cell,
     run_sweep,
 )
 from .paper import (
@@ -52,7 +51,7 @@ __all__ = [
     "SweepCell", "SweepPlan", "canonical_json", "signature_hash", "parse_shard",
     "plan_from_cells",
     "RESULT_SCHEMA", "ResultStore", "ResultStoreError",
-    "CellOutcome", "SweepReport", "run_sweep", "compute_cell",
+    "CellOutcome", "SweepReport", "run_sweep",
     "cached_series_runner",
     "ARTIFACTS", "PROFILES", "DEFAULT_PROFILE", "PaperArtifact", "SweepProfile",
     "paper_plan", "reproduce_paper",

@@ -38,7 +38,7 @@ def _common_arguments(parser: argparse.ArgumentParser) -> None:
                         help=f"result-store directory (default {DEFAULT_STORE}/; "
                         "share it between shards/machines to split a sweep)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="process-pool size per cell (default: REPRO_WORKERS "
+                        help="process-pool size (default: REPRO_WORKERS "
                         "env var, else CPU count capped at 16)")
     parser.add_argument("--force", action="store_true",
                         help="recompute cached cells (this shard's own slice)")

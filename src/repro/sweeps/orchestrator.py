@@ -20,7 +20,7 @@ shared :class:`~repro.sweeps.store.ResultStore`:
 Execution fans *across* cells, not just within them: both passes proceed
 in waves of ``workers`` cells, and every ``(cell, run_index)`` task of a
 wave goes to one shared process pool
-(:func:`repro.experiments.parallel.run_many_configs`, sized by
+(:func:`repro.experiments.runner.run_many_configs`, sized by
 ``workers``/``REPRO_WORKERS``) — a 1-run-per-cell smoke sweep still
 saturates the machine, while publishes land at wave granularity so an
 interrupted sweep loses at most one wave and concurrent shards see each
@@ -33,16 +33,11 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..experiments.config import ExperimentConfig
 from ..experiments.metrics import ExperimentSeries
-from ..experiments.parallel import (
-    default_workers,
-    run_many_configs,
-    run_many_parallel,
-)
-from ..experiments.runner import SeriesRunner
+from ..experiments.parallel import default_workers
+from ..experiments.runner import SeriesRunner, run_many_configs, unique_labels
 from .plan import SweepCell, SweepPlan
 from .store import ResultStore
 
@@ -88,52 +83,33 @@ class SweepReport:
         )
 
 
-def compute_cell(
-    cell: SweepCell,
-    store: ResultStore,
-    workers: Optional[int] = None,
-) -> Tuple[ExperimentSeries, float]:
-    """Run one cell's repetitions and publish the result; returns the
-    series and the compute wall time."""
-    start = time.perf_counter()
-    series = run_many_parallel(
-        cell.config, cell.n_runs, label=cell.label, workers=workers
-    )
-    elapsed = time.perf_counter() - start
-    store.put(cell.key(), series, cell.signature(), elapsed)
-    return series, elapsed
-
-
 def _compute_batch(
     cells: List[SweepCell],
     store: ResultStore,
     workers: Optional[int],
-    source: str,
-    report: SweepReport,
-    emit: Callable[[str], None],
-) -> None:
+) -> List[Tuple[ExperimentSeries, float]]:
     """Compute a batch of cells by fanning every ``(cell, run_index)`` task
-    over one shared pool, then publish each cell.  Per-cell ``elapsed_s``
-    is the batch wall time apportioned by run count (individual timings
-    are not observable inside a shared pool)."""
+    over one shared pool, then publish each cell — the one path by which a
+    computed series reaches the store.  Returns ``(series, elapsed_s)`` per
+    cell, where ``elapsed_s`` is the batch wall time apportioned by run
+    count (individual timings are not observable inside a shared pool)."""
     if not cells:
-        return
+        return []
     tasks = [(cell.config, i) for cell in cells for i in range(cell.n_runs)]
-    for cell in cells:
-        emit(f"[sweep] computing {cell.label} ({cell.key()[:12]}…, {cell.n_runs} runs)")
     start = time.perf_counter()
     runs = run_many_configs(tasks, workers=workers)
     elapsed = time.perf_counter() - start
+    computed: List[Tuple[ExperimentSeries, float]] = []
     cursor = 0
     for cell in cells:
-        cell_runs = runs[cursor : cursor + cell.n_runs]
+        series = ExperimentSeries(
+            label=cell.label, runs=runs[cursor : cursor + cell.n_runs]
+        )
         cursor += cell.n_runs
         share = elapsed * cell.n_runs / len(tasks)
-        series = ExperimentSeries(label=cell.label, runs=cell_runs)
         store.put(cell.key(), series, cell.signature(), share)
-        report.outcomes.append(
-            CellOutcome(cell.key(), cell.label, "computed", source, share)
-        )
+        computed.append((series, share))
+    return computed
 
 
 def run_sweep(
@@ -161,6 +137,14 @@ def run_sweep(
     # instead of only when a slice completes (work stealing).
     wave_size = max(1, workers if workers is not None else default_workers())
 
+    def compute(cells: List[SweepCell], source: str) -> None:
+        for cell in cells:
+            emit(f"[sweep] computing {cell.label} ({cell.key()[:12]}…, {cell.n_runs} runs)")
+        for cell, (_, share) in zip(cells, _compute_batch(cells, store, workers)):
+            report.outcomes.append(
+                CellOutcome(cell.key(), cell.label, "computed", source, share)
+            )
+
     remaining = list(own)
     while remaining:
         wave, remaining = remaining[:wave_size], remaining[wave_size:]
@@ -172,7 +156,7 @@ def run_sweep(
                 )
             else:
                 to_compute.append(cell)
-        _compute_batch(to_compute, store, workers, "own", report, emit)
+        compute(to_compute, "own")
 
     # Steal pass: re-check the store at each wave boundary (the owning
     # shard may publish cells while this one computes).  Each shard walks
@@ -192,7 +176,7 @@ def run_sweep(
                 )
             else:
                 to_steal.append(cell)
-        _compute_batch(to_steal, store, workers, "stolen", report, emit)
+        compute(to_steal, "stolen")
 
     report.elapsed_s = time.perf_counter() - start
     emit(report.summary())
@@ -210,25 +194,32 @@ def cached_series_runner(
     Figure/table harnesses called with this runner transparently reuse
     every cell a sweep already computed and publish whatever they compute
     fresh — so assembly after a sharded sweep is all cache hits, and
-    assembly *without* a prior sweep still works, just cold.  ``on_cell``
-    observes every request (cell, key, "cached"/"computed") — the hook the
-    manifest uses to record an artifact's inputs.
+    assembly *without* a prior sweep still works, just cold: a batch's
+    misses are computed together on one pool and published like a sweep
+    wave (:func:`_compute_batch`).  ``on_cell`` observes every request
+    (cell, key, "cached"/"computed") — the hook the manifest uses to
+    record an artifact's inputs.
     """
 
-    def run_series(config: ExperimentConfig, n_runs: int, label: str) -> ExperimentSeries:
-        cell = SweepCell(config=config, n_runs=n_runs, label=label)
-        key = cell.key()
-        series = None if force else store.get(key)
-        if series is None:
-            series, _ = compute_cell(cell, store, workers)
-            action = "computed"
-        else:
+    def run_series(labeled_configs, n_runs: int) -> Dict[str, ExperimentSeries]:
+        unique_labels(labeled_configs)
+        cells = [
+            SweepCell(config=config, n_runs=n_runs, label=label)
+            for config, label in labeled_configs
+        ]
+        found = {
+            cell.label: None if force else store.get(cell.key()) for cell in cells
+        }
+        # The batch's misses go to the pool together, like a sweep wave.
+        misses = [cell for cell in cells if found[cell.label] is None]
+        for cell, (series, _) in zip(misses, _compute_batch(misses, store, workers)):
+            found[cell.label] = series
+        for cell in cells:
             # Labels are presentation, excluded from the key; serve the
             # caller's label, not whichever consumer stored the cell first.
-            series.label = label
-            action = "cached"
-        if on_cell is not None:
-            on_cell(cell, key, action)
-        return series
+            found[cell.label].label = cell.label
+            if on_cell is not None:
+                on_cell(cell, cell.key(), "computed" if cell in misses else "cached")
+        return found
 
     return run_series

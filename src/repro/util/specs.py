@@ -5,9 +5,9 @@ Every compact-spec syntax in the repository — workloads
 queries (:mod:`repro.workloads.queries`) and balancers (:mod:`repro.lb`)
 — parses through this module, at two levels:
 
-* **Tokenisation** (:func:`split_spec` / :func:`parse_options`): the
-  shared ``name:key=value:...`` syntax, so grammar and error messages
-  cannot drift between the surfaces.
+* **Tokenisation** (:func:`split_spec`, :func:`parse_options`,
+  :func:`spec_helpers`): the shared ``name:key=value:...`` syntax, so
+  grammar and error messages cannot drift between the surfaces.
 * **The registry** (:func:`parse_spec` / :func:`spec_signature` /
   :func:`spec_hash`): each spec *kind* registers its parser and canonical
   signature function once (:func:`register_spec_kind`); callers name the
@@ -73,6 +73,34 @@ def parse_options(tokens: List[str], spec: str, label: str = "spec") -> Dict[str
             )
         options[key] = value
     return options
+
+
+def spec_helpers(label: str, error: type) -> Tuple[Callable, Callable, Callable]:
+    """``(number, options, apply)`` bound to one spec surface: parse an
+    int/float token, parse numeric ``key=value`` tokens, and call
+    ``factory(**kwargs)`` — each failing with ``error`` (a :class:`SpecError`
+    subclass) in a message prefixed by ``label`` and naming the ``spec``."""
+
+    def number(token: str, spec: object) -> float:
+        try:
+            return int(token) if str(token).lstrip("+-").isdigit() else float(token)
+        except ValueError:
+            raise error(f"{label} {spec!r}: {token!r} is not a number") from None
+
+    def options(tokens: List[str], spec: str) -> Dict[str, float]:
+        try:
+            raw = parse_options(tokens, spec, label=label)
+        except ValueError as exc:
+            raise error(str(exc)) from exc
+        return {key: number(value, spec) for key, value in raw.items()}
+
+    def apply(factory: Callable, kwargs: Dict[str, Any], spec: object) -> Any:
+        try:
+            return factory(**kwargs)
+        except (TypeError, ValueError) as exc:
+            raise error(f"{label} {spec!r}: {exc}") from exc
+
+    return number, options, apply
 
 
 # -- the parser registry -----------------------------------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from ..util.specs import SpecError, parse_options, register_spec_kind, split_spec
+from ..util.specs import SpecError, register_spec_kind, spec_helpers, split_spec
 from .dynamics import (
     AdversarialPrefixStacking,
     DiurnalSchedule,
@@ -59,30 +59,7 @@ class WorkloadSpecError(SpecError):
     """A workload spec that cannot be parsed or validated."""
 
 
-def _number(token: str, spec: str) -> float:
-    try:
-        return int(token) if token.lstrip("+-").isdigit() else float(token)
-    except ValueError:
-        raise WorkloadSpecError(
-            f"workload spec {spec!r}: {token!r} is not a number"
-        ) from None
-
-
-def _options(tokens: List[str], spec: str) -> Dict[str, float]:
-    try:
-        raw = parse_options(tokens, spec, label="workload spec")
-    except ValueError as exc:
-        raise WorkloadSpecError(str(exc)) from exc
-    return {key: _number(value, spec) for key, value in raw.items()}
-
-
-def _apply(factory, kwargs: Dict[str, Any], spec: str):
-    try:
-        return factory(**kwargs)
-    except TypeError as exc:
-        raise WorkloadSpecError(f"workload spec {spec!r}: {exc}") from exc
-    except ValueError as exc:
-        raise WorkloadSpecError(f"workload spec {spec!r}: {exc}") from exc
+_number, _options, _apply = spec_helpers("workload spec", WorkloadSpecError)
 
 
 def _parse_string(spec: str) -> object:

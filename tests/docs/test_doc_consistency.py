@@ -88,6 +88,24 @@ class TestBenchmarksDoc:
             assert tag in doc
 
 
+class TestBenchmarksAreWired:
+    """A script under ``benchmarks/`` that no CI step runs and no document
+    names is an orphan: nothing would notice it rot."""
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted((REPO_ROOT / "benchmarks").glob("*.py")),
+        ids=lambda p: p.name,
+    )
+    def test_every_benchmark_script_is_run_or_documented(self, path):
+        places = [REPO_ROOT / ".github" / "workflows" / "ci.yml", README]
+        places += sorted((REPO_ROOT / "docs").glob("*.md"))
+        assert any(path.name in place.read_text() for place in places), (
+            f"benchmarks/{path.name} is named by no CI step, README.md or "
+            "docs/*.md; wire it in or delete it"
+        )
+
+
 class TestReproductionDoc:
     """docs/reproduction.md: the one-command reproduction guide and the
     figure gallery must track the artifact registry in code."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.metrics import (
@@ -9,6 +11,8 @@ from repro.experiments.metrics import (
     RunResult,
     UnitStats,
     gain_table_row,
+    run_metrics_dict,
+    run_result_to_dict,
     series_table,
 )
 
@@ -35,6 +39,25 @@ class TestUnitStats:
 
     def test_mean_hops_with_no_satisfied(self):
         assert UnitStats(issued=3).mean_logical_hops == 0.0
+
+
+class TestSerialisedFieldLists:
+    """Both documents derive from the dataclass: a new ``UnitStats`` field
+    reaches them without a second and third list to extend."""
+
+    RUN = RunResult(units=[UnitStats(issued=4, satisfied=3, hop_histogram={2: 3})])
+    FIELDS = {f.name for f in dataclasses.fields(UnitStats)}
+
+    def test_store_document_has_every_field(self):
+        unit = run_result_to_dict(self.RUN)["units"][0]
+        assert set(unit) == self.FIELDS
+        assert unit["hop_histogram"] == {"2": 3}
+
+    def test_metrics_document_is_the_scalars_plus_derived_percentiles(self):
+        unit = run_metrics_dict(self.RUN)["units"][0]
+        histograms = {"hop_histogram", "ttr_histogram", "query_hop_histogram"}
+        assert set(unit) == (self.FIELDS - histograms) | {"p95_hops", "p99_hops", "p95_ttr"}
+        assert unit["p95_hops"] == 2.0
 
 
 class TestRunResult:

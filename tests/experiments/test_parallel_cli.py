@@ -2,17 +2,14 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.experiments.cli import build_parser, main
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import (
-    compare_balancers_parallel,
-    default_workers,
-    env_workers,
-    run_many_parallel,
-)
-from repro.experiments.runner import run_many
+from repro.experiments.parallel import default_workers, env_workers
+from repro.experiments.runner import compare_balancers, run_labeled_series, run_many
 from repro.lb.mlt import MLT
 from repro.lb.nolb import NoLB
 from repro.workloads.keys import blas_routines
@@ -22,42 +19,68 @@ TINY = dict(
     total_units=5, load_fraction=0.2,
 )
 
+#: The batch runner the CLI builds for ``--workers 2``.
+TWO_WORKERS = functools.partial(run_labeled_series, workers=2)
+
 
 class TestParallelRunner:
     def test_matches_sequential_exactly(self):
         cfg = ExperimentConfig(**TINY)
         seq = run_many(cfg, 3)
-        par = run_many_parallel(cfg, 3, workers=3)
+        par = run_labeled_series([(cfg, "NoLB")], 3, workers=3)["NoLB"]
         for a, b in zip(seq.runs, par.runs):
             assert a.satisfied_pct == b.satisfied_pct
 
     def test_single_worker_avoids_pool(self):
         cfg = ExperimentConfig(**TINY)
-        series = run_many_parallel(cfg, 2, workers=1)
+        series = run_labeled_series([(cfg, "NoLB")], 2, workers=1)["NoLB"]
         assert series.n_runs == 2
 
     def test_requires_runs(self):
         with pytest.raises(ValueError):
-            run_many_parallel(ExperimentConfig(**TINY), 0)
+            run_labeled_series([(ExperimentConfig(**TINY), "NoLB")], 0)
 
-    def test_compare_balancers_parallel_layout(self):
+    def test_compare_balancers_pooled_layout(self):
         cfg = ExperimentConfig(**TINY)
-        out = compare_balancers_parallel(cfg, [MLT(), NoLB()], n_runs=2, workers=2)
+        out = compare_balancers(cfg, [MLT(), NoLB()], 2, run_series=TWO_WORKERS)
         assert set(out) == {"MLT", "NoLB"}
         assert all(s.n_runs == 2 for s in out.values())
 
     def test_compare_matches_sequential(self):
-        from repro.experiments.runner import compare_balancers
-
         cfg = ExperimentConfig(**TINY)
         seq = compare_balancers(cfg, [MLT(), NoLB()], 2)
-        par = compare_balancers_parallel(cfg, [MLT(), NoLB()], 2, workers=2)
+        par = compare_balancers(cfg, [MLT(), NoLB()], 2, run_series=TWO_WORKERS)
         for name in seq:
             for a, b in zip(seq[name].runs, par[name].runs):
                 assert a.satisfied_pct == b.satisfied_pct
 
     def test_default_workers_positive(self):
         assert default_workers() >= 1
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_batch_equals_run_many_run_for_run(self, workers):
+        batch = [(ExperimentConfig(**TINY, lb=lb), lb.name) for lb in (MLT(), NoLB())]
+        out = run_labeled_series(batch, 2, workers=workers)
+        assert list(out) == ["MLT", "NoLB"]
+        for cfg, label in batch:
+            assert out[label].label == label
+            assert out[label].runs == run_many(cfg, 2).runs
+
+    @pytest.mark.parametrize(
+        "run_series", [None, TWO_WORKERS], ids=["sequential", "workers=2"]
+    )
+    def test_duplicate_labels_are_refused_before_any_run(self, run_series, monkeypatch):
+        """Two variants of one balancer share its name: the batch could
+        only drop one or merge both into one curve, so it refuses."""
+        started = []
+        monkeypatch.setattr(
+            "repro.experiments.runner.run_many_configs",
+            lambda tasks, workers=None: started.append(tasks),
+        )
+        variants = [MLT(fraction=0.25), MLT(fraction=1.0)]
+        with pytest.raises(ValueError, match="duplicate series label 'MLT'"):
+            compare_balancers(ExperimentConfig(**TINY), variants, 1, run_series)
+        assert started == []
 
 
 class TestEnvWorkers:

@@ -95,7 +95,7 @@ class TestCachedRunner:
     def test_runner_matches_direct_execution(self, store):
         cell = tiny_plan(n_cells=1).cells[0]
         runner = cached_series_runner(store)
-        via_runner = runner(cell.config, cell.n_runs, cell.label)
+        via_runner = runner([(cell.config, cell.label)], cell.n_runs)[cell.label]
         direct = run_many(cell.config, cell.n_runs, label=cell.label)
         for a, b in zip(via_runner.runs, direct.runs):
             assert a.satisfied_pct == b.satisfied_pct
@@ -108,12 +108,34 @@ class TestCachedRunner:
             store, on_cell=lambda cell, key, action: actions.append(action)
         )
         for cell in plan.cells:
-            runner(cell.config, cell.n_runs, cell.label)
+            runner([(cell.config, cell.label)], cell.n_runs)
         assert actions == ["cached"] * len(plan)
 
     def test_runner_serves_requested_label_on_hit(self, store):
         cell = tiny_plan(n_cells=1).cells[0]
         runner = cached_series_runner(store)
-        runner(cell.config, cell.n_runs, "first-label")
-        again = runner(cell.config, cell.n_runs, "second-label")
+        runner([(cell.config, "first-label")], cell.n_runs)
+        again = runner([(cell.config, "second-label")], cell.n_runs)["second-label"]
         assert again.label == "second-label"
+
+    def test_batch_computes_only_its_misses_and_keeps_request_order(self, store):
+        plan = tiny_plan(n_cells=3)
+        warm = plan.cells[1]
+        run_sweep(plan_from_cells("warm", [warm]), store)
+        seen = []
+        runner = cached_series_runner(
+            store, on_cell=lambda cell, key, action: seen.append((cell.label, action))
+        )
+        out = runner([(c.config, c.label) for c in plan.cells], 2)
+        assert list(out) == ["s0", "s1", "s2"]
+        assert seen == [("s0", "computed"), ("s1", "cached"), ("s2", "computed")]
+        assert sorted(store.keys()) == sorted(plan.keys())
+        for cell in plan.cells:
+            assert out[cell.label].runs == run_many(cell.config, 2).runs
+
+    def test_runner_refuses_duplicate_labels_before_any_run(self, store):
+        a, b = tiny_plan(n_cells=2).cells
+        runner = cached_series_runner(store)
+        with pytest.raises(ValueError, match="duplicate series label 'same'"):
+            runner([(a.config, "same"), (b.config, "same")], 1)
+        assert len(store) == 0

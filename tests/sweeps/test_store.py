@@ -49,6 +49,18 @@ class TestRoundTrip:
             assert a.series("load_imbalance") == b.series("load_imbalance")
             assert a.series("p95_hops") == b.series("p95_hops")
 
+    def test_store_round_trips_fault_and_query_histograms(self, store):
+        config = ExperimentConfig(
+            **TINY, faults="crash_storm:0.2:r=1:repair_every=2", queries="mixed:n=3"
+        )
+        cell = SweepCell(config=config, n_runs=2, label="faulty")
+        fresh = run_many(cell.config, cell.n_runs, label=cell.label)
+        units = [u for run in fresh.runs for u in run.units]
+        assert any(u.ttr_histogram for u in units)
+        assert any(u.query_hop_histogram for u in units)
+        store.put(cell.key(), fresh, cell.signature(), elapsed_s=0.1)
+        assert store.get(cell.key()) == fresh
+
     def test_len_and_keys(self, store, cell):
         fresh = run_many(cell.config, cell.n_runs, label=cell.label)
         store.put(cell.key(), fresh, cell.signature(), elapsed_s=0.1)

@@ -1,18 +1,27 @@
-"""Physical lines per ``src/repro`` package (``--baseline DIR``: diff vs another checkout)."""
+"""Physical lines per ``src/repro`` package, then the ``tests`` and ``benchmarks`` trees (``--baseline DIR``: diff vs another checkout)."""
 import argparse
 import collections
 import pathlib
 
+#: Rows printed last: the ``src/repro`` sum, then the two trees outside it.
+TOTALS = ("total", "tests", "benchmarks")
+
+
+def physical_lines(path: pathlib.Path) -> int:
+    with open(path, encoding="utf-8") as fh:
+        return sum(1 for _ in fh)
+
 
 def count(root: pathlib.Path) -> collections.Counter:
-    """``{package: physical lines}`` under ``root/src/repro`` (top-level modules count as ``.``)."""
+    """``{package: physical lines}`` under ``root/src/repro`` (top-level modules count as ``.``), plus ``TOTALS``."""
     pkg = root / "src" / "repro"
     lines: collections.Counter = collections.Counter()
     for path in pkg.rglob("*.py"):
         parts = path.relative_to(pkg).parts
-        with open(path, encoding="utf-8") as fh:
-            lines[parts[0] if len(parts) > 1 else "."] += sum(1 for _ in fh)
+        lines[parts[0] if len(parts) > 1 else "."] += physical_lines(path)
     lines["total"] = sum(lines.values())
+    for tree in TOTALS[1:]:
+        lines[tree] = sum(physical_lines(path) for path in (root / tree).rglob("*.py"))
     return lines
 
 
@@ -22,7 +31,7 @@ if __name__ == "__main__":
     args = parser.parse_args()
     now = count(pathlib.Path(__file__).resolve().parent.parent)
     base = count(args.baseline) if args.baseline else None
-    for name in sorted(set(now) | set(base or ()), key=lambda n: (n == "total", n)):
+    for name in sorted((set(now) | set(base or ())) - set(TOTALS)) + list(TOTALS):
         row = f"{name:<12} {now[name]:>7}"
         if base is not None:
             row += f" {base[name]:>7} {now[name] - base[name]:>+6}"
