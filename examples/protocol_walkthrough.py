@@ -21,7 +21,7 @@ def main() -> None:
     rng = random.Random(18)  # LIP report number suffix
 
     eng = ProtocolEngine()
-    eng.net.latency = UniformLatency(random.Random(99), 0.5, 1.5)
+    eng.transport.network.latency = UniformLatency(random.Random(99), 0.5, 1.5)
 
     # --- bootstrap + joins (Algorithms 1 & 2) ------------------------------
     eng.bootstrap_peer("mmmmmm", capacity=10)
@@ -72,8 +72,8 @@ def main() -> None:
         print(f"  {reply.key:<16} found={reply.found!s:<5} hops={reply.hops} "
               f"data={list(reply.data)}")
 
-    print(f"\nnetwork totals: {eng.net.messages_sent} messages sent, "
-          f"{eng.net.messages_delivered} delivered, "
+    print(f"\nnetwork totals: {eng.transport.network.messages_sent} messages sent, "
+          f"{eng.transport.network.messages_delivered} delivered, "
           f"{eng.dead_node_messages} dead-lettered")
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 from ..core.ids import common_prefix_len, gcp
 from ..core.keyspace import in_interval_open_closed
@@ -123,10 +123,6 @@ class ProtocolEngine:
     event loop.  ``ProtocolEngine(transport=t)`` is the API; constructing
     with nothing builds a default
     :class:`~repro.net.transport.SimTransport`.
-    ``self.sim`` / ``self.net`` stay bound to the simulator and network
-    for existing callers; under a non-sim transport those aliases point
-    at the transport itself and :meth:`run` defers to ``await
-    transport.drain()``.
 
     ``client_endpoint`` names the engine's reply sink (default
     ``"@client"``); when several engine groups share one wire — the
@@ -152,11 +148,13 @@ class ProtocolEngine:
 
             transport = SimTransport()
         self.transport = transport
-        self.sim = getattr(transport, "sim", transport)
-        self.net = getattr(transport, "network", transport)
         self.peers: Dict[str, ProtocolPeer] = {}
-        #: label -> hosting peer id (node location service).
+        #: label -> hosting peer id (node location service); written only
+        #: by :meth:`set_location` / :meth:`drop_locations`.
         self.locator: Dict[str, str] = {}
+        #: ``min(self.locator)``, ``None`` on an empty tree: the default
+        #: entry node of a client operation, kept where the table is written.
+        self.lowest_label: Optional[str] = None
         #: Messages for labels not yet installed (a SearchingHost can race
         #: the Host message creating its target); flushed on install.
         self.pending_node_messages: Dict[str, list] = {}
@@ -340,6 +338,26 @@ class ProtocolEngine:
             self.pending_node_messages.setdefault(label, []).append((src, payload))
             return
         self.transport.send(src, host, payload)
+
+    def set_location(self, label: str, host: str) -> None:
+        """Point ``label`` at ``host``: with :meth:`drop_locations`, the
+        one place the location table is written."""
+        self.locator[label] = host
+        lowest = self.lowest_label
+        if lowest is None or label < lowest:
+            self.lowest_label = label
+
+    def drop_locations(self, labels: Optional[Iterable[str]] = None) -> None:
+        """Forget ``labels`` (the whole table when ``None``); the table is
+        rescanned for its lowest label only when that label was dropped."""
+        locator = self.locator
+        if labels is None:
+            locator.clear()
+        else:
+            for label in labels:
+                locator.pop(label, None)
+        if self.lowest_label not in locator:
+            self.lowest_label = min(locator, default=None)
 
     def _on_client_message(self, env: Envelope) -> None:
         if isinstance(env.payload, m.DiscoveryReply):
@@ -558,7 +576,7 @@ class ProtocolEngine:
             data=set(payload.data),
         )
         peer.nodes[payload.label] = st
-        self.locator[payload.label] = peer.id
+        self.set_location(payload.label, peer.id)
         if self.on_node_installed is not None:
             self.on_node_installed(payload.label, peer.id)
         # Flush messages that raced this node's creation/arrival.

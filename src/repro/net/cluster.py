@@ -94,11 +94,11 @@ class EngineGroup:
 
     def _entry(self, preferred: Optional[str]) -> Optional[str]:
         """The entry node of a client operation: ``preferred`` when it is
-        a live label, else the lowest label; ``None`` on an empty tree."""
-        locator = self.engine.locator
-        if preferred is not None and preferred in locator:
-            return preferred
-        return min(locator) if locator else None
+        a live label, else the lowest label; ``None`` on an empty tree.
+        No iteration: the engine keeps the lowest label where the table is
+        written (docs/runtime.md, "The entry rule")."""
+        engine = self.engine
+        return preferred if preferred in engine.locator else engine.lowest_label
 
     # -- membership ---------------------------------------------------------
 
@@ -139,7 +139,7 @@ class EngineGroup:
                 children=set(payload.children),
                 data=set(payload.data),
             )
-            self.engine.locator[payload.label] = peer
+            self.engine.set_location(payload.label, peer)
 
     def set_pred(self, peer: str, pred: str) -> None:
         self.engine.peers[peer].pred = pred
@@ -152,13 +152,12 @@ class EngineGroup:
         each exactly as a local install would (a SearchingHost can race
         the Host hop across groups)."""
         for label, host in entries.items():
-            self.engine.locator[label] = host
+            self.engine.set_location(label, host)
             for src, msg in self.engine.pending_node_messages.pop(label, ()):
                 self.transport.send(src, host, msg)
 
     def locator_del(self, labels: List[str]) -> None:
-        for label in labels:
-            self.engine.locator.pop(label, None)
+        self.engine.drop_locations(labels)
 
     # -- data plane ---------------------------------------------------------
 

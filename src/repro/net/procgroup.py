@@ -168,7 +168,7 @@ class _Worker(EngineGroup):
         for peer_id in list(engine.peers):
             t.unregister(peer_id)
         engine.peers.clear()
-        engine.locator.clear()
+        engine.drop_locations()
         engine.pending_node_messages.clear()
         engine.discovery_replies.clear()
         engine.query_replies.clear()

@@ -22,7 +22,7 @@ from repro.sim.network import UniformLatency
 def engine_with_peers(peer_ids, latency_rng=None):
     eng = ProtocolEngine()
     if latency_rng is not None:
-        eng.net.latency = UniformLatency(latency_rng, 0.5, 1.5)
+        eng.transport.network.latency = UniformLatency(latency_rng, 0.5, 1.5)
     ids = list(peer_ids)
     eng.bootstrap_peer(ids[0])
     for pid in ids[1:]:

@@ -35,7 +35,7 @@ class TestMessageLoss:
             eng.insert_data(k)
             eng.run()
         eng.check_tree()
-        assert eng.net.messages_dropped == 0
+        assert eng.transport.network.messages_dropped == 0
 
     def test_loss_is_always_observable(self):
         """Under heavy loss the run still terminates, and every failure is
@@ -47,7 +47,7 @@ class TestMessageLoss:
             eng.insert_data(k)
         eng.run()  # terminates despite loss (no retransmission loops)
         observable = (
-            eng.net.messages_dropped > 0
+            eng.transport.network.messages_dropped > 0
             or eng.pending_node_messages
             or eng.dead_node_messages > 0
         )

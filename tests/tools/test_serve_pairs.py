@@ -108,6 +108,83 @@ def test_report_checks_the_deterministic_counts_pair_by_pair():
     assert "NO pair 2 hops_per_lookup" in table and "change 4" in table
 
 
+# -- the exit status: one test per cause, one clean pass -------------------
+
+STEADY = [100, 102, 98, 101, 99, 100, 102, 98, 101, 99]
+
+
+def _runs(ops, lat=None, hops=3.8, failed=0):
+    """Synthetic :func:`parse_result` dicts, one per pair."""
+    lat = lat or [1.0] * len(ops)
+    return [{"ops_per_s": o, "lat_p50_ms": v, "wire_bytes_per_op": 291.5,
+             "hops_per_lookup": hops, "failed": failed} for o, v in zip(ops, lat)]
+
+
+def test_a_clean_run_with_its_claimed_gain_has_no_objection():
+    parent, change = _runs(STEADY), _runs([p + 50 for p in STEADY])
+    assert serve_pairs.objections("w", [OPS, LAT], parent, change) == []
+    assert serve_pairs.objections("w", [OPS, LAT], parent, change, {"ops_per_s"}) == []
+
+
+def test_a_claimed_row_without_the_gain_verdict_is_an_objection():
+    parent, change = _runs(STEADY), _runs([p + 1 for p in STEADY])  # wins, inside the spread
+    assert serve_pairs.objections("w", [OPS, LAT], parent, change) == []
+    assert serve_pairs.objections("w", [OPS, LAT], parent, change, {"ops_per_s"}) == [
+        "w: claimed ops_per_s shows no gain"
+    ]
+
+
+def test_a_worse_row_is_an_objection_even_beside_a_claimed_gain():
+    parent = _runs(STEADY, lat=[1.0] * 10)
+    change = _runs([p + 50 for p in STEADY], lat=[1.5] * 10)
+    assert serve_pairs.objections("w", [OPS, LAT], parent, change, {"ops_per_s"}) == [
+        "w: lat_p50_ms is WORSE"
+    ]
+
+
+def test_a_noisy_row_is_an_objection():
+    change = _runs([100, 160, 105, 155, 102, 158, 104, 156, 101, 157])
+    assert serve_pairs.objections("w", [OPS], _runs(STEADY), change) == ["w: ops_per_s is NOISY"]
+
+
+def test_a_deterministic_count_differing_inside_a_pair_is_an_objection():
+    parent, change = _runs(STEADY), _runs(STEADY)
+    change[3]["hops_per_lookup"] = 3.9
+    assert serve_pairs.objections("w", [OPS], parent, change) == [
+        "w: hops_per_lookup differs inside pair 4"
+    ]
+
+
+def test_more_failures_than_the_parent_is_an_objection():
+    parent, change = _runs(STEADY, failed=1), _runs(STEADY, failed=1)
+    assert serve_pairs.objections("w", [OPS], parent, change) == []
+    change[0]["failed"] = 2
+    assert serve_pairs.objections("w", [OPS], parent, change) == [
+        "w: the change failed 11 operations, the parent 10"
+    ]
+
+
+def test_main_exits_by_the_objections(monkeypatch, capsys, tmp_path):
+    """``main`` used to return 0 whatever the table said.  ``run`` is
+    stubbed: the change (this checkout) is 40% faster on every workload."""
+    spec = json.loads((REPO / "BENCHMARK.json").read_text())
+
+    def canned(checkout, command, workload, seed):
+        flat = {m["name"]: 1.0 for m in spec["end_to_end"]}
+        ops = STEADY[seed - 1] * (1.4 if checkout == serve_pairs.REPO else 1.0)
+        return {**flat, "ops_per_s": ops, "failed": 0}
+
+    monkeypatch.setattr(serve_pairs, "run", canned)
+    argv = ["--parent", str(tmp_path), "--workload", "register_churn"]
+    assert serve_pairs.main(argv) == 0
+    assert serve_pairs.main(argv + ["--claim", "ops_per_s@register_churn"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert serve_pairs.main(argv + ["--claim", "lat_p50_ms@register_churn"]) == 1
+    assert "FAIL register_churn: claimed lat_p50_ms shows no gain" in capsys.readouterr().out
+    with pytest.raises(SystemExit):  # a claim on a workload that is not run
+        serve_pairs.main(argv + ["--claim", "ops_per_s@scan_batch"])
+
+
 def test_metrics_and_bounds_are_read_from_benchmark_json():
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
     names = {metric["name"] for metric in spec["end_to_end"]}

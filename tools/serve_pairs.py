@@ -1,6 +1,7 @@
 """Alternating parent/change pairs of the serve benchmark, judged by ``BENCHMARK.json``.
 
     python3 tools/serve_pairs.py --parent CHECKOUT [--pairs 10] [--workload W]...
+                                 [--claim METRIC@WORKLOAD]...
 
 Pair ``k`` runs the benchmark's ``command`` with ``--workload W --seed k`` in
 the parent checkout and in this one (odd ``k`` parent first, even ``k`` change
@@ -12,6 +13,11 @@ wider than that is a run "too noisy to judge"), whether every change run beats
 every parent run, and whether the change wins >= 9/10 of the pairs by more than
 the parent's own inter-quartile spread (the rule for a claimed gain); then that
 the two deterministic counts are equal inside every pair, and the failures.
+
+Exit status 1 when any row of any workload run is ``WORSE`` or ``NOISY``, a
+deterministic count differs inside a pair, the change's ``failed`` total exceeds
+the parent's, or a ``--claim``-ed row lacks the ``gain`` verdict; the reasons
+are printed after the tables.
 """
 import argparse
 import json
@@ -24,6 +30,9 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 
 #: Counts the program makes that repeat exactly per seed: equal inside a pair or explained.
 DETERMINISTIC = ("wire_bytes_per_op", "hops_per_lookup")
+
+#: The verdict words that fail a run, whatever else the row earns.
+CONDEMNING = ("WORSE", "NOISY")
 
 
 def parse_result(output: str) -> dict:
@@ -71,25 +80,42 @@ def unequal_pairs(parent_runs: list, change_runs: list) -> list:
     ]
 
 
+def verdict(row: dict) -> list:
+    """The words a :func:`judge` row earns: ``WORSE`` / ``NOISY`` condemn it,
+    ``gain`` / ``separated`` credit it."""
+    words = {
+        "WORSE": row["adverse"] > row["bound"],
+        "NOISY": row["spread"] > row["spread_limit"],
+        "gain": row["gain"],
+        "separated": row["separated"],
+    }
+    return [word for word, earned in words.items() if earned]
+
+
+def judge_all(metrics: list, parent_runs: list, change_runs: list) -> list:
+    """One :func:`judge` row per metric; ``*_runs`` are :func:`parse_result` dicts in pair order."""
+    return [
+        judge(
+            metric,
+            [run[metric["name"]] for run in parent_runs],
+            [run[metric["name"]] for run in change_runs],
+        )
+        for metric in metrics
+    ]
+
+
+def failed_totals(parent_runs: list, change_runs: list) -> tuple:
+    return tuple(sum(run["failed"] for run in runs) for runs in (parent_runs, change_runs))
+
+
 def report(workload: str, metrics: list, parent_runs: list, change_runs: list) -> str:
-    """The table for one workload; ``*_runs`` are :func:`parse_result` dicts in pair order."""
+    """The table for one workload."""
     lines = [
         f"{workload}: {len(parent_runs)} pairs",
         f"  {'metric':<18} {'parent median [q1, q3]':<30} {'change median [q1, q3]':<30} "
         f"{'wins':>5} {'adverse/bound':>14} {'spread/limit':>20}  verdict",
     ]
-    for metric in metrics:
-        row = judge(
-            metric,
-            [run[metric["name"]] for run in parent_runs],
-            [run[metric["name"]] for run in change_runs],
-        )
-        verdict = [
-            "WORSE" if row["adverse"] > row["bound"] else "",
-            "NOISY" if row["spread"] > row["spread_limit"] else "",
-            "gain" if row["gain"] else "",
-            "separated" if row["separated"] else "",
-        ]
+    for row in judge_all(metrics, parent_runs, change_runs):
         lines.append(
             "  {:<18} {:<30} {:<30} {:>2}/{:<2} {:>+6.1%}/{:<6.0%} {:>9.4g}/{:<9.4g}  {}".format(
                 row["name"],
@@ -97,7 +123,7 @@ def report(workload: str, metrics: list, parent_runs: list, change_runs: list) -
                 "{:.4g} [{:.4g}, {:.4g}]".format(*row["change"]),
                 row["wins"], row["pairs"], row["adverse"], row["bound"],
                 row["spread"], row["spread_limit"],
-                " ".join(word for word in verdict if word) or "-",
+                " ".join(verdict(row)) or "-",
             )
         )
     unequal = unequal_pairs(parent_runs, change_runs)
@@ -105,11 +131,28 @@ def report(workload: str, metrics: list, parent_runs: list, change_runs: list) -
         f"  {' / '.join(DETERMINISTIC)} equal inside every pair: "
         + ("yes" if not unequal else "NO " + ", ".join(f"pair {k} {name}" for k, name in unequal))
     )
-    lines.append(
-        f"  failed: parent {sum(run['failed'] for run in parent_runs)}, "
-        f"change {sum(run['failed'] for run in change_runs)}"
-    )
+    lines.append("  failed: parent {}, change {}".format(*failed_totals(parent_runs, change_runs)))
     return "\n".join(lines)
+
+
+def objections(
+    workload: str, metrics: list, parent_runs: list, change_runs: list, claimed=()
+) -> list:
+    """Why one workload's pairs fail the protocol (module doc), as sentences;
+    empty when they pass.  ``claimed`` names the metrics that must show ``gain``."""
+    found = []
+    for row in judge_all(metrics, parent_runs, change_runs):
+        words = verdict(row)
+        found += [f"{row['name']} is {word}" for word in words if word in CONDEMNING]
+        if row["name"] in claimed and "gain" not in words:
+            found.append(f"claimed {row['name']} shows no gain")
+    found += [
+        f"{name} differs inside pair {k}" for k, name in unequal_pairs(parent_runs, change_runs)
+    ]
+    parent_failed, change_failed = failed_totals(parent_runs, change_runs)
+    if change_failed > parent_failed:
+        found.append(f"the change failed {change_failed} operations, the parent {parent_failed}")
+    return [f"{workload}: {reason}" for reason in found]
 
 
 def run(checkout: pathlib.Path, command: list, workload: str, seed: int) -> dict:
@@ -133,8 +176,18 @@ def main(argv=None) -> int:
                         help="repeatable; default: every workload of BENCHMARK.json")
     parser.add_argument("--raw", type=pathlib.Path,
                         help="also append every run as a JSON line (workload, seed, side, result)")
+    parser.add_argument("--claim", action="append", default=[], metavar="METRIC@WORKLOAD",
+                        help="repeatable; exit 1 unless this row earns the gain verdict")
     args = parser.parse_args(argv)
-    for workload in args.workload or names:
+    workloads = args.workload or names
+    claims = {workload: set() for workload in workloads}
+    for claim in args.claim:
+        metric, _, workload = claim.partition("@")
+        if workload not in claims or metric not in {m["name"] for m in spec["end_to_end"]}:
+            parser.error(f"--claim {claim}: not an end-to-end metric of a workload being run")
+        claims[workload].add(metric)
+    found = []
+    for workload in workloads:
         runs = {"parent": [], "change": []}
         for seed in range(1, args.pairs + 1):
             for side in ("parent", "change") if seed % 2 else ("change", "parent"):
@@ -145,8 +198,12 @@ def main(argv=None) -> int:
                     with open(args.raw, "a", encoding="utf-8") as fh:
                         record = {"workload": workload, "seed": seed, "side": side, "result": result}
                         fh.write(json.dumps(record) + "\n")
-        print(report(workload, spec["end_to_end"], runs["parent"], runs["change"]), flush=True)
-    return 0
+        judged = (workload, spec["end_to_end"], runs["parent"], runs["change"])
+        print(report(*judged), flush=True)
+        found += objections(*judged, claims[workload])
+    for reason in found:
+        print(f"FAIL {reason}")
+    return 1 if found else 0
 
 
 if __name__ == "__main__":
