@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from repro import BINARY, DiscoveryService, DLPTSystem, PGCPTree
+from repro import DiscoveryService, DLPTSystem, PGCPTree
 from repro.workloads.keys import blas_routines, paper_figure1_binary_keys
 
 

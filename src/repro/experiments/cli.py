@@ -6,6 +6,7 @@ Usage (after ``pip install -e .`` / ``python setup.py develop``)::
     python -m repro fig8 --runs 2 --peers 80
     python -m repro table1 --runs 3 --workers 8
     python -m repro table2
+    python -m repro query_cost
     python -m repro bench --suite micro
     python -m repro paper --out out/paper
     python -m repro sweep --shard 0/4 --store /mnt/shared/repro-results
@@ -14,10 +15,13 @@ Usage (after ``pip install -e .`` / ``python setup.py develop``)::
     python -m repro serve --peers 8 --demo
     python -m repro list
 
-Figures print an ASCII plot plus the per-unit series table; tables print
-the paper-layout text table.  ``--workers`` > 1 runs each batch of curves
-on one process pool (default: the ``REPRO_WORKERS`` environment variable
-if set, else 1).  ``run`` executes one configuration under
+The positional names are the keys of the artifact registry
+(:data:`repro.experiments.ARTIFACTS`); each prints the text ``repro paper``
+writes for it — figures an ASCII plot plus the per-unit series table,
+tables the paper-layout text table.  ``--runs`` defaults to the artifact's
+own (the paper's) repetition count.  ``--workers`` > 1 runs the artifact's
+batch of configs on one process pool (default: the ``REPRO_WORKERS``
+environment variable if set, else 1).  ``run`` executes one configuration under
 any workload spec (see :mod:`repro.workloads.spec`), optionally recording
 the workload to a ``repro-trace/1`` JSONL file (``--trace``) or replaying
 one (``--replay``), and reports a per-phase breakdown.  ``paper`` and
@@ -33,12 +37,10 @@ import json
 import sys
 import time
 
-from .figures import ALL_FIGURES
+from . import ARTIFACTS
 from .parallel import env_workers
 from .runner import run_labeled_series
-from .tables import paper_table2_text, phase_table, table1, table2
-
-_EXPERIMENTS = sorted(ALL_FIGURES) + ["table1", "table2"]
+from .tables import phase_table
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=_EXPERIMENTS + ["list"],
+        choices=[*ARTIFACTS, "list"],
         help="which experiment to regenerate (or 'list' to enumerate)",
     )
     parser.add_argument("--runs", type=int, default=None,
@@ -65,12 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-plot", action="store_true",
                         help="skip the ASCII plot, print series table only")
     return parser
-
-
-def _print_figure(fig, no_plot: bool) -> None:
-    from .figures import render_figure_text
-
-    print(render_figure_text(fig, no_plot=no_plot))
 
 
 def _run_parser() -> argparse.ArgumentParser:
@@ -304,38 +300,31 @@ def main(argv=None) -> int:
         return serve_main(argv[1:])
     args = build_parser().parse_args(argv)
     if args.experiment == "list":
-        for name in _EXPERIMENTS + ["bench", "paper", "run", "serve", "sweep"]:
+        for name in [*ARTIFACTS, "bench", "paper", "run", "serve", "sweep"]:
             print(name)
         return 0
 
-    if args.workers is None:
-        try:
+    try:
+        if args.runs is not None and args.runs < 1:
+            raise ValueError("--runs must be >= 1")
+        if args.peers < 2:
+            raise ValueError("--peers must be >= 2")
+        if args.workers is None:
             args.workers = env_workers(default=1)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    # Every harness hands its whole batch of curves to one runner; bind the
-    # worker count so all the batch's runs share one pool.
-    run_series = functools.partial(run_labeled_series, workers=args.workers)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     start = time.perf_counter()
-    if args.experiment in ALL_FIGURES:
-        kwargs = dict(n_peers=args.peers)
-        if args.runs is not None:
-            kwargs["n_runs"] = args.runs
-        fig = ALL_FIGURES[args.experiment](run_series=run_series, **kwargs)
-        _print_figure(fig, args.no_plot)
-    elif args.experiment == "table1":
-        res = table1(n_runs=args.runs or 5, n_peers=args.peers,
-                     run_series=run_series)
-        print(f"# Table 1: gains of KC and MLT over no-LB  (runs={res.n_runs})")
-        print(res.as_text())
-    else:  # table2
-        res = table2()
-        print("# Table 2: complexities of close trie-structured approaches")
-        print(res.as_text())
-        print("\npaper (analytic):")
-        print(paper_table2_text())
+    artifact = ARTIFACTS[args.experiment]
+    # The artifact hands its whole batch of configs to one runner; bind the
+    # worker count so all the batch's runs share one pool.
+    result = artifact.run(
+        args.runs,
+        functools.partial(run_labeled_series, workers=args.workers),
+        n_peers=args.peers,
+    )
+    print(artifact.render(result, no_plot=args.no_plot), end="")
     elapsed = time.perf_counter() - start
     print(f"\n[{args.experiment} regenerated in {elapsed:.1f}s]")
     return 0

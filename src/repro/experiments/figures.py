@@ -1,18 +1,24 @@
-"""Figure harnesses — one function per figure of the paper's Section 4.
+"""Paper artifacts: the declaration type, and the figures of Section 4.
 
-Each harness builds the three-balancer comparison (MLT / KC / No LB) on a
-common-random-numbers configuration and returns a :class:`FigureResult`
-whose series are the per-unit mean curves the paper plots.
+An :class:`Artifact` says once what a figure or table *is* — its name,
+header title, paper anchor, the paper's repetition count, its y axis, a
+``configs(**overrides) -> {label: ExperimentConfig}`` factory and a reducer
+from the batch's ``{label: ExperimentSeries}`` to the result that is
+rendered.  Everything else derives from the declaration: ``run`` is
+``reduce(run_series(configs))``, ``render`` is the one text layout, the
+sweep plan's cells are the factory's configs (:mod:`repro.sweeps.paper`),
+and the CLI's choices are the registry's keys.
 
-``n_runs`` defaults follow the paper (30 for Figures 4–7, 50 for Figure 8,
-100 for Figure 9); the ``smoke`` / ``quick`` profiles of ``python -m repro
-paper`` pass smaller values to stay laptop-quick.
+``n_runs`` follows the paper (30 for Figures 4–7, 50 for Figure 8, 100 for
+Figure 9); the ``smoke`` / ``quick`` profiles of ``python -m repro paper``
+run fewer to stay laptop-quick.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -22,9 +28,10 @@ from ..lb.mlt import MLT
 from ..lb.nolb import NoLB
 from ..peers.churn import DYNAMIC, STABLE
 from ..workloads.requests import figure8_schedule
+from .ascii_plot import ascii_plot
 from .config import ExperimentConfig
-from .metrics import series_table
-from .runner import SeriesRunner, compare_balancers, run_labeled_series
+from .metrics import ExperimentSeries, series_table
+from .runner import SeriesRunner, run_labeled_series
 
 #: Load fractions used for the figures.  "No overload" (10% of aggregate
 #: capacity) leaves the platform under-subscribed, so drops come only from
@@ -39,65 +46,94 @@ HIGH_LOAD = 0.50
 class FigureResult:
     """A reproduced figure: named mean curves over an x axis (time units for
     the paper's figures; replication degree or crash rate for the fault
-    figures, which set ``x_name``/``y_label`` accordingly)."""
+    figures, which set ``x_name`` accordingly)."""
 
-    figure_id: str
-    title: str
     x: List[int]
     series: Dict[str, np.ndarray]
     n_runs: int
     params: Dict[str, object] = field(default_factory=dict)
     x_name: str = "time"
-    y_label: str = ""
 
-    def as_table(self) -> str:
+    def as_text(self) -> str:
         return series_table(
             self.x, {k: list(v) for k, v in self.series.items()}, x_name=self.x_name
         )
 
 
-def render_figure_text(
-    fig: FigureResult, no_plot: bool = False, include_params: bool = False
-) -> str:
-    """A figure as deterministic text: header, optional resolved params,
-    ASCII plot, per-unit series table.  The single renderer behind both the
-    CLI's figure output and the ``repro paper`` artifacts, so the two can
-    never drift."""
-    import json
+@dataclass(frozen=True)
+class Artifact:
+    """One regenerable output of the paper, declared once."""
 
-    from .ascii_plot import ascii_plot
+    name: str
+    #: The header line's text (``# name: title``).
+    title: str
+    #: Where in the paper the artifact comes from — the gallery key that
+    #: ``docs/reproduction.md`` must document (enforced by the tier-1
+    #: doc-consistency gate).
+    anchor: str
+    #: The paper's repetitions per config; 0 for an artifact measured on
+    #: live instances rather than run from configs.
+    n_runs: int
+    configs: Callable[..., Dict[str, ExperimentConfig]]
+    reduce: Callable[
+        [Dict[str, ExperimentConfig], Dict[str, ExperimentSeries]], object
+    ]
+    y_label: str = "% satisfied"
+    #: Plot on the fixed 0–100 axis (satisfaction, availability) rather
+    #: than autoscaling (hops, costs).
+    y_percent: bool = True
 
-    # Satisfaction/availability figures plot percentages on a fixed 0–100
-    # axis; hop/gain/cost figures autoscale.
-    title = fig.title.lower()
-    is_pct = all(word not in title for word in ("hops", "gain", "cost"))
-    lines = [f"# {fig.figure_id}: {fig.title}  (runs={fig.n_runs})"]
-    if include_params:
-        lines.append(
-            "params: "
-            + json.dumps(
-                {k: repr(v) for k, v in sorted(fig.params.items())},
-                sort_keys=True,
-                separators=(",", ":"),
+    def run(
+        self,
+        n_runs: Optional[int] = None,
+        run_series: Optional[SeriesRunner] = None,
+        **overrides,
+    ):
+        """The artifact's result: its configs run as one batch (``n_runs``
+        defaults to the paper's; ``run_series`` binds a worker count or
+        the result-store cache), reduced."""
+        configs = self.configs(**overrides)
+        series = {}
+        if configs:
+            series = (run_series or run_labeled_series)(
+                [(config, label) for label, config in configs.items()],
+                self.n_runs if n_runs is None else n_runs,
             )
-        )
-    if not no_plot:
-        lines.append(
-            ascii_plot(
-                {k: list(v) for k, v in fig.series.items()},
-                width=78,
-                height=20,
-                y_min=0 if is_pct else None,
-                y_max=100 if is_pct else None,
-                x_label="time unit" if fig.x_name == "time" else fig.x_name,
-                y_label=fig.y_label
-                or ("% satisfied" if is_pct else "hops/request"),
-                title="",
-            )
-        )
-    lines.append("")
-    lines.append(fig.as_table())
-    return "\n".join(lines)
+        return self.reduce(configs, series)
+
+    def render(self, result, no_plot: bool = False, include_params: bool = False) -> str:
+        """A result as deterministic text: header, then for a figure its
+        optional resolved params and ASCII plot, then the table.  The one
+        layout behind the CLI's output and the ``repro paper`` files."""
+        lines = [
+            f"# {self.name}: {self.title}"
+            + (f"  (runs={result.n_runs})" if self.n_runs else "")
+        ]
+        if isinstance(result, FigureResult):
+            if include_params:
+                lines.append(
+                    "params: "
+                    + json.dumps(
+                        {k: repr(v) for k, v in sorted(result.params.items())},
+                        sort_keys=True,
+                        separators=(",", ":"),
+                    )
+                )
+            if not no_plot:
+                lines.append(
+                    ascii_plot(
+                        {k: list(v) for k, v in result.series.items()},
+                        width=78,
+                        height=20,
+                        y_min=0 if self.y_percent else None,
+                        y_max=100 if self.y_percent else None,
+                        x_label="time unit" if result.x_name == "time" else result.x_name,
+                        y_label=self.y_label,
+                        title="",
+                    )
+                )
+        lines += ["", result.as_text(), ""]
+        return "\n".join(lines)
 
 
 def three_curve_balancers() -> list:
@@ -107,78 +143,62 @@ def three_curve_balancers() -> list:
     return [MLT(), KChoices(k=4), NoLB()]
 
 
-def _three_curve_figure(
-    figure_id: str,
-    title: str,
-    config: ExperimentConfig,
-    n_runs: int,
-    run_series: SeriesRunner = None,
-) -> FigureResult:
-    results = compare_balancers(
-        config, three_curve_balancers(), n_runs, run_series
-    )
-    series = {
-        f"{name} enabled" if name != "NoLB" else "No LB": res.mean_curve("satisfied_pct")
-        for name, res in results.items()
+def _three_curve_reduce(configs, series) -> FigureResult:
+    """% satisfied requests per unit, one curve per balancer; a schedule's
+    hot-spot windows are reported among the params."""
+    config = configs["MLT"]
+    params = {
+        "load_fraction": config.load_fraction,
+        "churn": (config.churn.join_fraction, config.churn.leave_fraction),
+        "n_peers": config.n_peers,
+        "corpus_size": len(config.corpus),
     }
+    hot_spots = [
+        (start, end, name.partition(":")[2])
+        for name, start, end in config.schedule.phase_windows(config.total_units)
+        if name.startswith("hotspot:")
+    ]
+    if hot_spots:
+        params["hot_spots"] = hot_spots
     return FigureResult(
-        figure_id=figure_id,
-        title=title,
         x=list(range(config.total_units)),
-        series=series,
-        n_runs=n_runs,
-        params={
-            "load_fraction": config.load_fraction,
-            "churn": (config.churn.join_fraction, config.churn.leave_fraction),
-            "n_peers": config.n_peers,
-            "corpus_size": len(config.corpus),
+        series={
+            f"{name} enabled" if name != "NoLB" else "No LB": res.mean_curve("satisfied_pct")
+            for name, res in series.items()
         },
+        n_runs=series["MLT"].n_runs,
+        params=params,
     )
 
 
-def figure4_config(**overrides) -> ExperimentConfig:
-    """Figure 4's configuration: stable network, low load."""
-    return ExperimentConfig(churn=STABLE, load_fraction=LOW_LOAD, **overrides)
+def _figure8_timeline() -> dict:
+    """160 units under uniform → S3L burst → ScaLAPACK 'P' burst → uniform
+    (Figures 8 and 9)."""
+    return dict(total_units=160, schedule=figure8_schedule())
 
 
-def figure5_config(**overrides) -> ExperimentConfig:
-    """Figure 5's configuration: stable network, high (stress) load."""
-    return ExperimentConfig(churn=STABLE, load_fraction=HIGH_LOAD, **overrides)
+def _three_curve(name, title, anchor, n_runs, churn, load, timeline=dict) -> Artifact:
+    """One row of Figures 4–8: the default platform under ``churn`` at
+    ``load`` (``timeline`` adds a schedule, built fresh per batch),
+    compared across :func:`three_curve_balancers` on common random
+    numbers."""
+
+    def configs(**overrides) -> Dict[str, ExperimentConfig]:
+        config = ExperimentConfig(
+            churn=churn, load_fraction=load, **{**timeline(), **overrides}
+        )
+        return {lb.name: config.with_lb(lb) for lb in three_curve_balancers()}
+
+    return Artifact(name, title, anchor, n_runs, configs, _three_curve_reduce)
 
 
-def figure6_config(**overrides) -> ExperimentConfig:
-    """Figure 6's configuration: dynamic network (10% churn/unit), low load."""
-    return ExperimentConfig(churn=DYNAMIC, load_fraction=LOW_LOAD, **overrides)
-
-
-def figure7_config(**overrides) -> ExperimentConfig:
-    """Figure 7's configuration: dynamic network, high load."""
-    return ExperimentConfig(churn=DYNAMIC, load_fraction=HIGH_LOAD, **overrides)
-
-
-def figure8_config(intensity: float = 0.8, **overrides) -> ExperimentConfig:
-    """Figure 8's configuration: 160 units of dynamic network under the
-    uniform → S3L burst → ScaLAPACK 'P' burst → uniform timeline."""
-    return ExperimentConfig(
-        churn=DYNAMIC,
-        load_fraction=HIGH_LOAD,
-        total_units=160,
-        schedule=figure8_schedule(intensity=intensity),
-        **overrides,
-    )
-
-
-def figure9_configs(intensity: float = 0.8, **overrides) -> Dict[str, ExperimentConfig]:
-    """Figure 9's two configurations, keyed by series label: the
-    lexicographic mapping with MLT, and the original DLPT's random (hashed)
-    mapping with no balancing.  Both run the Figure 8 timeline at low load."""
+def _figure9_configs(**overrides) -> Dict[str, ExperimentConfig]:
+    """The lexicographic mapping with MLT, and the original DLPT's random
+    (hashed) mapping with no balancing, on the Figure 8 timeline at low
+    load."""
     base = dict(
-        churn=DYNAMIC,
-        load_fraction=LOW_LOAD,
-        total_units=160,
-        schedule=figure8_schedule(intensity=intensity),
+        churn=DYNAMIC, load_fraction=LOW_LOAD, **{**_figure8_timeline(), **overrides}
     )
-    base.update(overrides)
     return {
         "lexicographic+MLT": ExperimentConfig(lb=MLT(), **base),
         "random-mapping": ExperimentConfig(
@@ -187,92 +207,18 @@ def figure9_configs(intensity: float = 0.8, **overrides) -> Dict[str, Experiment
     }
 
 
-#: Config factory per three-curve figure — the sweep planner enumerates
-#: cells from these so the orchestrator and the figure harnesses can never
-#: disagree about what a figure runs.
-FIGURE_CONFIGS = {
-    "fig4": figure4_config,
-    "fig5": figure5_config,
-    "fig6": figure6_config,
-    "fig7": figure7_config,
-    "fig8": figure8_config,
-}
-
-
-def figure4(n_runs: int = 30, run_series: SeriesRunner = None, **overrides) -> FigureResult:
-    """Stable network, low load: % satisfied requests over 50 units."""
-    return _three_curve_figure(
-        "fig4", "Load balancing - stable network - no overload",
-        figure4_config(**overrides), n_runs, run_series,
-    )
-
-
-def figure5(n_runs: int = 30, run_series: SeriesRunner = None, **overrides) -> FigureResult:
-    """Stable network, high load (stress): satisfaction globally lower."""
-    return _three_curve_figure(
-        "fig5", "Load balancing - stable network - overload",
-        figure5_config(**overrides), n_runs, run_series,
-    )
-
-
-def figure6(n_runs: int = 30, run_series: SeriesRunner = None, **overrides) -> FigureResult:
-    """Dynamic network (10% churn/unit), low load."""
-    return _three_curve_figure(
-        "fig6", "Comparing LB algorithms - dynamic network - no overload",
-        figure6_config(**overrides), n_runs, run_series,
-    )
-
-
-def figure7(n_runs: int = 30, run_series: SeriesRunner = None, **overrides) -> FigureResult:
-    """Dynamic network, high load."""
-    return _three_curve_figure(
-        "fig7", "Comparing LB algorithms - dynamic network - overload",
-        figure7_config(**overrides), n_runs, run_series,
-    )
-
-
-def figure8(
-    n_runs: int = 50,
-    intensity: float = 0.8,
-    run_series: SeriesRunner = None,
-    **overrides,
-) -> FigureResult:
-    """Hot spots over 160 units: uniform → S3L burst → ScaLAPACK 'P' burst
-    → uniform.  The network is dynamic, as in the paper."""
-    config = figure8_config(intensity=intensity, **overrides)
-    result = _three_curve_figure(
-        "fig8", "Load balancing - dynamic network - hot spots",
-        config, n_runs, run_series,
-    )
-    result.params["hot_spots"] = [(40, 80, "S3L"), (80, 120, "P")]
-    return result
-
-
-def figure9(
-    n_runs: int = 100,
-    intensity: float = 0.8,
-    run_series: SeriesRunner = None,
-    **overrides,
-) -> FigureResult:
-    """Communication gain of the lexicographic mapping.
-
-    Three curves over the Figure 8 timeline:
+def _figure9_reduce(configs, series) -> FigureResult:
+    """Three curves over the Figure 8 timeline:
 
     * logical hops per request (mapping-independent tree distance);
     * physical hops under the *random* (DHT/hashed) mapping of the original
       DLPT [5] — locality destroyed, nearly every logical hop crosses peers;
     * physical hops under the lexicographic mapping with MLT enabled.
     """
-    configs = figure9_configs(intensity=intensity, **overrides)
-    series = (run_series or run_labeled_series)(
-        [(cfg, label) for label, cfg in configs.items()], n_runs
-    )
     lex, rnd = series["lexicographic+MLT"], series["random-mapping"]
-    total = configs["lexicographic+MLT"].total_units
+    config = configs["lexicographic+MLT"]
     return FigureResult(
-        figure_id="fig9",
-        title="Communication gain",
-        x=list(range(total)),
+        x=list(range(config.total_units)),
         series={
             "Logical hops": lex.mean_curve("mean_logical_hops"),
             "Physical hops - random mapping": rnd.mean_curve("mean_physical_hops"),
@@ -280,10 +226,10 @@ def figure9(
                 "mean_physical_hops"
             ),
         },
-        n_runs=n_runs,
+        n_runs=lex.n_runs,
         params={
-            "load_fraction": configs["lexicographic+MLT"].load_fraction,
-            "total_units": total,
+            "load_fraction": config.load_fraction,
+            "total_units": config.total_units,
         },
     )
 
@@ -306,31 +252,41 @@ FAULT_REPAIR_R_VALUES = (1, 2)
 _FAULT_STORM_START = 10
 
 
-def _fault_config(rate: float, r: int, **overrides) -> ExperimentConfig:
-    spec = f"crash_storm:{rate:g}:start={_FAULT_STORM_START}:r={r}"
-    return ExperimentConfig(
-        churn=STABLE, load_fraction=LOW_LOAD, faults=spec, **overrides
+def _fault_grid(r_values, rates) -> Callable[..., Dict[str, ExperimentConfig]]:
+    """One crash-storm config per (replication degree, crash rate) grid
+    point, keyed by a ``r=R|rate=X`` label."""
+
+    def configs(**overrides) -> Dict[str, ExperimentConfig]:
+        return {
+            f"r={r}|rate={rate:g}": ExperimentConfig(
+                churn=STABLE,
+                load_fraction=LOW_LOAD,
+                faults=f"crash_storm:{rate:g}:start={_FAULT_STORM_START}:r={r}",
+                **overrides,
+            )
+            for r in r_values
+            for rate in rates
+        }
+
+    return configs
+
+
+def _fault_result(configs, series, x_name, x, curves, **params) -> FigureResult:
+    """A fault figure: ``curves`` over ``x``, with the grid's shared
+    platform facts added to ``params``."""
+    sample = next(iter(configs.values()))
+    return FigureResult(
+        x_name=x_name,
+        x=x,
+        series=curves,
+        n_runs=next(iter(series.values())).n_runs,
+        params=dict(
+            params,
+            storm_start=_FAULT_STORM_START,
+            n_peers=sample.n_peers,
+            total_units=sample.total_units,
+        ),
     )
-
-
-def fault_availability_configs(**overrides) -> Dict[str, ExperimentConfig]:
-    """One config per (replication degree, crash rate) grid point, keyed by
-    a ``r=R|rate=X`` label — the availability figure's cell grid."""
-    return {
-        f"r={r}|rate={rate:g}": _fault_config(rate, r, **overrides)
-        for r in FAULT_R_VALUES
-        for rate in FAULT_AVAILABILITY_RATES
-    }
-
-
-def fault_repair_configs(**overrides) -> Dict[str, ExperimentConfig]:
-    """One config per (replication degree, crash rate) point of the repair
-    figure — rates on the x axis, one curve per replication degree."""
-    return {
-        f"r={r}|rate={rate:g}": _fault_config(rate, r, **overrides)
-        for r in FAULT_REPAIR_R_VALUES
-        for rate in FAULT_REPAIR_RATES
-    }
 
 
 def _steady_availability(series) -> float:
@@ -339,9 +295,7 @@ def _steady_availability(series) -> float:
     return float(np.mean(curve[_FAULT_STORM_START:]))
 
 
-def fault_availability(
-    n_runs: int = 10, run_series: SeriesRunner = None, **overrides
-) -> FigureResult:
+def _fault_availability_reduce(configs, series) -> FigureResult:
     """Key availability vs replication degree ``r`` under crash storms.
 
     x is the successor-replication factor; one curve per storm rate.  The
@@ -350,31 +304,15 @@ def fault_availability(
     behind the claim that successor replication buys back the durability
     fail-stop crashes destroy.
     """
-    configs = fault_availability_configs(**overrides)
-    results = (run_series or run_labeled_series)(
-        [(cfg, label) for label, cfg in configs.items()], n_runs
-    )
-    series = {
+    curves = {
         f"crash rate {rate:.0%}": np.array(
-            [_steady_availability(results[f"r={r}|rate={rate:g}"]) for r in FAULT_R_VALUES]
+            [_steady_availability(series[f"r={r}|rate={rate:g}"]) for r in FAULT_R_VALUES]
         )
         for rate in FAULT_AVAILABILITY_RATES
     }
-    sample = next(iter(configs.values()))
-    return FigureResult(
-        figure_id="fault_availability",
-        title="Availability vs replication degree - crash storms",
-        x=list(FAULT_R_VALUES),
-        series=series,
-        n_runs=n_runs,
-        params={
-            "rates": list(FAULT_AVAILABILITY_RATES),
-            "storm_start": _FAULT_STORM_START,
-            "n_peers": sample.n_peers,
-            "total_units": sample.total_units,
-        },
-        x_name="r",
-        y_label="% keys available",
+    return _fault_result(
+        configs, series, "r", list(FAULT_R_VALUES), curves,
+        rates=list(FAULT_AVAILABILITY_RATES),
     )
 
 
@@ -389,54 +327,66 @@ def _repair_cost_per_crash(series) -> float:
     return float(np.mean(costs)) if costs else 0.0
 
 
-def fault_repair(
-    n_runs: int = 10, run_series: SeriesRunner = None, **overrides
-) -> FigureResult:
-    """Repair cost vs crash rate: the trie's "costly maintenance" priced.
+def _fault_repair_reduce(configs, series) -> FigureResult:
+    """The trie's "costly maintenance" priced, per crash rate.
 
     x is the crash rate in percent; one curve per replication degree.  The
     y value is the mean number of re-registrations each crash forces the
     repair pass to perform — every point on the tree's O(|N|) rebuild that
     the paper's Section 2 worries about.
     """
-    configs = fault_repair_configs(**overrides)
-    results = (run_series or run_labeled_series)(
-        [(cfg, label) for label, cfg in configs.items()], n_runs
-    )
-    series = {
+    curves = {
         f"repair ops/crash (r={r})": np.array(
             [
-                _repair_cost_per_crash(results[f"r={r}|rate={rate:g}"])
+                _repair_cost_per_crash(series[f"r={r}|rate={rate:g}"])
                 for rate in FAULT_REPAIR_RATES
             ]
         )
         for r in FAULT_REPAIR_R_VALUES
     }
-    sample = next(iter(configs.values()))
-    return FigureResult(
-        figure_id="fault_repair",
-        title="Repair cost vs crash rate",
-        x=[round(100 * rate) for rate in FAULT_REPAIR_RATES],
-        series=series,
-        n_runs=n_runs,
-        params={
-            "r_values": list(FAULT_REPAIR_R_VALUES),
-            "storm_start": _FAULT_STORM_START,
-            "n_peers": sample.n_peers,
-            "total_units": sample.total_units,
-        },
-        x_name="crash %",
-        y_label="repair ops/crash",
+    return _fault_result(
+        configs, series, "crash %",
+        [round(100 * rate) for rate in FAULT_REPAIR_RATES], curves,
+        r_values=list(FAULT_REPAIR_R_VALUES),
     )
 
 
-ALL_FIGURES = {
-    "fig4": figure4,
-    "fig5": figure5,
-    "fig6": figure6,
-    "fig7": figure7,
-    "fig8": figure8,
-    "fig9": figure9,
-    "fault_availability": fault_availability,
-    "fault_repair": fault_repair,
-}
+FIGURES = (
+    _three_curve(
+        "fig4", "Load balancing - stable network - no overload",
+        "Figure 4, Section 4 (stable network, no overload)", 30, STABLE, LOW_LOAD,
+    ),
+    _three_curve(
+        "fig5", "Load balancing - stable network - overload",
+        "Figure 5, Section 4 (stable network, overload)", 30, STABLE, HIGH_LOAD,
+    ),
+    _three_curve(
+        "fig6", "Comparing LB algorithms - dynamic network - no overload",
+        "Figure 6, Section 4 (dynamic network, no overload)", 30, DYNAMIC, LOW_LOAD,
+    ),
+    _three_curve(
+        "fig7", "Comparing LB algorithms - dynamic network - overload",
+        "Figure 7, Section 4 (dynamic network, overload)", 30, DYNAMIC, HIGH_LOAD,
+    ),
+    _three_curve(
+        "fig8", "Load balancing - dynamic network - hot spots",
+        "Figure 8, Section 4 (hot spots)", 50, DYNAMIC, HIGH_LOAD, _figure8_timeline,
+    ),
+    Artifact(
+        "fig9", "Communication gain",
+        "Figure 9, Section 4 (communication gain of the mapping)", 100,
+        _figure9_configs, _figure9_reduce, "hops/request", False,
+    ),
+    Artifact(
+        "fault_availability", "Availability vs replication degree - crash storms",
+        "Section 5, beyond the paper (availability under crash storms)", 10,
+        _fault_grid(FAULT_R_VALUES, FAULT_AVAILABILITY_RATES),
+        _fault_availability_reduce, "% keys available",
+    ),
+    Artifact(
+        "fault_repair", "Repair cost vs crash rate",
+        "Section 5, beyond the paper (repair cost of trie maintenance)", 10,
+        _fault_grid(FAULT_REPAIR_R_VALUES, FAULT_REPAIR_RATES),
+        _fault_repair_reduce, "repair ops/crash", False,
+    ),
+)

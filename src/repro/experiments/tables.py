@@ -1,5 +1,6 @@
-"""Table harnesses: Table 1 (gain summary) and Table 2 (trie-overlay
-complexities, regenerated empirically).
+"""The table artifacts (:data:`TABLES`): Table 1 (gain summary), Table 2
+(trie-overlay complexities, regenerated empirically) and the set-query
+cost table (:mod:`repro.baselines.query_cost`).
 
 Table 1 sweeps the load ratio over {5, 10, 16, 24, 40, 80}% for the stable
 and dynamic networks and reports the *gain* of MLT and KC over no-LB on the
@@ -22,6 +23,7 @@ from typing import Dict, List, Sequence
 
 from ..baselines.pgrid import PGrid
 from ..baselines.pht import PrefixHashTree
+from ..baselines.query_cost import measure_query_cost
 from ..core.alphabet import BINARY
 from ..dht.chord import ChordRing
 from ..dlpt.system import DLPTSystem
@@ -29,8 +31,8 @@ from ..peers.capacity import FixedCapacity
 from ..peers.churn import DYNAMIC, STABLE
 from ..workloads.keys import random_binary_keys
 from .config import ExperimentConfig
+from .figures import Artifact, three_curve_balancers
 from .metrics import PhaseStats, gain_table_row
-from .runner import SeriesRunner, compare_balancers
 
 #: The paper's Table 1 load column.
 TABLE1_LOADS = (0.05, 0.10, 0.16, 0.24, 0.40, 0.80)
@@ -69,32 +71,35 @@ class Table1Result:
 TABLE1_NETWORKS = (("stable", STABLE), ("dynamic", DYNAMIC))
 
 
-def table1_config(churn, load: float, **overrides) -> ExperimentConfig:
-    """One Table 1 sweep point: the default platform under ``churn`` at
-    ``load`` — shared by :func:`table1` and the sweep planner so cached
-    cells and live runs key identically."""
-    return ExperimentConfig(churn=churn, load_fraction=load, **overrides)
-
-
-def table1(
-    n_runs: int = 30,
-    loads: Sequence[float] = TABLE1_LOADS,
-    run_series: SeriesRunner = None,
-    **overrides,
-) -> Table1Result:
-    """Regenerate Table 1: gain of each heuristic vs no-LB per load level."""
-    from .figures import three_curve_balancers
-
-    balancers = three_curve_balancers()  # the sweep planner's exact panel
-    gains: Dict[str, Dict[float, Dict[str, float]]] = {"stable": {}, "dynamic": {}}
-    for net_name, churn in TABLE1_NETWORKS:
+def _table1_configs(
+    loads: Sequence[float] = TABLE1_LOADS, **overrides
+) -> Dict[str, ExperimentConfig]:
+    """Table 1's whole grid as one batch: the default platform under each
+    network at each load under each balancer, labelled ``net|load|lb``."""
+    configs: Dict[str, ExperimentConfig] = {}
+    for net, churn in TABLE1_NETWORKS:
         for load in loads:
-            config = table1_config(churn, load, **overrides)
-            results = compare_balancers(config, balancers, n_runs, run_series)
-            gains[net_name][load] = gain_table_row(
-                results["MLT"], results["KC"], results["NoLB"]
+            config = ExperimentConfig(churn=churn, load_fraction=load, **overrides)
+            for lb in three_curve_balancers():
+                configs[f"{net}|{load:g}|{lb.name}"] = config.with_lb(lb)
+    return configs
+
+
+def _table1_reduce(configs, series) -> Table1Result:
+    """Gain of each heuristic vs no-LB per network and load level."""
+    loads = list(dict.fromkeys(c.load_fraction for c in configs.values()))
+    gains = {
+        net: {
+            load: gain_table_row(
+                *(series[f"{net}|{load:g}|{lb}"] for lb in ("MLT", "KC", "NoLB"))
             )
-    return Table1Result(gains=gains, n_runs=n_runs, loads=list(loads))
+            for load in loads
+        }
+        for net, _ in TABLE1_NETWORKS
+    }
+    return Table1Result(
+        gains=gains, n_runs=next(iter(series.values())).n_runs, loads=loads
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +137,7 @@ class Table2Result:
                 f"{r.mean_routing_hops:>7.2f} {r.mean_local_state:>8.2f} | "
                 f"{r.analytic_routing} / {r.analytic_state}"
             )
-        return "\n".join(lines)
+        return "\n".join(lines) + "\n\npaper (analytic):\n" + paper_table2_text()
 
     def rows_for(self, system: str) -> List[Table2Row]:
         return [r for r in self.rows if r.system == system]
@@ -265,3 +270,30 @@ def paper_table2_text() -> str:
         "Tree Routing    O(log |Pi|)   O(D log P)    O(D)\n"
         "Local State     O(log |Pi|)   |N|/|P|·|A|   |N|/|P|·|A|"
     )
+
+
+def _no_configs(**overrides) -> Dict[str, ExperimentConfig]:
+    """Table 2 and the query-cost table measure live baseline instances —
+    deterministic, sub-second, not an ExperimentSeries — so they have no
+    sweep cells and bypass the result store."""
+    return {}
+
+
+TABLES = (
+    Artifact(
+        "table1", "gains of KC and MLT over no-LB",
+        "Table 1, Section 4 (gain per load level)", 30,
+        _table1_configs, _table1_reduce,
+    ),
+    Artifact(
+        "table2", "complexities of close trie-structured approaches (measured)",
+        "Table 2, Section 2 (P-Grid / PHT / DLPT complexities)", 0,
+        _no_configs, lambda configs, series: table2(),
+    ),
+    Artifact(
+        "query_cost",
+        "set-query cost of DLPT vs P-Grid vs PHT (measured, oracle-checked)",
+        "Section 2, beyond the paper (range/prefix query cost)", 0,
+        _no_configs, lambda configs, series: measure_query_cost(),
+    ),
+)

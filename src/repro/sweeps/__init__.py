@@ -11,8 +11,9 @@ The pieces, bottom-up:
 * :mod:`repro.sweeps.orchestrator` — resumable sharded execution
   (``--shard i/n``) with cross-shard work stealing, plus the store-cached
   :data:`~repro.experiments.runner.SeriesRunner` the harnesses consume;
-* :mod:`repro.sweeps.paper` — profiles, the paper-artifact registry
-  (which cells each figure/table needs), and artifact assembly;
+* :mod:`repro.sweeps.paper` — profiles, and the two derivations from the
+  artifact registry (:data:`repro.experiments.ARTIFACTS`): an artifact's
+  sweep cells and its assembled text, plus ``reproduce_paper``;
 * :mod:`repro.sweeps.manifest` — the ``repro-manifest/1`` document tying
   artifact hashes to store cells, git revision and wall time;
 * :mod:`repro.sweeps.cli` — the ``repro sweep`` / ``repro paper``
@@ -29,11 +30,11 @@ from .orchestrator import (
     run_sweep,
 )
 from .paper import (
-    ARTIFACTS,
     DEFAULT_PROFILE,
     PROFILES,
-    PaperArtifact,
     SweepProfile,
+    artifact_cells,
+    build_artifact,
     paper_plan,
     reproduce_paper,
 )
@@ -53,7 +54,7 @@ __all__ = [
     "RESULT_SCHEMA", "ResultStore", "ResultStoreError",
     "CellOutcome", "SweepReport", "run_sweep",
     "cached_series_runner",
-    "ARTIFACTS", "PROFILES", "DEFAULT_PROFILE", "PaperArtifact", "SweepProfile",
-    "paper_plan", "reproduce_paper",
+    "PROFILES", "DEFAULT_PROFILE", "SweepProfile",
+    "artifact_cells", "build_artifact", "paper_plan", "reproduce_paper",
     "MANIFEST_SCHEMA", "build_manifest", "git_revision", "load_manifest",
 ]

@@ -1,10 +1,11 @@
-"""One-command paper reproduction: profiles, artifact registry, assembly.
+"""One-command paper reproduction: profiles, plan derivation, assembly.
 
 This module is the bridge between the declarative sweep machinery and the
-paper's figures/tables: it knows which cells each artifact needs (via the
-config factories the figure/table harnesses themselves export, so the two
-can never disagree), builds the full :class:`~repro.sweeps.plan.SweepPlan`,
-and renders each artifact to a deterministic text file.
+paper's artifact registry (:data:`repro.experiments.ARTIFACTS`).  Both
+halves derive from one declaration — :func:`artifact_cells` lists an
+artifact's ``configs`` as sweep cells, :func:`build_artifact` runs the same
+``configs`` through a :data:`~repro.experiments.runner.SeriesRunner` and
+renders the result — so the plan can only list what the builder consumes.
 
 ``python -m repro paper`` (see :mod:`repro.sweeps.cli`) drives
 :func:`reproduce_paper`: sweep the plan into the result store (resumable,
@@ -14,12 +15,13 @@ series table — the repository's figure format throughout) and are
 byte-stable: re-assembling from the same store yields identical files, so
 equal manifest hashes certify an exact reproduction.
 
-Profiles scale repetition counts: ``paper`` is full fidelity (the 30/50/100
-repetitions of conf_ipps_CaronDT08 Section 4), ``quick`` is the
-minutes-scale default, ``smoke`` the seconds-scale CI grade.  The per-cell
-seed is the profile's; within one figure every balancer variant shares it —
-the paper's common-random-numbers comparison — while run indices fan out
-the per-run streams.
+Profiles scale repetition counts: ``paper`` is full fidelity (each
+artifact's own ``n_runs`` — the 30/50/100 repetitions of
+conf_ipps_CaronDT08 Section 4), ``quick`` is the minutes-scale default,
+``smoke`` the seconds-scale CI grade.  The per-cell seed is the profile's;
+within one figure every balancer variant shares it — the paper's
+common-random-numbers comparison — while run indices fan out the per-run
+streams.
 """
 
 from __future__ import annotations
@@ -29,24 +31,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..experiments.figures import (
-    ALL_FIGURES,
-    FIGURE_CONFIGS,
-    fault_availability_configs,
-    fault_repair_configs,
-    figure9_configs,
-    render_figure_text,
-    three_curve_balancers,
-)
+from ..experiments import ARTIFACTS, Artifact
 from ..experiments.runner import SeriesRunner
-from ..experiments.tables import (
-    TABLE1_LOADS,
-    TABLE1_NETWORKS,
-    paper_table2_text,
-    table1,
-    table1_config,
-    table2,
-)
 from .plan import SweepCell, SweepPlan, plan_from_cells
 
 
@@ -58,7 +44,12 @@ class SweepProfile:
     description: str
     n_peers: int
     seed: int
-    runs: Mapping[str, int]  # artifact name -> repetitions per cell
+    #: artifact name -> repetitions per cell; an artifact not listed runs
+    #: its own (the paper's) ``n_runs``.
+    runs: Mapping[str, int]
+
+    def runs_for(self, artifact: Artifact) -> int:
+        return self.runs.get(artifact.name, artifact.n_runs)
 
 
 PROFILES: Dict[str, SweepProfile] = {
@@ -67,27 +58,22 @@ PROFILES: Dict[str, SweepProfile] = {
         description="seconds-scale CI grade: 20 peers, 1 run per cell",
         n_peers=20,
         seed=20080617,
-        runs={"fig4": 1, "fig5": 1, "fig6": 1, "fig7": 1, "fig8": 1,
-              "fig9": 1, "table1": 1,
-              "fault_availability": 1, "fault_repair": 1},
+        runs=dict.fromkeys(ARTIFACTS, 1),
     ),
     "quick": SweepProfile(
         name="quick",
         description="minutes-scale default: the paper's platform, few runs",
         n_peers=100,
         seed=20080617,
-        runs={"fig4": 3, "fig5": 3, "fig6": 3, "fig7": 3, "fig8": 3,
-              "fig9": 3, "table1": 2,
-              "fault_availability": 2, "fault_repair": 2},
+        runs={**dict.fromkeys(ARTIFACTS, 3),
+              "table1": 2, "fault_availability": 2, "fault_repair": 2},
     ),
     "paper": SweepProfile(
         name="paper",
         description="full fidelity: the paper's 30/50/100 repetitions",
         n_peers=100,
         seed=20080617,
-        runs={"fig4": 30, "fig5": 30, "fig6": 30, "fig7": 30, "fig8": 50,
-              "fig9": 100, "table1": 30,
-              "fault_availability": 10, "fault_repair": 10},
+        runs={},
     ),
 }
 
@@ -95,178 +81,25 @@ PROFILES: Dict[str, SweepProfile] = {
 DEFAULT_PROFILE = "quick"
 
 
-@dataclass(frozen=True)
-class PaperArtifact:
-    """One regenerable output: its paper anchor, sweep cells, and renderer."""
-
-    name: str
-    title: str
-    #: Where in the paper the artifact comes from — the gallery key that
-    #: ``docs/reproduction.md`` must document (enforced by the tier-1
-    #: doc-consistency gate).
-    anchor: str
-    cells: Callable[[SweepProfile], List[SweepCell]]
-    build: Callable[[SweepProfile, Optional[SeriesRunner]], str]
+def artifact_cells(artifact: Artifact, profile: SweepProfile) -> List[SweepCell]:
+    """The sweep cells behind ``artifact``: one per labelled config."""
+    configs = artifact.configs(n_peers=profile.n_peers, seed=profile.seed)
+    return [
+        SweepCell(config=config, n_runs=profile.runs_for(artifact), label=label)
+        for label, config in configs.items()
+    ]
 
 
-def _three_curve_cells(fig_id: str) -> Callable[[SweepProfile], List[SweepCell]]:
-    def cells(profile: SweepProfile) -> List[SweepCell]:
-        config = FIGURE_CONFIGS[fig_id](n_peers=profile.n_peers, seed=profile.seed)
-        return [
-            SweepCell(config=config.with_lb(lb), n_runs=profile.runs[fig_id], label=lb.name)
-            for lb in three_curve_balancers()
-        ]
-    return cells
-
-
-def _figure_build(fig_id: str) -> Callable[[SweepProfile, Optional[SeriesRunner]], str]:
-    def build(profile: SweepProfile, run_series: Optional[SeriesRunner]) -> str:
-        fig = ALL_FIGURES[fig_id](
-            n_runs=profile.runs[fig_id],
-            n_peers=profile.n_peers,
-            seed=profile.seed,
-            run_series=run_series,
-        )
-        return render_figure_text(fig, include_params=True) + "\n"
-    return build
-
-
-def _labeled_config_cells(
-    name: str, configs_fn: Callable[..., Dict[str, "ExperimentConfig"]]
-) -> Callable[[SweepProfile], List[SweepCell]]:
-    """Cells for artifacts whose harness exports a ``label -> config``
-    factory (figure 9 and the fault figures): one cell per labeled config,
-    so the plan can never disagree with what the builder runs."""
-
-    def cells(profile: SweepProfile) -> List[SweepCell]:
-        return [
-            SweepCell(config=config, n_runs=profile.runs[name], label=label)
-            for label, config in configs_fn(
-                n_peers=profile.n_peers, seed=profile.seed
-            ).items()
-        ]
-
-    return cells
-
-
-def _table1_cells(profile: SweepProfile) -> List[SweepCell]:
-    cells: List[SweepCell] = []
-    for _, churn in TABLE1_NETWORKS:
-        for load in TABLE1_LOADS:
-            config = table1_config(
-                churn, load, n_peers=profile.n_peers, seed=profile.seed
-            )
-            cells.extend(
-                SweepCell(
-                    config=config.with_lb(lb),
-                    n_runs=profile.runs["table1"],
-                    label=lb.name,
-                )
-                for lb in three_curve_balancers()
-            )
-    return cells
-
-
-def _table1_build(profile: SweepProfile, run_series: Optional[SeriesRunner]) -> str:
-    result = table1(
-        n_runs=profile.runs["table1"],
-        n_peers=profile.n_peers,
-        seed=profile.seed,
-        run_series=run_series,
+def build_artifact(
+    artifact: Artifact, profile: SweepProfile, run_series: Optional[SeriesRunner]
+) -> str:
+    """``artifact``'s text under ``profile``, its batch run by ``run_series``
+    (the store-cached runner during ``repro paper``)."""
+    result = artifact.run(
+        profile.runs_for(artifact), run_series,
+        n_peers=profile.n_peers, seed=profile.seed,
     )
-    return (
-        f"# table1: gains of KC and MLT over no-LB  (runs={result.n_runs})\n\n"
-        f"{result.as_text()}\n"
-    )
-
-
-def _query_cost_build(profile: SweepProfile, run_series: Optional[SeriesRunner]) -> str:
-    # Like table2, query_cost measures live baseline instances —
-    # deterministic, sub-second, not an ExperimentSeries — so it bypasses
-    # the store.  Every result set is oracle-checked before rendering.
-    from ..baselines.query_cost import measure_query_cost
-
-    result = measure_query_cost(seed=profile.seed)
-    return (
-        "# query_cost: set-query cost of DLPT vs P-Grid vs PHT "
-        "(measured, oracle-checked)\n\n"
-        f"{result.as_text()}\n"
-    )
-
-
-def _table2_build(profile: SweepProfile, run_series: Optional[SeriesRunner]) -> str:
-    # Table 2 measures live P-Grid/PHT/DLPT instances — deterministic,
-    # sub-second, and not an ExperimentSeries, so it bypasses the store.
-    result = table2()
-    return (
-        "# table2: complexities of close trie-structured approaches (measured)\n\n"
-        f"{result.as_text()}\n\npaper (analytic):\n{paper_table2_text()}\n"
-    )
-
-
-ARTIFACTS: Dict[str, PaperArtifact] = {
-    artifact.name: artifact
-    for artifact in (
-        PaperArtifact(
-            "fig4", "Load balancing - stable network - no overload",
-            "Figure 4, Section 4 (stable network, no overload)",
-            _three_curve_cells("fig4"), _figure_build("fig4"),
-        ),
-        PaperArtifact(
-            "fig5", "Load balancing - stable network - overload",
-            "Figure 5, Section 4 (stable network, overload)",
-            _three_curve_cells("fig5"), _figure_build("fig5"),
-        ),
-        PaperArtifact(
-            "fig6", "Comparing LB algorithms - dynamic network - no overload",
-            "Figure 6, Section 4 (dynamic network, no overload)",
-            _three_curve_cells("fig6"), _figure_build("fig6"),
-        ),
-        PaperArtifact(
-            "fig7", "Comparing LB algorithms - dynamic network - overload",
-            "Figure 7, Section 4 (dynamic network, overload)",
-            _three_curve_cells("fig7"), _figure_build("fig7"),
-        ),
-        PaperArtifact(
-            "fig8", "Load balancing - dynamic network - hot spots",
-            "Figure 8, Section 4 (hot spots)",
-            _three_curve_cells("fig8"), _figure_build("fig8"),
-        ),
-        PaperArtifact(
-            "fig9", "Communication gain",
-            "Figure 9, Section 4 (communication gain of the mapping)",
-            _labeled_config_cells("fig9", figure9_configs), _figure_build("fig9"),
-        ),
-        PaperArtifact(
-            "fault_availability",
-            "Availability vs replication degree - crash storms",
-            "Section 5, beyond the paper (availability under crash storms)",
-            _labeled_config_cells("fault_availability", fault_availability_configs),
-            _figure_build("fault_availability"),
-        ),
-        PaperArtifact(
-            "fault_repair", "Repair cost vs crash rate",
-            "Section 5, beyond the paper (repair cost of trie maintenance)",
-            _labeled_config_cells("fault_repair", fault_repair_configs),
-            _figure_build("fault_repair"),
-        ),
-        PaperArtifact(
-            "table1", "Gains of KC and MLT over no-LB",
-            "Table 1, Section 4 (gain per load level)",
-            _table1_cells, _table1_build,
-        ),
-        PaperArtifact(
-            "table2", "Complexities of close trie-structured approaches",
-            "Table 2, Section 2 (P-Grid / PHT / DLPT complexities)",
-            lambda profile: [], _table2_build,
-        ),
-        PaperArtifact(
-            "query_cost", "Set-query cost of DLPT vs P-Grid vs PHT",
-            "Section 2, beyond the paper (range/prefix query cost)",
-            lambda profile: [], _query_cost_build,
-        ),
-    )
-}
+    return artifact.render(result, include_params=True)
 
 
 def paper_plan(
@@ -281,7 +114,7 @@ def paper_plan(
         )
     cells: List[SweepCell] = []
     for name in names:
-        cells.extend(ARTIFACTS[name].cells(profile))
+        cells.extend(artifact_cells(ARTIFACTS[name], profile))
     return plan_from_cells(f"paper-{profile.name}", cells)
 
 
@@ -333,7 +166,7 @@ def reproduce_paper(
             on_cell=lambda cell, key, action, sink=consumed: sink.append((key, action)),
         )
         t0 = time.perf_counter()
-        text = artifact.build(profile, runner)
+        text = build_artifact(artifact, profile, runner)
         elapsed = time.perf_counter() - t0
         path = out / f"{name}.txt"
         path.write_text(text)

@@ -135,7 +135,7 @@ class TestReproductionDoc:
     def test_every_paper_artifact_has_a_gallery_entry(self):
         """`repro paper` may not grow an artifact without the gallery
         growing a matching section (### <name>) carrying its paper anchor."""
-        from repro.sweeps import ARTIFACTS
+        from repro.experiments import ARTIFACTS
 
         doc = self.DOC.read_text()
         for name, artifact in ARTIFACTS.items():

@@ -10,17 +10,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments.figures import (
-    FAULT_R_VALUES,
-    FAULT_REPAIR_RATES,
-    fault_availability,
-    fault_repair,
-    figure4,
-    figure8,
-    figure9,
-    render_figure_text,
-)
-from repro.experiments.tables import paper_table2_text, table1, table2
+from repro.experiments import ARTIFACTS
+from repro.experiments.figures import FAULT_R_VALUES, FAULT_REPAIR_RATES
+from repro.experiments.tables import paper_table2_text, table2
 from repro.workloads.keys import grid_service_corpus
 
 SMALL = dict(n_peers=40, corpus=grid_service_corpus()[:300])
@@ -28,7 +20,7 @@ SMALL = dict(n_peers=40, corpus=grid_service_corpus()[:300])
 
 @pytest.fixture(scope="module")
 def fig4_small():
-    return figure4(n_runs=2, **SMALL)
+    return ARTIFACTS["fig4"].run(n_runs=2, **SMALL)
 
 
 class TestFigureHarnesses:
@@ -48,18 +40,18 @@ class TestFigureHarnesses:
         assert mlt >= nolb
 
     def test_figure_as_table_renders(self, fig4_small):
-        text = fig4_small.as_table()
+        text = fig4_small.as_text()
         assert "MLT enabled" in text and len(text.splitlines()) == 52
 
     def test_figure8_hot_spot_dip(self):
-        fig = figure8(n_runs=1, **SMALL)
+        fig = ARTIFACTS["fig8"].run(n_runs=1, **SMALL)
         mlt = fig.series["MLT enabled"]
         pre = float(np.mean(mlt[25:40]))
         onset = float(np.mean(mlt[40:48]))
         assert onset < pre  # satisfaction falls when the S3L burst starts
 
     def test_figure9_locality_gain(self):
-        fig = figure9(n_runs=1, total_units=60, **SMALL)
+        fig = ARTIFACTS["fig9"].run(n_runs=1, total_units=60, **SMALL)
         logical = float(np.mean(fig.series["Logical hops"][20:]))
         rnd = float(np.mean(fig.series["Physical hops - random mapping"][20:]))
         lex = float(
@@ -73,7 +65,7 @@ class TestFigureHarnesses:
 
 class TestFaultFigures:
     def test_fault_availability_shape_and_ordering(self):
-        fig = fault_availability(n_runs=1, **SMALL)
+        fig = ARTIFACTS["fault_availability"].run(n_runs=1, **SMALL)
         assert fig.x == list(FAULT_R_VALUES)
         assert fig.x_name == "r"
         for curve in fig.series.values():
@@ -81,22 +73,22 @@ class TestFaultFigures:
             assert np.all((0.0 <= curve) & (curve <= 100.0))
             # Replication buys availability: r>=1 beats running bare.
             assert curve[1:].min() >= curve[0]
-        text = render_figure_text(fig)
+        text = ARTIFACTS["fault_availability"].render(fig)
         assert "% keys available" in text
 
     def test_fault_repair_shape(self):
-        fig = fault_repair(n_runs=1, **SMALL)
+        fig = ARTIFACTS["fault_repair"].run(n_runs=1, **SMALL)
         assert fig.x == [round(100 * r) for r in FAULT_REPAIR_RATES]
         for curve in fig.series.values():
             assert len(curve) == len(FAULT_REPAIR_RATES)
             assert np.all(curve > 0)  # every storm forces repair work
         # Repair-cost axes autoscale (not a percentage figure).
-        assert "repair ops/crash" in render_figure_text(fig)
+        assert "repair ops/crash" in ARTIFACTS["fault_repair"].render(fig)
 
 
 class TestTableHarnesses:
     def test_table1_structure_and_monotonicity(self):
-        res = table1(n_runs=1, loads=(0.10, 0.80), **SMALL)
+        res = ARTIFACTS["table1"].run(n_runs=1, loads=(0.10, 0.80), **SMALL)
         text = res.as_text()
         assert "Load" in text
         s = res.gains["stable"]

@@ -6,6 +6,8 @@ import functools
 
 import pytest
 
+from repro.experiments import ARTIFACTS
+from repro.experiments import cli
 from repro.experiments.cli import build_parser, main
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import default_workers, env_workers
@@ -113,6 +115,48 @@ class TestCLI:
         out = capsys.readouterr().out
         for name in ("fig4", "fig8", "fig9", "table1", "table2"):
             assert name in out
+
+    def test_list_names_every_registry_key(self, capsys):
+        """The CLI's names are the registry's: an artifact `repro paper`
+        can build is one `python -m repro <name>` can build."""
+        assert main(["list"]) == 0
+        listed = capsys.readouterr().out.split()
+        assert set(ARTIFACTS) <= set(listed)
+        for name in ARTIFACTS:
+            assert build_parser().parse_args([name]).experiment == name
+
+    def test_query_cost_runs(self, capsys):
+        assert main(["query_cost"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("# query_cost: " + ARTIFACTS["query_cost"].title)
+        assert "P-Grid" in out and "PHT" in out
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["fig4", "--runs", "0"], "--runs"),
+        (["table1", "--runs", "0"], "--runs"),
+        (["fig4", "--peers", "1"], "--peers"),
+    ])
+    def test_bad_runs_and_peers_exit_2_with_one_error_line(self, capsys, argv, flag):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and flag in line
+
+    @pytest.mark.parametrize("name", ["fig8", "table1", "fault_repair"])
+    def test_runs_defaults_to_the_artifacts_own(self, monkeypatch, name):
+        """`--runs` unset means the declaration's (the paper's) n_runs for
+        every artifact — table1 included, which used to run 5."""
+        class Requested(Exception):
+            pass
+
+        def capture(labeled_configs, n_runs, workers):
+            raise Requested(n_runs)
+
+        monkeypatch.setattr(cli, "run_labeled_series", capture)
+        with pytest.raises(Requested) as asked:
+            main([name, "--peers", "20"])
+        assert asked.value.args == (ARTIFACTS[name].n_runs,)
 
     def test_parser_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):

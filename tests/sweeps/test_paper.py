@@ -6,9 +6,9 @@ import json
 
 import pytest
 
+from repro.experiments import ARTIFACTS
 from repro.experiments.cli import main
 from repro.sweeps import (
-    ARTIFACTS,
     PROFILES,
     ResultStore,
     load_manifest,
@@ -47,6 +47,29 @@ class TestPlanCoversAssembly:
     def test_store_holds_exactly_the_plan(self, reproduction):
         _, store, _, _ = reproduction
         assert sorted(store.keys()) == sorted(paper_plan(SMOKE).keys())
+
+
+class TestDirectPathMatchesStorePath:
+    """`python -m repro <name>` and `repro paper` derive from one registry
+    entry; at the same (n_peers, seed, runs) they must agree to the byte."""
+
+    @pytest.mark.parametrize("name", ["fig4", "fault_repair", "table1"])
+    def test_same_text_and_table(self, tmp_path, capsys, name):
+        artifact = ARTIFACTS[name]
+        reproduce_paper(
+            tmp_path / "out", ResultStore(tmp_path / "store"), SMOKE, only=[name]
+        )
+        stored = (tmp_path / "out" / f"{name}.txt").read_text()
+        runs = SMOKE.runs_for(artifact)
+        direct = artifact.run(runs, n_peers=SMOKE.n_peers, seed=SMOKE.seed)
+        assert stored == artifact.render(direct, include_params=True)
+        assert stored.endswith(direct.as_text() + "\n")
+        # ... and the CLI prints that same header and table.
+        argv = [name, "--runs", str(runs), "--peers", str(SMOKE.n_peers), "--no-plot"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith(stored.splitlines()[0] + "\n")
+        assert direct.as_text() in printed
 
 
 class TestReproducePaper:

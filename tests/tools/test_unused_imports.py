@@ -19,6 +19,11 @@ def test_src_repro_has_no_unused_imports(capsys):
     assert unused_imports.main([]) == 0, capsys.readouterr().out
 
 
+def test_examples_and_tools_have_no_unused_imports(capsys):
+    roots = [str(REPO / "examples"), str(REPO / "tools")]
+    assert unused_imports.main(roots) == 0, capsys.readouterr().out
+
+
 def test_reports_what_ruff_would(tmp_path, capsys):
     module = tmp_path / "module.py"
     module.write_text(
