@@ -13,11 +13,12 @@ implementations —
 * :class:`~repro.net.asyncio_transport.AsyncioTransport`, the one socket
   transport, speaks length-prefixed JSON frames (schema ``repro-wire/1``,
   :mod:`repro.net.wire`) over TCP or Unix-domain sockets on an asyncio
-  event loop: endpoints registered on it are delivered in-process through
-  per-endpoint inbox queues, connected clients get their replies over
-  their connection, and everything else travels over lazily dialed links
-  to the listener a resolver names — so a single-process ring is the
-  transport with no resolver, and a multi-process one the same class per
+  event loop: endpoints registered on it are delivered in-process, run to
+  completion off one ready queue (a hop is a queue pop, not a loop turn),
+  connected clients get their replies over their connection, and
+  everything else travels over lazily dialed links to the listener a
+  resolver names — so a single-process ring is the transport with no
+  resolver, and a multi-process one the same class per
   group; its :class:`~repro.net.asyncio_transport.LoopbackAsyncioTransport`
   subclass keeps the event loop and runs the wire codec on every hop but
   delivers in-process in deterministic global FIFO order (tier-1 testable).

@@ -11,19 +11,25 @@ its client sink).
   with ``host=``); each frame names its destination endpoint.
 * ``send()`` is synchronous (protocol handlers call it mid-message) and
   picks the route by where the destination lives: **local endpoints** go
-  straight to their per-endpoint inbox queue, each drained by a consumer
-  task that runs the handler (endpoints process their inboxes
-  concurrently, so cross-endpoint interleavings are scheduler-defined —
-  the nondeterminism the conformance harness canonicalises away);
-  **connected clients** (:class:`~repro.net.client.DLPTClient`: the hello
-  frame names a private reply endpoint) get the frame written back over
-  their connection; **everything else** resolves through the
+  onto the transport's one ready queue (next bullet); **connected
+  clients** (:class:`~repro.net.client.DLPTClient`: the hello frame names
+  a private reply endpoint) get the frame written back over their
+  connection; **everything else** resolves through the
   ``set_resolve(endpoint -> address)`` callback to another group's
   listener and travels over a cached link — **lazy dial** on first use,
   **idle reap** after ``idle_timeout`` silent seconds (the next frame
   redials), **reconnect with backoff** (the shared
   :class:`~repro.net.policy.RetryPolicy`; when the dial budget is
   exhausted the queued frames count dropped, never wedged).
+* Local delivery is **run to completion**: one synchronous pump pops the
+  ready queue and runs the handlers, what they send to local endpoints
+  included — a hop costs a queue pop, not an event-loop turn.  The pump
+  hands the loop back every :data:`_PUMP_BATCH` deliveries, so not even
+  an endless cascade starves socket I/O, timers or ``drain_timeout``.
+  A group's own sends are thus delivered in send order, but only
+  *pairwise* FIFO is contractual: frames from other groups and clients
+  join that order as the kernel hands them over — the nondeterminism the
+  conformance harness canonicalises away.
 * A single-process ring is the transport with **no resolver**: every peer
   is local, nothing is dialed, and an unknown destination dead-letters.
   The multi-process runtime (:mod:`repro.net.procgroup`) gives every
@@ -32,11 +38,13 @@ its client sink).
   timers are ``loop.call_later``.  There is deliberately no RNG: losses
   and delays are the operating system's, never sampled — see the contract
   note in :mod:`repro.net.transport`.
-* ``await drain()`` polls the counter invariant ``sent == delivered +
-  dropped + dead_lettered`` until quiescent (handler-issued sends count
-  *before* the issuing delivery completes, so the invariant cannot hold
-  transiently mid-cascade), then raises the first handler exception if
-  any handler failed.
+* ``await drain()`` runs the pump first — as ``SimTransport.drain`` runs
+  the simulator — so a cascade that stays in this group completes without
+  the caller yielding; for what is still out (frames on a link, a cascade
+  longer than a batch) it polls the counter invariant ``sent == delivered
+  + dropped + dead_lettered`` (a handler's sends count *before* its own
+  delivery completes, so it cannot hold transiently mid-cascade), then
+  raises the first handler exception if any handler failed.
 
 Accounting: the invariant holds at quiescence *per group* — a cross-group
 frame counts ``delivered`` at the sender once written to the link and
@@ -49,20 +57,20 @@ exactly that window).  Endpoints named with a :data:`CONTROL_PREFIXES`
 prefix (the :mod:`repro.net.procgroup` control plane) bypass every
 counter, so coordinator polling never perturbs the quiescence it measures.
 
-:class:`LoopbackAsyncioTransport` keeps the event loop, the counters and
-a full wire-codec round-trip on *every* hop, but replaces the sockets
-with a single in-process FIFO queue drained by one pump task —
-deterministic global delivery order, byte-faithful frames, runnable in
-tier-1 CI.
+:class:`LoopbackAsyncioTransport` keeps the event loop, the counters, the
+ready queue and its pump, and adds a full wire-codec round-trip on
+*every* hop in place of the sockets — deterministic global delivery
+order, byte-faithful frames, runnable in tier-1 CI.
 """
 
 from __future__ import annotations
 
 import asyncio
+import collections
 import os
 import tempfile
 import zlib
-from typing import Any, Callable, Dict, Hashable, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Hashable, Optional, Tuple
 
 from ..sim.network import Envelope
 from .policy import RetryPolicy
@@ -71,6 +79,11 @@ from .wire import WIRE_SCHEMA, FrameReader, WireError, decode_frame, encode_fram
 
 #: Socket read chunk size; frames reassemble across chunks via FrameReader.
 _READ_CHUNK = 1 << 16
+
+#: Local deliveries one pump call makes before it hands the loop back
+#: (and reschedules itself): the bound that keeps a long cascade from
+#: starving socket I/O, timers and ``drain_timeout``.
+_PUMP_BATCH = 256
 
 #: The reserved endpoint hello frames are addressed to.
 CONTROL_ENDPOINT = "@transport"
@@ -131,8 +144,10 @@ class AsyncioTransport(Transport):
         dial_backoff: float = 0.05,
     ) -> None:
         self._handlers: Dict[Hashable, Handler] = {}
-        self._inboxes: Dict[Hashable, asyncio.Queue] = {}
-        self._consumers: Dict[Hashable, asyncio.Task] = {}
+        #: Envelopes for local endpoints, in send order, each with whether
+        #: it is counted (not control-plane); :meth:`_pump` delivers them.
+        self._ready: Deque[Tuple[Envelope, bool]] = collections.deque()
+        self._pump_scheduled = False
         #: endpoint -> StreamWriter of the client connection hosting it.
         self._routes: Dict[Hashable, asyncio.StreamWriter] = {}
         self._links: Dict[tuple, _Link] = {}
@@ -192,7 +207,7 @@ class AsyncioTransport(Transport):
         if counted:
             self.messages_sent += 1
         env = Envelope(src=src, dst=dst, payload=payload)
-        if self._deliver_here(env):
+        if self._deliver_here(env, counted):
             return
         address = self._resolve(dst) if self._resolve is not None else None
         if address is None or address == self.address:
@@ -201,19 +216,18 @@ class AsyncioTransport(Transport):
             return
         self._link_to(address).outbox.put_nowait(env)
 
-    def _deliver_here(self, env: Envelope) -> bool:
-        """Hand ``env`` to what this listener hosts — a local endpoint's
-        inbox, or the connection of the client that introduced ``dst``
-        (it leaves the cluster's frame accounting there); ``False`` when
-        ``dst`` is neither."""
+    def _deliver_here(self, env: Envelope, counted: bool) -> bool:
+        """Hand ``env`` to what this listener hosts — the ready queue when
+        ``dst`` is a local endpoint, or the connection of the client that
+        introduced ``dst`` (it leaves the cluster's frame accounting
+        there); ``False`` when ``dst`` is neither."""
         dst = env.dst
-        if dst in self._handlers or dst in self._inboxes:
-            self._ensure_consumer(dst).put_nowait(env)
+        if dst in self._handlers:
+            self._enqueue(env, counted)
             return True
         writer = self._routes.get(dst)
         if writer is None:
             return False
-        counted = not _is_control(dst)
         try:
             writer.write(encode_frame(env.src, dst, env.payload))
         except WireError as exc:
@@ -225,26 +239,37 @@ class AsyncioTransport(Transport):
             self.messages_delivered += 1
         return True
 
-    def _ensure_consumer(self, endpoint: Hashable) -> asyncio.Queue:
-        inbox = self._inboxes.get(endpoint)
-        if inbox is None:
-            inbox = asyncio.Queue()
-            self._inboxes[endpoint] = inbox
-            self._consumers[endpoint] = self._loop.create_task(
-                self._consume(endpoint, inbox)
-            )
-        return inbox
+    def _enqueue(self, env: Envelope, counted: bool) -> None:
+        """Queue ``env`` for the pump — never deliver it: ``send`` is called
+        mid-handler and from cluster steps that write state after sending."""
+        self._ready.append((env, counted))
+        self._schedule_pump()
 
-    async def _consume(self, endpoint: Hashable, inbox: asyncio.Queue) -> None:
-        while True:
-            env = await inbox.get()
-            self._deliver(env)
+    def _schedule_pump(self) -> None:
+        if not self._pump_scheduled:
+            self._pump_scheduled = True
+            self._loop.call_soon(self._pump_soon)
 
-    def _deliver(self, env: Envelope) -> None:
+    def _pump_soon(self) -> None:
+        self._pump_scheduled = False
+        self._pump()
+
+    def _pump(self) -> None:
+        """Deliver ready envelopes run-to-completion — what the handlers
+        send locally meanwhile included — up to :data:`_PUMP_BATCH`; a
+        longer cascade continues in the next loop turn."""
+        ready = self._ready
+        for _ in range(_PUMP_BATCH):
+            if not ready:
+                return
+            self._deliver(*ready.popleft())
+        if ready:
+            self._schedule_pump()
+
+    def _deliver(self, env: Envelope, counted: bool) -> None:
         """Run the destination handler; registration is checked *here* (at
         delivery time, like the simulator's network) so an endpoint that
         unregistered with messages still inbound dead-letters them."""
-        counted = not _is_control(env.dst)
         handler = self._handlers.get(env.dst)
         if handler is None:
             if counted:
@@ -252,7 +277,7 @@ class AsyncioTransport(Transport):
             return
         try:
             handler(env)
-        except Exception as exc:  # surfaced at drain(); keep consuming
+        except Exception as exc:  # surfaced at drain(); keep delivering
             self.errors.append(exc)
         if counted:
             self.messages_delivered += 1
@@ -446,7 +471,7 @@ class AsyncioTransport(Transport):
             # Client ingress (broker RPCs): the origin endpoint becomes
             # routable back over this connection.
             self._routes[env.src] = writer
-        if not self._deliver_here(env) and counted:
+        if not self._deliver_here(env, counted) and counted:
             self.messages_dead_lettered += 1
 
     # -- clock & timers ----------------------------------------------------
@@ -488,20 +513,18 @@ class AsyncioTransport(Transport):
 
     async def close(self) -> None:
         self._started = False
-        tasks = [
-            self._reaper_task,
-            *(link.task for link in self._links.values()),
-            *self._consumers.values(),
-        ]
+        tasks = [self._reaper_task, *(link.task for link in self._links.values())]
         self.reset_links()
+        # Like a dead link's queue: what was still to be delivered here
+        # counts dropped, and the pump callback finds nothing to do.
+        self.messages_dropped += sum(counted for _env, counted in self._ready)
+        self._ready.clear()
         tasks = [t for t in tasks if t]
         for task in tasks:
             task.cancel()
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
         self._reaper_task = None
-        self._consumers.clear()
-        self._inboxes.clear()
         self._routes.clear()
         if self._server is not None:
             self._server.close()
@@ -526,8 +549,11 @@ class AsyncioTransport(Transport):
     async def drain(self) -> None:
         """Local quiescence: no counted message of this transport is in
         flight (transitively); then surface the first handler error."""
+        if self._loop is None:
+            raise TransportError("transport is not started")
         deadline = self._loop.time() + self.drain_timeout
         spins = 0
+        self._pump()
         while self.in_flight > 0:
             if self._loop.time() > deadline:
                 raise TransportError(
@@ -548,17 +574,12 @@ class AsyncioTransport(Transport):
 class LoopbackAsyncioTransport(AsyncioTransport):
     """Deterministic in-process variant: no sockets, one global FIFO.
 
-    Every message still round-trips the full ``repro-wire/1`` codec
+    Every message round-trips the full ``repro-wire/1`` codec
     (``encode_frame`` → ``decode_frame``), so serialisation bugs surface
-    in tier-1, but delivery is a single queue drained by one pump task —
-    global FIFO order, reproducible run to run, which matches the
-    simulator's zero-latency ``call_soon`` semantics exactly.
+    in tier-1, and then joins the base class's ready queue whatever its
+    destination — global FIFO order, reproducible run to run, which
+    matches the simulator's zero-latency ``call_soon`` semantics exactly.
     """
-
-    def __init__(self, *, drain_timeout: float = 60.0) -> None:
-        super().__init__(drain_timeout=drain_timeout)
-        self._queue: Optional[asyncio.Queue] = None
-        self._pump_task: Optional[asyncio.Task] = None
 
     def send(self, src: Hashable, dst: Hashable, payload: Any) -> None:
         if not self._started:
@@ -573,26 +594,12 @@ class LoopbackAsyncioTransport(AsyncioTransport):
                 self.messages_dropped += 1
             self.errors.append(exc)
             return
-        self._queue.put_nowait(decode_frame(frame))
-
-    async def _pump(self) -> None:
-        while True:
-            env = await self._queue.get()
-            self._deliver(env)
+        self._enqueue(decode_frame(frame), counted)
 
     async def start(self) -> None:
         if self._started:
             return
         self._loop = asyncio.get_running_loop()
         self._t0 = self._loop.time()
-        self._queue = asyncio.Queue()
-        self._pump_task = self._loop.create_task(self._pump())
         self.address = ("loopback",)
         self._started = True
-
-    async def close(self) -> None:
-        self._started = False
-        if self._pump_task is not None:
-            self._pump_task.cancel()
-            await asyncio.gather(self._pump_task, return_exceptions=True)
-            self._pump_task = None

@@ -22,7 +22,8 @@ Contract (shared by every implementation):
 * **Quiescence**: ``await drain()`` returns once every sent message has
   been delivered, dropped or dead-lettered (transitively: handlers may
   send more).  Under :class:`SimTransport` this runs the simulator until
-  idle; under asyncio it waits for the in-flight count to reach zero.
+  idle; under asyncio it runs the local delivery pump, then waits for
+  the in-flight count to reach zero.
 * **Counters**: ``messages_sent`` / ``messages_delivered`` /
   ``messages_dropped`` / ``messages_dead_lettered``, with the invariant
   ``sent == delivered + dropped + dead_lettered`` at quiescence.

@@ -21,11 +21,13 @@ from strategies import wire_message_builders
 
 from repro.dlpt import messages as m
 from repro.net.asyncio_transport import (
+    _PUMP_BATCH,
     _READ_CHUNK,
     CONTROL_ENDPOINT,
     AsyncioTransport,
     LoopbackAsyncioTransport,
 )
+from repro.net.serve import start_cluster
 from repro.net.transport import SimTransport, TransportError
 from repro.net.wire import MESSAGE_TYPES, WIRE_SCHEMA, encode_frame
 
@@ -214,6 +216,32 @@ class TestAsyncioSpecifics:
         with pytest.raises(TransportError, match="not started"):
             t.send("a", "b", _msg(1))
 
+    def test_drain_before_start_raises(self):
+        for factory in (LoopbackAsyncioTransport, AsyncioTransport):
+            with pytest.raises(TransportError, match="not started"):
+                asyncio.run(factory().drain())
+
+    def test_close_discards_what_is_still_queued(self):
+        """Nothing is delivered once ``close()`` has returned: queued
+        envelopes count dropped (like a dead link's queue) and the pump
+        callback scheduled for them finds nothing to do."""
+
+        async def body():
+            t = LoopbackAsyncioTransport()
+            await t.start()
+            got = []
+            t.register("b", lambda env: got.append(env))
+            for n in range(3):
+                t.send("a", "b", _msg(n))
+            await t.close()
+            for _ in range(3):
+                await asyncio.sleep(0)
+            assert got == []
+            assert t.messages_dropped == 3
+            assert t.in_flight == 0
+
+        asyncio.run(body())
+
     def test_payloads_cross_the_codec(self):
         """Loopback delivery is a full encode/decode round-trip: the
         receiver gets an equal — but distinct — payload object, so any
@@ -270,6 +298,120 @@ class TestAsyncioSpecifics:
             assert t.messages_dropped == 1
             assert t.in_flight == 0
             await t.close()
+
+        asyncio.run(body())
+
+
+LOOP_TRANSPORTS = [
+    pytest.param(LoopbackAsyncioTransport, id="loopback"),
+    pytest.param(AsyncioTransport, id="asyncio-unix", marks=pytest.mark.net),
+]
+
+
+class _TurnCounter:
+    """Counts event-loop turns: a callback that re-``call_soon``s itself
+    runs exactly once per turn for as long as it is ``live``."""
+
+    def __init__(self) -> None:
+        self.turns = 0
+        self.live = True
+        self._loop = asyncio.get_running_loop()
+        self._loop.call_soon(self._tick)
+
+    def _tick(self) -> None:
+        if self.live:
+            self.turns += 1
+            self._loop.call_soon(self._tick)
+
+
+class TestRunToCompletionDelivery:
+    """Local delivery is one ready queue and one bounded pump: a hop costs
+    a queue pop, not a loop turn, and no cascade can keep the loop."""
+
+    @pytest.mark.parametrize("factory", LOOP_TRANSPORTS)
+    def test_a_self_resending_handler_cannot_wedge_the_loop(self, factory):
+        """An endpoint that keeps sending to itself used to never yield
+        (a non-empty queue's ``get()`` does not suspend), so ``drain()``
+        could not time out and nothing else on the loop ran.  The chain is
+        capped so that a transport that runs it to its end fails here
+        instead of hanging."""
+
+        async def body():
+            t = factory()
+            t.drain_timeout = 0.05
+            await t.start()
+            sends = 0
+
+            def again(env):
+                nonlocal sends
+                if sends < 200_000:
+                    sends += 1
+                    t.send("a", "a", _msg(0))
+
+            t.register("a", again)
+            others = _TurnCounter()
+            t.send("@test", "a", _msg(0))
+            with pytest.raises(TransportError, match="drain timed out"):
+                await t.drain()
+            others.live = False
+            assert 0 < sends < 200_000
+            assert others.turns > 1
+            await t.close()
+
+        asyncio.run(body())
+
+    @pytest.mark.parametrize("factory", LOOP_TRANSPORTS)
+    def test_a_cascade_costs_turns_per_batch_not_per_hop(self, factory):
+        hops = 1000
+
+        async def body():
+            t = factory()
+            await t.start()
+            delivered = 0
+
+            def relay(env):
+                nonlocal delivered
+                delivered += 1
+                if env.payload.datum > 1:
+                    t.send(env.dst, "b" if env.dst == "a" else "a", _msg(env.payload.datum - 1))
+
+            t.register("a", relay)
+            t.register("b", relay)
+            t.send("@test", "a", _msg(hops))
+            counter = _TurnCounter()
+            await t.drain()
+            counter.live = False
+            assert delivered == hops
+            assert counter.turns <= hops // _PUMP_BATCH + 2
+            await t.close()
+
+        asyncio.run(body())
+
+    @pytest.mark.net
+    def test_a_discovery_costs_the_same_turns_whatever_its_hops(self):
+        """200 discoveries on a served single-process ring, over keys that
+        sit 0 to 16 tree hops from the entry node: the loop turns one
+        costs do not depend on how far it travels."""
+
+        async def body():
+            transport, engine, broker = await start_cluster(8)
+            cluster = broker.backend
+            word = "dgemm-blas-level3"
+            keys = [word[:n] for n in range(1, len(word) + 1)]
+            for key in keys:
+                await cluster.register(key)
+            counter = _TurnCounter()
+            turns_by_hops = {}
+            for i in range(200):
+                before = counter.turns
+                reply = await cluster.discover(keys[i % len(keys)])
+                turns_by_hops.setdefault(reply["hops"], set()).add(counter.turns - before)
+            counter.live = False
+            assert len(turns_by_hops) > 10
+            (turns,) = set().union(*turns_by_hops.values())
+            assert turns <= 1
+            await broker.close()
+            await transport.close()
 
         asyncio.run(body())
 
