@@ -1,8 +1,18 @@
 """Protocol message types (paper Algorithms 1–3).
 
-Every message the pseudo-code exchanges is a frozen dataclass here.  Node-
+Every message the pseudo-code exchanges is a slotted dataclass here.  Node-
 addressed messages carry ``node`` — the label of the logical node they are
 for; peer-addressed messages are delivered to a peer endpoint directly.
+
+Messages are **values by convention**: compared by field (``==``), never
+hashed (``__hash__`` is ``None``), and never assigned to after construction
+— a handler that wants a changed message builds a new one.  The classes do
+not enforce that (a frozen dataclass stores every field through
+``object.__setattr__``, a per-construction tax on the one thing every hop
+does); ``tests/net/test_message_values.py`` does, by encoding every payload
+a live ring delivers before and after its handler runs and requiring equal
+bytes.  ``slots=True`` drops the per-record ``__dict__`` and makes a stray
+``msg.typo = …`` an ``AttributeError``.
 """
 
 from __future__ import annotations
@@ -11,7 +21,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NodePayload:
     """The full state of a logical node in transit (SearchingHost / Host /
     YourInformation carry these): key, father, children, data."""
@@ -25,7 +35,7 @@ class NodePayload:
 # -- Algorithm 1/2: peer insertion -----------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PeerJoin:
     """<PeerJoin, P, s> — routed through the tree (node-addressed).
 
@@ -38,7 +48,7 @@ class PeerJoin:
     capacity: int = 10
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NewPredecessor:
     """<NewPredecessor, P> — peer-addressed; forwarded along successors
     until it reaches the joiner's future successor (Algorithm 2)."""
@@ -47,7 +57,7 @@ class NewPredecessor:
     capacity: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class YourInformation:
     """<YourInformation, (pred, succ, ν_P)> — everything the joiner needs
     to start operating (paper line 2.08 sends (Q_pred, Q, ν_P))."""
@@ -57,7 +67,7 @@ class YourInformation:
     nodes: Tuple[NodePayload, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class UpdateSuccessor:
     """<UpdateSuccessor, P> — tells the old predecessor its successor is
     now the joiner (paper line 2.09)."""
@@ -65,7 +75,7 @@ class UpdateSuccessor:
     new_successor: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LeaveTransfer:
     """<LeaveTransfer, (pred, ν_L)> — a gracefully departing peer hands its
     hosted nodes and its predecessor pointer to its successor.  (The paper
@@ -76,7 +86,7 @@ class LeaveTransfer:
     nodes: Tuple[NodePayload, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class UpdatePredecessor:
     """<UpdatePredecessor, P> — successor-side pointer fix-up on leave."""
 
@@ -86,7 +96,7 @@ class UpdatePredecessor:
 # -- Algorithm 3: data insertion --------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DataInsertion:
     """<DataInsertion, k> — node-addressed registration request."""
 
@@ -95,7 +105,7 @@ class DataInsertion:
     datum: object = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SearchingHost:
     """<SearchingHost, (l, f, C, δ)> — node-addressed; descends to the
     highest node lower than ``payload.label`` (paper lines 3.32–3.37)."""
@@ -104,7 +114,7 @@ class SearchingHost:
     payload: NodePayload
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Host:
     """<Host, (l, f, C, δ)> — peer-addressed; instructs a peer to run the
     node.  Forwarded along ring successors until the mapping rule holds."""
@@ -112,7 +122,7 @@ class Host:
     payload: NodePayload
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class UpdateChild:
     """<UpdateChild, (old, new)> — node-addressed child-set fix-up
     (paper lines 3.19/3.29)."""
@@ -125,7 +135,7 @@ class UpdateChild:
 # -- discovery (Section 2 architecture; no pseudo-code in the paper) ---------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DiscoveryRequest:
     """A client lookup entering the tree at ``node``, seeking ``key``.
     ``reply_to`` is the client endpoint for the response."""
@@ -136,7 +146,7 @@ class DiscoveryRequest:
     hops: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DiscoveryReply:
     """Response to a :class:`DiscoveryRequest`."""
 
@@ -146,7 +156,7 @@ class DiscoveryReply:
     hops: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SetQueryRequest:
     """A set query (prefix completion or lexicographic range) walking the
     tree as a *scan token*: it climbs from its entry node to the node
@@ -171,7 +181,7 @@ class SetQueryRequest:
     hops: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SetQueryReply:
     """Response to a :class:`SetQueryRequest`: the sorted matched keys."""
 

@@ -396,7 +396,7 @@ class ProtocolEngine:
             # Upward phase (lines 1.03–1.10): climb until this node's label
             # prefixes the joiner's id (its band covers the joiner) or the
             # root is reached; either flips the request to state 1.
-            if _is_prefix(p.label, joiner) or p.father is None:
+            if joiner.startswith(p.label) or p.father is None:
                 self.send_to_node(
                     peer.id, p.label,
                     m.PeerJoin(node=p.label, joiner=joiner, state=1, capacity=cap),
@@ -484,7 +484,7 @@ class ProtocolEngine:
             p.data.add(datum)
             return
 
-        if _is_prefix(p.label, k) and p.label != k:  # lines 3.04–3.09
+        if k.startswith(p.label) and p.label != k:  # lines 3.04–3.09
             q = p.child_sharing_longer_prefix(k)
             if q is not None:
                 self.send_to_node(peer.id, q, m.DataInsertion(node=q, key=k, datum=datum))
@@ -494,7 +494,7 @@ class ProtocolEngine:
                 self.send_to_node(peer.id, p.label, m.SearchingHost(node=p.label, payload=payload))
             return
 
-        if _is_prefix(k, p.label):  # lines 3.10–3.20 (k properly prefixes p)
+        if p.label.startswith(k):  # lines 3.10–3.20 (k properly prefixes p)
             if p.father is None:
                 payload = m.NodePayload(
                     label=k, father=None, children=frozenset({p.label}), data=(datum,)
@@ -600,23 +600,20 @@ class ProtocolEngine:
                 m.DiscoveryReply(key=k, found=True, data=tuple(p.data), hops=hops),
             )
             return
-        if _is_prefix(p.label, k):
+        if k.startswith(p.label):
             q = p.child_sharing_longer_prefix(k)
-            if q is not None and _is_prefix(q, k):
-                self.send_to_node(
-                    peer.id, q, m.DiscoveryRequest(node=q, key=k, reply_to=msg.reply_to, hops=hops + 1)
-                )
+            if q is not None and k.startswith(q):
+                # (node, key, reply_to, hops) — the per-hop records are built
+                # positionally: keyword passing doubles a constructor's cost.
+                self.send_to_node(peer.id, q, m.DiscoveryRequest(q, k, msg.reply_to, hops + 1))
                 return
             self.transport.send(
                 peer.id, msg.reply_to, m.DiscoveryReply(key=k, found=False, hops=hops)
             )
             return
         if p.father is not None:
-            self.send_to_node(
-                peer.id,
-                p.father,
-                m.DiscoveryRequest(node=p.father, key=k, reply_to=msg.reply_to, hops=hops + 1),
-            )
+            father = p.father
+            self.send_to_node(peer.id, father, m.DiscoveryRequest(father, k, msg.reply_to, hops + 1))
             return
         self.transport.send(peer.id, msg.reply_to, m.DiscoveryReply(key=k, found=False, hops=hops))
 
@@ -635,19 +632,19 @@ class ProtocolEngine:
         p = peer.nodes[msg.node]
         anchor = msg.lo if msg.kind == "prefix" else gcp(msg.lo, msg.hi)
         if msg.phase == 0:
-            if _is_prefix(anchor, p.label):
+            if p.label.startswith(anchor):
                 # Inside the band: climb while the father still extends the
                 # anchor; the highest such node is the scan root.
                 father = p.father
-                if father is not None and _is_prefix(anchor, father):
+                if father is not None and father.startswith(anchor):
                     self._forward_query(peer, father, msg)
                     return
                 self._scan_step(peer, p, msg)
                 return
-            if _is_prefix(p.label, anchor):
+            if anchor.startswith(p.label):
                 # Above the band: descend toward the anchor.
                 q = p.child_sharing_longer_prefix(anchor)
-                if q is not None and (_is_prefix(q, anchor) or _is_prefix(anchor, q)):
+                if q is not None and (anchor.startswith(q) or q.startswith(anchor)):
                     self._forward_query(peer, q, msg)
                     return
                 self._reply_query(peer, msg, ())  # nothing under the anchor
@@ -671,16 +668,15 @@ class ProtocolEngine:
         kids = p._index()
         if kind == "range":
             kids = [c for c in kids if not (c > hi or (c < lo and not lo.startswith(c)))]
-        pending.extend(sorted(kids, reverse=True))
+        pending.extend(reversed(kids))
         if pending:
             nxt = pending.pop()
+            # (node, kind, lo, hi, reply_to, phase, pending, keys, hops)
             self.send_to_node(
                 peer.id,
                 nxt,
                 m.SetQueryRequest(
-                    node=nxt, kind=kind, lo=lo, hi=hi, reply_to=msg.reply_to,
-                    phase=1, pending=tuple(pending), keys=tuple(keys),
-                    hops=msg.hops + 1,
+                    nxt, kind, lo, hi, msg.reply_to, 1, tuple(pending), tuple(keys), msg.hops + 1
                 ),
             )
             return
@@ -691,9 +687,8 @@ class ProtocolEngine:
             peer.id,
             label,
             m.SetQueryRequest(
-                node=label, kind=msg.kind, lo=msg.lo, hi=msg.hi,
-                reply_to=msg.reply_to, phase=msg.phase, pending=msg.pending,
-                keys=msg.keys, hops=msg.hops + 1,
+                label, msg.kind, msg.lo, msg.hi, msg.reply_to, msg.phase,
+                msg.pending, msg.keys, msg.hops + 1,
             ),
         )
 
@@ -788,10 +783,6 @@ class ProtocolEngine:
                     )
 
     _HANDLERS = {}
-
-
-def _is_prefix(u: str, v: str) -> bool:
-    return v.startswith(u)
 
 
 ProtocolEngine._HANDLERS = {

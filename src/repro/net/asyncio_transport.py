@@ -20,10 +20,20 @@ its client sink).
   **idle reap** after ``idle_timeout`` silent seconds (the next frame
   redials), **reconnect with backoff** (the shared
   :class:`~repro.net.policy.RetryPolicy`; when the dial budget is
-  exhausted the queued frames count dropped, never wedged).
+  exhausted the queued frames count dropped, never wedged).  An
+  undecodable inbound frame ends the connection it came over: from
+  another group's link it is recorded in ``errors`` (the next ``drain()``
+  raises it), from a client it is only counted (``client_wire_errors``)
+  — one client's garbage must not fail somebody else's operation.
 * Local delivery is **run to completion**: one synchronous pump pops the
   ready queue and runs the handlers, what they send to local endpoints
-  included — a hop costs a queue pop, not an event-loop turn.  The pump
+  included — a hop costs a queue pop, not an event-loop turn.  It is
+  also **flat**: ``send()`` to a local endpoint is one step (count,
+  build the envelope, append it, arm the pump — all in its own body) and
+  the pump looks the handler up and runs it inline, so a hop is three
+  Python-level calls — the handler, ``send`` and the envelope's
+  constructor — with no helper in between
+  (``TestRunToCompletionDelivery`` counts them).  The pump
   hands the loop back every :data:`_PUMP_BATCH` deliveries, so not even
   an endless cascade starves socket I/O, timers or ``drain_timeout``.
   A group's own sends are thus delivered in send order, but only
@@ -89,6 +99,8 @@ _PUMP_BATCH = 256
 CONTROL_ENDPOINT = "@transport"
 
 #: Endpoint-name prefixes that mark control-plane traffic (uncounted).
+#: The rule is written twice: :func:`_is_control`, and inline in
+#: :meth:`AsyncioTransport.send` (once per hop, so it saves the call).
 CONTROL_PREFIXES = ("@ctl", "@coord")
 
 
@@ -177,6 +189,8 @@ class AsyncioTransport(Transport):
         #: Inter-group wire frames written / read (control plane excluded).
         self.frames_out = 0
         self.frames_in = 0
+        #: Client connections closed for sending an undecodable frame.
+        self.client_wire_errors = 0
         #: Links dialed / reaped over the transport's lifetime.
         self.links_dialed = 0
         self.links_reaped = 0
@@ -203,11 +217,22 @@ class AsyncioTransport(Transport):
     def send(self, src: Hashable, dst: Hashable, payload: Any) -> None:
         if not self._started:
             raise TransportError("transport is not started")
-        counted = not _is_control(dst)
+        # ``not _is_control(dst)``, spelled out: this runs once per hop.
+        counted = not (isinstance(dst, str) and dst.startswith(CONTROL_PREFIXES))
         if counted:
             self.messages_sent += 1
-        env = Envelope(src=src, dst=dst, payload=payload)
-        if self._deliver_here(env, counted):
+        env = Envelope(src, dst, payload)
+        if dst in self._handlers:
+            # Queue for the pump — never deliver: ``send`` is called
+            # mid-handler and from cluster steps that write state after
+            # sending.  (:meth:`_enqueue`, in place: a local hop is this
+            # call, the envelope's constructor and the handler.)
+            self._ready.append((env, counted))
+            if not self._pump_scheduled:
+                self._pump_scheduled = True
+                self._loop.call_soon(self._pump_soon)
+            return
+        if self._deliver_to_client(env, counted):
             return
         address = self._resolve(dst) if self._resolve is not None else None
         if address is None or address == self.address:
@@ -216,20 +241,15 @@ class AsyncioTransport(Transport):
             return
         self._link_to(address).outbox.put_nowait(env)
 
-    def _deliver_here(self, env: Envelope, counted: bool) -> bool:
-        """Hand ``env`` to what this listener hosts — the ready queue when
-        ``dst`` is a local endpoint, or the connection of the client that
-        introduced ``dst`` (it leaves the cluster's frame accounting
-        there); ``False`` when ``dst`` is neither."""
-        dst = env.dst
-        if dst in self._handlers:
-            self._enqueue(env, counted)
-            return True
-        writer = self._routes.get(dst)
+    def _deliver_to_client(self, env: Envelope, counted: bool) -> bool:
+        """Write ``env`` to the connection of the client that introduced
+        ``env.dst`` (it leaves the cluster's frame accounting there);
+        ``False`` when no connected client did."""
+        writer = self._routes.get(env.dst)
         if writer is None:
             return False
         try:
-            writer.write(encode_frame(env.src, dst, env.payload))
+            writer.write(encode_frame(env.src, env.dst, env.payload))
         except WireError as exc:
             self.errors.append(exc)
             if counted:
@@ -240,12 +260,9 @@ class AsyncioTransport(Transport):
         return True
 
     def _enqueue(self, env: Envelope, counted: bool) -> None:
-        """Queue ``env`` for the pump — never deliver it: ``send`` is called
-        mid-handler and from cluster steps that write state after sending."""
+        """Queue ``env`` for the pump and make sure the pump will run
+        (ingress and loopback; ``send`` has these lines in its own body)."""
         self._ready.append((env, counted))
-        self._schedule_pump()
-
-    def _schedule_pump(self) -> None:
         if not self._pump_scheduled:
             self._pump_scheduled = True
             self._loop.call_soon(self._pump_soon)
@@ -257,30 +274,30 @@ class AsyncioTransport(Transport):
     def _pump(self) -> None:
         """Deliver ready envelopes run-to-completion — what the handlers
         send locally meanwhile included — up to :data:`_PUMP_BATCH`; a
-        longer cascade continues in the next loop turn."""
+        longer cascade continues in the next loop turn.  Registration is
+        checked *here* (at delivery time, like the simulator's network) so
+        an endpoint that unregistered with messages still inbound
+        dead-letters them."""
         ready = self._ready
+        handlers = self._handlers
         for _ in range(_PUMP_BATCH):
             if not ready:
                 return
-            self._deliver(*ready.popleft())
-        if ready:
-            self._schedule_pump()
-
-    def _deliver(self, env: Envelope, counted: bool) -> None:
-        """Run the destination handler; registration is checked *here* (at
-        delivery time, like the simulator's network) so an endpoint that
-        unregistered with messages still inbound dead-letters them."""
-        handler = self._handlers.get(env.dst)
-        if handler is None:
+            env, counted = ready.popleft()
+            handler = handlers.get(env.dst)
+            if handler is None:
+                if counted:
+                    self.messages_dead_lettered += 1
+                continue
+            try:
+                handler(env)
+            except Exception as exc:  # surfaced at drain(); keep delivering
+                self.errors.append(exc)
             if counted:
-                self.messages_dead_lettered += 1
-            return
-        try:
-            handler(env)
-        except Exception as exc:  # surfaced at drain(); keep delivering
-            self.errors.append(exc)
-        if counted:
-            self.messages_delivered += 1
+                self.messages_delivered += 1
+        if ready and not self._pump_scheduled:
+            self._pump_scheduled = True
+            self._loop.call_soon(self._pump_soon)
 
     # -- outbound links ----------------------------------------------------
 
@@ -434,7 +451,13 @@ class AsyncioTransport(Transport):
             # stream protocol's done-callback from logging it.
             pass
         except WireError as exc:
-            self.errors.append(exc)
+            if peer:
+                self.errors.append(exc)
+            else:
+                # A client's (or a stranger's) garbage is that connection's
+                # own failure: it is closed below and counted, and nobody
+                # else's drain() hears of it.
+                self.client_wire_errors += 1
         finally:
             stale = [ep for ep, w in self._routes.items() if w is writer]
             for ep in stale:
@@ -471,7 +494,9 @@ class AsyncioTransport(Transport):
             # Client ingress (broker RPCs): the origin endpoint becomes
             # routable back over this connection.
             self._routes[env.src] = writer
-        if not self._deliver_here(env, counted) and counted:
+        if env.dst in self._handlers:
+            self._enqueue(env, counted)
+        elif not self._deliver_to_client(env, counted) and counted:
             self.messages_dead_lettered += 1
 
     # -- clock & timers ----------------------------------------------------

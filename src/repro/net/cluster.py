@@ -371,7 +371,14 @@ class Cluster:
         group = self._queries_issued % self.n_groups
         if not (await self.call(group, step, **body))["issued"]:
             return None
-        await self.drain()
+        try:
+            await self.drain()
+        except Exception:
+            # The replies that did land answer this read, which has just
+            # failed — left in place they would be counted into the next
+            # read of the same key ("expected 1 reply …, got 2").
+            await self.call(group, "collect")
+            raise
         return (await self.call(group, "collect"))[replies]
 
     async def discover(self, key: str, via: Optional[str] = None) -> Optional[dict]:

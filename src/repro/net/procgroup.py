@@ -54,6 +54,9 @@ from .transport import TransportError
 #: How long :meth:`MultiProcessCluster.drain` waits for global quiescence.
 DRAIN_TIMEOUT = 60.0
 
+#: …and for how much longer once a worker has reported a transport error.
+ERROR_SETTLE = 2.0
+
 #: Endpoint naming scheme (group index ``i``).
 COORD_ENDPOINT = "@coord"
 CTL_PREFIX = "@ctl-"
@@ -405,17 +408,24 @@ class MultiProcessCluster(Cluster):
 
     async def drain(self) -> List[dict]:
         """Wait for *global* quiescence: every group idle, frame sums
-        balanced, stable across two consecutive polls (module doc)."""
+        balanced, stable across two consecutive polls (module doc); then
+        raise the worker transport errors the polls handed over.  Like
+        ``AsyncioTransport.drain`` the wait comes first: an operation that
+        fails must not leave its own messages still travelling.  Once an
+        error is known the wait is cut to :data:`ERROR_SETTLE` — a codec or
+        link error can unbalance the frame sums for good (the sender
+        counted a frame nobody will ever count in), and that must still
+        surface as the :class:`ClusterError` it is, not as a timeout."""
         loop = asyncio.get_running_loop()
         deadline = loop.time() + DRAIN_TIMEOUT
         previous: Optional[Tuple] = None
+        errors: List[str] = []
         while True:
             snaps = await self.counters()
-            errors = [text for s in snaps for text in s["errors"]]
-            if errors:
-                raise ClusterError(
-                    f"{len(errors)} worker transport error(s): {errors[:4]}"
-                )
+            fresh = [text for s in snaps for text in s["errors"]]
+            if fresh and not errors:
+                deadline = min(deadline, loop.time() + ERROR_SETTLE)
+            errors += fresh
             quiet = all(s["in_flight"] == 0 for s in snaps) and sum(
                 s["frames_out"] for s in snaps
             ) == sum(s["frames_in"] for s in snaps)
@@ -423,7 +433,12 @@ class MultiProcessCluster(Cluster):
                 (s["sent"], s["delivered"], s["frames_out"], s["frames_in"])
                 for s in snaps
             )
-            if quiet and signature == previous:
+            settled = quiet and signature == previous
+            if errors and (settled or loop.time() > deadline):
+                raise ClusterError(
+                    f"{len(errors)} worker transport error(s): {errors[:4]}"
+                )
+            if settled:
                 return snaps
             previous = signature if quiet else None
             if loop.time() > deadline:

@@ -25,6 +25,7 @@ the transport boundary, never poison protocol state.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 from typing import Any, Hashable, Iterator, Tuple
@@ -64,6 +65,13 @@ MESSAGE_TYPES = {
     )
 }
 
+#: Every type's field names, in declaration order: what ``encode_payload``
+#: reads off a (slotted, ``__dict__``-less) message.
+_FIELD_NAMES = {
+    name: tuple(f.name for f in dataclasses.fields(cls))
+    for name, cls in MESSAGE_TYPES.items()
+}
+
 #: Fields holding a tuple of strings, per type (lists on the wire).
 _STRING_TUPLE_FIELDS = {
     "SetQueryRequest": ("pending", "keys"),
@@ -100,7 +108,7 @@ def decode_node_payload(obj: Any) -> m.NodePayload:
             label=str(obj["label"]),
             father=None if obj["father"] is None else str(obj["father"]),
             children=frozenset(str(c) for c in obj["children"]),
-            data=tuple(obj["data"]),
+            data=tuple(require_scalar(d) for d in obj["data"]),
         )
     except (KeyError, TypeError) as exc:
         raise WireError(f"malformed NodePayload object: {obj!r}") from exc
@@ -110,7 +118,7 @@ def require_scalar(value: Any) -> Any:
     """The one rule for what a registered ``datum`` may be: a JSON scalar.
     Returns ``value``; raises :class:`WireError` otherwise.  The broker
     applies it at admission (:mod:`repro.net.bootstrap`), the codec on
-    every frame."""
+    every frame it encodes and — a frame may come from anyone — decodes."""
     if value is None or isinstance(value, (str, int, float, bool)):
         return value
     raise WireError(
@@ -123,8 +131,8 @@ def encode_payload(payload: Any) -> Tuple[str, Any]:
     """``(type-name, fields)`` for a protocol message or a JSON control
     payload; raises :class:`WireError` for anything else."""
     name = type(payload).__name__
-    if name in MESSAGE_TYPES and type(payload) is MESSAGE_TYPES[name]:
-        fields = dict(vars(payload))
+    if MESSAGE_TYPES.get(name) is type(payload):
+        fields = {field: getattr(payload, field) for field in _FIELD_NAMES[name]}
         if name in _PAYLOAD_FIELDS:
             key = _PAYLOAD_FIELDS[name]
             fields[key] = encode_node_payload(fields[key])
@@ -161,8 +169,10 @@ def decode_payload(name: str, fields: Any) -> Any:
         elif name in _PAYLOAD_TUPLE_FIELDS:
             key = _PAYLOAD_TUPLE_FIELDS[name]
             fields[key] = tuple(decode_node_payload(p) for p in fields[key])
+        elif name == "DataInsertion":
+            require_scalar(fields.get("datum"))
         elif name == "DiscoveryReply":
-            fields["data"] = tuple(fields["data"])
+            fields["data"] = tuple(require_scalar(d) for d in fields["data"])
         elif name in _STRING_TUPLE_FIELDS:
             for key in _STRING_TUPLE_FIELDS[name]:
                 fields[key] = tuple(str(v) for v in fields[key])
@@ -204,7 +214,7 @@ def decode_body(data: bytes) -> Envelope:
         src, dst, name, fields = body["s"], body["d"], body["t"], body["f"]
     except KeyError as exc:
         raise WireError(f"frame body lacks key {exc}") from exc
-    return Envelope(src=src, dst=dst, payload=decode_payload(name, fields))
+    return Envelope(src, dst, decode_payload(name, fields))
 
 
 def decode_frame(frame: bytes) -> Envelope:

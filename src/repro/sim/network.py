@@ -50,9 +50,11 @@ class UniformLatency(LatencyModel):
         return self._rng.uniform(self.lo, self.hi)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Envelope:
-    """A message in flight: source and destination endpoint ids + payload."""
+    """A message in flight: source and destination endpoint ids + payload.
+    A value by convention, like the messages it carries
+    (:mod:`repro.dlpt.messages`): built once per hop, never assigned to."""
 
     src: Hashable
     dst: Hashable
@@ -110,7 +112,7 @@ class Network:
         if self.loss_rate and self._rng.random() < self.loss_rate:
             self.messages_dropped += 1
             return
-        env = Envelope(src=src, dst=dst, payload=payload)
+        env = Envelope(src, dst, payload)
         delay = self.latency.sample(src, dst)
         self.sim.schedule(delay, lambda: self._deliver(env), label=f"msg:{src}->{dst}")
 

@@ -14,9 +14,11 @@ import pytest
 
 from repro.dlpt.protocol import ProtocolEngine
 from repro.net.asyncio_transport import LoopbackAsyncioTransport
+from repro.net import procgroup
 from repro.net.chaos import ChaosTransport
 from repro.net.cluster import ClusterError, LocalCluster
 from repro.net.procgroup import MultiProcessCluster, group_of
+from repro.net.transport import TransportError
 
 pytestmark = pytest.mark.asyncio
 
@@ -128,6 +130,39 @@ class TestLocalCluster:
 
         asyncio.run(body())
 
+    def test_a_failed_wait_does_not_poison_the_next_read(self):
+        """When the quiescence wait of a read raises, the replies that did
+        land are discarded with it; they used to stay in the engine's
+        reply lists and be counted into the next read of the same key
+        (``expected 1 reply for discovery of 'dgemm', got 2``)."""
+
+        async def body():
+            cluster = await _local_cluster(PEERS)
+            for key in REGISTERED:
+                await cluster.register(key)
+            hit = await cluster.discover("dgemm")
+            scan = await cluster.search("prefix", "d")
+
+            def boom(env):
+                raise RuntimeError("handler exploded")
+
+            # A raising handler beside the ring: whatever drains next fails.
+            cluster.transport.register("@boom", boom)
+            cluster.transport.send("@test", "@boom", {"tick": 1})
+            with pytest.raises(TransportError, match="during drain"):
+                await cluster.discover("dgemm")
+            assert await cluster.discover("dgemm") == hit
+            cluster.transport.send("@test", "@boom", {"tick": 2})
+            with pytest.raises(TransportError, match="during drain"):
+                await cluster.search("prefix", "d")
+            assert await cluster.search("prefix", "d") == scan
+            assert await cluster.discover_many(REGISTERED) == [
+                await cluster.discover(key) for key in REGISTERED
+            ]
+            await cluster.close()
+
+        asyncio.run(body())
+
     def test_crash_travels_through_the_steps(self):
         """The victim's ν reaches its successor through ``crash_pop`` →
         ``adopt`` — the wire form of the node payloads — not by moving
@@ -224,3 +259,90 @@ class TestMultiProcessCluster:
                 await cluster.close()
 
         asyncio.run(body())
+
+    def test_a_failed_wait_does_not_poison_the_next_read(self):
+        """The two-process twin: a worker handler that raises while a
+        discovery is travelling fails that one ``discover`` — at
+        quiescence, so its replies have landed and go with it — and every
+        later one, from either group, is answered normally."""
+
+        async def body():
+            cluster = MultiProcessCluster(processes=2)
+            await cluster.start()
+            try:
+                for pid in PEERS:
+                    await cluster.join(pid)
+                for key in REGISTERED:
+                    await cluster.register(key)
+                hit = await cluster.discover("dgemm")
+                # An unhashable datum for an existing key raises in the
+                # hosting peer's handler (or in the codec of the link
+                # towards it) without touching the tree — issued as a bare
+                # step, so the discovery's wait is the one that hears of it.
+                await cluster.call(
+                    group_of(min(PEERS), 2), "insert", key="dgemm", datum={"rich": [1]}, via=None
+                )
+                with pytest.raises(ClusterError, match="worker transport error"):
+                    await cluster.discover("dgemm")
+                for _ in range(4):  # two from each group
+                    assert await cluster.discover("dgemm") == hit
+            finally:
+                await cluster.close()
+
+        asyncio.run(body())
+
+
+class TestMultiProcessDrain:
+    """``MultiProcessCluster.drain`` over canned counter polls (no worker
+    is spawned: the wait reads nothing but ``counters()``)."""
+
+    @staticmethod
+    def _drain(monkeypatch, polls):
+        monkeypatch.setattr(procgroup, "ERROR_SETTLE", 0.05)
+        monkeypatch.setattr(procgroup, "DRAIN_TIMEOUT", 0.5)
+        cluster = MultiProcessCluster(processes=2)
+        polls = iter(polls)
+        last = None
+
+        async def counters():
+            nonlocal last
+            last = next(polls, last)
+            return [dict(snap, errors=list(snap["errors"])) for snap in last]
+
+        cluster.counters = counters
+        return asyncio.run(cluster.drain())
+
+    @staticmethod
+    def _snap(frames_out=0, frames_in=0, errors=()):
+        return {
+            "sent": 4, "delivered": 4, "in_flight": 0,
+            "frames_out": frames_out, "frames_in": frames_in, "errors": errors,
+        }
+
+    def test_an_error_that_unbalances_the_frame_sums_is_not_a_timeout(self, monkeypatch):
+        """A frame one group counted out and nobody will count in (the
+        receiving link read garbage): the sums never balance, and the
+        error still comes back as the ``ClusterError`` it is, after the
+        short settle bound rather than ``DRAIN_TIMEOUT``."""
+        lost = [self._snap(frames_out=1), self._snap(errors=("WireError('garbage')",))]
+        after = [self._snap(frames_out=1), self._snap()]
+        with pytest.raises(ClusterError, match="worker transport error.*garbage"):
+            self._drain(monkeypatch, [lost, after])
+
+    def test_an_error_waits_for_quiescence(self, monkeypatch):
+        """A handler error does not cut the wait short while the ring is
+        about to settle: it is raised at quiescence, with what the later
+        polls handed over."""
+        busy = [self._snap(frames_out=1, errors=("RuntimeError('boom')",)), self._snap()]
+        landing = [self._snap(frames_out=1), self._snap(frames_in=1, errors=("RuntimeError('late')",))]
+        quiet = [self._snap(frames_out=1), self._snap(frames_in=1)]
+        with pytest.raises(ClusterError, match="2 worker transport error.*boom.*late"):
+            self._drain(monkeypatch, [busy, landing, quiet])
+
+    def test_never_quiet_without_an_error_times_out(self, monkeypatch):
+        with pytest.raises(TransportError, match="drain timed out"):
+            self._drain(monkeypatch, [[self._snap(frames_out=1), self._snap()]])
+
+    def test_quiet_twice_returns_the_snapshots(self, monkeypatch):
+        snaps = self._drain(monkeypatch, [[self._snap(), self._snap()]])
+        assert [s["in_flight"] for s in snaps] == [0, 0]

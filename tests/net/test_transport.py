@@ -12,6 +12,8 @@ rely on regardless of which engine carries its messages.
 from __future__ import annotations
 
 import asyncio
+import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -26,10 +28,14 @@ from repro.net.asyncio_transport import (
     CONTROL_ENDPOINT,
     AsyncioTransport,
     LoopbackAsyncioTransport,
+    dial,
+    hello_frame,
 )
+from repro.net.client import DLPTClient
 from repro.net.serve import start_cluster
 from repro.net.transport import SimTransport, TransportError
-from repro.net.wire import MESSAGE_TYPES, WIRE_SCHEMA, encode_frame
+from repro.net.wire import MESSAGE_TYPES, WIRE_SCHEMA, WireError, encode_frame
+from repro.sim.network import Envelope
 
 pytestmark = pytest.mark.asyncio
 
@@ -387,6 +393,63 @@ class TestRunToCompletionDelivery:
 
         asyncio.run(body())
 
+    def test_a_local_hop_costs_a_handful_of_python_calls(self):
+        """The fixed cost of a message, as a count: 1 000 ping-pong hops
+        between two endpoints under a ``sys.setprofile`` call counter.  A
+        hop is the handler, ``send`` and the envelope's constructor; it
+        used to be eight calls (``_deliver``, ``_is_control``,
+        ``_deliver_here``, ``_enqueue``, ``_schedule_pump`` on top).
+        Tier-1: the socket transport's own ``send`` and ``_pump``, started
+        without its listener (local delivery never touches it)."""
+        hops = 1000
+
+        class Listenerless(AsyncioTransport):
+            start = LoopbackAsyncioTransport.start
+
+        async def body():
+            t = Listenerless()
+            await t.start()
+            left = hops
+
+            def relay(env):
+                nonlocal left
+                left -= 1
+                if left:
+                    t.send(env.dst, env.src, env.payload)
+
+            t.register("a", relay)
+            t.register("b", relay)
+            t.send("b", "a", _msg(0))
+            calls = 0
+
+            def count(frame, event, arg):
+                nonlocal calls
+                calls += event == "call"
+
+            sys.setprofile(count)
+            try:
+                await t.drain()
+            finally:
+                sys.setprofile(None)
+            assert left == 0
+            assert calls / hops <= 5, f"{calls / hops:.2f} Python-level calls per hop"
+            await t.close()
+
+        asyncio.run(body())
+
+    def test_message_records_are_slotted(self):
+        """No per-record ``__dict__``: the envelope and every message
+        class define ``__slots__`` and so do their instances' types all
+        the way up (one slot-less base would bring the dict back)."""
+        records = [Envelope("a", "b", None), _msg(0), m.NodePayload(label="a", father=None)]
+        for cls in [Envelope, m.NodePayload, *MESSAGE_TYPES.values()]:
+            assert "__slots__" in vars(cls), cls.__name__
+            assert "__dict__" not in dir(cls), cls.__name__
+        for record in records:
+            assert not hasattr(record, "__dict__")
+            with pytest.raises(AttributeError):
+                record.no_such_field = 1
+
     @pytest.mark.net
     def test_a_discovery_costs_the_same_turns_whatever_its_hops(self):
         """200 discoveries on a served single-process ring, over keys that
@@ -644,6 +707,95 @@ class TestPeerToPeerSpecifics:
             await a.drain()
             assert a.messages_dead_lettered == 2
             await a.close()
+
+        asyncio.run(body())
+
+
+def _raw_frame(body: dict) -> bytes:
+    """A frame the encoder would refuse to build: hand-rolled JSON."""
+    data = json.dumps(body).encode("utf-8")
+    return len(data).to_bytes(4, "big") + data
+
+
+def _garbage_frames(engine):
+    """Frames no honest sender produces, addressed at the live ring: a
+    non-JSON body, and protocol frames carrying values the encoder
+    refuses (only JSON scalars may be registered)."""
+    node = next(iter(engine.locator))
+    body = {"w": WIRE_SCHEMA, "s": "@evil", "d": engine.locator[node]}
+    nested = {"label": "zz", "father": None, "children": [], "data": [["nested"]]}
+    return {
+        "non-json body": (9).to_bytes(4, "big") + b"\xff\xfe not js",
+        "DataInsertion.datum is a dict": _raw_frame(
+            {**body, "t": "DataInsertion", "f": {"node": node, "key": "pab", "datum": {"a": 1}}}
+        ),
+        "Host payload data is nested": _raw_frame({**body, "t": "Host", "f": {"payload": nested}}),
+        "YourInformation node data is nested": _raw_frame(
+            {**body, "t": "YourInformation", "f": {"pred": "pa", "succ": "pb", "nodes": [nested]}}
+        ),
+        "DiscoveryReply.data is nested": _raw_frame(
+            {**body, "d": "@client", "t": "DiscoveryReply",
+             "f": {"key": "pab", "found": True, "data": [{"a": 1}], "hops": 0}}
+        ),
+    }
+
+
+@pytest.mark.net
+class TestGarbageFromOneConnection:
+    """An undecodable frame is the failure of the connection it came
+    over.  From a client that is the client's own problem — it used to
+    be filed under ``transport.errors``, i.e. raised by whoever drained
+    next: an unrelated client's ``discover`` answered ``TransportError: 1
+    handler/codec/link error(s) during drain``; the frames the decoder
+    let through raised ``TypeError`` (unhashable) inside a handler, to the
+    same effect.  From another group's link it stays loud."""
+
+    def test_a_clients_garbage_fails_nobody_else(self):
+        async def body():
+            transport, engine, broker = await start_cluster(4)
+            good = await DLPTClient.connect(transport.address)
+            await good.register("pab", 1)
+            hit = await good.discover("pab")
+            assert hit["found"] and hit["data"] == [1]
+            frames = _garbage_frames(engine)
+            for closed, (what, frame) in enumerate(frames.items(), start=1):
+                reader, writer = await dial(transport.address)
+                writer.write(hello_frame(endpoint="@evil"))
+                writer.write(frame)
+                await writer.drain()
+                # The offender's connection is closed on it ...
+                assert await asyncio.wait_for(reader.read(), 5.0) == b"", what
+                writer.close()
+                # ... and counted; nobody's drain() will hear of it.
+                assert transport.client_wire_errors == closed, what
+                assert transport.errors == [], what
+                for _ in range(2):
+                    again = await good.discover("pab")
+                    assert {**again, "id": hit["id"]} == hit, what
+            engine.check_tree()
+            await good.close()
+            await broker.close()
+            await transport.close()
+
+        asyncio.run(body())
+
+    def test_a_peer_links_garbage_stays_loud(self):
+        async def body():
+            transport, engine, broker = await start_cluster(4)
+            await broker.backend.register("pab", 1)
+            frame = _garbage_frames(engine)["DataInsertion.datum is a dict"]
+            reader, writer = await dial(transport.address)
+            writer.write(hello_frame(kind="peer"))
+            writer.write(frame)
+            await writer.drain()
+            assert await asyncio.wait_for(reader.read(), 5.0) == b""
+            writer.close()
+            assert transport.client_wire_errors == 0
+            assert [type(exc) for exc in transport.errors] == [WireError]
+            with pytest.raises(TransportError, match="during drain"):
+                await transport.drain()
+            await broker.close()
+            await transport.close()
 
         asyncio.run(body())
 

@@ -161,6 +161,27 @@ class TestMalformedInput:
         with pytest.raises(WireError, match="not wire-encodable"):
             encode_frame("a", "b", message)
 
+    @pytest.mark.parametrize(
+        "name, fields",
+        [
+            ("DataInsertion", {"node": "a", "key": "ab", "datum": {"a": 1}}),
+            ("DataInsertion", {"node": "a", "key": "ab", "datum": [1]}),
+            ("DiscoveryReply", {"key": "ab", "found": True, "data": [["nested"]], "hops": 0}),
+            ("Host", {"payload": {"label": "a", "father": None, "children": [], "data": [{}]}}),
+            (
+                "LeaveTransfer",
+                {"pred": "a", "nodes": [{"label": "a", "father": None, "children": [], "data": [[1]]}]},
+            ),
+        ],
+    )
+    def test_non_scalar_values_are_refused_on_decode_too(self, name, fields):
+        """What the encoder refuses to send, the decoder refuses to accept
+        (a frame may come from anyone): an unhashable datum used to pass
+        and raise ``TypeError`` inside the handler that stored it."""
+        body = {"w": WIRE_SCHEMA, "s": "a", "d": "b", "t": name, "f": fields}
+        with pytest.raises(WireError, match="not wire-encodable"):
+            decode_frame(self._frame(body))
+
     def test_unencodable_payload_rejected(self):
         with pytest.raises(WireError, match="not wire-encodable"):
             encode_frame("a", "b", {1, 2, 3})
