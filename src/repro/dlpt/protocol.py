@@ -187,7 +187,9 @@ class ProtocolEngine:
         """Start the Algorithm 1 join of ``peer_id``.
 
         ``via`` is the label of the entry node; a random node of an
-        arbitrary known peer in a real deployment.  When the tree is empty
+        arbitrary known peer in a real deployment.  Here, as for every
+        client operation, it defaults to :attr:`lowest_label` (the entry
+        rule of docs/runtime.md).  When the tree is empty
         the request is delegated directly to the peer layer (there are no
         nodes to route it, cf. Section 3: routing "is mainly achieved by
         the nodes").
@@ -209,7 +211,7 @@ class ProtocolEngine:
             )
             return peer
         if via is None:
-            via = next(iter(self.locator), None)
+            via = self.lowest_label
         if via is None:
             # Empty tree: seed the NewPredecessor walk at any joined peer.
             seed = self._any_joined_peer()
@@ -284,7 +286,7 @@ class ProtocolEngine:
             self.transport.send(self._client_endpoint, start, m.Host(payload=payload))
             return
         if via is None:
-            via = next(iter(self.locator))
+            via = self.lowest_label
         self.send_to_node(self._client_endpoint, via, m.DataInsertion(node=via, key=key, datum=datum))
 
     def discover(self, key: str, via: Optional[str] = None) -> None:
@@ -293,7 +295,7 @@ class ProtocolEngine:
         if not self.locator:
             raise RuntimeError("tree is empty")
         if via is None:
-            via = next(iter(self.locator))
+            via = self.lowest_label
         self.send_to_node(
             self._client_endpoint,
             via,
@@ -313,7 +315,7 @@ class ProtocolEngine:
         if not self.locator:
             raise RuntimeError("tree is empty")
         if via is None:
-            via = next(iter(self.locator))
+            via = self.lowest_label
         self.send_to_node(
             self._client_endpoint,
             via,

@@ -43,7 +43,7 @@ its client sink).
 * A single-process ring is the transport with **no resolver**: every peer
   is local, nothing is dialed, and an unknown destination dead-letters.
   The multi-process runtime (:mod:`repro.net.procgroup`) gives every
-  worker and the coordinator the same class plus a resolver.
+  worker the same class plus a resolver.
 * The clock is the loop's monotonic clock (seconds since ``start()``);
   timers are ``loop.call_later``.  There is deliberately no RNG: losses
   and delays are the operating system's, never sampled — see the contract
@@ -63,9 +63,7 @@ frame counts ``delivered`` at the sender once written to the link and
 cluster is globally quiescent when every group's ``in_flight`` is zero
 **and** ``Σ frames_out == Σ frames_in`` (a frame can sit in a socket
 buffer after the sender counted it delivered — the frame totals catch
-exactly that window).  Endpoints named with a :data:`CONTROL_PREFIXES`
-prefix (the :mod:`repro.net.procgroup` control plane) bypass every
-counter, so coordinator polling never perturbs the quiescence it measures.
+exactly that window).
 
 :class:`LoopbackAsyncioTransport` keeps the event loop, the counters, the
 ready queue and its pump, and adds a full wire-codec round-trip on
@@ -97,15 +95,6 @@ _PUMP_BATCH = 256
 
 #: The reserved endpoint hello frames are addressed to.
 CONTROL_ENDPOINT = "@transport"
-
-#: Endpoint-name prefixes that mark control-plane traffic (uncounted).
-#: The rule is written twice: :func:`_is_control`, and inline in
-#: :meth:`AsyncioTransport.send` (once per hop, so it saves the call).
-CONTROL_PREFIXES = ("@ctl", "@coord")
-
-
-def _is_control(endpoint: Hashable) -> bool:
-    return isinstance(endpoint, str) and endpoint.startswith(CONTROL_PREFIXES)
 
 
 async def dial(address: tuple) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
@@ -156,9 +145,9 @@ class AsyncioTransport(Transport):
         dial_backoff: float = 0.05,
     ) -> None:
         self._handlers: Dict[Hashable, Handler] = {}
-        #: Envelopes for local endpoints, in send order, each with whether
-        #: it is counted (not control-plane); :meth:`_pump` delivers them.
-        self._ready: Deque[Tuple[Envelope, bool]] = collections.deque()
+        #: Envelopes for local endpoints, in send order; :meth:`_pump`
+        #: delivers them.
+        self._ready: Deque[Envelope] = collections.deque()
         self._pump_scheduled = False
         #: endpoint -> StreamWriter of the client connection hosting it.
         self._routes: Dict[Hashable, asyncio.StreamWriter] = {}
@@ -186,7 +175,7 @@ class AsyncioTransport(Transport):
         self.messages_delivered = 0
         self.messages_dropped = 0
         self.messages_dead_lettered = 0
-        #: Inter-group wire frames written / read (control plane excluded).
+        #: Inter-group wire frames written / read.
         self.frames_out = 0
         self.frames_in = 0
         #: Client connections closed for sending an undecodable frame.
@@ -217,31 +206,27 @@ class AsyncioTransport(Transport):
     def send(self, src: Hashable, dst: Hashable, payload: Any) -> None:
         if not self._started:
             raise TransportError("transport is not started")
-        # ``not _is_control(dst)``, spelled out: this runs once per hop.
-        counted = not (isinstance(dst, str) and dst.startswith(CONTROL_PREFIXES))
-        if counted:
-            self.messages_sent += 1
+        self.messages_sent += 1
         env = Envelope(src, dst, payload)
         if dst in self._handlers:
             # Queue for the pump — never deliver: ``send`` is called
             # mid-handler and from cluster steps that write state after
             # sending.  (:meth:`_enqueue`, in place: a local hop is this
             # call, the envelope's constructor and the handler.)
-            self._ready.append((env, counted))
+            self._ready.append(env)
             if not self._pump_scheduled:
                 self._pump_scheduled = True
                 self._loop.call_soon(self._pump_soon)
             return
-        if self._deliver_to_client(env, counted):
+        if self._deliver_to_client(env):
             return
         address = self._resolve(dst) if self._resolve is not None else None
         if address is None or address == self.address:
-            if counted:
-                self.messages_dead_lettered += 1
+            self.messages_dead_lettered += 1
             return
         self._link_to(address).outbox.put_nowait(env)
 
-    def _deliver_to_client(self, env: Envelope, counted: bool) -> bool:
+    def _deliver_to_client(self, env: Envelope) -> bool:
         """Write ``env`` to the connection of the client that introduced
         ``env.dst`` (it leaves the cluster's frame accounting there);
         ``False`` when no connected client did."""
@@ -252,17 +237,15 @@ class AsyncioTransport(Transport):
             writer.write(encode_frame(env.src, env.dst, env.payload))
         except WireError as exc:
             self.errors.append(exc)
-            if counted:
-                self.messages_dropped += 1
+            self.messages_dropped += 1
             return True
-        if counted:
-            self.messages_delivered += 1
+        self.messages_delivered += 1
         return True
 
-    def _enqueue(self, env: Envelope, counted: bool) -> None:
+    def _enqueue(self, env: Envelope) -> None:
         """Queue ``env`` for the pump and make sure the pump will run
         (ingress and loopback; ``send`` has these lines in its own body)."""
-        self._ready.append((env, counted))
+        self._ready.append(env)
         if not self._pump_scheduled:
             self._pump_scheduled = True
             self._loop.call_soon(self._pump_soon)
@@ -283,18 +266,16 @@ class AsyncioTransport(Transport):
         for _ in range(_PUMP_BATCH):
             if not ready:
                 return
-            env, counted = ready.popleft()
+            env = ready.popleft()
             handler = handlers.get(env.dst)
             if handler is None:
-                if counted:
-                    self.messages_dead_lettered += 1
+                self.messages_dead_lettered += 1
                 continue
             try:
                 handler(env)
             except Exception as exc:  # surfaced at drain(); keep delivering
                 self.errors.append(exc)
-            if counted:
-                self.messages_delivered += 1
+            self.messages_delivered += 1
         if ready and not self._pump_scheduled:
             self._pump_scheduled = True
             self._loop.call_soon(self._pump_soon)
@@ -342,9 +323,8 @@ class AsyncioTransport(Transport):
                     continue
                 writer.write(frame)
                 await writer.drain()
-                if not _is_control(env.dst):
-                    self.messages_delivered += 1
-                    self.frames_out += 1
+                self.messages_delivered += 1
+                self.frames_out += 1
         except (ConnectionError, OSError) as exc:
             self._fail_link(link, exc)
         finally:
@@ -358,11 +338,11 @@ class AsyncioTransport(Transport):
         self._links.pop(link.address, None)
 
     def _drop_queued(self, link: _Link) -> None:
-        """The wire contract for a dead connection: its queued
-        non-control frames count dropped."""
+        """The wire contract for a dead connection: its queued frames
+        count dropped."""
         while not link.outbox.empty():
-            if not _is_control(link.outbox.get_nowait().dst):
-                self.messages_dropped += 1
+            link.outbox.get_nowait()
+            self.messages_dropped += 1
 
     def _sever(self, link: _Link) -> None:
         """Tear an (already forgotten) link down without recording an error."""
@@ -374,7 +354,7 @@ class AsyncioTransport(Transport):
 
     def kill_link(self, dst: Hashable) -> bool:
         """Sever the cached link under ``dst`` mid-flight (chaos's
-        connection-kill fault).  Queued non-control frames count dropped —
+        connection-kill fault).  Queued frames count dropped —
         the wire contract for a dead connection — but no error is
         recorded: a kill is an injected fault, not a transport defect, and
         the next send to the address re-dials from scratch.  Returns
@@ -390,8 +370,8 @@ class AsyncioTransport(Transport):
 
     def reset_links(self) -> None:
         """Forget every cached outbound link (supervisor recovery: peers
-        may have respawned at new addresses).  Queued non-control frames
-        count dropped; subsequent sends re-resolve and re-dial."""
+        may have respawned at new addresses).  Queued frames count
+        dropped; subsequent sends re-resolve and re-dial."""
         for link in list(self._links.values()):
             self._sever(link)
         self._links.clear()
@@ -485,18 +465,16 @@ class AsyncioTransport(Transport):
         """One inbound frame enters this group's accounting domain; a
         frame for an endpoint this listener does not host dead-letters
         (frames are never forwarded a second hop)."""
-        counted = not _is_control(env.dst)
-        if counted:
-            self.messages_sent += 1
-            if peer:
-                self.frames_in += 1
-        if not peer:
+        self.messages_sent += 1
+        if peer:
+            self.frames_in += 1
+        else:
             # Client ingress (broker RPCs): the origin endpoint becomes
             # routable back over this connection.
             self._routes[env.src] = writer
         if env.dst in self._handlers:
-            self._enqueue(env, counted)
-        elif not self._deliver_to_client(env, counted) and counted:
+            self._enqueue(env)
+        elif not self._deliver_to_client(env):
             self.messages_dead_lettered += 1
 
     # -- clock & timers ----------------------------------------------------
@@ -542,7 +520,7 @@ class AsyncioTransport(Transport):
         self.reset_links()
         # Like a dead link's queue: what was still to be delivered here
         # counts dropped, and the pump callback finds nothing to do.
-        self.messages_dropped += sum(counted for _env, counted in self._ready)
+        self.messages_dropped += len(self._ready)
         self._ready.clear()
         tasks = [t for t in tasks if t]
         for task in tasks:
@@ -572,8 +550,8 @@ class AsyncioTransport(Transport):
     # -- quiescence --------------------------------------------------------
 
     async def drain(self) -> None:
-        """Local quiescence: no counted message of this transport is in
-        flight (transitively); then surface the first handler error."""
+        """Local quiescence: no message of this transport is in flight
+        (transitively); then surface the first handler error."""
         if self._loop is None:
             raise TransportError("transport is not started")
         deadline = self._loop.time() + self.drain_timeout
@@ -609,17 +587,14 @@ class LoopbackAsyncioTransport(AsyncioTransport):
     def send(self, src: Hashable, dst: Hashable, payload: Any) -> None:
         if not self._started:
             raise TransportError("transport is not started")
-        counted = not _is_control(dst)
-        if counted:
-            self.messages_sent += 1
+        self.messages_sent += 1
         try:
             frame = encode_frame(src, dst, payload)
         except WireError as exc:
-            if counted:
-                self.messages_dropped += 1
+            self.messages_dropped += 1
             self.errors.append(exc)
             return
-        self._enqueue(decode_frame(frame), counted)
+        self._enqueue(decode_frame(frame))
 
     async def start(self) -> None:
         if self._started:

@@ -68,6 +68,20 @@ BROKER_ENDPOINT = "@broker"
 REGISTRY_SCHEMA = "repro-registry/1"
 
 
+def checked_member(peer: object, capacity: object) -> Tuple[str, int]:
+    """The one admission rule for a ring member, wherever one enters — a
+    ``peer_join`` RPC, a journal ``join`` record, ``serve --capacity``: a
+    non-empty string id and an integer capacity >= 1, never coerced
+    (``str(None)`` would admit a peer named ``"None"``, ``int(True)`` a
+    capacity of 1).  Returns ``(peer, capacity)``; raises ``ValueError``
+    naming the field."""
+    if not isinstance(peer, str) or not peer:
+        raise ValueError(f"'peer' must be a non-empty string, got {peer!r}")
+    if isinstance(capacity, bool) or not isinstance(capacity, int) or capacity < 1:
+        raise ValueError(f"'capacity' must be an integer >= 1, got {capacity!r}")
+    return peer, capacity
+
+
 class RegistryJournal:
     """JSONL persistence for the bootstrap registry (``repro-registry/1``).
 
@@ -110,8 +124,10 @@ class RegistryJournal:
     def replay(self) -> Dict[str, int]:
         """Fold the journal into live membership: ``{peer_id: capacity}``.
 
-        Unknown schemas and malformed lines raise ``ValueError`` — a
-        corrupt journal must fail loudly, not seed a wrong ring.
+        Unknown schemas and malformed lines — a record that is not an
+        object, a member :func:`checked_member` refuses — raise
+        ``ValueError`` prefixed ``path:lineno:``: a corrupt journal must
+        fail loudly, not seed a wrong ring.
         """
         live: Dict[str, int] = {}
         if not os.path.exists(self.path):
@@ -121,24 +137,28 @@ class RegistryJournal:
                 line = line.strip()
                 if not line:
                     continue
+                where = f"{self.path}:{lineno}"
                 try:
                     entry = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    raise ValueError(
-                        f"{self.path}:{lineno}: not JSON: {exc}"
-                    ) from exc
+                    raise ValueError(f"{where}: not JSON: {exc}") from exc
+                if not isinstance(entry, dict):
+                    raise ValueError(f"{where}: not a JSON object: {line}")
                 if entry.get("v") != REGISTRY_SCHEMA:
                     raise ValueError(
-                        f"{self.path}:{lineno}: schema {entry.get('v')!r} "
-                        f"is not {REGISTRY_SCHEMA!r}"
+                        f"{where}: schema {entry.get('v')!r} is not {REGISTRY_SCHEMA!r}"
                     )
-                op, peer = entry.get("op"), entry.get("peer")
+                op = entry.get("op")
+                if op not in ("join", "leave", "crash"):
+                    raise ValueError(f"{where}: unknown op {op!r}")
+                try:
+                    peer, capacity = checked_member(entry.get("peer"), entry.get("capacity", 10))
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from None
                 if op == "join":
-                    live[str(peer)] = int(entry.get("capacity", 10))
-                elif op in ("leave", "crash"):
-                    live.pop(str(peer), None)
+                    live[peer] = capacity
                 else:
-                    raise ValueError(f"{self.path}:{lineno}: unknown op {op!r}")
+                    live.pop(peer, None)
         return live
 
     def successor_of(self, peer_id: str) -> Optional[str]:
@@ -457,12 +477,7 @@ class Broker:
         )
 
     async def _op_peer_join(self, request: dict) -> dict:
-        peer_id = _text(request, "peer")
-        capacity = request.get("capacity", 10)
-        if not peer_id:
-            raise ValueError("'peer' must be non-empty")
-        if isinstance(capacity, bool) or not isinstance(capacity, int) or capacity < 1:
-            raise ValueError(f"'capacity' must be an integer >= 1, got {capacity!r}")
+        peer_id, capacity = checked_member(request.get("peer"), request.get("capacity", 10))
         admitted = admission(self.backend.live_ids(), peer_id)
         ring = await self.backend.join(peer_id, capacity)
         if self.journal is not None:

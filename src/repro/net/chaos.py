@@ -55,12 +55,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Deque, Dict, Hashable, Optional, Tuple
 
 from ..util.specs import SpecError, parse_options, register_spec_kind
-from . import asyncio_transport
 from .transport import Handler, Transport, TransportError
-
-#: Endpoint-name prefixes never perturbed by chaos (the control plane and
-#: connection hellos must stay reliable or the experiment can't observe).
-CONTROL_PREFIXES = (*asyncio_transport.CONTROL_PREFIXES, asyncio_transport.CONTROL_ENDPOINT)
 
 #: The hold applied by ``reorder`` (long enough to yield the event loop /
 #: advance the sim queue, short enough to be latency-free in practice).
@@ -331,12 +326,7 @@ class ChaosTransport(Transport):
     # -- the fault-injecting send path --------------------------------------
 
     def _exempt(self, src: Hashable, dst: Hashable) -> bool:
-        for endpoint in (src, dst):
-            if isinstance(endpoint, str) and endpoint.startswith(CONTROL_PREFIXES):
-                return True
-        if self._only is not None and not self._only(src, dst):
-            return True
-        return False
+        return self._only is not None and not self._only(src, dst)
 
     def _partitioned(self, src: Hashable, dst: Hashable) -> bool:
         if not self.plan.partitions:

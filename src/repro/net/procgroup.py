@@ -6,12 +6,12 @@ into *engine groups*, each group a ``ProtocolEngine`` +
 own worker process (``multiprocessing`` spawn).  Protocol messages between
 peers of different groups cross real sockets.  The operations and the
 steps they are made of are :mod:`repro.net.cluster`'s — a worker *is* an
-:class:`~repro.net.cluster.EngineGroup` behind a control endpoint, and
+:class:`~repro.net.cluster.EngineGroup` behind a control channel, and
 :class:`MultiProcessCluster` is the :class:`~repro.net.cluster.Cluster`
 whose ``call`` is a control RPC and whose ``drain`` is global quiescence.
 This module adds only what separate processes need: spawn and lifecycle,
-the control plane (which never perturbs the data plane it measures),
-locator replication, supervision, and the ledgers recovery replays.
+the control channels, locator replication, supervision, and the ledgers
+recovery replays.
 
 Topology and addressing:
 
@@ -19,11 +19,15 @@ Topology and addressing:
   ``zlib.crc32(p) % n_groups`` (:func:`~repro.net.cluster.group_of`), so
   every group can resolve any peer id to the owning group's listener
   address without coordination.
-* **Per-group endpoints** — group ``i`` registers its control RPC
-  endpoint ``@ctl-i`` (control plane, uncounted), its locator-sync sink
-  ``@sync-i`` (data plane, counted) and its engine's private client
-  endpoint ``@client-gi`` so discovery/query replies route back to the
-  issuing process.  The coordinator answers on ``@coord``.
+* **Per-group endpoints** — group ``i`` registers its locator-sync sink
+  ``@sync-i`` and its engine's private client endpoint ``@client-gi`` so
+  discovery/query replies route back to the issuing process.
+* **Control channel** — the coordinator reaches worker ``i`` over the
+  ``multiprocessing.Pipe()`` it was spawned with, as asyncio streams of
+  ``repro-wire/1`` JSON frames: the worker's listener address, then
+  ``{"op", "id", …}`` requests and ``{"id", "ok", …}`` replies.  No
+  transport carries them, so a transport counts every message; closing
+  the channel stops the worker.
 * **Locator replication** — every node install fires the engine's
   ``on_node_installed`` hook, which broadcasts ``{label, host}`` to the
   other groups' ``@sync`` endpoints as ordinary *data* frames: global
@@ -34,7 +38,7 @@ Global quiescence (the multi-process ``drain``): every group reports
 ``in_flight == 0`` **and** the cluster sums satisfy ``Σ frames_out ==
 Σ frames_in`` (a frame sitting in a socket buffer has been counted
 delivered by its sender but not yet ingressed), observed stable across
-two consecutive polls.  Counter polls travel on the control plane, so
+two consecutive polls.  Counter polls travel on the control channels, so
 polling cannot keep the cluster awake.
 """
 
@@ -43,13 +47,16 @@ from __future__ import annotations
 import asyncio
 import itertools
 import multiprocessing
-from typing import Dict, List, Optional, Tuple
+import os
+import socket
+from typing import AsyncIterator, Dict, List, Optional, Tuple
 
 from ..dlpt.protocol import ProtocolEngine
 from ..sim.network import Envelope
-from .asyncio_transport import AsyncioTransport
+from .asyncio_transport import _READ_CHUNK, AsyncioTransport
 from .cluster import STEPS, Cluster, ClusterError, EngineGroup, group_of
 from .transport import TransportError
+from .wire import FrameReader, encode_frame
 
 #: How long :meth:`MultiProcessCluster.drain` waits for global quiescence.
 DRAIN_TIMEOUT = 60.0
@@ -58,8 +65,6 @@ DRAIN_TIMEOUT = 60.0
 ERROR_SETTLE = 2.0
 
 #: Endpoint naming scheme (group index ``i``).
-COORD_ENDPOINT = "@coord"
-CTL_PREFIX = "@ctl-"
 SYNC_PREFIX = "@sync-"
 CLIENT_PREFIX = "@client-g"
 
@@ -70,15 +75,13 @@ class ClusterRecovering(ClusterError):
     reply, so resilient clients ride through the outage)."""
 
 
-def _make_resolver(n_groups: int, groups: List[tuple], coord: Optional[tuple]):
+def _make_resolver(n_groups: int, groups: List[tuple]):
     """endpoint -> listener address, per the naming scheme above."""
 
     def resolve(endpoint) -> Optional[tuple]:
         if not isinstance(endpoint, str):
             return None
-        if endpoint == COORD_ENDPOINT:
-            return coord
-        for prefix in (CTL_PREFIX, SYNC_PREFIX, CLIENT_PREFIX):
+        for prefix in (SYNC_PREFIX, CLIENT_PREFIX):
             if endpoint.startswith(prefix):
                 try:
                     return groups[int(endpoint[len(prefix):])]
@@ -89,25 +92,48 @@ def _make_resolver(n_groups: int, groups: List[tuple], coord: Optional[tuple]):
     return resolve
 
 
+async def _open_channel(conn) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+    """Asyncio streams over one end of a ``multiprocessing.Pipe()`` (a
+    UNIX socketpair); the connection hands its descriptor over and closes."""
+    sock = socket.socket(fileno=os.dup(conn.fileno()))
+    conn.close()
+    return await asyncio.open_unix_connection(sock=sock)
+
+
+def _frame(payload) -> bytes:
+    """One channel frame (a channel joins two parties: no endpoints)."""
+    return encode_frame(None, None, payload)
+
+
+async def _frames(reader: asyncio.StreamReader) -> AsyncIterator:
+    """The payloads of the frames arriving on a channel, until it closes."""
+    frames = FrameReader()
+    try:
+        while chunk := await reader.read(_READ_CHUNK):
+            for env in frames.feed(chunk):
+                yield env.payload
+    except ConnectionError:
+        return
+
+
 # ---------------------------------------------------------------------------
 # worker side
 # ---------------------------------------------------------------------------
 
 
 class _Worker(EngineGroup):
-    """One engine group behind its control endpoint: the shared steps,
+    """One engine group behind its control channel: the shared steps,
     plus what only a separate process needs — locator replication, the
-    frame/error extension of ``counters``, heartbeat, reset, shutdown."""
+    frame/error extension of ``counters``, heartbeat and reset."""
 
-    #: What the control endpoint dispatches: the shared steps plus the
-    #: worker's own three.
-    OPS = STEPS | {"ping", "reset", "shutdown"}
+    #: What the control channel dispatches: the shared steps plus the
+    #: worker's own two.
+    OPS = STEPS | {"ping", "reset"}
 
-    def __init__(self, index: int, n_groups: int, engine, stop) -> None:
+    def __init__(self, index: int, n_groups: int, engine) -> None:
         super().__init__(engine)
         self.index = index
         self.n_groups = n_groups
-        self.stop = stop
 
     # -- locator replication ------------------------------------------------
 
@@ -124,20 +150,18 @@ class _Worker(EngineGroup):
 
     # -- control RPCs -------------------------------------------------------
 
-    def on_control(self, env: Envelope) -> None:
-        if not isinstance(env.payload, dict):
-            return
-        body = dict(env.payload)
-        reply = {"id": body.pop("id", None)}
-        reply_to = body.pop("reply_to", COORD_ENDPOINT)
+    def serve(self, request: dict) -> bytes:
+        """Run one control RPC; returns its framed reply — the step's
+        result, or the error it raised (an unencodable result included)."""
+        body = dict(request)
+        rid = body.pop("id", None)
         op = body.pop("op", None)
         try:
             if op not in self.OPS:
                 raise ClusterError(f"unknown control op {op!r}")
-            reply.update(ok=True, **(getattr(self, op)(**body) or {}))
+            return _frame({"id": rid, "ok": True, **(getattr(self, op)(**body) or {})})
         except Exception as exc:
-            reply.update(ok=False, error=f"{type(exc).__name__}: {exc}")
-        self.transport.send(f"{CTL_PREFIX}{self.index}", reply_to, reply)
+            return _frame({"id": rid, "ok": False, "error": f"{type(exc).__name__}: {exc}"})
 
     def counters(self) -> dict:
         """The shared counters plus this group's inter-group frame totals
@@ -156,17 +180,16 @@ class _Worker(EngineGroup):
 
     def ping(self) -> dict:
         """Heartbeat probe: proves the worker's event loop is servicing
-        its control endpoint, not merely that the process exists."""
+        its control channel, not merely that the process exists."""
         return {"pong": True, "uptime": self.transport.now()}
 
-    def reset(self, groups: list, coord: Optional[list]) -> None:
-        """Supervisor recovery: wipe this group back to a blank engine.
-
-        Addresses arrive as JSON lists over the control plane; they must
-        be re-tupled or the resolver would hand the link cache unhashable
+    def reset(self, groups: list) -> None:
+        """Wipe this group back to a blank engine that reaches the others
+        at ``groups`` (a new worker's first RPC; every worker's in a
+        recovery).  Addresses arrive as JSON lists; they must be
+        re-tupled or the resolver would hand the link cache unhashable
         keys (and ``address == self.address`` would never match)."""
         groups = [tuple(a) for a in groups]
-        coord = tuple(coord) if coord else None
         engine, t = self.engine, self.transport
         for peer_id in list(engine.peers):
             t.unregister(peer_id)
@@ -175,17 +198,14 @@ class _Worker(EngineGroup):
         engine.pending_node_messages.clear()
         engine.discovery_replies.clear()
         engine.query_replies.clear()
-        t.set_resolve(_make_resolver(self.n_groups, groups, coord))
+        t.set_resolve(_make_resolver(self.n_groups, groups))
         t.reset_links()
         t.errors.clear()
         t.reset_accounting()
 
-    def shutdown(self) -> None:
-        # Reply first; stop a beat later so the reply frame leaves the link.
-        asyncio.get_running_loop().call_later(0.05, self.stop.set)
-
 
 async def _worker_async(index: int, n_groups: int, conn, chaos=None) -> None:
+    reader, writer = await _open_channel(conn)
     transport = AsyncioTransport()
     await transport.start()
     if chaos is not None:
@@ -197,24 +217,20 @@ async def _worker_async(index: int, n_groups: int, conn, chaos=None) -> None:
             transport, chaos, seed=chaos.seed + index * 7919
         )
     engine = ProtocolEngine(transport=transport, client_endpoint=f"{CLIENT_PREFIX}{index}")
-    worker = _Worker(index, n_groups, engine, asyncio.Event())
+    worker = _Worker(index, n_groups, engine)
     engine.on_node_installed = worker.broadcast_install
-    # Register every endpoint BEFORE publishing the address: the first
-    # control RPC may arrive the instant the coordinator learns it.
-    transport.register(f"{CTL_PREFIX}{index}", worker.on_control)
     transport.register(f"{SYNC_PREFIX}{index}", worker.on_sync)
-    conn.send(transport.address)
-    while not conn.poll():
-        await asyncio.sleep(0.005)
-    handshake = conn.recv()
-    transport.set_resolve(
-        _make_resolver(n_groups, handshake["groups"], handshake["coord"])
-    )
+    writer.write(_frame(list(transport.address)))
+    loop = asyncio.get_running_loop()
     try:
-        await worker.stop.wait()
+        # Serve until the coordinator closes the channel (or dies).  A
+        # reply leaves behind the delivery pump its step armed, so the
+        # counter poll that follows it finds that local cascade run.
+        async for request in _frames(reader):
+            loop.call_soon(writer.write, worker.serve(request))
     finally:
         await transport.close()
-        conn.close()
+        writer.close()
 
 
 def _worker_main(index: int, n_groups: int, conn, chaos=None) -> None:
@@ -282,19 +298,23 @@ class MultiProcessCluster(Cluster):
         self.crashed_peers: List[str] = []
         self.supervisor_errors: List[BaseException] = []
         self._recovering = False
-        self.transport: Optional[AsyncioTransport] = None
         self._ctx = None
         self._procs: list = []
-        self._conns: list = []
-        self._groups: List[tuple] = []
+        #: Per group: the coordinator's end of its control channel and the
+        #: task reading that worker's frames.
+        self._channels: List[Optional[asyncio.StreamWriter]] = []
+        self._listeners: List[Optional[asyncio.Task]] = []
+        self._groups: List[Optional[tuple]] = []
         self._supervise_task: Optional[asyncio.Task] = None
         self._ids = itertools.count(1)
         self._pending: Dict[int, asyncio.Future] = {}
 
     # -- lifecycle ----------------------------------------------------------
 
-    def _spawn(self, index: int) -> None:
-        """(Re)spawn the worker process of group ``index``."""
+    async def _spawn(self, index: int) -> asyncio.Future:
+        """(Re)spawn the worker process of group ``index``; returns the
+        future of its listener address, failed with :class:`ClusterError`
+        if its channel closes first."""
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main,
@@ -304,48 +324,49 @@ class MultiProcessCluster(Cluster):
         proc.start()
         child_conn.close()
         self._procs[index] = proc
-        self._conns[index] = parent_conn
+        reader, self._channels[index] = await _open_channel(parent_conn)
+        loop = asyncio.get_running_loop()
+        address = loop.create_future()
+        self._listeners[index] = loop.create_task(
+            self._listen(index, reader, self._channels[index], address)
+        )
+        return address
 
-    async def _await_address(self, index: int) -> tuple:
-        """Wait for group ``index`` to publish its listener address."""
-        conn = self._conns[index]
-        while not conn.poll():
-            if not self._procs[index].is_alive():
-                raise ClusterError(f"worker {index} died during startup")
-            await asyncio.sleep(0.005)
-        return conn.recv()
+    async def _listen(self, index: int, reader, writer, address: asyncio.Future) -> None:
+        """Read one worker's channel — its address, then the replies to
+        :meth:`call` — until it closes."""
+        try:
+            async for payload in _frames(reader):
+                if not address.done():
+                    address.set_result(tuple(payload))
+                    continue
+                future = self._pending.pop(payload.get("id"), None)
+                if future is None or future.done():
+                    continue
+                if payload.get("ok"):
+                    future.set_result(payload)
+                else:
+                    future.set_exception(ClusterError(payload.get("error", "unknown error")))
+        finally:
+            writer.close()
+            if not address.done():
+                address.set_exception(ClusterError(f"worker {index} died during startup"))
 
-    async def _readiness_barrier(self, indices) -> None:
-        # Readiness barrier: a worker can only answer once its resolver is
-        # installed (the reply needs the coordinator's address), so one
-        # successful ping per group proves the control plane is two-way.
-        for group in indices:
-            for attempt in range(40):
-                try:
-                    await self.call(group, "ping", timeout=0.5)
-                    break
-                except asyncio.TimeoutError:
-                    if attempt == 39:
-                        raise ClusterError(f"worker {group} never became ready")
+    async def _introduce(self, addresses: Dict[int, asyncio.Future]) -> None:
+        """Await the listener addresses of (re)spawned workers, then hand
+        every group the full address map with its ``reset``."""
+        for index, address in zip(addresses, await asyncio.gather(*addresses.values())):
+            self._groups[index] = address
+        for g in range(self.n_groups):
+            await self.call(g, "reset", groups=self._groups)
 
     async def start(self) -> None:
         self._ctx = multiprocessing.get_context("spawn")
         self._procs = [None] * self.n_groups
-        self._conns = [None] * self.n_groups
-        for index in range(self.n_groups):
-            self._spawn(index)
-        self._groups = [
-            await self._await_address(index) for index in range(self.n_groups)
-        ]
-        self.transport = AsyncioTransport()
-        await self.transport.start()
-        self.transport.register(COORD_ENDPOINT, self._on_reply)
-        self.transport.set_resolve(
-            _make_resolver(self.n_groups, self._groups, None)
-        )
-        for conn in self._conns:
-            conn.send({"groups": self._groups, "coord": self.transport.address})
-        await self._readiness_barrier(range(self.n_groups))
+        self._channels = [None] * self.n_groups
+        self._listeners = [None] * self.n_groups
+        self._groups = [None] * self.n_groups
+        await self._introduce({index: await self._spawn(index) for index in range(self.n_groups)})
         if self.supervise:
             self._supervise_task = asyncio.get_running_loop().create_task(
                 self._supervise()
@@ -356,14 +377,15 @@ class MultiProcessCluster(Cluster):
             self._supervise_task.cancel()
             await asyncio.gather(self._supervise_task, return_exceptions=True)
             self._supervise_task = None
-        for g in range(self.n_groups):
-            try:
-                await self.call(g, "shutdown", timeout=5.0)
-            except (ClusterError, asyncio.TimeoutError, TransportError):
-                pass
-        if self.transport is not None:
-            await self.transport.close()
-            self.transport = None
+        # End-of-file on its channel stops a worker.  Aborting closes the
+        # socket at once (an unsent request is moot) and so ends the
+        # channel's reader — before the blocking joins below.
+        for channel in self._channels:
+            if channel is not None:
+                channel.transport.abort()
+        await asyncio.gather(
+            *(task for task in self._listeners if task is not None), return_exceptions=True
+        )
         for proc in self._procs:
             if proc is None:
                 continue
@@ -372,24 +394,10 @@ class MultiProcessCluster(Cluster):
                 proc.terminate()
                 proc.join(timeout=5.0)
         self._procs.clear()
-        for conn in self._conns:
-            if conn is not None:
-                conn.close()
-        self._conns.clear()
+        self._channels.clear()
+        self._listeners.clear()
 
     # -- control RPC --------------------------------------------------------
-
-    def _on_reply(self, env: Envelope) -> None:
-        payload = env.payload
-        if not isinstance(payload, dict):
-            return
-        future = self._pending.pop(payload.get("id"), None)
-        if future is None or future.done():
-            return
-        if payload.get("ok"):
-            future.set_result(payload)
-        else:
-            future.set_exception(ClusterError(payload.get("error", "unknown error")))
 
     async def call(self, group: int, op: str, *, timeout: Optional[float] = None, **body) -> dict:
         """One control RPC to group ``group``; raises :class:`ClusterError`
@@ -397,8 +405,10 @@ class MultiProcessCluster(Cluster):
         rid = next(self._ids)
         future = asyncio.get_running_loop().create_future()
         self._pending[rid] = future
-        body.update(op=op, id=rid, reply_to=COORD_ENDPOINT)
-        self.transport.send(COORD_ENDPOINT, f"{CTL_PREFIX}{group}", body)
+        body.update(op=op, id=rid)
+        channel = self._channels[group]
+        if not channel.is_closing():  # a dead worker's RPC just goes unanswered
+            channel.write(_frame(body))
         try:
             return await asyncio.wait_for(future, timeout or self.rpc_timeout)
         finally:
@@ -523,29 +533,13 @@ class MultiProcessCluster(Cluster):
                 if proc.is_alive():  # hung, not dead: replace it anyway
                     proc.terminate()
                 proc.join(timeout=5.0)
-                try:
-                    self._conns[index].close()
-                except OSError:
-                    pass
-                self._spawn(index)
-            for index in dead:
-                self._groups[index] = await self._await_address(index)
-            # Fresh coordinator epoch: stale links would dial the dead
-            # processes, and frames already written to them can never be
-            # matched by an ingress, so the old accounting is unbalanceable.
-            self.transport.reset_links()
-            self.transport.errors.clear()
-            self.transport.reset_accounting()
-            self.transport.set_resolve(
-                _make_resolver(self.n_groups, self._groups, None)
-            )
-            for index in dead:
-                self._conns[index].send(
-                    {"groups": self._groups, "coord": self.transport.address}
-                )
-            await self._readiness_barrier(dead)
-            for g in range(self.n_groups):
-                await self.call(g, "reset", groups=self._groups, coord=self.transport.address)
+                self._channels[index].transport.abort()  # ends its reader too
+                await asyncio.gather(self._listeners[index], return_exceptions=True)
+            # Every group is reset, survivors included: their links still
+            # point at the dead processes, and frames already written to
+            # those can never be matched by an ingress, so the old
+            # accounting is unbalanceable.
+            await self._introduce({index: await self._spawn(index) for index in dead})
             # The rebuild itself must not be perturbed: an injected drop
             # here could silently lose a ledgered registration.
             if self.chaos is not None:

@@ -43,7 +43,7 @@ from typing import List, Optional
 from ..dlpt.protocol import ProtocolEngine
 from ..util.specs import SpecError, parse_spec
 from .asyncio_transport import AsyncioTransport
-from .bootstrap import Broker, RegistryJournal
+from .bootstrap import Broker, RegistryJournal, checked_member
 from .chaos import ChaosTransport
 from .client import DLPTClient
 from .cluster import LocalCluster
@@ -167,8 +167,10 @@ async def start_multiprocess_cluster(
         host=host if tcp else None, port=port, path=None if tcp else path
     )
     async with contextlib.AsyncExitStack() as opened:  # as in start_cluster
-        await cluster.start()
+        # Registered first: a start that fails part-way (a worker dying
+        # before it reports its address) leaves workers to stop.
         opened.push_async_callback(cluster.close)
+        await cluster.start()
         await transport.start()
         opened.push_async_callback(transport.close)
         broker = Broker(
@@ -344,6 +346,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.peers < 1:
         print("error: --peers must be >= 1")
+        return 2
+    try:  # the rule every admitted member meets, the default topology's too
+        checked_member(peer_ids(1)[0], args.capacity)
+    except ValueError as exc:
+        print(f"error: --capacity: {exc}")
         return 2
     if args.processes < 1:
         print("error: --processes must be >= 1")

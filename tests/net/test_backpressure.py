@@ -243,13 +243,22 @@ class TestRegistryJournal:
                 '{"v": "%s", "op": "explode", "peer": "pa"}' % REGISTRY_SCHEMA,
                 "unknown op",
             ),
+            ("[1, 2]", "not a JSON object"),
+            ('{"v": "%s", "op": "join", "capacity": 3}' % REGISTRY_SCHEMA, "'peer'"),
+            ('{"v": "%s", "op": "leave", "peer": 7}' % REGISTRY_SCHEMA, "'peer'"),
+            ('{"v": "%s", "op": "join", "peer": "pa", "capacity": 0}' % REGISTRY_SCHEMA, "'capacity'"),
+            (
+                '{"v": "%s", "op": "join", "peer": "pa", "capacity": true}' % REGISTRY_SCHEMA,
+                "'capacity'",
+            ),
         ],
     )
     def test_corruption_fails_loudly(self, tmp_path, line, needle):
         path = tmp_path / "reg.jsonl"
         path.write_text(line + "\n")
-        with pytest.raises(ValueError, match=needle):
+        with pytest.raises(ValueError, match=needle) as caught:
             RegistryJournal(str(path)).replay()
+        assert str(caught.value).startswith(f"{path}:1: ")
 
     def test_broker_records_membership_changes(self, tmp_path):
         async def body():

@@ -210,16 +210,22 @@ class TestChaosTransport:
 
         asyncio.run(body())
 
-    def test_control_plane_is_exempt(self):
+    def test_no_endpoint_name_is_exempt(self):
+        """Only the ``only=`` predicate scopes chaos: names once reserved
+        for an uncounted control plane are dropped like any other."""
+
         async def body():
             t = ChaosTransport(SimTransport(), "drop:1.0")
             await t.start()
             got = []
             t.register("@ctl-0", lambda env: got.append(env.payload))
-            t.send("a", "@ctl-0", {"op": "ping"})
+            t.register("@coord", lambda env: got.append(env.payload))
+            t.send("@coord", "@ctl-0", {"op": "ping"})
+            t.send("@ctl-0", "@coord", {"id": 1, "ok": True})
             await t.drain()
-            assert got == [{"op": "ping"}]
-            assert t.chaos_dropped == 0
+            assert got == []
+            assert t.chaos_dropped == 2
+            assert t.messages_sent == t.messages_dropped == 2
             await t.close()
 
         asyncio.run(body())

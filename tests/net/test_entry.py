@@ -4,10 +4,11 @@ keeps that label where the location table is written —
 ``ProtocolEngine.set_location`` / ``drop_locations`` — so
 ``EngineGroup._entry`` never iterates the table.
 
-Three angles: the invariant ``engine.lowest_label == min(engine.locator)``
+Four angles: the invariant ``engine.lowest_label == min(engine.locator)``
 under random membership and write interleavings; the write steps one by
-one; and the complexity, by counting iterations of the table rather than
-timing them.
+one; the engine's own ``via=None`` default, which is the same rule; and
+the complexity, by counting iterations of the table rather than timing
+them.
 """
 
 from __future__ import annotations
@@ -155,6 +156,39 @@ class TestLocationWrites:
         assert group._entry("gone") == "a" and group._entry(None) == "a"
 
 
+# -- the engine's own default -----------------------------------------------
+
+
+def _engine_first_installed_not_lowest() -> ProtocolEngine:
+    """A simulated ring whose first-installed label (``dgemm``, the old
+    root) is not its lowest (``d``, the common-prefix root above it)."""
+    engine = ProtocolEngine()
+    engine.bootstrap_peer("pm")
+    for peer in ("pd", "pz"):
+        engine.join_peer(peer)
+        engine.run()
+    for key in ("dgemm", "daxpy", "dtrsm"):
+        engine.insert_data(key)
+        engine.run()
+    assert next(iter(engine.locator)) != engine.lowest_label == "d"
+    return engine
+
+
+class TestEngineDefaultEntry:
+    """``via=None`` on the engine means what it means one layer up: the
+    lowest live label, not whichever label the table happens to list first."""
+
+    def test_a_default_discovery_starts_at_the_lowest_label(self):
+        engine = _engine_first_installed_not_lowest()
+        engine.discover("daxpy")
+        engine.run()
+        engine.discover("daxpy", via=engine.lowest_label)
+        engine.run()
+        default, explicit = engine.discovery_replies
+        assert default.found and explicit.found
+        assert default.hops == explicit.hops
+
+
 # -- the complexity, by counting --------------------------------------------
 
 
@@ -204,3 +238,20 @@ class TestNoOperationIteratesTheTable:
             await cluster.close()
 
         asyncio.run(body())
+
+    def test_engine_operations_without_an_entry_scan_nothing(self):
+        """The engine's own ``via=None`` default used to be
+        ``next(iter(locator))``: one iteration per operation."""
+        engine = _engine_first_installed_not_lowest()
+        table = engine.locator = _CountingTable(engine.locator)
+        for operation in (
+            lambda: engine.discover("dgemm"),
+            lambda: engine.insert_data("dgesv"),
+            lambda: engine.search_query("prefix", "d"),
+            lambda: engine.join_peer("pe"),
+        ):
+            operation()
+            engine.run()
+        assert table.iterations == 0
+        (hit,), (scan,) = engine.discovery_replies, engine.query_replies
+        assert hit.found and "dgesv" in scan.keys and engine.peers["pe"].joined

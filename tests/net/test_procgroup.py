@@ -1,4 +1,4 @@
-"""Multi-process engine groups: placement, control plane, global drain.
+"""Multi-process engine groups: placement, control channel, global drain.
 
 Tier-1 covers the pure pieces (placement hash, endpoint resolver); the
 ``net``-marked tests spawn real worker processes and drive a ring spread
@@ -18,8 +18,6 @@ import pytest
 from repro.net.bootstrap import RegistryJournal
 from repro.net.procgroup import (
     CLIENT_PREFIX,
-    COORD_ENDPOINT,
-    CTL_PREFIX,
     SYNC_PREFIX,
     ClusterError,
     ClusterRecovering,
@@ -45,20 +43,14 @@ class TestPlacement:
 
     def test_resolver_maps_the_naming_scheme(self):
         groups = [("unix", "/g0"), ("unix", "/g1")]
-        coord = ("unix", "/coord")
-        resolve = _make_resolver(2, groups, coord)
-        assert resolve(COORD_ENDPOINT) == coord
-        assert resolve(f"{CTL_PREFIX}1") == groups[1]
+        resolve = _make_resolver(2, groups)
         assert resolve(f"{SYNC_PREFIX}0") == groups[0]
         assert resolve(f"{CLIENT_PREFIX}1") == groups[1]
         assert resolve("pa") == groups[group_of("pa", 2)]
 
     def test_resolver_rejects_unmappable_endpoints(self):
-        resolve = _make_resolver(2, [("unix", "/g0"), ("unix", "/g1")], None)
-        assert resolve(f"{CTL_PREFIX}7") is None
-        assert resolve(f"{CTL_PREFIX}x") is None
+        resolve = _make_resolver(2, [("unix", "/g0"), ("unix", "/g1")])
         assert resolve(123) is None
-        assert resolve(COORD_ENDPOINT) is None
 
     def test_cluster_rejects_zero_processes(self):
         with pytest.raises(ValueError, match="processes"):
@@ -216,6 +208,62 @@ class TestClusterLifecycle:
                 assert await cluster.search("prefix", "a") is None
             finally:
                 await cluster.close()
+
+        asyncio.run(body())
+
+
+#: The counters every message a transport carries moves.
+_TRAFFIC = ("sent", "delivered", "dropped", "dead_lettered", "frames_out", "frames_in")
+
+
+@pytest.mark.net
+class TestControlChannel:
+    """Coordinator↔worker RPCs ride the pipe each worker is spawned with,
+    never a transport: what the counters count is protocol traffic only,
+    by construction rather than by an exempt endpoint-name prefix."""
+
+    def test_control_rpcs_move_no_transport_counter(self):
+        async def body():
+            cluster = MultiProcessCluster(processes=2)
+            await cluster.start()
+            try:
+                peers = ["pa", "pd", "pg", "pj"]
+                assert len({group_of(p, 2) for p in peers}) == 2
+                for pid in peers:
+                    await cluster.join(pid)
+                await cluster.register("dgemm")
+                await cluster.drain()
+                before = [{k: c[k] for k in _TRAFFIC} for c in await cluster.counters()]
+                assert sum(c["frames_out"] for c in before) > 0  # links did carry traffic
+                for i in range(100):
+                    assert (await cluster.call(i % 2, "ping"))["pong"]
+                for _ in range(20):
+                    after = [{k: c[k] for k in _TRAFFIC} for c in await cluster.counters()]
+                    assert after == before
+            finally:
+                await cluster.close()
+
+        asyncio.run(body())
+
+    def test_a_worker_dying_before_its_address_fails_start_at_once(self, tmp_path, monkeypatch):
+        """Nothing is polled for and no timeout is waited out: the dead
+        worker's channel reaches end-of-file.  Provoked with a temp dir
+        whose socket path cannot fit ``sun_path`` — only workers bind."""
+        long_tmp = tmp_path / ("t" * 120)
+        long_tmp.mkdir()
+        monkeypatch.setenv("TMPDIR", str(long_tmp))
+
+        async def body():
+            cluster = MultiProcessCluster(processes=2, rpc_timeout=60.0)
+            loop = asyncio.get_running_loop()
+            t0 = loop.time()
+            try:
+                with pytest.raises(ClusterError, match=r"worker \d died during startup"):
+                    await cluster.start()
+                assert loop.time() - t0 < 10.0
+            finally:
+                await cluster.close()
+            assert cluster._procs == []
 
         asyncio.run(body())
 

@@ -120,6 +120,41 @@ class TestCorruptJournal:
         assert lines[0].startswith(f"error: {journal}:1: not JSON")
         assert not sock.exists()
 
+    @pytest.mark.parametrize(
+        "record, needle",
+        [
+            ("[1, 2]", "not a JSON object"),
+            ('{"v": "repro-registry/1", "op": "join", "capacity": 3}', "'peer'"),
+            ('{"v": "repro-registry/1", "op": "join", "peer": "pa", "capacity": 0}', "'capacity'"),
+            ('{"v": "repro-registry/1", "op": "join", "peer": "pa", "capacity": true}', "'capacity'"),
+        ],
+    )
+    def test_a_record_the_broker_would_refuse_exits_two(self, tmp_path, capsys, record, needle):
+        """The journal admits members by the broker's own rule.  A list
+        record used to die with ``AttributeError`` (exit 1, a traceback),
+        a peer-less join admitted ``"None"``, and capacities 0 and
+        ``true`` were taken (the latter as 1)."""
+        journal, sock = tmp_path / "j.jsonl", tmp_path / "s.sock"
+        journal.write_text('{"v": "repro-registry/1", "op": "join", "peer": "pb"}\n' + record + "\n")
+        rc = repro_main(
+            ["serve", "--demo", "--path", str(sock), "--journal", str(journal)]
+        )
+        assert rc == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {journal}:2: ") and needle in lines[0]
+        assert not sock.exists()
+
+    def test_capacity_zero_exits_two_like_peers_zero(self, tmp_path, capsys):
+        """``--capacity 0 --demo`` used to serve a ring of capacity-0 peers
+        that the broker's own ``peer_join`` refuses."""
+        sock = tmp_path / "s.sock"
+        rc = repro_main(["serve", "--capacity", "0", "--demo", "--path", str(sock)])
+        assert rc == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "capacity" in lines[0]
+        assert not sock.exists()
+
     @pytest.mark.net
     @pytest.mark.parametrize("start", [start_cluster, start_multiprocess_cluster])
     def test_failed_admission_closes_what_bring_up_opened(self, tmp_path, start):

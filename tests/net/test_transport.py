@@ -184,6 +184,28 @@ class TestContract:
 
         asyncio.run(body())
 
+    def test_no_endpoint_name_escapes_the_counters(self, transport_factory):
+        """Names the multi-process runtime once reserved for an uncounted
+        control plane (``@ctl-i``, ``@coord``) are endpoints like any
+        other: delivered and counted, or dead-lettered when unregistered."""
+
+        async def body():
+            t = transport_factory()
+            await t.start()
+            got = []
+            t.register("@ctl-0", lambda env: got.append(env.payload))
+            t.send("@coord", "@ctl-0", {"op": "ping"})
+            t.send("@ctl-0", "@coord", {"id": 1, "ok": True})
+            await t.drain()
+            assert got == [{"op": "ping"}]
+            assert t.messages_sent == 2
+            assert t.messages_delivered == 1
+            assert t.messages_dead_lettered == 1
+            assert t.in_flight == 0
+            await t.close()
+
+        asyncio.run(body())
+
     def test_clock_is_monotonic(self, transport_factory):
         async def body():
             t = transport_factory()
@@ -493,8 +515,7 @@ async def _poll(predicate, timeout: float = 5.0) -> None:
 @pytest.mark.net
 class TestPeerToPeerSpecifics:
     """The socket transport with a resolver (more than one group): lazy
-    dial, link cache, idle reap, reconnect-with-backoff, drop accounting,
-    control-plane bypass."""
+    dial, link cache, idle reap, reconnect-with-backoff, drop accounting."""
 
     @staticmethod
     async def _pair(**kwargs):
@@ -632,22 +653,6 @@ class TestPeerToPeerSpecifics:
             b.register("remote", lambda env: got.append(env.payload.datum))
             await _poll(lambda: got == [7])
             assert a.messages_dropped == 0
-            await a.close()
-            await b.close()
-
-        asyncio.run(body())
-
-    def test_control_plane_bypasses_all_counters(self):
-        async def body():
-            a, b = await self._pair()
-            got = []
-            b.register("@ctl-0", lambda env: got.append(env.payload))
-            a.send("@coord", "@ctl-0", {"op": "ping"})
-            await _poll(lambda: got == [{"op": "ping"}])
-            for t in (a, b):
-                assert t.messages_sent == 0
-                assert t.messages_delivered == 0
-                assert t.frames_out == 0 and t.frames_in == 0
             await a.close()
             await b.close()
 
