@@ -3,8 +3,8 @@
 
 Everything the macro simulator does atomically happens here the hard way:
 peers exchange PeerJoin / NewPredecessor / DataInsertion / SearchingHost /
-Host / UpdateChild messages over a latency-bearing simulated network, and
-the tree, ring and mapping emerge from the protocol alone.
+Host / UpdateChild messages over a simulated network that delays each one
+at random, and the tree, ring and mapping emerge from the protocol alone.
 
 Run:  python examples/protocol_walkthrough.py
 """
@@ -14,14 +14,17 @@ from __future__ import annotations
 import random
 
 from repro.dlpt.protocol import ProtocolEngine
-from repro.sim.network import UniformLatency
+from repro.net.chaos import ChaosTransport
+from repro.net.transport import SimTransport
 
 
 def main() -> None:
     rng = random.Random(18)  # LIP report number suffix
 
-    eng = ProtocolEngine()
-    eng.transport.network.latency = UniformLatency(random.Random(99), 0.5, 1.5)
+    # Every message is held for a uniform delay in [0, 1.5) time units.
+    eng = ProtocolEngine(
+        transport=ChaosTransport(SimTransport(), "delay:1.0:max=1.5+seed=99")
+    )
 
     # --- bootstrap + joins (Algorithms 1 & 2) ------------------------------
     eng.bootstrap_peer("mmmmmm", capacity=10)
@@ -72,9 +75,12 @@ def main() -> None:
         print(f"  {reply.key:<16} found={reply.found!s:<5} hops={reply.hops} "
               f"data={list(reply.data)}")
 
-    print(f"\nnetwork totals: {eng.transport.network.messages_sent} messages sent, "
-          f"{eng.transport.network.messages_delivered} delivered, "
-          f"{eng.dead_node_messages} dead-lettered")
+    t = eng.transport
+    print(f"\ntransport totals: {t.messages_sent} messages sent, "
+          f"{t.messages_delivered} delivered, {t.messages_dropped} dropped, "
+          f"{t.messages_dead_lettered} dead-lettered")
+    print(f"messages the engine discarded on arrival (no such node or ring "
+          f"slot; not a transport count): {eng.dead_node_messages}")
 
 
 if __name__ == "__main__":

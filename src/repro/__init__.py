@@ -5,7 +5,7 @@ The package implements the paper's DLPT overlay end-to-end:
 
 * :mod:`repro.core` - identifier algebra and the reference PGCP tree
   (Definition 1) with completion/range/multi-attribute queries;
-* :mod:`repro.sim` - a discrete-event engine and message network;
+* :mod:`repro.sim` - the discrete-event engine (an event heap);
 * :mod:`repro.peers` - the peer ring, capacities and churn models;
 * :mod:`repro.dlpt` - the self-contained overlay: lexicographic mapping,
   request routing, the macro system, and the asynchronous Algorithms 1-3;

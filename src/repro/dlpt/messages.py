@@ -1,6 +1,7 @@
 """Protocol message types (paper Algorithms 1–3).
 
-Every message the pseudo-code exchanges is a slotted dataclass here.  Node-
+Every message the pseudo-code exchanges is a slotted dataclass here, and so
+is the :class:`Envelope` every transport delivers them in.  Node-
 addressed messages carry ``node`` — the label of the logical node they are
 for; peer-addressed messages are delivered to a peer endpoint directly.
 
@@ -18,7 +19,18 @@ bytes.  ``slots=True`` drops the per-record ``__dict__`` and makes a stray
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Tuple
+from typing import Any, FrozenSet, Hashable, Optional, Tuple
+
+
+@dataclass(slots=True)
+class Envelope:
+    """A message in flight: source and destination endpoint ids + payload.
+    A value by convention, like the messages it carries: built once per
+    hop, never assigned to."""
+
+    src: Hashable
+    dst: Hashable
+    payload: Any
 
 
 @dataclass(slots=True)

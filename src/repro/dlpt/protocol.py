@@ -31,8 +31,8 @@ from typing import Dict, Iterable, Optional
 
 from ..core.ids import common_prefix_len, gcp
 from ..core.keyspace import in_interval_open_closed
-from ..sim.network import Envelope
 from . import messages as m
+from .messages import Envelope
 
 
 @dataclass

@@ -3,13 +3,12 @@
 The paper's system model is real asynchronous peers exchanging messages;
 everything else in this repository runs that model inside one discrete-event
 simulator process.  This package is the gateway from reproduction to
-service: a :class:`~repro.net.transport.Transport` interface extracted from
-:mod:`repro.sim.network` (endpoints, ``send``, timers, a clock) with two
-implementations —
+service: a :class:`~repro.net.transport.Transport` interface (endpoints,
+``send``, timers, a clock) with two implementations —
 
-* :class:`~repro.net.transport.SimTransport` wraps the existing
-  :class:`~repro.sim.engine.Simulator` + :class:`~repro.sim.network.Network`
-  pair, byte-identical to driving them directly;
+* :class:`~repro.net.transport.SimTransport` keeps an endpoint table over a
+  :class:`~repro.sim.engine.Simulator` it owns and delivers every message
+  as an event at delay 0;
 * :class:`~repro.net.asyncio_transport.AsyncioTransport`, the one socket
   transport, speaks length-prefixed JSON frames (schema ``repro-wire/1``,
   :mod:`repro.net.wire`) over TCP or Unix-domain sockets on an asyncio

@@ -80,7 +80,7 @@ import tempfile
 import zlib
 from typing import Any, Callable, Deque, Dict, Hashable, Optional, Tuple
 
-from ..sim.network import Envelope
+from ..dlpt.messages import Envelope
 from .policy import RetryPolicy
 from .transport import Handler, Transport, TransportError
 from .wire import WIRE_SCHEMA, FrameReader, WireError, decode_frame, encode_frame

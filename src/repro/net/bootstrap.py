@@ -56,7 +56,7 @@ import json
 import os
 from typing import Dict, List, Optional, Tuple
 
-from ..sim.network import Envelope
+from ..dlpt.messages import Envelope
 from .cluster import admission, successor_of
 from .transport import Transport
 from .wire import require_scalar

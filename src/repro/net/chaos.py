@@ -9,7 +9,7 @@ adversities the sim already measures.  Fault modes, driven by a
 
 * ``drop:P`` — each message is dropped with probability ``P``;
 * ``delay:P[:max=S]`` — each message is held for a uniform delay in
-  ``(0, S]`` with probability ``P`` (per-pair FIFO is preserved: a held
+  ``[0, S)`` with probability ``P`` (per-pair FIFO is preserved: a held
   pair queues, so chaos can reorder across pairs but never within one);
 * ``dup:P`` — each message is delivered twice with probability ``P``;
 * ``reorder:P`` — like ``delay`` with an infinitesimal hold, forcing
@@ -28,8 +28,8 @@ adversities the sim already measures.  Fault modes, driven by a
   sim's partition windows.
 
 Clauses compose with ``+`` (``"drop:0.05+delay:0.3:max=0.01:seed=7"``)
-and every random decision flows from one seeded RNG, so a chaos run is
-reproducible bit-for-bit.
+and every random decision flows from one seeded RNG, drop first (a dropped
+message draws nothing else), so a plan and seed replay bit-for-bit.
 
 **The counter invariant survives chaos.**  Chaos-dropped messages are
 counted into both ``messages_sent`` and ``messages_dropped``; held

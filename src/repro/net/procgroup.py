@@ -51,8 +51,8 @@ import os
 import socket
 from typing import AsyncIterator, Dict, List, Optional, Tuple
 
+from ..dlpt.messages import Envelope
 from ..dlpt.protocol import ProtocolEngine
-from ..sim.network import Envelope
 from .asyncio_transport import _READ_CHUNK, AsyncioTransport
 from .cluster import STEPS, Cluster, ClusterError, EngineGroup, group_of
 from .transport import TransportError

@@ -2,10 +2,11 @@
 
 This is the seam that lets the *same* protocol objects
 (:class:`repro.dlpt.protocol.ProtocolEngine`) run under the discrete-event
-simulator and under a real asyncio event loop.  The surface is extracted
-from :class:`repro.sim.network.Network` (endpoint registry + payload-
-agnostic ``send``) plus the two engine services the protocols consume —
-timers (:meth:`Transport.call_later`) and a clock (:meth:`Transport.now`).
+simulator and under a real asyncio event loop: an endpoint registry, a
+payload-agnostic ``send`` (handlers receive an
+:class:`~repro.dlpt.messages.Envelope`), and the two engine services the
+protocols consume — timers (:meth:`Transport.call_later`) and a clock
+(:meth:`Transport.now`).
 
 Contract (shared by every implementation):
 
@@ -28,10 +29,10 @@ Contract (shared by every implementation):
   ``messages_dropped`` / ``messages_dead_lettered``, with the invariant
   ``sent == delivered + dropped + dead_lettered`` at quiescence.
 
-Implementations must NOT couple message-loss decisions to latency
-sampling: the simulator's :class:`~repro.sim.network.Network` draws loss
-from its own RNG and samples latency only for surviving messages (the
-contract pinned by ``tests/sim/test_network.py``), and
+Faults have one vocabulary, and no transport implements it: latency, loss,
+duplication, crashes and partitions are the ``chaos:`` clauses of
+:class:`~repro.net.chaos.ChaosTransport`, which decorates every
+implementation alike.  :class:`SimTransport` delays and loses nothing;
 :class:`~repro.net.asyncio_transport.AsyncioTransport` has no RNG at all —
 its delays and losses are the operating system's.
 """
@@ -39,10 +40,10 @@ its delays and losses are the operating system's.
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Hashable
+from typing import Any, Callable, Dict, Hashable
 
+from ..dlpt.messages import Envelope
 from ..sim.engine import Simulator
-from ..sim.network import Envelope, Network
 
 Handler = Callable[[Envelope], None]
 
@@ -117,34 +118,50 @@ class Transport(abc.ABC):
 
 
 class SimTransport(Transport):
-    """The discrete-event transport: a thin veneer over the existing
-    :class:`~repro.sim.engine.Simulator` + :class:`~repro.sim.network.Network`
-    pair.  Every call delegates directly, so protocol code driven through a
-    ``SimTransport`` behaves byte-identically to code driving the simulator
-    and network objects itself (the pre-transport code path).
+    """The discrete-event transport: an endpoint table over the
+    :class:`~repro.sim.engine.Simulator` it owns as ``.sim``.
+
+    ``send`` schedules every delivery at delay 0, so messages fire in send
+    order, and looks the destination up when the message fires: an
+    endpoint unregistered meanwhile dead-letters it.  Nothing is lost or
+    delayed here; latency and loss are ``delay:`` / ``drop:`` clauses of a
+    :class:`~repro.net.chaos.ChaosTransport` wrapped around it, as around
+    any transport.
     """
 
-    def __init__(self, sim: Simulator | None = None, network: Network | None = None) -> None:
-        if network is not None and sim is not None and network.sim is not sim:
-            raise ValueError("network is bound to a different simulator")
-        self.sim = sim or (network.sim if network is not None else Simulator())
-        self.network = network or Network(self.sim)
+    def __init__(self) -> None:
+        self.sim = Simulator()
+        self._handlers: Dict[Hashable, Handler] = {}
+        self.messages_sent = 0
+        self.messages_delivered = 0
+        self.messages_dropped = 0
+        self.messages_dead_lettered = 0
 
     # -- endpoints ---------------------------------------------------------
 
     def register(self, endpoint: Hashable, handler: Handler) -> None:
-        self.network.register(endpoint, handler)
+        self._handlers[endpoint] = handler
 
     def unregister(self, endpoint: Hashable) -> None:
-        self.network.unregister(endpoint)
+        self._handlers.pop(endpoint, None)
 
     def is_registered(self, endpoint: Hashable) -> bool:
-        return self.network.is_registered(endpoint)
+        return endpoint in self._handlers
 
     # -- delivery ----------------------------------------------------------
 
     def send(self, src: Hashable, dst: Hashable, payload: Any) -> None:
-        self.network.send(src, dst, payload)
+        self.messages_sent += 1
+        env = Envelope(src, dst, payload)
+        self.sim.schedule(0.0, lambda: self._deliver(env))
+
+    def _deliver(self, env: Envelope) -> None:
+        handler = self._handlers.get(env.dst)
+        if handler is None:
+            self.messages_dead_lettered += 1
+            return
+        self.messages_delivered += 1
+        handler(env)
 
     # -- clock & timers ----------------------------------------------------
 
@@ -152,7 +169,7 @@ class SimTransport(Transport):
         return self.sim.now
 
     def call_later(self, delay: float, action: Callable[[], Any]):
-        return self.sim.schedule(delay, action, label="timer")
+        return self.sim.schedule(delay, action)
 
     # -- quiescence --------------------------------------------------------
 
@@ -162,21 +179,3 @@ class SimTransport(Transport):
 
     async def drain(self) -> None:
         self.sim.run_until_idle()
-
-    # -- counters (live views over the network's) --------------------------
-
-    @property
-    def messages_sent(self) -> int:  # type: ignore[override]
-        return self.network.messages_sent
-
-    @property
-    def messages_delivered(self) -> int:  # type: ignore[override]
-        return self.network.messages_delivered
-
-    @property
-    def messages_dropped(self) -> int:  # type: ignore[override]
-        return self.network.messages_dropped
-
-    @property
-    def messages_dead_lettered(self) -> int:  # type: ignore[override]
-        return self.network.messages_dead_lettered

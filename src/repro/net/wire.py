@@ -31,7 +31,7 @@ import struct
 from typing import Any, Hashable, Iterator, Tuple
 
 from ..dlpt import messages as m
-from ..sim.network import Envelope
+from ..dlpt.messages import Envelope
 
 WIRE_SCHEMA = "repro-wire/1"
 

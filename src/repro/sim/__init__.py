@@ -1,11 +1,5 @@
-"""Discrete-event simulation substrate (engine, network, tracing)."""
+"""Discrete-event simulation substrate: the event heap."""
 
 from .engine import EventHandle, Simulator
-from .network import ConstantLatency, Envelope, LatencyModel, Network, UniformLatency
-from .trace import CounterSet, Trace, TraceEvent
 
-__all__ = [
-    "Simulator", "EventHandle",
-    "Network", "Envelope", "LatencyModel", "ConstantLatency", "UniformLatency",
-    "Trace", "TraceEvent", "CounterSet",
-]
+__all__ = ["Simulator", "EventHandle"]

@@ -7,9 +7,10 @@ stable FIFO ordering among simultaneous events, and process handles.
 
 Two execution styles sit on top of it:
 
-* **message-level** — :mod:`repro.sim.network` delivers protocol messages
-  between peers with configurable latency; used to validate Algorithms 1–3
-  under asynchrony.
+* **message-level** — :class:`repro.net.transport.SimTransport` delivers
+  protocol messages between peers as events (latency and loss come from a
+  :class:`~repro.net.chaos.ChaosTransport` around it); used to validate
+  Algorithms 1–3 under asynchrony.
 * **time-unit level** — :mod:`repro.experiments.runner` advances the clock in
   whole units and runs the paper's per-unit steps; used for the figures.
 """

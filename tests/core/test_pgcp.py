@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.ids import is_proper_prefix
 from repro.core.pgcp import PGCPTree
 from repro.workloads.keys import blas_routines, paper_figure1_binary_keys
 

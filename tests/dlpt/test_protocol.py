@@ -16,13 +16,16 @@ from hypothesis import strategies as st
 
 from repro.core.pgcp import PGCPTree
 from repro.dlpt.protocol import ProtocolEngine
-from repro.sim.network import UniformLatency
+from repro.net.chaos import ChaosTransport
+from repro.net.transport import SimTransport
 
 
-def engine_with_peers(peer_ids, latency_rng=None):
-    eng = ProtocolEngine()
-    if latency_rng is not None:
-        eng.transport.network.latency = UniformLatency(latency_rng, 0.5, 1.5)
+def engine_with_peers(peer_ids, latency_seed=None):
+    if latency_seed is None:
+        eng = ProtocolEngine()
+    else:
+        plan = f"delay:1.0:max=1.5+seed={latency_seed}"
+        eng = ProtocolEngine(transport=ChaosTransport(SimTransport(), plan))
     ids = list(peer_ids)
     eng.bootstrap_peer(ids[0])
     for pid in ids[1:]:
@@ -168,8 +171,7 @@ class TestEquivalenceWithReference:
     """The distributed tree equals the sequential reference tree."""
 
     def run_and_compare(self, peer_ids, keys, latency_seed=None):
-        latency_rng = random.Random(latency_seed) if latency_seed is not None else None
-        eng = engine_with_peers(peer_ids, latency_rng=latency_rng)
+        eng = engine_with_peers(peer_ids, latency_seed=latency_seed)
         ref = PGCPTree()
         for k in keys:
             eng.insert_data(k)

@@ -16,17 +16,15 @@ from repro.core.alphabet import BINARY
 from repro.dlpt.protocol import ProtocolEngine
 from repro.dlpt.system import DLPTSystem
 from repro.lb.mlt import MLT
+from repro.net.chaos import ChaosTransport
 from repro.net.transport import SimTransport
 from repro.peers.capacity import FixedCapacity
-from repro.sim.network import Network
-from repro.sim.engine import Simulator
 
 
 class TestMessageLoss:
-    def _lossy_engine(self, loss_rate: float, seed: int = 1) -> ProtocolEngine:
-        sim = Simulator()
-        net = Network(sim, loss_rate=loss_rate, rng=random.Random(seed))
-        return ProtocolEngine(transport=SimTransport(sim=sim, network=net))
+    def _lossy_engine(self, p: float, seed: int = 1) -> ProtocolEngine:
+        plan = f"drop:{p}+seed={seed}"
+        return ProtocolEngine(transport=ChaosTransport(SimTransport(), plan))
 
     def test_lossless_baseline(self):
         eng = self._lossy_engine(0.0)
@@ -35,7 +33,7 @@ class TestMessageLoss:
             eng.insert_data(k)
             eng.run()
         eng.check_tree()
-        assert eng.transport.network.messages_dropped == 0
+        assert eng.transport.messages_dropped == 0
 
     def test_loss_is_always_observable(self):
         """Under heavy loss the run still terminates, and every failure is
@@ -47,7 +45,7 @@ class TestMessageLoss:
             eng.insert_data(k)
         eng.run()  # terminates despite loss (no retransmission loops)
         observable = (
-            eng.transport.network.messages_dropped > 0
+            eng.transport.messages_dropped > 0
             or eng.pending_node_messages
             or eng.dead_node_messages > 0
         )

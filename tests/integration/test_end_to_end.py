@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro import DiscoveryService, DLPTSystem, MLT, NoLB
-from repro.core.alphabet import PRINTABLE
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_single
 from repro.peers.capacity import UniformCapacity

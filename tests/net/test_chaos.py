@@ -314,6 +314,49 @@ class TestChaosTransport:
 
         asyncio.run(body())
 
+    def test_delay_and_drop_on_the_simulator(self):
+        """Latency and loss in simulated time are chaos clauses over
+        ``SimTransport``: a held message arrives within ``[0, max)`` of its
+        send, a dropped one takes no delay draw, and an endpoint that
+        leaves while its messages are held dead-letters them."""
+
+        async def body():
+            t = ChaosTransport(SimTransport(), "delay:1.0:max=2.5+seed=5")
+            sent_at, lag = {}, []
+            t.register("b", lambda env: lag.append(t.now() - sent_at[env.payload.datum]))
+
+            def send(i):
+                sent_at[i] = t.now()
+                t.send(f"a{i % 4}", "b", _msg(i))
+
+            for i in range(100):
+                t.sim.schedule(i * 0.25, lambda i=i: send(i))
+            await t.drain()
+            assert len(lag) == t.chaos_delayed == 100
+            assert all(0.0 <= x < 2.5 for x in lag)
+            assert max(lag) > 1.25
+
+            t, _ = await self._flood(SimTransport(), "drop:0.3+delay:1.0+seed=6")
+            assert 0 < t.chaos_dropped < t.messages_sent == 200
+            assert t.chaos_delayed == t.messages_sent - t.chaos_dropped
+
+            t = ChaosTransport(SimTransport(), "delay:1.0:max=5.0+seed=7")
+            got = []
+            t.register("b", lambda env: got.append(env.payload.datum))
+            for i in range(50):
+                t.send(f"a{i}", "b", _msg(i))
+            t.sim.schedule(2.5, lambda: t.unregister("b"))
+            await t.drain()
+            assert 0 < len(got) < 50
+            assert t.messages_delivered == len(got)
+            assert t.messages_dead_lettered == 50 - len(got)
+            assert t.messages_sent == (
+                t.messages_delivered + t.messages_dropped + t.messages_dead_lettered
+            )
+            assert t.in_flight == 0
+
+        asyncio.run(body())
+
     def test_delegation_reaches_the_inner_transport(self):
         async def body():
             inner = SimTransport()

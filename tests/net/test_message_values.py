@@ -1,7 +1,7 @@
 """Messages are values: nothing assigns to one after it was built.
 
 The message classes of :mod:`repro.dlpt.messages` and the
-:class:`~repro.sim.network.Envelope` are slotted dataclasses, not frozen
+:class:`~repro.dlpt.messages.Envelope` are slotted dataclasses, not frozen
 ones — a frozen ``__init__`` stores every field through
 ``object.__setattr__``, a tax on every hop — so immutability is checked
 here instead of enforced there: every payload a ring delivers is

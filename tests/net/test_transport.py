@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from strategies import wire_message_builders
 
 from repro.dlpt import messages as m
+from repro.dlpt.messages import Envelope
 from repro.net.asyncio_transport import (
     _PUMP_BATCH,
     _READ_CHUNK,
@@ -35,7 +36,6 @@ from repro.net.client import DLPTClient
 from repro.net.serve import start_cluster
 from repro.net.transport import SimTransport, TransportError
 from repro.net.wire import MESSAGE_TYPES, WIRE_SCHEMA, WireError, encode_frame
-from repro.sim.network import Envelope
 
 pytestmark = pytest.mark.asyncio
 

@@ -1,5 +1,6 @@
 """``tools/unused_imports.py``: the stdlib stand-in for ruff's F401, and
-the tier-1 gate that keeps ``src/repro`` clean against it."""
+the tier-1 gate that keeps ``src/repro``, ``examples``, ``tools`` and
+``tests`` clean against it."""
 
 from __future__ import annotations
 
@@ -22,6 +23,10 @@ def test_src_repro_has_no_unused_imports(capsys):
 def test_examples_and_tools_have_no_unused_imports(capsys):
     roots = [str(REPO / "examples"), str(REPO / "tools")]
     assert unused_imports.main(roots) == 0, capsys.readouterr().out
+
+
+def test_tests_have_no_unused_imports(capsys):
+    assert unused_imports.main([str(REPO / "tests")]) == 0, capsys.readouterr().out
 
 
 def test_reports_what_ruff_would(tmp_path, capsys):
