@@ -10,23 +10,23 @@ request; capacity accounting and physical-hop counting happen in
 :class:`repro.dlpt.system.DLPTSystem`, which charges each visited node's
 hosting peer.
 
-Two resolution strategies coexist:
+Two resolution strategies coexist, one per request shape:
 
 * :func:`route_path` — the straightforward walk (parent pointers upward,
-  per-step child probes downward).  It remains the semantic definition,
-  serves the ``transit`` accounting ablation (which must visit every node),
-  and handles crash-damaged forests where a request may enter a detached
-  fragment.
-* :class:`DiscoveryRouter` — the indexed fast path behind
-  :meth:`DLPTSystem.discover`.  It memoises, per key and guarded by the
-  tree's structural version counter, the *spine* (the root-path chain of
-  nodes whose labels prefix the key — where every downward phase ends), and
-  per node, guarded additionally by the mapping's host-assignment version,
-  the node's depth, its root-path peer-change count and its hosting peer.
-  A request then resolves with one prefix scan over the spine instead of
-  re-walking the tree: the up-hop and peer-change totals follow
-  arithmetically from the cached per-node counts, because both route legs
-  lie on root paths.
+  per-step child probes downward).  It is the semantic definition and
+  serves every *single* request (:meth:`DLPTSystem.discover`), the
+  ``transit`` accounting ablation (which must visit every node) and
+  crash-damaged forests, where a request may enter a detached fragment.
+* :class:`DiscoveryRouter` — the index behind *batches*
+  (:meth:`DLPTSystem.discover_batch`) and set-query scans.  It memoises,
+  per key and guarded by the tree's structural version counter, the
+  *spine* (the root-path chain of nodes whose labels prefix the key —
+  where every downward phase ends), and per node, guarded additionally by
+  the mapping's host-assignment version, the node's depth, its root-path
+  peer-change count and its hosting peer.  A request then resolves with
+  one prefix scan over the spine instead of re-walking the tree: the
+  up-hop and peer-change totals follow arithmetically from the cached
+  per-node counts, because both route legs lie on root paths.
 """
 
 from __future__ import annotations
@@ -95,19 +95,6 @@ def route_path(tree: PGCPTree, entry_label: str, key: str) -> RoutePath:
         labels.append(node.label)
 
     return RoutePath(labels=labels, found=True)
-
-
-def route_up_only(tree: PGCPTree, entry_label: str, key: str) -> list[str]:
-    """Just the upward phase (used by subtree queries: completion/range
-    requests stop at the subtree root covering the prefix)."""
-    node = tree.node(entry_label)
-    if node is None:
-        raise KeyError(f"entry node {entry_label!r} not in the tree")
-    labels = [node.label]
-    while not key.startswith(node.label) and node.parent is not None:
-        node = node.parent
-        labels.append(node.label)
-    return labels
 
 
 @dataclass(frozen=True)
@@ -373,48 +360,6 @@ class DiscoveryRouter:
             self._scans[key] = cached
         return cached
 
-    # -- resolution --------------------------------------------------------
-
-    def resolve(self, key: str, entry_label: str):
-        """Destination and hop counts of the ``entry → key`` route.
-
-        Returns ``(dest_label, dest_peer, found, logical_hops,
-        physical_hops)`` — everything destination-mode accounting needs —
-        or ``None`` when the entry lies outside the root's fragment (a
-        crash-damaged forest), in which case the caller must fall back to
-        the walking resolver.  Raises :class:`KeyError` on an unknown
-        entry, like :func:`route_path`.
-        """
-        d_e, rpc_e, _, frag = self.node_info(entry_label)
-        root = self.tree.root
-        if root is None or frag != root.label:
-            return None
-        labels, found = self.spine(key)
-        if not labels:
-            # Nothing prefixes the key: the request climbs to the root and
-            # dies there (the root's host is still charged).
-            dest = root.label
-            _, _, dest_peer, _ = self.node_info(dest)
-            return dest, dest_peer, False, d_e, rpc_e
-        dest = labels[-1]
-        # Join = deepest spine node whose label prefixes the entry (spine
-        # prefixes are nested, so the predicate is monotone down the
-        # chain); random entries rarely share more than the root, making
-        # the forward scan with C-level ``startswith`` cheaper than a GCP
-        # computation plus binary search.
-        j = 0
-        last = len(labels) - 1
-        while j < last and entry_label.startswith(labels[j + 1]):
-            j += 1
-        _, rpc_end, dest_peer, _ = self.node_info(dest)
-        logical = (d_e - j) + (last - j)
-        if j:
-            _, rpc_j, _, _ = self.node_info(labels[j])
-            physical = (rpc_e - rpc_j) + (rpc_end - rpc_j)
-        else:
-            physical = rpc_e + rpc_end  # the join is the root: rpc 0
-        return dest, dest_peer, found, logical, physical
-
 
 def _covering_node(start: PGCPNode, prefix: str) -> Optional[PGCPNode]:
     """Descend from ``start`` to the highest node of its fragment whose
@@ -432,14 +377,6 @@ def _covering_node(start: PGCPNode, prefix: str) -> Optional[PGCPNode]:
             return None
         node = child
     return node
-
-
-def subtree_root_for_prefix(tree: PGCPTree, prefix: str) -> Optional[PGCPNode]:
-    """The highest node whose subtree contains every key extending
-    ``prefix`` (used by completion and hot-spot request generation)."""
-    if tree.root is None:
-        return None
-    return _covering_node(tree.root, prefix)
 
 
 def _pruned_dfs(node: PGCPNode, lo: Optional[str], hi: Optional[str]) -> Tuple[str, ...]:

@@ -7,13 +7,17 @@ conjunction of attribute constraints — the search modes the paper credits
 trie overlays with (Section 1).
 
 Exact discovery goes through the full routed/capacity-accounted path of
-:class:`~repro.dlpt.system.DLPTSystem` (what the figures measure); the
-set-returning searches (completion / range / multi-attribute) ride the
-same routed path via :meth:`DLPTSystem.search` — climb to the scan root,
-fan out over the scan subtree, charge every scanned node's host — and
+:class:`~repro.dlpt.system.DLPTSystem` (what the figures measure): a
+single request walks its route, while batches go through the route index.
+The set-returning searches (completion / range / multi-attribute) ride
+the same routed path via :meth:`DLPTSystem.search` — climb to the join
+with the band's spine, descend to the scan root, fan out over the scan
+subtree, charge every scanned node's host — and
 :meth:`DiscoveryService.execute` exposes the full
 :class:`~repro.dlpt.routing.QueryOutcome` (hop counts, scan size,
-capacity verdict) for callers that need more than the name list.
+capacity verdict) for callers that need more than the name list.  That is
+also the one cost model of a completion:
+``execute(PrefixQuery(p), entry_label=e).logical_hops``.
 """
 
 from __future__ import annotations
@@ -29,12 +33,7 @@ from ..core.queries import (
     SingleAttributeQuery,
     attribute_key,
 )
-from .routing import (
-    QueryOutcome,
-    RequestOutcome,
-    route_up_only,
-    subtree_root_for_prefix,
-)
+from .routing import QueryOutcome, RequestOutcome
 from .system import DLPTSystem
 
 
@@ -143,26 +142,3 @@ class DiscoveryService:
         exactly the conjunctive answer.
         """
         return self._primary_names(query, entry_label, rng)
-
-    # -- cost estimation ----------------------------------------------------
-
-    def completion_route_cost(self, partial: str, entry_label: str) -> int:
-        """Logical hops a routed completion would take: climb from the
-        entry node to the subtree root covering ``partial``, then fan out
-        over that subtree (the trie parallelises the fan-out; we count the
-        sequential climb plus the subtree edge count)."""
-        up = route_up_only(self.system.tree, entry_label, partial)
-        root = subtree_root_for_prefix(self.system.tree, partial)
-        if root is None:
-            return len(up) - 1
-        subtree_edges = self._count_edges(root)
-        return (len(up) - 1) + subtree_edges
-
-    def _count_edges(self, node) -> int:
-        total = 0
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            total += len(n.children)
-            stack.extend(n.children.values())
-        return total

@@ -92,7 +92,8 @@ class DLPTSystem:
         #: All node labels, sorted — uniform random entry-node selection.
         self.node_index: SortedList[str] = SortedList()
         self.tree_on_create_chain()
-        #: Indexed discovery fast path (version-guarded spine/hop caches).
+        #: Route index behind batches and set-query scans (version-guarded
+        #: spine/hop caches).
         self.router = DiscoveryRouter(self.tree, self.mapping)
         #: Aggregated per-node request counts of the last closed time unit
         #: (the ``l_n`` that MLT and KC consume).
@@ -354,50 +355,28 @@ class DLPTSystem:
             model makes the peers hosting upper tree nodes ("the upper a
             node is, the more times it will be visited") a hard bottleneck
             and is exercised by the ablation benches.
+
+        The route is walked (:func:`~repro.dlpt.routing.route_path`) under
+        both models and on damaged forests alike; the route index serves
+        batches (:meth:`discover_batch`).
         """
-        if accounting == "destination":
-            if entry_label is None:
-                if rng is None:
-                    raise ValueError("need rng when entry_label is not given")
-                entry_label = self.random_entry_label(rng)
-            router = self.router
-            router.sync()
-            resolved = router.resolve(key, entry_label)
-            if resolved is not None:
-                dest, dest_peer, found, logical, physical = resolved
-                if not dest_peer.try_process(dest):
-                    return RequestOutcome(
-                        key=key,
-                        satisfied=False,
-                        found=False,
-                        logical_hops=logical,
-                        physical_hops=physical,
-                        dropped_at=dest_peer.id,
-                    )
-                return RequestOutcome(
-                    key=key,
-                    satisfied=found,
-                    found=found,
-                    logical_hops=logical,
-                    physical_hops=physical,
-                )
-            # Entry outside the root's fragment (crash-damaged forest):
-            # only the walking resolver knows the fragment-local route.
-            return self._discover_walk(key, entry_label, charge_transit=False)
-        if accounting != "transit":
+        if accounting not in ("destination", "transit"):
             raise ValueError(f"unknown accounting model {accounting!r}")
         if entry_label is None:
             if rng is None:
                 raise ValueError("need rng when entry_label is not given")
             entry_label = self.random_entry_label(rng)
-        return self._discover_walk(key, entry_label, charge_transit=True)
+        return self._discover_walk(
+            key, entry_label, charge_transit=accounting == "transit"
+        )
 
     def _discover_walk(
         self, key: str, entry_label: str, charge_transit: bool
     ) -> RequestOutcome:
         """The walking resolver: visits every node on the route.  Serves
-        ``transit`` accounting (which must charge each visited peer) and
-        damaged-forest entries the indexed router cannot cover."""
+        every single request, ``transit`` accounting (which must charge
+        each visited peer) and damaged-forest entries the batch index
+        cannot cover."""
         path = route_path(self.tree, entry_label, key)
         host_of = self.mapping.host_of
 
@@ -542,8 +521,10 @@ class DLPTSystem:
             satisfied += 1
             # Hop arithmetic only for satisfied requests — the runner
             # discards hop counts of dropped/unfound outcomes anyway.
-            # Join = deepest spine node prefixing the entry (monotone
-            # down the chain; see DiscoveryRouter.resolve).
+            # Join = deepest spine node prefixing the entry.  Spine
+            # prefixes are nested, so the predicate is monotone down the
+            # chain; random entries rarely share more than the root, so a
+            # forward ``startswith`` scan beats a GCP plus binary search.
             j = 0
             last = len(labels) - 1
             while j < last and entry.startswith(labels[j + 1]):
@@ -674,45 +655,18 @@ class DLPTSystem:
             e_depth, e_rpc, _, frag = router.node_info(entry_label)
             if frag != tree.root.label:  # pragma: no cover - defensive
                 return self._search_walk(query, anchor, lo, hi, entry_label, rng)
-            if scan_root is None:
-                # No node covers the anchor: the request still climbs to
-                # its join with the anchor's spine and descends the spine,
-                # dying at its tip — the deepest node that could have had
-                # a band-compatible child (a distributed scan token only
-                # discovers the band is empty by walking there).  The
-                # tip's host is charged.
-                labels, _ = router.spine(anchor)
-                j = 0
-                last = len(labels) - 1
-                while j < last and entry_label.startswith(labels[j + 1]):
-                    j += 1
-                if labels:
-                    j_depth, j_rpc, _, _ = router.node_info(labels[j])
-                    tip_depth, tip_rpc, tip_peer, _ = router.node_info(labels[-1])
-                    tip_label = labels[-1]
-                else:
-                    # Root label diverges from the anchor: the climb dead-
-                    # ends at the root itself.
-                    j_depth = j_rpc = tip_depth = tip_rpc = 0
-                    tip_label = tree.root.label
-                    _, _, tip_peer, _ = router.node_info(tip_label)
-                if not tip_peer.try_process(tip_label):
-                    dropped_at = tip_peer.id
-                return QueryOutcome(
-                    query=query.describe(), results=(),
-                    satisfied=dropped_at is None,
-                    logical_hops=(e_depth - j_depth) + (tip_depth - j_depth),
-                    physical_hops=(e_rpc - j_rpc) + (tip_rpc - j_rpc),
-                    nodes_scanned=0, dropped_at=dropped_at,
-                ), set()
-            sr_depth, sr_rpc, _, _ = router.node_info(scan_root)
-            if entry_label.startswith(scan_root):
+            if scan_root is not None and entry_label.startswith(scan_root):
                 # Entry inside the scan subtree: the route is the straight
                 # climb to the scan root (the first ancestor whose subtree
                 # covers the whole band).
+                sr_depth, sr_rpc, _, _ = router.node_info(scan_root)
                 logical = e_depth - sr_depth
                 physical = e_rpc - sr_rpc
             else:
+                # Otherwise the request climbs to its join with the
+                # anchor's spine: the deepest spine node prefixing the
+                # entry, or the root when the root's label does not prefix
+                # the anchor (no spine).
                 labels, _ = router.spine(anchor)
                 j = 0
                 last = len(labels) - 1
@@ -721,9 +675,27 @@ class DLPTSystem:
                 if labels:
                     j_depth, j_rpc, _, _ = router.node_info(labels[j])
                 else:
-                    # Root label extends the anchor: the scan root *is* the
-                    # root, and the climb runs the entry's whole root path.
                     j_depth = j_rpc = 0
+                if scan_root is None:
+                    # No node covers the anchor: the request descends the
+                    # spine and dies at its tip (the root when there is no
+                    # spine) — the deepest node that could have had a
+                    # band-compatible child (a distributed scan token only
+                    # discovers the band is empty by walking there).  The
+                    # tip's host is charged.
+                    tip_label = labels[-1] if labels else tree.root.label
+                    tip_depth, tip_rpc, tip_peer, _ = router.node_info(tip_label)
+                    if not tip_peer.try_process(tip_label):
+                        dropped_at = tip_peer.id
+                    return QueryOutcome(
+                        query=query.describe(), results=(),
+                        satisfied=dropped_at is None,
+                        logical_hops=(e_depth - j_depth) + (tip_depth - j_depth),
+                        physical_hops=(e_rpc - j_rpc) + (tip_rpc - j_rpc),
+                        nodes_scanned=0, dropped_at=dropped_at,
+                    ), set()
+                # ...then descends the spine to the scan root.
+                sr_depth, sr_rpc, _, _ = router.node_info(scan_root)
                 logical = (e_depth - j_depth) + (sr_depth - j_depth)
                 physical = (e_rpc - j_rpc) + (sr_rpc - j_rpc)
         elif scan_root is None:

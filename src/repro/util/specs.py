@@ -2,8 +2,9 @@
 
 Every compact-spec syntax in the repository — workloads
 (:mod:`repro.workloads.spec`), faults (:mod:`repro.faults.spec`), set
-queries (:mod:`repro.workloads.queries`) and balancers (:mod:`repro.lb`)
-— parses through this module, at two levels:
+queries (:mod:`repro.workloads.queries`), balancers (:mod:`repro.lb`) and
+transport chaos plans (:mod:`repro.net.chaos`) — parses through this
+module, at two levels:
 
 * **Tokenisation** (:func:`split_spec`, :func:`parse_options`,
   :func:`spec_helpers`): the shared ``name:key=value:...`` syntax, so
@@ -14,7 +15,8 @@ queries (:mod:`repro.workloads.queries`) and balancers (:mod:`repro.lb`)
   kind and hand over any accepted value form (string, dict, constructed
   object) — ``parse_spec("workload", "zipf:1.2")``,
   ``parse_spec("faults", {"kind": "crash_storm", "rate": 0.05})``,
-  ``parse_spec("balancer", "mlt:fraction=0.5")``.  Signatures are the
+  ``parse_spec("balancer", "mlt:fraction=0.5")``,
+  ``parse_spec("chaos", "drop:0.1+seed=3")``.  Signatures are the
   JSON-canonical structures the sweep store hashes; :func:`spec_hash`
   collapses one to a stable SHA-256, identically for every kind.
 
@@ -22,8 +24,8 @@ Every parse failure raises a subclass of :class:`SpecError` (itself a
 ``ValueError``, so pre-registry ``except ValueError`` callers keep
 working) naming the offending spec.  The per-kind error classes —
 ``WorkloadSpecError``, ``FaultSpecError``, ``QuerySpecError``,
-``BalancerSpecError`` — all derive from it, so one ``except SpecError``
-guards any mixed configuration surface.
+``BalancerSpecError``, ``ChaosSpecError`` — all derive from it, so one
+``except SpecError`` guards any mixed configuration surface.
 
 :func:`parse_spec` is the only entry point: the per-module parsers are
 private to their modules and reachable through their kind alone.

@@ -1,13 +1,17 @@
-"""Discovery equivalence: indexed fast path ≡ the seed's per-request walk.
+"""Discovery equivalence: the live resolvers ≡ the seed's per-request walk.
 
-The fast-path PR (label-indexed :class:`repro.dlpt.routing.DiscoveryRouter`
-plus the batched :meth:`DLPTSystem.discover_batch`) must be a pure
-performance change: on any tree, any workload and any damage state, every
-request's outcome (satisfied / found / logical and physical hops / drop
-point) and every peer's capacity accounting must be identical to the
-frozen seed implementation in :mod:`repro.perf.reference_routing`.  These
-property tests drive twin systems — one served by the live fast path, one
-by the seed walk — through identical operation and request sequences.
+The macro model routes a request one of two ways: a single
+:meth:`DLPTSystem.discover` walks the route (as do ``transit`` accounting
+and entries in crash-damaged fragments), and :meth:`DLPTSystem.discover_batch`
+resolves it through the label-indexed :class:`repro.dlpt.routing.DiscoveryRouter`.
+Both must be pure refactors of the seed: on any tree, any workload and any
+damage state, every request's outcome (satisfied / found / logical and
+physical hops / drop point), every batch counter and every peer's capacity
+accounting must be identical to the frozen seed implementation in
+:mod:`repro.perf.reference_routing`.  These property tests drive triplet
+systems — one served request by request by the walk, one as a single
+batch by the index, one by the seed walk — through identical operation and
+request sequences.
 
 All inputs come from hypothesis strategies (the shared ones in
 ``tests/strategies.py``): trees, churn scripts *and* the request mixes,
@@ -27,6 +31,7 @@ import strategies
 from strategies import ALPHABET, keys_st, peer_ids_st
 
 from repro.dlpt.failures import ReplicationManager, crash_peer, repair
+from repro.dlpt.routing import BatchOutcome
 from repro.dlpt.system import DLPTSystem
 from repro.peers.capacity import FixedCapacity
 from repro.perf.reference_routing import seed_discover
@@ -35,9 +40,10 @@ from repro.workloads.requests import HotSpotRequests, UniformRequests, ZipfReque
 
 
 def _build_twins(peer_ids, keys, capacity):
-    """Two identically-constructed systems (same peers, same tree)."""
+    """Three identically-constructed systems (same peers, same tree): one
+    each for the walk, the seed reference and the batch index."""
     twins = []
-    for _ in range(2):
+    for _ in range(3):
         system = DLPTSystem(
             alphabet=ALPHABET, capacity_model=FixedCapacity(capacity)
         )
@@ -67,37 +73,57 @@ def _peer_accounting(system):
     }
 
 
-def _assert_equal_requests(fast, seed, requests, accounting="destination"):
-    """Issue ``requests`` (key, entry) on both twins; compare everything."""
+def _absorb(counters, outcome):
+    """Fold one seed outcome into ``counters`` the way a batch aggregates
+    it (hops and histogram cover satisfied requests only)."""
+    if outcome.satisfied:
+        counters.satisfied += 1
+        counters.logical_hops += outcome.logical_hops
+        counters.physical_hops += outcome.physical_hops
+        hist = counters.hop_histogram
+        hist[outcome.logical_hops] = hist.get(outcome.logical_hops, 0) + 1
+    elif outcome.dropped:
+        counters.dropped += 1
+    else:
+        counters.not_found += 1
+
+
+def _assert_equal_requests(walk, seed, batch, requests, accounting="destination"):
+    """Issue ``requests`` (key, entry) one by one on the walk and seed
+    twins and as one batch on the third; compare everything."""
+    want = BatchOutcome(issued=len(requests))
     for key, entry in requests:
         got = _outcome_tuple(
-            fast.discover(key, entry_label=entry, accounting=accounting)
+            walk.discover(key, entry_label=entry, accounting=accounting)
         )
-        want = _outcome_tuple(
-            seed_discover(seed, key, entry_label=entry, accounting=accounting)
-        )
-        assert got == want, (key, entry, got, want)
-    assert _peer_accounting(fast) == _peer_accounting(seed)
+        outcome = seed_discover(seed, key, entry_label=entry, accounting=accounting)
+        assert got == _outcome_tuple(outcome), (key, entry, got, outcome)
+        _absorb(want, outcome)
+    assert _peer_accounting(walk) == _peer_accounting(seed)
+    assert batch.discover_batch(requests, accounting=accounting) == want
+    assert _peer_accounting(batch) == _peer_accounting(seed)
 
 
 class TestRandomTrees:
     @settings(max_examples=60, deadline=None)
     @given(peer_ids=peer_ids_st, keys=keys_st, data=st.data())
     def test_uniform_requests_equivalent(self, peer_ids, keys, data):
-        fast, seed_sys = _build_twins(peer_ids, keys, capacity=3)
+        walk, seed_sys, batch_sys = _build_twins(peer_ids, keys, capacity=3)
         requests = data.draw(
-            strategies.request_mixes(keys, fast.tree.labels(), n=60)
+            strategies.request_mixes(keys, walk.tree.labels(), n=60)
         )
-        _assert_equal_requests(fast, seed_sys, requests)
+        _assert_equal_requests(walk, seed_sys, batch_sys, requests)
 
     @settings(max_examples=30, deadline=None)
     @given(peer_ids=peer_ids_st, keys=keys_st, data=st.data())
     def test_transit_accounting_equivalent(self, peer_ids, keys, data):
-        fast, seed_sys = _build_twins(peer_ids, keys, capacity=4)
+        walk, seed_sys, batch_sys = _build_twins(peer_ids, keys, capacity=4)
         requests = data.draw(
-            strategies.request_mixes(keys, fast.tree.labels(), n=40)
+            strategies.request_mixes(keys, walk.tree.labels(), n=40)
         )
-        _assert_equal_requests(fast, seed_sys, requests, accounting="transit")
+        _assert_equal_requests(
+            walk, seed_sys, batch_sys, requests, accounting="transit"
+        )
 
 
 class TestWorkloadGenerators:
@@ -119,18 +145,18 @@ class TestWorkloadGenerators:
         data=st.data(),
     )
     def test_generator_driven_equivalent(self, make_generator, peer_ids, keys, seed, data):
-        fast, seed_sys = _build_twins(peer_ids, keys, capacity=3)
+        walk, seed_sys, batch_sys = _build_twins(peer_ids, keys, capacity=3)
         generator = make_generator()
         # The generator's own draws stay on its random.Random API (that
         # sampling behaviour is part of what runs in production); entry
         # nodes come from a strategy, so they shrink with the example.
         rng = random.Random(seed)
         available = sorted(set(keys))
-        entries = data.draw(strategies.entry_labels(fast.tree.labels(), n=50))
+        entries = data.draw(strategies.entry_labels(walk.tree.labels(), n=50))
         requests = [
             (generator.sample(rng, available), entry) for entry in entries
         ]
-        _assert_equal_requests(fast, seed_sys, requests)
+        _assert_equal_requests(walk, seed_sys, batch_sys, requests)
 
 
 class TestBatchMatchesPerRequest:
@@ -140,31 +166,16 @@ class TestBatchMatchesPerRequest:
         """discover_batch (the runner's path) aggregates exactly what the
         seed per-request loop would: counters, hop sums, histogram, and
         the peers' capacity state."""
-        fast, seed_sys = _build_twins(peer_ids, keys, capacity=2)
+        batch_sys, seed_sys, _ = _build_twins(peer_ids, keys, capacity=2)
         requests = data.draw(
-            strategies.request_mixes(keys, fast.tree.labels(), n=80)
+            strategies.request_mixes(keys, batch_sys.tree.labels(), n=80)
         )
-        batch = fast.discover_batch(requests)
-        satisfied = dropped = not_found = logical = physical = 0
-        hist: dict[int, int] = {}
+        batch = batch_sys.discover_batch(requests)
+        want = BatchOutcome(issued=len(requests))
         for key, entry in requests:
-            outcome = seed_discover(seed_sys, key, entry_label=entry)
-            if outcome.satisfied:
-                satisfied += 1
-                logical += outcome.logical_hops
-                physical += outcome.physical_hops
-                hist[outcome.logical_hops] = hist.get(outcome.logical_hops, 0) + 1
-            elif outcome.dropped:
-                dropped += 1
-            else:
-                not_found += 1
-        assert batch.issued == len(requests)
-        assert (batch.satisfied, batch.dropped, batch.not_found) == (
-            satisfied, dropped, not_found,
-        )
-        assert (batch.logical_hops, batch.physical_hops) == (logical, physical)
-        assert batch.hop_histogram == hist
-        assert _peer_accounting(fast) == _peer_accounting(seed_sys)
+            _absorb(want, seed_discover(seed_sys, key, entry_label=entry))
+        assert batch == want
+        assert _peer_accounting(batch_sys) == _peer_accounting(seed_sys)
 
 
 class TestAfterChurn:
@@ -184,10 +195,10 @@ class TestAfterChurn:
         data=st.data(),
     )
     def test_post_churn_equivalent(self, peer_ids, keys, churn, data):
-        fast, seed_sys = _build_twins(peer_ids, keys, capacity=3)
+        walk, seed_sys, batch_sys = _build_twins(peer_ids, keys, capacity=3)
         live_keys = sorted(set(keys))
         for op in churn:
-            for system in (fast, seed_sys):
+            for system in (walk, seed_sys, batch_sys):
                 ring = system.ring
                 if op[0] == "join" and op[1] not in ring:
                     system.add_peer(random.Random(1), peer_id=op[1], capacity=3)
@@ -201,13 +212,13 @@ class TestAfterChurn:
                 live_keys = sorted(set(live_keys) | {op[1]})
             elif op[0] == "unregister" and live_keys:
                 live_keys.pop(op[1] % len(live_keys))
-        if not fast.tree.labels():
+        if not walk.tree.labels():
             return  # churn emptied the tree: nothing to route
-        pool = live_keys or sorted(fast.tree.labels())
+        pool = live_keys or sorted(walk.tree.labels())
         requests = data.draw(
-            strategies.request_mixes(pool, fast.tree.labels(), n=50)
+            strategies.request_mixes(pool, walk.tree.labels(), n=50)
         )
-        _assert_equal_requests(fast, seed_sys, requests)
+        _assert_equal_requests(walk, seed_sys, batch_sys, requests)
 
 
 class TestAfterFaults:
@@ -222,29 +233,32 @@ class TestAfterFaults:
     def test_post_crash_equivalent(self, peer_ids, keys, crash_draws, do_repair, data):
         """Crash-damaged forests (and repaired trees) route identically —
         including entries inside detached fragments, which exercise the
-        fast path's walking fallback."""
-        fast, seed_sys = _build_twins(peer_ids, keys, capacity=3)
-        replications = [ReplicationManager(s, factor=1) for s in (fast, seed_sys)]
+        batch index's walking fallback."""
+        walk, seed_sys, batch_sys = _build_twins(peer_ids, keys, capacity=3)
+        replications = [
+            ReplicationManager(s, factor=1) for s in (walk, seed_sys, batch_sys)
+        ]
         for r in replications:
             r.replicate_all()
         lost: set[str] = set()
         for draw in crash_draws:
-            if len(fast.ring) <= 1:
+            if len(walk.ring) <= 1:
                 break
-            victim = fast.ring.id_at(draw % len(fast.ring))
-            for system, replication in zip((fast, seed_sys), replications):
+            victim = walk.ring.id_at(draw % len(walk.ring))
+            for system, replication in zip((walk, seed_sys, batch_sys), replications):
                 report = crash_peer(system, victim)
                 replication.on_peer_removed(victim)
             lost |= report.lost_keys
         if do_repair:
-            for system, replication in zip((fast, seed_sys), replications):
+            for system, replication in zip((walk, seed_sys, batch_sys), replications):
                 repair(system, replication, lost_keys=frozenset(lost))
-        labels = sorted(fast.tree.labels())
+        labels = sorted(walk.tree.labels())
         assert labels == sorted(seed_sys.tree.labels())
+        assert labels == sorted(batch_sys.tree.labels())
         if not labels:
             return
-        pool = sorted(fast.tree.keys()) or labels
+        pool = sorted(walk.tree.keys()) or labels
         requests = data.draw(
-            strategies.request_mixes(pool, fast.tree.labels(), n=50)
+            strategies.request_mixes(pool, walk.tree.labels(), n=50)
         )
-        _assert_equal_requests(fast, seed_sys, requests)
+        _assert_equal_requests(walk, seed_sys, batch_sys, requests)

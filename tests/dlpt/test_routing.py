@@ -7,12 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.pgcp import PGCPTree
-from repro.dlpt.routing import (
-    DiscoveryRouter,
-    route_path,
-    route_up_only,
-    subtree_root_for_prefix,
-)
+from repro.dlpt.routing import DiscoveryRouter, route_path
 from repro.workloads.keys import paper_figure1_binary_keys
 
 binary_keys = st.text(alphabet="01", min_size=1, max_size=10)
@@ -145,28 +140,6 @@ class TestDiscoveryRouter:
         labels, found = router.spine("01")
         assert labels == () and not found
 
-    @settings(max_examples=80)
-    @given(keys=st.lists(binary_keys, min_size=1, max_size=20), data=st.data())
-    def test_resolve_matches_route_path(self, keys, data):
-        """Hop counts from the indexed resolution equal the walked path's
-        (physical hops degenerate under a one-peer mapping; logical hops
-        and the destination are the strong check)."""
-        tree = tree_of(keys)
-        router = self.router_for(tree)
-        labels = sorted(tree.labels())
-        entry = data.draw(st.sampled_from(labels))
-        target = data.draw(
-            st.one_of(st.sampled_from(sorted(keys)), binary_keys)
-        )
-        resolved = router.resolve(target, entry)
-        path = route_path(tree, entry, target)
-        assert resolved is not None
-        dest, _, found, logical, physical = resolved
-        assert found == path.found
-        assert dest == path.labels[-1]
-        assert logical == path.logical_hops
-        assert physical == 0
-
     def test_version_guard_invalidates_on_mutation(self, fig1_tree):
         router = self.router_for(fig1_tree)
         assert router.spine("10101")[1]
@@ -186,19 +159,24 @@ class TestDiscoveryRouter:
 
 
 class TestUpOnlyAndSubtree:
-    def test_route_up_only_stops_at_covering_ancestor(self, fig1_tree):
-        labels = route_up_only(fig1_tree, "10101", "10111")
-        assert labels == ["10101", "101"]
+    """The scan root of a prefix: the highest node whose subtree holds
+    every key extending it (``None`` when no node does)."""
+
+    @staticmethod
+    def scan_root(tree, prefix):
+        router = DiscoveryRouter(tree, _OnePeerMapping())
+        router.sync()
+        return router.subtree_scan(prefix)[0]
 
     def test_subtree_root_exact_node(self, fig1_tree):
-        assert subtree_root_for_prefix(fig1_tree, "101").label == "101"
+        assert self.scan_root(fig1_tree, "101") == "101"
 
     def test_subtree_root_between_nodes(self, fig1_tree):
         # Prefix 1010 is covered by node 10101.
-        assert subtree_root_for_prefix(fig1_tree, "1010").label == "10101"
+        assert self.scan_root(fig1_tree, "1010") == "10101"
 
     def test_subtree_root_missing_band(self, fig1_tree):
-        assert subtree_root_for_prefix(fig1_tree, "11") is None
+        assert self.scan_root(fig1_tree, "11") is None
 
     def test_subtree_root_of_empty_tree(self):
-        assert subtree_root_for_prefix(PGCPTree(), "1") is None
+        assert self.scan_root(PGCPTree(), "1") is None

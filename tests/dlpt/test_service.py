@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.queries import ExactQuery, MultiAttributeQuery, PrefixQuery, RangeQuery
 from repro.dlpt.failures import ReplicationManager, crash_peer, repair
+from repro.dlpt.routing import route_path
 from repro.dlpt.service import DiscoveryService
 
 
@@ -211,13 +212,28 @@ class TestSetQueriesAfterCrash:
             assert service.multi_attribute_search(q) == ["dgemm", "dgemv", "sgemm"]
 
 
+
 class TestCompletionCost:
+    """A completion's cost is ``execute(PrefixQuery).logical_hops``: the
+    paper's route to the scan root (climb to the join, then descend), plus
+    one hop per further node the scan visits."""
+
     def test_cost_counts_climb_plus_subtree(self, service):
-        entry = next(iter(service.system.tree.labels()))
-        cost = service.completion_route_cost("dgem", entry)
-        assert cost >= 0
+        tree = service.system.tree
+        scan_root = "dgem"
+        assert tree.node(scan_root) is not None
+        subtree = sum(1 for label in tree.labels() if label.startswith(scan_root))
+        for entry in sorted(tree.labels()):
+            cost = service.execute(PrefixQuery("dgem"), entry_label=entry).logical_hops
+            route = route_path(tree, entry, scan_root)
+            assert route.found
+            assert cost == route.logical_hops + subtree - 1
 
     def test_cost_for_missing_band(self, service):
-        entry = "dgemm"
-        cost = service.completion_route_cost("zzz", entry)
-        assert cost >= 0
+        tree = service.system.tree
+        out = service.execute(PrefixQuery("zzz"), entry_label="dgemm")
+        assert out.results == () and out.nodes_scanned == 0
+        # The request climbs out of dgemm's branch and dies at the tip of
+        # the band's spine, which is the walk's dead end for the same key.
+        assert out.logical_hops == route_path(tree, "dgemm", "zzz").logical_hops
+        assert out.logical_hops > 0
