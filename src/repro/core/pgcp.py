@@ -437,63 +437,57 @@ class PGCPTree:
 
     # -- search primitives ---------------------------------------------------
 
-    def lookup(self, key: str) -> Optional[PGCPNode]:
-        """Exact lookup: the node labelled ``key`` if it exists and is filled
-        or structural; ``None`` when absent."""
-        return self._by_label.get(key)
+    def scan_root(self, anchor: str, start: Optional[PGCPNode] = None) -> Optional[PGCPNode]:
+        """The highest node under ``start`` (default: the root) whose label
+        extends ``anchor`` — the root of the one subtree holding every key
+        that extends it — or ``None`` when no such node exists.  Definition 1
+        makes the descent digit unique, so the scan root is unique."""
+        node = self.root if start is None else start
+        while node is not None and not node.label.startswith(anchor):
+            if not anchor.startswith(node.label):
+                return None
+            node = node.child_towards(anchor)
+        return node
+
+    @staticmethod
+    def band(
+        node: PGCPNode, lo: Optional[str] = None, hi: Optional[str] = None
+    ) -> list[PGCPNode]:
+        """Pre-order DFS of ``node``'s subtree, children in label order, so
+        the nodes come out in lexicographic label order.  With ``lo`` /
+        ``hi`` the walk is pruned to the ``[lo, hi]`` band: every key under
+        a node extends its label, so a branch whose label is ``> hi``, or
+        ``< lo`` without prefixing ``lo``, cannot hold a match."""
+        out = []
+        stack = [node]
+        while stack:
+            n = stack.pop()
+            lbl = n.label
+            if lo is not None and (lbl > hi or (lbl < lo and not lo.startswith(lbl))):
+                continue
+            out.append(n)
+            if n.children:
+                stack.extend(sorted(n.children.values(), key=lambda c: c.label, reverse=True))
+        return out
 
     def complete(self, partial: str) -> list[str]:
         """Automatic completion: all registered keys having ``partial`` as a
         prefix, in lexicographic order (paper: "automatic completion of
         partial search strings")."""
-        if self.root is None:
-            return []
-        # Find the highest node whose label could cover ``partial``.
-        node = self.root
-        if common_prefix_len(node.label, partial) < min(len(node.label), len(partial)):
-            return []
-        while len(node.label) < len(partial):
-            child = node.child_towards(partial)
-            if child is None:
-                return []
-            if common_prefix_len(child.label, partial) < min(len(child.label), len(partial)):
-                return []
-            node = child
-        out: list[str] = []
-        self._collect_keys(node, out)
-        return sorted(out)
-
-    def _collect_keys(self, node: PGCPNode, out: list[str]) -> None:
-        if node.data:
-            out.append(node.label)
-        for child in node.children.values():
-            self._collect_keys(child, out)
+        root = self.scan_root(partial)
+        return [] if root is None else [n.label for n in self.band(root) if n.data]
 
     def range_query(self, lo: str, hi: str) -> list[str]:
         """All registered keys ``k`` with ``lo <= k <= hi`` (lexicographic),
-        in order — the trie descends only branches overlapping the range."""
+        in order — every such key extends ``gcp(lo, hi)``, so the scan
+        starts at that anchor's scan root and descends only branches
+        overlapping the range."""
         if lo > hi:
             raise ValueError("range_query requires lo <= hi")
-        out: list[str] = []
-        if self.root is not None:
-            self._range(self.root, lo, hi, out)
-        return sorted(out)
-
-    def _range(self, node: PGCPNode, lo: str, hi: str, out: list[str]) -> None:
-        # Prune: the subtree of ``node`` only contains keys extending
-        # node.label; skip it when that whole band misses [lo, hi].
-        lbl = node.label
-        if lbl > hi:
-            return
-        # Largest possible key in subtree starts with lbl; if lbl is not a
-        # prefix of lo and lbl < lo then every extension is still < lo only
-        # when lbl is lexicographically below lo and not a prefix of it.
-        if lbl < lo and not lo.startswith(lbl):
-            return
-        if node.data and lo <= lbl <= hi:
-            out.append(lbl)
-        for child in node.children.values():
-            self._range(child, lo, hi, out)
+        root = self.scan_root(gcp(lo, hi))
+        if root is None:
+            return []
+        return [n.label for n in self.band(root, lo, hi) if n.data and lo <= n.label <= hi]
 
     # -- invariants & rendering ---------------------------------------------
 

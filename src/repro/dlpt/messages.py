@@ -98,13 +98,6 @@ class LeaveTransfer:
     nodes: Tuple[NodePayload, ...]
 
 
-@dataclass(slots=True)
-class UpdatePredecessor:
-    """<UpdatePredecessor, P> — successor-side pointer fix-up on leave."""
-
-    new_predecessor: str
-
-
 # -- Algorithm 3: data insertion --------------------------------------------
 
 

@@ -240,7 +240,7 @@ class ProtocolEngine:
         """Graceful departure: hand ν to the successor, then disappear.
 
         The leaver sends one ``LeaveTransfer`` to its successor (nodes +
-        its predecessor pointer) and an ``UpdatePredecessor`` notice to its
+        its predecessor pointer) and an ``UpdateSuccessor`` notice to its
         predecessor, then unregisters its endpoint — any message still in
         flight to it is re-resolved through the location table on arrival.
         """
@@ -268,9 +268,6 @@ class ProtocolEngine:
             peer.succ = peer.id
         else:
             peer.pred = msg.pred
-
-    def _on_update_predecessor(self, peer: ProtocolPeer, msg: m.UpdatePredecessor) -> None:
-        peer.pred = msg.new_predecessor
 
     # ------------------------------------------------------------------
     # client operations
@@ -793,7 +790,6 @@ ProtocolEngine._HANDLERS = {
     m.YourInformation: ProtocolEngine._on_your_information,
     m.UpdateSuccessor: ProtocolEngine._on_update_successor,
     m.LeaveTransfer: ProtocolEngine._on_leave_transfer,
-    m.UpdatePredecessor: ProtocolEngine._on_update_predecessor,
     m.DataInsertion: ProtocolEngine._on_data_insertion,
     m.SearchingHost: ProtocolEngine._on_searching_host,
     m.Host: ProtocolEngine._on_host,

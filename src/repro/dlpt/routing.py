@@ -18,7 +18,8 @@ Two resolution strategies coexist, one per request shape:
   ``transit`` accounting ablation (which must visit every node) and
   crash-damaged forests, where a request may enter a detached fragment.
 * :class:`DiscoveryRouter` — the index behind *batches*
-  (:meth:`DLPTSystem.discover_batch`) and set-query scans.  It memoises,
+  (:meth:`DLPTSystem.discover_batch`); set queries walk the tree and read
+  only its memoised fragment-root list.  It memoises,
   per key and guarded by the tree's structural version counter, the
   *spine* (the root-path chain of nodes whose labels prefix the key —
   where every downward phase ends), and per node, guarded additionally by
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from ..core.ids import common_prefix_len
-from ..core.pgcp import PGCPNode, PGCPTree
+from ..core.pgcp import PGCPTree
 
 
 @dataclass(frozen=True)
@@ -155,7 +156,7 @@ class DiscoveryRouter:
     """
 
     __slots__ = ("tree", "mapping", "_tree_version", "_map_version",
-                 "_spines", "_info", "_scans", "_fragments",
+                 "_spines", "_info", "_fragments",
                  "_warmed", "_spines_warmed",
                  "served_since_invalidate", "batches_since_invalidate")
 
@@ -167,13 +168,6 @@ class DiscoveryRouter:
         #: key -> (spine labels, found)
         self._spines: Dict[str, Tuple[tuple, bool]] = {}
         self._info: Dict[str, _NodeInfo] = {}
-        #: (anchor, lo, hi) -> (scan-root label or None, DFS-ordered visited
-        #: labels).  Purely structural (labels, never data), so it shares
-        #: the tree-version guard with the spine memo; matched *keys* are
-        #: recomputed per query because data-only inserts do not bump the
-        #: version.
-        self._scans: Dict[Tuple[str, Optional[str], Optional[str]],
-                          Tuple[Optional[str], Tuple[str, ...]]] = {}
         #: Labels of all fragment roots (parentless nodes) — length 1 on a
         #: healthy tree, more after crash damage; None until first use.
         self._fragments: Optional[Tuple[str, ...]] = None
@@ -197,7 +191,6 @@ class DiscoveryRouter:
         if tv != self._tree_version:
             self._spines.clear()
             self._info.clear()
-            self._scans.clear()
             self._fragments = None
             self._tree_version = tv
             self._map_version = mv
@@ -334,71 +327,6 @@ class DiscoveryRouter:
             self._fragments = frags
         return frags
 
-    def subtree_scan(
-        self, anchor: str, lo: Optional[str] = None, hi: Optional[str] = None
-    ) -> Tuple[Optional[str], Tuple[str, ...]]:
-        """Structural scan for the band anchored at ``anchor`` in the root's
-        fragment: ``(scan-root label, DFS-ordered visited labels)``.
-
-        ``lo``/``hi`` of ``None`` means prefix mode (every node under the
-        scan root is visited); a range band prunes branches exactly like
-        :meth:`PGCPTree.range_query`.  The result is label-only — which
-        visited nodes are *filled* is the caller's per-query concern —
-        so it is safe to memoise under the structural version guard:
-        data-only inserts never change it, node creation/removal clears it
-        via :meth:`sync`.  ``(None, ())`` when no node covers ``anchor``.
-        """
-        key = (anchor, lo, hi)
-        cached = self._scans.get(key)
-        if cached is None:
-            root = self.tree.root
-            node = None if root is None else _covering_node(root, anchor)
-            if node is None:
-                cached = (None, ())
-            else:
-                cached = (node.label, _pruned_dfs(node, lo, hi))
-            self._scans[key] = cached
-        return cached
-
-
-def _covering_node(start: PGCPNode, prefix: str) -> Optional[PGCPNode]:
-    """Descend from ``start`` to the highest node of its fragment whose
-    subtree contains every key extending ``prefix`` (``None`` when the
-    fragment has no such node).  Definition 1 makes the descent digit
-    unique, so the covering node — and hence every scan root — is unique."""
-    node = start
-    if common_prefix_len(node.label, prefix) < min(len(node.label), len(prefix)):
-        return None
-    while len(node.label) < len(prefix):
-        child = node.child_towards(prefix)
-        if child is None:
-            return None
-        if common_prefix_len(child.label, prefix) < min(len(child.label), len(prefix)):
-            return None
-        node = child
-    return node
-
-
-def _pruned_dfs(node: PGCPNode, lo: Optional[str], hi: Optional[str]) -> Tuple[str, ...]:
-    """Pre-order DFS labels under ``node`` (children in label order),
-    pruned to the ``[lo, hi]`` band when given — the same subtree-band
-    argument as :meth:`PGCPTree.range_query`: every key under a node
-    extends its label, so a branch whose label is ``> hi``, or ``< lo``
-    without prefixing ``lo``, cannot contain a match."""
-    out = []
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        lbl = n.label
-        if lo is not None and (lbl > hi or (lbl < lo and not lo.startswith(lbl))):
-            continue
-        out.append(lbl)
-        if n.children:
-            stack.extend(sorted(
-                n.children.values(), key=lambda c: c.label, reverse=True
-            ))
-    return tuple(out)
-
 
 @dataclass(frozen=True)
 class QueryOutcome:
@@ -408,10 +336,11 @@ class QueryOutcome:
     ``results`` is the complete sorted answer — the macro model has global
     knowledge, so capacity exhaustion degrades *satisfaction*, never
     completeness (``dropped_at`` names the first exhausted host).  Hop
-    accounting: ``logical_hops`` = climb edges + descent edges + scan
-    forwards (visited nodes minus one per scanned fragment);
-    ``physical_hops`` counts the hops whose endpoints live on different
-    peers, plus one jump per extra fragment on a damaged forest.
+    accounting: ``logical_hops`` = the entry's walk to its scan root (or
+    dead end) + scan forwards (visited nodes minus one per scanned
+    fragment) + one jump per scanned fragment after the first;
+    ``physical_hops`` counts the walk and scan hops whose endpoints live
+    on different peers, plus the same jumps.
     """
 
     query: str
@@ -432,27 +361,21 @@ class QueryBatchOutcome:
     """Aggregated counters of one batch of set queries — the count-dict
     mirror of :class:`BatchOutcome` for :meth:`DLPTSystem.search_batch`.
 
-    ``empty`` counts queries whose (complete) answer had no keys; the hop
-    totals and histogram cover satisfied queries only, matching how
-    request hops feed :class:`repro.experiments.metrics.UnitStats`."""
+    The hop totals and histogram cover satisfied queries only, matching
+    how request hops feed :class:`repro.experiments.metrics.UnitStats`."""
 
     issued: int = 0
     satisfied: int = 0
     dropped: int = 0
-    empty: int = 0
     results_total: int = 0
     logical_hops: int = 0
     physical_hops: int = 0
-    nodes_scanned: int = 0
     #: hops → number of satisfied queries taking that many logical hops.
     hop_histogram: Dict[int, int] = field(default_factory=dict)
 
     def absorb(self, outcome: QueryOutcome) -> None:
         self.issued += 1
         self.results_total += len(outcome.results)
-        self.nodes_scanned += outcome.nodes_scanned
-        if not outcome.results:
-            self.empty += 1
         if outcome.dropped_at is not None:
             self.dropped += 1
             return

@@ -37,8 +37,6 @@ from .routing import (
     QueryBatchOutcome,
     QueryOutcome,
     RequestOutcome,
-    _covering_node,
-    _pruned_dfs,
     route_path,
 )
 
@@ -92,8 +90,8 @@ class DLPTSystem:
         #: All node labels, sorted — uniform random entry-node selection.
         self.node_index: SortedList[str] = SortedList()
         self.tree_on_create_chain()
-        #: Route index behind batches and set-query scans (version-guarded
-        #: spine/hop caches).
+        #: Route index behind batches (version-guarded spine/hop caches);
+        #: set queries read only its fragment-root list.
         self.router = DiscoveryRouter(self.tree, self.mapping)
         #: Aggregated per-node request counts of the last closed time unit
         #: (the ``l_n`` that MLT and KC consume).
@@ -556,20 +554,20 @@ class DLPTSystem:
 
         ``query`` may be a query object or any spec :func:`parse_query`
         accepts; validation against the system alphabet happens here, so
-        executors never see a malformed query.  The route mirrors
-        :meth:`discover`: climb from the entry node to the deepest ancestor
-        covering the query band's anchor (the prefix itself, or the GCP of
-        the range bounds), descend to the scan root, then fan out over the
-        scan subtree — charging every *scanned* node's host, one logical
-        hop per scan forward.  On a crash-damaged forest the indexed scan
-        gives way to the walking resolver, which additionally sweeps every
-        orphan fragment (one extra jump each) so the answer stays complete.
+        executors never see a malformed query.  The query walks the tree
+        exactly as the engine's scan token does: from the entry node to
+        the scan root of the query band's anchor (the prefix itself, or
+        the GCP of the range bounds), then over the band below it —
+        charging every *scanned* node's host, one logical hop per scan
+        forward.  On a crash-damaged forest the same walk goes on to scan
+        every other fragment's band (one extra jump each), so the answer
+        stays complete (:meth:`_execute_single`).
 
         ``results`` is always the full sorted answer over the registered
         key set — capacity exhaustion affects ``satisfied``/``dropped_at``
         only.  With neither ``entry_label`` nor ``rng`` the query enters at
-        the scan root (zero routing hops); a multi-attribute query draws a
-        fresh entry per clause when given only ``rng``.
+        the first scan root (zero routing hops); a multi-attribute query
+        draws a fresh entry per clause when given only ``rng``.
         """
         query = parse_query(query, self.alphabet)
         if isinstance(query, MultiAttributeQuery):
@@ -577,14 +575,15 @@ class DLPTSystem:
         outcome, _ = self._execute_single(query, entry_label, rng)
         return outcome
 
-    def search_batch(self, items, rng=None) -> QueryBatchOutcome:
+    def search_batch(self, items) -> QueryBatchOutcome:
         """Serve a batch of ``(query, entry_label)`` set queries; returns
         the aggregated :class:`QueryBatchOutcome` counters (the count-dict
         twin of :meth:`discover_batch` — per-query outcomes are absorbed,
-        never kept).  ``entry_label`` of ``None`` draws from ``rng``."""
+        never kept).  ``entry_label`` of ``None`` enters at the first scan
+        root."""
         out = QueryBatchOutcome()
         for query, entry_label in items:
-            out.absorb(self.search(query, entry_label=entry_label, rng=rng))
+            out.absorb(self.search(query, entry_label=entry_label))
         return out
 
     @staticmethod
@@ -628,205 +627,60 @@ class DLPTSystem:
     def _execute_single(self, query, entry_label, rng):
         """Run one single-attribute query; returns ``(QueryOutcome,
         union-of-data of matched nodes)`` (the data feed multi-attribute
-        intersection)."""
+        intersection).
+
+        One walk serves healthy trees and crash-damaged forests alike.  In
+        the entry's fragment the token follows the engine's phase-0 rule
+        (:meth:`_walk_to_band`); where that fragment has no scan root it
+        dies on the spot and that node's host is charged.  Then every
+        fragment's scan root is scanned in fragment order, each scan after
+        the first one jump (one logical and one physical hop) away, so
+        orphaned keys still appear in the answer.  Without an entry the
+        query starts at the first scan root."""
         anchor, lo, hi = self._query_band(query)
         tree = self.tree
         router = self.router
         router.sync()
         fragments = router.fragment_roots()
         if not fragments:
-            return QueryOutcome(
-                query=query.describe(), results=(), satisfied=True,
-                logical_hops=0, physical_hops=0, nodes_scanned=0,
-            ), set()
-        if len(fragments) > 1 or tree.root is None:
-            # Crash-damaged forest (orphan fragments, or a destroyed root
-            # with survivors): the frozen walking resolver sweeps every
-            # fragment so the answer stays oracle-complete.
-            return self._search_walk(query, anchor, lo, hi, entry_label, rng)
+            return QueryOutcome(query.describe(), (), True, 0, 0, 0), set()
         if entry_label is None and rng is not None:
             entry_label = self.random_entry_label(rng)
-        scan_root, visited = router.subtree_scan(anchor, lo, hi)
-
-        # -- routing leg: entry -> join -> scan root ------------------------
+        host_of = self.mapping.host_of
         logical = physical = 0
         dropped_at = None
         if entry_label is not None:
-            e_depth, e_rpc, _, frag = router.node_info(entry_label)
-            if frag != tree.root.label:  # pragma: no cover - defensive
-                return self._search_walk(query, anchor, lo, hi, entry_label, rng)
-            if scan_root is not None and entry_label.startswith(scan_root):
-                # Entry inside the scan subtree: the route is the straight
-                # climb to the scan root (the first ancestor whose subtree
-                # covers the whole band).
-                sr_depth, sr_rpc, _, _ = router.node_info(scan_root)
-                logical = e_depth - sr_depth
-                physical = e_rpc - sr_rpc
-            else:
-                # Otherwise the request climbs to its join with the
-                # anchor's spine: the deepest spine node prefixing the
-                # entry, or the root when the root's label does not prefix
-                # the anchor (no spine).
-                labels, _ = router.spine(anchor)
-                j = 0
-                last = len(labels) - 1
-                while j < last and entry_label.startswith(labels[j + 1]):
-                    j += 1
-                if labels:
-                    j_depth, j_rpc, _, _ = router.node_info(labels[j])
-                else:
-                    j_depth = j_rpc = 0
-                if scan_root is None:
-                    # No node covers the anchor: the request descends the
-                    # spine and dies at its tip (the root when there is no
-                    # spine) — the deepest node that could have had a
-                    # band-compatible child (a distributed scan token only
-                    # discovers the band is empty by walking there).  The
-                    # tip's host is charged.
-                    tip_label = labels[-1] if labels else tree.root.label
-                    tip_depth, tip_rpc, tip_peer, _ = router.node_info(tip_label)
-                    if not tip_peer.try_process(tip_label):
-                        dropped_at = tip_peer.id
-                    return QueryOutcome(
-                        query=query.describe(), results=(),
-                        satisfied=dropped_at is None,
-                        logical_hops=(e_depth - j_depth) + (tip_depth - j_depth),
-                        physical_hops=(e_rpc - j_rpc) + (tip_rpc - j_rpc),
-                        nodes_scanned=0, dropped_at=dropped_at,
-                    ), set()
-                # ...then descends the spine to the scan root.
-                sr_depth, sr_rpc, _, _ = router.node_info(scan_root)
-                logical = (e_depth - j_depth) + (sr_depth - j_depth)
-                physical = (e_rpc - j_rpc) + (sr_rpc - j_rpc)
-        elif scan_root is None:
-            return QueryOutcome(
-                query=query.describe(), results=(), satisfied=True,
-                logical_hops=0, physical_hops=0, nodes_scanned=0,
-            ), set()
+            path, reached = self._walk_to_band(entry_label, anchor)
+            peers = [host_of(label) for label in path]
+            logical = len(path) - 1
+            physical = sum(a is not b for a, b in zip(peers, peers[1:]))
+            if not reached and not peers[-1].try_process(path[-1]):
+                dropped_at = peers[-1].id
 
-        # -- scan leg: charge every visited node's host ----------------------
-        results, data, scan_logical, scan_physical, drop = self._run_scan(
-            query, visited
-        )
-        if dropped_at is None:
-            dropped_at = drop
-        return QueryOutcome(
-            query=query.describe(),
-            results=tuple(sorted(results)),
-            satisfied=dropped_at is None,
-            logical_hops=logical + scan_logical,
-            physical_hops=physical + scan_physical,
-            nodes_scanned=len(visited),
-            dropped_at=dropped_at,
-        ), data
-
-    def _run_scan(self, query, visited):
-        """Charge the hosts of ``visited`` (in DFS order) and collect the
-        filled labels matching ``query``: ``(results, data, logical,
-        physical, dropped_at)``.  One logical hop per scan forward; a
-        physical hop whenever consecutive visits change peers."""
-        host_of = self.mapping.host_of
-        node_of = self.tree.node
         matches = query.matches
         results: list[str] = []
         data: set = set()
-        physical = 0
-        prev_peer = None
-        dropped_at = None
-        for lbl in visited:
-            peer = host_of(lbl)
-            if prev_peer is not None and peer is not prev_peer:
-                physical += 1
-            prev_peer = peer
-            if not peer.try_process(lbl) and dropped_at is None:
-                dropped_at = peer.id
-            node = node_of(lbl)
-            if node.data and matches(lbl):
-                results.append(lbl)
-                data.update(node.data)
-        logical = max(0, len(visited) - 1)
-        return results, data, logical, physical, dropped_at
-
-    def _search_walk(self, query, anchor, lo, hi, entry_label, rng):
-        """Walking set-query resolver for damaged forests: climb within the
-        entry's fragment, then sweep *every* fragment whose band overlaps
-        the query (one extra logical+physical jump per additional
-        fragment), so orphaned keys still appear in the answer."""
-        tree = self.tree
-        router = self.router
-        if entry_label is None and rng is not None:
-            entry_label = self.random_entry_label(rng)
-        logical = physical = 0
-        climb_top = None
-        if entry_label is not None:
-            node = tree.node(entry_label)
-            if node is None:
-                raise KeyError(f"entry node {entry_label!r} not in the tree")
-            host_of = self.mapping.host_of
-            prev_peer = host_of(node.label)
-            # Climb until this node's subtree covers the band (its label
-            # prefixes the anchor, or extends it)...
-            while (
-                not (anchor.startswith(node.label) or node.label.startswith(anchor))
-                and node.parent is not None
-            ):
-                node = node.parent
-                peer = host_of(node.label)
-                if peer is not prev_peer:
-                    physical += 1
-                prev_peer = peer
-                logical += 1
-            # ...then, if the entry started *inside* the scan subtree, keep
-            # climbing to the highest covering node (the scan root) so the
-            # scan sweeps the whole band, not just the entry's subtree.
-            while node.parent is not None and node.parent.label.startswith(anchor):
-                node = node.parent
-                peer = host_of(node.label)
-                if peer is not prev_peer:
-                    physical += 1
-                prev_peer = peer
-                logical += 1
-            climb_top = node
-
-        results: list[str] = []
-        data: set = set()
         scanned = 0
-        dropped_at = None
-        fragments = 0
-        for frag_label in router.fragment_roots():
-            frag_root = tree.node(frag_label)
-            if climb_top is not None and router.node_info(entry_label)[3] == frag_label:
-                covers = anchor.startswith(climb_top.label) or climb_top.label.startswith(
-                    anchor
-                )
-                start = climb_top if covers else frag_root
-            else:
-                start = frag_root
-            cover = _covering_node(start, anchor)
-            if cover is None:
-                continue
-            # Descent edges from ``start`` down to the covering node.
-            depth_start = router.node_info(start.label)[0]
-            depth_cover = router.node_info(cover.label)[0]
-            fragments += 1
-            if fragments > 1:
-                logical += 1  # cross-fragment jump (no tree edge)
-                physical += 1
-            logical += depth_cover - depth_start
-            physical += (
-                router.node_info(cover.label)[1] - router.node_info(start.label)[1]
-            )
-            visited = _pruned_dfs(cover, lo, hi)
+        roots = (tree.scan_root(anchor, tree.node(f)) for f in fragments)
+        for jump, root in enumerate(r for r in roots if r is not None):
+            # One logical hop per scan forward; a physical hop whenever
+            # consecutive visits change peers.
+            visited = tree.band(root, lo, hi)
             scanned += len(visited)
-            frag_results, frag_data, s_log, s_phys, drop = self._run_scan(
-                query, visited
-            )
-            results.extend(frag_results)
-            data.update(frag_data)
-            logical += s_log
-            physical += s_phys
-            if dropped_at is None:
-                dropped_at = drop
+            logical += max(0, len(visited) - 1) + (jump > 0)
+            physical += jump > 0
+            prev_peer = None
+            for node in visited:
+                label = node.label
+                peer = host_of(label)
+                if prev_peer is not None and peer is not prev_peer:
+                    physical += 1
+                prev_peer = peer
+                if not peer.try_process(label) and dropped_at is None:
+                    dropped_at = peer.id
+                if node.data and matches(label):
+                    results.append(label)
+                    data.update(node.data)
         return QueryOutcome(
             query=query.describe(),
             results=tuple(sorted(results)),
@@ -836,6 +690,38 @@ class DLPTSystem:
             nodes_scanned=scanned,
             dropped_at=dropped_at,
         ), data
+
+    def _walk_to_band(self, entry_label: str, anchor: str):
+        """The engine's phase-0 route (:meth:`ProtocolEngine._on_set_query`)
+        from ``entry_label`` inside its fragment: ``(visited labels,
+        reached)``.  Outside the band the token climbs; above it, it
+        descends the anchor's spine; inside it, it climbs to the highest
+        node that extends the anchor — the fragment's scan root, where the
+        walk ends with ``reached`` True.  It ends with ``reached`` False
+        where the token dies: a fragment root that diverges from the
+        anchor, or a spine node with no band-compatible child."""
+        node = self.tree.node(entry_label)
+        if node is None:
+            raise KeyError(f"entry node {entry_label!r} not in the tree")
+        path = [entry_label]
+        while True:
+            label = node.label
+            if label.startswith(anchor):  # inside the band
+                nxt = node.parent
+                if nxt is None or not nxt.label.startswith(anchor):
+                    return path, True
+            elif anchor.startswith(label):  # above the band
+                nxt = node.child_towards(anchor)
+                if nxt is None or not (
+                    anchor.startswith(nxt.label) or nxt.label.startswith(anchor)
+                ):
+                    return path, False
+            else:  # outside the band
+                nxt = node.parent
+                if nxt is None:
+                    return path, False
+            node = nxt
+            path.append(nxt.label)
 
     # -- time bookkeeping -------------------------------------------------------
 

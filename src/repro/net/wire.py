@@ -53,7 +53,6 @@ MESSAGE_TYPES = {
         m.YourInformation,
         m.UpdateSuccessor,
         m.LeaveTransfer,
-        m.UpdatePredecessor,
         m.DataInsertion,
         m.SearchingHost,
         m.Host,

@@ -174,10 +174,10 @@ class TestSearch:
         return build(blas_routines())
 
     def test_lookup_hit(self, blas_tree):
-        assert blas_tree.lookup("dgemm").data == {"dgemm"}
+        assert blas_tree.node("dgemm").data == {"dgemm"}
 
     def test_lookup_miss(self, blas_tree):
-        assert blas_tree.lookup("nonexistent") is None
+        assert blas_tree.node("nonexistent") is None
 
     def test_complete_partial_string(self, blas_tree):
         assert blas_tree.complete("dgem") == ["dgemm", "dgemv"]

@@ -18,6 +18,7 @@ from repro.core.pgcp import PGCPTree
 from repro.dlpt.protocol import ProtocolEngine
 from repro.net.chaos import ChaosTransport
 from repro.net.transport import SimTransport
+from repro.net.wire import MESSAGE_TYPES
 
 
 def engine_with_peers(peer_ids, latency_seed=None):
@@ -78,6 +79,40 @@ class TestPeerJoin:
         eng.join_peer("zzzz")  # above every existing peer
         eng.run()
         eng.check_ring()
+
+
+class TestWireVocabulary:
+    def test_the_engine_sends_every_wire_message_type(self):
+        """A type the codec accepts but no handler path sends is dead
+        protocol; one of each operation — seeded and tree-routed joins, a
+        leave, inserts that split and splice, a discovery and a prefix
+        query — must send exactly the codec's types."""
+        transport = SimTransport()
+        sent = set()
+        send = transport.send
+
+        def record(src, dst, payload):
+            sent.add(type(payload).__name__)
+            send(src, dst, payload)
+
+        transport.send = record
+        eng = ProtocolEngine(transport=transport)
+        eng.bootstrap_peer("mmmm")
+        eng.join_peer("dzzz", seed="mmmm")
+        eng.run()
+        for key in ("dgemm", "dgemv", "dg", "sgemm", "d", "dgetrf", "a"):
+            eng.insert_data(key)
+            eng.run()
+        eng.join_peer("tttt", via="dgemm")
+        eng.run()
+        eng.leave_peer("dzzz")
+        eng.run()
+        eng.discover("dgemm")
+        eng.search_query("prefix", "dge")
+        eng.run()
+        eng.check_ring()
+        eng.check_tree()
+        assert sent == set(MESSAGE_TYPES)
 
 
 class TestDataInsertion:

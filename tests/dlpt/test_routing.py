@@ -158,15 +158,14 @@ class TestDiscoveryRouter:
             assert warm.spine(label) == lazy.spine(label)
 
 
-class TestUpOnlyAndSubtree:
+class TestScanRoot:
     """The scan root of a prefix: the highest node whose subtree holds
     every key extending it (``None`` when no node does)."""
 
     @staticmethod
     def scan_root(tree, prefix):
-        router = DiscoveryRouter(tree, _OnePeerMapping())
-        router.sync()
-        return router.subtree_scan(prefix)[0]
+        node = tree.scan_root(prefix)
+        return None if node is None else node.label
 
     def test_subtree_root_exact_node(self, fig1_tree):
         assert self.scan_root(fig1_tree, "101") == "101"

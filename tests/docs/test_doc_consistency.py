@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import ast
 import doctest
+import importlib
+import inspect
 import pathlib
 import re
 
@@ -210,14 +212,15 @@ class TestRuntimeDoc:
 
     def test_every_wire_message_type_is_documented(self):
         """The schema reference must enumerate exactly the dataclasses the
-        codec accepts — silently adding one would fork doc from code."""
+        codec accepts — adding or deleting one silently would fork doc
+        from code in either direction."""
         from repro.net.wire import MESSAGE_TYPES
 
-        doc = self.DOC.read_text()
-        for name in MESSAGE_TYPES:
-            assert f"`{name}`" in doc, (
-                f"docs/runtime.md's repro-wire/1 reference omits {name}"
-            )
+        listed = re.search(
+            r"dataclasses in `repro\.dlpt\.messages` \((.*?) —", self.DOC.read_text(), re.S
+        )
+        assert listed, "docs/runtime.md lost its repro-wire/1 message list"
+        assert set(re.findall(r"`(\w+)`", listed.group(1))) == set(MESSAGE_TYPES)
 
     def test_counter_invariant_is_stated(self):
         assert "messages_sent == messages_delivered" in self.DOC.read_text()
@@ -263,6 +266,89 @@ class TestQueriesDoc:
         assert "queries.md" in (REPO_ROOT / "docs" / "reproduction.md").read_text(), (
             "docs/reproduction.md should cross-link docs/queries.md"
         )
+
+
+def class_members() -> dict[str, set[str]]:
+    """Class name → every name a reference may follow it with: methods,
+    class-level assignments and dataclass fields, the ``self.<name>``
+    attributes its methods assign, and the same of its bases defined
+    under ``src/repro``."""
+    own: dict[str, set[str]] = {}
+    bases: dict[str, set[str]] = {}
+    for path in repro_modules():
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            names = own.setdefault(cls.name, set())
+            bases.setdefault(cls.name, set()).update(
+                b.id if isinstance(b, ast.Name) else b.attr
+                for b in cls.bases if isinstance(b, (ast.Name, ast.Attribute))
+            )
+            for item in cls.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    names.add(item.name)
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                    names.update(t.id for t in targets if isinstance(t, ast.Name))
+            for item in ast.walk(cls):
+                if (isinstance(item, ast.Attribute) and isinstance(item.ctx, ast.Store)
+                        and isinstance(item.value, ast.Name) and item.value.id == "self"):
+                    names.add(item.attr)
+    members = {}
+    for name in own:
+        seen, todo = set(), [name]
+        while todo:
+            cls = todo.pop()
+            if cls in own and cls not in seen:
+                seen.add(cls)
+                todo.extend(bases[cls])
+        members[name] = set().union(*(own[cls] for cls in seen))
+    return members
+
+
+def reference_resolves(dotted: str, members: dict[str, set[str]]) -> bool:
+    """``repro.…`` imports and attribute-walks; ``Class.name`` must name a
+    member of that class (see :func:`class_members`)."""
+    head, *rest = dotted.split(".")
+    if head != "repro":
+        return rest[0] in members[head]
+    obj, path = importlib.import_module("repro"), "repro"
+    for part in rest:
+        if inspect.ismodule(obj):
+            try:
+                obj, path = importlib.import_module(f"{path}.{part}"), f"{path}.{part}"
+                continue
+            except ModuleNotFoundError:
+                pass
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+        else:
+            return inspect.isclass(obj) and part in members.get(obj.__name__, ())
+    return True
+
+
+class TestCodeReferences:
+    """A backticked dotted name in the docs that no longer resolves sends
+    the reader after code that is gone or lives elsewhere."""
+
+    def test_every_dotted_reference_resolves(self):
+        members = class_members()
+        stale = []
+        for doc in [README, *sorted((REPO_ROOT / "docs").glob("*.md"))]:
+            text = re.sub(r"```.*?```", lambda m: "\n" * m.group().count("\n"),
+                          doc.read_text(), flags=re.S)
+            for lineno, line in enumerate(text.splitlines(), 1):
+                for span in re.findall(r"`([^`]+)`", line):
+                    name = re.match(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", span)
+                    if name is None:
+                        continue
+                    dotted = name.group()
+                    head = dotted.split(".")[0]
+                    if (head == "repro" or head in members) and not reference_resolves(
+                        dotted, members
+                    ):
+                        stale.append(f"{doc.relative_to(REPO_ROOT)}:{lineno}: {dotted}")
+        assert not stale, "stale code references:\n" + "\n".join(stale)
 
 
 class TestExamples:

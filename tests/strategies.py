@@ -204,7 +204,6 @@ wire_message_builders = {
         pred=_label_st,
         nodes=st.lists(node_payloads_st, max_size=3).map(tuple),
     ),
-    "UpdatePredecessor": st.builds(m.UpdatePredecessor, new_predecessor=_label_st),
     "DataInsertion": st.builds(
         m.DataInsertion, node=_label_st, key=_label_st, datum=_datum_st
     ),
