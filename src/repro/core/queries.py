@@ -241,18 +241,3 @@ def parse_query(spec, alphabet=None) -> Query:
         return validate_query(_single_from_dict(spec), alphabet)
     raise QuerySpecError(f"unsupported query spec type {type(spec).__name__}")
 
-
-def query_signature(query: Query) -> dict:
-    """Canonical JSON-able form of a query (config signatures, traces)."""
-    if isinstance(query, ExactQuery):
-        return {"kind": "exact", "key": query.key}
-    if isinstance(query, PrefixQuery):
-        return {"kind": "prefix", "prefix": query.prefix}
-    if isinstance(query, RangeQuery):
-        return {"kind": "range", "lo": query.lo, "hi": query.hi}
-    if isinstance(query, MultiAttributeQuery):
-        return {
-            "kind": "multi",
-            "clauses": {a: query_signature(q) for a, q in sorted(query.clauses.items())},
-        }
-    raise QuerySpecError(f"unsupported query type {type(query).__name__}")

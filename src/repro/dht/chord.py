@@ -1,13 +1,12 @@
 """A Chord ring (Stoica et al., SIGCOMM 2001) — reference [18] of the paper.
 
-Two consumers:
-
-* the **random-mapping baseline** of Figure 9 (the original DLPT [5] mapped
-  tree nodes onto peers through a DHT, destroying tree locality) — it only
-  needs consistent-hashing :meth:`ChordRing.successor_peer`;
-* the **PHT baseline** of Table 2, which pays an O(log P) Chord lookup per
-  trie step — it needs hop-counted greedy finger routing
-  (:meth:`ChordRing.lookup`).
+In the library its one consumer is the **PHT baseline** of Table 2
+(:mod:`repro.baselines.pht`), which pays an O(log P) Chord lookup per trie
+step: it places trie nodes with consistent-hashing
+:meth:`ChordRing.successor_peer` and counts hops with greedy finger routing
+(:meth:`ChordRing.lookup`).  Figure 9's random-mapping baseline hashes in the
+same space but keeps its own positions
+(:class:`repro.baselines.dlpt_dht.HashedMapping`); it does not use this ring.
 
 Finger tables are rebuilt eagerly after membership changes; the experiments
 here use Chord on static or slowly changing populations, so simple eager

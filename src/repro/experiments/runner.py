@@ -20,13 +20,16 @@ applies the unit's fault events — fail-stop crashes, partitions — and runs
 the replication/repair policy, with availability and durability metrics
 accounted per unit.
 
-Record/replay: :func:`run_single` optionally records the workload side of a
-run (churn arrivals, departures, registrations, requests, fault events) into a
-:class:`repro.workloads.traces.WorkloadTrace`, or replays one instead of
-drawing from the workload streams.  A trace replayed against its own
-configuration reproduces the run exactly (byte-identical metrics); replayed
-against a different balancer or mapping it holds the traffic fixed while
-the system under test varies.
+Record/replay: the workload side of a unit (churn arrivals, departures,
+fault events, registrations, requests, set queries) is one
+:class:`repro.workloads.traces.TraceUnit`, and every run applies one such
+record per unit.  A live run draws each step's events into the unit's record
+just before applying them; a replay takes the unit from a recorded
+:class:`~repro.workloads.traces.WorkloadTrace` and applies it the same way; a
+recording is the list of units the run applied.  A trace replayed against
+its own configuration reproduces the run exactly (byte-identical metrics);
+replayed against a different balancer or mapping it holds the traffic fixed
+while the system under test varies.
 
 Repetition: the unit that runs is a batch of labelled configs
 (:func:`run_labeled_series`), every ``(config, run_index)`` task of it on
@@ -43,7 +46,7 @@ from ..dlpt.system import DLPTSystem, corpus_peer_id_sampler
 from ..faults.injector import REPLAY_POLICY_PLAN, FaultInjector
 from ..util.rng import RngStreams
 from ..workloads.queries import query_from_event
-from ..workloads.traces import TraceRecorder, WorkloadTrace
+from ..workloads.traces import TraceUnit, WorkloadTrace
 from .config import ExperimentConfig
 from .metrics import ExperimentSeries, RunResult, UnitStats
 from .parallel import default_workers
@@ -116,25 +119,26 @@ def _load_imbalance(system: DLPTSystem) -> float:
 def run_single(
     config: ExperimentConfig,
     run_index: int = 0,
-    recorder: Optional[TraceRecorder] = None,
+    record: Optional[List[TraceUnit]] = None,
     replay: Optional[WorkloadTrace] = None,
     system_factory: Callable[..., DLPTSystem] = DLPTSystem,
 ) -> RunResult:
     """Execute one full simulation run and return its per-unit series.
 
-    ``recorder`` (optional) captures the workload side of the run; pass a
-    fresh :class:`TraceRecorder` and collect ``recorder.trace()`` after the
-    call.  ``replay`` (optional, exclusive with ``recorder``) drives the
-    run from a recorded trace instead of the workload RNG streams: the
-    trace's joins, leaves, registrations and requests are re-issued
-    verbatim while the balancer and mapping under test react live.
-    ``system_factory`` is the system class the run is executed on (see
-    :func:`build_system`); it never changes a run's metrics.
+    ``record`` (optional) is a list the run appends each unit's applied
+    :class:`TraceUnit` to; pass a trace's ``units``.  ``replay`` (optional,
+    exclusive with ``record``) drives the run from a recorded trace instead
+    of the workload RNG streams: the trace's joins, leaves, fault events,
+    registrations, requests and queries are re-issued verbatim while the
+    balancer and mapping under test react live.  ``system_factory`` is the
+    system class the run is executed on (see :func:`build_system`); it never
+    changes a run's metrics.
     """
-    if recorder is not None and replay is not None:
+    if record is not None and replay is not None:
         raise ValueError("cannot record and replay in the same run")
+    live = replay is None
     master_seed = config.seed
-    if replay is not None:
+    if not live:
         # The trace header pins the recording's seed and run index; the
         # system-side streams (bootstrap, lb) must re-derive from them or
         # the replay is a different run than the recording.
@@ -142,7 +146,7 @@ def run_single(
         master_seed = replay.seed
     streams = RngStreams(master_seed).spawn(run_index)
     system = build_system(config, streams, system_factory)
-    batches = [] if replay is not None else growth_batches(config, streams)
+    batches = growth_batches(config, streams) if live else []
 
     # Fault injection: driven by the config's fault plan, or — when a
     # fault-bearing trace is replayed under a fault-free config — by the
@@ -150,10 +154,10 @@ def run_single(
     # replication).  The injector draws from its own "faults" stream, so a
     # fault-free run is bit-identical with or without this subsystem.
     fault_plan = config.fault_plan
-    if fault_plan is None and replay is not None and any(u.faults for u in replay.units):
+    if fault_plan is None and not live and any(u.faults for u in replay.units):
         fault_plan = REPLAY_POLICY_PLAN
     injector = (
-        FaultInjector(fault_plan, system, streams.stream("faults"), recorder=recorder)
+        FaultInjector(fault_plan, system, streams.stream("faults"))
         if fault_plan is not None
         else None
     )
@@ -171,59 +175,43 @@ def run_single(
 
     available: List[str] = []
     result = RunResult()
-    total_units = replay.n_units if replay is not None else config.total_units
+    total_units = config.total_units if live else replay.n_units
     schedule = config.schedule
-    accounting = config.accounting
-
-    def serve_requests(pairs, stats: UnitStats) -> None:
-        # ``skip_missing_entries``: a recorded entry node may not exist in
-        # *this* system (a fault trace replayed under a weaker repair
-        # policy) — the client knocked on a dead node.
-        batch = system.discover_batch(
-            pairs, accounting=accounting, skip_missing_entries=True
-        )
-        stats.absorb_requests(batch)
 
     for unit in range(total_units):
         stats = UnitStats()
-        trace_unit = replay.units[unit] if replay is not None else None
-        if recorder is not None:
-            recorder.begin_unit()
+        # The unit's workload events: drawn step by step below on a live
+        # run (each draw sees the system the earlier steps left), read
+        # whole from the trace on a replay.  Either way they are applied
+        # by the same code.
+        events = TraceUnit() if live else replay.units[unit]
 
         # (1) periodic load balancing (MLT) — uses last unit's history.
         if unit > 0:
             stats.migrations += config.lb.run_balancing(system, lb_rng)
 
-        # (2) peer joins — capacity from the model (or the trace), placement
-        # by the balancer (KC) or random.
-        if trace_unit is not None:
-            join_capacities = trace_unit.joins
-        else:
-            join_capacities = [
+        # (2) peer joins — capacity from the model, placement by the
+        # balancer (KC) or random.
+        if live:
+            events.joins = [
                 config.capacity_model.sample(cap_rng)
                 for _ in range(config.churn.joins(len(system.ring), churn_rng))
             ]
-        for capacity in join_capacities:
-            if recorder is not None:
-                recorder.join(capacity)
+        for capacity in events.joins:
             peer_id = config.lb.choose_join_id(system, capacity, lb_rng)
             system.add_peer(lb_rng, peer_id=peer_id, capacity=capacity)
 
         # (3) peer leaves — uniformly random victims.  The workload-side
-        # randomness is the ring-position draw; replay re-applies it modulo
-        # the live ring size so the same trace drives any system.  ``id_at``
+        # randomness is the ring-position draw; it is applied modulo the
+        # live ring size so the same trace drives any system.  ``id_at``
         # draws the same victim as indexing a full ``ids()`` copy (both are
         # the sorted id sequence) without the O(P) copy per leave.
-        if trace_unit is not None:
-            leave_indices = trace_unit.leaves
-        else:
-            leave_indices = [
+        if live:
+            events.leaves = [
                 churn_rng.randrange(len(system.ring) - k)
                 for k in range(config.churn.leaves(len(system.ring), churn_rng))
             ]
-        for index in leave_indices:
-            if recorder is not None:
-                recorder.leave(index)
+        for index in events.leaves:
             victim = system.ring.id_at(index % len(system.ring))
             departed = system.remove_peer(victim)
             if injector is not None:
@@ -231,31 +219,24 @@ def run_single(
 
         # (3b) fault injection — fail-stop crashes, partitions, repair.
         if injector is not None:
-            injector.begin_unit(
-                unit,
-                stats,
-                trace_events=trace_unit.faults if trace_unit is not None else None,
-            )
+            if live:
+                events.faults = injector.draw(unit)
+            injector.begin_unit(unit, stats, events.faults)
 
         # (4) service registrations — the tree grows for growth_units units.
-        if trace_unit is not None:
-            registrations = trace_unit.registrations
-        else:
-            registrations = batches[unit] if unit < len(batches) else []
-        if injector is not None and registrations:
-            # Never grow a crash-damaged forest: force the repair first.
-            injector.before_registrations(unit, stats)
-        if registrations:
-            if recorder is not None:
-                for key in registrations:
-                    recorder.registration(key)
+        if live and unit < len(batches):
+            events.registrations = batches[unit]
+        if events.registrations:
+            if injector is not None:
+                # Never grow a crash-damaged forest: force the repair first.
+                injector.before_registrations(unit, stats)
             # One batched registration.  Replica refreshes run after the
             # batch: hosts and data are the same as under per-key
             # interleaving within one step, so the order is equivalent.
-            system.register_batch(registrations)
-            available.extend(registrations)
+            system.register_batch(events.registrations)
+            available.extend(events.registrations)
             if injector is not None:
-                for key in registrations:
+                for key in events.registrations:
                     injector.on_registered(key)
 
         # (5) discovery requests under the per-unit capacity budget, scaled
@@ -263,44 +244,40 @@ def run_single(
         # The unit's keys and entry nodes are sampled up front — key draws
         # and entry draws come from two independent streams, so hoisting
         # them out of the serving loop consumes both streams identically —
-        # and the whole batch is served in one indexed pass.
+        # and the whole batch is served in one indexed pass.  (n_nodes
+        # guard: a crash wave can empty the whole tree before repair; no
+        # entry node means no requests this unit.)
         capacity_total = system.ring.aggregate_capacity()
-        if trace_unit is not None:
-            serve_requests(trace_unit.requests, stats)
-        elif available and system.n_nodes:
-            # (n_nodes guard: a crash wave can empty the whole tree before
-            # repair; no entry node means no requests this unit.)
+        if live and available and system.n_nodes:
             rate = schedule.rate_multiplier(unit)
             n_requests = max(1, round(config.load_fraction * capacity_total * rate))
             sample = schedule.sample
             keys = [sample(unit, req_rng, available) for _ in range(n_requests)]
             entries = system.random_entry_labels(entry_rng, n_requests)
-            pairs = list(zip(keys, entries))
-            if recorder is not None:
-                for key, entry in pairs:
-                    recorder.request(key, entry)
-            serve_requests(pairs, stats)
+            events.requests = list(zip(keys, entries))
+        if events.requests:
+            # ``skip_missing_entries``: a recorded entry node may not exist
+            # in *this* system (a fault trace replayed under a weaker repair
+            # policy) — the client knocked on a dead node.
+            stats.absorb_requests(
+                system.discover_batch(
+                    events.requests,
+                    accounting=config.accounting,
+                    skip_missing_entries=True,
+                )
+            )
 
         # (5b) set queries — prefix completions, ranges and exact probes
-        # through the routed scan path.  Replay serves the trace's query
-        # events whenever present (even under a query-free config); live
-        # runs draw from the dedicated "queries" stream.
-        if trace_unit is not None:
-            query_events = trace_unit.queries
-        elif query_plan is not None and available and system.n_nodes:
-            query_events = query_plan.sample_unit(query_rng, available)
-            entries = system.random_entry_labels(query_rng, len(query_events))
-            query_events = [
-                event + [entry] for event, entry in zip(query_events, entries)
-            ]
-            if recorder is not None:
-                for event in query_events:
-                    recorder.query(event)
-        else:
-            query_events = []
-        if query_events:
+        # through the routed scan path, drawn from the dedicated "queries"
+        # stream.  A replay serves the trace's query events whenever
+        # present, even under a query-free config.
+        if live and query_plan is not None and available and system.n_nodes:
+            drawn = query_plan.sample_unit(query_rng, available)
+            entries = system.random_entry_labels(query_rng, len(drawn))
+            events.queries = [event + [entry] for event, entry in zip(drawn, entries)]
+        if events.queries:
             items = []
-            for event in query_events:
+            for event in events.queries:
                 query, entry = query_from_event(event)
                 if system.tree.node(entry) is None:
                     # The recorded entry node does not exist in *this*
@@ -309,6 +286,8 @@ def run_single(
                 items.append((query, entry))
             stats.absorb_queries(system.search_batch(items))
 
+        if record is not None:
+            record.append(events)
         stats.peers = system.n_peers
         stats.nodes = system.n_nodes
         stats.aggregate_capacity = capacity_total
@@ -334,12 +313,13 @@ def record_single(
     """Run once while recording; returns the run and its workload trace.
 
     The recorded run is bit-identical to an unrecorded ``run_single`` with
-    the same arguments — recording only observes.
+    the same arguments — a live run builds every unit's record anyway;
+    recording only keeps them.
     """
     header = {"config": config.describe(), **(meta or {})}
-    recorder = TraceRecorder(seed=config.seed, run_index=run_index, meta=header)
-    result = run_single(config, run_index, recorder=recorder)
-    return result, recorder.trace()
+    trace = WorkloadTrace(seed=config.seed, run_index=run_index, meta=header)
+    result = run_single(config, run_index, record=trace.units)
+    return result, trace
 
 
 def replay_single(config: ExperimentConfig, trace: WorkloadTrace) -> RunResult:

@@ -2,21 +2,21 @@
 
 One :class:`FaultInjector` accompanies one simulation run.  At construction
 it sorts the deterministic one-shots of the fault plan (correlated crash
-bursts, partition openings) by unit; each time unit the runner calls
-:meth:`FaultInjector.begin_unit`, which takes the one-shots that have come
-due, draws the rate-based storm crashes, applies
-everything to the system (fail-stop crashes via
-:func:`repro.dlpt.failures.crash_peer`, partitions by exhausting the
-affected peers' capacity budget for the unit), runs the repair policy, and
-accounts the availability/durability metrics into the unit's
-:class:`~repro.experiments.metrics.UnitStats`.
+bursts, partition openings) by unit.  Each time unit the runner takes the
+unit's fault records — from :meth:`FaultInjector.draw` on a live run, which
+takes the one-shots that have come due and draws the rate-based storm
+crashes, or from the replayed trace — and hands them to
+:meth:`FaultInjector.begin_unit`, which applies them to the system
+(fail-stop crashes via :func:`repro.dlpt.failures.crash_peer`, partitions by
+exhausting the affected peers' capacity budget for the unit), runs the
+repair policy, and accounts the availability/durability metrics into the
+unit's :class:`~repro.experiments.metrics.UnitStats`.
 
-Fault events are *workload-side* randomness: in recording mode every
-applied event is appended to the run's ``repro-trace/1`` trace (as ring
-position draws, like churn departures), and in replay mode the injector
-re-applies the recorded events verbatim — so a fault trace replayed under
-a different balancer, mapping or replication policy drives identical
-faults into a different system.
+Fault events are *workload-side* randomness: a record names its victims as
+ring-position draws, like churn departures, and lands in the unit's
+``repro-trace/1`` record with the rest of the workload.  A fault trace
+replayed under a different balancer, mapping or replication policy
+therefore drives identical faults into a different system.
 """
 
 from __future__ import annotations
@@ -68,22 +68,12 @@ class FaultInjector:
         The dedicated ``"faults"`` RNG stream — fault draws never perturb
         the workload or churn streams, so a fault-free config simulates
         bit-identically to a build without this subsystem.
-    recorder:
-        Optional :class:`~repro.workloads.traces.TraceRecorder`; every
-        applied event is recorded for replay.
     """
 
-    def __init__(
-        self,
-        plan: FaultPlan,
-        system: DLPTSystem,
-        rng,
-        recorder=None,
-    ) -> None:
+    def __init__(self, plan: FaultPlan, system: DLPTSystem, rng) -> None:
         self.plan = plan
         self.system = system
         self.rng = rng
-        self.recorder = recorder
         self.replication: Optional[ReplicationManager] = (
             ReplicationManager(system, factor=plan.replication)
             if plan.replication > 0
@@ -106,18 +96,20 @@ class FaultInjector:
 
     # -- per-unit driving ---------------------------------------------------
 
-    def begin_unit(self, unit: int, stats, trace_events: Optional[List[list]] = None) -> None:
-        """Run the fault step of one time unit: generate (or replay) the
-        unit's events, apply them, repair if the cadence is due, and
-        enforce active partitions."""
-        if trace_events is None:
-            records = self._generate(unit)
-            if self.recorder is not None:
-                for record in records:
-                    self.recorder.fault(record)
-        else:
-            records = trace_events
-        self._apply(unit, records, stats)
+    def begin_unit(self, unit: int, stats, records: List[list]) -> None:
+        """Run the fault step of one time unit: apply the unit's fault
+        records, repair if the cadence is due, and enforce active
+        partitions."""
+        for record in records:
+            kind = record[0]
+            if kind == "crash":
+                self._apply_crash(int(record[1]), unit, stats)
+            elif kind == "partition":
+                self._apply_partition(
+                    int(record[1]), int(record[2]), int(record[3]), unit
+                )
+            else:
+                raise ValueError(f"unknown fault event record {record!r}")
         self.maybe_repair(unit, stats)
         self._enforce_partitions(unit, stats)
 
@@ -144,7 +136,7 @@ class FaultInjector:
 
     # -- event generation ---------------------------------------------------
 
-    def _generate(self, unit: int) -> List[list]:
+    def draw(self, unit: int) -> List[list]:
         """This unit's concrete fault events as JSON-able trace records."""
         events = []
         while self._timed and self._timed[0][0] <= unit:
@@ -173,18 +165,6 @@ class FaultInjector:
         return records
 
     # -- event application --------------------------------------------------
-
-    def _apply(self, unit: int, records: List[list], stats) -> None:
-        for record in records:
-            kind = record[0]
-            if kind == "crash":
-                self._apply_crash(int(record[1]), unit, stats)
-            elif kind == "partition":
-                self._apply_partition(
-                    int(record[1]), int(record[2]), int(record[3]), unit
-                )
-            else:
-                raise ValueError(f"unknown fault event record {record!r}")
 
     def _apply_crash(self, index: int, unit: int, stats) -> None:
         ring = self.system.ring

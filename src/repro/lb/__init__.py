@@ -5,8 +5,9 @@ compact spec string — the ablation hook the CLI and bench harnesses use
 to sweep balancer parameters (``"mlt:fraction=0.5"``, ``"kc:k=8"``)
 without constructing objects in calling code.  The parser registers here
 as the ``"balancer"`` kind of the spec registry (:mod:`repro.util.specs`),
-raising :class:`BalancerSpecError`; :func:`balancer_signature` is the
-kind's canonical hash structure.
+raising :class:`BalancerSpecError`.  The kind has no signature surface:
+:meth:`repro.experiments.config.ExperimentConfig.signature` names a
+balancer by its class and public constructor state.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .nolb import NoLB
 
 __all__ = [
     "LoadBalancer", "NoLB", "MLT", "KChoices", "best_split", "SplitDecision",
-    "balancer_signature", "BalancerSpecError",
+    "BalancerSpecError",
 ]
 
 
@@ -74,24 +75,4 @@ def _parse_balancer(spec: object) -> LoadBalancer:
     )
 
 
-def balancer_signature(balancer: LoadBalancer) -> dict:
-    """Canonical, JSON-serialisable identity of a balancer heuristic.
-
-    Uniform with the other spec kinds' signatures: two balancers with the
-    same decision behaviour hash equal, any parameter change hashes
-    different; unknown heuristic classes degrade to their type name.
-    """
-    if isinstance(balancer, NoLB):
-        return {"kind": "nolb"}
-    if isinstance(balancer, MLT):
-        return {
-            "kind": "mlt",
-            "fraction": balancer.fraction,
-            "allow_empty": balancer.allow_empty,
-        }
-    if isinstance(balancer, KChoices):
-        return {"kind": "kc", "k": balancer.k}
-    return {"kind": "opaque", "type": type(balancer).__name__}
-
-
-register_spec_kind("balancer", _parse_balancer, balancer_signature)
+register_spec_kind("balancer", _parse_balancer)

@@ -66,6 +66,22 @@ class ChaosSpecError(SpecError):
     """A malformed ``chaos:`` spec string or mapping."""
 
 
+def _real(value: Any, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ChaosSpecError(f"{what} {value!r} is not a number")
+    return value
+
+
+def _check_probability(value: Any, what: str) -> None:
+    if not 0.0 <= _real(value, what) <= 1.0:
+        raise ChaosSpecError(f"{what} {value} is outside [0, 1]")
+
+
+def _check_seconds(value: Any, what: str) -> None:
+    if not _real(value, what) >= 0:
+        raise ChaosSpecError(f"{what} must be >= 0")
+
+
 @dataclass(frozen=True)
 class PartitionWindow:
     """One partition: pairs blocked during ``[at, at + duration)``."""
@@ -74,10 +90,19 @@ class PartitionWindow:
     at: float
     fraction: float = 0.5
 
+    def __post_init__(self) -> None:
+        _check_seconds(self.duration, "partition duration")
+        _check_seconds(self.at, "partition at")
+        _check_probability(self.fraction, "partition fraction")
+
 
 @dataclass(frozen=True)
 class ChaosPlan:
-    """The parsed, validated fault plan a :class:`ChaosTransport` runs."""
+    """The validated fault plan a :class:`ChaosTransport` runs.
+
+    Every range rule lives here, so a spec string, a mapping and a
+    directly built plan are checked once, alike (:class:`ChaosSpecError`).
+    """
 
     drop: float = 0.0
     delay: float = 0.0
@@ -91,6 +116,18 @@ class ChaosPlan:
     partitions: Tuple[PartitionWindow, ...] = ()
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        for name in ("drop", "delay", "dup", "reorder", "kill"):
+            _check_probability(getattr(self, name), f"{name} probability")
+        _check_probability(self.crash, "crash_storm rate")
+        if not _real(self.delay_max, "delay max") > 0:
+            raise ChaosSpecError("delay max must be > 0")
+        _check_seconds(self.crash_start, "crash_storm start")
+        if self.crash_end is not None:
+            _check_seconds(self.crash_end, "crash_storm end")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ChaosSpecError("seed must be an integer")
+
     def active(self) -> bool:
         return bool(
             self.drop or self.delay or self.dup or self.reorder
@@ -98,27 +135,22 @@ class ChaosPlan:
         )
 
 
-def _probability(value: str, spec: str, what: str) -> float:
+def _number(value: str, spec: str, what: str) -> float:
     try:
-        p = float(value)
+        return float(value)
     except ValueError as exc:
         raise ChaosSpecError(f"chaos spec {spec!r}: {what} {value!r} is not a number") from exc
-    if not 0.0 <= p <= 1.0:
-        raise ChaosSpecError(f"chaos spec {spec!r}: {what} {p} is outside [0, 1]")
-    return p
 
 
-def _seconds(value: str, spec: str, what: str) -> float:
+def _seed(value: str, spec: str) -> int:
     try:
-        s = float(value)
+        return int(value)
     except ValueError as exc:
-        raise ChaosSpecError(f"chaos spec {spec!r}: {what} {value!r} is not a number") from exc
-    if s < 0:
-        raise ChaosSpecError(f"chaos spec {spec!r}: {what} must be >= 0")
-    return s
+        raise ChaosSpecError(f"chaos spec {spec!r}: seed must be an integer") from exc
 
 
 def _parse_clause(clause: str, spec: str, fields: Dict[str, Any]) -> None:
+    """Tokenise one ``+`` clause into plan fields; ranges are the plan's."""
     if "=" in clause.partition(":")[0]:
         # A bare option clause (``...+seed=7``) applying to the whole plan.
         options = parse_options([clause], spec, label="chaos spec")
@@ -127,10 +159,7 @@ def _parse_clause(clause: str, spec: str, fields: Dict[str, Any]) -> None:
                 f"chaos spec {spec!r}: unknown plan option(s) "
                 f"{', '.join(sorted(set(options) - {'seed'}))}"
             )
-        try:
-            fields["seed"] = int(options["seed"])
-        except ValueError as exc:
-            raise ChaosSpecError(f"chaos spec {spec!r}: seed must be an integer") from exc
+        fields["seed"] = _seed(options["seed"], spec)
         return
     kind, _, rest = clause.partition(":")
     tokens = rest.split(":") if rest else []
@@ -140,44 +169,35 @@ def _parse_clause(clause: str, spec: str, fields: Dict[str, Any]) -> None:
         tokens = tokens[1:]
     options = parse_options(tokens, spec, label="chaos spec")
     if "seed" in options:
-        try:
-            fields["seed"] = int(options.pop("seed"))
-        except ValueError as exc:
-            raise ChaosSpecError(f"chaos spec {spec!r}: seed must be an integer") from exc
+        fields["seed"] = _seed(options.pop("seed"), spec)
 
-    if kind in ("drop", "dup", "reorder", "kill"):
+    if kind in ("drop", "dup", "reorder", "kill", "delay"):
         if positional is None:
             raise ChaosSpecError(f"chaos spec {spec!r}: {kind} needs a probability")
-        fields[kind] = _probability(positional, spec, f"{kind} probability")
-    elif kind == "delay":
-        if positional is None:
-            raise ChaosSpecError(f"chaos spec {spec!r}: delay needs a probability")
-        fields["delay"] = _probability(positional, spec, "delay probability")
-        if "max" in options:
-            bound = _seconds(options.pop("max"), spec, "delay max")
-            if bound <= 0:
-                raise ChaosSpecError(f"chaos spec {spec!r}: delay max must be > 0")
-            fields["delay_max"] = bound
+        fields[kind] = _number(positional, spec, f"{kind} probability")
+        if kind == "delay" and "max" in options:
+            fields["delay_max"] = _number(options.pop("max"), spec, "delay max")
     elif kind == "crash_storm":
         if positional is None:
             raise ChaosSpecError(f"chaos spec {spec!r}: crash_storm needs a rate")
-        fields["crash"] = _probability(positional, spec, "crash_storm rate")
-        if "start" in options:
-            fields["crash_start"] = _seconds(options.pop("start"), spec, "crash_storm start")
-        if "end" in options:
-            fields["crash_end"] = _seconds(options.pop("end"), spec, "crash_storm end")
+        fields["crash"] = _number(positional, spec, "crash_storm rate")
+        for bound in ("start", "end"):
+            if bound in options:
+                fields[f"crash_{bound}"] = _number(
+                    options.pop(bound), spec, f"crash_storm {bound}"
+                )
     elif kind == "partition":
         if positional is None or "@" not in positional:
             raise ChaosSpecError(
                 f"chaos spec {spec!r}: partition needs DURATION@AT (e.g. partition:2@4)"
             )
         dur_text, _, at_text = positional.partition("@")
-        window = PartitionWindow(
-            duration=_seconds(dur_text, spec, "partition duration"),
-            at=_seconds(at_text, spec, "partition at"),
-            fraction=_probability(options.pop("fraction", "0.5"), spec, "partition fraction"),
-        )
-        fields["partitions"] = tuple(fields.get("partitions", ())) + (window,)
+        window = {
+            "duration": _number(dur_text, spec, "partition duration"),
+            "at": _number(at_text, spec, "partition at"),
+            "fraction": _number(options.pop("fraction", "0.5"), spec, "partition fraction"),
+        }
+        fields["partitions"] = fields.get("partitions", ()) + (window,)
     else:
         raise ChaosSpecError(
             f"chaos spec {spec!r}: unknown fault kind {kind!r} (expected one of "
@@ -194,48 +214,27 @@ def parse_chaos(value: object) -> ChaosPlan:
     if isinstance(value, ChaosPlan):
         return value
     if isinstance(value, dict):
-        try:
-            windows = tuple(
-                w if isinstance(w, PartitionWindow) else PartitionWindow(**w)
-                for w in value.get("partitions", ())
-            )
-            plan = ChaosPlan(**{**value, "partitions": windows})
-        except TypeError as exc:
-            raise ChaosSpecError(f"chaos spec {value!r}: {exc}") from exc
-        return plan
-    if not isinstance(value, str) or not value.strip():
+        fields = dict(value)
+    elif isinstance(value, str) and value.strip():
+        fields = {}
+        for clause in value.split("+"):
+            clause = clause.strip()
+            if not clause:
+                raise ChaosSpecError(f"chaos spec {value!r}: empty clause")
+            _parse_clause(clause, value, fields)
+    else:
         raise ChaosSpecError(f"chaos spec must be a string, mapping or ChaosPlan: {value!r}")
-    fields: Dict[str, Any] = {}
-    for clause in value.split("+"):
-        clause = clause.strip()
-        if not clause:
-            raise ChaosSpecError(f"chaos spec {value!r}: empty clause")
-        _parse_clause(clause, value, fields)
-    return ChaosPlan(**fields)
+    try:
+        windows = tuple(
+            w if isinstance(w, PartitionWindow) else PartitionWindow(**w)
+            for w in fields.get("partitions", ())
+        )
+        return ChaosPlan(**{**fields, "partitions": windows})
+    except (TypeError, ChaosSpecError) as exc:
+        raise ChaosSpecError(f"chaos spec {value!r}: {exc}") from exc
 
 
-def chaos_signature(plan: ChaosPlan) -> Dict[str, Any]:
-    """The canonical JSON structure :func:`repro.util.specs.spec_hash`
-    hashes for a chaos plan."""
-    return {
-        "drop": plan.drop,
-        "delay": plan.delay,
-        "delay_max": plan.delay_max,
-        "dup": plan.dup,
-        "reorder": plan.reorder,
-        "kill": plan.kill,
-        "crash": plan.crash,
-        "crash_start": plan.crash_start,
-        "crash_end": plan.crash_end,
-        "partitions": [
-            {"duration": w.duration, "at": w.at, "fraction": w.fraction}
-            for w in plan.partitions
-        ],
-        "seed": plan.seed,
-    }
-
-
-register_spec_kind("chaos", parse_chaos, chaos_signature)
+register_spec_kind("chaos", parse_chaos)
 
 
 class ChaosTransport(Transport):
@@ -479,6 +478,5 @@ __all__ = [
     "ChaosSpecError",
     "ChaosTransport",
     "PartitionWindow",
-    "chaos_signature",
     "parse_chaos",
 ]

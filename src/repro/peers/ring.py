@@ -6,9 +6,11 @@ knowledge of its immediate predecessor ``pred_P`` and immediate successor
 hosting a node ``n`` is the one with the lowest identifier ``>= n``, wrapping
 to ``P_min`` for nodes above ``P_max``.
 
-This class is the *state* of the ring (membership + order); protocol-level
-join routing through the tree lives in :mod:`repro.dlpt.peer_join`, and node
-migration policy in :mod:`repro.dlpt.mapping`.
+This class is the *state* of the ring (membership + order); join routing
+through the tree lives in the message engine
+(:meth:`repro.dlpt.protocol.ProtocolEngine._on_peer_join`) and the macro
+model (:meth:`repro.dlpt.system.DLPTSystem.add_peer`), and node migration
+policy in :mod:`repro.dlpt.mapping`.
 """
 
 from __future__ import annotations

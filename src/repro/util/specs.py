@@ -9,16 +9,17 @@ module, at two levels:
 * **Tokenisation** (:func:`split_spec`, :func:`parse_options`,
   :func:`spec_helpers`): the shared ``name:key=value:...`` syntax, so
   grammar and error messages cannot drift between the surfaces.
-* **The registry** (:func:`parse_spec` / :func:`spec_signature` /
-  :func:`spec_hash`): each spec *kind* registers its parser and canonical
-  signature function once (:func:`register_spec_kind`); callers name the
-  kind and hand over any accepted value form (string, dict, constructed
-  object) — ``parse_spec("workload", "zipf:1.2")``,
+* **The registry** (:func:`parse_spec` / :func:`spec_signature`): each
+  spec *kind* registers its parser once (:func:`register_spec_kind`);
+  callers name the kind and hand over any accepted value form (string,
+  dict, constructed object) — ``parse_spec("workload", "zipf:1.2")``,
   ``parse_spec("faults", {"kind": "crash_storm", "rate": 0.05})``,
   ``parse_spec("balancer", "mlt:fraction=0.5")``,
-  ``parse_spec("chaos", "drop:0.1+seed=3")``.  Signatures are the
-  JSON-canonical structures the sweep store hashes; :func:`spec_hash`
-  collapses one to a stable SHA-256, identically for every kind.
+  ``parse_spec("chaos", "drop:0.1+seed=3")``.  The kinds that enter a
+  config's identity — workloads, faults, queries — also register a
+  canonical signature function: the JSON structure
+  :meth:`~repro.experiments.config.ExperimentConfig.signature` embeds and
+  the sweep store hashes (:func:`repro.sweeps.plan.signature_hash`).
 
 Every parse failure raises a subclass of :class:`SpecError` (itself a
 ``ValueError``, so pre-registry ``except ValueError`` callers keep
@@ -33,8 +34,6 @@ private to their modules and reachable through their kind alone.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
@@ -191,20 +190,11 @@ def spec_signature(kind: str, parsed: Any) -> Any:
 
     Uniform across kinds: this is what :class:`~repro.experiments.config.
     ExperimentConfig.signature` embeds and what the sweep store hashes.
+    Raises :class:`SpecError` for a kind registered without a signature
+    (``balancer``, ``chaos``).
     """
     entry = _resolve(kind)
     if entry.signature is None:
         raise SpecError(f"spec kind {kind!r} has no signature surface")
     return entry.signature(parsed)
 
-
-def spec_hash(kind: str, parsed: Any) -> str:
-    """A stable SHA-256 over the canonical signature, identical for any
-    two specs that parse to semantically equal objects (dict key order
-    never matters)."""
-    canonical = json.dumps(
-        {"kind": kind, "signature": spec_signature(kind, parsed)},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -45,7 +45,6 @@ from .spec import (
 from .traces import (
     TRACE_SCHEMA,
     TraceError,
-    TraceRecorder,
     TraceUnit,
     WorkloadTrace,
 )
@@ -62,6 +61,5 @@ __all__ = [
     "WORKLOAD_KINDS", "WorkloadSpecError", "workload_signature",
     "QUERY_KINDS", "QueryWorkload", "parse_query_event",
     "queries_signature", "query_from_event",
-    "TRACE_SCHEMA", "TraceError", "TraceRecorder", "TraceUnit",
-    "WorkloadTrace",
+    "TRACE_SCHEMA", "TraceError", "TraceUnit", "WorkloadTrace",
 ]

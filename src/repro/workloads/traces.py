@@ -56,7 +56,9 @@ class TraceError(ValueError):
 
 @dataclass
 class TraceUnit:
-    """The workload events of one time unit."""
+    """The workload events of one time unit: a live run draws them into a
+    fresh record, a replay reads the recorded one, and the runner applies
+    either by the same code."""
 
     joins: List[int] = field(default_factory=list)
     leaves: List[int] = field(default_factory=list)
@@ -201,60 +203,4 @@ class WorkloadTrace:
     @classmethod
     def load(cls, path) -> "WorkloadTrace":
         return cls.loads(pathlib.Path(path).read_text())
-
-
-class TraceRecorder:
-    """Collects workload events as the experiment runner emits them.
-
-    The runner calls :meth:`begin_unit` once per time unit and the event
-    methods as the corresponding decisions are made; :meth:`trace` freezes
-    the result.  Recording is append-only and adds O(1) work per event, so
-    a recording run's simulation results are identical to an unrecorded
-    run with the same configuration.
-    """
-
-    def __init__(self, seed: int, run_index: int = 0, meta: Dict[str, Any] | None = None) -> None:
-        self.seed = seed
-        self.run_index = run_index
-        self.meta = dict(meta or {})
-        self._units: List[TraceUnit] = []
-
-    def begin_unit(self) -> None:
-        self._units.append(TraceUnit())
-
-    @property
-    def _current(self) -> TraceUnit:
-        if not self._units:
-            raise TraceError("begin_unit() must be called before recording events")
-        return self._units[-1]
-
-    def join(self, capacity: int) -> None:
-        self._current.joins.append(capacity)
-
-    def leave(self, ring_index: int) -> None:
-        self._current.leaves.append(ring_index)
-
-    def registration(self, key: str) -> None:
-        self._current.registrations.append(key)
-
-    def request(self, key: str, entry_label: str) -> None:
-        self._current.requests.append((key, entry_label))
-
-    def fault(self, event: list) -> None:
-        """Record one applied fault event (a JSON-able list whose first
-        element names the event kind — see the module docstring)."""
-        self._current.faults.append(list(event))
-
-    def query(self, event: list) -> None:
-        """Record one issued set-query event (a JSON-able list whose first
-        element names the query kind — see the module docstring)."""
-        self._current.queries.append(list(event))
-
-    def trace(self) -> WorkloadTrace:
-        return WorkloadTrace(
-            seed=self.seed,
-            run_index=self.run_index,
-            meta=self.meta,
-            units=list(self._units),
-        )
 

@@ -3,8 +3,6 @@ spec layer (parse / validate / canonical signature)."""
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.core.alphabet import BINARY
@@ -16,7 +14,6 @@ from repro.core.queries import (
     RangeQuery,
     attribute_key,
     parse_query,
-    query_signature,
     validate_query,
 )
 
@@ -154,28 +151,17 @@ class TestValidateQuery:
 
 
 class TestQuerySignature:
-    def test_canonical_forms(self):
-        assert query_signature(ExactQuery("k")) == {"kind": "exact", "key": "k"}
-        assert query_signature(PrefixQuery("p")) == {"kind": "prefix", "prefix": "p"}
-        assert query_signature(RangeQuery("a", "b")) == {
-            "kind": "range",
-            "lo": "a",
-            "hi": "b",
-        }
-
-    def test_multi_signature_sorts_clauses_and_serialises(self):
-        q = MultiAttributeQuery(
-            clauses={"b": ExactQuery("2"), "a": PrefixQuery("1")}
-        )
-        sig = query_signature(q)
-        assert list(sig["clauses"]) == ["a", "b"]
-        json.dumps(sig)  # must be JSON-serialisable as-is
-
     def test_signature_round_trips_through_parse(self):
-        for q in (
-            ExactQuery("k"),
-            PrefixQuery(""),
-            RangeQuery("a", "b"),
-            MultiAttributeQuery(clauses={"os": ExactQuery("linux")}),
-        ):
-            assert parse_query(query_signature(q)) == q
+        """Every query kind's canonical dict form, multi-attribute included,
+        parses to the query it names."""
+        cases = [
+            ({"kind": "exact", "key": "k"}, ExactQuery("k")),
+            ({"kind": "prefix", "prefix": ""}, PrefixQuery("")),
+            ({"kind": "range", "lo": "a", "hi": "b"}, RangeQuery("a", "b")),
+            (
+                {"kind": "multi", "clauses": {"os": {"kind": "exact", "key": "linux"}}},
+                MultiAttributeQuery(clauses={"os": ExactQuery("linux")}),
+            ),
+        ]
+        for spec, query in cases:
+            assert parse_query(spec) == query

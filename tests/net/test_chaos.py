@@ -41,7 +41,7 @@ from repro.net.conformance import (
     replay_trace_multiprocess,
 )
 from repro.net.transport import SimTransport
-from repro.util.specs import SpecError, parse_spec, spec_hash
+from repro.util.specs import SpecError, parse_spec
 
 pytestmark = pytest.mark.asyncio
 
@@ -98,6 +98,25 @@ class TestChaosSpec:
         with pytest.raises(ChaosSpecError, match=needle):
             parse_chaos(spec)
 
+    @pytest.mark.parametrize(
+        "spec, needle",
+        [
+            ({"drop": 5.0}, "outside"),
+            ({"delay": -0.5}, "outside"),
+            ({"delay_max": 0}, "must be > 0"),
+            ({"seed": "x"}, "integer"),
+            ({"drop": "0.5"}, "not a number"),
+            ({"partitions": [{"duration": -1, "at": 0, "fraction": 3}]}, ">= 0"),
+            ({"partitions": [{"duration": 1, "at": 0, "fraction": 3}]}, "outside"),
+        ],
+    )
+    def test_malformed_dicts_fail_like_strings(self, spec, needle):
+        """A mapping is held to the string form's range rules."""
+        with pytest.raises(ChaosSpecError, match=needle):
+            parse_spec("chaos", spec)
+        with pytest.raises(ChaosSpecError, match=needle):
+            ChaosTransport(SimTransport(), spec)
+
     def test_non_string_value_is_rejected(self):
         with pytest.raises(ChaosSpecError):
             parse_chaos(42)
@@ -105,19 +124,13 @@ class TestChaosSpec:
             parse_chaos("   ")
 
     def test_registry_integration(self):
-        """``chaos`` is a registered spec kind: the same ``parse_spec`` /
-        ``spec_hash`` surface every other compact spec uses."""
+        """``chaos`` is a registered spec kind: the same ``parse_spec``
+        surface every other compact spec uses."""
         plan = parse_spec("chaos", "drop:0.1+seed=3")
         assert isinstance(plan, ChaosPlan)
         # ChaosSpecError derives from SpecError like every spec surface.
         with pytest.raises(SpecError):
             parse_spec("chaos", "bogus:1")
-
-    def test_spec_hash_is_stable_and_seed_sensitive(self):
-        a = spec_hash("chaos", parse_spec("chaos", "drop:0.1+seed=3"))
-        b = spec_hash("chaos", parse_spec("chaos", "drop:0.1+seed=3"))
-        c = spec_hash("chaos", parse_spec("chaos", "drop:0.1+seed=4"))
-        assert a == b != c
 
 
 class TestChaosTransport:

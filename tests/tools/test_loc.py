@@ -58,3 +58,16 @@ def test_baseline_rows_are_now_base_delta(tmp_path):
         assert int(n_base) == EXPECTED.get(name, 0), name
         assert int(delta) == int(n_now) - int(n_base), name
         assert delta[0] in "+-", name
+
+
+def test_baseline_without_src_repro_is_refused(tmp_path):
+    """A typo or a bare ref must not print every package as added."""
+    (tmp_path / "src").mkdir()
+    for baseline in (tmp_path, tmp_path / "HEAD"):
+        proc = subprocess.run(
+            [sys.executable, str(REPO / "tools" / "loc.py"), "--baseline", str(baseline)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "src/repro" in proc.stderr

@@ -1,9 +1,9 @@
-"""The unified spec surface: registry, error hierarchy, signature hashing.
+"""The unified spec surface: registry, error hierarchy, signatures.
 
-Every compact-spec syntax (workloads, faults, queries, balancers) goes
-through ``repro.util.specs.parse_spec``; these tests pin the registry
-contract — one entry point, one ``SpecError`` hierarchy, one stable
-``spec_hash``.
+Every compact-spec syntax (workloads, faults, queries, balancers, chaos)
+goes through ``repro.util.specs.parse_spec``; these tests pin the registry
+contract — one entry point, one ``SpecError`` hierarchy, one
+``spec_signature`` for the kinds that enter a config's identity.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.util.specs import (
     parse_options,
     parse_spec,
     register_spec_kind,
-    spec_hash,
     spec_kinds,
     spec_signature,
     split_spec,
@@ -102,27 +101,20 @@ class TestErrorHierarchy:
             parse_spec(kind, bad)
 
 
-class TestSignatureHashing:
-    def test_hash_is_stable_across_parses(self):
-        a = spec_hash("workload", parse_spec("workload", "zipf:1.2"))
-        b = spec_hash("workload", parse_spec("workload", "zipf:1.2"))
+class TestSignatures:
+    def test_signature_is_stable_across_parses(self):
+        a = spec_signature("workload", parse_spec("workload", "zipf:1.2"))
+        b = spec_signature("workload", parse_spec("workload", "zipf:1.2"))
         assert a == b
-        assert len(a) == 64 and int(a, 16) >= 0
 
-    def test_hash_distinguishes_specs_and_kinds(self):
-        zipf = spec_hash("workload", parse_spec("workload", "zipf:1.2"))
-        uniform = spec_hash("workload", parse_spec("workload", "uniform"))
+    def test_signature_distinguishes_specs(self):
+        zipf = spec_signature("workload", parse_spec("workload", "zipf:1.2"))
+        uniform = spec_signature("workload", parse_spec("workload", "uniform"))
         assert zipf != uniform
-        faults = spec_hash("faults", parse_spec("faults", "crash_storm:0.05"))
-        assert faults not in (zipf, uniform)
 
-    def test_hash_ignores_dict_key_order(self):
-        register_spec_kind("dictly", lambda v: v, lambda p: p)
-        try:
-            a = spec_hash("dictly", {"x": 1, "y": 2})
-            b = spec_hash("dictly", {"y": 2, "x": 1})
-            assert a == b
-        finally:
-            from repro.util import specs
-
-            specs._REGISTRY.pop("dictly", None)
+    @pytest.mark.parametrize(
+        ("kind", "spec"), [("balancer", "kc:k=8"), ("chaos", "drop:0.1+seed=3")]
+    )
+    def test_kinds_outside_config_identity_have_no_signature(self, kind, spec):
+        with pytest.raises(SpecError, match="signature"):
+            spec_signature(kind, parse_spec(kind, spec))

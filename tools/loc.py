@@ -2,6 +2,7 @@
 import argparse
 import collections
 import pathlib
+import sys
 
 #: Rows printed last: the ``src/repro`` sum, then the two trees outside it.
 TOTALS = ("total", "tests", "benchmarks")
@@ -29,6 +30,9 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baseline", type=pathlib.Path, help="root of the checkout to diff against")
     args = parser.parse_args()
+    if args.baseline and not (args.baseline / "src" / "repro").is_dir():
+        print(f"error: --baseline {args.baseline}: no src/repro there, not a checkout", file=sys.stderr)
+        sys.exit(2)
     now = count(pathlib.Path(__file__).resolve().parent.parent)
     base = count(args.baseline) if args.baseline else None
     for name in sorted((set(now) | set(base or ())) - set(TOTALS)) + list(TOTALS):
