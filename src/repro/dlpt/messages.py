@@ -167,8 +167,10 @@ class SetQueryRequest:
     tree as a *scan token*: it climbs from its entry node to the node
     covering the query band's anchor, then traverses the scan subtree in
     DFS order, carrying the accumulated matches and the labels still to
-    visit.  One message forward = one hop, so the reply's hop count equals
-    the macro model's climb + descent + scan-forward accounting.
+    visit.  ``hops`` counts every step to a next node, so the reply's count
+    equals the macro model's logical climb + descent + scan-forward
+    accounting; the token travels as this message only when the next node
+    lives on another peer (one per physical hop, plus the client's).
 
     ``kind`` is ``"prefix"`` or ``"range"``; for a prefix query ``lo`` is
     the prefix and ``hi`` is unused (``""``).  ``phase`` 0 = routing

@@ -21,6 +21,17 @@ Fidelity notes (divergences from the pseudo-code are deliberate and small):
   table updated on node installs/migrations, modelling the node-to-node
   addressing the pseudo-code assumes.  A message that races with a node
   migration is re-resolved once on arrival.
+* The paper counts a *logical* hop per tree edge and a *physical* hop per
+  message between peers.  The read-only walks — a discovery and both
+  phases of a set query — step through the nodes their current peer hosts
+  inside one handler call and build a message only when the next node
+  lives on another peer: a request costs ``1 + physical hops`` messages,
+  and its ``hops`` counter still counts every logical hop.  Writes
+  (``DataInsertion``, ``SearchingHost``, ``Host``, ``UpdateChild``,
+  ``PeerJoin`` and the ring messages) keep one message per hop, self-sends
+  included: Algorithm 3's correctness depends on how they interleave with
+  the other messages in flight, and no oracle proves a reordering of them
+  safe yet.
 """
 
 from __future__ import annotations
@@ -87,13 +98,15 @@ class NodeState:
         """The child ``q`` with ``|GCP(k, q)| > |GCP(k, p)|`` of line 3.05;
         unique when it exists because children diverge right after the
         parent label — so the one candidate is the first child at or above
-        ``key``'s next-digit probe in sorted order."""
+        ``key``'s next-digit probe in sorted order, and it shares more than
+        ``|p|`` digits with ``key`` exactly when it starts with the probe."""
         depth = len(self.label)
         if len(key) <= depth:
             return None
         idx = self._index()
-        i = bisect.bisect_left(idx, key[: depth + 1])
-        if i < len(idx) and common_prefix_len(idx[i], key) > depth:
+        probe = key[: depth + 1]
+        i = bisect.bisect_left(idx, probe)
+        if i < len(idx) and idx[i].startswith(probe):
             return idx[i]
         return None
 
@@ -589,31 +602,38 @@ class ProtocolEngine:
     # ------------------------------------------------------------------
 
     def _on_discovery(self, peer: ProtocolPeer, msg: m.DiscoveryRequest) -> None:
-        p = peer.nodes[msg.node]
+        """Walk up, then down, towards ``msg.key``: every tree edge is one
+        hop, and the request becomes a message again only when the next
+        node lives on another peer (module docstring, fidelity note 4)."""
+        nodes = peer.nodes
+        p = nodes[msg.node]
         k = msg.key
         hops = msg.hops
-        if p.label == k:
-            self.transport.send(
-                peer.id,
-                msg.reply_to,
-                m.DiscoveryReply(key=k, found=True, data=tuple(p.data), hops=hops),
-            )
-            return
-        if k.startswith(p.label):
-            q = p.child_sharing_longer_prefix(k)
-            if q is not None and k.startswith(q):
+        while True:
+            label = p.label
+            if label == k:
+                self.transport.send(
+                    peer.id,
+                    msg.reply_to,
+                    m.DiscoveryReply(key=k, found=True, data=tuple(p.data), hops=hops),
+                )
+                return
+            if k.startswith(label):
+                nxt = p.child_sharing_longer_prefix(k)
+                if nxt is not None and not k.startswith(nxt):
+                    nxt = None
+            else:
+                nxt = p.father
+            if nxt is None:
+                break
+            hops += 1
+            q = nodes.get(nxt)
+            if q is None:
                 # (node, key, reply_to, hops) — the per-hop records are built
                 # positionally: keyword passing doubles a constructor's cost.
-                self.send_to_node(peer.id, q, m.DiscoveryRequest(q, k, msg.reply_to, hops + 1))
+                self.send_to_node(peer.id, nxt, m.DiscoveryRequest(nxt, k, msg.reply_to, hops))
                 return
-            self.transport.send(
-                peer.id, msg.reply_to, m.DiscoveryReply(key=k, found=False, hops=hops)
-            )
-            return
-        if p.father is not None:
-            father = p.father
-            self.send_to_node(peer.id, father, m.DiscoveryRequest(father, k, msg.reply_to, hops + 1))
-            return
+            p = q
         self.transport.send(peer.id, msg.reply_to, m.DiscoveryReply(key=k, found=False, hops=hops))
 
     # ------------------------------------------------------------------
@@ -626,78 +646,85 @@ class ProtocolEngine:
         anchor — descending along the anchor's spine when the entry sits
         outside the band.  Phase 1 walks the scan subtree as a token in
         DFS order, carrying the matches and the still-to-visit labels.
-        Every forward is one hop, so the reply's count equals the macro
-        model's climb + descent + (visited − 1) accounting."""
-        p = peer.nodes[msg.node]
-        anchor = msg.lo if msg.kind == "prefix" else gcp(msg.lo, msg.hi)
-        if msg.phase == 0:
-            if p.label.startswith(anchor):
-                # Inside the band: climb while the father still extends the
-                # anchor; the highest such node is the scan root.
-                father = p.father
-                if father is not None and father.startswith(anchor):
-                    self._forward_query(peer, father, msg)
-                    return
-                self._scan_step(peer, p, msg)
-                return
-            if anchor.startswith(p.label):
-                # Above the band: descend toward the anchor.
-                q = p.child_sharing_longer_prefix(anchor)
-                if q is not None and (anchor.startswith(q) or q.startswith(anchor)):
-                    self._forward_query(peer, q, msg)
-                    return
-                self._reply_query(peer, msg, ())  # nothing under the anchor
-                return
-            if p.father is not None:
-                self._forward_query(peer, p.father, msg)
-                return
-            self._reply_query(peer, msg, ())  # root diverges from the anchor
-            return
-        self._scan_step(peer, p, msg)
-
-    def _scan_step(self, peer: ProtocolPeer, p: NodeState, msg: m.SetQueryRequest) -> None:
-        """Process one scan visit at ``p``: collect its label if filled and
-        matching, push its in-band children onto the pending stack, and
-        forward the token to the next label — or reply when done."""
+        Every step to a next node is one hop, so the reply's count equals
+        the macro model's climb + descent + (visited − 1) accounting; the
+        token becomes a message only when that node lives on another peer,
+        and only then are its matches and pending labels copied into one."""
+        nodes = peer.nodes
+        p = nodes[msg.node]
         kind, lo, hi = msg.kind, msg.lo, msg.hi
+        hops = msg.hops
+        if msg.phase == 0:
+            anchor = lo if kind == "prefix" else gcp(lo, hi)
+            while True:
+                label = p.label
+                if label.startswith(anchor):
+                    # Inside the band: climb while the father still extends
+                    # the anchor; the highest such node is the scan root.
+                    nxt = p.father
+                    if nxt is None or not nxt.startswith(anchor):
+                        break
+                elif anchor.startswith(label):
+                    # Above the band: descend toward the anchor.
+                    nxt = p.child_sharing_longer_prefix(anchor)
+                    if nxt is None or not (anchor.startswith(nxt) or nxt.startswith(anchor)):
+                        self._reply_query(peer, msg, (), hops)  # nothing under the anchor
+                        return
+                else:
+                    nxt = p.father
+                    if nxt is None:
+                        self._reply_query(peer, msg, (), hops)  # root diverges from the anchor
+                        return
+                hops += 1
+                q = nodes.get(nxt)
+                if q is None:
+                    # (node, kind, lo, hi, reply_to, phase, pending, keys, hops)
+                    self.send_to_node(
+                        peer.id,
+                        nxt,
+                        m.SetQueryRequest(
+                            nxt, kind, lo, hi, msg.reply_to, 0, msg.pending, msg.keys, hops
+                        ),
+                    )
+                    return
+                p = q
+        prefix = kind == "prefix"
         keys = list(msg.keys)
-        if p.data and (p.label.startswith(lo) if kind == "prefix" else lo <= p.label <= hi):
-            keys.append(p.label)
         pending = list(msg.pending)
-        kids = p._index()
-        if kind == "range":
-            kids = [c for c in kids if not (c > hi or (c < lo and not lo.startswith(c)))]
-        pending.extend(reversed(kids))
-        if pending:
+        while True:
+            # One scan visit at ``p``: collect its label if filled and
+            # matching, push its in-band children onto the pending stack.
+            label = p.label
+            if p.data and (label.startswith(lo) if prefix else lo <= label <= hi):
+                keys.append(label)
+            kids = p._index()
+            if not prefix:
+                kids = [c for c in kids if not (c > hi or (c < lo and not lo.startswith(c)))]
+            pending.extend(reversed(kids))
+            if not pending:
+                break
             nxt = pending.pop()
-            # (node, kind, lo, hi, reply_to, phase, pending, keys, hops)
-            self.send_to_node(
-                peer.id,
-                nxt,
-                m.SetQueryRequest(
-                    nxt, kind, lo, hi, msg.reply_to, 1, tuple(pending), tuple(keys), msg.hops + 1
-                ),
-            )
-            return
-        self._reply_query(peer, msg, keys)
+            hops += 1
+            q = nodes.get(nxt)
+            if q is None:
+                self.send_to_node(
+                    peer.id,
+                    nxt,
+                    m.SetQueryRequest(
+                        nxt, kind, lo, hi, msg.reply_to, 1, tuple(pending), tuple(keys), hops
+                    ),
+                )
+                return
+            p = q
+        self._reply_query(peer, msg, keys, hops)
 
-    def _forward_query(self, peer: ProtocolPeer, label: str, msg: m.SetQueryRequest) -> None:
-        self.send_to_node(
-            peer.id,
-            label,
-            m.SetQueryRequest(
-                label, msg.kind, msg.lo, msg.hi, msg.reply_to, msg.phase,
-                msg.pending, msg.keys, msg.hops + 1,
-            ),
-        )
-
-    def _reply_query(self, peer: ProtocolPeer, msg: m.SetQueryRequest, keys) -> None:
+    def _reply_query(self, peer: ProtocolPeer, msg: m.SetQueryRequest, keys, hops: int) -> None:
         self.transport.send(
             peer.id,
             msg.reply_to,
             m.SetQueryReply(
                 kind=msg.kind, lo=msg.lo, hi=msg.hi,
-                keys=tuple(sorted(keys)), hops=msg.hops,
+                keys=tuple(sorted(keys)), hops=hops,
             ),
         )
 

@@ -19,7 +19,7 @@ service: a :class:`~repro.net.transport.Transport` interface (endpoints,
   resolver names — so a single-process ring is the transport with no
   resolver, and a multi-process one the same class per
   group; its :class:`~repro.net.asyncio_transport.LoopbackAsyncioTransport`
-  subclass keeps the event loop and runs the wire codec on every hop but
+  subclass keeps the event loop and runs the wire codec on every message but
   delivers in-process in deterministic global FIFO order (tier-1 testable).
 
 The *same* protocol objects (:class:`repro.dlpt.protocol.ProtocolEngine`)

@@ -24,7 +24,10 @@ its client sink).
   undecodable inbound frame ends the connection it came over: from
   another group's link it is recorded in ``errors`` (the next ``drain()``
   raises it), from a client it is only counted (``client_wire_errors``)
-  — one client's garbage must not fail somebody else's operation.
+  — one client's garbage must not fail somebody else's operation.  So is
+  a client frame for any endpoint but :data:`BROKER_ENDPOINT`: a client
+  that addresses a peer directly would run a protocol handler on input
+  no broker checked.
 * Local delivery is **run to completion**: one synchronous pump pops the
   ready queue and runs the handlers, what they send to local endpoints
   included — a hop costs a queue pop, not an event-loop turn.  It is
@@ -95,6 +98,10 @@ _PUMP_BATCH = 256
 
 #: The reserved endpoint hello frames are addressed to.
 CONTROL_ENDPOINT = "@transport"
+
+#: The broker's well-known endpoint: the one destination a client
+#: connection may address (:mod:`repro.net.bootstrap` serves it).
+BROKER_ENDPOINT = "@broker"
 
 
 async def dial(address: tuple) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
@@ -434,9 +441,10 @@ class AsyncioTransport(Transport):
             if peer:
                 self.errors.append(exc)
             else:
-                # A client's (or a stranger's) garbage is that connection's
-                # own failure: it is closed below and counted, and nobody
-                # else's drain() hears of it.
+                # A client's (or a stranger's) garbage, or a frame it sent
+                # past the broker, is that connection's own failure: it is
+                # closed below and counted, and nobody else's drain() hears
+                # of it.
                 self.client_wire_errors += 1
         finally:
             stale = [ep for ep, w in self._routes.items() if w is writer]
@@ -464,14 +472,18 @@ class AsyncioTransport(Transport):
     def _ingress(self, env: Envelope, writer: asyncio.StreamWriter, peer: bool) -> None:
         """One inbound frame enters this group's accounting domain; a
         frame for an endpoint this listener does not host dead-letters
-        (frames are never forwarded a second hop)."""
-        self.messages_sent += 1
+        (frames are never forwarded a second hop).  A client may address
+        the broker only: a frame it sends a peer or a reply sink is that
+        connection's failure (``WireError``), never a handler's."""
         if peer:
             self.frames_in += 1
         else:
+            if env.dst != BROKER_ENDPOINT:
+                raise WireError(f"a client may address only {BROKER_ENDPOINT!r}, not {env.dst!r}")
             # Client ingress (broker RPCs): the origin endpoint becomes
             # routable back over this connection.
             self._routes[env.src] = writer
+        self.messages_sent += 1
         if env.dst in self._handlers:
             self._enqueue(env)
         elif not self._deliver_to_client(env):

@@ -57,12 +57,10 @@ import os
 from typing import Dict, List, Optional, Tuple
 
 from ..dlpt.messages import Envelope
+from .asyncio_transport import BROKER_ENDPOINT  # re-exported: the broker's name
 from .cluster import admission, successor_of
 from .transport import Transport
 from .wire import require_scalar
-
-#: The broker's well-known endpoint name.
-BROKER_ENDPOINT = "@broker"
 
 #: Schema tag of the registry journal's JSONL records.
 REGISTRY_SCHEMA = "repro-registry/1"

@@ -45,8 +45,7 @@ import os
 import zlib
 from typing import Dict, Optional, Sequence
 
-from .asyncio_transport import dial, hello_frame
-from .bootstrap import BROKER_ENDPOINT
+from .asyncio_transport import BROKER_ENDPOINT, dial, hello_frame
 from .policy import RetryPolicy
 from .wire import FrameReader, encode_frame
 
@@ -330,20 +329,25 @@ class DLPTClient:
         except asyncio.CancelledError:
             raise
         except Exception as exc:
-            self._fail_pending(DLPTClientError(f"protocol error: {exc}"))
+            # A frame the codec refuses leaves the stream unreadable from
+            # here on: the connection is lost, and closed so the server
+            # sees it go.
+            self._writer.close()
+            self._on_connection_lost(f"protocol error: {exc}")
 
-    def _on_connection_lost(self) -> None:
-        """The connection died under us.  Resilient clients (retries > 0,
-        known address) fail pending attempts with the retryable
-        :class:`DLPTClientReset`; bare clients keep the legacy fatal
-        behaviour."""
+    def _on_connection_lost(self, reason: str = "connection closed") -> None:
+        """The connection died under us (or spoke garbage).  Resilient
+        clients (retries > 0, known address) fail pending attempts with
+        the retryable :class:`DLPTClientReset`; bare clients keep the
+        legacy fatal behaviour.  Either way a later RPC fails at once or
+        redials — it never waits on a connection nobody reads."""
         self._connected = False
         if self._closing:
             self._fail_pending(DLPTClientError("client closed"))
         elif self.retries > 0 and self._address is not None:
             self._fail_pending(DLPTClientReset("connection reset"))
         else:
-            self._fail_pending(DLPTClientError("connection closed"))
+            self._fail_pending(DLPTClientError(reason))
 
     async def _reconnect(self) -> None:
         """Redial the original address and re-introduce the *same* reply

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.ids import common_prefix_len
 from repro.core.pgcp import PGCPTree
-from repro.dlpt.protocol import ProtocolEngine
+from repro.dlpt.protocol import NodeState, ProtocolEngine
 from repro.net.chaos import ChaosTransport
 from repro.net.transport import SimTransport
 from repro.net.wire import MESSAGE_TYPES
@@ -200,6 +201,26 @@ class TestDiscovery:
         eng.run()
         (reply,) = eng.discovery_replies
         assert reply.found and reply.hops == 3  # 01 -> ε -> 101 -> 10111
+
+
+class TestNodeState:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        label=st.text(alphabet="abc", max_size=3),
+        tails=st.dictionaries(st.sampled_from("abc"), st.text(alphabet="abc", max_size=3)),
+        key=st.text(alphabet="abc", max_size=7),
+        under=st.booleans(),
+    )
+    def test_child_sharing_longer_prefix_is_line_3_05(self, label, tails, key, under):
+        """The descent step of discovery, set-query routing and Algorithm 3
+        finds the one child the definition names: the child sharing more
+        digits with the key than the node itself does."""
+        children = {label + digit + tail for digit, tail in tails.items()}
+        node = NodeState(label=label, father=None, children=children)
+        key = label + key if under else key
+        depth = common_prefix_len(label, key)
+        wanted = [q for q in node.children if common_prefix_len(q, key) > depth]
+        assert node.child_sharing_longer_prefix(key) == (wanted[0] if wanted else None)
 
 
 class TestEquivalenceWithReference:

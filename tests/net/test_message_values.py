@@ -45,13 +45,13 @@ def checking(base):
     """``base`` with every handler wrapped at the public ``register``: a
     delivered envelope must encode to the same frame after its handler
     ran as before.  ``transport.mutations`` lists the ones that did not,
-    ``transport.checked`` counts the deliveries looked at."""
+    ``transport.checked`` lists the payloads looked at."""
 
     class Checking(base):
         def __init__(self):
             super().__init__()
             self.mutations = []
-            self.checked = 0
+            self.checked = []
 
         def register(self, endpoint, handler):
             def checked(env):
@@ -59,7 +59,7 @@ def checking(base):
                 try:
                     handler(env)
                 finally:
-                    self.checked += 1
+                    self.checked.append(env.payload)
                     if encode_frame(env.src, env.dst, env.payload) != before:
                         self.mutations.append((endpoint, before, env))
 
@@ -113,18 +113,61 @@ async def _run_script(transport, peers, keys, steps):
     await cluster.close()
 
 
+#: Every payload type the conformance fixture below delivers.  A read
+#: walks its own peer's nodes without a message, so the fixture's message
+#: count says little; what the check must keep covering is each type.
+TRACE_TYPES = {
+    "DataInsertion", "DiscoveryReply", "DiscoveryRequest", "Host", "LeaveTransfer",
+    "NewPredecessor", "SearchingHost", "SetQueryReply", "SetQueryRequest", "UpdateChild",
+    "UpdateSuccessor", "YourInformation",
+}
+
+
 class TestHandlersLeaveTheirMessagesAlone:
     @pytest.mark.parametrize("base", TRANSPORTS)
-    def test_over_the_recorded_conformance_trace(self, base):
+    def test_every_type_of_the_recorded_conformance_trace_is_checked(self, base):
         """Joins, leaves, crashes, registrations, discoveries and set
-        queries of the conformance fixture: no delivery changes a byte."""
+        queries of the conformance fixture: no delivery changes a byte,
+        and every type the fixture sends is among the deliveries checked."""
         trace = record_conformance_trace(
             n_peers=12, n_keys=40, growth_units=2, total_units=5, load_fraction=0.05,
             faults="crash_storm:0.05:start=2:end=4", queries="mixed:n=2", seed=1789,
         )
         transport = checking(base)
         report = asyncio.run(replay_trace(trace, transport))
-        assert transport.checked >= report.messages_delivered > 500
+        assert len(transport.checked) >= report.messages_delivered > 0
+        assert {type(payload).__name__ for payload in transport.checked} >= TRACE_TYPES
+        assert transport.mutations == []
+
+    def test_a_scan_band_across_two_peers_sends_a_loaded_token(self):
+        """The scan token becomes a frame only when its next node lives on
+        another peer.  Here the band under ``d`` leaves ``dddd`` (hosting
+        ``d``, ``da``, ``dab``, ``dac``) for ``hhhh`` (``dx``, ``dy``) with
+        two matches collected and ``dy`` still pending: that token crosses
+        the codec whole, and the reply is the oracle's."""
+        keys = ["dab", "dac", "dx", "dy"]
+
+        async def body():
+            transport = checking(LoopbackAsyncioTransport)
+            await transport.start()
+            cluster = LocalCluster(ProtocolEngine(transport=transport))
+            for peer in ("dddd", "hhhh", "pppp"):
+                await cluster.join(peer)
+            for key in keys:
+                await cluster.register(key)
+            reply = await cluster.search("prefix", "d")
+            await cluster.close()
+            return transport, reply
+
+        transport, reply = asyncio.run(body())
+        tokens = [
+            payload for payload in transport.checked
+            if isinstance(payload, MESSAGE_TYPES["SetQueryRequest"])
+        ]
+        assert [(t.node, t.phase, t.pending, t.keys) for t in tokens if t.phase == 1] == [
+            ("dx", 1, ("dy",), ("dab", "dac"))
+        ]
+        assert reply["keys"] == keys
         assert transport.mutations == []
 
     @pytest.mark.parametrize("base", TRANSPORTS)
@@ -138,7 +181,7 @@ class TestHandlersLeaveTheirMessagesAlone:
         def run(script):
             transport = checking(base)
             asyncio.run(_run_script(transport, *script))
-            assert transport.checked > 0
+            assert transport.checked
             assert transport.mutations == []
 
         run()
@@ -184,8 +227,8 @@ class TestFieldTuples:
 
     def test_the_positionally_built_records_keep_their_declared_order(self):
         """``ProtocolEngine`` builds the two per-hop requests positionally
-        (``_on_discovery_request``, ``_scan_step``, ``_forward_query``):
-        reordering their fields would silently swap arguments there."""
+        (``_on_discovery``, ``_on_set_query``): reordering their fields
+        would silently swap arguments there."""
         declared = {
             name: tuple(f.name for f in dataclasses.fields(MESSAGE_TYPES[name]))
             for name in ("DiscoveryRequest", "SetQueryRequest")

@@ -25,6 +25,10 @@ from repro.net.wire import FrameReader, encode_frame
 pytestmark = pytest.mark.asyncio
 
 
+#: A length-prefixed frame whose body is not JSON.
+BAD_FRAME = b"\x00\x00\x00\x03{x]"
+
+
 class _FlakyServer:
     """A broker double behind a real Unix listener that kills connections
     per a script.
@@ -33,13 +37,16 @@ class _FlakyServer:
     (hellos excluded, counted across connections) to a behaviour:
     ``"ok"`` (correlated reply), ``"close"`` (sever the connection
     without answering — a mid-RPC reset), ``"close_listener"`` (sever
-    and also stop accepting, so reconnects fail).
+    and also stop accepting, so reconnects fail).  The first
+    ``bad_hellos`` connections are answered with :data:`BAD_FRAME` as
+    soon as their hello arrives.
     """
 
-    def __init__(self, path: str, script, default="ok"):
+    def __init__(self, path: str, script, default="ok", bad_hellos=0):
         self.path = path
         self.script = script
         self.default = default
+        self.bad_hellos = bad_hellos
         self.frames = []
         self.connections = 0
         self._server = None
@@ -58,8 +65,10 @@ class _FlakyServer:
                 if not chunk:
                     return
                 for env in frames.feed(chunk):
-                    if env.dst == CONTROL_ENDPOINT:
-                        continue  # the hello
+                    if env.dst == CONTROL_ENDPOINT:  # the hello
+                        if self.connections <= self.bad_hellos:
+                            writer.write(BAD_FRAME)
+                        continue
                     self.frames.append(env)
                     action = self.script.get(len(self.frames), self.default)
                     if action == "close_listener":
@@ -86,8 +95,8 @@ class _FlakyServer:
             await self._server.wait_closed()
 
 
-async def _flaky(tmp_path, script, default="ok", **policy):
-    server = _FlakyServer(str(tmp_path / "flaky.sock"), script, default)
+async def _flaky(tmp_path, script, default="ok", bad_hellos=0, **policy):
+    server = _FlakyServer(str(tmp_path / "flaky.sock"), script, default, bad_hellos)
     await server.start()
     client = await DLPTClient.connect(server.path, **policy)
     return client, server
@@ -175,6 +184,43 @@ class TestConnectionReset:
                 # The reset failed all three in-flight attempts, but the
                 # connection lock serialised healing into one redial.
                 assert client.reconnects == 1
+            finally:
+                await client.close()
+                await server.close()
+
+        asyncio.run(body())
+
+
+class TestMalformedReply:
+    """A reply frame the codec refuses used to fail the RPCs pending at
+    that moment and end the read loop, but leave the client "connected":
+    every later RPC wrote its request and waited on a future nobody would
+    ever settle.  A protocol error is now a lost connection."""
+
+    def test_a_bare_client_fails_later_rpcs_at_once(self, tmp_path):
+        async def body():
+            client, server = await _flaky(tmp_path, {}, bad_hellos=1)
+            try:
+                await asyncio.wait_for(client._read_task, 1.0)  # garbage read
+                with pytest.raises(DLPTClientError, match="connection"):
+                    await asyncio.wait_for(client.discover("k"), 1.0)
+                assert server.frames == []  # nothing was written to a dead stream
+            finally:
+                await client.close()
+                await server.close()
+
+        asyncio.run(body())
+
+    def test_a_resilient_client_redials(self, tmp_path):
+        async def body():
+            client, server = await _flaky(
+                tmp_path, {}, bad_hellos=1, retries=2, backoff=0.001
+            )
+            try:
+                await asyncio.wait_for(client._read_task, 1.0)
+                reply = await asyncio.wait_for(client.discover("k"), 1.0)
+                assert reply["ok"] and reply["echo"] == "discover"
+                assert client.reconnects == 1 and server.connections == 2
             finally:
                 await client.close()
                 await server.close()

@@ -26,6 +26,7 @@ from repro.dlpt.messages import Envelope
 from repro.net.asyncio_transport import (
     _PUMP_BATCH,
     _READ_CHUNK,
+    BROKER_ENDPOINT,
     CONTROL_ENDPOINT,
     AsyncioTransport,
     LoopbackAsyncioTransport,
@@ -723,9 +724,10 @@ def _raw_frame(body: dict) -> bytes:
 
 
 def _garbage_frames(engine):
-    """Frames no honest sender produces, addressed at the live ring: a
-    non-JSON body, and protocol frames carrying values the encoder
-    refuses (only JSON scalars may be registered)."""
+    """Frames no honest client sends, addressed past the broker at the
+    live ring: a non-JSON body, protocol frames carrying values the
+    encoder refuses (only JSON scalars may be registered), and well-formed
+    frames for a peer or for the engine's reply sink."""
     node = next(iter(engine.locator))
     body = {"w": WIRE_SCHEMA, "s": "@evil", "d": engine.locator[node]}
     nested = {"label": "zz", "father": None, "children": [], "data": [["nested"]]}
@@ -742,6 +744,14 @@ def _garbage_frames(engine):
             {**body, "d": "@client", "t": "DiscoveryReply",
              "f": {"key": "pab", "found": True, "data": [{"a": 1}], "hops": 0}}
         ),
+        "a DiscoveryRequest sent straight to a peer": _raw_frame(
+            {**body, "t": "DiscoveryRequest",
+             "f": {"node": node, "key": 7, "reply_to": "@evil", "hops": 0}}
+        ),
+        "a DiscoveryReply forged to the reply sink": _raw_frame(
+            {**body, "d": "@client", "t": "DiscoveryReply",
+             "f": {"key": "pab", "found": True, "data": [2], "hops": 0}}
+        ),
     }
 
 
@@ -753,7 +763,12 @@ class TestGarbageFromOneConnection:
     next: an unrelated client's ``discover`` answered ``TransportError: 1
     handler/codec/link error(s) during drain``; the frames the decoder
     let through raised ``TypeError`` (unhashable) inside a handler, to the
-    same effect.  From another group's link it stays loud."""
+    same effect.  So is a well-formed frame a client addresses past the
+    broker: a ``DiscoveryRequest`` sent straight to a peer used to raise
+    inside its handler (the same ``TransportError`` for the next client),
+    and a ``DiscoveryReply`` forged to the reply sink used to be counted
+    into the next read of its key.  From another group's link it stays
+    loud."""
 
     def test_a_clients_garbage_fails_nobody_else(self):
         async def body():
@@ -837,14 +852,15 @@ class TestMidFrameConnectionLoss:
             t = factory()
             await t.start()
             got = []
-            t.register("sink", lambda env: got.append(env.payload.datum))
+            # A client connection may address the broker only.
+            t.register(BROKER_ENDPOINT, lambda env: got.append(env.payload.datum))
 
             # Connection 1: a hello, one complete frame, then death
             # halfway through a second frame.
             reader, writer = await self._open(t.address)
-            torn = encode_frame("@probe", "sink", _msg(2))
+            torn = encode_frame("@probe", BROKER_ENDPOINT, _msg(2))
             writer.write(self._hello("@probe"))
-            writer.write(encode_frame("@probe", "sink", _msg(1)))
+            writer.write(encode_frame("@probe", BROKER_ENDPOINT, _msg(1)))
             writer.write(torn[: len(torn) // 2])
             await writer.drain()
             writer.close()
@@ -860,7 +876,7 @@ class TestMidFrameConnectionLoss:
             # The listener survived: a fresh connection is served.
             reader2, writer2 = await self._open(t.address)
             writer2.write(self._hello("@probe2"))
-            writer2.write(encode_frame("@probe2", "sink", _msg(3)))
+            writer2.write(encode_frame("@probe2", BROKER_ENDPOINT, _msg(3)))
             await writer2.drain()
             await _poll(lambda: got == [1, 3])
             assert t.messages_sent == 2

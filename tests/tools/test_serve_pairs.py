@@ -164,6 +164,14 @@ def test_more_failures_than_the_parent_is_an_objection():
     ]
 
 
+def _checkout(root: pathlib.Path) -> pathlib.Path:
+    """A directory holding the benchmark's script, as a parent checkout does."""
+    script = root / "benchmarks" / "serve" / "run.py"
+    script.parent.mkdir(parents=True)
+    script.write_text("")
+    return root
+
+
 def test_main_exits_by_the_objections(monkeypatch, capsys, tmp_path):
     """``main`` used to return 0 whatever the table said.  ``run`` is
     stubbed: the change (this checkout) is 40% faster on every workload."""
@@ -175,7 +183,7 @@ def test_main_exits_by_the_objections(monkeypatch, capsys, tmp_path):
         return {**flat, "ops_per_s": ops, "failed": 0}
 
     monkeypatch.setattr(serve_pairs, "run", canned)
-    argv = ["--parent", str(tmp_path), "--workload", "register_churn"]
+    argv = ["--parent", str(_checkout(tmp_path)), "--workload", "register_churn"]
     assert serve_pairs.main(argv) == 0
     assert serve_pairs.main(argv + ["--claim", "ops_per_s@register_churn"]) == 0
     assert "FAIL" not in capsys.readouterr().out
@@ -193,3 +201,27 @@ def test_metrics_and_bounds_are_read_from_benchmark_json():
     for name in names - set(serve_pairs.DETERMINISTIC):
         assert name not in source, f"{name} is restated in the tool"
     assert "0.25" not in source and "0.05" not in source
+
+
+@pytest.mark.parametrize("bad", ["pairs", "missing parent", "parent without the script"])
+def test_bad_arguments_exit_two_before_anything_runs(bad, monkeypatch, capsys, tmp_path):
+    """``--pairs 0`` used to raise ``StatisticsError`` after the runs and a
+    missing parent ``FileNotFoundError`` at the first one; both, and a
+    parent without ``benchmarks/serve/run.py``, now stop at the arguments."""
+
+    def never(*args):
+        raise AssertionError("a benchmark ran")
+
+    monkeypatch.setattr(serve_pairs, "run", never)
+    argv = ["--workload", "lookup_serial"]
+    if bad == "pairs":
+        argv += ["--parent", str(_checkout(tmp_path)), "--pairs", "0"]
+    elif bad == "missing parent":
+        argv += ["--parent", str(tmp_path / "nonexistent")]
+    else:
+        argv += ["--parent", str(tmp_path)]
+    with pytest.raises(SystemExit) as exit_info:
+        serve_pairs.main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1, err

@@ -17,7 +17,9 @@ the two deterministic counts are equal inside every pair, and the failures.
 Exit status 1 when any row of any workload run is ``WORSE`` or ``NOISY``, a
 deterministic count differs inside a pair, the change's ``failed`` total exceeds
 the parent's, or a ``--claim``-ed row lacks the ``gain`` verdict; the reasons
-are printed after the tables.
+are printed after the tables.  Exit status 2, with one ``error:`` line and
+before anything runs, on bad arguments: ``--pairs`` below 1, a ``--parent``
+that lacks the benchmark's script, a claim on a workload not being run.
 """
 import argparse
 import json
@@ -179,6 +181,15 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", action="append", default=[], metavar="METRIC@WORKLOAD",
                         help="repeatable; exit 1 unless this row earns the gain verdict")
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs {args.pairs}: need at least one pair")
+    # The benchmark's own files (its script) must exist in the parent too.
+    missing = [
+        part for part in spec["command"]
+        if (REPO / part).is_file() and not (args.parent / part).is_file()
+    ]
+    if missing:
+        parser.error(f"--parent {args.parent}: no {', '.join(missing)} in that checkout")
     workloads = args.workload or names
     claims = {workload: set() for workload in workloads}
     for claim in args.claim:
