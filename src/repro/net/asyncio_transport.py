@@ -8,7 +8,11 @@ the set of endpoints registered on one transport (its peers, its broker,
 its client sink).
 
 * **One listener** per transport (a Unix-domain socket by default, TCP
-  with ``host=``); each frame names its destination endpoint.
+  with ``host=``); each frame names its destination endpoint.  An
+  accepted connection is a small :class:`asyncio.Protocol` holding its
+  own ``FrameReader`` and hello state, not a reader task: the socket
+  callback that read a frame parses it, admits it and runs the pump, so
+  a request reaches its handler in that same loop turn.
 * ``send()`` is synchronous (protocol handlers call it mid-message) and
   picks the route by where the destination lives: **local endpoints** go
   onto the transport's one ready queue (next bullet); **connected
@@ -25,12 +29,16 @@ its client sink).
   another group's link it is recorded in ``errors`` (the next ``drain()``
   raises it), from a client it is only counted (``client_wire_errors``)
   — one client's garbage must not fail somebody else's operation.  So is
-  a client frame for any endpoint but :data:`BROKER_ENDPOINT`: a client
+  a client frame for any endpoint but :data:`BROKER_ENDPOINT` (a client
   that addresses a peer directly would run a protocol handler on input
-  no broker checked.
+  no broker checked), and one that speaks as anyone but the endpoint its
+  hello named — as ``s``, or as a request's ``reply_to`` (it could
+  otherwise answer or capture another client's RPC).
 * Local delivery is **run to completion**: one synchronous pump pops the
   ready queue and runs the handlers, what they send to local endpoints
-  included — a hop costs a queue pop, not an event-loop turn.  It is
+  included — a hop costs a queue pop, not an event-loop turn.  An
+  inbound frame joins the same queue without arming the pump: the read
+  callback that parsed it runs the pump before it returns.  Delivery is
   also **flat**: ``send()`` to a local endpoint is one step (count,
   build the envelope, append it, arm the pump — all in its own body) and
   the pump looks the handler up and runs it inline, so a hop is three
@@ -78,18 +86,16 @@ from __future__ import annotations
 
 import asyncio
 import collections
+import functools
 import os
 import tempfile
 import zlib
-from typing import Any, Callable, Deque, Dict, Hashable, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Hashable, Optional, Set, Tuple
 
 from ..dlpt.messages import Envelope
 from .policy import RetryPolicy
 from .transport import Handler, Transport, TransportError
 from .wire import WIRE_SCHEMA, FrameReader, WireError, decode_frame, encode_frame
-
-#: Socket read chunk size; frames reassemble across chunks via FrameReader.
-_READ_CHUNK = 1 << 16
 
 #: Local deliveries one pump call makes before it hands the loop back
 #: (and reschedules itself): the bound that keeps a long cascade from
@@ -135,6 +141,53 @@ class _Link:
         self.writer: Optional[asyncio.StreamWriter] = None
 
 
+class _Connection(asyncio.Protocol):
+    """One accepted connection: its frame reader and hello state.  A read
+    is parsed, admitted and pumped inside :meth:`data_received`."""
+
+    def __init__(self, owner: "AsyncioTransport") -> None:
+        self.owner = owner
+        self.frames = FrameReader()
+        self.transport: Optional[asyncio.Transport] = None
+        #: ``None`` until the hello; then whether this is another group's link.
+        self.peer: Optional[bool] = None
+        #: The endpoint a client's hello named: the only one it speaks as.
+        self.endpoint: Optional[str] = None
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.owner._connections.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        owner = self.owner
+        try:
+            for env in self.frames.feed(data):
+                if self.peer is None:
+                    self.peer, self.endpoint = owner._handle_hello(env, self.transport)
+                else:
+                    owner._ingress(env, self)
+        except WireError as exc:
+            if self.peer:
+                owner.errors.append(exc)
+            else:
+                # A client's (or a stranger's) garbage, or a frame it sent
+                # past the broker or under another name, is that
+                # connection's own failure: it is closed and counted, and
+                # nobody else's drain() hears of it.
+                owner.client_wire_errors += 1
+            self.transport.close()
+        finally:
+            owner._pump()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        owner = self.owner
+        owner._connections.discard(self)
+        # A reconnected client's hello may have re-routed its endpoint to
+        # the new connection already.
+        if self.endpoint is not None and owner._routes.get(self.endpoint) is self.transport:
+            del owner._routes[self.endpoint]
+
+
 class AsyncioTransport(Transport):
     """Length-prefixed JSON frames over TCP or Unix-domain sockets: one
     listener, in-process delivery to local endpoints, reply routing to
@@ -156,8 +209,10 @@ class AsyncioTransport(Transport):
         #: delivers them.
         self._ready: Deque[Envelope] = collections.deque()
         self._pump_scheduled = False
-        #: endpoint -> StreamWriter of the client connection hosting it.
-        self._routes: Dict[Hashable, asyncio.StreamWriter] = {}
+        #: endpoint -> transport of the client connection hosting it.
+        self._routes: Dict[Hashable, asyncio.Transport] = {}
+        #: Accepted connections still open; :meth:`close` closes them.
+        self._connections: Set[_Connection] = set()
         self._links: Dict[tuple, _Link] = {}
         self._resolve: Optional[Callable[[Hashable], Optional[tuple]]] = None
         self._reaper_task: Optional[asyncio.Task] = None
@@ -237,11 +292,11 @@ class AsyncioTransport(Transport):
         """Write ``env`` to the connection of the client that introduced
         ``env.dst`` (it leaves the cluster's frame accounting there);
         ``False`` when no connected client did."""
-        writer = self._routes.get(env.dst)
-        if writer is None:
+        route = self._routes.get(env.dst)
+        if route is None:
             return False
         try:
-            writer.write(encode_frame(env.src, env.dst, env.payload))
+            route.write(encode_frame(env.src, env.dst, env.payload))
         except WireError as exc:
             self.errors.append(exc)
             self.messages_dropped += 1
@@ -251,7 +306,8 @@ class AsyncioTransport(Transport):
 
     def _enqueue(self, env: Envelope) -> None:
         """Queue ``env`` for the pump and make sure the pump will run
-        (ingress and loopback; ``send`` has these lines in its own body)."""
+        (loopback; ``send`` has these lines in its own body, and ingress
+        leaves the pump to the read callback)."""
         self._ready.append(env)
         if not self._pump_scheduled:
             self._pump_scheduled = True
@@ -415,48 +471,13 @@ class AsyncioTransport(Transport):
 
     # -- listener side -----------------------------------------------------
 
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        frames = FrameReader()
-        peer: Optional[bool] = None
-        try:
-            while True:
-                chunk = await reader.read(_READ_CHUNK)
-                if not chunk:
-                    break
-                for env in frames.feed(chunk):
-                    if peer is None:
-                        peer = self._handle_hello(env, writer)
-                    else:
-                        self._ingress(env, writer, peer)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            # Loop teardown cancels server-spawned connection tasks that
-            # were never individually awaited; exiting quietly keeps the
-            # stream protocol's done-callback from logging it.
-            pass
-        except WireError as exc:
-            if peer:
-                self.errors.append(exc)
-            else:
-                # A client's (or a stranger's) garbage, or a frame it sent
-                # past the broker, is that connection's own failure: it is
-                # closed below and counted, and nobody else's drain() hears
-                # of it.
-                self.client_wire_errors += 1
-        finally:
-            stale = [ep for ep, w in self._routes.items() if w is writer]
-            for ep in stale:
-                del self._routes[ep]
-            writer.close()
-
-    def _handle_hello(self, env: Envelope, writer: asyncio.StreamWriter) -> bool:
+    def _handle_hello(
+        self, env: Envelope, route: asyncio.Transport
+    ) -> Tuple[bool, Optional[str]]:
         """First frame of every connection (:func:`hello_frame`).  A named
         ``endpoint`` (a client's private reply sink) becomes routable back
-        over this connection; returns whether the connection is another
-        group's link rather than a client."""
+        over ``route``; returns whether the connection is another group's
+        link rather than a client, and the endpoint."""
         payload = env.payload
         if (
             env.dst != CONTROL_ENDPOINT
@@ -466,26 +487,31 @@ class AsyncioTransport(Transport):
             raise WireError(f"connection did not open with a hello frame: {env!r}")
         endpoint = payload.get("endpoint")
         if endpoint is not None:
-            self._routes[endpoint] = writer
-        return payload.get("kind") == "peer"
+            if not isinstance(endpoint, str):
+                raise WireError(f"a hello's endpoint must be a string, got {endpoint!r}")
+            self._routes[endpoint] = route
+        return payload.get("kind") == "peer", endpoint
 
-    def _ingress(self, env: Envelope, writer: asyncio.StreamWriter, peer: bool) -> None:
-        """One inbound frame enters this group's accounting domain; a
-        frame for an endpoint this listener does not host dead-letters
-        (frames are never forwarded a second hop).  A client may address
-        the broker only: a frame it sends a peer or a reply sink is that
-        connection's failure (``WireError``), never a handler's."""
-        if peer:
+    def _ingress(self, env: Envelope, conn: _Connection) -> None:
+        """One inbound frame enters this group's accounting domain and the
+        ready queue (the read callback pumps it); a frame for an endpoint
+        this listener does not host dead-letters (frames are never
+        forwarded a second hop).  A client may address the broker only,
+        and only as the endpoint its hello named — as ``s`` and as a
+        request's ``reply_to``: any other frame is that connection's
+        failure (``WireError``), never a handler's."""
+        if conn.peer:
             self.frames_in += 1
-        else:
-            if env.dst != BROKER_ENDPOINT:
-                raise WireError(f"a client may address only {BROKER_ENDPOINT!r}, not {env.dst!r}")
-            # Client ingress (broker RPCs): the origin endpoint becomes
-            # routable back over this connection.
-            self._routes[env.src] = writer
+        elif env.dst != BROKER_ENDPOINT:
+            raise WireError(f"a client may address only {BROKER_ENDPOINT!r}, not {env.dst!r}")
+        elif env.src != conn.endpoint or (
+            isinstance(env.payload, dict)
+            and env.payload.get("reply_to", conn.endpoint) != conn.endpoint
+        ):
+            raise WireError(f"a client speaks only as its hello's endpoint {conn.endpoint!r}")
         self.messages_sent += 1
         if env.dst in self._handlers:
-            self._enqueue(env)
+            self._ready.append(env)
         elif not self._deliver_to_client(env):
             self.messages_dead_lettered += 1
 
@@ -507,27 +533,28 @@ class AsyncioTransport(Transport):
         """Bind the listener and publish :attr:`address`."""
         if self._started:
             return
-        self._loop = asyncio.get_running_loop()
-        self._t0 = self._loop.time()
+        self._loop = loop = asyncio.get_running_loop()
+        self._t0 = loop.time()
+        accept = functools.partial(_Connection, self)
         if self._use_tcp:
-            self._server = await asyncio.start_server(
-                self._on_connection, self._host, self._port
-            )
+            self._server = await loop.create_server(accept, self._host, self._port)
             sockname = self._server.sockets[0].getsockname()
             self.address = ("tcp", sockname[0], sockname[1])
         else:
             if self._path is None:
                 self._tempdir = tempfile.mkdtemp(prefix="repro-net-")
                 self._path = os.path.join(self._tempdir, "dlpt.sock")
-            self._server = await asyncio.start_unix_server(
-                self._on_connection, path=self._path
-            )
+            self._server = await loop.create_unix_server(accept, path=self._path)
             self.address = ("unix", self._path)
         self._reaper_task = self._loop.create_task(self._reap_idle())
         self._started = True
 
     async def close(self) -> None:
         self._started = False
+        # Nothing is read, let alone delivered, from an accepted connection
+        # once close() has begun: its client sees end-of-file.
+        for conn in list(self._connections):
+            conn.transport.close()
         tasks = [self._reaper_task, *(link.task for link in self._links.values())]
         self.reset_links()
         # Like a dead link's queue: what was still to be delivered here

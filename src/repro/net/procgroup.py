@@ -53,7 +53,7 @@ from typing import AsyncIterator, Dict, List, Optional, Tuple
 
 from ..dlpt.messages import Envelope
 from ..dlpt.protocol import ProtocolEngine
-from .asyncio_transport import _READ_CHUNK, AsyncioTransport
+from .asyncio_transport import AsyncioTransport
 from .cluster import STEPS, Cluster, ClusterError, EngineGroup, group_of
 from .transport import TransportError
 from .wire import FrameReader, encode_frame
@@ -109,7 +109,7 @@ async def _frames(reader: asyncio.StreamReader) -> AsyncIterator:
     """The payloads of the frames arriving on a channel, until it closes."""
     frames = FrameReader()
     try:
-        while chunk := await reader.read(_READ_CHUNK):
+        while chunk := await reader.read(1 << 16):
             for env in frames.feed(chunk):
                 yield env.payload
     except ConnectionError:

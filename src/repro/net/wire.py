@@ -42,7 +42,9 @@ HEADER_SIZE = _HEADER.size
 #: large ν easily reaches megabytes, anything beyond this is corruption.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-_DUMP_KWARGS = dict(sort_keys=True, separators=(",", ":"))
+#: The one encoder of every frame body (sorted keys, no whitespace):
+#: ``json.dumps`` with arguments builds a fresh encoder on every call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 #: The protocol dataclasses that may cross the wire, by type name.
 MESSAGE_TYPES = {
@@ -190,7 +192,7 @@ def encode_frame(src: Hashable, dst: Hashable, payload: Any) -> bytes:
     name, fields = encode_payload(payload)
     body = {"w": WIRE_SCHEMA, "s": src, "d": dst, "t": name, "f": fields}
     try:
-        data = json.dumps(body, **_DUMP_KWARGS).encode("utf-8")
+        data = _ENCODER.encode(body).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise WireError(f"payload is not JSON-serialisable: {exc}") from exc
     if len(data) > MAX_FRAME_BYTES:

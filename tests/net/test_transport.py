@@ -12,7 +12,9 @@ rely on regardless of which engine carries its messages.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
+import socket
 import sys
 
 import pytest
@@ -25,7 +27,6 @@ from repro.dlpt import messages as m
 from repro.dlpt.messages import Envelope
 from repro.net.asyncio_transport import (
     _PUMP_BATCH,
-    _READ_CHUNK,
     BROKER_ENDPOINT,
     CONTROL_ENDPOINT,
     AsyncioTransport,
@@ -36,7 +37,7 @@ from repro.net.asyncio_transport import (
 from repro.net.client import DLPTClient
 from repro.net.serve import start_cluster
 from repro.net.transport import SimTransport, TransportError
-from repro.net.wire import MESSAGE_TYPES, WIRE_SCHEMA, WireError, encode_frame
+from repro.net.wire import MESSAGE_TYPES, WIRE_SCHEMA, FrameReader, WireError, encode_frame
 
 pytestmark = pytest.mark.asyncio
 
@@ -336,6 +337,11 @@ LOOP_TRANSPORTS = [
     pytest.param(AsyncioTransport, id="asyncio-unix", marks=pytest.mark.net),
 ]
 
+SOCKET_TRANSPORTS = [
+    pytest.param(AsyncioTransport, id="asyncio-unix"),
+    pytest.param(lambda: AsyncioTransport(host="127.0.0.1"), id="asyncio-tcp"),
+]
+
 
 class _TurnCounter:
     """Counts event-loop turns: a callback that re-``call_soon``s itself
@@ -513,6 +519,137 @@ async def _poll(predicate, timeout: float = 5.0) -> None:
         await asyncio.sleep(0.005)
 
 
+def _discover_frame(endpoint: str, rid: int, key: str) -> bytes:
+    """A client's ``discover`` request, as ``DLPTClient`` writes it."""
+    request = {"op": "discover", "key": key, "id": rid, "reply_to": endpoint}
+    return encode_frame(endpoint, BROKER_ENDPOINT, request)
+
+
+def _blocking_discovers(path: str, key: str, n: int) -> int:
+    """``n`` serial ``discover``s of ``key`` over a blocking Unix socket;
+    returns how many came back found under their own id."""
+    endpoint, frames, found = "@blocking", FrameReader(), 0
+    with socket.socket(socket.AF_UNIX) as sock:
+        sock.settimeout(10.0)
+        sock.connect(path)
+        sock.sendall(hello_frame(endpoint=endpoint))
+        for rid in range(1, n + 1):
+            sock.sendall(_discover_frame(endpoint, rid, key))
+            replies = []
+            while not replies:
+                chunk = sock.recv(1 << 16)
+                assert chunk, "the server closed the connection"
+                replies = list(frames.feed(chunk))
+            (reply,) = replies
+            found += reply.payload["id"] == rid and reply.payload["found"]
+    return found
+
+
+@pytest.mark.net
+class TestListener:
+    """An accepted connection is a protocol, not a reader task: the read
+    callback parses, admits and pumps, and ``close()`` ends it."""
+
+    def test_accepted_connections_add_no_task(self):
+        """Each accepted connection used to be a ``StreamReader`` task."""
+
+        async def body():
+            transport, engine, broker = await start_cluster(4)
+            await broker.backend.register("pab", 1)
+            before = len(asyncio.all_tasks())
+            streams = []
+            for i in range(4):
+                reader, writer = await dial(transport.address)
+                writer.write(hello_frame(endpoint=f"@raw-{i}"))
+                writer.write(_discover_frame(f"@raw-{i}", 1, "pab"))
+                streams.append((reader, writer))
+            for reader, _writer in streams:
+                frames, replies = FrameReader(), []
+                while not replies:
+                    replies = list(frames.feed(await asyncio.wait_for(reader.read(1 << 16), 5.0)))
+                assert [env.payload["found"] for env in replies] == [True]
+            assert len(asyncio.all_tasks()) == before
+            for _reader, writer in streams:
+                writer.close()
+            await broker.close()
+            await transport.close()
+
+        asyncio.run(body())
+
+    def test_a_served_rpc_costs_at_most_three_selector_polls(self):
+        """200 serial ``discover``s from a blocking client on a thread; the
+        server loop's selector polls are read each time a request reaches
+        the broker, so the window from the second request to the last
+        holds whole RPCs and no connection set-up.  A reader task crossed
+        four loop turns before the broker's task saw a request (the socket
+        callback, the reader task's wake-up, the armed pump, the broker's
+        wake-up): 4 to 5 polls per RPC.  Delivery inside the read callback
+        leaves the callback, the broker's wake-up and, unless the next
+        request is already there, the pump its sends armed."""
+        rpcs = 200
+
+        async def body():
+            transport, engine, broker = await start_cluster(8)
+            await broker.backend.register("dgemm", 1)
+            selector = asyncio.get_running_loop()._selector
+            select, polls, arrivals = selector.select, 0, []
+
+            def counted(timeout=None):
+                nonlocal polls
+                polls += 1
+                return select(timeout)
+
+            def admit(env):
+                arrivals.append(polls)
+                broker._on_message(env)
+
+            transport.register(BROKER_ENDPOINT, admit)
+            selector.select = counted
+            try:
+                found = await asyncio.to_thread(
+                    _blocking_discovers, transport.address[1], "dgemm", rpcs
+                )
+            finally:
+                del selector.select
+            assert found == rpcs == len(arrivals)
+            per_rpc = (arrivals[-1] - arrivals[1]) / (rpcs - 2)
+            assert per_rpc <= 3, f"{per_rpc:.2f} selector polls per RPC"
+            await broker.close()
+            await transport.close()
+
+        asyncio.run(body())
+
+    @pytest.mark.parametrize("factory", SOCKET_TRANSPORTS)
+    def test_close_ends_the_connections_it_accepted(self, factory):
+        """A closed transport used to keep reading the connections it had
+        accepted: their clients saw no end-of-file, and a frame sent after
+        ``close()`` was still delivered."""
+
+        async def body():
+            t = factory()
+            await t.start()
+            got = []
+            t.register(BROKER_ENDPOINT, lambda env: got.append(env.payload))
+            reader, writer = await dial(t.address)
+            writer.write(hello_frame(endpoint="@c"))
+            writer.write(encode_frame("@c", BROKER_ENDPOINT, {"n": 1}))
+            await _poll(lambda: got == [{"n": 1}])
+            await t.close()
+            try:
+                assert await asyncio.wait_for(reader.read(), 1.0) == b""
+            except ConnectionError:
+                pass  # a reset is an end too
+            with contextlib.suppress(ConnectionError):
+                writer.write(encode_frame("@c", BROKER_ENDPOINT, {"n": 2}))
+                await writer.drain()
+            await asyncio.sleep(0.05)
+            assert got == [{"n": 1}]
+            assert t.messages_delivered == 1 and t.errors == []
+            writer.close()
+
+        asyncio.run(body())
+
+
 @pytest.mark.net
 class TestPeerToPeerSpecifics:
     """The socket transport with a resolver (more than one group): lazy
@@ -568,10 +705,11 @@ class TestPeerToPeerSpecifics:
                 m.NodePayload(
                     label=f"a{i}", father="a", children=frozenset(), data=("x" * 64,)
                 )
-                for i in range(1000)
+                for i in range(3000)
             ),
         )
-        assert len(encode_frame("local", "remote", big)) > _READ_CHUNK
+        # asyncio's selector transports read at most 256 KiB at a time.
+        assert len(encode_frame("local", "remote", big)) > 256 * 1024
         sent = [*messages, big]
 
         async def body():
@@ -723,15 +861,23 @@ def _raw_frame(body: dict) -> bytes:
     return len(data).to_bytes(4, "big") + data
 
 
-def _garbage_frames(engine):
-    """Frames no honest client sends, addressed past the broker at the
-    live ring: a non-JSON body, protocol frames carrying values the
-    encoder refuses (only JSON scalars may be registered), and well-formed
-    frames for a peer or for the engine's reply sink."""
+def _garbage_frames(engine, victim: str = "@victim"):
+    """Frames no honest client sends over a connection whose hello said
+    ``@evil``: a non-JSON body, protocol frames carrying values the
+    encoder refuses (only JSON scalars may be registered), well-formed
+    frames for a peer or for the engine's reply sink, and broker requests
+    that speak as another client, ``victim``."""
     node = next(iter(engine.locator))
     body = {"w": WIRE_SCHEMA, "s": "@evil", "d": engine.locator[node]}
     nested = {"label": "zz", "father": None, "children": [], "data": [["nested"]]}
+    forged = {"op": "discover", "key": "nothing-here", "id": 2, "reply_to": victim}
     return {
+        "a request whose reply_to names another client": _raw_frame(
+            {**body, "d": BROKER_ENDPOINT, "t": "json", "f": forged}
+        ),
+        "a request sent as another client": _raw_frame(
+            {**body, "s": victim, "d": BROKER_ENDPOINT, "t": "json", "f": forged}
+        ),
         "non-json body": (9).to_bytes(4, "big") + b"\xff\xfe not js",
         "DataInsertion.datum is a dict": _raw_frame(
             {**body, "t": "DataInsertion", "f": {"node": node, "key": "pab", "datum": {"a": 1}}}
@@ -767,8 +913,8 @@ class TestGarbageFromOneConnection:
     broker: a ``DiscoveryRequest`` sent straight to a peer used to raise
     inside its handler (the same ``TransportError`` for the next client),
     and a ``DiscoveryReply`` forged to the reply sink used to be counted
-    into the next read of its key.  From another group's link it stays
-    loud."""
+    into the next read of its key.  So, too, is a request that speaks as
+    another client.  From another group's link it stays loud."""
 
     def test_a_clients_garbage_fails_nobody_else(self):
         async def body():
@@ -777,7 +923,7 @@ class TestGarbageFromOneConnection:
             await good.register("pab", 1)
             hit = await good.discover("pab")
             assert hit["found"] and hit["data"] == [1]
-            frames = _garbage_frames(engine)
+            frames = _garbage_frames(engine, victim=good.endpoint)
             for closed, (what, frame) in enumerate(frames.items(), start=1):
                 reader, writer = await dial(transport.address)
                 writer.write(hello_frame(endpoint="@evil"))
@@ -794,6 +940,37 @@ class TestGarbageFromOneConnection:
                     assert {**again, "id": hit["id"]} == hit, what
             engine.check_tree()
             await good.close()
+            await broker.close()
+            await transport.close()
+
+        asyncio.run(body())
+
+    def test_a_client_can_neither_answer_nor_capture_another_clients_rpc(self):
+        """Mallory's ``discover`` of a missing key with ``reply_to`` naming
+        B, under B's next id, used to be cached as B's reply: B's own
+        ``discover("dgemm")`` resolved to ``{"key": "nothing-here",
+        "found": false}``.  A frame whose ``s`` named B re-pointed B's
+        route at Mallory's connection, so B's replies went to Mallory."""
+
+        async def body():
+            transport, engine, broker = await start_cluster(4)
+            b = await DLPTClient.connect(transport.address)
+            await b.register("dgemm", 1)
+            # Each forged request takes the id B's next call will use.
+            for rid, src in ((2, "@mallory"), (3, b.endpoint)):
+                forged = {"op": "discover", "key": "nothing-here", "id": rid, "reply_to": b.endpoint}
+                served = broker.requests_served
+                reader, writer = await dial(transport.address)
+                writer.write(hello_frame(endpoint="@mallory"))
+                writer.write(encode_frame(src, BROKER_ENDPOINT, forged))
+                await writer.drain()
+                # Refused (the connection is closed on it) or, once, served.
+                await _poll(lambda: reader.at_eof() or broker.requests_served > served)
+                writer.close()
+                hit = await asyncio.wait_for(b.discover("dgemm"), 5.0)
+                assert (hit["key"], hit["found"], hit["data"]) == ("dgemm", True, [1]), src
+            assert transport.client_wire_errors == 2
+            await b.close()
             await broker.close()
             await transport.close()
 
@@ -826,11 +1003,6 @@ class TestMidFrameConnectionLoss:
     frame must be discarded at the reader — never half-delivered, never
     counted — and the listener must keep serving subsequent connections.
     Exercised on both socket families."""
-
-    SOCKET_TRANSPORTS = [
-        pytest.param(AsyncioTransport, id="asyncio-unix"),
-        pytest.param(lambda: AsyncioTransport(host="127.0.0.1"), id="asyncio-tcp"),
-    ]
 
     @staticmethod
     async def _open(address):

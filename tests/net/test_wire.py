@@ -21,6 +21,14 @@ from repro.net.wire import (
     encode_frame,
 )
 
+#: JSON control payloads (broker RPCs, hellos): nested lists and objects.
+json_payloads_st = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=10,
+)
+
 
 class TestRoundTrip:
     def test_every_message_type_has_a_round_trip_builder(self):
@@ -42,14 +50,7 @@ class TestRoundTrip:
         assert env.payload == message
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        payload=st.recursive(
-            st.none() | st.booleans() | st.integers() | st.text(max_size=8),
-            lambda inner: st.lists(inner, max_size=3)
-            | st.dictionaries(st.text(max_size=5), inner, max_size=3),
-            max_leaves=10,
-        )
-    )
+    @given(payload=json_payloads_st)
     def test_json_control_payloads_round_trip(self, payload):
         env = decode_frame(encode_frame("@client", "@broker", payload))
         assert env.payload == payload
@@ -57,6 +58,34 @@ class TestRoundTrip:
     def test_frames_are_byte_stable(self):
         message = m.DiscoveryRequest(node="ab", key="abc", reply_to="@c", hops=3)
         assert encode_frame("a", "b", message) == encode_frame("a", "b", message)
+
+
+def _assert_canonical(frame: bytes) -> None:
+    body = frame[HEADER_SIZE:]
+    assert body == json.dumps(json.loads(body), sort_keys=True, separators=(",", ":")).encode()
+
+
+class TestCanonicalForm:
+    """A frame body is the canonical JSON of its value — sorted keys, no
+    whitespace, ASCII escapes — whatever encoder object produces it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(message=wire_messages_st)
+    def test_protocol_frames_are_canonical(self, message):
+        _assert_canonical(encode_frame("src", "dst", message))
+
+    @settings(max_examples=100, deadline=None)
+    @given(payload=json_payloads_st)
+    def test_json_control_frames_are_canonical(self, payload):
+        _assert_canonical(encode_frame("@client", "@broker", payload))
+
+    def test_a_discovery_request_frame_is_pinned(self):
+        message = m.DiscoveryRequest(node="ab", key="abc", reply_to="@c", hops=3)
+        assert encode_frame("a", "b", message) == (
+            b"\x00\x00\x00\x72"
+            b'{"d":"b","f":{"hops":3,"key":"abc","node":"ab","reply_to":"@c"},'
+            b'"s":"a","t":"DiscoveryRequest","w":"repro-wire/1"}'
+        )
 
     def test_body_carries_schema_tag(self):
         frame = encode_frame("a", "b", {"op": "info"})

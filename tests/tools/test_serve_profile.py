@@ -1,11 +1,14 @@
-"""``tools/serve_profile.py``: the sample arithmetic, on canned stacks (the
+"""``tools/serve_profile.py``: the sample arithmetic on canned stacks, the
+loop-turn counter and the summary line (the
 live run — a served child under ``ITIMER_PROF`` — is CI's ``net-conformance``
 smoke)."""
 
 from __future__ import annotations
 
+import asyncio
 import importlib.util
 import pathlib
+import types
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 
@@ -35,3 +38,31 @@ def test_render_ranks_by_share():
     lines = serve_profile.render("inclusive", inclusive, 4, top=1).splitlines()
     assert lines[0] == "inclusive (top 1 of 2 functions, 4 samples)"
     assert lines[1].split() == ["100.00%", "4", "t.py:10", "_pump"]
+
+
+def test_loop_turns_are_counted_only_while_armed():
+    async def spin(n):
+        for _ in range(n):
+            await asyncio.sleep(0)
+
+    turns = serve_profile.LoopTurns()
+    asyncio.run(spin(5))
+    assert turns.count == 0
+    turns.arm()
+    try:
+        asyncio.run(spin(10))
+    finally:
+        turns.disarm()
+    armed = turns.count
+    assert armed >= 10
+    asyncio.run(spin(5))
+    assert turns.count == armed
+
+
+def test_headline_prints_cpu_and_loop_turns_per_op():
+    tally = types.SimpleNamespace(attempted=2000, failed=0)
+    line = serve_profile.headline("scan_batch", 2000, 1.5, tally, 480, {"cpu_s": 0.42, "turns": 6100})
+    assert line == (
+        "scan_batch seed 1: 2000 measured ops in 1.50s, 2000 verified, 0 failed; "
+        "480 samples over 0.42s of child CPU (0.210 ms/op, 3.05 loop turns/op)"
+    )

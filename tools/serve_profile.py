@@ -14,7 +14,9 @@ verifies every reply, and prints two tables over the child's Python stacks:
 *leaf* (share with it on top; C code — ``socket.send``, ``json`` — bills its
 Python caller).  The driver arms the sampler with ``SIGUSR1`` after the preload
 and the warm-up and disarms it with a second one after the last measured reply,
-so bring-up and shutdown are not in the sample.
+so bring-up and shutdown are not in the sample.  While armed the child also
+counts its event loop's iterations, printed as loop turns per measured op
+beside the CPU ms/op: how many times the loop went round for one request.
 
 Sample, do not ``cProfile``, this path: per-call instrumentation inflates a
 run of many tiny calls 2.5x and mis-ranks it (it blamed ``socket.send`` for
@@ -50,15 +52,39 @@ INTERVAL_S = 0.001  # child CPU time between two samples
 # -- the child: ``python -m repro serve`` under the sampler ------------------------
 
 
+class LoopTurns:
+    """Counts event-loop iterations (``BaseEventLoop._run_once`` calls)
+    between :meth:`arm` and :meth:`disarm`; disarmed, the loop runs its
+    own method untouched."""
+
+    def __init__(self) -> None:
+        self.count = 0
+        self._run_once = asyncio.base_events.BaseEventLoop._run_once
+
+    def arm(self) -> None:
+        run_once = self._run_once
+
+        def counted(loop):
+            self.count += 1
+            run_once(loop)
+
+        asyncio.base_events.BaseEventLoop._run_once = counted
+
+    def disarm(self) -> None:
+        asyncio.base_events.BaseEventLoop._run_once = self._run_once
+
+
 def serve_under_sampler(out_path: str, serve_argv: list) -> int:
     """Run ``python -m repro serve_argv…`` in this process; ``SIGUSR1``
-    toggles an ``ITIMER_PROF`` whose every tick records the Python stack.
-    On exit ``out_path`` gets ``{"cpu_s": CPU seconds spent armed,
-    "samples": [[stack, count], …]}`` (``stack`` innermost first, frames
-    ``[file, line, name]``)."""
+    toggles an ``ITIMER_PROF`` whose every tick records the Python stack,
+    and a :class:`LoopTurns`.  On exit ``out_path`` gets ``{"cpu_s": CPU
+    seconds spent armed, "turns": loop iterations while armed, "samples":
+    [[stack, count], …]}`` (``stack`` innermost first, frames ``[file,
+    line, name]``)."""
     samples = collections.Counter()
     armed_at = None  # process CPU seconds when the sampler was last armed
     cpu_s = 0.0
+    turns = LoopTurns()
 
     def on_tick(signum, frame):
         stack = []
@@ -72,9 +98,11 @@ def serve_under_sampler(out_path: str, serve_argv: list) -> int:
         nonlocal armed_at, cpu_s
         if armed_at is None:
             armed_at = time.process_time()
+            turns.arm()
             signal.setitimer(signal.ITIMER_PROF, INTERVAL_S, INTERVAL_S)
         else:
             signal.setitimer(signal.ITIMER_PROF, 0.0, 0.0)
+            turns.disarm()
             cpu_s += time.process_time() - armed_at
             armed_at = None
 
@@ -88,7 +116,10 @@ def serve_under_sampler(out_path: str, serve_argv: list) -> int:
     finally:
         signal.setitimer(signal.ITIMER_PROF, 0.0, 0.0)
         with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump({"cpu_s": cpu_s, "samples": [[s, n] for s, n in samples.items()]}, fh)
+            json.dump(
+                {"cpu_s": cpu_s, "turns": turns.count, "samples": [[s, n] for s, n in samples.items()]},
+                fh,
+            )
     return 0
 
 
@@ -121,6 +152,17 @@ def tables(samples: list) -> tuple:
         for frame in set(frames[: len(frames) - shared]):
             inclusive[frame] += count
     return sum(count for _, count in stacks), inclusive, leaf
+
+
+def headline(workload: str, done: int, wall: float, tally, total: int, doc: dict) -> str:
+    """The run's one-line summary: ops, replies verified, samples, and per
+    measured op the child's CPU ms and its event loop's turns."""
+    per_op = max(1, done)
+    return (f"{workload} seed {SEED}: {done} measured ops in {wall:.2f}s, "
+            f"{tally.attempted} verified, {tally.failed} failed; "
+            f"{total} samples over {doc['cpu_s']:.2f}s of child CPU "
+            f"({doc['cpu_s'] * 1e3 / per_op:.3f} ms/op, "
+            f"{doc['turns'] / per_op:.2f} loop turns/op)")
 
 
 def render(title: str, counts: collections.Counter, total: int, top: int) -> str:
@@ -219,10 +261,7 @@ def profile(workload: str, n_ops: int) -> int:
         total, inclusive, leaf = tables(doc["samples"])
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    print(f"{workload} seed {SEED}: {done} measured ops in {wall:.2f}s, "
-          f"{tally.attempted} verified, {tally.failed} failed; "
-          f"{total} samples over {doc['cpu_s']:.2f}s of child CPU "
-          f"({doc['cpu_s'] * 1e3 / max(1, done):.3f} ms/op)")
+    print(headline(workload, done, wall, tally, total, doc))
     for failure in tally.first_failures:
         print(f"FAILED: {failure}")
     if total:
