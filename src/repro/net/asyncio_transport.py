@@ -9,10 +9,12 @@ its client sink).
 
 * **One listener** per transport (a Unix-domain socket by default, TCP
   with ``host=``); each frame names its destination endpoint.  An
-  accepted connection is a small :class:`asyncio.Protocol` holding its
-  own ``FrameReader`` and hello state, not a reader task: the socket
-  callback that read a frame parses it, admits it and runs the pump, so
-  a request reaches its handler in that same loop turn.
+  accepted connection is a small :class:`asyncio.BufferedProtocol`
+  holding its own read buffer (:data:`_READ_BUFFER` bytes, filled in
+  place by the kernel, so a read allocates nothing), ``FrameReader`` and
+  hello state, not a reader task: the socket callback that read a frame
+  parses it, admits it and runs the pump, so a request reaches its
+  handler in that same loop turn.
 * ``send()`` is synchronous (protocol handlers call it mid-message) and
   picks the route by where the destination lives: **local endpoints** go
   onto the transport's one ready queue (next bullet); **connected
@@ -38,7 +40,9 @@ its client sink).
   ready queue and runs the handlers, what they send to local endpoints
   included — a hop costs a queue pop, not an event-loop turn.  An
   inbound frame joins the same queue without arming the pump: the read
-  callback that parsed it runs the pump before it returns.  Delivery is
+  callback that parsed it runs the pump before it returns.  A send made
+  while a pump runs (or is scheduled) arms nothing either, because that
+  pump delivers it.  Delivery is
   also **flat**: ``send()`` to a local endpoint is one step (count,
   build the envelope, append it, arm the pump — all in its own body) and
   the pump looks the handler up and runs it inline, so a hop is three
@@ -47,6 +51,10 @@ its client sink).
   (``TestRunToCompletionDelivery`` counts them).  The pump
   hands the loop back every :data:`_PUMP_BATCH` deliveries, so not even
   an endless cascade starves socket I/O, timers or ``drain_timeout``.
+  A pump that leaves the queue empty, and is not nested in another,
+  then makes the one call installed with ``set_idle()``: the broker
+  serves there what the pump admitted, so a served request costs the
+  one loop turn that read it.
   A group's own sends are thus delivered in send order, but only
   *pairwise* FIFO is contractual: frames from other groups and clients
   join that order as the kernel hands them over — the nondeterminism the
@@ -102,6 +110,10 @@ from .wire import WIRE_SCHEMA, FrameReader, WireError, decode_frame, encode_fram
 #: starving socket I/O, timers and ``drain_timeout``.
 _PUMP_BATCH = 256
 
+#: Bytes one socket read may fill: each accepted connection keeps one
+#: buffer this size, so a read allocates nothing.
+_READ_BUFFER = 64 * 1024
+
 #: The reserved endpoint hello frames are addressed to.
 CONTROL_ENDPOINT = "@transport"
 
@@ -141,13 +153,15 @@ class _Link:
         self.writer: Optional[asyncio.StreamWriter] = None
 
 
-class _Connection(asyncio.Protocol):
-    """One accepted connection: its frame reader and hello state.  A read
-    is parsed, admitted and pumped inside :meth:`data_received`."""
+class _Connection(asyncio.BufferedProtocol):
+    """One accepted connection: its read buffer, frame reader and hello
+    state.  A read is parsed, admitted and pumped inside
+    :meth:`buffer_updated`."""
 
     def __init__(self, owner: "AsyncioTransport") -> None:
         self.owner = owner
         self.frames = FrameReader()
+        self.buffer = memoryview(bytearray(_READ_BUFFER))
         self.transport: Optional[asyncio.Transport] = None
         #: ``None`` until the hello; then whether this is another group's link.
         self.peer: Optional[bool] = None
@@ -158,10 +172,13 @@ class _Connection(asyncio.Protocol):
         self.transport = transport
         self.owner._connections.add(self)
 
-    def data_received(self, data: bytes) -> None:
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
         owner = self.owner
         try:
-            for env in self.frames.feed(data):
+            for env in self.frames.feed(self.buffer[:nbytes]):
                 if self.peer is None:
                     self.peer, self.endpoint = owner._handle_hello(env, self.transport)
                 else:
@@ -208,7 +225,10 @@ class AsyncioTransport(Transport):
         #: Envelopes for local endpoints, in send order; :meth:`_pump`
         #: delivers them.
         self._ready: Deque[Envelope] = collections.deque()
-        self._pump_scheduled = False
+        #: A pump is running or scheduled: a send then arms none.
+        self._pump_armed = False
+        #: Called when a pump leaves the ready queue empty (:meth:`set_idle`).
+        self._idle: Optional[Callable[[], None]] = None
         #: endpoint -> transport of the client connection hosting it.
         self._routes: Dict[Hashable, asyncio.Transport] = {}
         #: Accepted connections still open; :meth:`close` closes them.
@@ -246,6 +266,11 @@ class AsyncioTransport(Transport):
         self.links_dialed = 0
         self.links_reaped = 0
 
+    def set_idle(self, idle: Optional[Callable[[], None]]) -> None:
+        """Install (or, with ``None``, remove) the callback an outer pump
+        makes once it leaves the ready queue empty (module doc)."""
+        self._idle = idle
+
     def set_resolve(self, resolve: Optional[Callable[[Hashable], Optional[tuple]]]) -> None:
         """Install (or replace) the endpoint resolver.  The multi-process
         runtime can only build the full address map after every group has
@@ -276,8 +301,8 @@ class AsyncioTransport(Transport):
             # sending.  (:meth:`_enqueue`, in place: a local hop is this
             # call, the envelope's constructor and the handler.)
             self._ready.append(env)
-            if not self._pump_scheduled:
-                self._pump_scheduled = True
+            if not self._pump_armed:
+                self._pump_armed = True
                 self._loop.call_soon(self._pump_soon)
             return
         if self._deliver_to_client(env):
@@ -309,12 +334,12 @@ class AsyncioTransport(Transport):
         (loopback; ``send`` has these lines in its own body, and ingress
         leaves the pump to the read callback)."""
         self._ready.append(env)
-        if not self._pump_scheduled:
-            self._pump_scheduled = True
+        if not self._pump_armed:
+            self._pump_armed = True
             self._loop.call_soon(self._pump_soon)
 
     def _pump_soon(self) -> None:
-        self._pump_scheduled = False
+        self._pump_armed = False
         self._pump()
 
     def _pump(self) -> None:
@@ -323,25 +348,35 @@ class AsyncioTransport(Transport):
         longer cascade continues in the next loop turn.  Registration is
         checked *here* (at delivery time, like the simulator's network) so
         an endpoint that unregistered with messages still inbound
-        dead-letters them."""
+        dead-letters them.  A pump started while another runs or is
+        scheduled only delivers, and the other arms what is left; an
+        outer pump that empties the queue calls the idle callback."""
+        outer = not self._pump_armed
+        self._pump_armed = True
         ready = self._ready
         handlers = self._handlers
-        for _ in range(_PUMP_BATCH):
-            if not ready:
-                return
-            env = ready.popleft()
-            handler = handlers.get(env.dst)
-            if handler is None:
-                self.messages_dead_lettered += 1
-                continue
-            try:
-                handler(env)
-            except Exception as exc:  # surfaced at drain(); keep delivering
-                self.errors.append(exc)
-            self.messages_delivered += 1
-        if ready and not self._pump_scheduled:
-            self._pump_scheduled = True
-            self._loop.call_soon(self._pump_soon)
+        try:
+            for _ in range(_PUMP_BATCH):
+                if not ready:
+                    break
+                env = ready.popleft()
+                handler = handlers.get(env.dst)
+                if handler is None:
+                    self.messages_dead_lettered += 1
+                    continue
+                try:
+                    handler(env)
+                except Exception as exc:  # surfaced at drain(); keep delivering
+                    self.errors.append(exc)
+                self.messages_delivered += 1
+            if outer and not ready and self._idle is not None:
+                self._idle()
+        finally:
+            if outer:
+                if ready:
+                    self._loop.call_soon(self._pump_soon)
+                else:
+                    self._pump_armed = False
 
     # -- outbound links ----------------------------------------------------
 
@@ -496,17 +531,19 @@ class AsyncioTransport(Transport):
         """One inbound frame enters this group's accounting domain and the
         ready queue (the read callback pumps it); a frame for an endpoint
         this listener does not host dead-letters (frames are never
-        forwarded a second hop).  A client may address the broker only,
-        and only as the endpoint its hello named — as ``s`` and as a
-        request's ``reply_to``: any other frame is that connection's
-        failure (``WireError``), never a handler's."""
+        forwarded a second hop).  A client may send the broker JSON
+        objects only, and only as the endpoint its hello named — as ``s``
+        and as a request's ``reply_to``: any other frame is that
+        connection's failure (``WireError``), never a handler's."""
         if conn.peer:
             self.frames_in += 1
         elif env.dst != BROKER_ENDPOINT:
             raise WireError(f"a client may address only {BROKER_ENDPOINT!r}, not {env.dst!r}")
+        elif not isinstance(env.payload, dict):
+            kind = type(env.payload).__name__
+            raise WireError(f"a client's request must be a JSON object, not {kind}")
         elif env.src != conn.endpoint or (
-            isinstance(env.payload, dict)
-            and env.payload.get("reply_to", conn.endpoint) != conn.endpoint
+            env.payload.get("reply_to", conn.endpoint) != conn.endpoint
         ):
             raise WireError(f"a client speaks only as its hello's endpoint {conn.endpoint!r}")
         self.messages_sent += 1

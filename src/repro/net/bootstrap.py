@@ -16,8 +16,15 @@ included.  Operations: ``register``, ``discover``, ``discover_batch``,
 
 Service order and quiescence.  Pending requests are popped round-robin
 over clients, and every backend operation ends at quiescence before its
-reply is sent.  The *run* of pending reads-by-key (``discover``,
-``discover_batch``) at the head of that rotation is served as **one
+reply is sent.  Service holds no task while it need not wait: the
+transport's idle callback — made once the pump that admitted a request
+has delivered all it had, never inside ``_on_message`` — serves what is
+pending right there, so a request is answered in the loop turn that read
+it.  Only a service that must wait (a control RPC to a worker process, a
+drain longer than a pump batch, a chaos delay) goes on as a task, and
+that task serves what is admitted meanwhile, in the same rotation.  The
+*run* of pending reads-by-key (``discover``, ``discover_batch``) at the
+head of that rotation is served as **one
 group under one quiescence wait**: all their keys go through the
 backend's ``discover_many`` once, the rows are split back per request and
 the replies leave in pop order.  Every other op ends the run and is
@@ -240,24 +247,25 @@ class Broker:
         #: through ``_rr`` so one flooder cannot starve the rest.
         self._queues: Dict[object, collections.deque] = {}
         self._rr: collections.deque = collections.deque()
-        self._available: Optional[asyncio.Event] = None
         #: Correlation ids queued or being served, and a bounded LRU of
         #: completed replies — the two halves of idempotent retry.
         self._inflight: set = set()
         self._completed: "collections.OrderedDict[Tuple[object, object], dict]" = (
             collections.OrderedDict()
         )
+        #: The service that had to wait, carried on as a task; ``None``
+        #: whenever nothing is waiting.
         self._task: Optional[asyncio.Task] = None
 
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        self._available = asyncio.Event()
         self.transport.register(BROKER_ENDPOINT, self._on_message)
-        self._task = asyncio.get_running_loop().create_task(self._serve())
+        self.transport.set_idle(self._on_idle)
 
     async def close(self) -> None:
         self.transport.unregister(BROKER_ENDPOINT)
+        self.transport.set_idle(None)
         if self._task is not None:
             self._task.cancel()
             await asyncio.gather(self._task, return_exceptions=True)
@@ -326,7 +334,6 @@ class Broker:
         self.pending += 1
         if self.pending > self.max_pending:
             self.max_pending = self.pending
-        self._available.set()
 
     # -- serving loop ------------------------------------------------------
 
@@ -342,8 +349,6 @@ class Broker:
         else:
             self._rr.popleft()
             del self._queues[client]
-        if not self._rr:
-            self._available.clear()
         return client, request
 
     def _next_group(self) -> List[Tuple[object, dict]]:
@@ -361,9 +366,45 @@ class Broker:
                 group.append(self._next_request())
         return group
 
+    def _on_idle(self) -> None:
+        """The transport's idle callback: step the service once, so what
+        is pending is served right here; a service that must wait goes on
+        as the task :meth:`_carry`.  While that task exists it serves
+        everything, so this does nothing."""
+        if self._task is not None or not self._rr:
+            return
+        service = self._serve()
+        try:
+            waiting = service.send(None)
+        except StopIteration:
+            return
+        self._task = asyncio.get_running_loop().create_task(self._carry(service, waiting))
+
+    async def _carry(self, service, waiting) -> None:
+        """Run a suspended service to its end: wait for what it awaits
+        (``None`` is a bare yield), then resume it.  Cancelled by
+        :meth:`close`, it cancels what the service awaits and closes the
+        service."""
+        try:
+            while True:
+                if waiting is None:
+                    await asyncio.sleep(0)
+                else:
+                    await asyncio.wait([waiting])
+                waiting = service.send(None)
+        except StopIteration:
+            pass
+        except asyncio.CancelledError:
+            if waiting is not None:
+                waiting.cancel()
+            service.close()
+            raise
+        finally:
+            self._task = None
+
     async def _serve(self) -> None:
-        while True:
-            await self._available.wait()
+        """Serve groups in rotation until nothing is pending."""
+        while self._rr:
             group = self._next_group()
             outcomes = await self._outcomes([request for _client, request in group])
             for (client, request), outcome in zip(group, outcomes):

@@ -13,6 +13,7 @@ rejected — never silently lost.
 from __future__ import annotations
 
 import asyncio
+import gc
 import socket
 
 import pytest
@@ -203,6 +204,94 @@ class TestIdempotentRetry:
             assert len(broker._completed) == Broker.COMPLETED_CACHE
             await broker.close()
             await transport.close()
+
+        asyncio.run(body())
+
+
+class _GatedBackend:
+    """A backend whose reads wait on ``gate``, a future the test settles."""
+
+    RETRYABLE_ERRORS = ()
+
+    def __init__(self):
+        self.gate = asyncio.get_running_loop().create_future()
+        self.batches = []
+
+    async def discover_many(self, keys, via=None):
+        self.batches.append(list(keys))
+        await self.gate
+        return [{"key": key, "found": False, "data": [], "hops": 0} for key in keys]
+
+
+async def _gated_broker():
+    transport = LoopbackAsyncioTransport()
+    await transport.start()
+    backend = _GatedBackend()
+    broker = Broker(backend, transport)
+    await broker.start()
+    return transport, backend, broker
+
+
+async def _turns(n=3):
+    for _ in range(n):
+        await asyncio.sleep(0)
+
+
+def _other_tasks():
+    return asyncio.all_tasks() - {asyncio.current_task()}
+
+
+class TestServiceThatMustWait:
+    """The broker serves in the transport's idle callback and holds a task
+    only while a service waits; what is admitted meanwhile queues behind
+    that task and is served by it."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_requests_queue_behind_it_and_are_served_in_rotation(self):
+        async def body():
+            transport, backend, broker = await _gated_broker()
+            order = []
+            a, b, c = (_RawClient(transport, f"@{name}", order) for name in "abc")
+            a.send(1, op="discover", key="k1")
+            await _turns()
+            assert backend.batches == [["k1"]]
+            assert broker._task is not None and _other_tasks() == {broker._task}
+            b.send(1, op="discover", key="k2")
+            c.send(1, op="discover", key="k3")
+            await _turns()
+            assert backend.batches == [["k1"]] and broker.pending == 2
+            assert _other_tasks() == {broker._task}
+            backend.gate.set_result(None)
+            await c.settle(1)
+            assert order == [("@a", 1), ("@b", 1), ("@c", 1)]
+            assert backend.batches == [["k1"], ["k2", "k3"]]
+            replies = a.replies + b.replies + c.replies
+            assert [reply["key"] for reply in replies] == ["k1", "k2", "k3"]
+            assert broker._task is None and not _other_tasks()
+            await broker.close()
+            await transport.close()
+
+        asyncio.run(body())
+
+    @pytest.mark.filterwarnings("error")
+    def test_close_ends_a_suspended_service_cleanly(self):
+        async def body():
+            reported = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: reported.append(context)
+            )
+            transport, backend, broker = await _gated_broker()
+            client = _RawClient(transport, "@a")
+            client.send(1, op="discover", key="k1")
+            await _turns()
+            assert broker._task is not None
+            await broker.close()
+            assert broker._task is None and not _other_tasks()
+            assert backend.gate.cancelled() and client.replies == []
+            await transport.close()
+            gc.collect()
+            await _turns()
+            assert reported == []
 
         asyncio.run(body())
 

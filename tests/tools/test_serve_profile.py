@@ -1,5 +1,5 @@
 """``tools/serve_profile.py``: the sample arithmetic on canned stacks, the
-loop-turn counter and the summary line (the
+loop-turn and minor-fault counters and the summary line (the
 live run — a served child under ``ITIMER_PROF`` — is CI's ``net-conformance``
 smoke)."""
 
@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import asyncio
 import importlib.util
+import mmap
 import pathlib
 import types
 
@@ -59,10 +60,35 @@ def test_loop_turns_are_counted_only_while_armed():
     assert turns.count == armed
 
 
+def _touch_fresh_pages(size: int = 4 << 20) -> None:
+    """Write one byte per page of a new anonymous mapping: every page is a
+    minor fault (a huge page covers several, so fewer than pages)."""
+    with mmap.mmap(-1, size) as region:
+        for offset in range(0, size, mmap.PAGESIZE):
+            region[offset] = 1
+
+
+def test_minor_faults_are_counted_only_while_armed():
+    usage = serve_profile.ArmedUsage()
+    _touch_fresh_pages()
+    assert not usage.armed and usage.minflt == 0
+    usage.arm()
+    try:
+        _touch_fresh_pages()
+    finally:
+        usage.disarm()
+    armed = usage.minflt
+    assert armed > 0 and usage.cpu_s > 0
+    _touch_fresh_pages()
+    assert usage.minflt == armed
+
+
 def test_headline_prints_cpu_and_loop_turns_per_op():
     tally = types.SimpleNamespace(attempted=2000, failed=0)
-    line = serve_profile.headline("scan_batch", 2000, 1.5, tally, 480, {"cpu_s": 0.42, "turns": 6100})
+    doc = {"cpu_s": 0.42, "turns": 6100, "minflt": 4020}
+    line = serve_profile.headline("scan_batch", 2000, 1.5, tally, 480, doc)
     assert line == (
         "scan_batch seed 1: 2000 measured ops in 1.50s, 2000 verified, 0 failed; "
-        "480 samples over 0.42s of child CPU (0.210 ms/op, 3.05 loop turns/op)"
+        "480 samples over 0.42s of child CPU (0.210 ms/op, 3.05 loop turns/op, "
+        "2.01 minor faults/op)"
     )

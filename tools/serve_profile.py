@@ -15,8 +15,9 @@ verifies every reply, and prints two tables over the child's Python stacks:
 Python caller).  The driver arms the sampler with ``SIGUSR1`` after the preload
 and the warm-up and disarms it with a second one after the last measured reply,
 so bring-up and shutdown are not in the sample.  While armed the child also
-counts its event loop's iterations, printed as loop turns per measured op
-beside the CPU ms/op: how many times the loop went round for one request.
+counts its event loop's iterations and its minor page faults, printed per
+measured op beside the CPU ms/op: how many times the loop went round for one
+request, and how often it touched memory the kernel had to map afresh.
 
 Sample, do not ``cProfile``, this path: per-call instrumentation inflates a
 run of many tiny calls 2.5x and mis-ranks it (it blamed ``socket.send`` for
@@ -29,6 +30,7 @@ import collections
 import json
 import os
 import pathlib
+import resource
 import runpy
 import shutil
 import signal
@@ -74,16 +76,43 @@ class LoopTurns:
         asyncio.base_events.BaseEventLoop._run_once = self._run_once
 
 
+class ArmedUsage:
+    """This process's CPU seconds and minor page faults between
+    :meth:`arm` and :meth:`disarm`, summed over every arming."""
+
+    def __init__(self) -> None:
+        self.cpu_s = 0.0
+        self.minflt = 0
+        self._at = None  # (CPU seconds, minor faults) when last armed
+
+    @staticmethod
+    def _now() -> tuple:
+        return time.process_time(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    @property
+    def armed(self) -> bool:
+        return self._at is not None
+
+    def arm(self) -> None:
+        self._at = self._now()
+
+    def disarm(self) -> None:
+        (cpu_s, minflt), self._at = self._at, None
+        now_cpu_s, now_minflt = self._now()
+        self.cpu_s += now_cpu_s - cpu_s
+        self.minflt += now_minflt - minflt
+
+
 def serve_under_sampler(out_path: str, serve_argv: list) -> int:
     """Run ``python -m repro serve_argv…`` in this process; ``SIGUSR1``
     toggles an ``ITIMER_PROF`` whose every tick records the Python stack,
-    and a :class:`LoopTurns`.  On exit ``out_path`` gets ``{"cpu_s": CPU
-    seconds spent armed, "turns": loop iterations while armed, "samples":
-    [[stack, count], …]}`` (``stack`` innermost first, frames ``[file,
-    line, name]``)."""
+    a :class:`LoopTurns` and an :class:`ArmedUsage`.  On exit ``out_path``
+    gets ``{"cpu_s": CPU seconds spent armed, "minflt": minor page faults
+    while armed, "turns": loop iterations while armed, "samples": [[stack,
+    count], …]}`` (``stack`` innermost first, frames ``[file, line,
+    name]``)."""
     samples = collections.Counter()
-    armed_at = None  # process CPU seconds when the sampler was last armed
-    cpu_s = 0.0
+    usage = ArmedUsage()
     turns = LoopTurns()
 
     def on_tick(signum, frame):
@@ -95,16 +124,14 @@ def serve_under_sampler(out_path: str, serve_argv: list) -> int:
         samples[tuple(stack)] += 1
 
     def on_toggle(signum, frame):
-        nonlocal armed_at, cpu_s
-        if armed_at is None:
-            armed_at = time.process_time()
+        if not usage.armed:
+            usage.arm()
             turns.arm()
             signal.setitimer(signal.ITIMER_PROF, INTERVAL_S, INTERVAL_S)
         else:
             signal.setitimer(signal.ITIMER_PROF, 0.0, 0.0)
             turns.disarm()
-            cpu_s += time.process_time() - armed_at
-            armed_at = None
+            usage.disarm()
 
     signal.signal(signal.SIGPROF, on_tick)
     signal.signal(signal.SIGUSR1, on_toggle)
@@ -117,7 +144,8 @@ def serve_under_sampler(out_path: str, serve_argv: list) -> int:
         signal.setitimer(signal.ITIMER_PROF, 0.0, 0.0)
         with open(out_path, "w", encoding="utf-8") as fh:
             json.dump(
-                {"cpu_s": cpu_s, "turns": turns.count, "samples": [[s, n] for s, n in samples.items()]},
+                {"cpu_s": usage.cpu_s, "minflt": usage.minflt, "turns": turns.count,
+                 "samples": [[s, n] for s, n in samples.items()]},
                 fh,
             )
     return 0
@@ -156,13 +184,15 @@ def tables(samples: list) -> tuple:
 
 def headline(workload: str, done: int, wall: float, tally, total: int, doc: dict) -> str:
     """The run's one-line summary: ops, replies verified, samples, and per
-    measured op the child's CPU ms and its event loop's turns."""
+    measured op the child's CPU ms, its event loop's turns and its minor
+    page faults."""
     per_op = max(1, done)
     return (f"{workload} seed {SEED}: {done} measured ops in {wall:.2f}s, "
             f"{tally.attempted} verified, {tally.failed} failed; "
             f"{total} samples over {doc['cpu_s']:.2f}s of child CPU "
             f"({doc['cpu_s'] * 1e3 / per_op:.3f} ms/op, "
-            f"{doc['turns'] / per_op:.2f} loop turns/op)")
+            f"{doc['turns'] / per_op:.2f} loop turns/op, "
+            f"{doc['minflt'] / per_op:.2f} minor faults/op)")
 
 
 def render(title: str, counts: collections.Counter, total: int, top: int) -> str:
