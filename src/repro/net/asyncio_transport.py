@@ -10,11 +10,11 @@ its client sink).
 * **One listener** per transport (a Unix-domain socket by default, TCP
   with ``host=``); each frame names its destination endpoint.  An
   accepted connection is a small :class:`asyncio.BufferedProtocol`
-  holding its own read buffer (:data:`_READ_BUFFER` bytes, filled in
-  place by the kernel, so a read allocates nothing), ``FrameReader`` and
-  hello state, not a reader task: the socket callback that read a frame
-  parses it, admits it and runs the pump, so a request reaches its
-  handler in that same loop turn.
+  holding its own ``FrameReader`` and hello state, not a reader task:
+  the kernel fills the transport's one read buffer (:data:`_READ_BUFFER`
+  bytes, shared by every connection, so a read allocates nothing) and
+  the socket callback that read a frame parses it, admits it and runs
+  the pump, so a request reaches its handler in that same loop turn.
 * ``send()`` is synchronous (protocol handlers call it mid-message) and
   picks the route by where the destination lives: **local endpoints** go
   onto the transport's one ready queue (next bullet); **connected
@@ -110,9 +110,13 @@ from .wire import WIRE_SCHEMA, FrameReader, WireError, decode_frame, encode_fram
 #: starving socket I/O, timers and ``drain_timeout``.
 _PUMP_BATCH = 256
 
-#: Bytes one socket read may fill: each accepted connection keeps one
-#: buffer this size, so a read allocates nothing.
-_READ_BUFFER = 64 * 1024
+#: Bytes one socket read may fill: the transport keeps one buffer this
+#: size for all its accepted connections (a read is copied into the
+#: connection's ``FrameReader`` before the next one starts), so a read
+#: allocates nothing and the listener's memory does not grow with its
+#: connections.  256 KiB is what ``asyncio.Protocol`` reads at a time, so
+#: a large frame from another group's link still arrives in one read.
+_READ_BUFFER = 256 * 1024
 
 #: The reserved endpoint hello frames are addressed to.
 CONTROL_ENDPOINT = "@transport"
@@ -154,14 +158,13 @@ class _Link:
 
 
 class _Connection(asyncio.BufferedProtocol):
-    """One accepted connection: its read buffer, frame reader and hello
-    state.  A read is parsed, admitted and pumped inside
-    :meth:`buffer_updated`."""
+    """One accepted connection: its frame reader and hello state.  A read
+    lands in the owner's read buffer and is parsed, admitted and pumped
+    inside :meth:`buffer_updated`."""
 
     def __init__(self, owner: "AsyncioTransport") -> None:
         self.owner = owner
         self.frames = FrameReader()
-        self.buffer = memoryview(bytearray(_READ_BUFFER))
         self.transport: Optional[asyncio.Transport] = None
         #: ``None`` until the hello; then whether this is another group's link.
         self.peer: Optional[bool] = None
@@ -173,12 +176,12 @@ class _Connection(asyncio.BufferedProtocol):
         self.owner._connections.add(self)
 
     def get_buffer(self, sizehint: int) -> memoryview:
-        return self.buffer
+        return self.owner._read_buffer
 
     def buffer_updated(self, nbytes: int) -> None:
         owner = self.owner
         try:
-            for env in self.frames.feed(self.buffer[:nbytes]):
+            for env in self.frames.feed(owner._read_buffer[:nbytes]):
                 if self.peer is None:
                     self.peer, self.endpoint = owner._handle_hello(env, self.transport)
                 else:
@@ -233,6 +236,8 @@ class AsyncioTransport(Transport):
         self._routes: Dict[Hashable, asyncio.Transport] = {}
         #: Accepted connections still open; :meth:`close` closes them.
         self._connections: Set[_Connection] = set()
+        #: What every accepted connection reads into (:data:`_READ_BUFFER`).
+        self._read_buffer = memoryview(bytearray(_READ_BUFFER))
         self._links: Dict[tuple, _Link] = {}
         self._resolve: Optional[Callable[[Hashable], Optional[tuple]]] = None
         self._reaper_task: Optional[asyncio.Task] = None

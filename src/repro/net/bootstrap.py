@@ -22,7 +22,11 @@ has delivered all it had, never inside ``_on_message`` — serves what is
 pending right there, so a request is answered in the loop turn that read
 it.  Only a service that must wait (a control RPC to a worker process, a
 drain longer than a pump batch, a chaos delay) goes on as a task, and
-that task serves what is admitted meanwhile, in the same rotation.  The
+that task serves what is admitted meanwhile, in the same rotation.  Until
+it first waits a service runs with no current task, so a backend must
+not reach for a task-bound timeout (``asyncio.timeout``, 3.12's
+``wait_for``) before its first suspension; once carried, a cancellation
+reaches the service at its await exactly as in any task.  The
 *run* of pending reads-by-key (``discover``, ``discover_batch``) at the
 head of that rotation is served as **one
 group under one quiescence wait**: all their keys go through the
@@ -370,7 +374,11 @@ class Broker:
         """The transport's idle callback: step the service once, so what
         is pending is served right here; a service that must wait goes on
         as the task :meth:`_carry`.  While that task exists it serves
-        everything, so this does nothing."""
+        everything, so this does nothing.  No task is current during this
+        first step, so what a backend awaits before it first suspends
+        must not need one (:meth:`MultiProcessCluster.call
+        <repro.net.procgroup.MultiProcessCluster.call>` times out with a
+        loop timer for that reason)."""
         if self._task is not None or not self._rr:
             return
         service = self._serve()
@@ -381,24 +389,28 @@ class Broker:
         self._task = asyncio.get_running_loop().create_task(self._carry(service, waiting))
 
     async def _carry(self, service, waiting) -> None:
-        """Run a suspended service to its end: wait for what it awaits
-        (``None`` is a bare yield), then resume it.  Cancelled by
-        :meth:`close`, it cancels what the service awaits and closes the
-        service."""
+        """Run a suspended service to its end, stepping it as a task steps
+        its coroutine: wait for what it awaits (``None`` is a bare yield),
+        then resume it.  A cancellation of this task — :meth:`close`, or a
+        timeout the service armed against the current task — cancels what
+        the service awaits and is thrown into the service at that await,
+        so the service's own ``try`` and timeouts see it; unless the
+        service absorbs it, it ends this task."""
         try:
             while True:
-                if waiting is None:
-                    await asyncio.sleep(0)
+                try:
+                    if waiting is None:
+                        await asyncio.sleep(0)
+                    else:
+                        await asyncio.wait([waiting])
+                except asyncio.CancelledError as exc:
+                    if waiting is not None:
+                        waiting.cancel()
+                    waiting = service.throw(exc)
                 else:
-                    await asyncio.wait([waiting])
-                waiting = service.send(None)
+                    waiting = service.send(None)
         except StopIteration:
             pass
-        except asyncio.CancelledError:
-            if waiting is not None:
-                waiting.cancel()
-            service.close()
-            raise
         finally:
             self._task = None
 

@@ -116,6 +116,12 @@ async def _frames(reader: asyncio.StreamReader) -> AsyncIterator:
         return
 
 
+def _expire(future: asyncio.Future) -> None:
+    """A control RPC's deadline: its reply future fails, unless answered."""
+    if not future.done():
+        future.set_exception(asyncio.TimeoutError())
+
+
 # ---------------------------------------------------------------------------
 # worker side
 # ---------------------------------------------------------------------------
@@ -401,17 +407,24 @@ class MultiProcessCluster(Cluster):
 
     async def call(self, group: int, op: str, *, timeout: Optional[float] = None, **body) -> dict:
         """One control RPC to group ``group``; raises :class:`ClusterError`
-        on an error reply, ``TimeoutError`` when the worker went silent."""
+        on an error reply, ``asyncio.TimeoutError`` when the worker went
+        silent.  The deadline is a loop timer on the reply future, not
+        ``asyncio.wait_for``: the broker starts a service with no current
+        task (:meth:`repro.net.bootstrap.Broker._on_idle`), where a
+        task-bound timeout raises ``RuntimeError``."""
         rid = next(self._ids)
-        future = asyncio.get_running_loop().create_future()
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
         self._pending[rid] = future
         body.update(op=op, id=rid)
         channel = self._channels[group]
         if not channel.is_closing():  # a dead worker's RPC just goes unanswered
             channel.write(_frame(body))
+        expiry = loop.call_later(timeout or self.rpc_timeout, _expire, future)
         try:
-            return await asyncio.wait_for(future, timeout or self.rpc_timeout)
+            return await future
         finally:
+            expiry.cancel()
             self._pending.pop(rid, None)
 
     # -- quiescence ---------------------------------------------------------

@@ -33,6 +33,7 @@ from repro.net.client import (
     DLPTClientTimeout,
 )
 from repro.net.cluster import LocalCluster
+from repro.net.procgroup import MultiProcessCluster
 from repro.net.serve import start_cluster
 from repro.net.wire import FrameReader, encode_frame
 
@@ -241,6 +242,69 @@ def _other_tasks():
     return asyncio.all_tasks() - {asyncio.current_task()}
 
 
+async def _replied(client, n, within=5.0):
+    """Wait, in wall-clock time, until ``client`` holds ``n`` replies."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + within
+    while len(client.replies) < n:
+        assert loop.time() < deadline, f"{len(client.replies)}/{n} replies after {within}s"
+        await asyncio.sleep(0.005)
+
+
+async def _wait_for_gate(gate, delay):
+    await asyncio.wait_for(gate, delay)
+
+
+async def _timeout_gate(gate, delay):
+    async with asyncio.timeout(delay):
+        await gate
+
+
+class _TimedOutBackend:
+    """A backend whose reads wait, under ``wait``'s timeout, on a gate
+    nobody settles — after one suspension, so the timeout is armed inside
+    the broker's task (``asyncio.timeout``, and ``wait_for`` from 3.12 on,
+    cancel the current task when they fire)."""
+
+    RETRYABLE_ERRORS = ()
+
+    def __init__(self, wait):
+        self.wait = wait
+
+    async def discover_many(self, keys, via=None):
+        await asyncio.sleep(0)
+        await self.wait(asyncio.get_running_loop().create_future(), 0.05)
+
+
+class _ClosedChannel:
+    def is_closing(self):
+        return True
+
+
+class _SilentWorkerBackend:
+    """A backend whose reads are one control RPC to a worker that never
+    answers, awaited at once — in the transport's idle callback."""
+
+    RETRYABLE_ERRORS = MultiProcessCluster.RETRYABLE_ERRORS
+
+    def __init__(self):
+        self.cluster = MultiProcessCluster(1, rpc_timeout=0.05)
+        self.cluster._channels = [_ClosedChannel()]
+        self.current_tasks = []
+
+    async def discover_many(self, keys, via=None):
+        self.current_tasks.append(asyncio.current_task())
+        return (await self.cluster.call(0, "discover_many", keys=keys))["rows"]
+
+
+async def _broker_over(backend):
+    transport = LoopbackAsyncioTransport()
+    await transport.start()
+    broker = Broker(backend, transport)
+    await broker.start()
+    return transport, broker
+
+
 class TestServiceThatMustWait:
     """The broker serves in the transport's idle callback and holds a task
     only while a service waits; what is admitted meanwhile queues behind
@@ -292,6 +356,69 @@ class TestServiceThatMustWait:
             gc.collect()
             await _turns()
             assert reported == []
+
+        asyncio.run(body())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "wait",
+        [
+            pytest.param(_wait_for_gate, id="wait_for"),
+            pytest.param(
+                _timeout_gate,
+                id="timeout",
+                marks=pytest.mark.skipif(
+                    not hasattr(asyncio, "timeout"), reason="asyncio.timeout is new in 3.11"
+                ),
+            ),
+        ],
+    )
+    def test_a_timeout_inside_it_fails_the_request_not_the_broker(self, wait):
+        """The timeout cancels the broker's task; that cancellation must
+        reach the service at its await and come out as the request's
+        ``TimeoutError``.  Closing the service instead left the request
+        unanswered and its id in flight, so every retry was absorbed."""
+
+        async def body():
+            transport, broker = await _broker_over(_TimedOutBackend(wait))
+            client = _RawClient(transport, "@a")
+            client.send(1, op="discover", key="k1")
+            await _replied(client, 1)
+            (reply,) = client.replies
+            assert reply["ok"] is False and reply["error"].startswith("TimeoutError")
+            client.send(1, op="discover", key="k1")  # a retry: the same reply
+            await _replied(client, 2)
+            assert client.replies[1] == reply
+            client.send(2, op="discover", key="k2")  # served afresh
+            await _replied(client, 3)
+            assert client.replies[2]["error"].startswith("TimeoutError")
+            assert broker._task is None and not _other_tasks()
+            await broker.close()
+            await transport.close()
+
+        asyncio.run(body())
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_control_rpc_needs_no_current_task(self):
+        """A multi-process read is a control RPC awaited in the idle
+        callback, where no task is current: a worker that never answers
+        times out into a retryable reply, not a ``RuntimeError``."""
+
+        async def body():
+            backend = _SilentWorkerBackend()
+            transport, broker = await _broker_over(backend)
+            client = _RawClient(transport, "@a")
+            client.send(1, op="discover", key="k1")
+            await _replied(client, 1)
+            client.send(1, op="discover", key="k1")  # busy is not cached: re-served
+            await _replied(client, 2)
+            assert backend.current_tasks == [None, None]
+            for reply in client.replies:
+                assert reply["busy"] and reply["error"].startswith("retry: TimeoutError")
+            assert backend.cluster._pending == {}
+            assert broker._task is None and not _other_tasks()
+            await broker.close()
+            await transport.close()
 
         asyncio.run(body())
 

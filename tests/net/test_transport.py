@@ -549,12 +549,34 @@ def _blocking_discovers(path: str, key: str, n: int) -> int:
     return found
 
 
+def _held_open_discovers(path: str, key: str, n: int) -> int:
+    """``n`` connections, each saying hello and ``discover``ing ``key``
+    once, every one held open until the last has its reply; returns how
+    many came back found."""
+    found = 0
+    chunk = memoryview(bytearray(4096))
+    with contextlib.ExitStack() as stack:
+        for i in range(n):
+            sock = stack.enter_context(socket.socket(socket.AF_UNIX))
+            sock.settimeout(10.0)
+            sock.connect(path)
+            sock.sendall(hello_frame(endpoint=f"@held-{i}"))
+            sock.sendall(_discover_frame(f"@held-{i}", 1, key))
+            frames, replies = FrameReader(), []
+            while not replies:
+                got = sock.recv_into(chunk)
+                assert got, "the server closed the connection"
+                replies = list(frames.feed(chunk[:got]))
+            found += replies[0].payload["found"]
+    return found
+
+
 @pytest.mark.net
 class TestListener:
     """An accepted connection is a protocol, not a reader task: it reads
-    into a buffer it keeps, the read callback parses, admits, pumps and —
-    through the idle callback — has the broker serve, and ``close()``
-    ends it."""
+    into the transport's one read buffer, the read callback parses,
+    admits, pumps and — through the idle callback — has the broker serve,
+    and ``close()`` ends it."""
 
     def test_accepted_connections_add_no_task(self):
         """Each accepted connection used to be a ``StreamReader`` task."""
@@ -646,9 +668,8 @@ class TestListener:
         """200 serial ``discover``s under ``tracemalloc``, after a warm-up:
         the traced peak stays under 256 KiB.  A plain ``asyncio.Protocol``
         is handed a fresh ``bytes`` of the selector transport's read size
-        (256 KiB) per read, so the peak held one of those (360 KiB); a
-        connection that reads into its own buffer allocates that buffer
-        once, when it is accepted."""
+        (256 KiB) per read, so the peak held one of those (360 KiB); the
+        transport's one read buffer is allocated with the transport."""
 
         async def body():
             transport, engine, broker = await start_cluster(8)
@@ -663,6 +684,30 @@ class TestListener:
                 tracemalloc.stop()
             assert found == 200
             assert peak < 256 * 1024, f"traced peak {peak / 1024:.0f} KiB"
+            await broker.close()
+            await transport.close()
+
+        asyncio.run(body())
+
+    def test_connections_share_one_read_buffer(self):
+        """Eight connections held open at once, one ``discover`` each,
+        under ``tracemalloc``: the listener's memory does not grow by a
+        read buffer per connection (64 KiB each, 512 KiB in all, when
+        every connection kept its own)."""
+
+        async def body():
+            transport, engine, broker = await start_cluster(4)
+            await broker.backend.register("dgemm", 1)
+            path = transport.address[1]
+            assert await asyncio.to_thread(_blocking_discovers, path, "dgemm", 5) == 5
+            tracemalloc.start()
+            try:
+                found = await asyncio.to_thread(_held_open_discovers, path, "dgemm", 8)
+                _current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert found == 8
+            assert peak < 128 * 1024, f"traced peak {peak / 1024:.0f} KiB"
             await broker.close()
             await transport.close()
 
@@ -757,8 +802,8 @@ class TestPeerToPeerSpecifics:
                 for i in range(3000)
             ),
         )
-        # An accepted connection reads _READ_BUFFER (64 KiB) at a time.
-        assert len(encode_frame("local", "remote", big)) > 4 * _READ_BUFFER
+        # An accepted connection reads _READ_BUFFER (256 KiB) at a time.
+        assert len(encode_frame("local", "remote", big)) > _READ_BUFFER
         sent = [*messages, big]
 
         async def body():

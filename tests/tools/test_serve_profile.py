@@ -71,7 +71,7 @@ def _touch_fresh_pages(size: int = 4 << 20) -> None:
 def test_minor_faults_are_counted_only_while_armed():
     usage = serve_profile.ArmedUsage()
     _touch_fresh_pages()
-    assert not usage.armed and usage.minflt == 0
+    assert usage.at is None and usage.minflt == 0
     usage.arm()
     try:
         _touch_fresh_pages()

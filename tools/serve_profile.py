@@ -83,24 +83,16 @@ class ArmedUsage:
     def __init__(self) -> None:
         self.cpu_s = 0.0
         self.minflt = 0
-        self._at = None  # (CPU seconds, minor faults) when last armed
-
-    @staticmethod
-    def _now() -> tuple:
-        return time.process_time(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-
-    @property
-    def armed(self) -> bool:
-        return self._at is not None
+        self.at = None  # (CPU seconds, minor faults) when armed; None disarmed
 
     def arm(self) -> None:
-        self._at = self._now()
+        self.at = (time.process_time(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
 
     def disarm(self) -> None:
-        (cpu_s, minflt), self._at = self._at, None
-        now_cpu_s, now_minflt = self._now()
-        self.cpu_s += now_cpu_s - cpu_s
-        self.minflt += now_minflt - minflt
+        cpu_s, minflt = self.at
+        self.cpu_s += time.process_time() - cpu_s
+        self.minflt += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt
+        self.at = None
 
 
 def serve_under_sampler(out_path: str, serve_argv: list) -> int:
@@ -124,7 +116,7 @@ def serve_under_sampler(out_path: str, serve_argv: list) -> int:
         samples[tuple(stack)] += 1
 
     def on_toggle(signum, frame):
-        if not usage.armed:
+        if usage.at is None:
             usage.arm()
             turns.arm()
             signal.setitimer(signal.ITIMER_PROF, INTERVAL_S, INTERVAL_S)
