@@ -8,13 +8,13 @@ the set of endpoints registered on one transport (its peers, its broker,
 its client sink).
 
 * **One listener** per transport (a Unix-domain socket by default, TCP
-  with ``host=``); each frame names its destination endpoint.  An
-  accepted connection is a small :class:`asyncio.BufferedProtocol`
-  holding its own ``FrameReader`` and hello state, not a reader task:
-  the kernel fills the transport's one read buffer (:data:`_READ_BUFFER`
-  bytes, shared by every connection, so a read allocates nothing) and
-  the socket callback that read a frame parses it, admits it and runs
-  the pump, so a request reaches its handler in that same loop turn.
+  with ``host=``); each frame names its destination endpoint.  Every
+  socket — accepted, dialed, or a control channel
+  (:mod:`repro.net.procgroup`) — is one :class:`asyncio.BufferedProtocol`,
+  :class:`_Connection`, never a task: the kernel fills a read buffer its
+  owner keeps (here the one :data:`_READ_BUFFER`, so a read allocates
+  nothing) and the socket callback that read a frame parses, admits and
+  pumps it, so a request reaches its handler in that same loop turn.
 * ``send()`` is synchronous (protocol handlers call it mid-message) and
   picks the route by where the destination lives: **local endpoints** go
   onto the transport's one ready queue (next bullet); **connected
@@ -22,11 +22,13 @@ its client sink).
   a private reply endpoint) get the frame written back over their
   connection; **everything else** resolves through the
   ``set_resolve(endpoint -> address)`` callback to another group's
-  listener and travels over a cached link — **lazy dial** on first use,
-  **idle reap** after ``idle_timeout`` silent seconds (the next frame
-  redials), **reconnect with backoff** (the shared
-  :class:`~repro.net.policy.RetryPolicy`; when the dial budget is
-  exhausted the queued frames count dropped, never wedged).  An
+  listener and travels over a cached link: **lazy dial** on first use
+  (the transport's only task, held while it dials), **reconnect with
+  backoff** (the shared :class:`~repro.net.policy.RetryPolicy`; an
+  exhausted dial budget counts the queued frames dropped, never wedged),
+  **one write per link per loop turn** (``send`` encodes and queues the
+  frame; one flush writes the turn's frames), **idle reap** after
+  ``idle_timeout`` silent seconds (a timer; the next frame redials).  An
   undecodable inbound frame ends the connection it came over: from
   another group's link it is recorded in ``errors`` (the next ``drain()``
   raises it), from a client it is only counted (``client_wire_errors``)
@@ -94,7 +96,6 @@ from __future__ import annotations
 
 import asyncio
 import collections
-import functools
 import os
 import tempfile
 import zlib
@@ -111,10 +112,10 @@ from .wire import WIRE_SCHEMA, FrameReader, WireError, decode_frame, encode_fram
 _PUMP_BATCH = 256
 
 #: Bytes one socket read may fill: the transport keeps one buffer this
-#: size for all its accepted connections (a read is copied into the
-#: connection's ``FrameReader`` before the next one starts), so a read
-#: allocates nothing and the listener's memory does not grow with its
-#: connections.  256 KiB is what ``asyncio.Protocol`` reads at a time, so
+#: size for all its connections (a read is copied into the connection's
+#: ``FrameReader`` before the next one starts), so a read allocates
+#: nothing and the listener's memory does not grow with its connections.
+#: 256 KiB is what ``asyncio.Protocol`` reads at a time, so
 #: a large frame from another group's link still arrives in one read.
 _READ_BUFFER = 256 * 1024
 
@@ -144,68 +145,44 @@ def hello_frame(**fields: Any) -> bytes:
     )
 
 
-class _Link:
-    """One cached outbound connection: an outbox and its writer task."""
-
-    __slots__ = ("address", "outbox", "task", "last_used", "writer")
-
-    def __init__(self, address: tuple, loop: asyncio.AbstractEventLoop) -> None:
-        self.address = address
-        self.outbox: asyncio.Queue = asyncio.Queue()
-        self.task: Optional[asyncio.Task] = None
-        self.last_used: float = loop.time()
-        self.writer: Optional[asyncio.StreamWriter] = None
+def _nothing(*_args: Any) -> None:
+    """A role callback with nothing to do (a link's reads: nobody writes on one)."""
 
 
 class _Connection(asyncio.BufferedProtocol):
-    """One accepted connection: its frame reader and hello state.  A read
-    lands in the owner's read buffer and is parsed, admitted and pumped
-    inside :meth:`buffer_updated`."""
+    """One socket the runtime owns — accepted, dialed as a link, or a
+    control channel (:mod:`repro.net.procgroup`).  A read lands in
+    ``buffer``, which the owner keeps; its frames go to the role's
+    ``on_frames(conn, frames)`` in the callback that read them, and
+    ``on_made(conn)`` / ``on_lost(conn, exc)`` hear it open and close."""
 
-    def __init__(self, owner: "AsyncioTransport") -> None:
-        self.owner = owner
-        self.frames = FrameReader()
+    def __init__(self, buffer: memoryview, on_frames, on_lost, on_made=_nothing) -> None:
+        self.buffer, self.frames = buffer, FrameReader()
+        self.on_frames, self.on_lost, self.on_made = on_frames, on_lost, on_made
         self.transport: Optional[asyncio.Transport] = None
-        #: ``None`` until the hello; then whether this is another group's link.
+        #: Accepted: ``None`` until the hello, then whether another group
+        #: dialed it; and the endpoint a client's hello named, its only name.
         self.peer: Optional[bool] = None
-        #: The endpoint a client's hello named: the only one it speaks as.
         self.endpoint: Optional[str] = None
+        #: A link: the listener it reaches, its dial task (``None`` once it
+        #: is up), the frames queued on it this loop turn, its last send.
+        self.address: Optional[tuple] = None
+        self.dial: Optional[asyncio.Task] = None
+        self.queued: list = []
+        self.last_used = 0.0
 
     def connection_made(self, transport: asyncio.Transport) -> None:
         self.transport = transport
-        self.owner._connections.add(self)
+        self.on_made(self)
 
     def get_buffer(self, sizehint: int) -> memoryview:
-        return self.owner._read_buffer
+        return self.buffer
 
     def buffer_updated(self, nbytes: int) -> None:
-        owner = self.owner
-        try:
-            for env in self.frames.feed(owner._read_buffer[:nbytes]):
-                if self.peer is None:
-                    self.peer, self.endpoint = owner._handle_hello(env, self.transport)
-                else:
-                    owner._ingress(env, self)
-        except WireError as exc:
-            if self.peer:
-                owner.errors.append(exc)
-            else:
-                # A client's (or a stranger's) garbage, or a frame it sent
-                # past the broker or under another name, is that
-                # connection's own failure: it is closed and counted, and
-                # nobody else's drain() hears of it.
-                owner.client_wire_errors += 1
-            self.transport.close()
-        finally:
-            owner._pump()
+        self.on_frames(self, self.frames.feed(self.buffer[:nbytes]))
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
-        owner = self.owner
-        owner._connections.discard(self)
-        # A reconnected client's hello may have re-routed its endpoint to
-        # the new connection already.
-        if self.endpoint is not None and owner._routes.get(self.endpoint) is self.transport:
-            del owner._routes[self.endpoint]
+        self.on_lost(self, exc)
 
 
 class AsyncioTransport(Transport):
@@ -236,11 +213,11 @@ class AsyncioTransport(Transport):
         self._routes: Dict[Hashable, asyncio.Transport] = {}
         #: Accepted connections still open; :meth:`close` closes them.
         self._connections: Set[_Connection] = set()
-        #: What every accepted connection reads into (:data:`_READ_BUFFER`).
+        #: What every connection reads into (:data:`_READ_BUFFER`).
         self._read_buffer = memoryview(bytearray(_READ_BUFFER))
-        self._links: Dict[tuple, _Link] = {}
+        #: address -> the link cached for it, dialing or up.
+        self._links: Dict[tuple, _Connection] = {}
         self._resolve: Optional[Callable[[Hashable], Optional[tuple]]] = None
-        self._reaper_task: Optional[asyncio.Task] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._t0 = 0.0
         self._server: Optional[asyncio.AbstractServer] = None
@@ -316,7 +293,29 @@ class AsyncioTransport(Transport):
         if address is None or address == self.address:
             self.messages_dead_lettered += 1
             return
-        self._link_to(address).outbox.put_nowait(env)
+        frame = self._encode(src, dst, payload)
+        if frame is None:
+            return
+        link = self._links.get(address)
+        if link is None:
+            link = _Connection(self._read_buffer, _nothing, self._on_link_lost)
+            link.address = address
+            link.dial = self._loop.create_task(self._dial(link))
+            self._links[address] = link
+        link.last_used = self._loop.time()
+        if not link.queued and link.dial is None:
+            self._loop.call_soon(self._flush, link)
+        link.queued.append(frame)
+
+    def _encode(self, src: Hashable, dst: Hashable, payload: Any) -> Optional[bytes]:
+        """The message's frame; ``None`` when the codec refuses it: the
+        message counts dropped and the error waits for :meth:`drain`."""
+        try:
+            return encode_frame(src, dst, payload)
+        except WireError as exc:
+            self.messages_dropped += 1
+            self.errors.append(exc)
+            return None
 
     def _deliver_to_client(self, env: Envelope) -> bool:
         """Write ``env`` to the connection of the client that introduced
@@ -325,13 +324,10 @@ class AsyncioTransport(Transport):
         route = self._routes.get(env.dst)
         if route is None:
             return False
-        try:
-            route.write(encode_frame(env.src, env.dst, env.payload))
-        except WireError as exc:
-            self.errors.append(exc)
-            self.messages_dropped += 1
-            return True
-        self.messages_delivered += 1
+        frame = self._encode(env.src, env.dst, env.payload)
+        if frame is not None:
+            route.write(frame)
+            self.messages_delivered += 1
         return True
 
     def _enqueue(self, env: Envelope) -> None:
@@ -385,17 +381,9 @@ class AsyncioTransport(Transport):
 
     # -- outbound links ----------------------------------------------------
 
-    def _link_to(self, address: tuple) -> _Link:
-        link = self._links.get(address)
-        if link is None:
-            link = _Link(address, self._loop)
-            self._links[address] = link
-            link.task = self._loop.create_task(self._run_link(link))
-        link.last_used = self._loop.time()
-        return link
-
-    async def _run_link(self, link: _Link) -> None:
-        """Dial (with backoff), then pump the link's outbox onto the wire."""
+    async def _dial(self, link: _Connection) -> None:
+        """Connect ``link`` with backoff (or forget it), then say hello,
+        write what queued meanwhile and arm the idle reap."""
         # Seeded per (own, destination) address so two groups redialing
         # the same dead peer desynchronize from each other.
         policy = RetryPolicy(
@@ -403,81 +391,89 @@ class AsyncioTransport(Transport):
             backoff=self.dial_backoff,
             seed=zlib.crc32(repr((self.address, link.address)).encode("utf-8")),
         )
+        kind, *where = link.address
+        loop = self._loop
+        connect = loop.create_connection if kind == "tcp" else loop.create_unix_connection
         for attempt in range(self.dial_retries + 1):
             try:
-                _reader, writer = await dial(link.address)
+                await connect(lambda: link, *where)
                 break
             except OSError as exc:
                 if attempt == self.dial_retries:
-                    self._fail_link(link, exc)
-                    return
+                    link.dial = None
+                    return self._forget(link, exc)
                 await asyncio.sleep(policy.delay(attempt + 1))
-        link.writer = writer
+        link.dial = None
         self.links_dialed += 1
-        writer.write(hello_frame(kind="peer"))
-        try:
-            while True:
-                env = await link.outbox.get()
-                try:
-                    frame = encode_frame(env.src, env.dst, env.payload)
-                except WireError as exc:
-                    self.messages_dropped += 1
-                    self.errors.append(exc)
-                    continue
-                writer.write(frame)
-                await writer.drain()
-                self.messages_delivered += 1
-                self.frames_out += 1
-        except (ConnectionError, OSError) as exc:
-            self._fail_link(link, exc)
-        finally:
-            writer.close()
+        link.transport.write(hello_frame(kind="peer"))
+        loop.call_later(self.idle_timeout, self._reap, link)
+        self._flush(link)
 
-    def _fail_link(self, link: _Link, exc: BaseException) -> None:
-        """The link is unusable: count its queued frames dropped, forget it
-        (a later send re-dials from scratch), and surface the error."""
-        self.errors.append(exc)
-        self._drop_queued(link)
-        self._links.pop(link.address, None)
+    def _flush(self, link: _Connection) -> None:
+        """Write what ``link`` queued this loop turn, in one call.  A link
+        that is closing (the other group hung up, or this write failed)
+        keeps its frames: ``connection_lost`` follows and drops them."""
+        queued, transport = link.queued, link.transport
+        if queued and not transport.is_closing():
+            transport.writelines(queued)
+            if not transport.is_closing():
+                link.queued = []
+                self.messages_delivered += len(queued)
+                self.frames_out += len(queued)
 
-    def _drop_queued(self, link: _Link) -> None:
-        """The wire contract for a dead connection: its queued frames
-        count dropped."""
-        while not link.outbox.empty():
-            link.outbox.get_nowait()
-            self.messages_dropped += 1
+    def _reap(self, link: _Connection) -> None:
+        """A link's idle timer: forget it after ``idle_timeout`` silent
+        seconds (the next frame redials), or re-arm for the time left."""
+        if self._links.get(link.address) is not link:
+            return
+        idle = self._loop.time() - link.last_used
+        if idle < self.idle_timeout:
+            self._loop.call_later(self.idle_timeout - idle, self._reap, link)
+        else:
+            self.links_reaped += 1
+            self._forget(link)
 
-    def _sever(self, link: _Link) -> None:
-        """Tear an (already forgotten) link down without recording an error."""
-        if link.task is not None:
-            link.task.cancel()
-        self._drop_queued(link)
-        if link.writer is not None:
-            link.writer.close()
+    def _on_link_lost(self, link: _Connection, exc: Optional[Exception]) -> None:
+        """A cached link closed under us: a failure if it says so or cost
+        frames; a link the other group closed while idle is just gone."""
+        if self._links.get(link.address) is link:
+            if exc is None and link.queued:
+                exc = ConnectionResetError(f"link to {link.address!r} closed by its peer")
+            self._forget(link, exc)
+
+    def _forget(self, link: _Connection, exc: Optional[BaseException] = None) -> None:
+        """The one way a link ends: un-cache it (the next send re-dials),
+        count its queued frames dropped — the wire contract for a dead
+        connection — cancel its dial, close it (what was written still
+        flushes), and record ``exc``, a failure the link hit by itself."""
+        if self._links.get(link.address) is link:
+            del self._links[link.address]
+        self.messages_dropped += len(link.queued)
+        link.queued = []
+        if link.dial is not None:
+            link.dial.cancel()
+        if link.transport is not None:
+            link.transport.close()
+        if exc is not None:
+            self.errors.append(exc)
 
     def kill_link(self, dst: Hashable) -> bool:
         """Sever the cached link under ``dst`` mid-flight (chaos's
-        connection-kill fault).  Queued frames count dropped —
-        the wire contract for a dead connection — but no error is
-        recorded: a kill is an injected fault, not a transport defect, and
-        the next send to the address re-dials from scratch.  Returns
-        whether a link was actually severed."""
+        connection-kill fault): its queued frames count dropped, but no
+        error is recorded — a kill is an injected fault, not a transport
+        defect.  Returns whether a link was actually severed."""
         address = self._resolve(dst) if self._resolve is not None else None
-        if address is None:
-            return False
-        link = self._links.pop(address, None)
-        if link is None:
-            return False
-        self._sever(link)
-        return True
+        link = self._links.get(address)
+        if link is not None:
+            self._forget(link)
+        return link is not None
 
     def reset_links(self) -> None:
         """Forget every cached outbound link (supervisor recovery: peers
         may have respawned at new addresses).  Queued frames count
         dropped; subsequent sends re-resolve and re-dial."""
         for link in list(self._links.values()):
-            self._sever(link)
-        self._links.clear()
+            self._forget(link)
 
     def reset_accounting(self) -> None:
         """Zero the message/frame counters: a fresh accounting epoch.
@@ -494,30 +490,51 @@ class AsyncioTransport(Transport):
         self.frames_out = 0
         self.frames_in = 0
 
-    async def _reap_idle(self) -> None:
-        period = max(self.idle_timeout / 4, 0.01)
-        while True:
-            await asyncio.sleep(period)
-            now = self._loop.time()
-            for address, link in list(self._links.items()):
-                if (
-                    link.outbox.empty()
-                    and now - link.last_used > self.idle_timeout
-                    and link.task is not None
-                ):
-                    link.task.cancel()
-                    self._links.pop(address, None)
-                    self.links_reaped += 1
-
     # -- listener side -----------------------------------------------------
 
-    def _handle_hello(
-        self, env: Envelope, route: asyncio.Transport
-    ) -> Tuple[bool, Optional[str]]:
-        """First frame of every connection (:func:`hello_frame`).  A named
-        ``endpoint`` (a client's private reply sink) becomes routable back
-        over ``route``; returns whether the connection is another group's
-        link rather than a client, and the endpoint."""
+    def _accept(self) -> _Connection:
+        return _Connection(self._read_buffer, self._on_frames, self._on_lost, self._on_made)
+
+    def _on_made(self, conn: _Connection) -> None:
+        if self._started:
+            self._connections.add(conn)
+        else:  # accepted while close() ran: nothing is read from it
+            conn.transport.close()
+
+    def _on_frames(self, conn: _Connection, frames) -> None:
+        """An accepted connection's read: its hello, then frames admitted
+        by :meth:`_ingress`; the pump runs before the callback returns."""
+        try:
+            for env in frames:
+                if conn.peer is None:
+                    self._handle_hello(env, conn)
+                else:
+                    self._ingress(env, conn)
+        except WireError as exc:
+            if conn.peer:
+                self.errors.append(exc)
+            else:
+                # A client's (or a stranger's) garbage, or a frame it sent
+                # past the broker or under another name, is that
+                # connection's own failure: it is closed and counted, and
+                # nobody else's drain() hears of it.
+                self.client_wire_errors += 1
+            conn.transport.close()
+        finally:
+            self._pump()
+
+    def _on_lost(self, conn: _Connection, exc: Optional[Exception]) -> None:
+        self._connections.discard(conn)
+        # A reconnected client's hello may have re-routed its endpoint to
+        # the new connection already.
+        if conn.endpoint is not None and self._routes.get(conn.endpoint) is conn.transport:
+            del self._routes[conn.endpoint]
+
+    def _handle_hello(self, env: Envelope, conn: _Connection) -> None:
+        """First frame of every accepted connection (:func:`hello_frame`):
+        it says whether ``conn`` is another group's link rather than a
+        client, and a named ``endpoint`` (a client's private reply sink)
+        becomes routable back over it."""
         payload = env.payload
         if (
             env.dst != CONTROL_ENDPOINT
@@ -529,8 +546,8 @@ class AsyncioTransport(Transport):
         if endpoint is not None:
             if not isinstance(endpoint, str):
                 raise WireError(f"a hello's endpoint must be a string, got {endpoint!r}")
-            self._routes[endpoint] = route
-        return payload.get("kind") == "peer", endpoint
+            self._routes[endpoint] = conn.transport
+        conn.peer, conn.endpoint = payload.get("kind") == "peer", endpoint
 
     def _ingress(self, env: Envelope, conn: _Connection) -> None:
         """One inbound frame enters this group's accounting domain and the
@@ -577,18 +594,16 @@ class AsyncioTransport(Transport):
             return
         self._loop = loop = asyncio.get_running_loop()
         self._t0 = loop.time()
-        accept = functools.partial(_Connection, self)
         if self._use_tcp:
-            self._server = await loop.create_server(accept, self._host, self._port)
+            self._server = await loop.create_server(self._accept, self._host, self._port)
             sockname = self._server.sockets[0].getsockname()
             self.address = ("tcp", sockname[0], sockname[1])
         else:
             if self._path is None:
                 self._tempdir = tempfile.mkdtemp(prefix="repro-net-")
                 self._path = os.path.join(self._tempdir, "dlpt.sock")
-            self._server = await loop.create_unix_server(accept, path=self._path)
+            self._server = await loop.create_unix_server(self._accept, path=self._path)
             self.address = ("unix", self._path)
-        self._reaper_task = self._loop.create_task(self._reap_idle())
         self._started = True
 
     async def close(self) -> None:
@@ -597,20 +612,21 @@ class AsyncioTransport(Transport):
         # once close() has begun: its client sees end-of-file.
         for conn in list(self._connections):
             conn.transport.close()
-        tasks = [self._reaper_task, *(link.task for link in self._links.values())]
+        dials = [link.dial for link in self._links.values() if link.dial is not None]
         self.reset_links()
         # Like a dead link's queue: what was still to be delivered here
         # counts dropped, and the pump callback finds nothing to do.
         self.messages_dropped += len(self._ready)
         self._ready.clear()
-        tasks = [t for t in tasks if t]
-        for task in tasks:
-            task.cancel()
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
-        self._reaper_task = None
+        await asyncio.gather(*dials, return_exceptions=True)
         self._routes.clear()
         if self._server is not None:
+            # Accept nothing new, and give an accept under way the turn it
+            # needs to attach before the server closes (a later one leaks
+            # its socket); :meth:`_on_made` then closes its connection.
+            for sock in self._server.sockets:
+                self._loop.remove_reader(sock.fileno())
+            await asyncio.sleep(0)
             self._server.close()
             await self._server.wait_closed()
             self._server = None
@@ -669,13 +685,9 @@ class LoopbackAsyncioTransport(AsyncioTransport):
         if not self._started:
             raise TransportError("transport is not started")
         self.messages_sent += 1
-        try:
-            frame = encode_frame(src, dst, payload)
-        except WireError as exc:
-            self.messages_dropped += 1
-            self.errors.append(exc)
-            return
-        self._enqueue(decode_frame(frame))
+        frame = self._encode(src, dst, payload)
+        if frame is not None:
+            self._enqueue(decode_frame(frame))
 
     async def start(self) -> None:
         if self._started:

@@ -23,11 +23,12 @@ Topology and addressing:
   ``@sync-i`` and its engine's private client endpoint ``@client-gi`` so
   discovery/query replies route back to the issuing process.
 * **Control channel** — the coordinator reaches worker ``i`` over the
-  ``multiprocessing.Pipe()`` it was spawned with, as asyncio streams of
-  ``repro-wire/1`` JSON frames: the worker's listener address, then
-  ``{"op", "id", …}`` requests and ``{"id", "ok", …}`` replies.  No
-  transport carries them, so a transport counts every message; closing
-  the channel stops the worker.
+  ``multiprocessing.Pipe()`` it was spawned with: a ``_Connection`` at
+  each end, read in its callback (no task), carrying ``repro-wire/1``
+  JSON frames — the worker's listener address, then ``{"op", "id", …}``
+  requests and ``{"id", "ok", …}`` replies.  No transport carries them,
+  so a transport counts every message; closing the channel stops the
+  worker.
 * **Locator replication** — every node install fires the engine's
   ``on_node_installed`` hook, which broadcasts ``{label, host}`` to the
   other groups' ``@sync`` endpoints as ordinary *data* frames: global
@@ -45,18 +46,19 @@ polling cannot keep the cluster awake.
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import multiprocessing
 import os
 import socket
-from typing import AsyncIterator, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..dlpt.messages import Envelope
 from ..dlpt.protocol import ProtocolEngine
-from .asyncio_transport import AsyncioTransport
+from .asyncio_transport import AsyncioTransport, _Connection
 from .cluster import STEPS, Cluster, ClusterError, EngineGroup, group_of
 from .transport import TransportError
-from .wire import FrameReader, encode_frame
+from .wire import encode_frame
 
 #: How long :meth:`MultiProcessCluster.drain` waits for global quiescence.
 DRAIN_TIMEOUT = 60.0
@@ -92,28 +94,20 @@ def _make_resolver(n_groups: int, groups: List[tuple]):
     return resolve
 
 
-async def _open_channel(conn) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-    """Asyncio streams over one end of a ``multiprocessing.Pipe()`` (a
-    UNIX socketpair); the connection hands its descriptor over and closes."""
+async def _open_channel(conn, on_frames, on_lost) -> asyncio.Transport:
+    """A ``_Connection`` with a 64 KiB read buffer of its own over one end
+    of a ``multiprocessing.Pipe()`` (a UNIX socketpair); the pipe hands
+    its descriptor over and closes."""
     sock = socket.socket(fileno=os.dup(conn.fileno()))
     conn.close()
-    return await asyncio.open_unix_connection(sock=sock)
+    channel = _Connection(memoryview(bytearray(1 << 16)), on_frames, on_lost)
+    loop = asyncio.get_running_loop()
+    return (await loop.create_unix_connection(lambda: channel, sock=sock))[0]
 
 
 def _frame(payload) -> bytes:
     """One channel frame (a channel joins two parties: no endpoints)."""
     return encode_frame(None, None, payload)
-
-
-async def _frames(reader: asyncio.StreamReader) -> AsyncIterator:
-    """The payloads of the frames arriving on a channel, until it closes."""
-    frames = FrameReader()
-    try:
-        while chunk := await reader.read(1 << 16):
-            for env in frames.feed(chunk):
-                yield env.payload
-    except ConnectionError:
-        return
 
 
 def _expire(future: asyncio.Future) -> None:
@@ -156,18 +150,24 @@ class _Worker(EngineGroup):
 
     # -- control RPCs -------------------------------------------------------
 
-    def serve(self, request: dict) -> bytes:
-        """Run one control RPC; returns its framed reply — the step's
-        result, or the error it raised (an unencodable result included)."""
-        body = dict(request)
-        rid = body.pop("id", None)
-        op = body.pop("op", None)
-        try:
-            if op not in self.OPS:
-                raise ClusterError(f"unknown control op {op!r}")
-            return _frame({"id": rid, "ok": True, **(getattr(self, op)(**body) or {})})
-        except Exception as exc:
-            return _frame({"id": rid, "ok": False, "error": f"{type(exc).__name__}: {exc}"})
+    def serve(self, channel, requests) -> None:
+        """Run the control RPCs one channel read carried.  Each framed
+        reply — the step's result, or the error it raised (an unencodable
+        result included) — is written a callback later, behind the
+        delivery pump its step armed, so the counter poll that follows it
+        finds that local cascade run."""
+        loop = asyncio.get_running_loop()
+        for env in requests:
+            body = dict(env.payload)
+            rid = body.pop("id", None)
+            op = body.pop("op", None)
+            try:
+                if op not in self.OPS:
+                    raise ClusterError(f"unknown control op {op!r}")
+                reply = _frame({"id": rid, "ok": True, **(getattr(self, op)(**body) or {})})
+            except Exception as exc:
+                reply = _frame({"id": rid, "ok": False, "error": f"{type(exc).__name__}: {exc}"})
+            loop.call_soon(channel.transport.write, reply)
 
     def counters(self) -> dict:
         """The shared counters plus this group's inter-group frame totals
@@ -211,7 +211,6 @@ class _Worker(EngineGroup):
 
 
 async def _worker_async(index: int, n_groups: int, conn, chaos=None) -> None:
-    reader, writer = await _open_channel(conn)
     transport = AsyncioTransport()
     await transport.start()
     if chaos is not None:
@@ -226,17 +225,15 @@ async def _worker_async(index: int, n_groups: int, conn, chaos=None) -> None:
     worker = _Worker(index, n_groups, engine)
     engine.on_node_installed = worker.broadcast_install
     transport.register(f"{SYNC_PREFIX}{index}", worker.on_sync)
-    writer.write(_frame(list(transport.address)))
-    loop = asyncio.get_running_loop()
+    closed = asyncio.Event()
+    channel = await _open_channel(conn, worker.serve, lambda _channel, _exc: closed.set())
+    channel.write(_frame(list(transport.address)))
     try:
-        # Serve until the coordinator closes the channel (or dies).  A
-        # reply leaves behind the delivery pump its step armed, so the
-        # counter poll that follows it finds that local cascade run.
-        async for request in _frames(reader):
-            loop.call_soon(writer.write, worker.serve(request))
+        # Serve until the coordinator closes the channel (or dies).
+        await closed.wait()
     finally:
         await transport.close()
-        writer.close()
+        channel.close()
 
 
 def _worker_main(index: int, n_groups: int, conn, chaos=None) -> None:
@@ -306,10 +303,8 @@ class MultiProcessCluster(Cluster):
         self._recovering = False
         self._ctx = None
         self._procs: list = []
-        #: Per group: the coordinator's end of its control channel and the
-        #: task reading that worker's frames.
-        self._channels: List[Optional[asyncio.StreamWriter]] = []
-        self._listeners: List[Optional[asyncio.Task]] = []
+        #: Per group: the coordinator's end of its control channel.
+        self._channels: List[Optional[asyncio.Transport]] = []
         self._groups: List[Optional[tuple]] = []
         self._supervise_task: Optional[asyncio.Task] = None
         self._ids = itertools.count(1)
@@ -330,33 +325,30 @@ class MultiProcessCluster(Cluster):
         proc.start()
         child_conn.close()
         self._procs[index] = proc
-        reader, self._channels[index] = await _open_channel(parent_conn)
-        loop = asyncio.get_running_loop()
-        address = loop.create_future()
-        self._listeners[index] = loop.create_task(
-            self._listen(index, reader, self._channels[index], address)
+        address = asyncio.get_running_loop().create_future()
+        died = ClusterError(f"worker {index} died during startup")
+        self._channels[index] = await _open_channel(
+            parent_conn,
+            functools.partial(self._on_replies, address),
+            lambda _channel, _exc: address.done() or address.set_exception(died),
         )
         return address
 
-    async def _listen(self, index: int, reader, writer, address: asyncio.Future) -> None:
-        """Read one worker's channel — its address, then the replies to
-        :meth:`call` — until it closes."""
-        try:
-            async for payload in _frames(reader):
-                if not address.done():
-                    address.set_result(tuple(payload))
-                    continue
-                future = self._pending.pop(payload.get("id"), None)
-                if future is None or future.done():
-                    continue
-                if payload.get("ok"):
-                    future.set_result(payload)
-                else:
-                    future.set_exception(ClusterError(payload.get("error", "unknown error")))
-        finally:
-            writer.close()
+    def _on_replies(self, address: asyncio.Future, channel, frames) -> None:
+        """A read of one worker's channel: its address, then the replies
+        to :meth:`call`."""
+        for env in frames:
+            payload = env.payload
             if not address.done():
-                address.set_exception(ClusterError(f"worker {index} died during startup"))
+                address.set_result(tuple(payload))
+                continue
+            future = self._pending.pop(payload.get("id"), None)
+            if future is None or future.done():
+                continue
+            if payload.get("ok"):
+                future.set_result(payload)
+            else:
+                future.set_exception(ClusterError(payload.get("error", "unknown error")))
 
     async def _introduce(self, addresses: Dict[int, asyncio.Future]) -> None:
         """Await the listener addresses of (re)spawned workers, then hand
@@ -370,7 +362,6 @@ class MultiProcessCluster(Cluster):
         self._ctx = multiprocessing.get_context("spawn")
         self._procs = [None] * self.n_groups
         self._channels = [None] * self.n_groups
-        self._listeners = [None] * self.n_groups
         self._groups = [None] * self.n_groups
         await self._introduce({index: await self._spawn(index) for index in range(self.n_groups)})
         if self.supervise:
@@ -383,15 +374,13 @@ class MultiProcessCluster(Cluster):
             self._supervise_task.cancel()
             await asyncio.gather(self._supervise_task, return_exceptions=True)
             self._supervise_task = None
-        # End-of-file on its channel stops a worker.  Aborting closes the
-        # socket at once (an unsent request is moot) and so ends the
-        # channel's reader — before the blocking joins below.
+        # End-of-file on its channel stops a worker.  Aborting drops an
+        # unsent request (it is moot) and closes the socket in the next
+        # loop turn, which must come before the blocking joins below.
         for channel in self._channels:
             if channel is not None:
-                channel.transport.abort()
-        await asyncio.gather(
-            *(task for task in self._listeners if task is not None), return_exceptions=True
-        )
+                channel.abort()
+        await asyncio.sleep(0)
         for proc in self._procs:
             if proc is None:
                 continue
@@ -401,7 +390,6 @@ class MultiProcessCluster(Cluster):
                 proc.join(timeout=5.0)
         self._procs.clear()
         self._channels.clear()
-        self._listeners.clear()
 
     # -- control RPC --------------------------------------------------------
 
@@ -546,8 +534,7 @@ class MultiProcessCluster(Cluster):
                 if proc.is_alive():  # hung, not dead: replace it anyway
                     proc.terminate()
                 proc.join(timeout=5.0)
-                self._channels[index].transport.abort()  # ends its reader too
-                await asyncio.gather(self._listeners[index], return_exceptions=True)
+                self._channels[index].abort()
             # Every group is reset, survivors included: their links still
             # point at the dead processes, and frames already written to
             # those can never be matched by an ingress, so the old

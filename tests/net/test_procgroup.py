@@ -245,6 +245,40 @@ class TestControlChannel:
 
         asyncio.run(body())
 
+    def test_a_started_cluster_holds_no_task(self):
+        """A channel is a protocol whose read callback settles the replies:
+        the coordinator used to keep one reader task per worker."""
+
+        async def body():
+            cluster = MultiProcessCluster(processes=2)
+            await cluster.start()
+            try:
+                for pid in ("pa", "pd"):
+                    await cluster.join(pid)
+                assert (await cluster.register("dgemm"))["host"] is not None
+                assert asyncio.all_tasks() == {asyncio.current_task()}
+            finally:
+                await cluster.close()
+
+        asyncio.run(body())
+
+    def test_close_stops_the_workers_by_end_of_file(self):
+        """``close()`` aborts the channels and lets the sockets close
+        before it blocks in ``join``: every worker reads end-of-file and
+        exits cleanly at once, instead of being terminated 5 s later."""
+
+        async def body():
+            cluster = MultiProcessCluster(processes=2)
+            await cluster.start()
+            procs = list(cluster._procs)
+            loop = asyncio.get_running_loop()
+            t0 = loop.time()
+            await cluster.close()
+            assert loop.time() - t0 < 2.0
+            assert [proc.exitcode for proc in procs] == [0, 0]
+
+        asyncio.run(body())
+
     def test_a_worker_dying_before_its_address_fails_start_at_once(self, tmp_path, monkeypatch):
         """Nothing is polled for and no timeout is waited out: the dead
         worker's channel reaches end-of-file.  Provoked with a temp dir

@@ -914,6 +914,79 @@ class TestPeerToPeerSpecifics:
 
         asyncio.run(body())
 
+    def test_a_kill_drops_what_this_loop_turn_queued(self):
+        """Frames sent in the turn of a kill were never written: they
+        count dropped, the frames sent before and after it arrive, and
+        no error is recorded.  (The kill test above sends one frame per
+        turn, so it never has a frame queued when it kills.)"""
+
+        async def body():
+            a, b = await self._pair()
+            got = []
+            b.register("remote", lambda env: got.append(env.payload.datum))
+            a.send("x", "remote", _msg(0))
+            await _poll(lambda: got == [0])
+            for n in range(1, 6):
+                a.send("x", "remote", _msg(n))
+            assert a.kill_link("remote") is True
+            assert a.messages_dropped == 5
+            a.send("x", "remote", _msg(6))
+            await a.drain()
+            await _poll(lambda: b.frames_in == 2)
+            await b.drain()
+            assert got == [0, 6]
+            assert a.errors == [] and b.errors == []
+            assert a.messages_sent == 7 == a.messages_delivered + a.messages_dropped
+            assert a.in_flight == 0 == b.in_flight
+            assert a.frames_out == 2 == b.frames_in
+            await a.close()
+            await b.close()
+
+        asyncio.run(body())
+
+    def test_a_link_the_other_group_closed_fails_drain_without_wedging_it(self):
+        """``b`` closes under a live link, then ``a`` sends three frames.
+        The first used to be neither delivered nor dropped — its write
+        failed inside the link's task, after it left the outbox — so
+        ``drain()`` waited out ``drain_timeout`` with one message in flight
+        and never raised the ``ConnectionResetError`` it held."""
+
+        async def body():
+            a, b = await self._pair(drain_timeout=2.0, dial_retries=2)
+            got = []
+            b.register("remote", lambda env: got.append(env.payload.datum))
+            a.send("x", "remote", _msg(0))
+            await _poll(lambda: got == [0])
+            await b.close()
+            for n in range(1, 4):
+                a.send("x", "remote", _msg(n))
+            with pytest.raises(TransportError, match="during drain"):
+                await a.drain()
+            assert a.in_flight == 0
+            assert got == [0]
+            await a.close()
+
+        asyncio.run(body())
+
+    def test_a_live_idle_link_holds_no_task(self):
+        """A link used to be a task draining its outbox, and each transport
+        kept an idle-reaper task: four tasks for this pair.  Now a link is
+        a protocol and its reap a timer; only a dial in progress is a task."""
+
+        async def body():
+            a, b = await self._pair()
+            got = []
+            b.register("remote", lambda env: got.append(env.payload.datum))
+            a.send("x", "remote", _msg(1))
+            await a.drain()
+            await _poll(lambda: got == [1])
+            assert a.links_dialed == 1 and a._links
+            assert asyncio.all_tasks() == {asyncio.current_task()}
+            await a.close()
+            await b.close()
+
+        asyncio.run(body())
+
     def test_reset_accounting_zeroes_the_epoch(self):
         async def body():
             a, b = await self._pair()
