@@ -141,9 +141,10 @@ class ProtocolEngine:
     ``"@client"``); when several engine groups share one wire — the
     multi-process runtime of :mod:`repro.net.procgroup` — each group
     passes a unique endpoint so discovery and query replies route back
-    to the issuing process.  ``on_node_installed``, when set, fires as
-    ``hook(label, peer_id)`` after every node install/migration — the
-    seam cross-process locator replication hangs off.
+    to the issuing process.  The ``on_node_installed`` attribute, when
+    set, fires as ``hook(label, peer_id)`` after every node
+    install/migration — the seam cross-process locator replication
+    hangs off.
     """
 
     def __init__(
@@ -151,7 +152,6 @@ class ProtocolEngine:
         transport=None,
         *,
         client_endpoint: str = "@client",
-        on_node_installed=None,
     ) -> None:
         if transport is None:
             # Local import: repro.net.wire imports repro.dlpt for the
@@ -174,7 +174,7 @@ class ProtocolEngine:
         self.discovery_replies: list[m.DiscoveryReply] = []
         self.query_replies: list[m.SetQueryReply] = []
         self.dead_node_messages = 0
-        self.on_node_installed = on_node_installed
+        self.on_node_installed = None
         self._client_endpoint = client_endpoint
         self.transport.register(self._client_endpoint, self._on_client_message)
 

@@ -28,7 +28,7 @@ its client sink).
   exhausted dial budget counts the queued frames dropped, never wedged),
   **one write per link per loop turn** (``send`` encodes and queues the
   frame; one flush writes the turn's frames), **idle reap** after
-  ``idle_timeout`` silent seconds (a timer; the next frame redials).  An
+  :data:`IDLE_TIMEOUT` silent seconds (a timer; the next frame redials).  An
   undecodable inbound frame ends the connection it came over: from
   another group's link it is recorded in ``errors`` (the next ``drain()``
   raises it), from a client it is only counted (``client_wire_errors``)
@@ -52,7 +52,7 @@ its client sink).
   constructor — with no helper in between
   (``TestRunToCompletionDelivery`` counts them).  The pump
   hands the loop back every :data:`_PUMP_BATCH` deliveries, so not even
-  an endless cascade starves socket I/O, timers or ``drain_timeout``.
+  an endless cascade starves socket I/O, timers or the drain deadline.
   A pump that leaves the queue empty, and is not nested in another,
   then makes the one call installed with ``set_idle()``: the broker
   serves there what the pump admitted, so a served request costs the
@@ -102,14 +102,24 @@ import zlib
 from typing import Any, Callable, Deque, Dict, Hashable, Optional, Set, Tuple
 
 from ..dlpt.messages import Envelope
+from . import transport as _transport
 from .policy import RetryPolicy
 from .transport import Handler, Transport, TransportError
 from .wire import WIRE_SCHEMA, FrameReader, WireError, decode_frame, encode_frame
 
 #: Local deliveries one pump call makes before it hands the loop back
 #: (and reschedules itself): the bound that keeps a long cascade from
-#: starving socket I/O, timers and ``drain_timeout``.
+#: starving socket I/O, timers and the drain deadline
+#: (:data:`repro.net.transport.DRAIN_TIMEOUT`).
 _PUMP_BATCH = 256
+
+#: Seconds a link may stay silent before its idle timer forgets it.
+IDLE_TIMEOUT = 30.0
+
+#: Refused dials a link retries before it drops its frames, and the
+#: delay before the first retry (:class:`~repro.net.policy.RetryPolicy`).
+DIAL_RETRIES = 5
+DIAL_BACKOFF = 0.05
 
 #: Bytes one socket read may fill: the transport keeps one buffer this
 #: size for all its connections (a read is copied into the connection's
@@ -196,10 +206,6 @@ class AsyncioTransport(Transport):
         path: Optional[str] = None,
         host: Optional[str] = None,
         port: int = 0,
-        drain_timeout: float = 60.0,
-        idle_timeout: float = 30.0,
-        dial_retries: int = 5,
-        dial_backoff: float = 0.05,
     ) -> None:
         self._handlers: Dict[Hashable, Handler] = {}
         #: Envelopes for local endpoints, in send order; :meth:`_pump`
@@ -229,10 +235,6 @@ class AsyncioTransport(Transport):
         self._path = path
         #: ``("unix", path)`` or ``("tcp", host, port)`` once started.
         self.address: Optional[tuple] = None
-        self.drain_timeout = drain_timeout
-        self.idle_timeout = idle_timeout
-        self.dial_retries = dial_retries
-        self.dial_backoff = dial_backoff
         #: Handler/codec/link exceptions, surfaced by :meth:`drain`.
         self.errors: list[BaseException] = []
         self.messages_sent = 0
@@ -387,26 +389,24 @@ class AsyncioTransport(Transport):
         # Seeded per (own, destination) address so two groups redialing
         # the same dead peer desynchronize from each other.
         policy = RetryPolicy(
-            retries=self.dial_retries,
-            backoff=self.dial_backoff,
-            seed=zlib.crc32(repr((self.address, link.address)).encode("utf-8")),
+            DIAL_BACKOFF, zlib.crc32(repr((self.address, link.address)).encode("utf-8"))
         )
         kind, *where = link.address
         loop = self._loop
         connect = loop.create_connection if kind == "tcp" else loop.create_unix_connection
-        for attempt in range(self.dial_retries + 1):
+        for attempt in range(DIAL_RETRIES + 1):
             try:
                 await connect(lambda: link, *where)
                 break
             except OSError as exc:
-                if attempt == self.dial_retries:
+                if attempt == DIAL_RETRIES:
                     link.dial = None
                     return self._forget(link, exc)
                 await asyncio.sleep(policy.delay(attempt + 1))
         link.dial = None
         self.links_dialed += 1
         link.transport.write(hello_frame(kind="peer"))
-        loop.call_later(self.idle_timeout, self._reap, link)
+        loop.call_later(IDLE_TIMEOUT, self._reap, link)
         self._flush(link)
 
     def _flush(self, link: _Connection) -> None:
@@ -422,13 +422,13 @@ class AsyncioTransport(Transport):
                 self.frames_out += len(queued)
 
     def _reap(self, link: _Connection) -> None:
-        """A link's idle timer: forget it after ``idle_timeout`` silent
+        """A link's idle timer: forget it after :data:`IDLE_TIMEOUT` silent
         seconds (the next frame redials), or re-arm for the time left."""
         if self._links.get(link.address) is not link:
             return
         idle = self._loop.time() - link.last_used
-        if idle < self.idle_timeout:
-            self._loop.call_later(self.idle_timeout - idle, self._reap, link)
+        if idle < IDLE_TIMEOUT:
+            self._loop.call_later(IDLE_TIMEOUT - idle, self._reap, link)
         else:
             self.links_reaped += 1
             self._forget(link)
@@ -651,13 +651,14 @@ class AsyncioTransport(Transport):
         (transitively); then surface the first handler error."""
         if self._loop is None:
             raise TransportError("transport is not started")
-        deadline = self._loop.time() + self.drain_timeout
+        timeout = _transport.DRAIN_TIMEOUT
+        deadline = self._loop.time() + timeout
         spins = 0
         self._pump()
         while self.in_flight > 0:
             if self._loop.time() > deadline:
                 raise TransportError(
-                    f"drain timed out after {self.drain_timeout}s with "
+                    f"drain timed out after {timeout}s with "
                     f"{self.in_flight} messages in flight"
                 )
             spins += 1

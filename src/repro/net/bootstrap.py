@@ -45,8 +45,8 @@ Robustness under client floods, when ``inbox_limit=`` is set (the default
 
 * the pending-request inbox is **bounded** — a request arriving when the
   inbox is full is answered immediately with an explicit backpressure
-  reply ``{"ok": False, "busy": True, "retry_after": s}``, never silently
-  queued without bound or dropped;
+  reply ``{"ok": False, "busy": True, "retry_after": RETRY_AFTER}``,
+  never silently queued without bound or dropped;
 * pending requests are kept in **per-client queues** served round-robin,
   so one flooding client cannot starve the others;
 * retries are **idempotent by correlation id**: a duplicate of a request
@@ -75,6 +75,9 @@ from .wire import require_scalar
 
 #: Schema tag of the registry journal's JSONL records.
 REGISTRY_SCHEMA = "repro-registry/1"
+
+#: Seconds a ``busy`` reply tells its client to wait before retrying.
+RETRY_AFTER = 0.05
 
 
 def checked_member(peer: object, capacity: object) -> Tuple[str, int]:
@@ -228,7 +231,6 @@ class Broker:
         transport: Transport,
         *,
         inbox_limit: Optional[int] = None,
-        retry_after: float = 0.05,
         journal: Optional[RegistryJournal] = None,
     ) -> None:
         #: What executes the operations (:mod:`repro.net.cluster`).
@@ -239,7 +241,6 @@ class Broker:
         self.transport = transport
         self.journal = journal
         self.inbox_limit = inbox_limit
-        self.retry_after = retry_after
         self.requests_served = 0
         self.requests_rejected = 0
         self.duplicates_absorbed = 0
@@ -324,7 +325,7 @@ class Broker:
                     "ok": False,
                     "busy": True,
                     "error": "busy: broker inbox full",
-                    "retry_after": self.retry_after,
+                    "retry_after": RETRY_AFTER,
                 },
             )
             return
@@ -477,7 +478,7 @@ class Broker:
                 ok=False,
                 busy=True,
                 error=f"retry: {type(outcome).__name__}: {outcome}",
-                retry_after=self.retry_after,
+                retry_after=RETRY_AFTER,
             )
         elif isinstance(outcome, Exception):  # every other failure is definitive
             reply.update(ok=False, error=f"{type(outcome).__name__}: {outcome}")

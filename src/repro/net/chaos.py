@@ -55,6 +55,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Deque, Dict, Hashable, Optional, Tuple
 
 from ..util.specs import SpecError, parse_options, register_spec_kind
+from . import transport as _transport
 from .transport import Handler, Transport, TransportError
 
 #: The hold applied by ``reorder`` (long enough to yield the event loop /
@@ -258,7 +259,6 @@ class ChaosTransport(Transport):
         *,
         seed: Optional[int] = None,
         only: Optional[Callable[[Hashable, Hashable], bool]] = None,
-        drain_timeout: float = 60.0,
     ) -> None:
         self.inner = inner
         self.plan = parse_chaos(plan)
@@ -266,7 +266,6 @@ class ChaosTransport(Transport):
             self.plan = replace(self.plan, seed=seed)
         self._rng = random.Random(self.plan.seed)
         self._only = only
-        self.drain_timeout = drain_timeout
         #: Master switch: the serve layer disables injection while the
         #: initial topology is admitted (and while recovery rebuilds the
         #: ring), so chaos perturbs *serving*, not bring-up.
@@ -460,14 +459,15 @@ class ChaosTransport(Transport):
         """Quiescence including held messages: drain the inner transport,
         wait out pending chaos delays, repeat until both are idle."""
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.drain_timeout
+        timeout = _transport.DRAIN_TIMEOUT
+        deadline = loop.time() + timeout
         while True:
             await self.inner.drain()
             if self._pending_held == 0 and self.inner.in_flight == 0:
                 return
             if loop.time() > deadline:
                 raise TransportError(
-                    f"chaos drain timed out after {self.drain_timeout}s with "
+                    f"chaos drain timed out after {timeout}s with "
                     f"{self._pending_held} held message(s)"
                 )
             await asyncio.sleep(0.001)

@@ -88,6 +88,8 @@ class DLPTClient:
         backoff: float = 0.05,
         address: Optional[tuple] = None,
     ) -> None:
+        if retries < 0:
+            raise ValueError("retries must be >= 0")
         self._reader = reader
         self._writer = writer
         self.endpoint = endpoint
@@ -102,11 +104,7 @@ class DLPTClient:
         self._conn_lock = asyncio.Lock()
         #: Jittered backoff schedule shared by busy/reset retries; seeded
         #: per client endpoint so synchronized clients desynchronize.
-        self._policy = RetryPolicy(
-            retries=retries,
-            backoff=backoff,
-            seed=zlib.crc32(endpoint.encode("utf-8")),
-        )
+        self._policy = RetryPolicy(backoff, zlib.crc32(endpoint.encode("utf-8")))
         #: Observability: timeouts suffered, busy replies absorbed, and
         #: connections re-established after mid-RPC resets.
         self.timeouts = 0

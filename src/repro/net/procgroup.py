@@ -40,7 +40,12 @@ Global quiescence (the multi-process ``drain``): every group reports
 Σ frames_in`` (a frame sitting in a socket buffer has been counted
 delivered by its sender but not yet ingressed), observed stable across
 two consecutive polls.  Counter polls travel on the control channels, so
-polling cannot keep the cluster awake.
+polling cannot keep the cluster awake.  The rule compares snapshots, never
+elapsed time: the counters only grow, so each group's stayed put from its
+first read to its second, and every first read precedes every second one —
+the whole cluster was as quiet as they read at one instant in between.  A
+quiet poll is therefore confirmed at once; only a busy cluster is given
+2 ms before the next poll.
 """
 
 from __future__ import annotations
@@ -55,16 +60,24 @@ from typing import Dict, List, Optional, Tuple
 
 from ..dlpt.messages import Envelope
 from ..dlpt.protocol import ProtocolEngine
+from . import transport as _transport
 from .asyncio_transport import AsyncioTransport, _Connection
 from .cluster import STEPS, Cluster, ClusterError, EngineGroup, group_of
 from .transport import TransportError
 from .wire import encode_frame
 
-#: How long :meth:`MultiProcessCluster.drain` waits for global quiescence.
-DRAIN_TIMEOUT = 60.0
-
-#: …and for how much longer once a worker has reported a transport error.
+#: How long :meth:`MultiProcessCluster.drain` waits for global quiescence
+#: once a worker has reported a transport error (else the transports'
+#: :data:`~repro.net.transport.DRAIN_TIMEOUT`).
 ERROR_SETTLE = 2.0
+
+#: How long a control RPC waits for its reply.
+RPC_TIMEOUT = 30.0
+
+#: The supervisor's beat, and how long a ``ping`` may take before the
+#: worker is condemned.
+HEARTBEAT_INTERVAL = 0.25
+HEARTBEAT_TIMEOUT = 2.0
 
 #: Endpoint naming scheme (group index ``i``).
 SYNC_PREFIX = "@sync-"
@@ -267,17 +280,13 @@ class MultiProcessCluster(Cluster):
         self,
         processes: int = 2,
         *,
-        rpc_timeout: float = 30.0,
         chaos=None,
         supervise: bool = False,
-        heartbeat_interval: float = 0.25,
-        heartbeat_timeout: float = 2.0,
         journal=None,
     ) -> None:
         if processes < 1:
             raise ValueError("processes must be >= 1")
         self.n_groups = processes
-        self.rpc_timeout = rpc_timeout
         if chaos is not None:
             from .chaos import parse_chaos
 
@@ -285,8 +294,6 @@ class MultiProcessCluster(Cluster):
         #: Fault plan injected into every worker's transport (or ``None``).
         self.chaos = chaos
         self.supervise = supervise
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = heartbeat_timeout
         #: Membership journal (``repro-registry/1``); the supervisor
         #: records a ``crash`` per peer lost with a dead worker.
         self.journal = journal
@@ -408,7 +415,7 @@ class MultiProcessCluster(Cluster):
         channel = self._channels[group]
         if not channel.is_closing():  # a dead worker's RPC just goes unanswered
             channel.write(_frame(body))
-        expiry = loop.call_later(timeout or self.rpc_timeout, _expire, future)
+        expiry = loop.call_later(timeout or RPC_TIMEOUT, _expire, future)
         try:
             return await future
         finally:
@@ -428,7 +435,8 @@ class MultiProcessCluster(Cluster):
         counted a frame nobody will ever count in), and that must still
         surface as the :class:`ClusterError` it is, not as a timeout."""
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + DRAIN_TIMEOUT
+        timeout = _transport.DRAIN_TIMEOUT
+        deadline = loop.time() + timeout
         previous: Optional[Tuple] = None
         errors: List[str] = []
         while True:
@@ -454,9 +462,10 @@ class MultiProcessCluster(Cluster):
             previous = signature if quiet else None
             if loop.time() > deadline:
                 raise TransportError(
-                    f"cluster drain timed out after {DRAIN_TIMEOUT}s: {snaps}"
+                    f"cluster drain timed out after {timeout}s: {snaps}"
                 )
-            await asyncio.sleep(0.002)
+            if not quiet:
+                await asyncio.sleep(0.002)
 
     # -- supervision ---------------------------------------------------------
 
@@ -465,13 +474,13 @@ class MultiProcessCluster(Cluster):
             raise ClusterRecovering("cluster is recovering from a worker crash")
 
     async def _supervise(self) -> None:
-        """The supervisor: every ``heartbeat_interval`` check worker
+        """The supervisor: every :data:`HEARTBEAT_INTERVAL` check worker
         liveness (``is_alive`` catches process death instantly; a
         round-robin ``ping`` control RPC catches a hung event loop) and
         run :meth:`_recover` over whatever died."""
         probe = 0
         while True:
-            await asyncio.sleep(self.heartbeat_interval)
+            await asyncio.sleep(HEARTBEAT_INTERVAL)
             if self._recovering:
                 continue
             dead = [
@@ -481,7 +490,7 @@ class MultiProcessCluster(Cluster):
             if not dead and self.n_groups > 0:
                 probe = (probe + 1) % self.n_groups
                 try:
-                    await self.call(probe, "ping", timeout=self.heartbeat_timeout)
+                    await self.call(probe, "ping", timeout=HEARTBEAT_TIMEOUT)
                 except asyncio.TimeoutError:
                     # No heartbeat within the timeout: the worker is dead
                     # or wedged — either way it must be replaced.

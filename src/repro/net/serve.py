@@ -101,15 +101,14 @@ async def start_cluster(
     path: Optional[str] = None,
     capacity: int = 10,
     inbox_limit: Optional[int] = None,
-    retry_after: float = 0.05,
     journal: Optional[RegistryJournal] = None,
     chaos=None,
 ):
     """Bring up transport + engine + broker + ``n_peers`` peers; returns
     ``(transport, engine, broker)`` ready to serve.  ``inbox_limit`` /
-    ``retry_after`` / ``journal`` configure the broker's backpressure and
-    persistence (:mod:`repro.net.bootstrap`); a non-empty journal is
-    replayed and its membership re-admitted instead of the default.
+    ``journal`` configure the broker's backpressure and persistence
+    (:mod:`repro.net.bootstrap`); a non-empty journal is replayed and its
+    membership re-admitted instead of the default.
     ``chaos`` (a plan/spec per :mod:`repro.net.chaos`) wraps the transport
     in a :class:`~repro.net.chaos.ChaosTransport`, enabled only once the
     initial topology is up."""
@@ -128,7 +127,6 @@ async def start_cluster(
             LocalCluster(engine),
             transport,
             inbox_limit=inbox_limit,
-            retry_after=retry_after,
             journal=journal,
         )
         await broker.start()
@@ -149,7 +147,6 @@ async def start_multiprocess_cluster(
     path: Optional[str] = None,
     capacity: int = 10,
     inbox_limit: Optional[int] = None,
-    retry_after: float = 0.05,
     journal: Optional[RegistryJournal] = None,
     chaos=None,
     supervise: bool = False,
@@ -177,7 +174,6 @@ async def start_multiprocess_cluster(
             cluster,
             transport,
             inbox_limit=inbox_limit,
-            retry_after=retry_after,
             journal=journal,
         )
         await broker.start()

@@ -47,6 +47,10 @@ from ..sim.engine import Simulator
 
 Handler = Callable[[Envelope], None]
 
+#: How long a ``drain()`` over sockets, chaos delays or worker processes
+#: waits for quiescence before it raises :class:`TransportError`.
+DRAIN_TIMEOUT = 60.0
+
 
 class TransportError(RuntimeError):
     """A transport-level failure (handler exception, closed transport)."""

@@ -336,6 +336,11 @@ def _sweep_plan(params: Dict[str, Any]):
 #: interpreter exit.
 _SWEEP_WARM_STORES: Dict[str, Any] = {}
 
+#: The cold side's store, a fresh directory per repetition: the next cold
+#: prepare removes the previous one (untimed), so no cold store is left
+#: to the garbage collector.  The timers hold one prepared state at a time.
+_SWEEP_COLD_STORE: Dict[str, Any] = {}
+
 
 def _prepare_sweep_cached(params: Dict[str, Any], impl: str) -> Dict[str, Any]:
     """``impl`` maps onto the cache axis: ``"seed"`` = cold store (every
@@ -351,8 +356,11 @@ def _prepare_sweep_cached(params: Dict[str, Any], impl: str) -> Dict[str, Any]:
         raise ValueError(f"unknown impl {impl!r} (expected 'seed' or 'optimised')")
     plan = _sweep_plan(params)
     if impl == "seed":
+        stale = _SWEEP_COLD_STORE.pop("tmpdir", None)
+        if stale is not None:
+            stale.cleanup()
         tmpdir = tempfile.TemporaryDirectory(prefix="repro-bench-sweep-")
-        store = ResultStore(tmpdir.name)
+        _SWEEP_COLD_STORE["tmpdir"] = tmpdir
     else:
         import json
 
@@ -362,9 +370,7 @@ def _prepare_sweep_cached(params: Dict[str, Any], impl: str) -> Dict[str, Any]:
             tmpdir = tempfile.TemporaryDirectory(prefix="repro-bench-sweep-warm-")
             _SWEEP_WARM_STORES[key] = tmpdir
             run_sweep(plan, ResultStore(tmpdir.name), workers=1)  # fill once, untimed
-        store = ResultStore(tmpdir.name)
-    # Keep the TemporaryDirectory alive through the timed execute.
-    return {"plan": plan, "store": store, "_tmpdir": tmpdir}
+    return {"plan": plan, "store": ResultStore(tmpdir.name)}
 
 
 def _execute_sweep_cached(state: Dict[str, Any]) -> int:

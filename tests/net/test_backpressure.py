@@ -83,11 +83,11 @@ async def _broker(**kwargs):
 
 
 class TestBoundedInbox:
-    def test_over_capacity_requests_get_busy_replies(self):
+    def test_over_capacity_requests_get_busy_replies(self, monkeypatch):
+        monkeypatch.setattr("repro.net.bootstrap.RETRY_AFTER", 0.125)
+
         async def body():
-            transport, engine, broker = await _broker(
-                inbox_limit=2, retry_after=0.125
-            )
+            transport, engine, broker = await _broker(inbox_limit=2)
             client = _RawClient(transport, "@flood")
             for rid in range(1, 6):  # 5 sends, limit 2: 3 must bounce
                 client.send(rid, op="info")
@@ -283,12 +283,13 @@ class _ClosedChannel:
 
 class _SilentWorkerBackend:
     """A backend whose reads are one control RPC to a worker that never
-    answers, awaited at once — in the transport's idle callback."""
+    answers, awaited at once — in the transport's idle callback (set
+    ``procgroup.RPC_TIMEOUT`` short)."""
 
     RETRYABLE_ERRORS = MultiProcessCluster.RETRYABLE_ERRORS
 
     def __init__(self):
-        self.cluster = MultiProcessCluster(1, rpc_timeout=0.05)
+        self.cluster = MultiProcessCluster(1)
         self.cluster._channels = [_ClosedChannel()]
         self.current_tasks = []
 
@@ -399,10 +400,11 @@ class TestServiceThatMustWait:
         asyncio.run(body())
 
     @pytest.mark.filterwarnings("error")
-    def test_a_control_rpc_needs_no_current_task(self):
+    def test_a_control_rpc_needs_no_current_task(self, monkeypatch):
         """A multi-process read is a control RPC awaited in the idle
         callback, where no task is current: a worker that never answers
         times out into a retryable reply, not a ``RuntimeError``."""
+        monkeypatch.setattr("repro.net.procgroup.RPC_TIMEOUT", 0.05)
 
         async def body():
             backend = _SilentWorkerBackend()
@@ -491,7 +493,8 @@ class TestRegistryJournal:
             await transport.close()
             recovered = RegistryJournal(path)
             assert recovered.replay() == {}
-            lines = open(path).read().splitlines()
+            with open(path) as f:
+                lines = f.read().splitlines()
             assert len(lines) == 2  # join then leave, both flushed
 
         asyncio.run(body())
@@ -566,6 +569,12 @@ class TestClientPolicy:
         it); there is no silently-created or wrong loop to bind instead."""
         with pytest.raises(RuntimeError, match="no running event loop"):
             DLPTClient(None, None, "@client-test")
+
+    @pytest.mark.parametrize("kwargs", [dict(retries=-1), dict(backoff=0.0)])
+    def test_a_policy_that_cannot_retry_is_refused(self, kwargs):
+        """Refused before the client touches its connection."""
+        with pytest.raises(ValueError):
+            DLPTClient(None, None, "@client-test", **kwargs)
 
     def test_default_policy_is_bare(self):
         async def body():
@@ -700,12 +709,12 @@ class TestFloodOverSocket:
     """The acceptance flood: more concurrent RPCs than the inbox admits,
     against a real served cluster over a Unix socket."""
 
-    def test_bounded_inbox_and_no_lost_rpcs(self):
+    def test_bounded_inbox_and_no_lost_rpcs(self, monkeypatch):
+        monkeypatch.setattr("repro.net.bootstrap.RETRY_AFTER", 0.01)
+
         async def body():
             limit = 8
-            transport, engine, broker = await start_cluster(
-                4, inbox_limit=limit, retry_after=0.01
-            )
+            transport, engine, broker = await start_cluster(4, inbox_limit=limit)
             bare = await DLPTClient.connect(transport.address)
             resilient = await DLPTClient.connect(
                 transport.address, timeout=5.0, retries=50, backoff=0.01

@@ -9,6 +9,7 @@ Tier-1 drives a :class:`LocalCluster` on the loopback transport; the
 from __future__ import annotations
 
 import asyncio
+import itertools
 
 import pytest
 
@@ -299,7 +300,7 @@ class TestMultiProcessDrain:
     @staticmethod
     def _drain(monkeypatch, polls):
         monkeypatch.setattr(procgroup, "ERROR_SETTLE", 0.05)
-        monkeypatch.setattr(procgroup, "DRAIN_TIMEOUT", 0.5)
+        monkeypatch.setattr("repro.net.transport.DRAIN_TIMEOUT", 0.5)
         cluster = MultiProcessCluster(processes=2)
         polls = iter(polls)
         last = None
@@ -323,7 +324,7 @@ class TestMultiProcessDrain:
         """A frame one group counted out and nobody will count in (the
         receiving link read garbage): the sums never balance, and the
         error still comes back as the ``ClusterError`` it is, after the
-        short settle bound rather than ``DRAIN_TIMEOUT``."""
+        short settle bound rather than ``transport.DRAIN_TIMEOUT``."""
         lost = [self._snap(frames_out=1), self._snap(errors=("WireError('garbage')",))]
         after = [self._snap(frames_out=1), self._snap()]
         with pytest.raises(ClusterError, match="worker transport error.*garbage"):
@@ -346,3 +347,29 @@ class TestMultiProcessDrain:
     def test_quiet_twice_returns_the_snapshots(self, monkeypatch):
         snaps = self._drain(monkeypatch, [[self._snap(), self._snap()]])
         assert [s["in_flight"] for s in snaps] == [0, 0]
+
+    @pytest.mark.parametrize(
+        "busy_polls, sleeps",
+        [(0, 0), (2, 2)],
+        ids=["quiet", "busy-then-quiet"],
+    )
+    def test_only_a_busy_poll_sleeps(self, monkeypatch, busy_polls, sleeps):
+        """A quiet poll is confirmed by the very next one: the two-poll
+        rule compares counter snapshots, never elapsed time, so only a
+        busy cluster is given time before it is polled again."""
+        busy = [self._snap(frames_out=1), self._snap()]
+        quiet = [self._snap(frames_out=1), self._snap(frames_in=1)]
+        polls, slept = [], []
+
+        def script():
+            for n in itertools.count():
+                polls.append(n)
+                yield busy if n < busy_polls else quiet
+
+        async def sleep(delay):
+            slept.append(delay)
+
+        monkeypatch.setattr(asyncio, "sleep", sleep)
+        self._drain(monkeypatch, script())
+        assert len(polls) == busy_polls + 2
+        assert len(slept) == sleeps

@@ -286,9 +286,10 @@ class TestControlChannel:
         long_tmp = tmp_path / ("t" * 120)
         long_tmp.mkdir()
         monkeypatch.setenv("TMPDIR", str(long_tmp))
+        monkeypatch.setattr("repro.net.procgroup.RPC_TIMEOUT", 60.0)
 
         async def body():
-            cluster = MultiProcessCluster(processes=2, rpc_timeout=60.0)
+            cluster = MultiProcessCluster(processes=2)
             loop = asyncio.get_running_loop()
             t0 = loop.time()
             try:
@@ -330,16 +331,15 @@ class TestSupervision:
     PEERS = ["pa", "pd", "pg", "pj", "pm", "pq"]
     KEYS = ["dgemm", "sgemm", "zherk"]
 
+    @pytest.fixture(autouse=True)
+    def _fast_heartbeat(self, monkeypatch):
+        monkeypatch.setattr("repro.net.procgroup.HEARTBEAT_INTERVAL", 0.1)
+        monkeypatch.setattr("repro.net.procgroup.HEARTBEAT_TIMEOUT", 1.0)
+
     def test_supervisor_replaces_a_sigkilled_worker(self, tmp_path):
         async def body():
             journal = RegistryJournal(str(tmp_path / "registry.jsonl"))
-            cluster = MultiProcessCluster(
-                processes=2,
-                supervise=True,
-                heartbeat_interval=0.1,
-                heartbeat_timeout=1.0,
-                journal=journal,
-            )
+            cluster = MultiProcessCluster(processes=2, supervise=True, journal=journal)
             await cluster.start()
             try:
                 assert len({group_of(p, 2) for p in self.PEERS}) == 2
@@ -377,15 +377,11 @@ class TestSupervision:
 
         asyncio.run(body())
 
-    def test_kill_mid_flood_recovers(self):
+    def test_kill_mid_flood_recovers(self, monkeypatch):
+        monkeypatch.setattr("repro.net.procgroup.RPC_TIMEOUT", 2.0)  # dead-worker RPCs must fail fast
+
         async def body():
-            cluster = MultiProcessCluster(
-                processes=2,
-                supervise=True,
-                heartbeat_interval=0.1,
-                heartbeat_timeout=1.0,
-                rpc_timeout=2.0,  # dead-worker RPCs must fail fast
-            )
+            cluster = MultiProcessCluster(processes=2, supervise=True)
             await cluster.start()
             try:
                 for pid in self.PEERS:

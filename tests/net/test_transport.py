@@ -366,16 +366,17 @@ class TestRunToCompletionDelivery:
     a queue pop, not a loop turn, and no cascade can keep the loop."""
 
     @pytest.mark.parametrize("factory", LOOP_TRANSPORTS)
-    def test_a_self_resending_handler_cannot_wedge_the_loop(self, factory):
+    def test_a_self_resending_handler_cannot_wedge_the_loop(self, factory, monkeypatch):
         """An endpoint that keeps sending to itself used to never yield
         (a non-empty queue's ``get()`` does not suspend), so ``drain()``
         could not time out and nothing else on the loop ran.  The chain is
         capped so that a transport that runs it to its end fails here
         instead of hanging."""
 
+        monkeypatch.setattr("repro.net.transport.DRAIN_TIMEOUT", 0.05)
+
         async def body():
             t = factory()
-            t.drain_timeout = 0.05
             await t.start()
             sends = 0
 
@@ -837,9 +838,11 @@ class TestPeerToPeerSpecifics:
 
         asyncio.run(body())
 
-    def test_idle_links_are_reaped_and_redialed(self):
+    def test_idle_links_are_reaped_and_redialed(self, monkeypatch):
+        monkeypatch.setattr("repro.net.asyncio_transport.IDLE_TIMEOUT", 0.05)
+
         async def body():
-            a, b = await self._pair(idle_timeout=0.05)
+            a, b = await self._pair()
             got = []
             b.register("remote", lambda env: got.append(env.payload.datum))
             a.send("x", "remote", _msg(1))
@@ -855,9 +858,12 @@ class TestPeerToPeerSpecifics:
 
         asyncio.run(body())
 
-    def test_dial_failure_drops_queued_frames(self):
+    def test_dial_failure_drops_queued_frames(self, monkeypatch):
+        monkeypatch.setattr("repro.net.asyncio_transport.DIAL_RETRIES", 1)
+        monkeypatch.setattr("repro.net.asyncio_transport.DIAL_BACKOFF", 0.01)
+
         async def body():
-            a = AsyncioTransport(dial_retries=1, dial_backoff=0.01)
+            a = AsyncioTransport()
             await a.start()
             a.set_resolve(lambda endpoint: ("unix", "/nonexistent/peer.sock"))
             a.send("x", "remote", _msg(1))
@@ -870,12 +876,14 @@ class TestPeerToPeerSpecifics:
 
         asyncio.run(body())
 
-    def test_reconnect_with_backoff_survives_late_listener(self, tmp_path):
+    def test_reconnect_with_backoff_survives_late_listener(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.net.asyncio_transport.DIAL_RETRIES", 8)
+
         async def body():
             # The peer is not up yet: frames queue while the dialer backs
             # off, and flow once the listener finally binds.
             path = str(tmp_path / "late-peer.sock")
-            a = AsyncioTransport(dial_retries=8, dial_backoff=0.05)
+            a = AsyncioTransport()
             await a.start()
             a.set_resolve(lambda endpoint: ("unix", path))
             a.send("x", "remote", _msg(7))
@@ -944,15 +952,17 @@ class TestPeerToPeerSpecifics:
 
         asyncio.run(body())
 
-    def test_a_link_the_other_group_closed_fails_drain_without_wedging_it(self):
+    def test_a_link_the_other_group_closed_fails_drain_without_wedging_it(self, monkeypatch):
         """``b`` closes under a live link, then ``a`` sends three frames.
         The first used to be neither delivered nor dropped — its write
         failed inside the link's task, after it left the outbox — so
-        ``drain()`` waited out ``drain_timeout`` with one message in flight
+        ``drain()`` waited out ``DRAIN_TIMEOUT`` with one message in flight
         and never raised the ``ConnectionResetError`` it held."""
+        monkeypatch.setattr("repro.net.transport.DRAIN_TIMEOUT", 2.0)
+        monkeypatch.setattr("repro.net.asyncio_transport.DIAL_RETRIES", 2)
 
         async def body():
-            a, b = await self._pair(drain_timeout=2.0, dial_retries=2)
+            a, b = await self._pair()
             got = []
             b.register("remote", lambda env: got.append(env.payload.datum))
             a.send("x", "remote", _msg(0))
