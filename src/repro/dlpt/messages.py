@@ -14,12 +14,22 @@ does); ``tests/net/test_message_values.py`` does, by encoding every payload
 a live ring delivers before and after its handler runs and requiring equal
 bytes.  ``slots=True`` drops the per-record ``__dict__`` and makes a stray
 ``msg.typo = …`` an ``AttributeError``.
+
+The one exception is the node record, :class:`NodeState`.  It is the
+state a peer keeps for a logical node *and* the thing that travels when
+the node moves (``SearchingHost`` / ``Host`` / ``YourInformation`` /
+``LeaveTransfer``), so it is mutable — and it is **handed over, never
+shared**: its sender forgets it on send, and the receiver installs that
+very object.  In one process a migration therefore copies nothing; across
+processes (and on the loopback transport) the node arrives as the codec's
+copy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, FrozenSet, Hashable, Optional, Tuple
+import bisect
+from dataclasses import dataclass, field
+from typing import Any, Hashable, Optional, Sequence, Tuple
 
 
 @dataclass(slots=True)
@@ -34,14 +44,62 @@ class Envelope:
 
 
 @dataclass(slots=True)
-class NodePayload:
-    """The full state of a logical node in transit (SearchingHost / Host /
-    YourInformation carry these): key, father, children, data."""
+class NodeState:
+    """A logical node: label, father and children *labels* (everything
+    crosses the wire by identifier, as in the paper) and its data.  The
+    record its hosting peer keeps, and the one that travels when the node
+    moves — handed over, never shared (module docstring).
+
+    The descent steps of Algorithms 1 and 3 are served from a sorted
+    snapshot of the children (two bisects) instead of scanning the child
+    set per message.  The snapshot rebuilds lazily whenever the child
+    count changed; the one equal-size mutation (``UpdateChild`` swapping a
+    child label) goes through :meth:`replace_child`, which dirties it
+    explicitly.
+    """
 
     label: str
     father: Optional[str]
-    children: FrozenSet[str] = frozenset()
-    data: Tuple[object, ...] = ()
+    children: set[str] = field(default_factory=set)
+    data: set[object] = field(default_factory=set)
+    _sorted: Sequence[str] = field(default=(), repr=False, compare=False)
+
+    def _index(self) -> Sequence[str]:
+        idx = self._sorted
+        if len(idx) != len(self.children):
+            idx = sorted(self.children)
+            self._sorted = idx
+        return idx
+
+    def replace_child(self, old: str, new: str) -> None:
+        """Swap a child label in place (``UpdateChild``): the only child
+        mutation that keeps the count — dirty the snapshot by hand."""
+        self.children.discard(old)
+        self.children.add(new)
+        self._sorted = ()
+
+    def max_child_leq(self, key: str) -> Optional[str]:
+        """``Max({q ∈ C_p : q <= key})`` — the descent step of Algorithms
+        1 and 3 (lines 1.12 and 3.33); one bisect on the sorted snapshot."""
+        idx = self._index()
+        i = bisect.bisect_right(idx, key)
+        return idx[i - 1] if i else None
+
+    def child_sharing_longer_prefix(self, key: str) -> Optional[str]:
+        """The child ``q`` with ``|GCP(k, q)| > |GCP(k, p)|`` of line 3.05;
+        unique when it exists because children diverge right after the
+        parent label — so the one candidate is the first child at or above
+        ``key``'s next-digit probe in sorted order, and it shares more than
+        ``|p|`` digits with ``key`` exactly when it starts with the probe."""
+        depth = len(self.label)
+        if len(key) <= depth:
+            return None
+        idx = self._index()
+        probe = key[: depth + 1]
+        i = bisect.bisect_left(idx, probe)
+        if i < len(idx) and idx[i].startswith(probe):
+            return idx[i]
+        return None
 
 
 # -- Algorithm 1/2: peer insertion -----------------------------------------
@@ -76,7 +134,7 @@ class YourInformation:
 
     pred: str
     succ: str
-    nodes: Tuple[NodePayload, ...]
+    nodes: Tuple[NodeState, ...]
 
 
 @dataclass(slots=True)
@@ -95,7 +153,7 @@ class LeaveTransfer:
     symmetric inverse of Algorithm 2's join split.)"""
 
     pred: str
-    nodes: Tuple[NodePayload, ...]
+    nodes: Tuple[NodeState, ...]
 
 
 # -- Algorithm 3: data insertion --------------------------------------------
@@ -116,7 +174,7 @@ class SearchingHost:
     highest node lower than ``payload.label`` (paper lines 3.32–3.37)."""
 
     node: str
-    payload: NodePayload
+    payload: NodeState
 
 
 @dataclass(slots=True)
@@ -124,7 +182,7 @@ class Host:
     """<Host, (l, f, C, δ)> — peer-addressed; instructs a peer to run the
     node.  Forwarded along ring successors until the mapping rule holds."""
 
-    payload: NodePayload
+    payload: NodeState
 
 
 @dataclass(slots=True)

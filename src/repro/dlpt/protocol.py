@@ -3,8 +3,12 @@
 This is the *message-level* realisation of the protocols whose net effect
 the macro model (:class:`repro.dlpt.system.DLPTSystem`) applies atomically.
 Peers are endpoints on a simulated network; logical nodes live inside peers
-as :class:`NodeState` records with father/children *labels* (not object
-references — everything crosses the wire by identifier, as in the paper).
+as :class:`~repro.dlpt.messages.NodeState` records with father/children
+*labels* (not object references — everything crosses the wire by
+identifier, as in the paper).  A node that moves travels as that record:
+a join's split, a leave and a new node's ``SearchingHost`` / ``Host``
+hand the object itself over, the sender forgetting it and the receiver
+installing it, so a migration between co-hosted peers copies nothing.
 
 Fidelity notes (divergences from the pseudo-code are deliberate and small):
 
@@ -43,72 +47,7 @@ from typing import Dict, Iterable, Optional
 from ..core.ids import common_prefix_len, gcp
 from ..core.keyspace import in_interval_open_closed
 from . import messages as m
-from .messages import Envelope
-
-
-@dataclass
-class NodeState:
-    """A logical node as stored on its hosting peer.
-
-    The descent steps of Algorithms 1 and 3 are served from a sorted
-    snapshot of the children (two bisects) instead of scanning the child
-    set per message.  The snapshot rebuilds lazily whenever the child
-    count changed; the one equal-size mutation (``UpdateChild`` swapping a
-    child label) goes through :meth:`replace_child`, which dirties it
-    explicitly.
-    """
-
-    label: str
-    father: Optional[str]
-    children: set[str] = field(default_factory=set)
-    data: set[object] = field(default_factory=set)
-    _sorted: list = field(default_factory=list, repr=False, compare=False)
-
-    def _index(self) -> list:
-        idx = self._sorted
-        if len(idx) != len(self.children):
-            idx = sorted(self.children)
-            self._sorted = idx
-        return idx
-
-    def payload(self) -> m.NodePayload:
-        """This node as it travels: a migration, a departure, a crash."""
-        return m.NodePayload(
-            label=self.label,
-            father=self.father,
-            children=frozenset(self.children),
-            data=tuple(self.data),
-        )
-
-    def replace_child(self, old: str, new: str) -> None:
-        """Swap a child label in place (``UpdateChild``): the only child
-        mutation that keeps the count — dirty the snapshot by hand."""
-        self.children.discard(old)
-        self.children.add(new)
-        self._sorted = []
-
-    def max_child_leq(self, key: str) -> Optional[str]:
-        """``Max({q ∈ C_p : q <= key})`` — the descent step of Algorithms
-        1 and 3 (lines 1.12 and 3.33); one bisect on the sorted snapshot."""
-        idx = self._index()
-        i = bisect.bisect_right(idx, key)
-        return idx[i - 1] if i else None
-
-    def child_sharing_longer_prefix(self, key: str) -> Optional[str]:
-        """The child ``q`` with ``|GCP(k, q)| > |GCP(k, p)|`` of line 3.05;
-        unique when it exists because children diverge right after the
-        parent label — so the one candidate is the first child at or above
-        ``key``'s next-digit probe in sorted order, and it shares more than
-        ``|p|`` digits with ``key`` exactly when it starts with the probe."""
-        depth = len(self.label)
-        if len(key) <= depth:
-            return None
-        idx = self._index()
-        probe = key[: depth + 1]
-        i = bisect.bisect_left(idx, probe)
-        if i < len(idx) and idx[i].startswith(probe):
-            return idx[i]
-        return None
+from .messages import Envelope, NodeState
 
 
 @dataclass
@@ -262,16 +201,16 @@ class ProtocolEngine:
             raise KeyError(f"peer {peer_id!r} not joined")
         if peer.succ == peer.id:
             raise RuntimeError("cannot leave a single-peer ring")
-        payloads = tuple(st.payload() for st in peer.nodes.values())
-        self.transport.send(peer.id, peer.succ, m.LeaveTransfer(pred=peer.pred, nodes=payloads))
+        nodes = tuple(peer.nodes.values())
+        self.transport.send(peer.id, peer.succ, m.LeaveTransfer(pred=peer.pred, nodes=nodes))
         self.transport.send(peer.id, peer.pred, m.UpdateSuccessor(new_successor=peer.succ))
         peer.nodes.clear()
         self.transport.unregister(peer.id)
         del self.peers[peer_id]
 
     def _on_leave_transfer(self, peer: ProtocolPeer, msg: m.LeaveTransfer) -> None:
-        for payload in msg.nodes:
-            self._install_node(peer, payload)
+        for st in msg.nodes:
+            self._install_node(peer, st)
         if msg.pred == peer.id:
             # The leaver's predecessor was us: the ring collapsed to one
             # peer — point at ourselves.  (Pointer-local test, not a
@@ -291,9 +230,9 @@ class ProtocolEngine:
         datum = key if datum is None else datum
         if not self.locator:
             # Empty tree: fabricate the root node and find it a host.
-            payload = m.NodePayload(label=key, father=None, children=frozenset(), data=(datum,))
+            st = NodeState(key, None, set(), {datum})
             start = self._any_joined_peer()
-            self.transport.send(self._client_endpoint, start, m.Host(payload=payload))
+            self.transport.send(self._client_endpoint, start, m.Host(payload=st))
             return
         if via is None:
             via = self.lowest_label
@@ -456,29 +395,27 @@ class ProtocolEngine:
         self.transport.send(peer.id, old_pred, m.UpdateSuccessor(new_successor=joiner))
         peer.pred = joiner
 
-    def _split_nodes(self, peer: ProtocolPeer, joiner: str) -> list[m.NodePayload]:
+    def _split_nodes(self, peer: ProtocolPeer, joiner: str) -> tuple[NodeState, ...]:
         """ν_P = {n ∈ ν_Q : n ∈ (pred_Q, P]} (lines 2.06–2.07, interval
-        form so the wrapped arc behaves)."""
+        form so the wrapped arc behaves): the records ``peer`` gives up."""
         pred = peer.pred if peer.pred is not None else peer.id
         moving_labels = [
             lbl for lbl in peer.nodes if in_interval_open_closed(lbl, pred, joiner)
         ]
-        return [peer.nodes.pop(lbl).payload() for lbl in moving_labels]
+        return tuple(peer.nodes.pop(lbl) for lbl in moving_labels)
 
     def _send_your_information(
-        self, peer: ProtocolPeer, joiner: str, pred: str, moving: list[m.NodePayload]
+        self, peer: ProtocolPeer, joiner: str, pred: str, moving: tuple[NodeState, ...]
     ) -> None:
         self.transport.send(
-            peer.id,
-            joiner,
-            m.YourInformation(pred=pred, succ=peer.id, nodes=tuple(moving)),
+            peer.id, joiner, m.YourInformation(pred=pred, succ=peer.id, nodes=moving)
         )
 
     def _on_your_information(self, peer: ProtocolPeer, msg: m.YourInformation) -> None:
         peer.pred = msg.pred
         peer.succ = msg.succ
-        for payload in msg.nodes:
-            self._install_node(peer, payload)
+        for st in msg.nodes:
+            self._install_node(peer, st)
 
     def _on_update_successor(self, peer: ProtocolPeer, msg: m.UpdateSuccessor) -> None:
         peer.succ = msg.new_successor
@@ -501,18 +438,16 @@ class ProtocolEngine:
             if q is not None:
                 self.send_to_node(peer.id, q, m.DataInsertion(node=q, key=k, datum=datum))
             else:
-                payload = m.NodePayload(label=k, father=p.label, children=frozenset(), data=(datum,))
+                st = NodeState(k, p.label, set(), {datum})
                 p.children.add(k)
-                self.send_to_node(peer.id, p.label, m.SearchingHost(node=p.label, payload=payload))
+                self.send_to_node(peer.id, p.label, m.SearchingHost(node=p.label, payload=st))
             return
 
         if p.label.startswith(k):  # lines 3.10–3.20 (k properly prefixes p)
             if p.father is None:
-                payload = m.NodePayload(
-                    label=k, father=None, children=frozenset({p.label}), data=(datum,)
-                )
+                st = NodeState(k, None, {p.label}, {datum})
                 p.father = k
-                self.send_to_node(peer.id, p.label, m.SearchingHost(node=p.label, payload=payload))
+                self.send_to_node(peer.id, p.label, m.SearchingHost(node=p.label, payload=st))
             else:
                 father = p.father
                 # Line 3.15's printed condition |GCP(k, f_p)| = |p| can
@@ -524,10 +459,8 @@ class ProtocolEngine:
                 if common_prefix_len(k, father) == len(k):
                     self.send_to_node(peer.id, father, m.DataInsertion(node=father, key=k, datum=datum))
                 else:
-                    payload = m.NodePayload(
-                        label=k, father=father, children=frozenset({p.label}), data=(datum,)
-                    )
-                    self.send_to_node(peer.id, father, m.SearchingHost(node=father, payload=payload))
+                    st = NodeState(k, father, {p.label}, {datum})
+                    self.send_to_node(peer.id, father, m.SearchingHost(node=father, payload=st))
                     self.send_to_node(peer.id, father, m.UpdateChild(node=father, old=p.label, new=k))
                     p.father = k
             return
@@ -538,22 +471,20 @@ class ProtocolEngine:
             self.send_to_node(peer.id, father, m.DataInsertion(node=father, key=k, datum=datum))
             return
         g = gcp(p.label, k)
-        parent_payload = m.NodePayload(
-            label=g, father=father, children=frozenset({p.label, k}), data=()
-        )
-        key_payload = m.NodePayload(label=k, father=g, children=frozenset(), data=(datum,))
+        parent_st = NodeState(g, father, {p.label, k})
+        key_st = NodeState(k, g, set(), {datum})
         if father is None:
-            self.send_to_node(peer.id, p.label, m.SearchingHost(node=p.label, payload=parent_payload))
-            self.send_to_node(peer.id, p.label, m.SearchingHost(node=p.label, payload=key_payload))
+            self.send_to_node(peer.id, p.label, m.SearchingHost(node=p.label, payload=parent_st))
+            self.send_to_node(peer.id, p.label, m.SearchingHost(node=p.label, payload=key_st))
         else:
-            self.send_to_node(peer.id, father, m.SearchingHost(node=father, payload=parent_payload))
+            self.send_to_node(peer.id, father, m.SearchingHost(node=father, payload=parent_st))
             self.send_to_node(peer.id, father, m.UpdateChild(node=father, old=p.label, new=g))
-            self.send_to_node(peer.id, father, m.SearchingHost(node=father, payload=key_payload))
+            self.send_to_node(peer.id, father, m.SearchingHost(node=father, payload=key_st))
         p.father = g
 
     def _on_searching_host(self, peer: ProtocolPeer, msg: m.SearchingHost) -> None:
         # Lines 3.32–3.37: descend to the highest node lower than the new
-        # label, then hand the payload to the peer layer.
+        # label, then hand the new node to the peer layer.
         p = peer.nodes[msg.node]
         q = p.max_child_leq(msg.payload.label)
         if q is not None and q != msg.payload.label:
@@ -580,19 +511,15 @@ class ProtocolEngine:
     def _on_update_child(self, peer: ProtocolPeer, msg: m.UpdateChild) -> None:
         peer.nodes[msg.node].replace_child(msg.old, msg.new)
 
-    def _install_node(self, peer: ProtocolPeer, payload: m.NodePayload) -> None:
-        st = NodeState(
-            label=payload.label,
-            father=payload.father,
-            children=set(payload.children),
-            data=set(payload.data),
-        )
-        peer.nodes[payload.label] = st
-        self.set_location(payload.label, peer.id)
+    def _install_node(self, peer: ProtocolPeer, st: NodeState) -> None:
+        """``peer`` takes over the node record its sender gave up."""
+        label = st.label
+        peer.nodes[label] = st
+        self.set_location(label, peer.id)
         if self.on_node_installed is not None:
-            self.on_node_installed(payload.label, peer.id)
+            self.on_node_installed(label, peer.id)
         # Flush messages that raced this node's creation/arrival.
-        parked = self.pending_node_messages.pop(payload.label, None)
+        parked = self.pending_node_messages.pop(label, None)
         if parked:
             for src, msg in parked:
                 self.transport.send(src, peer.id, msg)
@@ -772,8 +699,6 @@ class ProtocolEngine:
     def check_mapping(self) -> None:
         """Every node lives on the lowest peer id >= its label (wrapped)."""
         ids = sorted(p.id for p in self.peers.values() if p.joined)
-        import bisect
-
         for label, host in self.locator.items():
             i = bisect.bisect_left(ids, label)
             expected = ids[i] if i < len(ids) else ids[0]

@@ -50,7 +50,7 @@ import bisect
 import zlib
 from typing import Dict, List, Optional, Sequence
 
-from ..dlpt.protocol import NodeState, ProtocolEngine
+from ..dlpt.protocol import ProtocolEngine
 from .wire import decode_node_payload, encode_node_payload
 
 
@@ -121,7 +121,7 @@ class EngineGroup:
         """The victim's endpoint vanishes mid-air; returns its ring
         pointers and its ν as wire-form node payloads."""
         victim = self.engine.peers[peer]
-        nodes = [encode_node_payload(st.payload()) for st in victim.nodes.values()]
+        nodes = [encode_node_payload(st) for st in victim.nodes.values()]
         self.transport.unregister(peer)
         del self.engine.peers[peer]
         return {"pred": victim.pred, "succ": victim.succ, "nodes": nodes}
@@ -132,14 +132,9 @@ class EngineGroup:
         broadcast is the operation's ``locator_set``."""
         state = self.engine.peers[peer]
         for obj in nodes:
-            payload = decode_node_payload(obj)
-            state.nodes[payload.label] = NodeState(
-                label=payload.label,
-                father=payload.father,
-                children=set(payload.children),
-                data=set(payload.data),
-            )
-            self.engine.set_location(payload.label, peer)
+            st = decode_node_payload(obj)
+            state.nodes[st.label] = st
+            self.engine.set_location(st.label, peer)
 
     def set_pred(self, peer: str, pred: str) -> None:
         self.engine.peers[peer].pred = pred

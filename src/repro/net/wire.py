@@ -15,8 +15,11 @@ socket is one *frame*:
 payloads (the bootstrap registry and client RPCs of
 :mod:`repro.net.bootstrap`).  Containers are canonicalised on encode —
 ``frozenset`` → sorted list, ``tuple`` → list, nested
-:class:`~repro.dlpt.messages.NodePayload` → object — and restored exactly
-on decode, so a protocol dataclass round-trips to an equal instance.
+:class:`~repro.dlpt.messages.NodeState` → object (children sorted, data in
+set order) — and restored exactly on decode, so a protocol dataclass
+round-trips to an equal instance.  A decoded node is a fresh record: what
+crosses a socket arrives as the codec's copy, where an in-process hop
+hands the sender's own record over.
 
 The codec raises :class:`WireError` on anything malformed (oversized
 frame, unknown type, non-JSON body): a corrupted peer must fail loudly at
@@ -79,7 +82,7 @@ _STRING_TUPLE_FIELDS = {
     "SetQueryReply": ("keys",),
 }
 
-#: Fields holding one NodePayload / a tuple of NodePayloads, per type.
+#: Fields holding one NodeState / a tuple of NodeStates, per type.
 _PAYLOAD_FIELDS = {"SearchingHost": "payload", "Host": "payload"}
 _PAYLOAD_TUPLE_FIELDS = {"YourInformation": "nodes", "LeaveTransfer": "nodes"}
 
@@ -91,28 +94,28 @@ class WireError(ValueError):
 # -- payload serde -----------------------------------------------------------
 
 
-def encode_node_payload(payload: m.NodePayload) -> dict:
-    """JSON object form of one :class:`~repro.dlpt.messages.NodePayload`
+def encode_node_payload(node: m.NodeState) -> dict:
+    """JSON object form of one :class:`~repro.dlpt.messages.NodeState`
     (also shipped inside the multi-process control RPCs)."""
     return {
-        "label": payload.label,
-        "father": payload.father,
-        "children": sorted(payload.children),
-        "data": [require_scalar(d) for d in payload.data],
+        "label": node.label,
+        "father": node.father,
+        "children": sorted(node.children),
+        "data": [require_scalar(d) for d in node.data],
     }
 
 
-def decode_node_payload(obj: Any) -> m.NodePayload:
-    """Inverse of :func:`encode_node_payload`."""
+def decode_node_payload(obj: Any) -> m.NodeState:
+    """Inverse of :func:`encode_node_payload`: a new node record."""
     try:
-        return m.NodePayload(
-            label=str(obj["label"]),
-            father=None if obj["father"] is None else str(obj["father"]),
-            children=frozenset(str(c) for c in obj["children"]),
-            data=tuple(require_scalar(d) for d in obj["data"]),
+        return m.NodeState(
+            str(obj["label"]),
+            None if obj["father"] is None else str(obj["father"]),
+            {str(c) for c in obj["children"]},
+            {require_scalar(d) for d in obj["data"]},
         )
     except (KeyError, TypeError) as exc:
-        raise WireError(f"malformed NodePayload object: {obj!r}") from exc
+        raise WireError(f"malformed NodeState object: {obj!r}") from exc
 
 
 def require_scalar(value: Any) -> Any:

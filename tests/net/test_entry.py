@@ -136,7 +136,7 @@ class TestLocationWrites:
 
     def test_adopt_counts_as_a_write(self):
         group = _group(m="p")
-        node = m.NodePayload(label="d", father=None, children=frozenset(), data=("d",))
+        node = m.NodeState(label="d", father=None, data={"d"})
         group.adopt("p", [encode_node_payload(node)])
         assert group.engine.lowest_label == "d" and group.engine.locator["d"] == "p"
 

@@ -8,8 +8,12 @@ here instead of enforced there: every payload a ring delivers is
 ``encode_frame``d before and after its handler runs, and the two frames
 must be equal bytes.  The in-process socket transport is the leg that
 matters (it hands the *same* object from hop to hop, and a forwarded
-``NodePayload`` or ``pending`` tuple is shared between messages); the
-loopback leg runs the same scripts in tier-1.
+``pending`` tuple is shared between messages); the loopback leg runs the
+same scripts in tier-1.  The one record that is handed over rather than
+shared is the node itself: a ``NodeState`` in a ``Host``, ``SearchingHost``,
+``YourInformation`` or ``LeaveTransfer`` is the very object its receiver
+installs, so its handler must leave it as it arrived too — the node
+changes only later, under the messages addressed to it.
 
 The second half pins the codec's per-type field tuples: every wire type
 round-trips field by field.

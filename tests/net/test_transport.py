@@ -286,9 +286,7 @@ class TestAsyncioSpecifics:
             t.register("b", lambda env: got.append(env.payload))
             sent = m.SearchingHost(
                 node="ab",
-                payload=m.NodePayload(
-                    label="ab", father="a", children=frozenset({"aba"}), data=(1, "x")
-                ),
+                payload=m.NodeState(label="ab", father="a", children={"aba"}, data={1, "x"}),
             )
             t.send("a", "b", sent)
             await t.drain()
@@ -473,8 +471,8 @@ class TestRunToCompletionDelivery:
         """No per-record ``__dict__``: the envelope and every message
         class define ``__slots__`` and so do their instances' types all
         the way up (one slot-less base would bring the dict back)."""
-        records = [Envelope("a", "b", None), _msg(0), m.NodePayload(label="a", father=None)]
-        for cls in [Envelope, m.NodePayload, *MESSAGE_TYPES.values()]:
+        records = [Envelope("a", "b", None), _msg(0), m.NodeState(label="a", father=None)]
+        for cls in [Envelope, m.NodeState, *MESSAGE_TYPES.values()]:
             assert "__slots__" in vars(cls), cls.__name__
             assert "__dict__" not in dir(cls), cls.__name__
         for record in records:
@@ -797,9 +795,7 @@ class TestPeerToPeerSpecifics:
         big = m.LeaveTransfer(
             pred="a",
             nodes=tuple(
-                m.NodePayload(
-                    label=f"a{i}", father="a", children=frozenset(), data=("x" * 64,)
-                )
+                m.NodeState(label=f"a{i}", father="a", data={"x" * 64})
                 for i in range(3000)
             ),
         )

@@ -168,12 +168,12 @@ _datum_st = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False, width=32),
 )
 
-node_payloads_st = st.builds(
-    m.NodePayload,
+node_states_st = st.builds(
+    m.NodeState,
     label=_label_st,
     father=st.one_of(st.none(), _label_st),
-    children=st.frozensets(_label_st, max_size=4),
-    data=st.lists(_datum_st, max_size=3).map(tuple),
+    children=st.sets(_label_st, max_size=4),
+    data=st.sets(_datum_st, max_size=3),
 )
 
 _labels_tuple_st = st.lists(_label_st, max_size=4).map(tuple)
@@ -196,19 +196,19 @@ wire_message_builders = {
         m.YourInformation,
         pred=_label_st,
         succ=_label_st,
-        nodes=st.lists(node_payloads_st, max_size=3).map(tuple),
+        nodes=st.lists(node_states_st, max_size=3).map(tuple),
     ),
     "UpdateSuccessor": st.builds(m.UpdateSuccessor, new_successor=_label_st),
     "LeaveTransfer": st.builds(
         m.LeaveTransfer,
         pred=_label_st,
-        nodes=st.lists(node_payloads_st, max_size=3).map(tuple),
+        nodes=st.lists(node_states_st, max_size=3).map(tuple),
     ),
     "DataInsertion": st.builds(
         m.DataInsertion, node=_label_st, key=_label_st, datum=_datum_st
     ),
-    "SearchingHost": st.builds(m.SearchingHost, node=_label_st, payload=node_payloads_st),
-    "Host": st.builds(m.Host, payload=node_payloads_st),
+    "SearchingHost": st.builds(m.SearchingHost, node=_label_st, payload=node_states_st),
+    "Host": st.builds(m.Host, payload=node_states_st),
     "UpdateChild": st.builds(m.UpdateChild, node=_label_st, old=_label_st, new=_label_st),
     "DiscoveryRequest": st.builds(
         m.DiscoveryRequest,
