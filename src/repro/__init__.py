@@ -30,31 +30,37 @@ Quickstart::
     print(svc.discover("dgemm", rng=rng).satisfied)
 """
 
-from .core.alphabet import BINARY, PRINTABLE, Alphabet
-from .core.pgcp import PGCPTree
-from .core.queries import ExactQuery, MultiAttributeQuery, PrefixQuery, RangeQuery
-from .dlpt.service import DiscoveryService, ServiceRecord
-from .dlpt.system import DLPTSystem
-from .lb.kchoices import KChoices
-from .lb.mlt import MLT
-from .lb.nolb import NoLB
+#: Each public name and the submodule that owns it, imported on first use
+#: (PEP 562), so ``import repro.net.serve`` loads the runtime and nothing
+#: of the macro model, the balancers or NumPy.
+_EXPORTS = {
+    "Alphabet": ".core.alphabet",
+    "BINARY": ".core.alphabet",
+    "PRINTABLE": ".core.alphabet",
+    "PGCPTree": ".core.pgcp",
+    "ExactQuery": ".core.queries",
+    "PrefixQuery": ".core.queries",
+    "RangeQuery": ".core.queries",
+    "MultiAttributeQuery": ".core.queries",
+    "DLPTSystem": ".dlpt.system",
+    "DiscoveryService": ".dlpt.service",
+    "ServiceRecord": ".dlpt.service",
+    "MLT": ".lb.mlt",
+    "KChoices": ".lb.kchoices",
+    "NoLB": ".lb.nolb",
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Alphabet",
-    "BINARY",
-    "PRINTABLE",
-    "PGCPTree",
-    "ExactQuery",
-    "PrefixQuery",
-    "RangeQuery",
-    "MultiAttributeQuery",
-    "DLPTSystem",
-    "DiscoveryService",
-    "ServiceRecord",
-    "MLT",
-    "KChoices",
-    "NoLB",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value
+    return value

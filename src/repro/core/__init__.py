@@ -1,13 +1,1 @@
 """Identifier algebra, the reference PGCP tree, and the query model."""
-
-from .alphabet import BINARY, PRINTABLE, Alphabet, alphabet_for
-from .ids import gcp, gcp_many, is_prefix, is_proper_prefix, pgcp, prefixes
-from .pgcp import PGCPNode, PGCPTree
-from .queries import ExactQuery, MultiAttributeQuery, PrefixQuery, RangeQuery
-
-__all__ = [
-    "Alphabet", "BINARY", "PRINTABLE", "alphabet_for",
-    "gcp", "gcp_many", "pgcp", "prefixes", "is_prefix", "is_proper_prefix",
-    "PGCPNode", "PGCPTree",
-    "ExactQuery", "PrefixQuery", "RangeQuery", "MultiAttributeQuery",
-]

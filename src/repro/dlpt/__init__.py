@@ -1,15 +1,1 @@
 """The DLPT overlay: mapping, routing, macro system, async protocol, facade."""
-
-from .failures import CrashReport, RepairReport, ReplicationManager, crash_peer, repair
-from .mapping import LexicographicMapping
-from .protocol import ProtocolEngine
-from .routing import RequestOutcome, RoutePath, route_path
-from .service import DiscoveryService, ServiceRecord
-from .system import DLPTSystem
-
-__all__ = [
-    "DLPTSystem", "DiscoveryService", "ServiceRecord",
-    "LexicographicMapping", "ProtocolEngine",
-    "ReplicationManager", "crash_peer", "repair", "CrashReport", "RepairReport",
-    "RoutePath", "RequestOutcome", "route_path",
-]

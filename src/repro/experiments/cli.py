@@ -1,18 +1,15 @@
-"""Command-line interface: regenerate any paper experiment from a shell.
+"""The experiment commands of ``python -m repro``: artifacts, ``run``, ``list``.
 
-Usage (after ``pip install -e .`` / ``python setup.py develop``)::
+:mod:`repro.__main__` routes its own subcommands (``bench``, ``paper``,
+``sweep``, ``serve``) and hands every other argument list here::
 
     python -m repro fig4 --runs 5
     python -m repro fig8 --runs 2 --peers 80
     python -m repro table1 --runs 3 --workers 8
     python -m repro table2
     python -m repro query_cost
-    python -m repro bench --suite micro
-    python -m repro paper --out out/paper
-    python -m repro sweep --shard 0/4 --store /mnt/shared/repro-results
     python -m repro run --workload flash_crowd:S3L --units 120 --trace t.jsonl
     python -m repro run --replay t.jsonl --lb kc:k=8
-    python -m repro serve --peers 8 --demo
     python -m repro list
 
 The positional names are the keys of the artifact registry
@@ -24,9 +21,8 @@ batch of configs on one process pool (default: the ``REPRO_WORKERS``
 environment variable if set, else 1).  ``run`` executes one configuration under
 any workload spec (see :mod:`repro.workloads.spec`), optionally recording
 the workload to a ``repro-trace/1`` JSONL file (``--trace``) or replaying
-one (``--replay``), and reports a per-phase breakdown.  ``paper`` and
-``sweep`` are the one-command reproduction pipeline (result store,
-sharding, manifest — see :mod:`repro.sweeps` and ``docs/reproduction.md``).
+one (``--replay``), and reports a per-phase breakdown.  ``list`` prints the
+artifact names, then every subcommand.
 """
 
 from __future__ import annotations
@@ -278,29 +274,13 @@ def _print_fault_summary(result) -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] == "bench":
-        # The bench subcommand owns its options; delegate before the
-        # experiment parser rejects them.
-        from ..perf.bench import main as bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "run":
         return _run_main(argv[1:])
-    if argv and argv[0] == "paper":
-        from ..sweeps.cli import paper_main
-
-        return paper_main(argv[1:])
-    if argv and argv[0] == "sweep":
-        from ..sweeps.cli import sweep_main
-
-        return sweep_main(argv[1:])
-    if argv and argv[0] == "serve":
-        from ..net.serve import main as serve_main
-
-        return serve_main(argv[1:])
     args = build_parser().parse_args(argv)
     if args.experiment == "list":
-        for name in [*ARTIFACTS, "bench", "paper", "run", "serve", "sweep"]:
+        from ..__main__ import SUBCOMMANDS
+
+        for name in [*ARTIFACTS, *sorted([*SUBCOMMANDS, "run"])]:
             print(name)
         return 0
 

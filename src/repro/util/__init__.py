@@ -1,7 +1,1 @@
 """Shared utilities: sorted containers, statistics, seeded RNG streams."""
-
-from .rng import RngStreams
-from .sortedlist import SortedList
-from .stats import SeriesSummary, gain_percent, mean_ci, summarize_series
-
-__all__ = ["RngStreams", "SortedList", "SeriesSummary", "gain_percent", "mean_ci", "summarize_series"]

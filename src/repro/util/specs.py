@@ -120,7 +120,8 @@ _REGISTRY: Dict[str, _SpecKind] = {}
 
 #: Modules whose import registers the built-in kinds; loaded lazily so
 #: this low-level module never imports the feature packages at import
-#: time (repro.util must stay dependency-free).
+#: time: it is part of the served runtime, which imports no NumPy
+#: (tests/net/test_import_closure.py guards that closure).
 _BUILTIN_PROVIDERS = (
     "repro.workloads.spec",
     "repro.workloads.queries",

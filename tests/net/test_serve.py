@@ -6,7 +6,7 @@ import asyncio
 
 import pytest
 
-from repro.experiments.cli import main as repro_main
+from repro.__main__ import main as repro_main
 from repro.net.bootstrap import RegistryJournal
 from repro.net.serve import (
     DEMO_KEYS,

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.experiments import ARTIFACTS
-from repro.experiments.cli import main
+from repro.__main__ import main
 from repro.sweeps import (
     PROFILES,
     ResultStore,

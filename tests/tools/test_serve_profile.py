@@ -83,12 +83,20 @@ def test_minor_faults_are_counted_only_while_armed():
     assert usage.minflt == armed
 
 
+def test_disarm_reads_the_footprint():
+    usage = serve_profile.ArmedUsage()
+    assert usage.vmhwm_kb == 0 == usage.threads
+    usage.arm()
+    usage.disarm()
+    assert usage.vmhwm_kb > 1024 and usage.threads >= 1
+
+
 def test_headline_prints_cpu_and_loop_turns_per_op():
     tally = types.SimpleNamespace(attempted=2000, failed=0)
-    doc = {"cpu_s": 0.42, "turns": 6100, "minflt": 4020}
+    doc = {"cpu_s": 0.42, "turns": 6100, "minflt": 4020, "vmhwm_kb": 27290, "threads": 1}
     line = serve_profile.headline("scan_batch", 2000, 1.5, tally, 480, doc)
     assert line == (
         "scan_batch seed 1: 2000 measured ops in 1.50s, 2000 verified, 0 failed; "
         "480 samples over 0.42s of child CPU (0.210 ms/op, 3.05 loop turns/op, "
-        "2.01 minor faults/op)"
+        "2.01 minor faults/op); child peak RSS 26.7 MB, 1 OS threads"
     )

@@ -17,7 +17,9 @@ and the warm-up and disarms it with a second one after the last measured reply,
 so bring-up and shutdown are not in the sample.  While armed the child also
 counts its event loop's iterations and its minor page faults, printed per
 measured op beside the CPU ms/op: how many times the loop went round for one
-request, and how often it touched memory the kernel had to map afresh.
+request, and how often it touched memory the kernel had to map afresh.  The
+headline ends with the child's footprint, read from ``/proc/self/status``
+when the sampler disarms: its peak resident set (``VmHWM``) and OS threads.
 
 Sample, do not ``cProfile``, this path: per-call instrumentation inflates a
 run of many tiny calls 2.5x and mis-ranks it (it blamed ``socket.send`` for
@@ -78,11 +80,15 @@ class LoopTurns:
 
 class ArmedUsage:
     """This process's CPU seconds and minor page faults between
-    :meth:`arm` and :meth:`disarm`, summed over every arming."""
+    :meth:`arm` and :meth:`disarm`, summed over every arming, and its
+    footprint at the last disarm: peak resident set (``VmHWM``, kB) and
+    OS threads, read from ``/proc/self/status``."""
 
     def __init__(self) -> None:
         self.cpu_s = 0.0
         self.minflt = 0
+        self.vmhwm_kb = 0
+        self.threads = 0
         self.at = None  # (CPU seconds, minor faults) when armed; None disarmed
 
     def arm(self) -> None:
@@ -93,6 +99,10 @@ class ArmedUsage:
         self.cpu_s += time.process_time() - cpu_s
         self.minflt += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt
         self.at = None
+        with open("/proc/self/status", encoding="ascii") as fh:
+            status = dict(line.split(":", 1) for line in fh)
+        self.vmhwm_kb = int(status["VmHWM"].split()[0])
+        self.threads = int(status["Threads"])
 
 
 def serve_under_sampler(out_path: str, serve_argv: list) -> int:
@@ -100,7 +110,8 @@ def serve_under_sampler(out_path: str, serve_argv: list) -> int:
     toggles an ``ITIMER_PROF`` whose every tick records the Python stack,
     a :class:`LoopTurns` and an :class:`ArmedUsage`.  On exit ``out_path``
     gets ``{"cpu_s": CPU seconds spent armed, "minflt": minor page faults
-    while armed, "turns": loop iterations while armed, "samples": [[stack,
+    while armed, "turns": loop iterations while armed, "vmhwm_kb": peak
+    RSS at the last disarm, "threads": OS threads then, "samples": [[stack,
     count], …]}`` (``stack`` innermost first, frames ``[file, line,
     name]``)."""
     samples = collections.Counter()
@@ -137,6 +148,7 @@ def serve_under_sampler(out_path: str, serve_argv: list) -> int:
         with open(out_path, "w", encoding="utf-8") as fh:
             json.dump(
                 {"cpu_s": usage.cpu_s, "minflt": usage.minflt, "turns": turns.count,
+                 "vmhwm_kb": usage.vmhwm_kb, "threads": usage.threads,
                  "samples": [[s, n] for s, n in samples.items()]},
                 fh,
             )
@@ -175,16 +187,17 @@ def tables(samples: list) -> tuple:
 
 
 def headline(workload: str, done: int, wall: float, tally, total: int, doc: dict) -> str:
-    """The run's one-line summary: ops, replies verified, samples, and per
+    """The run's one-line summary: ops, replies verified, samples, per
     measured op the child's CPU ms, its event loop's turns and its minor
-    page faults."""
+    page faults, and the child's footprint (peak RSS, OS threads)."""
     per_op = max(1, done)
     return (f"{workload} seed {SEED}: {done} measured ops in {wall:.2f}s, "
             f"{tally.attempted} verified, {tally.failed} failed; "
             f"{total} samples over {doc['cpu_s']:.2f}s of child CPU "
             f"({doc['cpu_s'] * 1e3 / per_op:.3f} ms/op, "
             f"{doc['turns'] / per_op:.2f} loop turns/op, "
-            f"{doc['minflt'] / per_op:.2f} minor faults/op)")
+            f"{doc['minflt'] / per_op:.2f} minor faults/op); "
+            f"child peak RSS {doc['vmhwm_kb'] / 1024:.1f} MB, {doc['threads']} OS threads")
 
 
 def render(title: str, counts: collections.Counter, total: int, top: int) -> str:
