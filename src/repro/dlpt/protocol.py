@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 from ..core.ids import common_prefix_len, gcp
 from ..core.keyspace import in_interval_open_closed
@@ -102,7 +102,7 @@ class ProtocolEngine:
         self.transport = transport
         self.peers: Dict[str, ProtocolPeer] = {}
         #: label -> hosting peer id (node location service); written only
-        #: by :meth:`set_location` / :meth:`drop_locations`.
+        #: by :meth:`set_location` — a label moves, it is never dropped.
         self.locator: Dict[str, str] = {}
         #: ``min(self.locator)``, ``None`` on an empty tree: the default
         #: entry node of a client operation, kept where the table is written.
@@ -291,24 +291,12 @@ class ProtocolEngine:
         self.transport.send(src, host, payload)
 
     def set_location(self, label: str, host: str) -> None:
-        """Point ``label`` at ``host``: with :meth:`drop_locations`, the
-        one place the location table is written."""
+        """Point ``label`` at ``host``: the one place the location table
+        is written."""
         self.locator[label] = host
         lowest = self.lowest_label
         if lowest is None or label < lowest:
             self.lowest_label = label
-
-    def drop_locations(self, labels: Optional[Iterable[str]] = None) -> None:
-        """Forget ``labels`` (the whole table when ``None``); the table is
-        rescanned for its lowest label only when that label was dropped."""
-        locator = self.locator
-        if labels is None:
-            locator.clear()
-        else:
-            for label in labels:
-                locator.pop(label, None)
-        if self.lowest_label not in locator:
-            self.lowest_label = min(locator, default=None)
 
     def _on_client_message(self, env: Envelope) -> None:
         if isinstance(env.payload, m.DiscoveryReply):

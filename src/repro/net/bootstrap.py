@@ -69,7 +69,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..dlpt.messages import Envelope
 from .asyncio_transport import BROKER_ENDPOINT  # re-exported: the broker's name
-from .cluster import admission, successor_of
+from .cluster import admission
 from .transport import Transport
 from .wire import require_scalar
 
@@ -104,10 +104,9 @@ class RegistryJournal:
         {"v": "repro-registry/1", "op": "crash", "peer": "abcd"}
 
     Appends are flushed line-by-line, so a crash loses at most the change
-    in progress.  :meth:`replay` folds the log into the final membership;
-    a restarted broker rebuilds its successor oracle from it
-    (:meth:`successor_of`) before any peer has re-registered, and the
-    serve layer re-admits the recovered peers.
+    in progress.  :meth:`replay` folds the log into the final membership,
+    which a restarted ``serve`` re-admits through its backend — whose
+    live ids are then the successor oracle again.
     """
 
     def __init__(self, path: str) -> None:
@@ -172,11 +171,6 @@ class RegistryJournal:
                 else:
                     live.pop(peer, None)
         return live
-
-    def successor_of(self, peer_id: str) -> Optional[str]:
-        """The recovered successor oracle (the live backends' rule,
-        :func:`repro.net.cluster.successor_of`, over the replayed ids)."""
-        return successor_of(sorted(self.replay()), peer_id)
 
 
 def _text(request: dict, field: str, default: object = None) -> str:

@@ -4,9 +4,9 @@ The DLPT is one protocol however its peers are spread over machines, so
 everything above the engine — the :class:`~repro.net.bootstrap.Broker`,
 the conformance driver, ``serve`` bring-up — talks to one *backend*
 surface, ``join / leave / crash / register / discover / discover_many /
-search / snapshot / live_ids / successor_of / counters / drain /
-set_chaos / close``, with the same argument and record shapes whatever
-the topology.  It is two layers, each written exactly once:
+search / snapshot / live_ids / counters / drain / set_chaos / close``,
+with the same argument and record shapes whatever the topology.  It is
+two layers, each written exactly once:
 
 * :class:`EngineGroup` — the *steps*: synchronous, JSON-in/JSON-out
   methods over one :class:`~repro.dlpt.protocol.ProtocolEngine`.  A step
@@ -26,12 +26,13 @@ means (``drain``) and where membership is recorded (``_members``):
   quiescence is a counter poll over all of them, and the coordinator
   keeps the membership (and acked-registration) ledgers.
 
-Crashes are fail-stop, so there is no goodbye protocol to run: ``crash``
-applies what the failure detector + ``r=1`` successor-replication policy
-of :mod:`repro.faults` would conclude, as steps — ``crash_pop`` rips the
-victim's endpoint out and returns its ν, ``adopt`` installs those nodes
-on the successor, ``set_pred`` / ``set_succ`` splice the neighbours' ring
-pointers, and ``locator_set`` repoints every group's location table.
+A crash is the departure: under the ``r=1`` successor replication of
+:mod:`repro.faults` the victim's ring successor ends up holding its ν
+with the victim's predecessor as its own — exactly where the paper's
+departure leaves it.  So ``crash`` runs the ``leave`` step (one
+``LeaveTransfer`` to the successor, one ``UpdateSuccessor`` to the
+predecessor), and every node install goes through the engine.  Removing
+the last peer, by either operation, is refused before any step.
 
 Joining a ring without help is an O(ring) walk: ``NewPredecessor``
 forwards peer to peer until Algorithm 2's interval check succeeds.  Real
@@ -51,7 +52,6 @@ import zlib
 from typing import Dict, List, Optional, Sequence
 
 from ..dlpt.protocol import ProtocolEngine
-from .wire import decode_node_payload, encode_node_payload
 
 
 class ClusterError(RuntimeError):
@@ -114,45 +114,6 @@ class EngineGroup:
     def ring(self, peer: str) -> dict:
         state = self.engine.peers[peer]
         return {"pred": state.pred, "succ": state.succ}
-
-    # -- crash surgery ------------------------------------------------------
-
-    def crash_pop(self, peer: str) -> dict:
-        """The victim's endpoint vanishes mid-air; returns its ring
-        pointers and its ν as wire-form node payloads."""
-        victim = self.engine.peers[peer]
-        nodes = [encode_node_payload(st) for st in victim.nodes.values()]
-        self.transport.unregister(peer)
-        del self.engine.peers[peer]
-        return {"pred": victim.pred, "succ": victim.succ, "nodes": nodes}
-
-    def adopt(self, peer: str, nodes: List[dict]) -> None:
-        """Install a crashed peer's nodes on ``peer`` (which the mapping
-        rule now assigns them to).  No install hook: the location
-        broadcast is the operation's ``locator_set``."""
-        state = self.engine.peers[peer]
-        for obj in nodes:
-            st = decode_node_payload(obj)
-            state.nodes[st.label] = st
-            self.engine.set_location(st.label, peer)
-
-    def set_pred(self, peer: str, pred: str) -> None:
-        self.engine.peers[peer].pred = pred
-
-    def set_succ(self, peer: str, succ: str) -> None:
-        self.engine.peers[peer].succ = succ
-
-    def locator_set(self, entries: Dict[str, str]) -> None:
-        """Repoint labels at their hosts, flushing the messages parked for
-        each exactly as a local install would (a SearchingHost can race
-        the Host hop across groups)."""
-        for label, host in entries.items():
-            self.engine.set_location(label, host)
-            for src, msg in self.engine.pending_node_messages.pop(label, ()):
-                self.transport.send(src, host, msg)
-
-    def locator_del(self, labels: List[str]) -> None:
-        self.engine.drop_locations(labels)
 
     # -- data plane ---------------------------------------------------------
 
@@ -294,9 +255,6 @@ class Cluster:
         """Sorted ids of the peers currently joined to the ring."""
         return sorted(self._members())
 
-    def successor_of(self, peer_id: str) -> Optional[str]:
-        return successor_of(self.live_ids(), peer_id)
-
     def _require_member(self, peer_id: str) -> None:
         if peer_id not in self._members():
             raise ClusterError(f"peer {peer_id!r} not joined")
@@ -316,29 +274,17 @@ class Cluster:
         return {"pred": ring["pred"], "succ": ring["succ"]}
 
     async def leave(self, peer_id: str) -> None:
+        """The paper's departure: ``peer_id`` hands its nodes to its
+        successor; the ring's last peer is refused before any step."""
         self._require_member(peer_id)
+        if len(self._members()) == 1:
+            raise ClusterError(f"cannot remove {peer_id!r}: it is the ring's last peer")
         await self.call(self._home(peer_id), "leave", peer=peer_id)
         await self.drain()
 
     async def crash(self, victim_id: str) -> None:
-        """Fail-stop crash + ``r=1`` recovery (module doc): state surgery
-        through the steps, no protocol messages."""
-        self._require_member(victim_id)
-        popped = await self.call(self._home(victim_id), "crash_pop", peer=victim_id)
-        pred, succ, nodes = popped["pred"], popped["succ"], popped["nodes"]
-        labels = [obj["label"] for obj in nodes]
-        if succ == victim_id:
-            # Last peer of the ring: everything it hosted dies with it.
-            await self._all("locator_del", labels=labels)
-        else:
-            await self.call(self._home(succ), "adopt", peer=succ, nodes=nodes)
-            await self.call(
-                self._home(succ), "set_pred", peer=succ, pred=pred if pred != victim_id else succ
-            )
-            await self.call(self._home(pred), "set_succ", peer=pred, succ=succ)
-            if labels:
-                await self._all("locator_set", entries=dict.fromkeys(labels, succ))
-        await self.drain()
+        """Fail-stop crash + ``r=1`` recovery: the departure (module doc)."""
+        await self.leave(victim_id)
 
     # -- data-plane operations ---------------------------------------------
 

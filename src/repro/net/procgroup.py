@@ -143,10 +143,18 @@ class _Worker(EngineGroup):
     #: worker's own two.
     OPS = STEPS | {"ping", "reset"}
 
-    def __init__(self, index: int, n_groups: int, engine) -> None:
-        super().__init__(engine)
+    def __init__(self, index: int, n_groups: int, transport) -> None:
         self.index = index
         self.n_groups = n_groups
+        self.transport = transport
+        super().__init__(self._blank_engine())
+
+    def _blank_engine(self) -> ProtocolEngine:
+        engine = ProtocolEngine(
+            transport=self.transport, client_endpoint=f"{CLIENT_PREFIX}{self.index}"
+        )
+        engine.on_node_installed = self.broadcast_install
+        return engine
 
     # -- locator replication ------------------------------------------------
 
@@ -159,7 +167,13 @@ class _Worker(EngineGroup):
                 self.transport.send(src, f"{SYNC_PREFIX}{g}", {"label": label, "host": host})
 
     def on_sync(self, env: Envelope) -> None:
-        self.locator_set({env.payload["label"]: env.payload["host"]})
+        """Another group installed a node: repoint its label here and
+        flush the messages parked for it, exactly as a local install
+        would (a SearchingHost can race the Host hop across groups)."""
+        label, host = env.payload["label"], env.payload["host"]
+        self.engine.set_location(label, host)
+        for src, msg in self.engine.pending_node_messages.pop(label, ()):
+            self.transport.send(src, host, msg)
 
     # -- control RPCs -------------------------------------------------------
 
@@ -209,14 +223,10 @@ class _Worker(EngineGroup):
         re-tupled or the resolver would hand the link cache unhashable
         keys (and ``address == self.address`` would never match)."""
         groups = [tuple(a) for a in groups]
-        engine, t = self.engine, self.transport
-        for peer_id in list(engine.peers):
+        t = self.transport
+        for peer_id in self.engine.peers:
             t.unregister(peer_id)
-        engine.peers.clear()
-        engine.drop_locations()
-        engine.pending_node_messages.clear()
-        engine.discovery_replies.clear()
-        engine.query_replies.clear()
+        self.engine = self._blank_engine()
         t.set_resolve(_make_resolver(self.n_groups, groups))
         t.reset_links()
         t.errors.clear()
@@ -234,9 +244,7 @@ async def _worker_async(index: int, n_groups: int, conn, chaos=None) -> None:
         transport = ChaosTransport(
             transport, chaos, seed=chaos.seed + index * 7919
         )
-    engine = ProtocolEngine(transport=transport, client_endpoint=f"{CLIENT_PREFIX}{index}")
-    worker = _Worker(index, n_groups, engine)
-    engine.on_node_installed = worker.broadcast_install
+    worker = _Worker(index, n_groups, transport)
     transport.register(f"{SYNC_PREFIX}{index}", worker.on_sync)
     closed = asyncio.Event()
     channel = await _open_channel(conn, worker.serve, lambda _channel, _exc: closed.set())
@@ -584,16 +592,6 @@ class MultiProcessCluster(Cluster):
         self._check_ready()
         await super().leave(peer_id)
         del self.members[peer_id]
-
-    async def crash(self, victim_id: str) -> None:
-        self._check_ready()
-        await super().crash(victim_id)
-        del self.members[victim_id]
-        if not self.members:
-            # The last peer hosted everything, acknowledged registrations
-            # included: at r=1 there is no surviving replica to recover
-            # them from.
-            self.registrations.clear()
 
     async def register(self, key: str, datum: object = None, via: Optional[str] = None) -> dict:
         """The shared insertion; a located result enters the

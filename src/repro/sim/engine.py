@@ -5,14 +5,12 @@ not available offline, so this module provides the minimal event-driven core
 the protocol layer needs: a simulated clock, a priority event queue with
 stable FIFO ordering among simultaneous events, and process handles.
 
-Two execution styles sit on top of it:
-
-* **message-level** — :class:`repro.net.transport.SimTransport` delivers
-  protocol messages between peers as events (latency and loss come from a
-  :class:`~repro.net.chaos.ChaosTransport` around it); used to validate
-  Algorithms 1–3 under asynchrony.
-* **time-unit level** — :mod:`repro.experiments.runner` advances the clock in
-  whole units and runs the paper's per-unit steps; used for the figures.
+Its one client is :class:`repro.net.transport.SimTransport`, which
+delivers protocol messages between peers as events (latency and loss come
+from a :class:`~repro.net.chaos.ChaosTransport` around it) to validate
+Algorithms 1–3 under asynchrony.  The figures' time-unit loop
+(:mod:`repro.experiments.runner`) keeps its own count of units and does
+not use this clock.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from repro.net.client import (
     DLPTClientError,
     DLPTClientTimeout,
 )
-from repro.net.cluster import LocalCluster
+from repro.net.cluster import LocalCluster, successor_of
 from repro.net.procgroup import MultiProcessCluster
 from repro.net.serve import start_cluster
 from repro.net.wire import FrameReader, encode_frame
@@ -442,15 +442,16 @@ class TestRegistryJournal:
         for pid in ("pd", "pm", "pt"):
             journal.record("join", pid, 10)
         journal.close()
-        assert journal.successor_of("pa") == "pd"
-        assert journal.successor_of("pd") == "pd"
-        assert journal.successor_of("pe") == "pm"
-        assert journal.successor_of("pz") == "pd"  # wraps to the minimum
+        ids = sorted(journal.replay())
+        assert successor_of(ids, "pa") == "pd"
+        assert successor_of(ids, "pd") == "pd"
+        assert successor_of(ids, "pe") == "pm"
+        assert successor_of(ids, "pz") == "pd"  # wraps to the minimum
 
     def test_missing_file_is_empty_membership(self, tmp_path):
         journal = RegistryJournal(str(tmp_path / "never-written.jsonl"))
         assert journal.replay() == {}
-        assert journal.successor_of("pa") is None
+        assert successor_of(sorted(journal.replay()), "pa") is None
 
     @pytest.mark.parametrize(
         "line, needle",

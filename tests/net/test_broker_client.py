@@ -11,7 +11,7 @@ from repro.dlpt.protocol import ProtocolEngine
 from repro.net.asyncio_transport import AsyncioTransport, LoopbackAsyncioTransport
 from repro.net.bootstrap import BROKER_ENDPOINT, Broker, RegistryJournal
 from repro.net.client import DLPTClient, DLPTClientError
-from repro.net.cluster import LocalCluster, admission
+from repro.net.cluster import LocalCluster, admission, successor_of
 from repro.net.procgroup import MultiProcessCluster
 from repro.net.serve import start_cluster
 
@@ -28,13 +28,14 @@ class TestBootstrapRegistry:
             engine.bootstrap_peer("m", 10)
             await transport.drain()
             for pid in ("d", "t"):
-                engine.join_peer(pid, 10, seed=registry.successor_of(pid))
+                engine.join_peer(pid, 10, seed=successor_of(registry.live_ids(), pid))
                 await transport.drain()
-            assert registry.live_ids() == ["d", "m", "t"]
-            assert registry.successor_of("a") == "d"
-            assert registry.successor_of("d") == "d"
-            assert registry.successor_of("e") == "m"
-            assert registry.successor_of("z") == "d"  # wraps to the minimum
+            ids = registry.live_ids()
+            assert ids == ["d", "m", "t"]
+            assert successor_of(ids, "a") == "d"
+            assert successor_of(ids, "d") == "d"
+            assert successor_of(ids, "e") == "m"
+            assert successor_of(ids, "z") == "d"  # wraps to the minimum
             admitted = admission(registry.live_ids(), "e")
             assert admitted["successor"] == "m"
             assert admitted["seeds"][0] == "m"
@@ -55,11 +56,11 @@ class TestBootstrapRegistry:
                 if not engine.peers:
                     engine.bootstrap_peer(pid, 10)
                 else:
-                    engine.join_peer(pid, 10, seed=registry.successor_of(pid))
+                    engine.join_peer(pid, 10, seed=successor_of(registry.live_ids(), pid))
                 await transport.drain()
             engine.check_ring()
             before = transport.messages_sent
-            engine.join_peer("bb", 10, seed=registry.successor_of("bb"))
+            engine.join_peer("bb", 10, seed=successor_of(registry.live_ids(), "bb"))
             await transport.drain()
             engine.check_ring()
             # NewPredecessor to the successor + YourInformation back +
@@ -339,6 +340,8 @@ _EXPECTED_KEYS = {
     | {"peers", "nodes", "keys", "served", "rejected", "pending", "max_pending"},
     "leave": _OK | {"peer", "peers"},
     "leave:unknown": _ERROR,
+    "leave:2": _OK | {"peer", "peers"},
+    "leave:last": _ERROR,
 }
 
 
@@ -366,6 +369,8 @@ async def _rpc_script(transport):
         ("info", dict(op="info")),
         ("leave", dict(op="peer_leave", peer="pd")),
         ("leave:unknown", dict(op="peer_leave", peer="nobody")),
+        ("leave:2", dict(op="peer_leave", peer="pg")),
+        ("leave:last", dict(op="peer_leave", peer="pa")),
     ]
     return {step: await client.call(**body) for step, body in steps}
 
@@ -444,6 +449,9 @@ def _check_contract(replies, extra=frozenset()):
     # refuses, whichever process notices.
     assert replies["empty:register"]["error"] == "ClusterError: no peers joined"
     assert replies["leave:unknown"]["error"] == "ClusterError: peer 'nobody' not joined"
+    assert replies["leave:last"]["error"] == (
+        "ClusterError: cannot remove 'pa': it is the ring's last peer"
+    )
     assert "kind" in replies["search:bad"]["error"]
     assert "unknown broker op" in replies["unknown"]["error"]
 
@@ -472,7 +480,7 @@ class TestBrokerBackends:
             assert {k: v for k, v in multi[step].items() if k not in volatile} == {
                 k: v for k, v in local[step].items() if k not in volatile
             }, step
-        for step in ("empty:register", "leave:unknown"):
+        for step in ("empty:register", "leave:unknown", "leave:last"):
             assert multi[step]["error"] == local[step]["error"], step
 
 

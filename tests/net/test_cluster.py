@@ -9,6 +9,7 @@ Tier-1 drives a :class:`LocalCluster` on the loopback transport; the
 from __future__ import annotations
 
 import asyncio
+import collections
 import itertools
 
 import pytest
@@ -17,7 +18,7 @@ from repro.dlpt.protocol import ProtocolEngine
 from repro.net.asyncio_transport import LoopbackAsyncioTransport
 from repro.net import procgroup
 from repro.net.chaos import ChaosTransport
-from repro.net.cluster import ClusterError, LocalCluster
+from repro.net.cluster import STEPS, ClusterError, LocalCluster
 from repro.net.procgroup import MultiProcessCluster, group_of
 from repro.net.transport import TransportError
 
@@ -59,8 +60,24 @@ def lossy_loopback():
     return transport, lose
 
 
-async def _local_cluster(peers):
-    transport = LoopbackAsyncioTransport()
+class _CountingLoopback(LoopbackAsyncioTransport):
+    """A loopback transport that tallies what it delivers, by payload
+    type name, in ``delivered``."""
+
+    def __init__(self):
+        super().__init__()
+        self.delivered = collections.Counter()
+
+    def register(self, endpoint, handler):
+        def counted(env):
+            self.delivered[type(env.payload).__name__] += 1
+            handler(env)
+
+        super().register(endpoint, counted)
+
+
+async def _local_cluster(peers, transport=None):
+    transport = transport or LoopbackAsyncioTransport()
     await transport.start()
     cluster = LocalCluster(ProtocolEngine(transport=transport))
     for pid in peers:
@@ -164,13 +181,14 @@ class TestLocalCluster:
 
         asyncio.run(body())
 
-    def test_crash_travels_through_the_steps(self):
-        """The victim's ν reaches its successor through ``crash_pop`` →
-        ``adopt`` — the wire form of the node payloads — not by moving
-        ``NodeState`` objects: what arrives must equal what left."""
+    def test_a_crash_is_the_departure(self):
+        """The victim's ν reaches its successor by the paper's departure:
+        the one ``leave`` step, which sends one ``LeaveTransfer`` and one
+        ``UpdateSuccessor`` — what arrives must equal what left."""
 
         async def body():
-            cluster = await _local_cluster(["pa", "pg", "pm"])
+            transport = _CountingLoopback()
+            cluster = await _local_cluster(["pa", "pg", "pm"], transport)
             engine = cluster.engine
             data = {"pbab": {1, 2.5, "three"}, "pbac": {"pbac"}, "pc": {True}}
             for key, items in data.items():
@@ -193,9 +211,11 @@ class TestLocalCluster:
                 return call(group, step, **body)
 
             cluster.call = recorded
+            before = collections.Counter(transport.delivered)
             await cluster.crash("pg")
             cluster.call = call
-            assert steps == ["crash_pop", "adopt", "set_pred", "set_succ", "locator_set"]
+            assert steps == ["leave"]
+            assert transport.delivered - before == {"LeaveTransfer": 1, "UpdateSuccessor": 1}
 
             assert cluster.live_ids() == ["pa", "pm"]
             heir = engine.peers["pm"]
@@ -214,23 +234,95 @@ class TestLocalCluster:
 
         asyncio.run(body())
 
-    def test_crashing_the_last_peer_empties_the_ring(self):
+    def test_the_last_peer_is_refused(self):
         async def body():
-            cluster = await _local_cluster(["pa", "pg"])
-            for key in REGISTERED:
-                await cluster.register(key)
-            await cluster.crash("pa")
-            assert (await cluster.discover("dgemm"))["host"] == "pg"
-            await cluster.crash("pg")
-            assert cluster.live_ids() == [] and cluster.engine.locator == {}
-            assert await cluster.discover("dgemm") is None
-            with pytest.raises(ClusterError, match="no peers joined"):
-                await cluster.register("too-late")
+            cluster = await _local_cluster([])
+            await _refuse_the_last_peer(cluster, lambda: dict(cluster.engine.locator))
             with pytest.raises(ClusterError, match="not joined"):
-                await cluster.crash("pg")
+                await cluster.crash("pa")
             await cluster.close()
 
         asyncio.run(body())
+
+    def test_a_crash_installs_every_node_through_the_engine(self):
+        """The heir takes each of the victim's nodes through
+        ``ProtocolEngine._install_node``, so the install hook — a worker
+        group's location broadcast — fires once per label, naming the
+        heir, and nothing else writes the location table."""
+
+        async def body():
+            cluster = await _local_cluster(["pa", "pg", "pm"])
+            engine = cluster.engine
+            for key in ("pbab", "pbac", "pc"):
+                await cluster.register(key)
+            labels = sorted(engine.peers["pg"].nodes)
+            assert len(labels) >= 3
+            installed = []
+            engine.on_node_installed = lambda label, host: installed.append((label, host))
+            await cluster.crash("pg")
+            assert sorted(installed) == [(label, "pm") for label in labels]
+            assert set(engine.locator) == {*engine.peers["pa"].nodes, *labels}
+            assert {engine.locator[label] for label in labels} == {"pm"}
+            await cluster.close()
+
+        asyncio.run(body())
+
+    def test_a_stranger_is_refused_before_any_step(self):
+        async def body():
+            cluster = await _local_cluster(["pa", "pg"])
+            steps, call = [], cluster.call
+
+            def recorded(group, step, **body):
+                steps.append(step)
+                return call(group, step, **body)
+
+            cluster.call = recorded
+            for remove in (cluster.leave, cluster.crash):
+                with pytest.raises(ClusterError) as refused:
+                    await remove("pz")
+                assert str(refused.value) == "peer 'pz' not joined"
+            cluster.call = call
+            assert steps == [] and cluster.live_ids() == ["pa", "pg"]
+            await cluster.close()
+
+        asyncio.run(body())
+
+
+class TestSteps:
+    def test_the_steps_are_the_twelve_protocol_operations(self):
+        """A control endpoint dispatches the engine's own operations and
+        reads; no step edits a peer's ring pointers, nodes or location
+        table from outside the protocol."""
+        assert STEPS == {
+            "bootstrap", "join", "leave", "insert", "discover", "search", "locate",
+            "collect", "ring", "snapshot", "counters", "chaos",
+        }
+
+
+async def _refuse_the_last_peer(cluster, ledger):
+    """Down to one peer, ``leave`` and ``crash`` of it raise one
+    :class:`ClusterError` before any step: the ring, the tree and
+    ``ledger()`` are as they were, and every key is still served."""
+    for pid in ("pa", "pg"):
+        await cluster.join(pid)
+    for key in REGISTERED:
+        await cluster.register(key)
+    await cluster.crash("pa")
+
+    async def state():
+        ring = await cluster.call(cluster._home("pg"), "ring", peer="pg")
+        return await cluster.snapshot(), (ring["pred"], ring["succ"]), ledger()
+
+    before = await state()
+    assert before[0]["live"] == ["pg"] and before[1] == ("pg", "pg")
+    for remove in (cluster.leave, cluster.crash):
+        with pytest.raises(ClusterError) as refused:
+            await remove("pg")
+        assert str(refused.value) == "cannot remove 'pg': it is the ring's last peer"
+        assert await state() == before
+    for key in REGISTERED:
+        hit = await cluster.discover(key)
+        assert hit["found"] and hit["host"] == "pg"
 
 
 @pytest.mark.net
@@ -256,6 +348,23 @@ class TestMultiProcessCluster:
                 # A wait is two equal quiet polls, plus one for each the
                 # batch's traffic was still in flight at.
                 assert 2 <= polls[0] < len(BATCH)
+            finally:
+                await cluster.close()
+
+        asyncio.run(body())
+
+    def test_the_last_peer_is_refused(self):
+        """The two-process twin: the acknowledged-registration ledger and
+        the membership are untouched by the refusal too."""
+
+        async def body():
+            cluster = MultiProcessCluster(processes=2)
+            await cluster.start()
+            try:
+                await _refuse_the_last_peer(
+                    cluster, lambda: (dict(cluster.registrations), dict(cluster.members))
+                )
+                assert sorted(cluster.registrations) == sorted(REGISTERED)
             finally:
                 await cluster.close()
 

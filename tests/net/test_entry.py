@@ -1,11 +1,11 @@
 """The entry rule (docs/runtime.md, "The entry rule"): an operation with
 no live preferred entry starts at the lowest live label, and the engine
 keeps that label where the location table is written —
-``ProtocolEngine.set_location`` / ``drop_locations`` — so
+``ProtocolEngine.set_location``, its one writer — so
 ``EngineGroup._entry`` never iterates the table.
 
 Four angles: the invariant ``engine.lowest_label == min(engine.locator)``
-under random membership and write interleavings; the write steps one by
+under random membership and write interleavings; the writes one by
 one; the engine's own ``via=None`` default, which is the same rule; and
 the complexity, by counting iterations of the table rather than timing
 them.
@@ -21,11 +21,9 @@ from hypothesis import strategies as st
 
 from strategies import keys_st, peer_ids_min3_st
 
-from repro.dlpt import messages as m
 from repro.dlpt.protocol import ProtocolEngine
 from repro.net.asyncio_transport import LoopbackAsyncioTransport
 from repro.net.cluster import EngineGroup, LocalCluster
-from repro.net.wire import encode_node_payload
 
 pytestmark = pytest.mark.asyncio
 
@@ -58,9 +56,9 @@ class TestLowestLabelInvariant:
     @settings(max_examples=25, deadline=None)
     @given(pool=peer_ids_min3_st, keys=keys_st, steps=_steps_st)
     def test_it_holds_after_every_drained_step(self, pool, keys, steps):
-        """``wipe`` crashes the ring down to and through its last peer
-        (every label dropped, the lowest among them); the next ``join``
-        re-bootstraps and the next ``register`` regrows the tree."""
+        """``wipe`` crashes the ring down to one peer, which then hosts
+        every label (the lowest among them); a crash is a departure, so
+        labels only ever move."""
 
         async def body():
             cluster = await _loopback_cluster()
@@ -78,22 +76,22 @@ class TestLowestLabelInvariant:
                     if len(live) > 1:
                         await cluster.leave(live[n % len(live)])
                 elif action == "crash":
-                    if live:
+                    if len(live) > 1:
                         await cluster.crash(live[n % len(live)])
                 elif action == "register":
                     if live:
                         await cluster.register(keys[n % len(keys)])
                 else:
-                    for peer in live:
+                    for peer in live[1:]:
                         await cluster.crash(peer)
-                    assert engine.locator == {} and engine.lowest_label is None
+                    assert set(engine.locator.values()) == {live[0]}
                 _holds(engine)
             await cluster.close()
 
         asyncio.run(body())
 
 
-# -- the write steps, one by one --------------------------------------------
+# -- the writes, one by one --------------------------------------------------
 
 
 def _group(**locations) -> EngineGroup:
@@ -101,50 +99,31 @@ def _group(**locations) -> EngineGroup:
     ``p`` and the given label -> host table."""
     engine = ProtocolEngine()
     engine.bootstrap_peer("p")
-    group = EngineGroup(engine)
-    group.locator_set(locations)
-    return group
+    for label, host in locations.items():
+        engine.set_location(label, host)
+    return EngineGroup(engine)
 
 
 class TestLocationWrites:
     def test_locator_set_keeps_the_lowest(self):
         group = _group(m="p")
-        assert group.engine.lowest_label == "m"
-        group.locator_set({"q": "p", "c": "p", "d": "p"})
-        assert group.engine.lowest_label == "c"
-        group.locator_set({"c": "elsewhere"})  # a repoint is not a new label
-        assert group.engine.lowest_label == "c" and group.engine.locator["c"] == "elsewhere"
-
-    def test_deleting_the_lowest_promotes_the_next_lowest(self):
-        group = _group(b="p", c="p", a="p")
-        group.locator_del(["a"])
-        assert group.engine.lowest_label == "b"
-        group.locator_del(["b", "c", "never-there"])
-        assert group.engine.lowest_label is None and group.engine.locator == {}
-
-    def test_deleting_a_non_lowest_label_changes_nothing(self):
-        group = _group(b="p", c="p", a="p")
-        group.locator_del(["c", "never-there"])
-        assert group.engine.lowest_label == "a" and sorted(group.engine.locator) == ["a", "b"]
+        engine = group.engine
+        assert engine.lowest_label == "m"
+        for label in ("q", "c", "d"):
+            engine.set_location(label, "p")
+        assert engine.lowest_label == "c"
+        engine.set_location("c", "elsewhere")  # a repoint is not a new label
+        assert engine.lowest_label == "c" and engine.locator["c"] == "elsewhere"
 
     def test_an_emptied_table_issues_nothing(self):
-        group = _group(b="p", a="p")
-        group.locator_del(["a", "b"])
+        group = _group()
         assert group.engine.lowest_label is None
         assert group.discover(["a"], via=None) == {"issued": False}
         assert group.search("prefix", "a", "", via=None) == {"issued": False}
 
-    def test_adopt_counts_as_a_write(self):
-        group = _group(m="p")
-        node = m.NodeState(label="d", father=None, data={"d"})
-        group.adopt("p", [encode_node_payload(node)])
-        assert group.engine.lowest_label == "d" and group.engine.locator["d"] == "p"
-
     def test_a_reset_blanks_it_and_the_next_install_sets_it_again(self):
-        """``drop_locations()`` as ``_Worker.reset`` calls it."""
-        group = _group(b="p", a="p")
-        engine = group.engine
-        engine.drop_locations()
+        """A fresh engine, as ``_Worker.reset`` builds one."""
+        engine = _group().engine
         assert engine.locator == {} and engine.lowest_label is None
         engine.insert_data("k")  # empty tree: the root is installed on a Host hop
         engine.run()
@@ -228,12 +207,12 @@ class TestNoOperationIteratesTheTable:
                 assert len(answer["keys"]) == 9
             assert table.iterations == 0
 
-            lowest, *_, highest = sorted(table.keys())  # a view: not counted
-            assert engine.lowest_label == lowest
-            cluster.steps.locator_del([highest])
+            # A departure moves labels, the lowest among them; it never
+            # drops one, so nothing is ever rescanned.
+            lowest = engine.lowest_label
+            await cluster.crash(engine.locator[lowest])
+            await cluster.leave(engine.locator[lowest])
             assert table.iterations == 0 and engine.lowest_label == lowest
-            cluster.steps.locator_del([lowest])
-            assert table.iterations == 1
             _holds(engine)
             await cluster.close()
 

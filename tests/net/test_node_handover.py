@@ -8,9 +8,9 @@ at all.  Across a codec (the loopback transport, another process) the node
 arrives as an equal copy.
 
 The second half pins the wire form of every frame that carries nodes —
-``YourInformation``, ``LeaveTransfer``, ``Host``, ``SearchingHost`` and
-the ``crash_pop`` step's result — byte for byte: children sorted, data in
-set order.  The fixture's data are small integers, whose set order does
+``YourInformation``, ``LeaveTransfer`` (a crash's frame too: a crash is
+the departure), ``Host`` and ``SearchingHost`` — byte for byte: children
+sorted, data in set order.  The fixture's data are small integers, whose set order does
 not depend on the interpreter's string-hash seed.
 """
 
@@ -23,7 +23,7 @@ import pytest
 from repro.dlpt import messages as m
 from repro.dlpt.protocol import NodeState, ProtocolEngine
 from repro.net.asyncio_transport import AsyncioTransport, LoopbackAsyncioTransport
-from repro.net.cluster import EngineGroup, LocalCluster
+from repro.net.cluster import LocalCluster
 from repro.net.wire import decode_node_payload, encode_frame, encode_node_payload
 
 pytestmark = pytest.mark.asyncio
@@ -248,16 +248,6 @@ GOLDEN = {
         b'"pbc"],"data":[10,3],"father":"","label":"pb"}},"s":"pm",'
         b'"t":"SearchingHost","w":"repro-wire/1"}'
     ),
-    "crash_pop": (
-        b'\x00\x00\x01\xc2{"d":"@coordinator","f":{"nodes":[{"children":[],"data":[5],'
-        b'"father":"pb","label":"pba"},{"children":["pba","pbb","pbc"],'
-        b'"data":[10,3],"father":"","label":"pb"},{"children":[],"data":[6],'
-        b'"father":"pb","label":"pbb"},{"children":[],"data":[7],'
-        b'"father":"pb","label":"pbc"},{"children":["pb","q"],"data":[],'
-        b'"father":null,"label":""},{"children":[],"data":[1],"father":"",'
-        b'"label":"q"}],"pred":"pz","succ":"pz"},"s":"@group","t":"json",'
-        b'"w":"repro-wire/1"}'
-    ),
 }
 
 
@@ -281,8 +271,3 @@ class TestGoldenNodeFrames:
         assert encode_frame("pm", "pm", m.Host(payload=node)) == GOLDEN["Host"]
         searching = m.SearchingHost(node="p", payload=node)
         assert encode_frame("pm", "pz", searching) == GOLDEN["SearchingHost"]
-
-    def test_crash_pop_wire_form(self):
-        engine, _ = _golden_ring()
-        popped = EngineGroup(engine).crash_pop("pm")
-        assert encode_frame("@group", "@coordinator", popped) == GOLDEN["crash_pop"]

@@ -15,6 +15,8 @@ import signal
 
 import pytest
 
+from repro.dlpt import messages as m
+from repro.net.asyncio_transport import LoopbackAsyncioTransport
 from repro.net.bootstrap import RegistryJournal
 from repro.net.procgroup import (
     CLIENT_PREFIX,
@@ -23,6 +25,7 @@ from repro.net.procgroup import (
     ClusterRecovering,
     MultiProcessCluster,
     _make_resolver,
+    _Worker,
     group_of,
 )
 from repro.net.transport import TransportError
@@ -55,6 +58,77 @@ class TestPlacement:
     def test_cluster_rejects_zero_processes(self):
         with pytest.raises(ValueError, match="processes"):
             MultiProcessCluster(processes=0)
+
+
+class TestWorkerReset:
+    def test_a_reset_leaves_a_blank_engine_that_serves(self):
+        """``reset`` swaps in a fresh engine: no peer, location, parked
+        message, reply or dead-message count survives it, and the fresh
+        engine owns the group's reply sink and install hook."""
+
+        async def body():
+            transport = LoopbackAsyncioTransport()
+            await transport.start()
+            worker = _Worker(0, 1, transport)
+            old = worker.engine
+            worker.bootstrap("pa", 10)
+            worker.insert("dgemm", None, None)
+            await transport.drain()
+            worker.discover(["dgemm"], None)
+            await transport.drain()
+            old.pending_node_messages["gone"] = [("pa", None)]
+            old.dead_node_messages = 1
+
+            worker.reset([list(transport.address)])
+            engine = worker.engine
+            assert engine is not old and not transport.is_registered("pa")
+            assert (engine.peers, engine.locator, engine.lowest_label) == ({}, {}, None)
+            assert (engine.pending_node_messages, engine.dead_node_messages) == ({}, 0)
+            assert engine.discovery_replies == engine.query_replies == []
+            assert engine.on_node_installed == worker.broadcast_install
+
+            worker.bootstrap("pb", 10)
+            worker.insert("dgemv", None, None)
+            await transport.drain()
+            worker.discover(["dgemv"], None)
+            await transport.drain()
+            (hit,) = worker.collect()["discovery"]
+            assert hit["found"] and hit["host"] == "pb"
+            await transport.close()
+
+        asyncio.run(body())
+
+
+class TestWorkerSync:
+    def test_a_sync_repoints_the_label_and_flushes_what_was_parked(self):
+        """Another group's install reaches this one as an ``@sync-i``
+        frame: the label now points at its host, the lowest label follows,
+        and every message parked for it goes to that host from its own
+        sender, in order."""
+
+        async def body():
+            transport = LoopbackAsyncioTransport()
+            await transport.start()
+            worker = _Worker(0, 2, transport)
+            engine = worker.engine
+            parked = [m.DataInsertion(node="pbab", key="pbab", datum=n) for n in (1, 2)]
+            for msg in parked:
+                engine.send_to_node("pa", "pbab", msg)
+            assert engine.pending_node_messages == {"pbab": [("pa", msg) for msg in parked]}
+            arrived = []
+            transport.register("pg", arrived.append)
+
+            sync = {"label": "pbab", "host": "pg"}
+            worker.on_sync(m.Envelope(f"{SYNC_PREFIX}1", f"{SYNC_PREFIX}0", sync))
+            await transport.drain()
+            assert (engine.locator, engine.lowest_label) == ({"pbab": "pg"}, "pbab")
+            assert engine.pending_node_messages == {}
+            assert [(env.src, env.dst, env.payload) for env in arrived] == [
+                ("pa", "pg", msg) for msg in parked
+            ]
+            await transport.close()
+
+        asyncio.run(body())
 
 
 def _assert_balanced(counters):
