@@ -153,7 +153,7 @@ class PGrid:
             if key.startswith(current.path):
                 return key in current.keys, hops
             # First level where the key leaves this peer's path.
-            i = _divergence_index(current.path, key)
+            i = _divergence_at(current.path, key)
             refs = current.routing[i] if i < len(current.routing) else []
             if not refs:
                 return False, hops
@@ -204,7 +204,7 @@ class PGrid:
                 assert k.startswith(peer.path) or self._partition_of(k) == peer.path
 
 
-def _divergence_index(path: str, key: str) -> int:
+def _divergence_at(path: str, key: str) -> int:
     for i, (a, b) in enumerate(zip(path, key)):
         if a != b:
             return i
@@ -213,4 +213,4 @@ def _divergence_index(path: str, key: str) -> int:
 
 def _divergence(path: str, key: str) -> tuple[int, str]:
     """Sort key: later divergence = closer partition."""
-    return (-_divergence_index(path, key), path)
+    return (-_divergence_at(path, key), path)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Optional, Sequence, Tuple
+from typing import Any, Hashable, Optional, Tuple
 
 
 @dataclass(slots=True)
@@ -50,40 +50,34 @@ class NodeState:
     record its hosting peer keeps, and the one that travels when the node
     moves — handed over, never shared (module docstring).
 
-    The descent steps of Algorithms 1 and 3 are served from a sorted
-    snapshot of the children (two bisects) instead of scanning the child
-    set per message.  The snapshot rebuilds lazily whenever the child
-    count changed; the one equal-size mutation (``UpdateChild`` swapping a
-    child label) goes through :meth:`replace_child`, which dirties it
-    explicitly.
+    ``children`` is a sorted, duplicate-free tuple, and it is its own
+    index: the descent steps of Algorithms 1 and 3 are bisects on it, a
+    set query pushes it as it stands, and a leaf holds the shared empty
+    tuple instead of a container of its own.  It changes only through
+    :meth:`add_child` and :meth:`replace_child`, which build a new tuple.
     """
 
     label: str
     father: Optional[str]
-    children: set[str] = field(default_factory=set)
+    children: Tuple[str, ...] = ()
     data: set[object] = field(default_factory=set)
-    _sorted: Sequence[str] = field(default=(), repr=False, compare=False)
 
-    def _index(self) -> Sequence[str]:
-        idx = self._sorted
-        if len(idx) != len(self.children):
-            idx = sorted(self.children)
-            self._sorted = idx
-        return idx
+    def add_child(self, label: str) -> None:
+        """Insert ``label`` in order; a no-op if it is already a child."""
+        if label not in self.children:
+            self.children = tuple(sorted((*self.children, label)))
 
     def replace_child(self, old: str, new: str) -> None:
-        """Swap a child label in place (``UpdateChild``): the only child
-        mutation that keeps the count — dirty the snapshot by hand."""
-        self.children.discard(old)
-        self.children.add(new)
-        self._sorted = ()
+        """Swap a child label (``UpdateChild``) with set semantics: a
+        missing ``old`` is tolerated, and ``new`` is never duplicated."""
+        self.children = tuple(sorted({*self.children} - {old} | {new}))
 
     def max_child_leq(self, key: str) -> Optional[str]:
         """``Max({q ∈ C_p : q <= key})`` — the descent step of Algorithms
-        1 and 3 (lines 1.12 and 3.33); one bisect on the sorted snapshot."""
-        idx = self._index()
-        i = bisect.bisect_right(idx, key)
-        return idx[i - 1] if i else None
+        1 and 3 (lines 1.12 and 3.33); one bisect on the children."""
+        kids = self.children
+        i = bisect.bisect_right(kids, key)
+        return kids[i - 1] if i else None
 
     def child_sharing_longer_prefix(self, key: str) -> Optional[str]:
         """The child ``q`` with ``|GCP(k, q)| > |GCP(k, p)|`` of line 3.05;
@@ -94,11 +88,11 @@ class NodeState:
         depth = len(self.label)
         if len(key) <= depth:
             return None
-        idx = self._index()
+        kids = self.children
         probe = key[: depth + 1]
-        i = bisect.bisect_left(idx, probe)
-        if i < len(idx) and idx[i].startswith(probe):
-            return idx[i]
+        i = bisect.bisect_left(kids, probe)
+        if i < len(kids) and kids[i].startswith(probe):
+            return kids[i]
         return None
 
 

@@ -230,7 +230,7 @@ class ProtocolEngine:
         datum = key if datum is None else datum
         if not self.locator:
             # Empty tree: fabricate the root node and find it a host.
-            st = NodeState(key, None, set(), {datum})
+            st = NodeState(key, None, (), {datum})
             start = self._any_joined_peer()
             self.transport.send(self._client_endpoint, start, m.Host(payload=st))
             return
@@ -426,14 +426,14 @@ class ProtocolEngine:
             if q is not None:
                 self.send_to_node(peer.id, q, m.DataInsertion(node=q, key=k, datum=datum))
             else:
-                st = NodeState(k, p.label, set(), {datum})
-                p.children.add(k)
+                st = NodeState(k, p.label, (), {datum})
+                p.add_child(k)
                 self.send_to_node(peer.id, p.label, m.SearchingHost(node=p.label, payload=st))
             return
 
         if p.label.startswith(k):  # lines 3.10–3.20 (k properly prefixes p)
             if p.father is None:
-                st = NodeState(k, None, {p.label}, {datum})
+                st = NodeState(k, None, (p.label,), {datum})
                 p.father = k
                 self.send_to_node(peer.id, p.label, m.SearchingHost(node=p.label, payload=st))
             else:
@@ -447,7 +447,7 @@ class ProtocolEngine:
                 if common_prefix_len(k, father) == len(k):
                     self.send_to_node(peer.id, father, m.DataInsertion(node=father, key=k, datum=datum))
                 else:
-                    st = NodeState(k, father, {p.label}, {datum})
+                    st = NodeState(k, father, (p.label,), {datum})
                     self.send_to_node(peer.id, father, m.SearchingHost(node=father, payload=st))
                     self.send_to_node(peer.id, father, m.UpdateChild(node=father, old=p.label, new=k))
                     p.father = k
@@ -459,8 +459,8 @@ class ProtocolEngine:
             self.send_to_node(peer.id, father, m.DataInsertion(node=father, key=k, datum=datum))
             return
         g = gcp(p.label, k)
-        parent_st = NodeState(g, father, {p.label, k})
-        key_st = NodeState(k, g, set(), {datum})
+        parent_st = NodeState(g, father, tuple(sorted((p.label, k))))
+        key_st = NodeState(k, g, (), {datum})
         if father is None:
             self.send_to_node(peer.id, p.label, m.SearchingHost(node=p.label, payload=parent_st))
             self.send_to_node(peer.id, p.label, m.SearchingHost(node=p.label, payload=key_st))
@@ -612,7 +612,7 @@ class ProtocolEngine:
             label = p.label
             if p.data and (label.startswith(lo) if prefix else lo <= label <= hi):
                 keys.append(label)
-            kids = p._index()
+            kids = p.children
             if not prefix:
                 kids = [c for c in kids if not (c > hi or (c < lo and not lo.startswith(c)))]
             pending.extend(reversed(kids))
@@ -661,12 +661,8 @@ class ProtocolEngine:
 
     def tree_edges(self) -> set[tuple[str, str]]:
         """(father, child) pairs as recorded on the hosting peers."""
-        edges = set()
-        for peer in self.peers.values():
-            for st in peer.nodes.values():
-                for c in st.children:
-                    edges.add((st.label, c))
-        return edges
+        nodes = (st for peer in self.peers.values() for st in peer.nodes.values())
+        return {(st.label, c) for st in nodes for c in st.children}
 
     def node_labels(self) -> set[str]:
         return set(self.locator)
@@ -696,8 +692,9 @@ class ProtocolEngine:
             assert label in self.peers[host].nodes
 
     def check_tree(self) -> None:
-        """Father/child links are mutually consistent and acyclic, and the
-        PGCP labelling discipline holds."""
+        """Father/child links are mutually consistent and acyclic, the
+        PGCP labelling discipline holds, and every record's children are a
+        sorted, duplicate-free tuple of labels."""
         states: Dict[str, NodeState] = {}
         for peer in self.peers.values():
             for lbl, st in peer.nodes.items():
@@ -706,14 +703,20 @@ class ProtocolEngine:
         roots = [st for st in states.values() if st.father is None]
         assert len(roots) == (1 if states else 0), f"{len(roots)} roots"
         for st in states.values():
-            for c in st.children:
+            kids = st.children
+            assert type(kids) is tuple, f"children of {st.label!r} are not a tuple: {kids!r}"
+            assert all(type(c) is str for c in kids), f"a child of {st.label!r} is no label"
+            assert all(a < b for a, b in zip(kids, kids[1:])), (
+                f"children of {st.label!r} are not sorted and unique: {kids!r}"
+            )
+            for c in kids:
+                assert c.startswith(st.label), f"child {c!r} does not extend {st.label!r}"
+                assert c != st.label, f"node {st.label!r} is its own child"
                 assert c in states, f"dangling child {c!r} of {st.label!r}"
                 assert states[c].father == st.label, (
                     f"child {c!r} thinks father is {states[c].father!r}, "
                     f"not {st.label!r}"
                 )
-                assert c.startswith(st.label) and c != st.label
-            kids = sorted(st.children)
             for i in range(len(kids)):
                 for j in range(i + 1, len(kids)):
                     assert gcp(kids[i], kids[j]) == st.label, (

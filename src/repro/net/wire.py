@@ -100,22 +100,34 @@ def encode_node_payload(node: m.NodeState) -> dict:
     return {
         "label": node.label,
         "father": node.father,
-        "children": sorted(node.children),
+        "children": list(node.children),
         "data": [require_scalar(d) for d in node.data],
     }
 
 
 def decode_node_payload(obj: Any) -> m.NodeState:
-    """Inverse of :func:`encode_node_payload`: a new node record."""
+    """Inverse of :func:`encode_node_payload`: a new node record.  A field
+    of the wrong type is refused, never coerced."""
     try:
-        return m.NodeState(
-            str(obj["label"]),
-            None if obj["father"] is None else str(obj["father"]),
-            {str(c) for c in obj["children"]},
-            {require_scalar(d) for d in obj["data"]},
-        )
+        label, father, children, data = (obj[k] for k in ("label", "father", "children", "data"))
     except (KeyError, TypeError) as exc:
         raise WireError(f"malformed NodeState object: {obj!r}") from exc
+    if not isinstance(label, str):
+        raise WireError(f"NodeState field 'label' must be a string, got {label!r}")
+    if not (father is None or isinstance(father, str)):
+        raise WireError(f"NodeState field 'father' must be a string or null, got {father!r}")
+    if not isinstance(data, list):
+        raise WireError(f"NodeState field 'data' must be a list, got {data!r}")
+    children = tuple(sorted(set(_strings("NodeState", "children", children))))
+    return m.NodeState(label, father, children, {require_scalar(d) for d in data})
+
+
+def _strings(owner: str, name: str, value: Any) -> list:
+    """``value`` if it is a list of strings; a :class:`WireError` naming
+    ``owner``'s field ``name`` otherwise."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise WireError(f"{owner} field {name!r} must be a list of strings, got {value!r}")
+    return value
 
 
 def require_scalar(value: Any) -> Any:
@@ -179,7 +191,7 @@ def decode_payload(name: str, fields: Any) -> Any:
             fields["data"] = tuple(require_scalar(d) for d in fields["data"])
         elif name in _STRING_TUPLE_FIELDS:
             for key in _STRING_TUPLE_FIELDS[name]:
-                fields[key] = tuple(str(v) for v in fields[key])
+                fields[key] = tuple(_strings(name, key, fields[key]))
         return cls(**fields)
     except WireError:
         raise

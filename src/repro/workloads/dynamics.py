@@ -326,8 +326,8 @@ class AdversarialPrefixStacking:
         self.prefix = prefix
         self.s = s
         self._zipf = _PrefixZipf(prefix, s)
-        self._sorted_fingerprint: Optional[tuple[int, str]] = None
-        self._sorted_keys: list[str] = []
+        self._order_fingerprint: Optional[tuple[int, str]] = None
+        self._ordered_keys: list[str] = []
         self.name = f"adversarial:{prefix}"
 
     def sample(self, rng, available_keys: Sequence[str]) -> str:
@@ -339,10 +339,10 @@ class AdversarialPrefixStacking:
         # keys in registration order; bisect needs them sorted, so cache a
         # sorted copy per key-population fingerprint.
         fingerprint = (len(available_keys), available_keys[0] if available_keys else "")
-        if self._sorted_fingerprint != fingerprint:
-            self._sorted_keys = sorted(available_keys)
-            self._sorted_fingerprint = fingerprint
-        ordered = self._sorted_keys
+        if self._order_fingerprint != fingerprint:
+            self._ordered_keys = sorted(available_keys)
+            self._order_fingerprint = fingerprint
+        ordered = self._ordered_keys
         idx = min(bisect.bisect_left(ordered, self.prefix), len(ordered) - 1)
         return ordered[idx]
 

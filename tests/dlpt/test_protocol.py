@@ -215,12 +215,80 @@ class TestNodeState:
         """The descent step of discovery, set-query routing and Algorithm 3
         finds the one child the definition names: the child sharing more
         digits with the key than the node itself does."""
-        children = {label + digit + tail for digit, tail in tails.items()}
+        children = tuple(sorted(label + digit + tail for digit, tail in tails.items()))
         node = NodeState(label=label, father=None, children=children)
         key = label + key if under else key
         depth = common_prefix_len(label, key)
         wanted = [q for q in node.children if common_prefix_len(q, key) > depth]
         assert node.child_sharing_longer_prefix(key) == (wanted[0] if wanted else None)
+
+    def test_add_child_keeps_the_tuple_sorted_and_unique(self):
+        node = NodeState(label="a", father=None)
+        assert node.children == ()
+        for label in ("ac", "aa", "ab"):
+            node.add_child(label)
+        assert node.children == ("aa", "ab", "ac")
+        before = node.children
+        node.add_child("ab")  # an existing child: a no-op
+        assert node.children is before
+
+    @pytest.mark.parametrize(
+        "old, new, after",
+        [
+            ("ab", "abx", ("aa", "abx", "ac")),  # an existing child
+            ("az", "ad", ("aa", "ab", "ac", "ad")),  # a missing old
+            ("ab", "ac", ("aa", "ac")),  # a new already present
+        ],
+    )
+    def test_replace_child_keeps_set_semantics(self, old, new, after):
+        node = NodeState(label="a", father=None, children=("aa", "ab", "ac"))
+        node.replace_child(old, new)
+        assert node.children == after
+
+
+class TestCheckTreeRefuses:
+    """``check_tree`` is the oracle every engine proof ends with, so each
+    of its label and record rules must fail on a corruption of its own."""
+
+    @staticmethod
+    def built():
+        # Root ε over "ab" (data, one child "abc") and "b" (two children).
+        eng = engine_with_peers(["mmmm", "cccc"])
+        for k in ("ab", "abc", "b", "bc", "bd"):
+            eng.insert_data(k)
+            eng.run()
+        eng.check_tree()
+        return eng
+
+    @staticmethod
+    def record(eng, label):
+        return eng.peers[eng.locator[label]].nodes[label]
+
+    @pytest.mark.parametrize(
+        "children, message",
+        [
+            (("xabc",), "does not extend"),
+            (("ab",), "is its own child"),
+            ({"abc"}, "not a tuple"),
+            ((5,), "is no label"),
+        ],
+    )
+    def test_a_single_child_that_breaks_the_rules(self, children, message):
+        eng = self.built()
+        node = self.record(eng, "ab")
+        assert node.children == ("abc",)
+        node.children = children
+        with pytest.raises(AssertionError, match=message):
+            eng.check_tree()
+
+    @pytest.mark.parametrize("children", [("bd", "bc"), ("bc", "bc")])
+    def test_unsorted_or_repeated_children(self, children):
+        eng = self.built()
+        node = self.record(eng, "b")
+        assert node.children == ("bc", "bd")
+        node.children = children
+        with pytest.raises(AssertionError, match="not sorted and unique"):
+            eng.check_tree()
 
 
 class TestEquivalenceWithReference:

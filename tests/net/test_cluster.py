@@ -196,13 +196,13 @@ class TestLocalCluster:
                     await cluster.register(key, datum)
             victim = engine.peers["pg"]
             left = {
-                label: (st.father, set(st.children), set(st.data))
+                label: (st.father, st.children, set(st.data))
                 for label, st in victim.nodes.items()
             }
             # The fixture: a multi-datum node, and a structural node
             # ("pba": no data, two children), among at least three.
             assert len(left) >= 3 and left["pbab"][2] == data["pbab"]
-            assert left["pba"] == ("p", {"pbab", "pbac"}, set())
+            assert left["pba"] == ("p", ("pbab", "pbac"), set())
 
             steps, call = [], cluster.call
 

@@ -17,6 +17,7 @@ not depend on the interpreter's string-hash seed.
 from __future__ import annotations
 
 import asyncio
+import random
 
 import pytest
 
@@ -182,6 +183,45 @@ class TestHandOver:
             for label, st in taken.items():
                 assert st == former[label] and st is not former[label], label
             await cluster.close()
+
+        asyncio.run(body())
+
+
+class TestTheRecordIsItsOwnIndex:
+    def test_after_a_seeded_replay_every_leaf_holds_the_empty_tuple(self):
+        """Joins, leaves and fresh inserts replayed from a seed, every node
+        crossing the codec: each record's children end as a sorted tuple,
+        and a leaf's as ``()`` — no record keeps a child container."""
+        rng = random.Random(41)
+
+        async def body():
+            ring = await _served(LoopbackAsyncioTransport())
+            live, used = list(PEERS), set(PEERS)
+            for step in range(150):
+                roll = rng.random()
+                if roll < 0.08:
+                    pid = "p" + "".join(rng.choices("abcdefghijklm", k=2))
+                    if pid not in used:
+                        await ring.join(pid)
+                        live.append(pid)
+                        used.add(pid)
+                elif roll < 0.14 and len(live) > 2:
+                    pid = rng.choice(live)
+                    await ring.leave(pid)
+                    live.remove(pid)
+                else:
+                    key = "p" + "".join(rng.choices("abcdhk", k=rng.randint(1, 4)))
+                    await ring.register(key, step)
+            engine = ring.engine
+            engine.check_ring()
+            engine.check_tree()
+            engine.check_mapping()
+            records = [st for peer in engine.peers.values() for st in peer.nodes.values()]
+            leaves = [st for st in records if not st.children]
+            assert len(leaves) > 20 and len(records) > len(leaves)
+            assert all(st.children == () for st in leaves)
+            assert not any(isinstance(st.children, (set, frozenset)) for st in records)
+            await ring.close()
 
         asyncio.run(body())
 

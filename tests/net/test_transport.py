@@ -286,7 +286,7 @@ class TestAsyncioSpecifics:
             t.register("b", lambda env: got.append(env.payload))
             sent = m.SearchingHost(
                 node="ab",
-                payload=m.NodeState(label="ab", father="a", children={"aba"}, data={1, "x"}),
+                payload=m.NodeState(label="ab", father="a", children=("aba",), data={1, "x"}),
             )
             t.send("a", "b", sent)
             await t.drain()

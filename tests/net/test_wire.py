@@ -211,6 +211,38 @@ class TestMalformedInput:
         with pytest.raises(WireError, match="not wire-encodable"):
             decode_frame(self._frame(body))
 
+    @pytest.mark.parametrize(
+        "name, fields, field",
+        [
+            ("Host", {"payload": {"label": 5, "father": 7, "children": [1, 2], "data": []}}, "label"),
+            ("Host", {"payload": {"label": "a", "father": 7, "children": [], "data": []}}, "father"),
+            (
+                "Host",
+                {"payload": {"label": "a", "father": None, "children": [1, 2], "data": []}},
+                "children",
+            ),
+            (
+                "LeaveTransfer",
+                {"pred": "a", "nodes": [{"label": "a", "father": None, "children": "ab", "data": []}]},
+                "children",
+            ),
+            ("Host", {"payload": {"label": "a", "father": None, "children": [], "data": "xy"}}, "data"),
+            (
+                "SetQueryRequest",
+                {"node": "a", "kind": "prefix", "lo": "a", "hi": "", "reply_to": "@c", "pending": [1]},
+                "pending",
+            ),
+            ("SetQueryReply", {"kind": "prefix", "lo": "a", "hi": "", "keys": [None]}, "keys"),
+        ],
+    )
+    def test_a_mistyped_field_is_refused_not_coerced(self, name, fields, field):
+        """A node or scan-token field of the wrong type is refused, naming
+        the field: a codec that ran ``str()`` over a label turned ``5`` into
+        the label ``"5"``."""
+        body = {"w": WIRE_SCHEMA, "s": "a", "d": "b", "t": name, "f": fields}
+        with pytest.raises(WireError, match=f"field '{field}'"):
+            decode_frame(self._frame(body))
+
     def test_unencodable_payload_rejected(self):
         with pytest.raises(WireError, match="not wire-encodable"):
             encode_frame("a", "b", {1, 2, 3})

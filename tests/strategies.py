@@ -172,7 +172,7 @@ node_states_st = st.builds(
     m.NodeState,
     label=_label_st,
     father=st.one_of(st.none(), _label_st),
-    children=st.sets(_label_st, max_size=4),
+    children=st.sets(_label_st, max_size=4).map(sorted).map(tuple),
     data=st.sets(_datum_st, max_size=3),
 )
 
