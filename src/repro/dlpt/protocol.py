@@ -59,6 +59,9 @@ class ProtocolPeer:
     pred: Optional[str] = None
     succ: Optional[str] = None
     nodes: Dict[str, NodeState] = field(default_factory=dict)
+    #: ``NewPredecessor`` requests that reached this peer while its own
+    #: join was in flight; answered once ``YourInformation`` lands.
+    deferred: list = field(default_factory=list)
 
     @property
     def joined(self) -> bool:
@@ -71,9 +74,9 @@ class ProtocolEngine:
     The engine is transport-agnostic: it talks only to the
     :class:`~repro.net.transport.Transport` surface (``register`` /
     ``unregister`` / ``send`` plus a clock), so the same protocol code
-    runs under the discrete-event simulator and under a live asyncio
-    event loop.  ``ProtocolEngine(transport=t)`` is the API; constructing
-    with nothing builds a default
+    runs on a :class:`~repro.net.transport.SimTransport`'s event heap
+    and under a live asyncio event loop.  ``ProtocolEngine(transport=t)``
+    is the API; constructing with nothing builds a default
     :class:`~repro.net.transport.SimTransport`.
 
     ``client_endpoint`` names the engine's reply sink (default
@@ -240,7 +243,7 @@ class ProtocolEngine:
 
     def discover(self, key: str, via: Optional[str] = None) -> None:
         """Issue an asynchronous discovery; the reply lands in
-        :attr:`discovery_replies` once the simulator runs."""
+        :attr:`discovery_replies` once the transport drains."""
         if not self.locator:
             raise RuntimeError("tree is empty")
         if via is None:
@@ -362,6 +365,10 @@ class ProtocolEngine:
 
     def _on_new_predecessor(self, peer: ProtocolPeer, msg: m.NewPredecessor) -> None:
         joiner = msg.joiner
+        if not peer.joined:
+            # Our own join is in flight: answer once our pointers land.
+            peer.deferred.append(msg)
+            return
         if peer.pred == peer.id:
             # A self-loop pointer means we are alone on the ring (the
             # pointer-local singleton test — valid in any process of a
@@ -404,6 +411,9 @@ class ProtocolEngine:
         peer.succ = msg.succ
         for st in msg.nodes:
             self._install_node(peer, st)
+        deferred, peer.deferred = peer.deferred, []
+        for request in deferred:
+            self._on_new_predecessor(peer, request)
 
     def _on_update_successor(self, peer: ProtocolPeer, msg: m.UpdateSuccessor) -> None:
         peer.succ = msg.new_successor
@@ -648,9 +658,9 @@ class ProtocolEngine:
     # ------------------------------------------------------------------
 
     def run(self) -> None:
-        """Run the simulator until the protocol quiesces (synchronous;
-        only meaningful under a :class:`~repro.net.transport.SimTransport`
-        — under an asyncio transport, ``await transport.drain()``)."""
+        """Run a :class:`~repro.net.transport.SimTransport`'s event heap
+        until the protocol quiesces (synchronous; under an asyncio
+        transport, ``await transport.drain()``)."""
         runner = getattr(self.transport, "run_until_idle", None)
         if runner is None:
             raise RuntimeError(

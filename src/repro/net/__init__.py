@@ -6,9 +6,9 @@ simulator process.  This package is the gateway from reproduction to
 service: a :class:`~repro.net.transport.Transport` interface (endpoints,
 ``send``, timers, a clock) with two implementations —
 
-* :class:`~repro.net.transport.SimTransport` keeps an endpoint table over a
-  :class:`~repro.sim.engine.Simulator` it owns and delivers every message
-  as an event at delay 0;
+* :class:`~repro.net.transport.SimTransport` keeps an endpoint table over
+  its own event heap and simulated clock, and delivers every message as
+  an event at delay 0;
 * :class:`~repro.net.asyncio_transport.AsyncioTransport`, the one socket
   transport, speaks length-prefixed JSON frames (schema ``repro-wire/1``,
   :mod:`repro.net.wire`) over TCP or Unix-domain sockets on an asyncio

@@ -70,7 +70,7 @@ its client sink).
   and delays are the operating system's, never sampled — see the contract
   note in :mod:`repro.net.transport`.
 * ``await drain()`` runs the pump first — as ``SimTransport.drain`` runs
-  the simulator — so a cascade that stays in this group completes without
+  its event heap — so a cascade that stays in this group completes without
   the caller yielding; for what is still out (frames on a link, a cascade
   longer than a batch) it polls the counter invariant ``sent == delivered
   + dropped + dead_lettered`` (a handler's sends count *before* its own
@@ -349,11 +349,12 @@ class AsyncioTransport(Transport):
         """Deliver ready envelopes run-to-completion — what the handlers
         send locally meanwhile included — up to :data:`_PUMP_BATCH`; a
         longer cascade continues in the next loop turn.  Registration is
-        checked *here* (at delivery time, like the simulator's network) so
-        an endpoint that unregistered with messages still inbound
-        dead-letters them.  A pump started while another runs or is
-        scheduled only delivers, and the other arms what is left; an
-        outer pump that empties the queue calls the idle callback."""
+        checked *here* (at delivery time, as
+        :class:`~repro.net.transport.SimTransport` does) so an endpoint
+        that unregistered with messages still inbound dead-letters them.
+        A pump started while another runs or is scheduled only delivers,
+        and the other arms what is left; an outer pump that empties the
+        queue calls the idle callback."""
         outer = not self._pump_armed
         self._pump_armed = True
         ready = self._ready
@@ -679,7 +680,8 @@ class LoopbackAsyncioTransport(AsyncioTransport):
     (``encode_frame`` → ``decode_frame``), so serialisation bugs surface
     in tier-1, and then joins the base class's ready queue whatever its
     destination — global FIFO order, reproducible run to run, which
-    matches the simulator's zero-latency ``call_soon`` semantics exactly.
+    matches :class:`~repro.net.transport.SimTransport`'s zero-delay
+    deliveries exactly.
     """
 
     def send(self, src: Hashable, dst: Hashable, payload: Any) -> None:

@@ -1,8 +1,8 @@
 """The transport interface: endpoints, ``send``, timers, and a clock.
 
 This is the seam that lets the *same* protocol objects
-(:class:`repro.dlpt.protocol.ProtocolEngine`) run under the discrete-event
-simulator and under a real asyncio event loop: an endpoint registry, a
+(:class:`repro.dlpt.protocol.ProtocolEngine`) run in discrete simulated
+time and under a real asyncio event loop: an endpoint registry, a
 payload-agnostic ``send`` (handlers receive an
 :class:`~repro.dlpt.messages.Envelope`), and the two engine services the
 protocols consume — timers (:meth:`Transport.call_later`) and a clock
@@ -16,14 +16,14 @@ Contract (shared by every implementation):
   peer that re-joins reuses its endpoint id); messages addressed to an
   unregistered endpoint are dead-lettered, never raised.
 * **Ordering**: messages between one (src, dst) pair are delivered FIFO.
-  Cross-pair interleavings are implementation-defined — the simulator is
-  globally FIFO per timestamp, real sockets are not — which is exactly why
+  Cross-pair interleavings are implementation-defined — :class:`SimTransport`
+  is globally FIFO per timestamp, real sockets are not — which is exactly why
   the conformance harness (:mod:`repro.net.conformance`) compares
   *canonicalised* outcome streams.
 * **Quiescence**: ``await drain()`` returns once every sent message has
   been delivered, dropped or dead-lettered (transitively: handlers may
-  send more).  Under :class:`SimTransport` this runs the simulator until
-  idle; under asyncio it runs the local delivery pump, then waits for
+  send more).  Under :class:`SimTransport` this runs its event heap
+  empty; under asyncio it runs the local delivery pump, then waits for
   the in-flight count to reach zero.
 * **Counters**: ``messages_sent`` / ``messages_delivered`` /
   ``messages_dropped`` / ``messages_dead_lettered``, with the invariant
@@ -40,16 +40,21 @@ its delays and losses are the operating system's.
 from __future__ import annotations
 
 import abc
+import heapq
+import itertools
 from typing import Any, Callable, Dict, Hashable
 
 from ..dlpt.messages import Envelope
-from ..sim.engine import Simulator
 
 Handler = Callable[[Envelope], None]
 
 #: How long a ``drain()`` over sockets, chaos delays or worker processes
 #: waits for quiescence before it raises :class:`TransportError`.
 DRAIN_TIMEOUT = 60.0
+
+#: How many events :meth:`SimTransport.run_until_idle` runs before it
+#: calls the protocol livelocked and raises.
+MAX_EVENTS = 10_000_000
 
 
 class TransportError(RuntimeError):
@@ -121,20 +126,34 @@ class Transport(abc.ABC):
         )
 
 
+class _Timer(list):
+    """A heap entry ``[time, seq, action]`` that is its own handle:
+    ``cancel()`` blanks the action, and the run loop skips a blank."""
+
+    __slots__ = ()
+
+    def cancel(self) -> None:
+        self[2] = None
+
+
 class SimTransport(Transport):
-    """The discrete-event transport: an endpoint table over the
-    :class:`~repro.sim.engine.Simulator` it owns as ``.sim``.
+    """The discrete-event transport: an endpoint table over one heap of
+    ``[time, seq, action]`` entries, run in (simulated time, scheduling
+    order), and the clock they advance.
 
     ``send`` schedules every delivery at delay 0, so messages fire in send
-    order, and looks the destination up when the message fires: an
-    endpoint unregistered meanwhile dead-letters it.  Nothing is lost or
-    delayed here; latency and loss are ``delay:`` / ``drop:`` clauses of a
+    order (and zero-delay timers among them as scheduled), and looks the
+    destination up when the message fires: an endpoint unregistered
+    meanwhile dead-letters it.  Nothing is lost or delayed here; latency
+    and loss are ``delay:`` / ``drop:`` clauses of a
     :class:`~repro.net.chaos.ChaosTransport` wrapped around it, as around
-    any transport.
+    any transport, and its held messages are the only timers.
     """
 
     def __init__(self) -> None:
-        self.sim = Simulator()
+        self._now = 0.0
+        self._queue: list[list] = []
+        self._seq = itertools.count()
         self._handlers: Dict[Hashable, Handler] = {}
         self.messages_sent = 0
         self.messages_delivered = 0
@@ -157,7 +176,7 @@ class SimTransport(Transport):
     def send(self, src: Hashable, dst: Hashable, payload: Any) -> None:
         self.messages_sent += 1
         env = Envelope(src, dst, payload)
-        self.sim.schedule(0.0, lambda: self._deliver(env))
+        heapq.heappush(self._queue, [self._now, next(self._seq), lambda: self._deliver(env)])
 
     def _deliver(self, env: Envelope) -> None:
         handler = self._handlers.get(env.dst)
@@ -170,16 +189,31 @@ class SimTransport(Transport):
     # -- clock & timers ----------------------------------------------------
 
     def now(self) -> float:
-        return self.sim.now
+        return self._now
 
-    def call_later(self, delay: float, action: Callable[[], Any]):
-        return self.sim.schedule(delay, action)
+    def call_later(self, delay: float, action: Callable[[], Any]) -> _Timer:
+        if delay < 0:
+            raise ValueError(f"cannot schedule into the past (delay={delay})")
+        timer = _Timer((self._now + delay, next(self._seq), action))
+        heapq.heappush(self._queue, timer)
+        return timer
 
     # -- quiescence --------------------------------------------------------
 
-    def run_until_idle(self, max_events: int = 10_000_000) -> int:
-        """Synchronous quiescence (what :meth:`ProtocolEngine.run` calls)."""
-        return self.sim.run_until_idle(max_events=max_events)
+    def run_until_idle(self) -> None:
+        """Run the heap empty, advancing the clock to each entry's time
+        (what :meth:`ProtocolEngine.run` calls); raise past :data:`MAX_EVENTS`."""
+        queue = self._queue
+        executed = 0
+        while queue:
+            time, _, action = heapq.heappop(queue)
+            if action is None:
+                continue
+            if executed == MAX_EVENTS:
+                raise RuntimeError(f"did not quiesce within {MAX_EVENTS} events (a livelock?)")
+            executed += 1
+            self._now = time
+            action()
 
     async def drain(self) -> None:
-        self.sim.run_until_idle()
+        self.run_until_idle()

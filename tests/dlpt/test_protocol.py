@@ -8,6 +8,7 @@ PGCP tree built from the same keys.
 
 from __future__ import annotations
 
+import asyncio
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from repro.core.ids import common_prefix_len
 from repro.core.pgcp import PGCPTree
 from repro.dlpt.protocol import NodeState, ProtocolEngine
+from repro.net.asyncio_transport import LoopbackAsyncioTransport
 from repro.net.chaos import ChaosTransport
 from repro.net.transport import SimTransport
 from repro.net.wire import MESSAGE_TYPES
@@ -80,6 +82,51 @@ class TestPeerJoin:
         eng.join_peer("zzzz")  # above every existing peer
         eng.run()
         eng.check_ring()
+
+
+class TestOverlappingJoins:
+    """A ``NewPredecessor`` can reach a peer whose own join is in flight:
+    ``m`` hands ``f`` its arc and counts ``f`` as its predecessor while
+    ``f``'s ``YourInformation`` is still queued behind ``d``'s request,
+    which was seeded at ``f``.  ``f`` holds the request until its pointers
+    and nodes are installed, then answers it."""
+
+    KEYS = ["b", "bb", "c", "e", "g", "h", "n", "z"]
+
+    @pytest.mark.parametrize(
+        "factory", [SimTransport, LoopbackAsyncioTransport], ids=["sim", "loopback"]
+    )
+    def test_a_join_that_reaches_a_joiner_waits_for_it(self, factory):
+        async def body():
+            t = factory()
+            await t.start()
+            eng = ProtocolEngine(transport=t)
+            eng.bootstrap_peer("a")
+            eng.join_peer("m", seed="a")
+            await t.drain()
+            for k in self.KEYS:
+                eng.insert_data(k)
+                await t.drain()
+            eng.join_peer("f", seed="m")
+            eng.join_peer("d", seed="f")
+            await t.drain()
+            ring, pid = [], "a"
+            for _ in eng.peers:
+                ring.append(pid)
+                pid = eng.peers[pid].succ
+            assert ring == ["a", "d", "f", "m"] and pid == "a"
+            eng.check_ring()
+            eng.check_tree()
+            eng.check_mapping()
+            assert not any(p.deferred for p in eng.peers.values())
+            for k in self.KEYS:
+                eng.discover(k)
+            await t.drain()
+            assert sorted(r.key for r in eng.discovery_replies if r.found) == self.KEYS
+            assert eng.dead_node_messages == 0
+            await t.close()
+
+        asyncio.run(body())
 
 
 class TestWireVocabulary:

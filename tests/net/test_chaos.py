@@ -18,6 +18,7 @@ registration.
 from __future__ import annotations
 
 import asyncio
+import random
 
 import pytest
 
@@ -277,8 +278,8 @@ class TestChaosTransport:
             await t.drain()
             assert got == [] and t.chaos_dropped == 5
             # Advance the sim clock past the window: the partition heals.
-            t.sim.schedule(10.0, lambda: None, label="advance")
-            t.sim.run_until_idle()
+            t.call_later(10.0, lambda: None)
+            t.run_until_idle()
             t.send("a", "b", _msg(99))
             await t.drain()
             assert got == [99]
@@ -343,7 +344,7 @@ class TestChaosTransport:
                 t.send(f"a{i % 4}", "b", _msg(i))
 
             for i in range(100):
-                t.sim.schedule(i * 0.25, lambda i=i: send(i))
+                t.call_later(i * 0.25, lambda i=i: send(i))
             await t.drain()
             assert len(lag) == t.chaos_delayed == 100
             assert all(0.0 <= x < 2.5 for x in lag)
@@ -358,7 +359,7 @@ class TestChaosTransport:
             t.register("b", lambda env: got.append(env.payload.datum))
             for i in range(50):
                 t.send(f"a{i}", "b", _msg(i))
-            t.sim.schedule(2.5, lambda: t.unregister("b"))
+            t.call_later(2.5, lambda: t.unregister("b"))
             await t.drain()
             assert 0 < len(got) < 50
             assert t.messages_delivered == len(got)
@@ -376,10 +377,216 @@ class TestChaosTransport:
             t = ChaosTransport(inner, "drop:0.1")
             await t.start()
             assert t.now() == inner.now()
-            assert t.sim is inner.sim  # attribute fallthrough
+            assert t.run_until_idle == inner.run_until_idle  # attribute fallthrough
             await t.close()
 
         asyncio.run(body())
+
+
+class TestChaosInSimulatedTime:
+    """Simulated latency and loss are chaos clauses over ``SimTransport``:
+    a held message is a timer on its event heap, so arrival times and
+    fates replay exactly from the plan's seeded stream."""
+
+    @staticmethod
+    def _net(plan):
+        return ChaosTransport(SimTransport(), plan)
+
+    def test_delay_keeps_per_pair_fifo(self):
+        net = self._net("delay:1.0:max=1.0+seed=1")
+        got = []
+        net.register("b", lambda env: got.append(env.payload))
+        for i in range(20):
+            net.send("a", "b", i)
+        net.run_until_idle()
+        assert net.chaos_delayed == 20
+        assert got == list(range(20))
+
+    def test_a_held_message_arrives_at_its_drawn_time(self):
+        net = self._net("delay:1.0:max=3.0+seed=5")
+        times = []
+        net.register("b", lambda env: times.append(net.now()))
+        net.send("a", "b", 1)
+        net.run_until_idle()
+        oracle = random.Random(5)
+        oracle.random()  # the delay-probability draw
+        assert times == [oracle.random() * 3.0]
+        assert times[0] > 0.0
+
+    def test_holds_stay_within_the_bound(self):
+        net = self._net("delay:1.0:max=2.0+seed=5")
+        times = []
+        net.register("b", lambda env: times.append(net.now()))
+        for i in range(50):
+            net.send(f"a{i}", "b", i)
+        net.run_until_idle()
+        assert len(times) == 50
+        assert all(0.0 <= t < 2.0 for t in times)
+
+    def test_bad_delay_bounds_are_refused(self):
+        for spec in ("delay:1.0:max=0", "delay:1.0:max=-1", "delay:1.5"):
+            with pytest.raises(ChaosSpecError):
+                parse_chaos(spec)
+
+    def test_an_omitted_drop_seed_is_zero(self):
+        """A drop plan always has a seeded stream: an omitted seed is 0."""
+        assert parse_chaos("drop:0.5").seed == 0
+        runs = []
+        for spec in ("drop:0.5", "drop:0.5+seed=0"):
+            net = self._net(spec)
+            pattern = []
+            for i in range(100):
+                before = net.chaos_dropped
+                net.send("a", "b", i)
+                pattern.append(net.chaos_dropped > before)
+            runs.append(pattern)
+        assert runs[0] == runs[1]
+        assert any(runs[0]) and not all(runs[0])
+
+    def test_drop_probability_bounds(self):
+        for spec in ("drop:1.5", "drop:-0.1", "drop:x", "drop"):
+            with pytest.raises(ChaosSpecError):
+                parse_chaos(spec)
+
+    def test_loss_near_one_drops_most(self):
+        net = self._net("drop:0.99+seed=1")
+        net.register("b", lambda env: None)
+        for _ in range(200):
+            net.send("a", "b", 1)
+        net.run_until_idle()
+        assert net.messages_dropped > 150
+        assert net.messages_dropped + net.messages_delivered == 200
+
+    def _drop_pattern(self, max_delay, n=300, seed=42):
+        net = self._net(f"drop:0.3+delay:1.0:max={max_delay}+seed={seed}")
+        arrivals = {}
+        net.register("b", lambda env: arrivals.setdefault(env.payload, net.now()))
+        pattern = []
+        for i in range(n):
+            before = net.chaos_dropped
+            # One pair per message, so no hold queues behind another.
+            net.send(f"a{i}", "b", i)
+            pattern.append(net.chaos_dropped > before)
+        net.run_until_idle()
+        return net, pattern, arrivals
+
+    def test_latency_is_drawn_only_for_survivors(self):
+        """Every chaos decision comes from one seeded stream, drop first: a
+        dropped message draws nothing else, and a survivor under
+        ``delay:1.0`` draws the delay probability, then its hold."""
+        net, _, _ = self._drop_pattern(1.0)
+        assert 0 < net.chaos_dropped < net.messages_sent
+        assert net.chaos_delayed == net.messages_sent - net.chaos_dropped
+
+    def test_drop_pattern_is_independent_of_the_delay_bound(self):
+        """Same seed, different delay bounds: identical drops.  A refactor
+        that draws the delay first (or for every message) would reshuffle
+        every seeded experiment that mixes loss and latency."""
+        _, short, _ = self._drop_pattern(0.5)
+        _, medium, _ = self._drop_pattern(1.5)
+        _, long_, _ = self._drop_pattern(10.0)
+        assert short == medium == long_
+        assert any(short) and not all(short)
+
+    def test_the_stream_is_consumed_in_send_order_survivors_only(self):
+        """Replaying the seeded stream — drop draw, then (for survivors
+        only) the delay-probability draw and the hold — predicts every
+        message's fate and arrival time exactly."""
+        _, pattern, arrivals = self._drop_pattern(1.5)
+        oracle = random.Random(42)
+        expected_pattern, expected_arrivals = [], {}
+        for i in range(300):
+            dropped = oracle.random() < 0.3
+            expected_pattern.append(dropped)
+            if not dropped:
+                oracle.random()
+                expected_arrivals[i] = oracle.random() * 1.5
+        assert pattern == expected_pattern
+        assert arrivals == expected_arrivals
+
+    def test_counter_invariant_under_loss_and_churn(self):
+        net = self._net("drop:0.2+delay:1.0:max=1.5+seed=4")
+        net.register("b", lambda env: None)
+        for i in range(100):
+            net.call_later(i * 0.1, lambda i=i: net.send(f"a{i % 3}", "b", i))
+        # In-flight and held messages dead-letter once "b" leaves.
+        net.call_later(5.0, lambda: net.unregister("b"))
+        net.run_until_idle()
+        assert net.messages_sent == 100
+        assert net.chaos_dropped > 0
+        assert net.messages_delivered > 0 and net.messages_dead_lettered > 0
+        assert net.messages_sent == (
+            net.messages_delivered + net.messages_dropped + net.messages_dead_lettered
+        )
+        assert net.in_flight == 0
+
+    def test_a_wrapper_timer_shares_the_inner_heap(self):
+        """``call_later`` on the wrapper is a timer on the simulator's one
+        heap: it interleaves with held messages in simulated-time order."""
+        net = self._net("delay:1.0:max=3.0+seed=5")
+        log = []
+        net.register("b", lambda env: log.append(("msg", net.now())))
+        net.send("a", "b", 1)
+        arrival = random.Random(5)
+        arrival.random()
+        at = arrival.random() * 3.0
+        net.call_later(at / 2, lambda: log.append(("before", net.now())))
+        net.call_later(at + 1.0, lambda: log.append(("after", net.now())))
+        net.run_until_idle()
+        assert log == [("before", at / 2), ("msg", at), ("after", at + 1.0)]
+
+    def test_close_cancels_held_messages_on_the_heap(self):
+        """Closing blanks every held message's timer: nothing is delivered
+        afterwards, and the clock does not advance to a cancelled hold."""
+
+        async def body():
+            net = self._net("delay:1.0:max=5.0+seed=3")
+            got = []
+            net.register("b", lambda env: got.append(env.payload))
+            for i in range(10):
+                net.send(f"a{i}", "b", i)
+            await net.close()
+            net.run_until_idle()
+            assert got == [] and net.now() == 0.0
+            assert net.chaos_dropped == 10 and net._pending_held == 0
+
+        asyncio.run(body())
+
+    def test_reset_accounting_cancels_held_messages_on_the_heap(self):
+        net = self._net("delay:1.0:max=5.0+seed=3")
+        got = []
+        net.register("b", lambda env: got.append(env.payload))
+        for i in range(10):
+            net.send(f"a{i}", "b", i)
+        net.reset_accounting()
+        net.run_until_idle()
+        assert got == [] and net.now() == 0.0
+        net.send("a", "b", "fresh")
+        net.run_until_idle()
+        assert got == ["fresh"] and net.chaos_delayed == 1
+
+    def test_a_reorder_run_replays_exactly(self):
+        """Cross-pair reordering over the simulator is a function of the
+        seed: two runs deliver the same messages in the same order at the
+        same times, every pair stays FIFO, and nothing is lost."""
+
+        def run():
+            net = self._net("delay:0.3:max=0.5+reorder:0.4+seed=9")
+            got = []
+            net.register("b", lambda env: got.append((env.src, env.payload, net.now())))
+            for i in range(60):
+                net.send(f"a{i % 5}", "b", i)
+            net.run_until_idle()
+            assert net.chaos_reordered > 0 and net.chaos_delayed > 0
+            return got
+
+        first = run()
+        assert first == run()
+        assert sorted(p for _, p, _ in first) == list(range(60))
+        assert [p for _, p, _ in first] != list(range(60))
+        for src in {s for s, _, _ in first}:
+            sent = [p for s, p, _ in first if s == src]
+            assert sent == sorted(sent)
 
 
 def _small_trace(**overrides):

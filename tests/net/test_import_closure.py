@@ -2,8 +2,8 @@
 
 ``python -m repro serve`` and the engine-group workers it spawns load
 ``repro.net``, ``repro.dlpt.{protocol,messages}``, ``repro.core.{ids,
-keyspace}``, ``repro.sim`` and ``repro.util.specs`` — no NumPy, no
-experiment stack, no macro model.  Each test runs a fresh interpreter with
+keyspace}`` and ``repro.util.specs`` — no NumPy, no experiment stack, no
+macro model.  Each test runs a fresh interpreter with
 a ``numpy`` package that refuses to import first on ``PYTHONPATH``;
 spawned workers inherit it, so the live smokes prove the worker closure
 too.

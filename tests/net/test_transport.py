@@ -231,13 +231,342 @@ class TestContract:
             handle = t.call_later(0.01, lambda: fired.append("cancelled"))
             handle.cancel()
             if isinstance(t, SimTransport):
-                t.sim.run_until_idle()
+                t.run_until_idle()
             else:
                 await asyncio.sleep(0.05)
             assert fired == ["kept"]
             await t.close()
 
         asyncio.run(body())
+
+
+class TestSimTransport:
+    """The in-memory transport's event heap: every delivery and every
+    timer is one entry, run in (simulated time, scheduling order).  The
+    sim conformance leg, the recorded-trace bytes and every chaos
+    ``delay:`` run rest on that order."""
+
+    def test_destination_is_looked_up_at_delivery_time(self):
+        t = SimTransport()
+        got = []
+        t.send("a", "late", 1)
+        t.register("late", lambda env: got.append(env.payload))
+        t.run_until_idle()
+        assert got == [1] and t.messages_dead_lettered == 0
+
+    def test_deliveries_fire_in_send_order_across_pairs(self):
+        t = SimTransport()
+        got = []
+        for dst in ("b", "c"):
+            t.register(dst, lambda env: got.append((env.src, env.dst)))
+        sends = [("a", "b"), ("x", "c"), ("a", "c"), ("x", "b")]
+        for src, dst in sends:
+            t.send(src, dst, None)
+        t.run_until_idle()
+        assert got == sends
+        assert t.now() == 0.0
+
+    def test_zero_delay_timers_interleave_with_sends_in_scheduling_order(self):
+        """A zero-delay timer and a delivery are entries of one heap: they
+        run in the order they were scheduled, also when a handler
+        schedules them mid-run."""
+        t = SimTransport()
+        log = []
+
+        def handler(env):
+            log.append(env.payload)
+            if env.payload == 1:
+                t.call_later(0.0, lambda: log.append("nested timer"))
+                t.send("b", "b", 3)
+
+        t.register("b", handler)
+        t.send("a", "b", 1)
+        t.call_later(0.0, lambda: log.append("timer"))
+        t.send("a", "b", 2)
+        t.run_until_idle()
+        assert log == [1, "timer", 2, "nested timer", 3]
+        assert t.now() == 0.0
+
+    def test_timers_fire_in_time_order(self):
+        t = SimTransport()
+        log = []
+        t.call_later(3, lambda: log.append("c"))
+        t.call_later(1, lambda: log.append("a"))
+        t.call_later(2, lambda: log.append("b"))
+        t.run_until_idle()
+        assert log == ["a", "b", "c"]
+
+    def test_simultaneous_timers_fire_in_scheduling_order(self):
+        t = SimTransport()
+        log = []
+        for i in range(5):
+            t.call_later(1.0, lambda i=i: log.append(i))
+        t.run_until_idle()
+        assert log == [0, 1, 2, 3, 4]
+
+    def test_the_clock_advances_to_each_event(self):
+        t = SimTransport()
+        seen = []
+        assert t.now() == 0.0
+        t.call_later(2.5, lambda: seen.append(t.now()))
+        t.call_later(1.0, lambda: t.send("a", "b", None))
+        t.register("b", lambda env: seen.append(t.now()))
+        t.run_until_idle()
+        assert seen == [1.0, 2.5] and t.now() == 2.5
+
+    def test_nested_scheduling_counts_from_the_current_time(self):
+        t = SimTransport()
+        log = []
+
+        def outer():
+            log.append(("outer", t.now()))
+            t.call_later(1, lambda: log.append(("inner", t.now())))
+
+        t.call_later(1, outer)
+        t.run_until_idle()
+        assert log == [("outer", 1.0), ("inner", 2.0)]
+
+    def test_a_negative_delay_is_refused(self):
+        with pytest.raises(ValueError, match="past"):
+            SimTransport().call_later(-1, lambda: None)
+
+    def test_cancelled_timers_leave_the_rest_in_order(self):
+        t = SimTransport()
+        log = []
+        handles = [t.call_later(i + 1, lambda i=i: log.append(i)) for i in range(200)]
+        for i, handle in enumerate(handles):
+            if i % 2:
+                handle.cancel()
+        t.run_until_idle()
+        assert log == [i for i in range(200) if i % 2 == 0]
+        assert t.now() == 199.0
+
+    def test_cancel_after_fire_is_harmless(self):
+        t = SimTransport()
+        log = []
+        handle = t.call_later(1, lambda: log.append("fired"))
+        t.run_until_idle()
+        handle.cancel()
+        t.call_later(1, lambda: log.append("later"))
+        t.run_until_idle()
+        assert log == ["fired", "later"] and t.now() == 2.0
+
+    def test_livelock_guard(self, monkeypatch):
+        """A run of exactly ``MAX_EVENTS`` events completes; one that would
+        run more raises after running exactly ``MAX_EVENTS``."""
+        monkeypatch.setattr("repro.net.transport.MAX_EVENTS", 100)
+        t = SimTransport()
+        ran = []
+        for i in range(100):
+            t.call_later(1, lambda i=i: ran.append(i))
+        t.run_until_idle()
+        assert len(ran) == 100
+
+        ran.clear()
+
+        def forever():
+            ran.append(t.now())
+            t.call_later(1, forever)
+
+        t.call_later(1, forever)
+        with pytest.raises(RuntimeError, match="quiesce"):
+            t.run_until_idle()
+        assert len(ran) == 100
+
+    def test_the_livelock_guard_counts_deliveries(self, monkeypatch):
+        """Deliveries are heap entries too: two endpoints that answer each
+        other forever trip the guard without a single timer."""
+        monkeypatch.setattr("repro.net.transport.MAX_EVENTS", 50)
+        t = SimTransport()
+        t.register("a", lambda env: t.send("a", "b", None))
+        t.register("b", lambda env: t.send("b", "a", None))
+        t.send("@test", "a", None)
+        with pytest.raises(RuntimeError, match="quiesce"):
+            t.run_until_idle()
+        assert t.messages_delivered == 50 and t.now() == 0.0
+
+    def test_cancelled_entries_do_not_count_towards_the_livelock_bound(self, monkeypatch):
+        monkeypatch.setattr("repro.net.transport.MAX_EVENTS", 10)
+        t = SimTransport()
+        ran = []
+        for i in range(60):
+            handle = t.call_later(i, lambda i=i: ran.append(i))
+            if i % 6:
+                handle.cancel()
+        t.run_until_idle()
+        assert ran == list(range(0, 60, 6))
+
+    def test_the_livelock_bound_is_per_run(self, monkeypatch):
+        monkeypatch.setattr("repro.net.transport.MAX_EVENTS", 20)
+        t = SimTransport()
+        ran = []
+        for _ in range(3):
+            for i in range(20):
+                t.call_later(1, lambda i=i: ran.append(i))
+            t.run_until_idle()
+        assert len(ran) == 60 and t.now() == 3.0
+
+    def test_an_empty_run_leaves_the_clock_alone(self):
+        t = SimTransport()
+        t.run_until_idle()
+        assert t.now() == 0.0
+        t.call_later(4.0, lambda: None)
+        t.run_until_idle()
+        t.run_until_idle()
+        assert t.now() == 4.0
+
+    def test_a_cancelled_timer_does_not_advance_the_clock(self):
+        """A blank entry is skipped, not run: the clock stops at the last
+        entry that ran, not at the latest one that was scheduled."""
+        t = SimTransport()
+        log = []
+        t.call_later(1.0, lambda: log.append(t.now()))
+        t.call_later(9.0, lambda: log.append(t.now())).cancel()
+        t.run_until_idle()
+        assert log == [1.0] and t.now() == 1.0
+
+    def test_cancelling_twice_is_harmless(self):
+        t = SimTransport()
+        log = []
+        handle = t.call_later(1, lambda: log.append("cancelled"))
+        handle.cancel()
+        handle.cancel()
+        t.call_later(2, lambda: log.append("kept"))
+        t.run_until_idle()
+        assert log == ["kept"] and t.now() == 2.0
+
+    def test_a_running_timer_can_cancel_a_pending_one(self):
+        t = SimTransport()
+        log = []
+        later = t.call_later(1.0, lambda: log.append("same time, later"))
+        t.call_later(0.5, lambda: (log.append("first"), later.cancel()))
+        t.call_later(1.0, lambda: log.append("same time, kept"))
+        t.run_until_idle()
+        assert log == ["first", "same time, kept"]
+
+    def test_a_send_is_delivered_at_the_time_it_was_sent(self):
+        """Sends never advance the clock: a message sent at ``t`` is
+        delivered at ``t``, before any later timer, however many hops it
+        cascades through."""
+        t = SimTransport()
+        log = []
+
+        def relay(env):
+            log.append((env.dst, t.now()))
+            if env.payload:
+                t.send(env.dst, "b" if env.dst == "a" else "a", env.payload - 1)
+
+        t.register("a", relay)
+        t.register("b", relay)
+        t.call_later(1.5, lambda: t.send("@test", "a", 3))
+        t.call_later(1.6, lambda: log.append(("timer", t.now())))
+        t.run_until_idle()
+        assert log == [("a", 1.5), ("b", 1.5), ("a", 1.5), ("b", 1.5), ("timer", 1.6)]
+
+    def test_a_timer_after_a_run_counts_from_the_advanced_clock(self):
+        t = SimTransport()
+        t.call_later(3.0, lambda: None)
+        t.run_until_idle()
+        seen = []
+        t.call_later(0.0, lambda: seen.append(t.now()))
+        t.call_later(1.0, lambda: seen.append(t.now()))
+        t.run_until_idle()
+        assert seen == [3.0, 4.0]
+
+    def test_timers_are_not_messages(self):
+        t = SimTransport()
+        t.call_later(1.0, lambda: None)
+        t.call_later(2.0, lambda: None).cancel()
+        t.run_until_idle()
+        assert (
+            t.messages_sent,
+            t.messages_delivered,
+            t.messages_dropped,
+            t.messages_dead_lettered,
+        ) == (0, 0, 0, 0)
+        assert t.in_flight == 0
+
+    def test_reregistration_in_flight_delivers_to_the_new_handler(self):
+        t = SimTransport()
+        first, second = [], []
+        t.register("b", lambda env: first.append(env.payload))
+        t.send("a", "b", 1)
+        t.register("b", lambda env: second.append(env.payload))
+        t.run_until_idle()
+        assert first == [] and second == [1]
+        assert t.messages_delivered == 1 and t.messages_dead_lettered == 0
+
+    def test_a_timer_between_sends_unregisters_what_follows_it(self):
+        """A zero-delay timer that unregisters the destination splits the
+        sends around it: those scheduled before it are delivered, those
+        after it dead-letter."""
+        t = SimTransport()
+        got = []
+        t.register("b", lambda env: got.append(env.payload))
+        t.send("a", "b", 1)
+        t.send("a", "b", 2)
+        t.call_later(0.0, lambda: t.unregister("b"))
+        t.send("a", "b", 3)
+        t.run_until_idle()
+        assert got == [1, 2]
+        assert t.messages_delivered == 2 and t.messages_dead_lettered == 1
+
+    def test_a_raising_action_leaves_the_rest_queued(self):
+        """An exception escapes ``run_until_idle`` (and ``drain``) as is,
+        with the clock at the failing entry; what was still queued runs on
+        the next call."""
+        t = SimTransport()
+        log = []
+
+        def boom():
+            raise KeyError("boom")
+
+        t.call_later(1.0, lambda: log.append(1))
+        t.call_later(2.0, boom)
+        t.call_later(3.0, lambda: log.append(3))
+        with pytest.raises(KeyError):
+            t.run_until_idle()
+        assert log == [1] and t.now() == 2.0
+        asyncio.run(t.drain())
+        assert log == [1, 3] and t.now() == 3.0
+
+    def test_drain_runs_timers_as_well_as_messages(self):
+        t = SimTransport()
+        got = []
+        t.register("b", lambda env: got.append((env.payload, t.now())))
+        t.call_later(2.0, lambda: t.send("a", "b", "late"))
+        t.send("a", "b", "now")
+        asyncio.run(t.drain())
+        assert got == [("now", 0.0), ("late", 2.0)]
+        assert t.in_flight == 0
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.none(),
+                st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+            ),
+            max_size=30,
+        )
+    )
+    def test_entries_run_in_time_then_scheduling_order(self, plan):
+        """Any mix of sends (``None``) and timers runs sorted by (time,
+        scheduling index), a send counting as a timer at delay 0."""
+        t = SimTransport()
+        ran = []
+        t.register("b", lambda env: ran.append(env.payload))
+        for i, delay in enumerate(plan):
+            if delay is None:
+                t.send("a", "b", i)
+            else:
+                t.call_later(delay, lambda i=i: ran.append(i))
+        t.run_until_idle()
+        expected = sorted(
+            range(len(plan)), key=lambda i: (plan[i] or 0.0, i)
+        )
+        assert ran == expected
+        assert t.now() == max((d or 0.0 for d in plan), default=0.0)
 
 
 class TestAsyncioSpecifics:
