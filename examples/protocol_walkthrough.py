@@ -79,8 +79,11 @@ def main() -> None:
     print(f"\ntransport totals: {t.messages_sent} messages sent, "
           f"{t.messages_delivered} delivered, {t.messages_dropped} dropped, "
           f"{t.messages_dead_lettered} dead-lettered")
-    print(f"messages the engine discarded on arrival (no such node or ring "
-          f"slot; not a transport count): {eng.dead_node_messages}")
+    waiting = sum(map(len, eng.pending_node_messages.values())) + sum(
+        len(peer.deferred) for peer in eng.peers.values()
+    )
+    print(f"messages still waiting for their node or ring slot (not a "
+          f"transport count): {waiting}")
 
 
 if __name__ == "__main__":

@@ -22,9 +22,9 @@ Fidelity notes (divergences from the pseudo-code are deliberate and small):
   exists, the mapping rule points elsewhere, so ``Host`` messages forward
   along ring successors until the rule ``host = lowest peer >= label`` holds.
 * Node-addressed messages resolve the destination peer through a location
-  table updated on node installs/migrations, modelling the node-to-node
-  addressing the pseudo-code assumes.  A message that races with a node
-  migration is re-resolved once on arrival.
+  table that moves with a node when it is handed over, modelling the
+  node-to-node addressing the pseudo-code assumes: a message at the old
+  host follows the node, and one that arrives first waits for the install.
 * The paper counts a *logical* hop per tree edge and a *physical* hop per
   message between peers.  The read-only walks — a discovery and both
   phases of a set query — step through the nodes their current peer hosts
@@ -59,8 +59,8 @@ class ProtocolPeer:
     pred: Optional[str] = None
     succ: Optional[str] = None
     nodes: Dict[str, NodeState] = field(default_factory=dict)
-    #: ``NewPredecessor`` requests that reached this peer while its own
-    #: join was in flight; answered once ``YourInformation`` lands.
+    #: ``NewPredecessor`` and ``Host`` messages that reached this peer while
+    #: its own join was in flight; handled once ``YourInformation`` lands.
     deferred: list = field(default_factory=list)
 
     @property
@@ -115,7 +115,6 @@ class ProtocolEngine:
         self.pending_node_messages: Dict[str, list] = {}
         self.discovery_replies: list[m.DiscoveryReply] = []
         self.query_replies: list[m.SetQueryReply] = []
-        self.dead_node_messages = 0
         self.on_node_installed = None
         self._client_endpoint = client_endpoint
         self.transport.register(self._client_endpoint, self._on_client_message)
@@ -194,10 +193,10 @@ class ProtocolEngine:
     def leave_peer(self, peer_id: str) -> None:
         """Graceful departure: hand ν to the successor, then disappear.
 
-        The leaver sends one ``LeaveTransfer`` to its successor (nodes +
-        its predecessor pointer) and an ``UpdateSuccessor`` notice to its
-        predecessor, then unregisters its endpoint — any message still in
-        flight to it is re-resolved through the location table on arrival.
+        The leaver points its labels at its successor, sends it one
+        ``LeaveTransfer`` (nodes + its predecessor pointer) and an
+        ``UpdateSuccessor`` notice to its predecessor, then unregisters its
+        endpoint — a message still in flight to it dead-letters.
         """
         peer = self.peers.get(peer_id)
         if peer is None or not peer.joined:
@@ -205,6 +204,8 @@ class ProtocolEngine:
         if peer.succ == peer.id:
             raise RuntimeError("cannot leave a single-peer ring")
         nodes = tuple(peer.nodes.values())
+        for st in nodes:
+            self.set_location(st.label, peer.succ)
         self.transport.send(peer.id, peer.succ, m.LeaveTransfer(pred=peer.pred, nodes=nodes))
         self.transport.send(peer.id, peer.pred, m.UpdateSuccessor(new_successor=peer.succ))
         peer.nodes.clear()
@@ -310,18 +311,16 @@ class ProtocolEngine:
     def _on_peer_message(self, env: Envelope) -> None:
         peer = self.peers[env.dst]
         msg = env.payload
-        # Node-addressed messages may race a migration: re-resolve once.
+        # A message behind its node follows it; one ahead of it waits here.
         node_label = getattr(msg, "node", None)
         if node_label is not None and node_label not in peer.nodes:
             current = self.locator.get(node_label)
             if current is not None and current != peer.id:
                 self.transport.send(env.src, current, msg)
-            elif current is None:
+            else:
                 self.pending_node_messages.setdefault(node_label, []).append(
                     (env.src, msg)
                 )
-            else:
-                self.dead_node_messages += 1
             return
         handler = self._HANDLERS[type(msg)]
         handler(self, peer, msg)
@@ -397,6 +396,8 @@ class ProtocolEngine:
         moving_labels = [
             lbl for lbl in peer.nodes if in_interval_open_closed(lbl, pred, joiner)
         ]
+        for lbl in moving_labels:
+            self.set_location(lbl, joiner)
         return tuple(peer.nodes.pop(lbl) for lbl in moving_labels)
 
     def _send_your_information(
@@ -412,8 +413,8 @@ class ProtocolEngine:
         for st in msg.nodes:
             self._install_node(peer, st)
         deferred, peer.deferred = peer.deferred, []
-        for request in deferred:
-            self._on_new_predecessor(peer, request)
+        for early in deferred:
+            self._HANDLERS[type(early)](self, peer, early)
 
     def _on_update_successor(self, peer: ProtocolPeer, msg: m.UpdateSuccessor) -> None:
         peer.succ = msg.new_successor
@@ -494,8 +495,8 @@ class ProtocolEngine:
         # Peer layer: enforce the mapping rule by ring forwarding (module
         # docstring, fidelity note 2).
         label = msg.payload.label
-        if peer.pred is None:
-            self.dead_node_messages += 1
+        if not peer.joined:
+            peer.deferred.append(msg)
             return
         if not in_interval_open_closed(label, peer.pred, peer.id):
             # ``(pred, pred]`` is the whole ring, so a singleton peer

@@ -26,9 +26,10 @@ The *same* protocol objects (:class:`repro.dlpt.protocol.ProtocolEngine`)
 run unchanged on either transport.  On top sits one *cluster* layer
 (:mod:`repro.net.cluster`): every engine-group step and every backend
 operation (issue steps, await quiescence, read the answer) written once,
-with the in-process :class:`~repro.net.cluster.LocalCluster` as the
-one-group case and the :class:`~repro.net.procgroup.MultiProcessCluster`
-of worker processes as the N-group case — and, over either, the
+with :class:`~repro.net.cluster.LocalCluster` running N engine groups in
+this process (one per transport) and
+:class:`~repro.net.procgroup.MultiProcessCluster` running N groups in
+worker processes — and, over either, the
 ``"@broker"`` RPC endpoint (:mod:`repro.net.bootstrap`), the
 futures-style client library (:mod:`repro.net.client`), the
 ``python -m repro serve`` cluster launcher (:mod:`repro.net.serve`) and —

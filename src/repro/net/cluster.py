@@ -18,13 +18,19 @@ two layers, each written exactly once:
 A backend supplies how a group is reached (``call``), what quiescence
 means (``drain``) and where membership is recorded (``_members``):
 
-* :class:`LocalCluster` (here) is the one-group, in-process case: a step
-  is a direct call on its own :class:`EngineGroup`, quiescence is the
-  transport's ``drain()`` and the engine itself is the registry;
-* :class:`~repro.net.procgroup.MultiProcessCluster` is the N-group case:
-  the same step names travel as control RPCs to worker processes,
-  quiescence is a counter poll over all of them, and the coordinator
-  keeps the membership (and acked-registration) ledgers.
+* :class:`LocalCluster` (here) runs one group per transport in this
+  process: a step is a direct call on the group, the engines are the
+  registry, and quiescence is every transport drained with no
+  inter-group frame still in a socket;
+* :class:`~repro.net.procgroup.MultiProcessCluster` runs them in worker
+  processes: steps travel as control RPCs, quiescence is a counter poll,
+  and the coordinator keeps the membership and registration ledgers.
+
+Groups of several make one ring by static placement (:func:`group_of`,
+``crc32(p) % n_groups``: any group resolves any peer to its owner's
+listener), per-group endpoints (``@client-gi`` for replies, ``@sync-i``
+for locator replication) and a broadcast of every node install to the
+other groups' ``@sync`` as data frames, so quiescence covers it.
 
 A crash is the departure: under the ``r=1`` successor replication of
 :mod:`repro.faults` the victim's ring successor ends up holding its ν
@@ -47,11 +53,20 @@ Algorithm 2 still forwards along the ring when the interval check fails.
 
 from __future__ import annotations
 
+import asyncio
 import bisect
+import collections
 import zlib
 from typing import Dict, List, Optional, Sequence
 
+from ..dlpt.messages import Envelope
 from ..dlpt.protocol import ProtocolEngine
+from . import transport as _transport
+from .transport import TransportError
+
+#: Endpoint naming scheme of a multi-group ring (group index ``i``).
+SYNC_PREFIX = "@sync-"
+CLIENT_PREFIX = "@client-g"
 
 
 class ClusterError(RuntimeError):
@@ -72,6 +87,23 @@ def successor_of(sorted_ids: Sequence[str], peer_id: str) -> Optional[str]:
     return sorted_ids[bisect.bisect_left(sorted_ids, peer_id) % len(sorted_ids)]
 
 
+def _make_resolver(n_groups: int, groups: List[tuple]):
+    """endpoint -> listener address, per the naming scheme (module doc)."""
+
+    def resolve(endpoint) -> Optional[tuple]:
+        if not isinstance(endpoint, str):
+            return None
+        for prefix in (SYNC_PREFIX, CLIENT_PREFIX):
+            if endpoint.startswith(prefix):
+                try:
+                    return groups[int(endpoint[len(prefix):])]
+                except (ValueError, IndexError):
+                    return None
+        return groups[group_of(endpoint, n_groups)]
+
+    return resolve
+
+
 def admission(sorted_ids: Sequence[str], peer_id: str, n_seeds: int = 3) -> Dict[str, object]:
     """What a joiner needs: its successor seed plus a few live peers
     (the joiner's initial neighbour knowledge)."""
@@ -84,13 +116,47 @@ def admission(sorted_ids: Sequence[str], peer_id: str, n_seeds: int = 3) -> Dict
 
 
 class EngineGroup:
-    """One engine group's steps (module doc).  Every public method is a
-    step: keyword arguments in, a JSON-able dict (or nothing) out — so it
-    can be called directly or dispatched by name from a control RPC."""
+    """Group ``index`` of ``n_groups``: an engine on ``transport`` and its
+    steps (module doc).  Every public method is a step: keyword arguments
+    in, a JSON-able dict (or nothing) out — so it can be called directly or
+    dispatched by name from a control RPC.  A lone group keeps the
+    engine's ``"@client"``; one of several has the endpoints and broadcast."""
 
-    def __init__(self, engine: ProtocolEngine) -> None:
-        self.engine = engine
-        self.transport = engine.transport
+    def __init__(self, transport, index: int = 0, n_groups: int = 1) -> None:
+        self.index = index
+        self.n_groups = n_groups
+        self.transport = transport
+        self.engine = self._blank_engine()
+        if n_groups > 1:
+            transport.register(f"{SYNC_PREFIX}{index}", self._on_sync)
+
+    def _blank_engine(self) -> ProtocolEngine:
+        if self.n_groups == 1:
+            return ProtocolEngine(transport=self.transport)
+        engine = ProtocolEngine(
+            transport=self.transport, client_endpoint=f"{CLIENT_PREFIX}{self.index}"
+        )
+        engine.on_node_installed = self._broadcast_install
+        return engine
+
+    # -- locator replication ------------------------------------------------
+
+    def _broadcast_install(self, label: str, host: str) -> None:
+        """The engine's ``on_node_installed`` hook: tell the other groups
+        (data frames, so quiescence covers the propagation)."""
+        src = f"{SYNC_PREFIX}{self.index}"
+        for g in range(self.n_groups):
+            if g != self.index:
+                self.transport.send(src, f"{SYNC_PREFIX}{g}", {"label": label, "host": host})
+
+    def _on_sync(self, env: Envelope) -> None:
+        """Another group installed a node: repoint its label here and
+        flush the messages parked for it, exactly as a local install
+        would (a SearchingHost can race the Host hop across groups)."""
+        label, host = env.payload["label"], env.payload["host"]
+        self.engine.set_location(label, host)
+        for src, msg in self.engine.pending_node_messages.pop(label, ()):
+            self.transport.send(src, host, msg)
 
     def _entry(self, preferred: Optional[str]) -> Optional[str]:
         """The entry node of a client operation: ``preferred`` when it is
@@ -231,7 +297,8 @@ class Cluster:
     ``async call(group, step, **body)`` runs one :class:`EngineGroup` step
     on a group, ``async drain()`` waits until no protocol message is in
     flight anywhere, ``_members()`` is the collection of admitted peer
-    ids (O(1) ``in`` and emptiness), and ``close()`` ends it."""
+    ids (O(1) ``in`` and emptiness), and ``start()`` / ``close()`` begin
+    and end it."""
 
     #: Engine groups the ring is spread over; peer ``p`` lives in group
     #: :func:`group_of` ``(p, n_groups)``.
@@ -384,26 +451,68 @@ class Cluster:
 
 
 class LocalCluster(Cluster):
-    """The one-group, in-process backend over ``engine`` (module doc).
-    Nothing is cached: callers may drive the engine behind its back."""
+    """One engine group per transport, in this process (module doc); groups
+    of several reach each other over socket transports.  ``engine`` is the
+    first group's.  Nothing is cached: callers may drive the engines."""
 
-    def __init__(self, engine: ProtocolEngine) -> None:
-        self.engine = engine
-        self.transport = engine.transport
-        self.steps = EngineGroup(engine)
+    def __init__(self, *transports) -> None:
+        if not transports:
+            raise ValueError("a cluster needs at least one transport")
+        self.n_groups = len(transports)
+        self.transports = transports
+        self.transport = transports[0]
+        self.groups = [EngineGroup(t, i, self.n_groups) for i, t in enumerate(transports)]
+        self.engine = self.groups[0].engine
+        peers = [group.engine.peers for group in self.groups]
+        self._peers = peers[0] if self.n_groups == 1 else collections.ChainMap(*peers)
+
+    async def start(self) -> None:
+        """Start the transports; give groups of several the resolver."""
+        for t in self.transports:
+            await t.start()
+        if self.n_groups > 1:
+            resolve = _make_resolver(self.n_groups, [t.address for t in self.transports])
+            for t in self.transports:
+                t.set_resolve(resolve)
 
     async def call(self, group: int, step: str, **body) -> Optional[dict]:
-        return getattr(self.steps, step)(**body)
+        return getattr(self.groups[group], step)(**body)
 
     async def drain(self) -> None:
-        await self.transport.drain()
+        """One transport's ``drain()``; over several, drain each until one
+        look (atomic: one thread reads every counter) finds every group idle
+        and ``Σ frames_out == Σ frames_in``, then raise a drain's error."""
+        if self.n_groups == 1:
+            await self.transport.drain()
+            return
+        loop = asyncio.get_running_loop()
+        timeout = _transport.DRAIN_TIMEOUT
+        deadline = loop.time() + timeout
+        transports = self.transports
+        failed: Optional[TransportError] = None
+        while True:
+            for t in transports:
+                try:
+                    await t.drain()
+                except TransportError as exc:
+                    failed = failed or exc
+            if all(t.in_flight == 0 for t in transports) and sum(
+                t.frames_out for t in transports
+            ) == sum(t.frames_in for t in transports):
+                break
+            if loop.time() > deadline:
+                raise TransportError(f"cluster drain timed out after {timeout}s") from failed
+            await asyncio.sleep(0)
+        if failed is not None:
+            raise failed
 
     def _members(self) -> Dict[str, object]:
-        return self.engine.peers
+        return self._peers
 
     def live_ids(self) -> List[str]:
         # A peer whose join is still in flight is admitted but not live.
-        return sorted(p.id for p in self.engine.peers.values() if p.joined)
+        return sorted(p.id for p in self._peers.values() if p.joined)
 
     async def close(self) -> None:
-        await self.transport.close()
+        for t in self.transports:
+            await t.close()

@@ -1,26 +1,25 @@
-"""Differential trace conformance: sim vs live sockets vs multi-process.
+"""Differential trace conformance: one workload, every topology.
 
 The risk of a second (or third) execution engine is silent divergence, so
 the proof obligation is differential: replay the *same* recorded
 ``repro-trace/1`` workload (:mod:`repro.workloads.traces`) through the
-protocol engine on the discrete-event transport, on a live asyncio
-transport (:func:`replay_trace`), and on a ring spread over OS processes
-exchanging protocol messages peer-to-peer
-(:func:`replay_trace_multiprocess`), canonicalise the outcome streams,
-and assert equality.  Every leg runs the *same* driver loop
-(:func:`_replay`) against a :mod:`repro.net.cluster` backend; the two
-public functions only construct the backend.
+protocol engine on every backend (:func:`replay_trace`), canonicalise the
+outcome streams, and assert equality.  A leg is just a backend of
+:mod:`repro.net.cluster` — a :class:`~repro.net.cluster.LocalCluster` on
+the sim, loopback or one or several socket transports, or a
+:class:`~repro.net.procgroup.MultiProcessCluster` — and every leg runs
+the *same* driver loop (:func:`_replay`).
 
 What makes the comparison sound:
 
-* **Same inputs.**  Both replays share the trace and a driver RNG seeded
+* **Same inputs.**  Every replay shares the trace and a driver RNG seeded
   from the trace header, so joining peers draw identical identifiers in
   identical order.  Entry nodes are taken from the trace (they are
   tree-structural) or chosen deterministically (lowest label).
 * **Drain between operations.**  The driver awaits transport quiescence
   after every membership change, registration, fault and request.  Within
   one operation a live transport interleaves endpoint handlers however the
-  scheduler likes; between operations both systems are at rest, and the
+  scheduler likes; between operations every leg is at rest, and the
   PGCP tree is uniquely determined by the registered key set — so the
   at-rest states are comparable.
 * **Latency-independent projection.**  A :class:`UnitOutcome` keeps only
@@ -44,14 +43,11 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from ..dlpt.protocol import ProtocolEngine
 from ..experiments.config import ExperimentConfig
 from ..experiments.runner import record_single
 from ..peers.churn import ChurnModel
 from ..workloads.keys import grid_service_corpus
 from ..workloads.traces import WorkloadTrace
-from .cluster import LocalCluster
-from .transport import Transport
 
 #: Identifier space for driver-drawn peer ids (lowercase keeps them in the
 #: same lexicographic order relation as any printable service key corpus).
@@ -239,48 +235,19 @@ async def _replay(
 
 async def replay_trace(
     trace: WorkloadTrace,
-    transport: Transport,
+    backend,
     *,
     n_bootstrap: Optional[int] = None,
     capacity: int = 10,
 ) -> ReplayReport:
-    """Replay a recorded workload through one engine on ``transport``;
-    returns the canonical outcome stream.
+    """Start ``backend`` (any :mod:`repro.net.cluster` backend, not yet
+    started), replay a recorded workload through it and close it; returns
+    the canonical outcome stream.
 
     ``n_bootstrap`` is the initial platform size (the trace records only
     the workload-side events; the bootstrap population comes from the
-    recording's configuration and is stored in ``trace.meta``).
-    """
-    await transport.start()
-    backend = LocalCluster(ProtocolEngine(transport=transport))
-    return await _replay(trace, backend, n_bootstrap, capacity)
-
-
-async def replay_trace_multiprocess(
-    trace: WorkloadTrace,
-    *,
-    processes: int = 2,
-    n_bootstrap: Optional[int] = None,
-    capacity: int = 10,
-    chaos=None,
-) -> ReplayReport:
-    """Replay a recorded workload through a multi-process ring: the same
-    driver loop as :func:`replay_trace`, against a
-    :class:`~repro.net.procgroup.MultiProcessCluster` — engine groups in
-    separate OS processes exchanging protocol messages over peer-to-peer
-    sockets.
-
-    ``chaos`` (a :mod:`repro.net.chaos` plan/spec) injects seeded faults
-    into every worker transport during the replay — with an
-    outcome-preserving plan (delay/reorder) the canonical stream must
-    *still* equal the oracle's.  Message totals are the summed per-group
-    transport counters (higher than single-engine replays by exactly the
-    locator replication traffic, so only the conservation invariant — not
-    the totals — is comparable across topologies).
-    """
-    from .procgroup import MultiProcessCluster
-
-    backend = MultiProcessCluster(processes=processes, chaos=chaos)
+    recording's configuration and is stored in ``trace.meta``).  Totals
+    sum the groups' counters, locator replication included."""
     await backend.start()
     return await _replay(trace, backend, n_bootstrap, capacity)
 

@@ -10,30 +10,16 @@ steps they are made of are :mod:`repro.net.cluster`'s — a worker *is* an
 :class:`MultiProcessCluster` is the :class:`~repro.net.cluster.Cluster`
 whose ``call`` is a control RPC and whose ``drain`` is global quiescence.
 This module adds only what separate processes need: spawn and lifecycle,
-the control channels, locator replication, supervision, and the ledgers
-recovery replays.
+the control channels, supervision, and the ledgers recovery replays.
 
-Topology and addressing:
-
-* **Placement** is static: peer ``p`` lives in group
-  ``zlib.crc32(p) % n_groups`` (:func:`~repro.net.cluster.group_of`), so
-  every group can resolve any peer id to the owning group's listener
-  address without coordination.
-* **Per-group endpoints** — group ``i`` registers its locator-sync sink
-  ``@sync-i`` and its engine's private client endpoint ``@client-gi`` so
-  discovery/query replies route back to the issuing process.
-* **Control channel** — the coordinator reaches worker ``i`` over the
-  ``multiprocessing.Pipe()`` it was spawned with: a ``_Connection`` at
-  each end, read in its callback (no task), carrying ``repro-wire/1``
-  JSON frames — the worker's listener address, then ``{"op", "id", …}``
-  requests and ``{"id", "ok", …}`` replies.  No transport carries them,
-  so a transport counts every message; closing the channel stops the
-  worker.
-* **Locator replication** — every node install fires the engine's
-  ``on_node_installed`` hook, which broadcasts ``{label, host}`` to the
-  other groups' ``@sync`` endpoints as ordinary *data* frames: global
-  drain therefore covers locator propagation, and a group is never
-  quiescent with a stale location table.
+Placement, the per-group endpoints and locator replication are the
+cluster layer's (:mod:`repro.net.cluster`).  The **control channel** —
+the coordinator reaches worker ``i`` over the ``multiprocessing.Pipe()``
+it was spawned with: a ``_Connection`` at each end, read in its callback
+(no task), carrying ``repro-wire/1`` JSON frames — the worker's listener
+address, then ``{"op", "id", …}`` requests and ``{"id", "ok", …}``
+replies.  No transport carries them, so a transport counts every
+message; closing the channel stops the worker.
 
 Global quiescence (the multi-process ``drain``): every group reports
 ``in_flight == 0`` **and** the cluster sums satisfy ``Σ frames_out ==
@@ -58,11 +44,9 @@ import os
 import socket
 from typing import Dict, List, Optional, Tuple
 
-from ..dlpt.messages import Envelope
-from ..dlpt.protocol import ProtocolEngine
 from . import transport as _transport
 from .asyncio_transport import AsyncioTransport, _Connection
-from .cluster import STEPS, Cluster, ClusterError, EngineGroup, group_of
+from .cluster import STEPS, Cluster, ClusterError, EngineGroup, _make_resolver, group_of
 from .transport import TransportError
 from .wire import encode_frame
 
@@ -79,32 +63,11 @@ RPC_TIMEOUT = 30.0
 HEARTBEAT_INTERVAL = 0.25
 HEARTBEAT_TIMEOUT = 2.0
 
-#: Endpoint naming scheme (group index ``i``).
-SYNC_PREFIX = "@sync-"
-CLIENT_PREFIX = "@client-g"
-
 
 class ClusterRecovering(ClusterError):
     """The supervisor is mid-recovery; the operation is retryable once
     the cluster has healed (the serve layer maps this to a backpressure
     reply, so resilient clients ride through the outage)."""
-
-
-def _make_resolver(n_groups: int, groups: List[tuple]):
-    """endpoint -> listener address, per the naming scheme above."""
-
-    def resolve(endpoint) -> Optional[tuple]:
-        if not isinstance(endpoint, str):
-            return None
-        for prefix in (SYNC_PREFIX, CLIENT_PREFIX):
-            if endpoint.startswith(prefix):
-                try:
-                    return groups[int(endpoint[len(prefix):])]
-                except (ValueError, IndexError):
-                    return None
-        return groups[group_of(endpoint, n_groups)]
-
-    return resolve
 
 
 async def _open_channel(conn, on_frames, on_lost) -> asyncio.Transport:
@@ -136,44 +99,12 @@ def _expire(future: asyncio.Future) -> None:
 
 class _Worker(EngineGroup):
     """One engine group behind its control channel: the shared steps,
-    plus what only a separate process needs — locator replication, the
-    frame/error extension of ``counters``, heartbeat and reset."""
+    plus what only a separate process needs — control dispatch, the
+    frame and error extension of ``counters``, heartbeat and reset."""
 
     #: What the control channel dispatches: the shared steps plus the
     #: worker's own two.
     OPS = STEPS | {"ping", "reset"}
-
-    def __init__(self, index: int, n_groups: int, transport) -> None:
-        self.index = index
-        self.n_groups = n_groups
-        self.transport = transport
-        super().__init__(self._blank_engine())
-
-    def _blank_engine(self) -> ProtocolEngine:
-        engine = ProtocolEngine(
-            transport=self.transport, client_endpoint=f"{CLIENT_PREFIX}{self.index}"
-        )
-        engine.on_node_installed = self.broadcast_install
-        return engine
-
-    # -- locator replication ------------------------------------------------
-
-    def broadcast_install(self, label: str, host: str) -> None:
-        """The engine's ``on_node_installed`` hook: tell the other groups
-        (data frames, so global drain covers the propagation)."""
-        src = f"{SYNC_PREFIX}{self.index}"
-        for g in range(self.n_groups):
-            if g != self.index:
-                self.transport.send(src, f"{SYNC_PREFIX}{g}", {"label": label, "host": host})
-
-    def on_sync(self, env: Envelope) -> None:
-        """Another group installed a node: repoint its label here and
-        flush the messages parked for it, exactly as a local install
-        would (a SearchingHost can race the Host hop across groups)."""
-        label, host = env.payload["label"], env.payload["host"]
-        self.engine.set_location(label, host)
-        for src, msg in self.engine.pending_node_messages.pop(label, ()):
-            self.transport.send(src, host, msg)
 
     # -- control RPCs -------------------------------------------------------
 
@@ -218,16 +149,13 @@ class _Worker(EngineGroup):
 
     def reset(self, groups: list) -> None:
         """Wipe this group back to a blank engine that reaches the others
-        at ``groups`` (a new worker's first RPC; every worker's in a
-        recovery).  Addresses arrive as JSON lists; they must be
-        re-tupled or the resolver would hand the link cache unhashable
-        keys (and ``address == self.address`` would never match)."""
-        groups = [tuple(a) for a in groups]
+        at ``groups`` (JSON lists re-tupled: the link cache keys on them).
+        A new worker's first RPC, and every worker's in a recovery."""
         t = self.transport
         for peer_id in self.engine.peers:
             t.unregister(peer_id)
         self.engine = self._blank_engine()
-        t.set_resolve(_make_resolver(self.n_groups, groups))
+        t.set_resolve(_make_resolver(self.n_groups, [tuple(a) for a in groups]))
         t.reset_links()
         t.errors.clear()
         t.reset_accounting()
@@ -244,8 +172,7 @@ async def _worker_async(index: int, n_groups: int, conn, chaos=None) -> None:
         transport = ChaosTransport(
             transport, chaos, seed=chaos.seed + index * 7919
         )
-    worker = _Worker(index, n_groups, transport)
-    transport.register(f"{SYNC_PREFIX}{index}", worker.on_sync)
+    worker = _Worker(transport, index, n_groups)
     closed = asyncio.Event()
     channel = await _open_channel(conn, worker.serve, lambda _channel, _exc: closed.set())
     channel.write(_frame(list(transport.address)))

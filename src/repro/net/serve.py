@@ -40,7 +40,6 @@ import os
 import signal
 from typing import List, Optional
 
-from ..dlpt.protocol import ProtocolEngine
 from ..util.specs import SpecError, parse_spec
 from .asyncio_transport import AsyncioTransport
 from .bootstrap import Broker, RegistryJournal, checked_member
@@ -92,6 +91,28 @@ async def _admit_members(backend, n_peers: int, capacity: int, journal, chaos) -
         await backend.set_chaos(True)
 
 
+async def _bring_up(backend, transport, n_peers, capacity, inbox_limit, journal, chaos, check=None):
+    """Every topology's bring-up: start ``backend`` and the client
+    listener ``transport``, the broker and admission, then ``check()`` the
+    admitted ring; a failed step or check closes what was opened (no
+    worker or bound socket file is left behind)."""
+    async with contextlib.AsyncExitStack() as opened:
+        # Registered first: a start that fails part-way (a worker dying
+        # before it reports its address) leaves workers to stop.
+        opened.push_async_callback(backend.close)
+        await backend.start()
+        await transport.start()
+        opened.push_async_callback(transport.close)
+        broker = Broker(backend, transport, inbox_limit=inbox_limit, journal=journal)
+        await broker.start()
+        opened.push_async_callback(broker.close)
+        await _admit_members(backend, n_peers, capacity, journal, chaos)
+        if check is not None:
+            check()
+        opened.pop_all()
+    return broker
+
+
 async def start_cluster(
     n_peers: int,
     *,
@@ -117,24 +138,12 @@ async def start_cluster(
     )
     if chaos is not None:
         transport = ChaosTransport(transport, chaos)
-    # Whatever is opened here is closed again if admission raises: a
-    # failed bring-up must not leave a bound socket file behind.
-    async with contextlib.AsyncExitStack() as opened:
-        await transport.start()
-        opened.push_async_callback(transport.close)
-        engine = ProtocolEngine(transport=transport)
-        broker = Broker(
-            LocalCluster(engine),
-            transport,
-            inbox_limit=inbox_limit,
-            journal=journal,
-        )
-        await broker.start()
-        opened.push_async_callback(broker.close)
-        await _admit_members(broker.backend, n_peers, capacity, journal, chaos)
-        engine.check_ring()
-        opened.pop_all()
-    return transport, engine, broker
+    cluster = LocalCluster(transport)
+    broker = await _bring_up(
+        cluster, transport, n_peers, capacity, inbox_limit, journal, chaos,
+        check=cluster.engine.check_ring,
+    )
+    return transport, cluster.engine, broker
 
 
 async def start_multiprocess_cluster(
@@ -163,23 +172,7 @@ async def start_multiprocess_cluster(
     transport = AsyncioTransport(
         host=host if tcp else None, port=port, path=None if tcp else path
     )
-    async with contextlib.AsyncExitStack() as opened:  # as in start_cluster
-        # Registered first: a start that fails part-way (a worker dying
-        # before it reports its address) leaves workers to stop.
-        opened.push_async_callback(cluster.close)
-        await cluster.start()
-        await transport.start()
-        opened.push_async_callback(transport.close)
-        broker = Broker(
-            cluster,
-            transport,
-            inbox_limit=inbox_limit,
-            journal=journal,
-        )
-        await broker.start()
-        opened.push_async_callback(broker.close)
-        await _admit_members(cluster, n_peers, capacity, journal, chaos)
-        opened.pop_all()
+    broker = await _bring_up(cluster, transport, n_peers, capacity, inbox_limit, journal, chaos)
     return transport, cluster, broker
 
 

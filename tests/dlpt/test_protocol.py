@@ -38,6 +38,24 @@ def engine_with_peers(peer_ids, latency_seed=None):
     return eng
 
 
+class _Parking(dict):
+    """A ``pending_node_messages`` table that logs every label parked."""
+
+    def __init__(self):
+        super().__init__()
+        self.parked = []
+
+    def setdefault(self, label, default=None):
+        self.parked.append(label)
+        return super().setdefault(label, default)
+
+
+def _nothing_waits(eng):
+    """Quiescence leaves no message waiting for its node or ring slot."""
+    assert eng.pending_node_messages == {}
+    assert not any(p.deferred for p in eng.peers.values())
+
+
 class TestPeerJoin:
     def test_two_peer_ring(self):
         eng = engine_with_peers(["mmmm", "aaaa"])
@@ -123,10 +141,128 @@ class TestOverlappingJoins:
                 eng.discover(k)
             await t.drain()
             assert sorted(r.key for r in eng.discovery_replies if r.found) == self.KEYS
-            assert eng.dead_node_messages == 0
+            _nothing_waits(eng)
             await t.close()
 
         asyncio.run(body())
+
+
+def _ring_with_keys():
+    """``(transport, engine)``: ring ``c h m r`` holding eight keys, on a
+    simulator whose messages from ``h`` to ``f`` are delayed from now on."""
+    t = ChaosTransport(
+        SimTransport(), "delay:1.0:max=0.5+seed=1", only=lambda s, d: (s, d) == ("h", "f")
+    )
+    t.enabled = False
+    eng = ProtocolEngine(transport=t)
+    eng.bootstrap_peer("c")
+    for pid in ("h", "m", "r"):
+        eng.join_peer(pid, seed="c")
+        eng.run()
+    for k in ("ab", "ca", "cb", "fa", "ha", "ka", "ma", "pa"):
+        eng.insert_data(k)
+        eng.run()
+    t.enabled = True
+    return t, eng
+
+
+class TestEarlyMessagesWait:
+    """A message that reaches a peer before what it is for must wait
+    there, never be dropped: both runs below used to lose the key while
+    the ring, tree and mapping checks all passed."""
+
+    @pytest.mark.parametrize(
+        "factory", [SimTransport, LoopbackAsyncioTransport], ids=["sim", "loopback"]
+    )
+    def test_a_message_for_a_node_in_flight_follows_it(self, factory):
+        """``m`` hands ``cb`` to the joiner ``f`` while a ``DataInsertion``
+        for ``cb`` is already queued at ``m``: the location table names
+        ``f`` from the hand-over on, so the insertion follows the node
+        over the same link, behind the ``YourInformation`` carrying it."""
+
+        async def body():
+            t = factory()
+            await t.start()
+            eng = ProtocolEngine(transport=t)
+            eng.bootstrap_peer("m")
+            await t.drain()
+            for k in ("aa", "ab", "ba", "bb", "ca", "cb", "ma", "mb"):
+                eng.insert_data(k)
+                await t.drain()
+            eng.pending_node_messages = parking = _Parking()
+            eng.join_peer("f", seed="m")
+            eng.insert_data("cbz", via="cb")
+            await t.drain()
+            assert eng.locator["cbz"] == "f" and "cbz" in eng.peers["f"].nodes
+            assert parking.parked == []  # forwarded at once, never parked
+            eng.check_ring()
+            eng.check_tree()
+            eng.check_mapping()
+            _nothing_waits(eng)
+            await t.close()
+
+        asyncio.run(body())
+
+    @pytest.mark.parametrize(
+        "factory", [SimTransport, LoopbackAsyncioTransport], ids=["sim", "loopback"]
+    )
+    def test_an_operation_issued_after_a_leave_reaches_the_successor(self, factory):
+        """``h`` leaves hosting ``fa``; an insertion entering at ``fa``
+        before ``m`` has installed the transfer goes to ``m`` and waits
+        there.  It used to go to ``h``'s endpoint, gone, and dead-letter."""
+
+        async def body():
+            t = factory()
+            await t.start()
+            eng = ProtocolEngine(transport=t)
+            eng.bootstrap_peer("c")
+            for pid in ("h", "m", "r"):
+                eng.join_peer(pid, seed="c")
+                await t.drain()
+            for k in ("ab", "ca", "cb", "fa", "ha", "ka", "ma", "pa"):
+                eng.insert_data(k)
+                await t.drain()
+            assert "fa" in eng.peers["h"].nodes
+            eng.leave_peer("h")
+            eng.insert_data("fab", via="fa")
+            await t.drain()
+            assert eng.locator["fab"] == "m" and t.messages_dead_lettered == 0
+            eng.check_ring()
+            eng.check_tree()
+            eng.check_mapping()
+            _nothing_waits(eng)
+            await t.close()
+
+        asyncio.run(body())
+
+    def test_a_message_that_reaches_the_new_host_first_waits_for_the_node(self):
+        """``h`` hands ``ca`` and ``cb`` to the joiner ``f``, and a
+        discovery of ``cb`` issued just after that goes straight to ``f``
+        — which overtakes the delayed ``YourInformation`` carrying the
+        node.  ``f`` keeps it until ``cb`` is installed, then answers."""
+        t, eng = _ring_with_keys()
+        eng.join_peer("f", seed="h")
+        t.call_later(0.0, lambda: eng.discover("cb", via="cb"))
+        eng.run()
+        assert [(r.key, r.found) for r in eng.discovery_replies] == [("cb", True)]
+        assert eng.locator["cb"] == "f"
+        _nothing_waits(eng)
+
+    def test_a_host_that_reaches_a_joiner_waits_for_its_arc(self):
+        """``c`` already names ``f`` its successor when ``h``'s delayed
+        ``YourInformation`` has not reached ``f``: the ``Host`` for ``ccz``
+        that ``c`` forwards to ``f`` waits there until ``f`` knows its arc,
+        and then installs the node ``c`` already lists as a child."""
+        t, eng = _ring_with_keys()
+        eng.join_peer("f", seed="h")
+        eng.insert_data("ccz", via="c")
+        eng.run()
+        assert t.chaos_delayed >= 1
+        assert eng.locator["ccz"] == "f"
+        eng.check_ring()
+        eng.check_tree()
+        eng.check_mapping()
+        _nothing_waits(eng)
 
 
 class TestWireVocabulary:
@@ -205,8 +341,7 @@ class TestDataInsertion:
         for k in ("dgemm", "dgemv", "dgetrf"):
             eng.insert_data(k)
             eng.run()
-        assert eng.pending_node_messages == {}
-        assert eng.dead_node_messages == 0
+        _nothing_waits(eng)
 
 
 class TestDiscovery:

@@ -37,8 +37,9 @@ class TestMessageLoss:
 
     def test_loss_is_always_observable(self):
         """Under heavy loss the run still terminates, and every failure is
-        visible: either the drop counter advanced, a message was parked
-        forever (pending), or a consistency checker trips."""
+        visible: either the drop counter advanced, a message waits forever
+        (for its node, or at a peer whose join never landed), or a
+        consistency checker trips."""
         eng = self._lossy_engine(0.4, seed=7)
         eng.bootstrap_peer("mmmm")
         for k in ("dgemm", "dgemv", "daxpy", "sgemm"):
@@ -47,7 +48,7 @@ class TestMessageLoss:
         observable = (
             eng.transport.messages_dropped > 0
             or eng.pending_node_messages
-            or eng.dead_node_messages > 0
+            or any(peer.deferred for peer in eng.peers.values())
         )
         consistent = True
         try:

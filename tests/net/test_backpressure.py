@@ -18,7 +18,6 @@ import socket
 
 import pytest
 
-from repro.dlpt.protocol import ProtocolEngine
 from repro.net.asyncio_transport import LoopbackAsyncioTransport
 from repro.net.bootstrap import (
     BROKER_ENDPOINT,
@@ -74,8 +73,9 @@ class _RawClient:
 async def _broker(**kwargs):
     transport = LoopbackAsyncioTransport()
     await transport.start()
-    engine = ProtocolEngine(transport=transport)
-    broker = Broker(LocalCluster(engine), transport, **kwargs)
+    cluster = LocalCluster(transport)
+    engine = cluster.engine
+    broker = Broker(cluster, transport, **kwargs)
     await broker.start()
     engine.bootstrap_peer("pm", 10)
     await transport.drain()

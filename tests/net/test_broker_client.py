@@ -7,7 +7,6 @@ import contextlib
 
 import pytest
 
-from repro.dlpt.protocol import ProtocolEngine
 from repro.net.asyncio_transport import AsyncioTransport, LoopbackAsyncioTransport
 from repro.net.bootstrap import BROKER_ENDPOINT, Broker, RegistryJournal
 from repro.net.client import DLPTClient, DLPTClientError
@@ -23,8 +22,8 @@ class TestBootstrapRegistry:
         async def body():
             transport = LoopbackAsyncioTransport()
             await transport.start()
-            engine = ProtocolEngine(transport=transport)
-            registry = LocalCluster(engine)
+            registry = LocalCluster(transport)
+            engine = registry.engine
             engine.bootstrap_peer("m", 10)
             await transport.drain()
             for pid in ("d", "t"):
@@ -50,8 +49,8 @@ class TestBootstrapRegistry:
         async def body():
             transport = LoopbackAsyncioTransport()
             await transport.start()
-            engine = ProtocolEngine(transport=transport)
-            registry = LocalCluster(engine)
+            registry = LocalCluster(transport)
+            engine = registry.engine
             for pid in ("ba", "bc", "be", "bg", "bi", "bk", "bm", "bo"):
                 if not engine.peers:
                     engine.bootstrap_peer(pid, 10)
@@ -121,8 +120,9 @@ class TestBrokerLoopback:
     async def _cluster(self, journal=None):
         transport = LoopbackAsyncioTransport()
         await transport.start()
-        engine = ProtocolEngine(transport=transport)
-        broker = Broker(LocalCluster(engine), transport, journal=journal)
+        cluster = LocalCluster(transport)
+        engine = cluster.engine
+        broker = Broker(cluster, transport, journal=journal)
         await broker.start()
         for pid in ("pa", "pd", "pg", "pj"):
             reply = await _LoopbackClient(transport, f"@adm-{pid}").call(
@@ -381,8 +381,9 @@ async def _local_broker():
     transport; yields ``(transport, engine)``."""
     transport = LoopbackAsyncioTransport()
     await transport.start()
-    engine = ProtocolEngine(transport=transport)
-    broker = Broker(LocalCluster(engine), transport)
+    cluster = LocalCluster(transport)
+    engine = cluster.engine
+    broker = Broker(cluster, transport)
     await broker.start()
     try:
         yield transport, engine

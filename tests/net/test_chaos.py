@@ -23,7 +23,6 @@ import random
 import pytest
 
 from repro.dlpt import messages as m
-from repro.dlpt.protocol import ProtocolEngine
 from repro.net.asyncio_transport import AsyncioTransport, LoopbackAsyncioTransport
 from repro.net.bootstrap import Broker
 from repro.net.chaos import (
@@ -39,8 +38,8 @@ from repro.net.conformance import (
     diff_streams,
     record_conformance_trace,
     replay_trace,
-    replay_trace_multiprocess,
 )
+from repro.net.procgroup import MultiProcessCluster
 from repro.net.transport import SimTransport
 from repro.util.specs import SpecError, parse_spec
 
@@ -614,9 +613,9 @@ class TestChaosConformance:
         loopback transport yields the same canonical stream as the
         pristine simulator — chaos scheduling is invisible to outcomes."""
         trace = _small_trace()
-        oracle = asyncio.run(replay_trace(trace, SimTransport()))
+        oracle = asyncio.run(replay_trace(trace, LocalCluster(SimTransport())))
         chaotic_t = ChaosTransport(LoopbackAsyncioTransport(), _PRESERVING)
-        chaotic = asyncio.run(replay_trace(trace, chaotic_t))
+        chaotic = asyncio.run(replay_trace(trace, LocalCluster(chaotic_t)))
         assert diff_streams(oracle.outcomes, chaotic.outcomes) == []
         assert chaotic_t.chaos_delayed + chaotic_t.chaos_reordered > 0
         assert chaotic_t.chaos_dropped == 0
@@ -629,10 +628,14 @@ class TestChaosConformance:
     def test_chaotic_replay_is_deterministic(self):
         trace = _small_trace()
         first = asyncio.run(
-            replay_trace(trace, ChaosTransport(LoopbackAsyncioTransport(), _PRESERVING))
+            replay_trace(
+                trace, LocalCluster(ChaosTransport(LoopbackAsyncioTransport(), _PRESERVING))
+            )
         )
         second = asyncio.run(
-            replay_trace(trace, ChaosTransport(LoopbackAsyncioTransport(), _PRESERVING))
+            replay_trace(
+                trace, LocalCluster(ChaosTransport(LoopbackAsyncioTransport(), _PRESERVING))
+            )
         )
         assert first.outcomes == second.outcomes
 
@@ -644,10 +647,11 @@ class TestChaosLive:
         worker transport wrapped, per-group derived seeds) still replays
         the crash-storm trace to the oracle's canonical stream."""
         trace = _small_trace()
-        oracle = asyncio.run(replay_trace(trace, SimTransport()))
+        oracle = asyncio.run(replay_trace(trace, LocalCluster(SimTransport())))
         multi = asyncio.run(
-            replay_trace_multiprocess(
-                trace, processes=2, chaos="delay:0.3:max=0.002+reorder:0.2+seed=5"
+            replay_trace(
+                trace,
+                MultiProcessCluster(processes=2, chaos="delay:0.3:max=0.002+reorder:0.2+seed=5"),
             )
         )
         assert diff_streams(oracle.outcomes, multi.outcomes) == []
@@ -703,8 +707,9 @@ class TestChaosLive:
                 "drop:0.25+seed=23",
                 only=lambda s, d: isinstance(d, str) and d.startswith("@client-"),
             )
-            engine = ProtocolEngine(transport=transport)
-            broker = Broker(LocalCluster(engine), transport)
+            cluster = LocalCluster(transport)
+            engine = cluster.engine
+            broker = Broker(cluster, transport)
             await broker.start()
             engine.bootstrap_peer("pm", 10)
             await transport.drain()

@@ -2,8 +2,8 @@
 operation is one sequence of engine-group steps ending at one quiescence
 wait, and it is the same sequence on both backends.
 
-Tier-1 drives a :class:`LocalCluster` on the loopback transport; the
-``net``-marked twin spawns a 2-process ring.
+Tier-1 drives a :class:`LocalCluster` on the loopback transport and one
+of two in-process groups; the ``net``-marked twin spawns a 2-process ring.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ import itertools
 
 import pytest
 
-from repro.dlpt.protocol import ProtocolEngine
-from repro.net.asyncio_transport import LoopbackAsyncioTransport
+from repro.net.asyncio_transport import AsyncioTransport, LoopbackAsyncioTransport
 from repro.net import procgroup
 from repro.net.chaos import ChaosTransport
 from repro.net.cluster import STEPS, ClusterError, LocalCluster
@@ -79,7 +78,7 @@ class _CountingLoopback(LoopbackAsyncioTransport):
 async def _local_cluster(peers, transport=None):
     transport = transport or LoopbackAsyncioTransport()
     await transport.start()
-    cluster = LocalCluster(ProtocolEngine(transport=transport))
+    cluster = LocalCluster(transport)
     for pid in peers:
         await cluster.join(pid)
     return cluster
@@ -119,7 +118,7 @@ class TestLocalCluster:
         async def body():
             transport, lose = lossy_loopback()
             await transport.start()
-            cluster = LocalCluster(ProtocolEngine(transport=transport))
+            cluster = LocalCluster(transport)
             for pid in PEERS:
                 await cluster.join(pid)
             for key in REGISTERED:
@@ -380,26 +379,62 @@ class TestMultiProcessCluster:
             cluster = MultiProcessCluster(processes=2)
             await cluster.start()
             try:
-                for pid in PEERS:
-                    await cluster.join(pid)
-                for key in REGISTERED:
-                    await cluster.register(key)
-                hit = await cluster.discover("dgemm")
-                # An unhashable datum for an existing key raises in the
-                # hosting peer's handler (or in the codec of the link
-                # towards it) without touching the tree — issued as a bare
-                # step, so the discovery's wait is the one that hears of it.
-                await cluster.call(
-                    group_of(min(PEERS), 2), "insert", key="dgemm", datum={"rich": [1]}, via=None
-                )
-                with pytest.raises(ClusterError, match="worker transport error"):
-                    await cluster.discover("dgemm")
-                for _ in range(4):  # two from each group
-                    assert await cluster.discover("dgemm") == hit
+                await _poisoned_wait(cluster, ClusterError, "worker transport error")
             finally:
                 await cluster.close()
 
         asyncio.run(body())
+
+
+class TestInProcessGroups:
+    """The two-process tests above on two engine groups in this process
+    (:class:`LocalCluster` over two socket transports)."""
+
+    def test_the_last_peer_is_refused(self):
+        async def body():
+            cluster = LocalCluster(AsyncioTransport(), AsyncioTransport())
+            await cluster.start()
+            try:
+                await _refuse_the_last_peer(
+                    cluster, lambda: [dict(g.engine.locator) for g in cluster.groups]
+                )
+            finally:
+                await cluster.close()
+
+        asyncio.run(body())
+
+    def test_a_failed_wait_does_not_poison_the_next_read(self):
+        async def body():
+            cluster = LocalCluster(AsyncioTransport(), AsyncioTransport())
+            await cluster.start()
+            try:
+                await _poisoned_wait(cluster, TransportError, "during drain")
+            finally:
+                await cluster.close()
+
+        asyncio.run(body())
+
+
+async def _poisoned_wait(cluster, error, match):
+    """A handler that raises while a discovery travels fails that one
+    read with ``error``; every later read, from either group, is answered
+    as before."""
+    for pid in PEERS:
+        await cluster.join(pid)
+    for key in REGISTERED:
+        await cluster.register(key)
+    hit = await cluster.discover("dgemm")
+    # An unhashable datum for an existing key raises in the
+    # hosting peer's handler (or in the codec of the link towards
+    # it) without touching the tree — issued as a bare step, so
+    # the discovery's wait is the one that hears of it.
+    await cluster.call(
+        group_of(min(PEERS), 2), "insert", key="dgemm", datum={"rich": [1]}, via=None
+    )
+    with pytest.raises(error, match=match):
+        await cluster.discover("dgemm")
+    for _ in range(4):  # two from each group
+        assert await cluster.discover("dgemm") == hit
 
 
 class TestMultiProcessDrain:

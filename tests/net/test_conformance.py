@@ -1,12 +1,13 @@
 """The proof obligation: trace replay is transport-conformant.
 
 The same recorded ``repro-trace/1`` workload is replayed through the
-protocol engine on the discrete-event transport and on a live asyncio
-transport; the canonicalised outcome streams must be *equal*.  Tier-1
-runs the differential against the deterministic loopback transport on a
-small trace; the ``net``-marked tests run the acceptance-scale traces
-(200 peers, uniform and zipf request mixes, a crash storm) against real
-sockets, plus a crash/restart scenario on a live peer.
+protocol engine on every backend; the canonicalised outcome streams must
+be *equal*.  Tier-1 runs the differential against the deterministic
+loopback transport on a small trace, and against 2 and 4 engine groups in
+this process on the small and the acceptance trace; the ``net``-marked
+tests run the acceptance-scale traces (200 peers, uniform and zipf
+request mixes, a crash storm) against a real socket and worker
+processes, plus a crash/restart scenario on a live peer.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import asyncio
 
 import pytest
 
-from repro.dlpt.protocol import ProtocolEngine
 from repro.net.asyncio_transport import AsyncioTransport, LoopbackAsyncioTransport
 from repro.net.cluster import LocalCluster
 from repro.net.conformance import (
@@ -23,8 +23,8 @@ from repro.net.conformance import (
     diff_streams,
     record_conformance_trace,
     replay_trace,
-    replay_trace_multiprocess,
 )
+from repro.net.procgroup import MultiProcessCluster
 from repro.net.transport import SimTransport
 from repro.workloads.traces import TraceUnit, WorkloadTrace
 
@@ -48,8 +48,8 @@ def _small_trace(**overrides):
 class TestTier1Conformance:
     def test_sim_and_loopback_streams_are_equal(self):
         trace = _small_trace()
-        sim = asyncio.run(replay_trace(trace, SimTransport()))
-        loop = asyncio.run(replay_trace(trace, LoopbackAsyncioTransport()))
+        sim = asyncio.run(replay_trace(trace, LocalCluster(SimTransport())))
+        loop = asyncio.run(replay_trace(trace, LocalCluster(LoopbackAsyncioTransport())))
         assert diff_streams(sim.outcomes, loop.outcomes) == []
         # Same protocol, same inputs, same delivery semantics (zero-latency
         # global FIFO): even the message totals agree.
@@ -58,15 +58,15 @@ class TestTier1Conformance:
 
     def test_replay_is_deterministic(self):
         trace = _small_trace()
-        first = asyncio.run(replay_trace(trace, LoopbackAsyncioTransport()))
-        second = asyncio.run(replay_trace(trace, LoopbackAsyncioTransport()))
+        first = asyncio.run(replay_trace(trace, LocalCluster(LoopbackAsyncioTransport())))
+        second = asyncio.run(replay_trace(trace, LocalCluster(LoopbackAsyncioTransport())))
         assert first.outcomes == second.outcomes
 
     def test_trace_exercises_the_interesting_axes(self):
         """Guard the fixture itself: a conformance pass over a trace with
         no churn, faults or requests would prove nothing."""
         trace = _small_trace()
-        report = asyncio.run(replay_trace(trace, SimTransport()))
+        report = asyncio.run(replay_trace(trace, LocalCluster(SimTransport())))
         assert sum(o.crashes for o in report.outcomes) >= 1
         assert sum(o.joins for o in report.outcomes) >= 1
         assert sum(len(o.requests) for o in report.outcomes) >= 10
@@ -78,8 +78,8 @@ class TestTier1Conformance:
         sets and hop counts folded into each unit's outcome."""
         trace = _small_trace(queries="mixed:n=2")
         assert any(u.queries for u in trace.units)
-        sim = asyncio.run(replay_trace(trace, SimTransport()))
-        loop = asyncio.run(replay_trace(trace, LoopbackAsyncioTransport()))
+        sim = asyncio.run(replay_trace(trace, LocalCluster(SimTransport())))
+        loop = asyncio.run(replay_trace(trace, LocalCluster(LoopbackAsyncioTransport())))
         assert diff_streams(sim.outcomes, loop.outcomes) == []
         served = [q for o in sim.outcomes for q in o.queries]
         assert served, "the fixture must actually exercise the query path"
@@ -87,7 +87,7 @@ class TestTier1Conformance:
 
     def test_diff_streams_flags_query_divergence(self):
         trace = _small_trace(queries="mixed:n=2")
-        a = asyncio.run(replay_trace(trace, SimTransport())).outcomes
+        a = asyncio.run(replay_trace(trace, LocalCluster(SimTransport()))).outcomes
         b = list(a)
         target = next(i for i, o in enumerate(b) if o.queries)
         broken = b[target]
@@ -109,7 +109,7 @@ class TestTier1Conformance:
 
     def test_diff_streams_pinpoints_divergence(self):
         trace = _small_trace()
-        a = asyncio.run(replay_trace(trace, SimTransport())).outcomes
+        a = asyncio.run(replay_trace(trace, LocalCluster(SimTransport()))).outcomes
         b = list(a)
         broken = b[2]
         b[2] = type(broken)(
@@ -132,12 +132,44 @@ class TestTier1Conformance:
             units=[TraceUnit(faults=[["partition", 0, 2, 1]])],
         )
         with pytest.raises(ConformanceError, match="partition"):
-            asyncio.run(replay_trace(trace, SimTransport()))
+            asyncio.run(replay_trace(trace, LocalCluster(SimTransport())))
 
     def test_bootstrap_size_is_required(self):
         trace = WorkloadTrace(seed=1, units=[TraceUnit()])
         with pytest.raises(ConformanceError, match="n_bootstrap"):
-            asyncio.run(replay_trace(trace, SimTransport()))
+            asyncio.run(replay_trace(trace, LocalCluster(SimTransport())))
+
+
+@pytest.fixture(scope="module")
+def sim_legs():
+    """name -> (trace, its sim replay) for the small and acceptance traces."""
+    traces = {"small": _small_trace(), "acceptance": record_conformance_trace()}
+    return {
+        name: (trace, asyncio.run(replay_trace(trace, LocalCluster(SimTransport()))))
+        for name, trace in traces.items()
+    }
+
+
+class TestInProcessGroupLeg:
+    """The fifth leg: the trace through N engine groups in this process
+    — each its own socket transport, so placement, ``@sync`` replication,
+    ``@client-g`` reply routing and cross-group frames all take part —
+    equals the sim stream, in tier-1."""
+
+    @pytest.mark.parametrize("n_groups", [2, 4])
+    @pytest.mark.parametrize("name", ["small", "acceptance"])
+    def test_stream_matches_sim(self, sim_legs, name, n_groups):
+        trace, sim = sim_legs[name]
+        transports = [AsyncioTransport() for _ in range(n_groups)]
+        cluster = LocalCluster(*transports)
+        report = asyncio.run(replay_trace(trace, cluster))
+        assert diff_streams(sim.outcomes, report.outcomes) == []
+        for snap in asyncio.run(cluster.counters()):
+            assert snap["in_flight"] == 0
+            assert snap["sent"] == snap["delivered"] + snap["dropped"] + snap["dead_lettered"]
+        frames = sum(t.frames_out for t in transports)
+        assert frames == sum(t.frames_in for t in transports)
+        assert frames > 0  # the groups did talk over their sockets
 
 
 @pytest.mark.net
@@ -147,8 +179,8 @@ class TestLiveConformance:
     @pytest.mark.parametrize("workload", ["uniform", "zipf"])
     def test_live_socket_stream_matches_sim(self, workload):
         trace = record_conformance_trace(workload=workload)
-        sim = asyncio.run(replay_trace(trace, SimTransport()))
-        live = asyncio.run(replay_trace(trace, AsyncioTransport()))
+        sim = asyncio.run(replay_trace(trace, LocalCluster(SimTransport())))
+        live = asyncio.run(replay_trace(trace, LocalCluster(AsyncioTransport())))
         assert diff_streams(sim.outcomes, live.outcomes) == []
         assert sum(o.crashes for o in live.outcomes) >= 1
         assert sum(len(o.requests) for o in live.outcomes) >= 200
@@ -162,8 +194,8 @@ class TestLiveConformance:
         engine groups in separate OS processes, protocol messages
         crossing peer-to-peer sockets."""
         trace = record_conformance_trace(workload=workload)
-        sim = asyncio.run(replay_trace(trace, SimTransport()))
-        multi = asyncio.run(replay_trace_multiprocess(trace, processes=2))
+        sim = asyncio.run(replay_trace(trace, LocalCluster(SimTransport())))
+        multi = asyncio.run(replay_trace(trace, MultiProcessCluster(processes=2)))
         assert diff_streams(sim.outcomes, multi.outcomes) == []
         assert sum(o.crashes for o in multi.outcomes) >= 1
         # Summed per-group counters still conserve every message (the
@@ -180,8 +212,9 @@ def _crash_restart_scenario(transport):
     id), on any transport; returns the canonical final state."""
 
     async def body():
-        await transport.start()
-        engine = ProtocolEngine(transport=transport)
+        cluster = LocalCluster(transport)
+        await cluster.start()
+        engine = cluster.engine
         ids = ["pa", "pc", "pe", "pg", "pi", "pk"]
         engine.bootstrap_peer(ids[0], 10)
         await transport.drain()
@@ -194,7 +227,7 @@ def _crash_restart_scenario(transport):
             await transport.drain()
 
         victim = engine.locator["ga"]
-        await LocalCluster(engine).crash(victim)
+        await cluster.crash(victim)
         survived = engine.locator["ga"]
 
         # The victim restarts under its old endpoint id (re-registering

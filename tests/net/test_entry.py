@@ -24,6 +24,7 @@ from strategies import keys_st, peer_ids_min3_st
 from repro.dlpt.protocol import ProtocolEngine
 from repro.net.asyncio_transport import LoopbackAsyncioTransport
 from repro.net.cluster import EngineGroup, LocalCluster
+from repro.net.transport import SimTransport
 
 pytestmark = pytest.mark.asyncio
 
@@ -31,7 +32,7 @@ pytestmark = pytest.mark.asyncio
 async def _loopback_cluster() -> LocalCluster:
     transport = LoopbackAsyncioTransport()
     await transport.start()
-    return LocalCluster(ProtocolEngine(transport=transport))
+    return LocalCluster(transport)
 
 
 def _holds(engine: ProtocolEngine) -> None:
@@ -97,11 +98,11 @@ class TestLowestLabelInvariant:
 def _group(**locations) -> EngineGroup:
     """A group over a blank (simulated) engine with one bootstrapped peer
     ``p`` and the given label -> host table."""
-    engine = ProtocolEngine()
-    engine.bootstrap_peer("p")
+    group = EngineGroup(SimTransport())
+    group.engine.bootstrap_peer("p")
     for label, host in locations.items():
-        engine.set_location(label, host)
-    return EngineGroup(engine)
+        group.engine.set_location(label, host)
+    return group
 
 
 class TestLocationWrites:

@@ -31,7 +31,6 @@ from hypothesis import strategies as st
 from strategies import keys_st, peer_ids_st, set_queries, wire_message_builders
 
 from repro.core.queries import PrefixQuery, RangeQuery
-from repro.dlpt.protocol import ProtocolEngine
 from repro.net.asyncio_transport import AsyncioTransport, LoopbackAsyncioTransport
 from repro.net.cluster import LocalCluster
 from repro.net.conformance import record_conformance_trace, replay_trace
@@ -89,7 +88,7 @@ def scripts(draw):
 
 async def _run_script(transport, peers, keys, steps):
     await transport.start()
-    cluster = LocalCluster(ProtocolEngine(transport=transport))
+    cluster = LocalCluster(transport)
     for peer in peers:
         await cluster.join(peer)
     for key in keys[: len(keys) // 2]:
@@ -138,7 +137,7 @@ class TestHandlersLeaveTheirMessagesAlone:
             faults="crash_storm:0.05:start=2:end=4", queries="mixed:n=2", seed=1789,
         )
         transport = checking(base)
-        report = asyncio.run(replay_trace(trace, transport))
+        report = asyncio.run(replay_trace(trace, LocalCluster(transport)))
         assert len(transport.checked) >= report.messages_delivered > 0
         assert {type(payload).__name__ for payload in transport.checked} >= TRACE_TYPES
         assert transport.mutations == []
@@ -154,7 +153,7 @@ class TestHandlersLeaveTheirMessagesAlone:
         async def body():
             transport = checking(LoopbackAsyncioTransport)
             await transport.start()
-            cluster = LocalCluster(ProtocolEngine(transport=transport))
+            cluster = LocalCluster(transport)
             for peer in ("dddd", "hhhh", "pppp"):
                 await cluster.join(peer)
             for key in keys:

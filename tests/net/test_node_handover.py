@@ -86,7 +86,7 @@ async def _simulated():
 
 async def _served(transport):
     await transport.start()
-    cluster = LocalCluster(ProtocolEngine(transport=transport))
+    cluster = LocalCluster(transport)
     for pid in PEERS:
         await cluster.join(pid)
     for i, key in enumerate(KEYS):

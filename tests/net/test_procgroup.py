@@ -1,10 +1,11 @@
-"""Multi-process engine groups: placement, control channel, global drain.
+"""Engine groups: placement, control channel, global drain.
 
-Tier-1 covers the pure pieces (placement hash, endpoint resolver); the
-``net``-marked tests spawn real worker processes and drive a ring spread
-over peer-to-peer sockets through the full membership/data lifecycle,
-asserting the per-group counter invariant and cluster-wide frame balance
-at every quiescence point.
+Tier-1 covers the pure pieces (placement hash, endpoint resolver), a
+worker's reset and sync, and drives a ring of two in-process groups
+through the full membership/data lifecycle; the ``net``-marked tests run
+the same lifecycle on real worker processes.  Both assert the per-group
+counter invariant and cluster-wide frame balance at every quiescence
+point.
 """
 
 from __future__ import annotations
@@ -16,17 +17,14 @@ import signal
 import pytest
 
 from repro.dlpt import messages as m
-from repro.net.asyncio_transport import LoopbackAsyncioTransport
+from repro.net.asyncio_transport import AsyncioTransport, LoopbackAsyncioTransport
 from repro.net.bootstrap import RegistryJournal
+from repro.net.cluster import CLIENT_PREFIX, SYNC_PREFIX, LocalCluster, _make_resolver, group_of
 from repro.net.procgroup import (
-    CLIENT_PREFIX,
-    SYNC_PREFIX,
     ClusterError,
     ClusterRecovering,
     MultiProcessCluster,
-    _make_resolver,
     _Worker,
-    group_of,
 )
 from repro.net.transport import TransportError
 
@@ -63,13 +61,14 @@ class TestPlacement:
 class TestWorkerReset:
     def test_a_reset_leaves_a_blank_engine_that_serves(self):
         """``reset`` swaps in a fresh engine: no peer, location, parked
-        message, reply or dead-message count survives it, and the fresh
-        engine owns the group's reply sink and install hook."""
+        message or reply survives it, and the fresh engine owns the
+        group's reply sink and install hook (group 0 of two: a lone group
+        has neither)."""
 
         async def body():
             transport = LoopbackAsyncioTransport()
             await transport.start()
-            worker = _Worker(0, 1, transport)
+            worker = _Worker(transport, 0, 2)
             old = worker.engine
             worker.bootstrap("pa", 10)
             worker.insert("dgemm", None, None)
@@ -77,15 +76,14 @@ class TestWorkerReset:
             worker.discover(["dgemm"], None)
             await transport.drain()
             old.pending_node_messages["gone"] = [("pa", None)]
-            old.dead_node_messages = 1
 
-            worker.reset([list(transport.address)])
+            worker.reset([list(transport.address)] * 2)
             engine = worker.engine
             assert engine is not old and not transport.is_registered("pa")
             assert (engine.peers, engine.locator, engine.lowest_label) == ({}, {}, None)
-            assert (engine.pending_node_messages, engine.dead_node_messages) == ({}, 0)
+            assert engine.pending_node_messages == {}
             assert engine.discovery_replies == engine.query_replies == []
-            assert engine.on_node_installed == worker.broadcast_install
+            assert engine.on_node_installed == worker._broadcast_install
 
             worker.bootstrap("pb", 10)
             worker.insert("dgemv", None, None)
@@ -109,7 +107,7 @@ class TestWorkerSync:
         async def body():
             transport = LoopbackAsyncioTransport()
             await transport.start()
-            worker = _Worker(0, 2, transport)
+            worker = _Worker(transport, 0, 2)
             engine = worker.engine
             parked = [m.DataInsertion(node="pbab", key="pbab", datum=n) for n in (1, 2)]
             for msg in parked:
@@ -119,7 +117,7 @@ class TestWorkerSync:
             transport.register("pg", arrived.append)
 
             sync = {"label": "pbab", "host": "pg"}
-            worker.on_sync(m.Envelope(f"{SYNC_PREFIX}1", f"{SYNC_PREFIX}0", sync))
+            worker._on_sync(m.Envelope(f"{SYNC_PREFIX}1", f"{SYNC_PREFIX}0", sync))
             await transport.drain()
             assert (engine.locator, engine.lowest_label) == ({"pbab": "pg"}, "pbab")
             assert engine.pending_node_messages == {}
@@ -141,91 +139,134 @@ def _assert_balanced(counters):
     )
 
 
+async def _traffic(cluster) -> list:
+    """Per-group counters with the group's frame totals: a worker reports
+    them, an in-process group's are its transport's."""
+    counters = await cluster.counters()
+    if isinstance(cluster, LocalCluster):
+        counters = [
+            {**c, "frames_out": t.frames_out, "frames_in": t.frames_in}
+            for c, t in zip(counters, cluster.transports)
+        ]
+    return counters
+
+
+def _two_groups() -> LocalCluster:
+    """Two engine groups in this process, over real sockets."""
+    return LocalCluster(AsyncioTransport(), AsyncioTransport())
+
+
+def _run(cluster, scenario, *args) -> None:
+    """Start ``cluster``, play ``scenario`` on it, close it."""
+
+    async def body():
+        await cluster.start()
+        try:
+            await scenario(cluster, *args)
+        finally:
+            await cluster.close()
+
+    asyncio.run(body())
+
+
+async def _full_lifecycle(cluster):
+    peers = ["pa", "pd", "pg", "pj", "pm", "pq"]
+    # The fixture must actually span both groups, or nothing
+    # crosses a socket.
+    assert len({group_of(p, 2) for p in peers}) == 2
+    for pid in peers:
+        ring = await cluster.join(pid)
+    assert ring["pred"] in peers and ring["succ"] in peers
+    assert cluster.live_ids() == sorted(peers)
+
+    record = await cluster.register("dgemm")
+    assert record["key"] == "dgemm"
+    # Def. 3 mapping rule: lowest live id >= the key, wrapped.
+    assert record["host"] == "pa"
+    await cluster.register("sgemm")
+
+    hit = await cluster.discover("dgemm")
+    assert hit["found"] and hit["host"] == "pa"
+    assert hit["data"] == ["dgemm"]
+    miss = await cluster.discover("zzz-no-such-key")
+    assert not miss["found"]
+
+    band = await cluster.search("range", "dgemm", "zz")
+    assert band["keys"] == ["dgemm", "sgemm"]
+    assert band["hops"] >= 1
+
+    snap = await cluster.snapshot()
+    assert snap["live"] == sorted(peers)
+    assert snap["hosted"]["dgemm"] is True
+    # Locator replication: every group holds the full table.
+    assert len(set(snap["locator_sizes"])) == 1
+
+    _assert_balanced(await _traffic(cluster))
+
+
+async def _crash_adoption_across_groups(cluster):
+    for pid in ("pa", "pd", "pg", "pj"):
+        await cluster.join(pid)
+    await cluster.register("dgemm")
+    victim = (await cluster.discover("dgemm"))["host"]
+    assert victim == "pa"
+
+    await cluster.crash(victim)
+    assert victim not in cluster.live_ids()
+    # r=1 successor replication: the key survives on the
+    # successor.
+    after = await cluster.discover("dgemm")
+    assert after["found"] and after["host"] == "pd"
+
+    _assert_balanced(await _traffic(cluster))
+
+
+async def _leave_and_membership_errors(cluster):
+    await cluster.join("pa")
+    await cluster.join("pd")
+    await cluster.leave("pd")
+    assert cluster.live_ids() == ["pa"]
+    with pytest.raises(ClusterError, match="not joined"):
+        await cluster.leave("pd")
+    with pytest.raises(ClusterError, match="not joined"):
+        await cluster.crash("nobody")
+
+
+async def _handler_error_fails_one_drain(cluster, error, match):
+    for pid in ("pa", "pd", "pg", "pj"):
+        await cluster.join(pid)
+    await cluster.register("dgemm")
+    # The backend API trusts its caller (the broker is the
+    # admission boundary): an unhashable datum for an existing
+    # key blows up in the hosting peer's handler — or in the
+    # codec of the link towards it — without touching the tree.
+    with pytest.raises(error, match=match):
+        await cluster.register("dgemm", datum={"rich": [1]})
+    await cluster.drain()
+    for _ in range(2):  # one discovery issued from each group
+        hit = await cluster.discover("dgemm")
+        assert hit["found"] and hit["host"] == "pa"
+    _assert_balanced(await _traffic(cluster))
+
+
+async def _empty_tree_has_no_entry_node(cluster):
+    with pytest.raises(ClusterError, match="no peers"):
+        await cluster.register("too-early")
+    await cluster.join("pa")
+    assert await cluster.discover("anything") is None
+    assert await cluster.search("prefix", "a") is None
+
+
 @pytest.mark.net
 class TestClusterLifecycle:
     def test_full_lifecycle_two_groups(self):
-        async def body():
-            cluster = MultiProcessCluster(processes=2)
-            await cluster.start()
-            try:
-                peers = ["pa", "pd", "pg", "pj", "pm", "pq"]
-                # The fixture must actually span both groups, or nothing
-                # crosses a socket.
-                assert len({group_of(p, 2) for p in peers}) == 2
-                for pid in peers:
-                    ring = await cluster.join(pid)
-                assert ring["pred"] in peers and ring["succ"] in peers
-                assert cluster.live_ids() == sorted(peers)
-
-                record = await cluster.register("dgemm")
-                assert record["key"] == "dgemm"
-                # Def. 3 mapping rule: lowest live id >= the key, wrapped.
-                assert record["host"] == "pa"
-                await cluster.register("sgemm")
-
-                hit = await cluster.discover("dgemm")
-                assert hit["found"] and hit["host"] == "pa"
-                assert hit["data"] == ["dgemm"]
-                miss = await cluster.discover("zzz-no-such-key")
-                assert not miss["found"]
-
-                band = await cluster.search("range", "dgemm", "zz")
-                assert band["keys"] == ["dgemm", "sgemm"]
-                assert band["hops"] >= 1
-
-                snap = await cluster.snapshot()
-                assert snap["live"] == sorted(peers)
-                assert snap["hosted"]["dgemm"] is True
-                # Locator replication: every group holds the full table.
-                assert len(set(snap["locator_sizes"])) == 1
-
-                _assert_balanced(await cluster.counters())
-            finally:
-                await cluster.close()
-
-        asyncio.run(body())
+        _run(MultiProcessCluster(processes=2), _full_lifecycle)
 
     def test_crash_adoption_across_groups(self):
-        async def body():
-            cluster = MultiProcessCluster(processes=2)
-            await cluster.start()
-            try:
-                for pid in ("pa", "pd", "pg", "pj"):
-                    await cluster.join(pid)
-                await cluster.register("dgemm")
-                victim = (await cluster.discover("dgemm"))["host"]
-                assert victim == "pa"
-
-                await cluster.crash(victim)
-                assert victim not in cluster.live_ids()
-                # r=1 successor replication: the key survives on the
-                # successor.
-                after = await cluster.discover("dgemm")
-                assert after["found"] and after["host"] == "pd"
-
-                _assert_balanced(await cluster.counters())
-            finally:
-                await cluster.close()
-
-        asyncio.run(body())
+        _run(MultiProcessCluster(processes=2), _crash_adoption_across_groups)
 
     def test_leave_and_membership_errors(self):
-        async def body():
-            cluster = MultiProcessCluster(processes=2)
-            await cluster.start()
-            try:
-                await cluster.join("pa")
-                await cluster.join("pd")
-                await cluster.leave("pd")
-                assert cluster.live_ids() == ["pa"]
-                with pytest.raises(ClusterError, match="not joined"):
-                    await cluster.leave("pd")
-                with pytest.raises(ClusterError, match="not joined"):
-                    await cluster.crash("nobody")
-            finally:
-                await cluster.close()
-
-        asyncio.run(body())
+        _run(MultiProcessCluster(processes=2), _leave_and_membership_errors)
 
     def test_control_rpc_errors_surface_as_cluster_error(self):
         async def body():
@@ -246,44 +287,39 @@ class TestClusterLifecycle:
         """A handler exception inside a worker is handed to the
         coordinator and raised by exactly one drain; it used to stay in
         the worker's error list and fail every later operation."""
-
-        async def body():
-            cluster = MultiProcessCluster(processes=2)
-            await cluster.start()
-            try:
-                for pid in ("pa", "pd", "pg", "pj"):
-                    await cluster.join(pid)
-                await cluster.register("dgemm")
-                # The backend API trusts its caller (the broker is the
-                # admission boundary): an unhashable datum for an existing
-                # key blows up in the hosting peer's handler — or in the
-                # codec of the link towards it — without touching the tree.
-                with pytest.raises(ClusterError, match="worker transport error"):
-                    await cluster.register("dgemm", datum={"rich": [1]})
-                await cluster.drain()
-                for _ in range(2):  # one discovery issued from each group
-                    hit = await cluster.discover("dgemm")
-                    assert hit["found"] and hit["host"] == "pa"
-                _assert_balanced(await cluster.counters())
-            finally:
-                await cluster.close()
-
-        asyncio.run(body())
+        _run(
+            MultiProcessCluster(processes=2),
+            _handler_error_fails_one_drain,
+            ClusterError,
+            "worker transport error",
+        )
 
     def test_empty_tree_has_no_entry_node(self):
-        async def body():
-            cluster = MultiProcessCluster(processes=1)
-            await cluster.start()
-            try:
-                with pytest.raises(ClusterError, match="no peers"):
-                    await cluster.register("too-early")
-                await cluster.join("pa")
-                assert await cluster.discover("anything") is None
-                assert await cluster.search("prefix", "a") is None
-            finally:
-                await cluster.close()
+        _run(MultiProcessCluster(processes=1), _empty_tree_has_no_entry_node)
 
-        asyncio.run(body())
+
+class TestInProcessLifecycle:
+    """The group protocol without processes: the lifecycle above on two
+    in-process groups (:class:`LocalCluster` over two socket
+    transports) — placement, ``@sync`` replication, ``@client-g`` reply
+    routing and cross-group frames, in tier-1."""
+
+    def test_full_lifecycle_two_groups(self):
+        _run(_two_groups(), _full_lifecycle)
+
+    def test_crash_adoption_across_groups(self):
+        _run(_two_groups(), _crash_adoption_across_groups)
+
+    def test_leave_and_membership_errors(self):
+        _run(_two_groups(), _leave_and_membership_errors)
+
+    def test_a_handler_error_fails_one_drain_not_the_cluster(self):
+        """In one process the error is the drain's own: the transport
+        that caught it raises it once the whole ring is quiet."""
+        _run(_two_groups(), _handler_error_fails_one_drain, TransportError, "during drain")
+
+    def test_empty_tree_has_no_entry_node(self):
+        _run(_two_groups(), _empty_tree_has_no_entry_node)
 
 
 #: The counters every message a transport carries moves.

@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dlpt.protocol import ProtocolEngine
 from repro.net.asyncio_transport import AsyncioTransport, LoopbackAsyncioTransport
 from repro.net.bootstrap import Broker
 from repro.net.client import DLPTClient
@@ -56,8 +55,9 @@ async def _ring(transport=None, registered=REGISTERED):
     if transport is None:
         transport = LoopbackAsyncioTransport()
     await transport.start()
-    engine = ProtocolEngine(transport=transport)
-    broker = Broker(LocalCluster(engine), transport)
+    cluster = LocalCluster(transport)
+    engine = cluster.engine
+    broker = Broker(cluster, transport)
     await broker.start()
     for pid in PEERS:
         await broker.backend.join(pid)

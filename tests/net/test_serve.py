@@ -7,6 +7,7 @@ import asyncio
 import pytest
 
 from repro.__main__ import main as repro_main
+from repro.dlpt.protocol import ProtocolEngine
 from repro.net.bootstrap import RegistryJournal
 from repro.net.serve import (
     DEMO_KEYS,
@@ -153,6 +154,19 @@ class TestCorruptJournal:
         assert rc == 2
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "capacity" in lines[0]
+        assert not sock.exists()
+
+    def test_a_broken_ring_is_not_served(self, tmp_path, monkeypatch):
+        """``start_cluster`` checks the admitted ring before it serves it;
+        a failed check closes what bring-up opened."""
+
+        def broken(engine):
+            raise AssertionError("ring broken at bring-up")
+
+        monkeypatch.setattr(ProtocolEngine, "check_ring", broken)
+        sock = tmp_path / "s.sock"
+        with pytest.raises(AssertionError, match="ring broken"):
+            asyncio.run(start_cluster(3, path=str(sock)))
         assert not sock.exists()
 
     @pytest.mark.net
