@@ -41,6 +41,8 @@ class Mapping(Protocol):
         """Migrate nodes off ``peer`` (still on the ring); return count."""
         ...
 
+    def check_invariants(self) -> None: ...
+
 
 class LexicographicMapping:
     """The paper's self-contained mapping over the peer ring.

@@ -111,7 +111,7 @@ class ProtocolEngine:
         #: entry node of a client operation, kept where the table is written.
         self.lowest_label: Optional[str] = None
         #: Messages for labels not yet installed (a SearchingHost can race
-        #: the Host message creating its target); flushed on install.
+        #: the Host message creating its target); released by set_location.
         self.pending_node_messages: Dict[str, list] = {}
         self.discovery_replies: list[m.DiscoveryReply] = []
         self.query_replies: list[m.SetQueryReply] = []
@@ -142,11 +142,10 @@ class ProtocolEngine:
 
         ``via`` is the label of the entry node; a random node of an
         arbitrary known peer in a real deployment.  Here, as for every
-        client operation, it defaults to :attr:`lowest_label` (the entry
-        rule of docs/runtime.md).  When the tree is empty
-        the request is delegated directly to the peer layer (there are no
-        nodes to route it, cf. Section 3: routing "is mainly achieved by
-        the nodes").
+        client operation, it goes through :meth:`entry`.  When the tree is
+        empty the request is delegated directly to the peer layer (there
+        are no nodes to route it, cf. Section 3: routing "is mainly
+        achieved by the nodes").
 
         ``seed`` is a registry-assisted shortcut: the id of a peer believed
         to be the joiner's ring successor (as handed out by
@@ -164,8 +163,7 @@ class ProtocolEngine:
                 peer_id, seed, m.NewPredecessor(joiner=peer_id, capacity=capacity)
             )
             return peer
-        if via is None:
-            via = self.lowest_label
+        via = self.entry(via)
         if via is None:
             # Empty tree: seed the NewPredecessor walk at any joined peer.
             seed = self._any_joined_peer()
@@ -229,6 +227,11 @@ class ProtocolEngine:
     # client operations
     # ------------------------------------------------------------------
 
+    def entry(self, via: Optional[str]) -> Optional[str]:
+        """The entry node of a client operation (docs/runtime.md, "The entry
+        rule"): ``via`` if it is a live label, else :attr:`lowest_label`."""
+        return via if via in self.locator else self.lowest_label
+
     def insert_data(self, key: str, datum: object = None, via: Optional[str] = None) -> None:
         """Issue a DataInsertion for ``key`` (Algorithm 3 entry point)."""
         datum = key if datum is None else datum
@@ -238,8 +241,7 @@ class ProtocolEngine:
             start = self._any_joined_peer()
             self.transport.send(self._client_endpoint, start, m.Host(payload=st))
             return
-        if via is None:
-            via = self.lowest_label
+        via = self.entry(via)
         self.send_to_node(self._client_endpoint, via, m.DataInsertion(node=via, key=key, datum=datum))
 
     def discover(self, key: str, via: Optional[str] = None) -> None:
@@ -247,8 +249,7 @@ class ProtocolEngine:
         :attr:`discovery_replies` once the transport drains."""
         if not self.locator:
             raise RuntimeError("tree is empty")
-        if via is None:
-            via = self.lowest_label
+        via = self.entry(via)
         self.send_to_node(
             self._client_endpoint,
             via,
@@ -267,8 +268,7 @@ class ProtocolEngine:
             raise ValueError(f"empty range: {lo!r} > {hi!r}")
         if not self.locator:
             raise RuntimeError("tree is empty")
-        if via is None:
-            via = self.lowest_label
+        via = self.entry(via)
         self.send_to_node(
             self._client_endpoint,
             via,
@@ -296,11 +296,15 @@ class ProtocolEngine:
 
     def set_location(self, label: str, host: str) -> None:
         """Point ``label`` at ``host``: the one place the location table
-        is written."""
+        is written, and so the one place that releases the messages
+        parked for ``label`` — they go to ``host``, and one that gets
+        there ahead of the node waits again until it installs."""
         self.locator[label] = host
         lowest = self.lowest_label
         if lowest is None or label < lowest:
             self.lowest_label = label
+        for src, msg in self.pending_node_messages.pop(label, ()):
+            self.transport.send(src, host, msg)
 
     def _on_client_message(self, env: Envelope) -> None:
         if isinstance(env.payload, m.DiscoveryReply):
@@ -517,11 +521,6 @@ class ProtocolEngine:
         self.set_location(label, peer.id)
         if self.on_node_installed is not None:
             self.on_node_installed(label, peer.id)
-        # Flush messages that raced this node's creation/arrival.
-        parked = self.pending_node_messages.pop(label, None)
-        if parked:
-            for src, msg in parked:
-                self.transport.send(src, peer.id, msg)
 
     # ------------------------------------------------------------------
     # discovery

@@ -294,11 +294,7 @@ class DLPTSystem:
             tree.insert_batch(pairs)
         finally:
             tree.on_create = hooked_on_create
-        place(created)
-        if self.node_index is not getattr(self.mapping, "label_index", None):
-            # Unaliased entry-node index (a mapping with deferred placement
-            # but its own label bookkeeping): merge the batch once.
-            self.node_index.update(created)
+        place(created)  # also fills node_index, which is the mapping's label_index
         return len(pairs)
 
     def unregister(self, key: str, datum: object = None) -> bool:
@@ -779,8 +775,7 @@ class DLPTSystem:
         rule, and node-index completeness."""
         self.tree.check_invariants()
         self.ring.check_invariants()
-        if hasattr(self.mapping, "check_invariants"):
-            self.mapping.check_invariants()
+        self.mapping.check_invariants()
         assert set(self.node_index) == self.tree.labels(), (
             "node index out of sync with the tree"
         )

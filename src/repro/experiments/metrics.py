@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..util.stats import SeriesSummary, summarize_series
+from ..util.stats import SeriesSummary, gain_percent, summarize_series
 
 #: Schema tag of :func:`run_metrics_dict` documents.
 METRICS_SCHEMA = "repro-metrics/1"
@@ -241,11 +241,9 @@ def gain_table_row(
     """Table 1 cell pair: gain (%) of MLT and KC over no-LB on total
     satisfied requests, computed from run means."""
     base = nolb.total_satisfied_mean()
-    if base <= 0:
-        raise ValueError("baseline satisfied none; gain undefined")
     return {
-        "MLT": 100.0 * (mlt.total_satisfied_mean() - base) / base,
-        "KC": 100.0 * (kc.total_satisfied_mean() - base) / base,
+        "MLT": gain_percent(mlt.total_satisfied_mean(), base),
+        "KC": gain_percent(kc.total_satisfied_mean(), base),
     }
 
 

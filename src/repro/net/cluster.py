@@ -150,21 +150,10 @@ class EngineGroup:
                 self.transport.send(src, f"{SYNC_PREFIX}{g}", {"label": label, "host": host})
 
     def _on_sync(self, env: Envelope) -> None:
-        """Another group installed a node: repoint its label here and
-        flush the messages parked for it, exactly as a local install
-        would (a SearchingHost can race the Host hop across groups)."""
-        label, host = env.payload["label"], env.payload["host"]
-        self.engine.set_location(label, host)
-        for src, msg in self.engine.pending_node_messages.pop(label, ()):
-            self.transport.send(src, host, msg)
-
-    def _entry(self, preferred: Optional[str]) -> Optional[str]:
-        """The entry node of a client operation: ``preferred`` when it is
-        a live label, else the lowest label; ``None`` on an empty tree.
-        No iteration: the engine keeps the lowest label where the table is
-        written (docs/runtime.md, "The entry rule")."""
-        engine = self.engine
-        return preferred if preferred in engine.locator else engine.lowest_label
+        """Another group installed a node: repoint its label here, which
+        releases what waited for it (a SearchingHost can race the Host hop
+        across groups)."""
+        self.engine.set_location(env.payload["label"], env.payload["host"])
 
     # -- membership ---------------------------------------------------------
 
@@ -184,24 +173,22 @@ class EngineGroup:
     # -- data plane ---------------------------------------------------------
 
     def insert(self, key: str, datum: object, via: Optional[str]) -> None:
-        self.engine.insert_data(key, datum, via=self._entry(via))
+        self.engine.insert_data(key, datum, via=via)
 
     def discover(self, keys: List[str], via: Optional[str]) -> dict:
-        """Issue one discovery per key from one entry node; ``issued`` is
-        false on an empty tree (there is no entry node)."""
-        entry = self._entry(via)
-        if entry is None:
+        """Issue one discovery per key from the engine's entry node;
+        ``issued`` is false on an empty tree (there is no entry node)."""
+        if not self.engine.locator:
             return {"issued": False}
         for key in keys:
-            self.engine.discover(key, via=entry)
+            self.engine.discover(key, via=via)
         return {"issued": True}
 
     def search(self, kind: str, lo: str, hi: str, via: Optional[str]) -> dict:
         """Issue one set query (``kind`` ``"prefix"`` or ``"range"``)."""
-        entry = self._entry(via)
-        if entry is None:
+        if not self.engine.locator:
             return {"issued": False}
-        self.engine.search_query(kind, lo, hi, via=entry)
+        self.engine.search_query(kind, lo, hi, via=via)
         return {"issued": True}
 
     def collect(self) -> dict:

@@ -13,17 +13,23 @@ socket is one *frame*:
 :mod:`repro.dlpt.messages` (``"DataInsertion"``, ``"DiscoveryRequest"``,
 …) with ``f`` holding its fields, or ``"json"`` for plain JSON control
 payloads (the bootstrap registry and client RPCs of
-:mod:`repro.net.bootstrap`).  Containers are canonicalised on encode —
-``frozenset`` → sorted list, ``tuple`` → list, nested
-:class:`~repro.dlpt.messages.NodeState` → object (children sorted, data in
-set order) — and restored exactly on decode, so a protocol dataclass
-round-trips to an equal instance.  A decoded node is a fresh record: what
-crosses a socket arrives as the codec's copy, where an in-process hop
-hands the sender's own record over.
+:mod:`repro.net.bootstrap`).
+
+A field's wire form is its declared annotation: :data:`_FORMS` maps
+each annotation the records use to an encode/decode pair, and one walk
+over ``dataclasses.fields`` serves every message and the nested
+:class:`~repro.dlpt.messages.NodeState` alike.  Tuples and sets travel
+as lists, a node as an object (children sorted, data in set order), a
+datum only as a JSON scalar; all are restored exactly on decode, so a
+protocol dataclass round-trips to an equal instance.  A decoded node is
+a fresh record: what crosses a socket arrives as the codec's copy, where
+an in-process hop hands the sender's own record over.
 
 The codec raises :class:`WireError` on anything malformed (oversized
-frame, unknown type, non-JSON body): a corrupted peer must fail loudly at
-the transport boundary, never poison protocol state.
+frame, unknown type, non-JSON body, unknown or missing field): a
+corrupted peer must fail loudly at the transport boundary, never poison
+protocol state.  Decode checks every field and coerces none — a ``bool``
+is not an ``int`` — and the error names the field.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import struct
+from functools import partial
 from typing import Any, Hashable, Iterator, Tuple
 
 from ..dlpt import messages as m
@@ -69,65 +76,9 @@ MESSAGE_TYPES = {
     )
 }
 
-#: Every type's field names, in declaration order: what ``encode_payload``
-#: reads off a (slotted, ``__dict__``-less) message.
-_FIELD_NAMES = {
-    name: tuple(f.name for f in dataclasses.fields(cls))
-    for name, cls in MESSAGE_TYPES.items()
-}
-
-#: Fields holding a tuple of strings, per type (lists on the wire).
-_STRING_TUPLE_FIELDS = {
-    "SetQueryRequest": ("pending", "keys"),
-    "SetQueryReply": ("keys",),
-}
-
-#: Fields holding one NodeState / a tuple of NodeStates, per type.
-_PAYLOAD_FIELDS = {"SearchingHost": "payload", "Host": "payload"}
-_PAYLOAD_TUPLE_FIELDS = {"YourInformation": "nodes", "LeaveTransfer": "nodes"}
-
 
 class WireError(ValueError):
     """A malformed frame or an unencodable payload."""
-
-
-# -- payload serde -----------------------------------------------------------
-
-
-def encode_node_payload(node: m.NodeState) -> dict:
-    """JSON object form of one :class:`~repro.dlpt.messages.NodeState`
-    (also shipped inside the multi-process control RPCs)."""
-    return {
-        "label": node.label,
-        "father": node.father,
-        "children": list(node.children),
-        "data": [require_scalar(d) for d in node.data],
-    }
-
-
-def decode_node_payload(obj: Any) -> m.NodeState:
-    """Inverse of :func:`encode_node_payload`: a new node record.  A field
-    of the wrong type is refused, never coerced."""
-    try:
-        label, father, children, data = (obj[k] for k in ("label", "father", "children", "data"))
-    except (KeyError, TypeError) as exc:
-        raise WireError(f"malformed NodeState object: {obj!r}") from exc
-    if not isinstance(label, str):
-        raise WireError(f"NodeState field 'label' must be a string, got {label!r}")
-    if not (father is None or isinstance(father, str)):
-        raise WireError(f"NodeState field 'father' must be a string or null, got {father!r}")
-    if not isinstance(data, list):
-        raise WireError(f"NodeState field 'data' must be a list, got {data!r}")
-    children = tuple(sorted(set(_strings("NodeState", "children", children))))
-    return m.NodeState(label, father, children, {require_scalar(d) for d in data})
-
-
-def _strings(owner: str, name: str, value: Any) -> list:
-    """``value`` if it is a list of strings; a :class:`WireError` naming
-    ``owner``'s field ``name`` otherwise."""
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise WireError(f"{owner} field {name!r} must be a list of strings, got {value!r}")
-    return value
 
 
 def require_scalar(value: Any) -> Any:
@@ -143,26 +94,94 @@ def require_scalar(value: Any) -> Any:
     )
 
 
+# -- record serde ------------------------------------------------------------
+
+
+def encode_record(record: Any) -> dict:
+    """JSON object form of a protocol message or a node record: every
+    field through its annotation's form."""
+    layout = _LAYOUTS[type(record)]
+    return {name: encode(getattr(record, name)) for name, (encode, _) in layout.items()}
+
+
+def decode_record(cls: type, obj: Any) -> Any:
+    """Inverse of :func:`encode_record`: a new ``cls``.  Every field must
+    be there, and is checked and not coerced; a node's children come back
+    as the sorted, duplicate-free tuple the record keeps."""
+    if not isinstance(obj, dict):
+        raise WireError(f"{cls.__name__} fields must be an object, got {type(obj).__name__}")
+    layout = _LAYOUTS[cls]
+    fields = {}
+    for name, (_, decode) in layout.items():
+        if name in obj:
+            try:
+                fields[name] = decode(obj[name])
+            except WireError as exc:
+                raise WireError(f"{cls.__name__} field {name!r}: {exc}") from None
+    if not len(obj) == len(fields) == len(layout):  # an unknown field, or a missing one
+        raise WireError(f"malformed {cls.__name__} fields: {obj!r}")
+    record = cls(**fields)
+    if cls is m.NodeState:
+        record.children = tuple(sorted(set(record.children)))
+    return record
+
+
+def _typed(*types: type):
+    """The decode of a JSON value whose exact type is one of ``types``."""
+
+    def decode(value):
+        if type(value) in types:
+            return value
+        raise WireError(f"must be {' or '.join(t.__name__ for t in types)}, got {value!r}")
+
+    return decode
+
+
+def _to_list(encode_item):
+    """The encode of a tuple or a set: a JSON list, item by item."""
+    return lambda values: [encode_item(value) for value in values]
+
+
+def _from_list(decode_item, build):
+    """The decode of a JSON list, item by item, collected by ``build``."""
+    is_list = _typed(list)
+    return lambda value: build(decode_item(item) for item in is_list(value))
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+_decode_node = partial(decode_record, m.NodeState)
+
+#: Every field annotation the records use -> its ``(encode, decode)``.
+_FORMS = {
+    "str": (_same, _typed(str)),
+    "int": (_same, _typed(int)),
+    "bool": (_same, _typed(bool)),
+    "object": (require_scalar, require_scalar),
+    "Optional[str]": (_same, _typed(str, type(None))),
+    "Tuple[str, ...]": (list, _from_list(_typed(str), tuple)),
+    "Tuple[object, ...]": (_to_list(require_scalar), _from_list(require_scalar, tuple)),
+    "set[object]": (_to_list(require_scalar), _from_list(require_scalar, set)),
+    "NodeState": (encode_record, _decode_node),
+    "Tuple[NodeState, ...]": (_to_list(encode_record), _from_list(_decode_node, tuple)),
+}
+
+#: Every record's fields in declaration order, each with its form; an
+#: annotation missing from :data:`_FORMS` fails here, at import.
+_LAYOUTS = {
+    cls: {f.name: _FORMS[f.type] for f in dataclasses.fields(cls)}
+    for cls in (m.NodeState, *MESSAGE_TYPES.values())
+}
+
+
 def encode_payload(payload: Any) -> Tuple[str, Any]:
     """``(type-name, fields)`` for a protocol message or a JSON control
     payload; raises :class:`WireError` for anything else."""
     name = type(payload).__name__
     if MESSAGE_TYPES.get(name) is type(payload):
-        fields = {field: getattr(payload, field) for field in _FIELD_NAMES[name]}
-        if name in _PAYLOAD_FIELDS:
-            key = _PAYLOAD_FIELDS[name]
-            fields[key] = encode_node_payload(fields[key])
-        elif name in _PAYLOAD_TUPLE_FIELDS:
-            key = _PAYLOAD_TUPLE_FIELDS[name]
-            fields[key] = [encode_node_payload(p) for p in fields[key]]
-        elif name == "DataInsertion":
-            fields["datum"] = require_scalar(fields["datum"])
-        elif name == "DiscoveryReply":
-            fields["data"] = [require_scalar(d) for d in fields["data"]]
-        elif name in _STRING_TUPLE_FIELDS:
-            for key in _STRING_TUPLE_FIELDS[name]:
-                fields[key] = list(fields[key])
-        return name, fields
+        return name, encode_record(payload)
     if isinstance(payload, (dict, list, str, int, float, bool)) or payload is None:
         return "json", payload
     raise WireError(f"payload of type {type(payload).__name__!r} is not wire-encodable")
@@ -175,28 +194,7 @@ def decode_payload(name: str, fields: Any) -> Any:
     cls = MESSAGE_TYPES.get(name)
     if cls is None:
         raise WireError(f"unknown wire message type {name!r}")
-    if not isinstance(fields, dict):
-        raise WireError(f"{name} fields must be an object, got {type(fields).__name__}")
-    fields = dict(fields)
-    try:
-        if name in _PAYLOAD_FIELDS:
-            key = _PAYLOAD_FIELDS[name]
-            fields[key] = decode_node_payload(fields[key])
-        elif name in _PAYLOAD_TUPLE_FIELDS:
-            key = _PAYLOAD_TUPLE_FIELDS[name]
-            fields[key] = tuple(decode_node_payload(p) for p in fields[key])
-        elif name == "DataInsertion":
-            require_scalar(fields.get("datum"))
-        elif name == "DiscoveryReply":
-            fields["data"] = tuple(require_scalar(d) for d in fields["data"])
-        elif name in _STRING_TUPLE_FIELDS:
-            for key in _STRING_TUPLE_FIELDS[name]:
-                fields[key] = tuple(_strings(name, key, fields[key]))
-        return cls(**fields)
-    except WireError:
-        raise
-    except (TypeError, KeyError, ValueError) as exc:
-        raise WireError(f"malformed {name} fields: {fields!r}") from exc
+    return decode_record(cls, fields)
 
 
 # -- frame serde -------------------------------------------------------------

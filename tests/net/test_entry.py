@@ -2,13 +2,13 @@
 no live preferred entry starts at the lowest live label, and the engine
 keeps that label where the location table is written —
 ``ProtocolEngine.set_location``, its one writer — so
-``EngineGroup._entry`` never iterates the table.
+``ProtocolEngine.entry`` never iterates the table.
 
-Four angles: the invariant ``engine.lowest_label == min(engine.locator)``
+Five angles: the invariant ``engine.lowest_label == min(engine.locator)``
 under random membership and write interleavings; the writes one by
-one; the engine's own ``via=None`` default, which is the same rule; and
-the complexity, by counting iterations of the table rather than timing
-them.
+one; the engine's own ``via`` handling, which is the same rule whether
+``via`` is ``None`` or names no live label; and the complexity, by
+counting iterations of the table rather than timing them.
 """
 
 from __future__ import annotations
@@ -132,8 +132,8 @@ class TestLocationWrites:
 
     def test_a_preferred_live_label_still_wins(self):
         group = _group(b="p", a="p")
-        assert group._entry("b") == "b"
-        assert group._entry("gone") == "a" and group._entry(None) == "a"
+        assert group.engine.entry("b") == "b"
+        assert group.engine.entry("gone") == "a" and group.engine.entry(None) == "a"
 
 
 # -- the engine's own default -----------------------------------------------
@@ -169,6 +169,33 @@ class TestEngineDefaultEntry:
         assert default.hops == explicit.hops
 
 
+class TestADeadEntryIsNotWaitedFor:
+    """An operation whose ``via`` names no live label enters at the lowest
+    label; it used to be parked under that label forever."""
+
+    @pytest.mark.parametrize(
+        "factory", [SimTransport, LoopbackAsyncioTransport], ids=["sim", "loopback"]
+    )
+    def test_it_enters_at_the_lowest_label(self, factory):
+        async def body():
+            transport = factory()
+            await transport.start()
+            engine = ProtocolEngine(transport=transport)
+            engine.bootstrap_peer("m")
+            for key in ("aa", "ab", "ba"):
+                engine.insert_data(key)
+                await transport.drain()
+            engine.discover("aa", via="zz")
+            engine.insert_data("bb", via="zz")
+            await transport.drain()
+            (reply,) = engine.discovery_replies
+            assert reply.found and "bb" in engine.peers["m"].nodes
+            assert engine.pending_node_messages == {}
+            await transport.close()
+
+        asyncio.run(body())
+
+
 # -- the complexity, by counting --------------------------------------------
 
 
@@ -184,7 +211,7 @@ class _CountingTable(dict):
 
 class TestNoOperationIteratesTheTable:
     def test_operations_scan_nothing_and_only_losing_the_lowest_rescans(self):
-        """Fails against a ``_entry`` that computes ``min(locator)``: that
+        """Fails against an ``entry`` that computes ``min(locator)``: that
         is one iteration per operation.  Timing-free on purpose."""
         peers = ["pa", "pd", "pg", "pj", "pm", "pq"]
         keys = [f"{a}{b}{c}" for a in "dps" for b in "gtz" for c in "emv"]

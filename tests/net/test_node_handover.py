@@ -25,7 +25,7 @@ from repro.dlpt import messages as m
 from repro.dlpt.protocol import NodeState, ProtocolEngine
 from repro.net.asyncio_transport import AsyncioTransport, LoopbackAsyncioTransport
 from repro.net.cluster import LocalCluster
-from repro.net.wire import decode_node_payload, encode_frame, encode_node_payload
+from repro.net.wire import decode_record, encode_frame, encode_record
 
 pytestmark = pytest.mark.asyncio
 
@@ -307,7 +307,7 @@ class TestGoldenNodeFrames:
         """A new node has at most two children and one datum, so these
         frames carry a codec-built copy of ``pb``."""
         engine, _ = _golden_ring()
-        node = decode_node_payload(encode_node_payload(engine.peers["pm"].nodes["pb"]))
+        node = decode_record(m.NodeState, encode_record(engine.peers["pm"].nodes["pb"]))
         assert encode_frame("pm", "pm", m.Host(payload=node)) == GOLDEN["Host"]
         searching = m.SearchingHost(node="p", payload=node)
         assert encode_frame("pm", "pz", searching) == GOLDEN["SearchingHost"]

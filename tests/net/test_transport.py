@@ -1394,6 +1394,10 @@ def _garbage_frames(engine, victim: str = "@victim"):
             {**body, "t": "DataInsertion", "f": {"node": node, "key": "pab", "datum": {"a": 1}}}
         ),
         "Host payload data is nested": _raw_frame({**body, "t": "Host", "f": {"payload": nested}}),
+        "PeerJoin.state is a string": _raw_frame(
+            {**body, "t": "PeerJoin",
+             "f": {"node": node, "joiner": "pzz", "state": "0", "capacity": 10}}
+        ),
         "YourInformation node data is nested": _raw_frame(
             {**body, "t": "YourInformation", "f": {"pred": "pa", "succ": "pb", "nodes": [nested]}}
         ),
@@ -1489,11 +1493,16 @@ class TestGarbageFromOneConnection:
 
         asyncio.run(body())
 
-    def test_a_peer_links_garbage_stays_loud(self):
+    @pytest.mark.parametrize("what", ["DataInsertion.datum is a dict", "PeerJoin.state is a string"])
+    def test_a_peer_links_garbage_stays_loud(self, what):
+        """A frame the codec refuses on another group's link is that
+        link's error: it closes the link and the next ``drain()`` raises
+        it."""
+
         async def body():
             transport, engine, broker = await start_cluster(4)
             await broker.backend.register("pab", 1)
-            frame = _garbage_frames(engine)["DataInsertion.datum is a dict"]
+            frame = _garbage_frames(engine)[what]
             reader, writer = await dial(transport.address)
             writer.write(hello_frame(kind="peer"))
             writer.write(frame)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -14,6 +15,7 @@ from repro.dlpt import messages as m
 from repro.net.wire import (
     HEADER_SIZE,
     MAX_FRAME_BYTES,
+    MESSAGE_TYPES,
     WIRE_SCHEMA,
     FrameReader,
     WireError,
@@ -35,8 +37,6 @@ class TestRoundTrip:
         """The strategy registry and the codec's type registry must list
         the same dataclasses — a message type added to the wire without a
         generator would silently escape the round-trip property."""
-        from repro.net.wire import MESSAGE_TYPES
-
         assert set(wire_message_builders) == set(MESSAGE_TYPES)
 
     @settings(max_examples=200, deadline=None)
@@ -246,3 +246,74 @@ class TestMalformedInput:
     def test_unencodable_payload_rejected(self):
         with pytest.raises(WireError, match="not wire-encodable"):
             encode_frame("a", "b", {1, 2, 3})
+
+
+#: A well-formed node object, and per field annotation a well-typed JSON
+#: value plus wrong-typed ones the codec must refuse (``True`` for an
+#: ``int`` among them: a ``bool`` is not an ``int``).
+_NODE = {"label": "a", "father": None, "children": [], "data": []}
+_VALUES = {
+    "str": ("a", [5, None, True, ["a"]]),
+    "int": (0, [True, "0", 0.5, None]),
+    "bool": (False, ["no", 0, None]),
+    "object": (None, [{"a": 1}, [1]]),
+    "Optional[str]": (None, [7, False, []]),
+    "Tuple[str, ...]": ([], ["ab", [1], [None], {}]),
+    "Tuple[object, ...]": ([], ["xy", [[1]], [{}], {}]),
+    "set[object]": ([], ["xy", [[1]], {}]),
+    "NodeState": (_NODE, ["a", [], None, {**_NODE, "label": 5}]),
+    "Tuple[NodeState, ...]": ([], [_NODE, ["a"], "a", [{**_NODE, "data": "xy"}]]),
+}
+
+#: Every record that crosses the wire: the messages, and the node record
+#: (carried here as a ``Host`` payload).
+_RECORDS = (*MESSAGE_TYPES.values(), m.NodeState)
+
+
+def _well_typed(cls) -> dict:
+    return {f.name: _VALUES[f.type][0] for f in dataclasses.fields(cls)}
+
+
+def _record_frame(cls, fields: dict) -> bytes:
+    name, fields = ("Host", {"payload": fields}) if cls is m.NodeState else (cls.__name__, fields)
+    data = json.dumps({"w": WIRE_SCHEMA, "s": "a", "d": "b", "t": name, "f": fields}).encode()
+    return len(data).to_bytes(4, "big") + data
+
+
+def _wrong_field_cases():
+    for cls in _RECORDS:
+        for f in dataclasses.fields(cls):
+            for wrong in _VALUES[f.type][1]:
+                yield pytest.param(cls, f.name, wrong, id=f"{cls.__name__}.{f.name}={wrong!r}")
+
+
+class TestEveryFieldIsChecked:
+    """The cases come from the declarations, so a new field is covered
+    without editing this test (and a new annotation fails it by name)."""
+
+    @pytest.mark.parametrize("cls", _RECORDS, ids=lambda cls: cls.__name__)
+    def test_well_typed_fields_decode(self, cls):
+        payload = decode_frame(_record_frame(cls, _well_typed(cls))).payload
+        assert type(payload.payload if cls is m.NodeState else payload) is cls
+
+    @pytest.mark.parametrize("cls, field, wrong", _wrong_field_cases())
+    def test_a_wrong_typed_value_is_refused_naming_the_field(self, cls, field, wrong):
+        fields = {**_well_typed(cls), field: wrong}
+        with pytest.raises(WireError, match=f"{cls.__name__} field '{field}'"):
+            decode_frame(_record_frame(cls, fields))
+
+    @pytest.mark.parametrize(
+        "cls, field",
+        [(cls, f.name) for cls in _RECORDS for f in dataclasses.fields(cls)],
+        ids=lambda value: getattr(value, "__name__", value),
+    )
+    def test_a_missing_field_is_refused_even_with_a_default(self, cls, field):
+        fields = _well_typed(cls)
+        del fields[field]
+        with pytest.raises(WireError, match=f"malformed {cls.__name__}"):
+            decode_frame(_record_frame(cls, fields))
+
+    def test_a_nodes_children_come_back_sorted_and_unique(self):
+        node = {**_NODE, "children": ["ac", "ab", "ac"]}
+        payload = decode_frame(_record_frame(m.NodeState, node)).payload.payload
+        assert payload.children == ("ab", "ac")
