@@ -16,15 +16,16 @@ controlled comparison Figure 9 needs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, KeysView
+from typing import Dict
 
 from ..dht.hashing import DEFAULT_BITS, hash_to_int
-from ..peers.peer import Peer, migrate_labels
+from ..dlpt.mapping import HostMap
+from ..peers.peer import Peer
 from ..peers.ring import Ring
 from ..util.sortedlist import SortedList
 
 
-class HashedMapping:
+class HashedMapping(HostMap):
     """Node→peer assignment by consistent hashing (locality-destroying).
 
     Mirrors the interval-batched migration of
@@ -39,20 +40,14 @@ class HashedMapping:
     supports_reposition = False
 
     def __init__(self, ring: Ring, bits: int = DEFAULT_BITS) -> None:
-        self.ring = ring
+        super().__init__(ring)
         self.bits = bits
         self.modulus = 1 << bits
-        self.host: Dict[str, Peer] = {}
         self._label_hash: Dict[str, int] = {}
         self._peer_positions: SortedList[int] = SortedList()
         self._peer_by_position: Dict[int, Peer] = {}
         #: All mapped labels keyed by hash position — the migration index.
         self._hash_index: SortedList[tuple[int, str]] = SortedList()
-        self.migrations = 0
-        #: Host-assignment version counter (see
-        #: :class:`repro.dlpt.mapping.LexicographicMapping`): the discovery
-        #: router's per-node cache is valid while this number holds still.
-        self.version = 0
 
     # -- hashing ------------------------------------------------------------
 
@@ -82,15 +77,6 @@ class HashedMapping:
         else:  # wrapped (or degenerate full-ring) interval
             pairs = idx.slice(lo, len(idx)) + idx.slice(0, hi)
         return [lbl for _, lbl in pairs]
-
-    # -- queries ------------------------------------------------------------
-
-    def host_of(self, label: str) -> Peer:
-        return self.host[label]
-
-    def labels(self) -> KeysView[str]:
-        """Read-only view of every mapped label (no copy; do not mutate)."""
-        return self.host.keys()
 
     # -- tree change hooks -------------------------------------------------
 
@@ -150,16 +136,6 @@ class HashedMapping:
             "MLT repositioning is undefined under a hashed mapping: moving a "
             "peer in identifier space does not move it in hash space"
         )
-
-    # -- internals ----------------------------------------------------------
-
-    def _move_batch(self, labels: Iterable[str], src: Peer, dst: Peer) -> int:
-        """Migrate ``labels`` from ``src`` to ``dst`` with bulk set/dict
-        operations; returns (and counts) the number of migrations."""
-        n = migrate_labels(labels, src, dst, self.host)
-        self.migrations += n
-        self.version += 1
-        return n
 
     # -- invariants -----------------------------------------------------------
 

@@ -5,8 +5,9 @@ Section 3 maintains across peers.  The reference implementation serves three
 purposes:
 
 1. It documents the tree semantics independently of any distribution concern
-   (the distributed tree in :mod:`repro.dlpt.tree` must stay node-for-node
-   equivalent to it — an equivalence that is property-tested).
+   (the message engine's per-peer :class:`~repro.dlpt.messages.NodeState`
+   records must stay node-for-node equivalent to it — the property-tested
+   engine-vs-macro-vs-oracle triangle).
 2. It implements the search primitives the paper claims for trie overlays:
    exact lookup, automatic completion of partial strings (prefix queries) and
    lexicographic range queries.
@@ -97,9 +98,7 @@ class PGCPTree:
         self.version = 0
         #: Number of *filled* nodes (registered keys), maintained on every
         #: data transition so callers can read it in O(1) instead of
-        #: walking the tree (``len(self.keys())``).  Code that bypasses the
-        #: normal insert/remove paths (crash surgery, repair resets) must
-        #: reconcile it by hand, exactly like :attr:`version`.
+        #: walking the tree (``len(self.keys())``).
         self.filled_count = 0
 
     # -- basic accessors ---------------------------------------------------
@@ -174,27 +173,20 @@ class PGCPTree:
             # or key prefixes child: split below node.
             return self._split(node, child, key, datum)
 
+        # _locate descends only into labels that prefix ``key``, so a node
+        # whose label does not is the root: the tree grows above it.
         if is_proper_prefix(key, node.label):
-            # key must become an ancestor of ``node`` (Algorithm 3 lines
-            # 3.10–3.20): insert between node and its parent (or as root).
+            # key becomes the root (Algorithm 3 lines 3.10–3.20).
             new = self._new_node(key)
-            self._insert_above(node, new)
+            self._grow_root(new)
             new.data.add(datum)
             self.filled_count += 1
             return new
 
-        # Neither prefixes the other (lines 3.21–3.31): create their common
-        # parent labelled GCP(node.label, key) plus the key node.
-        g = gcp(node.label, key)
-        parent = node.parent
-        if parent is not None and parent.label == g:
-            leaf = self._new_node(key)
-            parent.add_child(leaf)
-            leaf.data.add(datum)
-            self.filled_count += 1
-            return leaf
-        inner = self._new_node(g)
-        self._insert_above(node, inner)
+        # Neither prefixes the other (lines 3.21–3.31): their common parent,
+        # labelled GCP(node.label, key), becomes the root above both.
+        inner = self._new_node(gcp(node.label, key))
+        self._grow_root(inner)
         leaf = self._new_node(key)
         inner.add_child(leaf)
         leaf.data.add(datum)
@@ -278,7 +270,7 @@ class PGCPTree:
                 # ``key``): Algorithm 3's "key above" / divergence cases.
                 if is_proper_prefix(key, label):
                     new = self._new_node(key)
-                    self._insert_above(node, new)
+                    self._grow_root(new)
                     new.data.add(datum)
                     self.filled_count += 1
                     del path[:]
@@ -286,7 +278,7 @@ class PGCPTree:
                     break
                 g = gcp(label, key)
                 inner = self._new_node(g)
-                self._insert_above(node, inner)
+                self._grow_root(inner)
                 leaf = self._new_node(key)
                 inner.add_child(leaf)
                 leaf.data.add(datum)
@@ -352,20 +344,12 @@ class PGCPTree:
         self.filled_count += 1
         return leaf
 
-    def _insert_above(self, node: PGCPNode, new: PGCPNode) -> None:
-        """Splice ``new`` (whose label properly prefixes ``node.label``)
-        between ``node`` and its parent; ``new`` becomes root if needed."""
-        assert is_proper_prefix(new.label, node.label)
-        parent = node.parent
-        if parent is not None:
-            assert is_proper_prefix(parent.label, new.label), (
-                "new ancestor must sit strictly between parent and node"
-            )
-            parent.remove_child(node)
-            parent.add_child(new)
-        else:
-            self.root = new
-        new.add_child(node)
+    def _grow_root(self, new: PGCPNode) -> None:
+        """Hang the root under ``new``, whose label properly prefixes the
+        root's: ``new`` becomes the root."""
+        assert is_proper_prefix(new.label, self.root.label)
+        new.add_child(self.root)
+        self.root = new
 
     def _new_node(self, label: str) -> PGCPNode:
         assert label not in self._by_label, f"node {label!r} already exists"
@@ -377,10 +361,49 @@ class PGCPTree:
         return node
 
     def _drop_node(self, node: PGCPNode) -> None:
+        """Unindex ``node``: the one place a node leaves the tree, so the
+        counters, the root and the ``on_remove`` hook stay in step."""
         del self._by_label[node.label]
+        if node.data:
+            self.filled_count -= 1
+        if node is self.root:
+            self.root = None
         self.version += 1
         if self.on_remove is not None:
             self.on_remove(node)
+
+    # -- fail-stop loss (extension) -----------------------------------------
+
+    def detach(self, labels) -> frozenset[str]:
+        """Destroy the nodes labelled ``labels`` without contraction — a
+        fail-stop crash, not a departure.  Survivors drop their links to the
+        lost nodes, so a surviving child becomes a fragment root and the
+        remaining forest stays internally consistent for repair.  Returns
+        the lost *filled* labels (the registered keys destroyed)."""
+        lost = set(labels)
+        nodes = [self._by_label[lbl] for lbl in lost]
+        keys = frozenset(n.label for n in nodes if n.data)
+        for node in nodes:
+            parent = node.parent
+            if parent is not None and parent.label not in lost:
+                parent.remove_child(node)
+            for child in list(node.children.values()):
+                if child.label not in lost:
+                    node.remove_child(child)
+        for node in nodes:
+            self._drop_node(node)
+        return keys
+
+    def clear(self) -> None:
+        """Remove every node: ``on_remove`` fires once per node, then the
+        index empties in one step and :attr:`version` advances once."""
+        if self.on_remove is not None:
+            for node in self._by_label.values():
+                self.on_remove(node)
+        self._by_label.clear()
+        self.root = None
+        self.filled_count = 0
+        self.version += 1
 
     # -- removal (extension; the paper does not specify deletion) -----------
 
@@ -414,8 +437,7 @@ class PGCPTree:
             if not node.children:
                 # empty leaf: prune (unless it is the only node left).
                 if parent is None:
-                    self.root = None
-                    self._drop_node(node)
+                    self._drop_node(node)  # the last node: the root
                     return
                 parent.remove_child(node)
                 self._drop_node(node)

@@ -130,42 +130,19 @@ class CrashReport:
 
 
 def crash_peer(system: DLPTSystem, peer_id: str) -> CrashReport:
-    """Fail-stop removal: the peer leaves the ring and its hosted nodes are
-    destroyed (no migration).  The tree is surgically detached: references
-    to the dead nodes are removed from surviving fathers/children so the
-    remaining forest stays internally consistent for repair."""
+    """Fail-stop removal: the peer's hosted nodes are destroyed (no
+    migration) and the peer leaves.  :meth:`~repro.core.pgcp.PGCPTree.detach`
+    cuts the nodes out of the tree, so the remaining forest stays internally
+    consistent for repair; the now empty peer then leaves through
+    :meth:`DLPTSystem.remove_peer`, so a mapping with its own peer index
+    (the hashed baseline's hash positions) forgets it too."""
     peer = system.ring.peer(peer_id)
     if len(system.ring) == 1:
         raise RuntimeError("cannot crash the last peer")
-    lost = set(peer.nodes)
-    lost_keys = {lbl for lbl in lost if system.tree.node(lbl).data}
-
-    tree = system.tree
-    # Detach lost nodes from survivors.
-    for lbl in lost:
-        node = tree.node(lbl)
-        parent = node.parent
-        if parent is not None and parent.label not in lost:
-            parent.remove_child(node)
-        for child in list(node.children.values()):
-            if child.label not in lost:
-                node.remove_child(child)  # orphan: survives as a root
-    # Remove lost nodes from the index (bypassing normal contraction —
-    # their state is gone, not restructured).  The direct index surgery
-    # bypasses ``_drop_node``, so the structural version counter that
-    # guards the discovery router's caches must be advanced by hand.
-    for lbl in lost:
-        node = tree._by_label.pop(lbl)
-        tree.version += 1
-        if tree.on_remove is not None:
-            tree.on_remove(node)
-    tree.filled_count -= len(lost_keys)  # same surgery applies to the counter
-    if tree.root is not None and tree.root.label in lost:
-        tree.root = None
-    system.ring.leave(peer_id)
-    return CrashReport(
-        peer_id=peer_id, lost_nodes=frozenset(lost), lost_keys=frozenset(lost_keys)
-    )
+    lost = frozenset(peer.nodes)
+    lost_keys = system.tree.detach(lost)
+    system.remove_peer(peer_id)
+    return CrashReport(peer_id=peer_id, lost_nodes=lost, lost_keys=lost_keys)
 
 
 @dataclass(frozen=True)
@@ -186,8 +163,9 @@ def repair(
     """Rebuild a consistent PGCP tree after crashes.
 
     Strategy: collect the surviving *filled* keys (from orphaned fragments)
-    plus every lost key recoverable from replicas, reset the tree, and
-    re-register everything through the normal Algorithm 3 path
+    plus every lost key recoverable from replicas, reset the tree
+    (:meth:`~repro.core.pgcp.PGCPTree.clear`), and re-register everything
+    through the normal Algorithm 3 path
     (:meth:`DLPTSystem.register_pairs`: one sorted insert walk plus one
     deferred placement pass where the mapping supports it).  This is the
     simple, provably correct repair — O(|N|) insertions — and its cost is
@@ -197,12 +175,10 @@ def repair(
     tree = system.tree
     # Survey survivors: every currently indexed filled node.
     survivors: Dict[str, set] = {
-        lbl: set(node.data) for lbl, node in tree._by_label.items() if node.data
+        node.label: set(node.data) for node in tree.nodes() if node.data
     }
     orphans = sum(
-        1
-        for node in tree._by_label.values()
-        if node.parent is None and (tree.root is None or node is not tree.root)
+        1 for node in tree.nodes() if node.parent is None and node is not tree.root
     )
 
     recovered: Dict[str, set] = {}
@@ -218,14 +194,7 @@ def repair(
 
     # Rebuild from scratch through the public path (hooks keep the mapping
     # and node index in sync).
-    old_index = list(tree._by_label.values())
-    for node in old_index:
-        if tree.on_remove is not None:
-            tree.on_remove(node)
-    tree._by_label.clear()
-    tree.root = None
-    tree.version += 1  # index surgery bypassed _drop_node (router caches)
-    tree.filled_count = 0  # rebuilt below through the counting insert paths
+    tree.clear()
 
     pairs: list[tuple[str, object]] = []
     for key, data in survivors.items():

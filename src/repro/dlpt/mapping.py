@@ -44,7 +44,38 @@ class Mapping(Protocol):
     def check_invariants(self) -> None: ...
 
 
-class LexicographicMapping:
+class HostMap:
+    """The host table both mappings keep: ``host[label]`` for every tree
+    node, mirrored in each peer's ``nodes`` set.  A subclass decides where a
+    label goes; every label that changes host moves through
+    :meth:`_move_batch`, which keeps ``migrations`` and ``version``."""
+
+    def __init__(self, ring: Ring) -> None:
+        self.ring = ring
+        self.host: Dict[str, Peer] = {}
+        self.migrations = 0  # lifetime node-migration counter (LB cost metric)
+        #: Host-assignment version counter: bumped whenever any label's host
+        #: may have changed.  The discovery router's per-node host/hop cache
+        #: is valid exactly while this number holds still.
+        self.version = 0
+
+    def host_of(self, label: str) -> Peer:
+        return self.host[label]
+
+    def labels(self) -> KeysView[str]:
+        """Read-only view of every mapped label (no copy; do not mutate)."""
+        return self.host.keys()
+
+    def _move_batch(self, labels: Iterable[str], src: Peer, dst: Peer) -> int:
+        """Migrate ``labels`` from ``src`` to ``dst`` with bulk set/dict
+        operations; returns (and counts) the number of migrations."""
+        n = migrate_labels(labels, src, dst, self.host)
+        self.migrations += n
+        self.version += 1
+        return n
+
+
+class LexicographicMapping(HostMap):
     """The paper's self-contained mapping over the peer ring.
 
     Maintains ``host[label]`` for every tree node plus each peer's ``nodes``
@@ -69,24 +100,9 @@ class LexicographicMapping:
     supports_reposition = True
 
     def __init__(self, ring: Ring) -> None:
-        self.ring = ring
-        self.host: Dict[str, Peer] = {}
+        super().__init__(ring)
         #: All mapped labels in lexicographic order — the migration index.
         self.label_index: SortedList[str] = SortedList()
-        self.migrations = 0  # lifetime node-migration counter (LB cost metric)
-        #: Host-assignment version counter: bumped whenever any label's host
-        #: may have changed.  The discovery router's per-node host/hop cache
-        #: is valid exactly while this number holds still.
-        self.version = 0
-
-    # -- queries -----------------------------------------------------------
-
-    def host_of(self, label: str) -> Peer:
-        return self.host[label]
-
-    def labels(self) -> KeysView[str]:
-        """Read-only view of every mapped label (no copy; do not mutate)."""
-        return self.host.keys()
 
     # -- tree change hooks -------------------------------------------------
 
@@ -189,16 +205,6 @@ class LexicographicMapping:
         # Peer moved towards its predecessor: shed (new_id, old_id].
         moving = self.label_index.range_open_closed(new_id, old_id)
         return self._move_batch(moving, peer, succ)
-
-    # -- internals ----------------------------------------------------------
-
-    def _move_batch(self, labels: Iterable[str], src: Peer, dst: Peer) -> int:
-        """Migrate ``labels`` from ``src`` to ``dst`` with bulk set/dict
-        operations; returns (and counts) the number of migrations."""
-        n = migrate_labels(labels, src, dst, self.host)
-        self.migrations += n
-        self.version += 1
-        return n
 
     # -- invariants -----------------------------------------------------------
 

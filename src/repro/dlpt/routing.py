@@ -151,8 +151,9 @@ class DiscoveryRouter:
     Cache validity: spines depend only on tree structure and are guarded by
     :attr:`PGCPTree.version`; node info additionally depends on the host
     assignment and is guarded by the mapping's ``version`` counter.  A
-    mapping without a counter (a custom strategy) degrades safely: node
-    info is recomputed on every :meth:`sync`.
+    mapping without a counter — the frozen seed mappings of
+    :mod:`repro.perf.reference`, under ``SeedDLPTSystem`` — degrades
+    safely: node info is recomputed on every :meth:`sync`.
     """
 
     __slots__ = ("tree", "mapping", "_tree_version", "_map_version",

@@ -126,14 +126,15 @@ class DLPTSystem:
 
     # -- peer membership ---------------------------------------------------
 
-    def random_peer_id(self, rng) -> str:
-        """Draw a fresh (non-colliding) random peer identifier."""
+    def random_peer_id(self, rng, taken=()) -> str:
+        """Draw a fresh random peer identifier: one on neither the ring nor
+        ``taken`` (the ids already drawn for a batch not yet joined)."""
         while True:
             if self.peer_id_sampler is not None:
                 pid = self.peer_id_sampler(rng)
             else:
                 pid = self.alphabet.random_identifier(rng, self.peer_id_length)
-            if pid not in self.ring:
+            if pid not in self.ring and pid not in taken:
                 return pid
 
     def add_peer(
@@ -229,20 +230,12 @@ class DLPTSystem:
             else:
                 # Same rejection rule as the sequential loop: earlier batch
                 # members count as "on the ring" for collision purposes.
-                while True:
-                    if self.peer_id_sampler is not None:
-                        pid = self.peer_id_sampler(rng)
-                    else:
-                        pid = self.alphabet.random_identifier(rng, self.peer_id_length)
-                    if pid not in ring and pid not in batch_ids:
-                        break
+                pid = self.random_peer_id(rng, batch_ids)
             batch_ids.add(pid)
             capacity = capacities[i] if capacities is not None else sample(rng)
             peers.append(Peer(id=pid, capacity=capacity))
+        # No labels are mapped, so no interval migrates and no host changes.
         ring.join_many(peers)
-        # No labels are mapped, so no interval migrates; the joins still
-        # count as one host-assignment epoch for the router's caches.
-        mapping.version += 1
         return peers
 
     def build(self, rng, n_peers: int) -> None:
@@ -424,7 +417,7 @@ class DLPTSystem:
         transit = accounting == "transit"
         router = self.router
         router.sync()
-        n_nodes = len(self.tree._by_label)
+        n_nodes = len(self.tree)
         served = router.served_since_invalidate
         router.served_since_invalidate = served + len(pairs)
         stable = router.batches_since_invalidate

@@ -26,6 +26,7 @@ from typing import List, Optional, Set, Tuple
 
 from ..dlpt.failures import ReplicationManager, crash_peer, repair
 from ..dlpt.system import DLPTSystem
+from ..peers.churn import stochastic_round
 from .schedules import CrashBurst, FaultPlan, PartitionStart
 
 
@@ -45,14 +46,6 @@ class _NoSchedule:
 #: no fault axis of its own: the recorded events are applied, the tree is
 #: repaired every unit from survivors, and nothing is replicated.
 REPLAY_POLICY_PLAN = FaultPlan(schedule=_NoSchedule(), replication=0, repair_every=1)
-
-
-def _stochastic_round(x: float, rng) -> int:
-    """Round ``x`` to an integer with expectation exactly ``x`` (the churn
-    models' convention, repeated here so fault rates compose identically)."""
-    base = int(x)
-    frac = x - base
-    return base + (1 if frac > 0 and rng.random() < frac else 0)
 
 
 class FaultInjector:
@@ -161,7 +154,7 @@ class FaultInjector:
                 records.append(
                     ["partition", self.rng.randrange(n), count, event.duration]
                 )
-        crash_draws(_stochastic_round(self.plan.schedule.crash_rate(unit) * n, self.rng))
+        crash_draws(stochastic_round(self.plan.schedule.crash_rate(unit) * n, self.rng))
         return records
 
     # -- event application --------------------------------------------------

@@ -29,10 +29,10 @@ class ChurnModel:
                 raise ValueError("churn fractions must be in [0, 1)")
 
     def joins(self, population: int, rng) -> int:
-        return _stochastic_round(self.join_fraction * population, rng)
+        return stochastic_round(self.join_fraction * population, rng)
 
     def leaves(self, population: int, rng) -> int:
-        n = _stochastic_round(self.leave_fraction * population, rng)
+        n = stochastic_round(self.leave_fraction * population, rng)
         # Never empty the ring: the overlay is undefined without peers.
         return min(n, max(population - 1, 0))
 
@@ -41,7 +41,7 @@ class ChurnModel:
         return self.join_fraction == 0.0 and self.leave_fraction == 0.0
 
 
-def _stochastic_round(x: float, rng) -> int:
+def stochastic_round(x: float, rng) -> int:
     """Round ``x`` to an integer with expectation exactly ``x``."""
     base = int(x)
     frac = x - base

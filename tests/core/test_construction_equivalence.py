@@ -15,6 +15,7 @@ key and one batched — same style as
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 
@@ -162,6 +163,28 @@ class TestSystemTwins:
         for _ in range(n):
             seq.add_peer(rng)
         assert batch.ring.ids() == seq.ring.ids()
+
+    def test_an_id_repeated_inside_one_batch_is_redrawn(self):
+        """A sampler that repeats an id before the batch joins: the bulk
+        path must treat the earlier draw as taken, exactly as the
+        sequential loop treats a peer already on the ring."""
+
+        def sampler_factory():
+            ids = itertools.cycle(["aa", "aa", "bb"])
+            return lambda rng: (rng.random(), next(ids))[1]
+
+        batch = DLPTSystem(alphabet=ALPHABET, capacity_model=FixedCapacity(3),
+                           peer_id_sampler=sampler_factory())
+        batch_rng = random.Random(5)
+        peers = batch.add_peers(batch_rng, 2)
+        seq = DLPTSystem(alphabet=ALPHABET, capacity_model=FixedCapacity(3),
+                         peer_id_sampler=sampler_factory())
+        seq_rng = random.Random(5)
+        for _ in range(2):
+            seq.add_peer(seq_rng)
+        assert [p.id for p in peers] == ["aa", "bb"]
+        assert batch.ring.ids() == seq.ring.ids() == ["aa", "bb"]
+        assert batch_rng.getstate() == seq_rng.getstate()
 
 
 class TestAfterChurn:

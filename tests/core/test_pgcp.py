@@ -229,6 +229,71 @@ class TestObservers:
         assert set(removed) == {"1001", "10"}
 
 
+class TestFailStopSurgery:
+    """``detach`` (a crash: no contraction) and ``clear`` (a repair reset)
+    keep the tree's own books: index, root, counters and hook."""
+
+    def _observed(self, keys):
+        tree = build(keys)
+        removed = []
+        tree.on_remove = lambda n: removed.append(n.label)
+        return tree, removed
+
+    def test_detach_inner_node_leaves_fragment_roots(self):
+        tree, removed = self._observed(paper_figure1_binary_keys())
+        version = tree.version
+        lost = tree.detach(["101"])
+        assert lost == frozenset()  # 101 is structural
+        assert removed == ["101"]
+        assert tree.version == version + 1
+        assert tree.labels() == {"", "01", "10101", "10111", "101111"}
+        for label in ("10101", "10111"):
+            assert tree.node(label).parent is None
+        assert set(tree.node("").children.values()) == {tree.node("01")}
+        assert tree.root is tree.node("")
+        assert tree.filled_count == len(tree.keys()) == 4
+
+    def test_detach_returns_lost_keys_and_counts_them(self):
+        tree, removed = self._observed(paper_figure1_binary_keys())
+        lost = tree.detach(["10111", "101111", "01"])
+        assert lost == {"10111", "101111", "01"}
+        assert sorted(removed) == ["01", "10111", "101111"]
+        assert tree.filled_count == len(tree.keys()) == 1
+        assert set(tree.node("").children.values()) == {tree.node("101")}
+        assert set(tree.node("101").children.values()) == {tree.node("10101")}
+
+    def test_detach_of_the_root_empties_the_root_slot(self):
+        tree, removed = self._observed(paper_figure1_binary_keys())
+        tree.detach([""])
+        assert removed == [""]
+        assert tree.root is None
+        assert tree.node("01").parent is None
+        assert tree.node("101").parent is None
+        assert len(tree) == 5
+
+    def test_detach_everything_matches_clear(self):
+        keys = paper_figure1_binary_keys()
+        detached, _ = self._observed(keys)
+        assert detached.detach(detached.labels()) == set(keys)
+        cleared, removed = self._observed(keys)
+        labels = cleared.labels()
+        version = cleared.version
+        cleared.clear()
+        assert sorted(removed) == sorted(labels)  # once per node
+        assert cleared.version > version
+        for tree in (detached, cleared):
+            assert tree.root is None and len(tree) == 0
+            assert tree.filled_count == 0
+            tree.check_invariants()
+
+    def test_cleared_tree_rebuilds(self):
+        tree = build(paper_figure1_binary_keys())
+        tree.clear()
+        tree.insert("0")
+        tree.check_invariants()
+        assert tree.labels() == {"0"} and tree.filled_count == 1
+
+
 class TestPropertyBased:
     @settings(max_examples=200)
     @given(keys=st.lists(binary_keys, min_size=1, max_size=30))

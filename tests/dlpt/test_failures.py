@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.dlpt_dht import HashedMapping
 from repro.core.alphabet import BINARY
 from repro.dlpt.failures import ReplicationManager, crash_peer, repair
+from repro.dlpt.mapping import LexicographicMapping
 from repro.dlpt.system import DLPTSystem
 from repro.peers.capacity import FixedCapacity
 
@@ -245,3 +247,60 @@ class TestRepair:
         # With factor-2 replication, a key is lost only if its host AND
         # both replicas crashed before any re-replication.
         assert s.registered_keys() | rr.unrecoverable_keys == set(keys)
+
+
+class TestCrashBooks:
+    """Unrepaired crashes keep every structure's books in step, under both
+    mappings: the tree's index and counter, the host map and the entry-node
+    index (aliased under the lexicographic mapping, hook-chained under the
+    hashed one); repair then matches a fresh build."""
+
+    @pytest.mark.parametrize("mapping_factory", [LexicographicMapping, HashedMapping])
+    @settings(max_examples=15, deadline=None)
+    @given(
+        keys=st.lists(st.text(alphabet="01", min_size=1, max_size=8),
+                      min_size=1, max_size=20, unique=True),
+        seed=st.integers(0, 5000),
+        n_crashes=st.integers(1, 4),
+    )
+    def test_books_after_every_crash(self, mapping_factory, keys, seed, n_crashes):
+        rng = random.Random(seed)
+        s = DLPTSystem(alphabet=BINARY, capacity_model=FixedCapacity(1000),
+                       mapping_factory=mapping_factory)
+        s.build(rng, 8)
+        s.register_batch(keys)
+        rep = ReplicationManager(s, factor=1)
+        rep.replicate_all()
+        removed: list[str] = []
+        hooked = s.tree.on_remove
+
+        def on_remove(node):
+            removed.append(node.label)
+            hooked(node)
+
+        s.tree.on_remove = on_remove
+        tree = s.tree
+        lost: set[str] = set()
+        for _ in range(n_crashes):
+            ids = s.ring.ids()
+            del removed[:]
+            report = crash_peer(s, ids[rng.randrange(len(ids))])
+            rep.on_peer_removed(report.peer_id)
+            lost |= report.lost_keys
+            assert sorted(removed) == sorted(report.lost_nodes)
+            assert tree.filled_count == len(tree.keys())
+            assert set(s.mapping.labels()) == tree.labels() == set(s.node_index)
+            for node in tree.nodes():
+                if node.parent is not None:
+                    assert tree.node(node.parent.label) is node.parent
+                for child in node.children.values():
+                    assert tree.node(child.label) is child
+        expected = tree.keys() | (set(rep.surviving_records()) & lost)
+        repair(s, rep, lost_keys=frozenset(lost))
+        s.check_invariants()
+        fresh = DLPTSystem(alphabet=BINARY, mapping_factory=mapping_factory)
+        fresh.add_peers(random.Random(0), peer_ids=s.ring.ids())
+        fresh.register_batch(sorted(expected))
+        assert s.tree.labels() == fresh.tree.labels()
+        assert ({lbl: p.id for lbl, p in s.mapping.host.items()}
+                == {lbl: p.id for lbl, p in fresh.mapping.host.items()})
