@@ -1,30 +1,21 @@
 #!/usr/bin/env python
 """Performance-regression gate: fresh BENCH_micro.json vs the committed one.
 
-Runs the ``micro`` benchmark suite and compares each scenario against the
-committed baseline at the repository root.  Exits non-zero when any
-scenario regresses by more than ``--threshold`` (default 25%).
-
-Two comparison modes:
-
-``--mode ratio`` (default)
-    Re-time *both* the frozen seed reference and the optimised code in
-    this process and compare the seed/optimised speedup against the
-    baseline's ``speedup_median``.  The machine's absolute speed — and
-    run-to-run load drift, which moves both implementations together —
-    cancels out, so the verdict is hardware-independent.
-
-``--mode absolute``
-    Compare the optimised implementation's wall-clock median against the
-    baseline's.  More direct, but the verdict depends on the machine:
-    only meaningful when the fresh run executes on hardware (and load)
-    comparable to what produced the committed baseline — a dedicated CI
-    runner class, or a developer re-checking their own machine.
+Runs the ``micro`` benchmark suite, re-timing *both* the frozen seed
+reference and the optimised code in this process, and compares each
+scenario's seed/optimised speedup against the committed baseline's
+``speedup_median``.  The machine's absolute speed — and run-to-run load
+drift, which moves both implementations together — cancels out, so the
+verdict is hardware-independent.  A scenario in ``SPEEDUP_FLOORS`` is
+held to its floor instead of drift.  Exits 1 when a speedup shrinks by
+more than ``--threshold`` (default 25%) or falls below its floor, on a
+schema mismatch, or when a scenario is missing from the fresh run or —
+unless it has a floor — from the baseline; exits 2 when there is no
+baseline.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/check_regression.py
-    PYTHONPATH=src python benchmarks/check_regression.py --mode ratio
     PYTHONPATH=src python benchmarks/check_regression.py --threshold 0.10
 
 Intended as the CI tier-2 perf gate; pair it with ``-m bench`` pytest runs.
@@ -42,17 +33,17 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.perf.bench import SCHEMA, run_suite  # noqa: E402
 
-#: Absolute speedup floors, replacing the relative drift check in
-#: ``--mode ratio`` for the scenarios listed.  ``sweep_cached``'s
-#: "speedup" is the warm-store/cold-store ratio (see
-#: ``repro.perf.scenarios``): its warm side is milliseconds of JSON reads,
-#: so the ratio jitters by factors run to run and a ±25% drift comparison
-#: would cry wolf — the contract worth gating is absolute: warm re-runs
-#: must stay at least 10× faster than recomputation.  The request-path
-#: scenarios carry the fast-path contract of the discovery router PR:
-#: a flood of requests must stay ≥3× faster than the frozen per-request
-#: reference walk, and the schedule-driven / replayed end-to-end paths
-#: ≥2× (they amortise churn, balancing and sampling that both
+#: Absolute speedup floors, replacing the relative drift check for the
+#: scenarios listed.  ``sweep_cached``'s "speedup" is the
+#: warm-store/cold-store ratio (see ``repro.perf.scenarios``): its warm
+#: side is milliseconds of JSON reads, so the ratio jitters by factors run
+#: to run and a ±25% drift comparison would cry wolf — the contract worth
+#: gating is absolute: warm re-runs must stay at least 10× faster than
+#: recomputation.  The request-path scenarios carry the discovery
+#: router's fast-path contract: a flood of requests must stay ≥3× faster
+#: than the frozen per-request reference walk, and the schedule-driven /
+#: replayed / sustained-rate end-to-end paths ≥2× (they amortise churn,
+#: balancing, sampling and per-round capacity resets that both
 #: implementations share).  The construction scenarios carry the bulk
 #: fast-path contract (sorted-cursor ``insert_batch`` + deferred mapping
 #: placement): platform bootstrap and corpus registration must stay ≥1.5×
@@ -64,127 +55,64 @@ SPEEDUP_FLOORS = {
     "request_flood": 3.0,
     "flash_crowd": 2.0,
     "replay": 2.0,
+    "sustained": 2.0,
+    "sustained_hot": 2.0,
     "build": 1.5,
     "growth": 1.5,
     "crash_storm": 1.0,
 }
 
-#: The throughput smoke (``--throughput-smoke``) runs a shortened
-#: sustained-rate driver (see ``repro.perf.throughput``) and gates the
-#: optimised/seed req/s ratio.  The serving path inside it is the same
-#: indexed batch that carries the request_flood ≥3× floor; 2× leaves
-#: headroom for the short smoke's noisier rate estimate.
-THROUGHPUT_GAIN_FLOOR = 2.0
-THROUGHPUT_SMOKE_ROUNDS = 12
-
-#: Floored scenarios whose *absolute* optimised median is still clock
-#: noise (warm-cache JSON reads) and therefore skipped in absolute mode;
-#: the request-path scenarios have real wall-clock medians and keep the
-#: absolute drift check.
-ABSOLUTE_EXEMPT = {"sweep_cached"}
+REGENERATE = "regenerate the baseline with `python -m repro bench --suite micro`"
 
 
-def compare(baseline: dict, fresh: dict, threshold: float, mode: str) -> list[str]:
-    """Return a list of human-readable regression failures (empty = pass)."""
-    failures: list[str] = []
+def compare(baseline: dict, fresh: dict, threshold: float) -> list[str]:
+    """Return a list of human-readable regression failures (empty = pass).
+
+    Every scenario of either document is judged: a floored one by its
+    floor alone, so it is gated whether or not the baseline has it; any
+    other by drift against the baseline, which must therefore have it."""
     if baseline.get("schema") != SCHEMA:
-        return [
-            f"baseline schema {baseline.get('schema')!r} != {SCHEMA!r}; "
-            "regenerate the baseline with `python -m repro bench --suite micro`"
-        ]
-    for name, base_block in sorted(baseline.get("scenarios", {}).items()):
+        return [f"baseline schema {baseline.get('schema')!r} != {SCHEMA!r}; {REGENERATE}"]
+    base_scenarios = baseline.get("scenarios", {})
+    failures: list[str] = []
+    for name in sorted(set(base_scenarios) | set(fresh["scenarios"])):
         fresh_block = fresh["scenarios"].get(name)
         if fresh_block is None:
             failures.append(f"{name}: missing from fresh run")
             continue
-        if mode == "absolute":
-            if name in ABSOLUTE_EXEMPT:
-                # Warm-cache reads have millisecond medians; absolute
-                # drift on them is clock noise.
-                print(f"[perf] {name:>14}: skipped in absolute mode "
-                      "(floored scenario; gated by --mode ratio)")
-                continue
-            # Lower is better; regression = fresh median grew.
-            base_impl = base_block["impls"].get("optimised")
-            if base_impl is None:
+        # Higher is better; regression = seed/optimised speedup shrank.
+        now = fresh_block["speedup_median"]
+        floor = SPEEDUP_FLOORS.get(name)
+        if floor is not None:
+            # Gate on the absolute contract, not on drift against the
+            # (jittery) committed number.
+            verdict = "OK" if now >= floor else "BELOW FLOOR"
+            print(f"[perf] {name:>14}: speedup {now:8.2f}x  (floor {floor:g}x)  {verdict}")
+            if verdict != "OK":
                 failures.append(
-                    f"{name}: baseline lacks 'optimised' timings (generated "
-                    "with --impl?); regenerate with `python -m repro bench "
-                    "--suite micro`"
+                    f"{name}: fresh speedup {now:.2f}x is below the "
+                    f"hard floor of {floor:g}x"
                 )
-                continue
-            base = base_impl["median_s"]
-            now = fresh_block["impls"]["optimised"]["median_s"]
-            ratio = now / base if base > 0 else float("inf")
-            detail = (
-                f"baseline {base * 1e3:8.2f}ms  now {now * 1e3:8.2f}ms  "
-                f"({ratio:5.2f}x)"
+            continue
+        base_block = base_scenarios.get(name)
+        if base_block is None:
+            failures.append(f"{name}: missing from the baseline; {REGENERATE}")
+            continue
+        base = base_block.get("speedup_median")
+        if base is None:
+            failures.append(
+                f"{name}: baseline lacks 'speedup_median' (generated with "
+                f"--impl?); {REGENERATE} (both implementations)"
             )
-        else:
-            # Higher is better; regression = seed/optimised speedup shrank.
-            base = base_block.get("speedup_median")
-            if base is None:
-                failures.append(
-                    f"{name}: baseline lacks 'speedup_median' (generated with "
-                    "--impl?); regenerate with `python -m repro bench --suite "
-                    "micro` (both implementations)"
-                )
-                continue
-            now = fresh_block["speedup_median"]
-            floor = SPEEDUP_FLOORS.get(name)
-            if floor is not None:
-                # Floored scenario: gate on the absolute contract, not on
-                # drift against the (jittery) committed number.
-                detail = f"speedup {now:8.2f}x  (floor {floor:g}x)"
-                verdict = "OK" if now >= floor else "BELOW FLOOR"
-                print(f"[perf] {name:>14}: {detail}  {verdict}")
-                if verdict != "OK":
-                    failures.append(
-                        f"{name}: fresh speedup {now:.2f}x is below the "
-                        f"hard floor of {floor:g}x"
-                    )
-                continue
-            ratio = base / now if now > 0 else float("inf")
-            detail = f"baseline speedup {base:6.2f}x  now {now:6.2f}x"
+            continue
+        ratio = base / now if now > 0 else float("inf")
+        detail = f"baseline speedup {base:6.2f}x  now {now:6.2f}x"
         verdict = "OK" if ratio <= 1.0 + threshold else "REGRESSION"
         print(f"[perf] {name:>14}: {detail}  {verdict}")
         if verdict != "OK":
             failures.append(
                 f"{name}: {detail.strip()} "
                 f"({(ratio - 1) * 100:+.0f}%, threshold +{threshold * 100:.0f}%)"
-            )
-    return failures
-
-
-def check_throughput_smoke(rounds: int) -> list[str]:
-    """Run the throughput suite briefly; verify the document carries the
-    req/s + latency-tail fields and the fast path clears the gain floor."""
-    from repro.perf.throughput import run_throughput_suite
-
-    print(f"[perf] running throughput smoke ({rounds} rounds/scenario) ...")
-    doc = run_throughput_suite(rounds=rounds)
-    failures: list[str] = []
-    for name, block in sorted(doc["scenarios"].items()):
-        for impl, stats in sorted(block["impls"].items()):
-            for field in ("req_per_s", "latency_p95_ms", "latency_p99_ms"):
-                if field not in stats:
-                    failures.append(f"throughput/{name}/{impl}: missing {field!r}")
-            if stats.get("req_per_s", 0) <= 0:
-                failures.append(f"throughput/{name}/{impl}: non-positive req/s")
-        gain = block.get("throughput_gain")
-        detail = (
-            f"gain {gain:8.2f}x  (floor {THROUGHPUT_GAIN_FLOOR:.0f}x)"
-            if gain is not None
-            else "gain missing"
-        )
-        verdict = (
-            "OK" if gain is not None and gain >= THROUGHPUT_GAIN_FLOOR else "BELOW FLOOR"
-        )
-        print(f"[perf] {'tp/' + name:>14}: {detail}  {verdict}")
-        if verdict != "OK":
-            failures.append(
-                f"throughput/{name}: gain {gain} is below the hard floor of "
-                f"{THROUGHPUT_GAIN_FLOOR:.0f}x"
             )
     return failures
 
@@ -198,27 +126,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--threshold", type=float, default=0.25,
-        help="maximum allowed median regression as a fraction (default 0.25)",
+        help="maximum allowed speedup regression as a fraction (default 0.25)",
     )
     parser.add_argument(
         "--repeat", type=int, default=5,
         help="timed repetitions per scenario for the fresh run (default 5)",
-    )
-    parser.add_argument(
-        "--mode", choices=("absolute", "ratio"), default="ratio",
-        help="ratio (default): seed/optimised speedup vs baseline "
-        "(hardware-independent); absolute: optimised medians vs baseline "
-        "(same-machine/same-load only)",
-    )
-    parser.add_argument(
-        "--throughput-smoke", action="store_true",
-        help="also run a shortened throughput suite and gate its "
-        f"optimised/seed gain (floor {THROUGHPUT_GAIN_FLOOR:.0f}x)",
-    )
-    parser.add_argument(
-        "--throughput-rounds", type=int, default=THROUGHPUT_SMOKE_ROUNDS,
-        help="driver rounds per throughput scenario for the smoke "
-        f"(default {THROUGHPUT_SMOKE_ROUNDS})",
     )
     args = parser.parse_args(argv)
 
@@ -228,13 +140,10 @@ def main(argv=None) -> int:
         return 2
     baseline = json.loads(baseline_path.read_text())
 
-    impls = ("optimised",) if args.mode == "absolute" else ("seed", "optimised")
-    print(f"[perf] running fresh micro suite ({' + '.join(impls)}, mode={args.mode}) ...")
-    fresh = run_suite("micro", repeat=args.repeat, warmup=1, impls=impls)
+    print("[perf] running fresh micro suite (seed + optimised) ...")
+    fresh = run_suite("micro", repeat=args.repeat, warmup=1)
 
-    failures = compare(baseline, fresh, args.threshold, args.mode)
-    if args.throughput_smoke:
-        failures.extend(check_throughput_smoke(args.throughput_rounds))
+    failures = compare(baseline, fresh, args.threshold)
     if failures:
         print("\n[perf] FAIL:", file=sys.stderr)
         for f in failures:

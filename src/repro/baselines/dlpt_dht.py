@@ -42,7 +42,6 @@ class HashedMapping(HostMap):
     def __init__(self, ring: Ring, bits: int = DEFAULT_BITS) -> None:
         super().__init__(ring)
         self.bits = bits
-        self.modulus = 1 << bits
         self._label_hash: Dict[str, int] = {}
         self._peer_positions: SortedList[int] = SortedList()
         self._peer_by_position: Dict[int, Peer] = {}

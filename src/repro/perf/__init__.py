@@ -15,8 +15,10 @@ keeps that claim honest across PRs:
   walk that class serves with, and the oracle of the
   discovery-equivalence property test;
 * :mod:`repro.perf.scenarios` — the scenario registry (``build``,
-  ``growth``, ``churn_storm``, ``request_flood``) with ``micro`` (CI-fast)
-  and ``scale`` (10⁴-peer) parameter suites;
+  ``growth``, ``churn_storm``, ``crash_storm``, ``request_flood``,
+  ``flash_crowd``, ``sustained``, ``sustained_hot``, ``replay``,
+  ``sweep_cached``) with ``micro`` (CI-fast) and ``scale`` (10⁴-peer)
+  parameter suites;
 * :mod:`repro.perf.bench` — the runner and JSON writer emitting
   ``BENCH_micro.json`` / ``BENCH_scale.json`` in the stable
   ``repro-bench/1`` schema that ``benchmarks/check_regression.py`` and

@@ -90,7 +90,6 @@ IMPLS = ("seed", "optimised")
 DEFAULT_OUT = {
     "micro": "BENCH_micro.json",
     "scale": "BENCH_scale.json",
-    "throughput": "BENCH_throughput.json",
 }
 
 
@@ -241,13 +240,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro bench",
         description="Run the performance benchmark suites and write BENCH_*.json.",
     )
-    parser.add_argument("--suite", choices=sorted(SUITES) + ["throughput", "all"],
+    parser.add_argument("--suite", choices=sorted(SUITES) + ["all"],
                         default="micro",
-                        help="parameter suite to run (default micro); "
-                        "'throughput' runs the sustained-rate driver")
-    parser.add_argument("--rounds", type=int, default=None,
-                        help="throughput suite: override driver rounds per "
-                        "scenario (the CI smoke runs a short version)")
+                        help="parameter suite to run (default micro)")
     parser.add_argument("--scenario", action="append", default=None,
                         help="restrict to named scenario(s); repeatable")
     parser.add_argument("--repeat", type=int, default=5,
@@ -269,16 +264,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.out and args.suite == "all":
         parser.error("--out is ambiguous with --suite all; run one suite at a time")
-    suites = sorted(SUITES) + ["throughput"] if args.suite == "all" else [args.suite]
+    suites = sorted(SUITES) if args.suite == "all" else [args.suite]
     impls = tuple(args.impl) if args.impl else IMPLS
     if args.profile_hotspots:
         profile_impls = tuple(args.impl) if args.impl else ("optimised",)
         for suite in suites:
-            if suite == "throughput":
-                if args.suite == "throughput":
-                    parser.error("--profile-hotspots is not supported for "
-                                 "the throughput suite")
-                continue
             try:
                 profile_suite(suite, scenarios=args.scenario,
                               impls=profile_impls, top=args.top)
@@ -287,24 +277,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     for suite in suites:
         try:
-            if suite == "throughput":
-                from .throughput import run_throughput_suite
-
-                doc = run_throughput_suite(
-                    scenarios=args.scenario,
-                    impls=impls,
-                    rounds=args.rounds,
-                    verbose=True,
-                )
-            else:
-                doc = run_suite(
-                    suite,
-                    repeat=args.repeat,
-                    warmup=args.warmup,
-                    scenarios=args.scenario,
-                    impls=impls,
-                    verbose=True,
-                )
+            doc = run_suite(
+                suite,
+                repeat=args.repeat,
+                warmup=args.warmup,
+                scenarios=args.scenario,
+                impls=impls,
+                verbose=True,
+            )
         except ValueError as exc:
             parser.error(str(exc))  # clean usage error, exit 2
         out = args.out or default_out_path(suite)

@@ -8,7 +8,7 @@ accounting.  These functions are intentionally NOT used by the live
 system; they exist so that
 
 * :meth:`repro.perf.reference.SeedDLPTSystem.discover_batch` (the
-  ``replay`` scenario, the throughput suite) and the ``request_flood`` /
+  ``replay`` and ``sustained`` scenarios) and the ``request_flood`` /
   ``flash_crowd`` scenarios of :mod:`repro.perf.scenarios` can time the
   ``seed`` side of the implementation axis honestly, and
 * ``tests/dlpt/test_discovery_equivalence.py`` can property-check that the

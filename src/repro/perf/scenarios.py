@@ -1,5 +1,5 @@
 """Benchmark scenario registry: build, growth, churn-storm, crash-storm,
-request-flood, flash-crowd, trace-replay, cached-sweep.
+request-flood, flash-crowd, sustained-rate, trace-replay, cached-sweep.
 
 Every scenario is deterministic (seeded :class:`random.Random`) and comes in
 two parameter *suites*:
@@ -35,6 +35,10 @@ batched slice move.
 
 ``flash_crowd`` drives the workload subsystem's burst schedule through the
 discovery path (sampling + routing + capacity accounting over time units);
+``sustained`` / ``sustained_hot`` record the rounds an AIMD admission
+controller lets through (untimed, on the live system) and time serving
+them, one round per time unit — the paper's requests satisfied per time
+unit under per-peer capacity;
 ``replay`` records a full MLT-under-churn experiment once (untimed) and
 times its deterministic re-execution from the ``repro-trace/1`` stream —
 the end-to-end simulation hot path under each mapping implementation.
@@ -309,6 +313,67 @@ def _execute_flash_crowd(state: Dict[str, Any]) -> int:
     return satisfied
 
 
+#: Recorded admission trajectories for the ``sustained`` scenarios, keyed
+#: by parameter set: one list of ``(key, entry)`` batches per round.
+_SUSTAINED_ROUNDS: Dict[tuple, list] = {}
+
+
+def _record_sustained(params: Dict[str, Any]) -> list[list[tuple[str, str]]]:
+    """Offer one round of requests per time unit under an AIMD admission
+    controller and record what it admitted.  While a round's drop fraction
+    stays within ``drop_tolerance`` the rate ramps by ``ramp`` requests (up
+    to ``max_rate``); when per-peer capacity drops push it above, the rate
+    halves (down to ``min_rate``).  The decisions depend only on request
+    outcomes, which are the same under both implementations, so the
+    trajectory recorded on the live system is the workload of both."""
+    rng = random.Random(params["seed"])
+    system, corpus = _build_system(params, "optimised", rng)
+    hot = [k for k in corpus if k.startswith(family_prefix(0))]
+    hot_fraction = params["hot_fraction"]
+    rate = float(params["start_rate"])
+    rounds = []
+    for _ in range(params["rounds"]):
+        n = int(rate)
+        if hot_fraction:
+            keys = [
+                hot[rng.randrange(len(hot))]
+                if rng.random() < hot_fraction
+                else corpus[rng.randrange(len(corpus))]
+                for _ in range(n)
+            ]
+        else:
+            keys = [corpus[rng.randrange(len(corpus))] for _ in range(n)]
+        batch = list(zip(keys, system.random_entry_labels(rng, n)))
+        dropped = system.discover_batch(batch).dropped
+        system.end_time_unit()  # round == time unit: capacity budgets reset
+        rounds.append(batch)
+        if dropped > params["drop_tolerance"] * n:
+            rate = max(params["min_rate"], rate * 0.5)
+        else:
+            rate = min(params["max_rate"], rate + params["ramp"])
+    return rounds
+
+
+def _prepare_sustained(params: Dict[str, Any], impl: str) -> Dict[str, Any]:
+    key = tuple(sorted(params.items()))
+    rounds = _SUSTAINED_ROUNDS.get(key)
+    if rounds is None:
+        rounds = _SUSTAINED_ROUNDS[key] = _record_sustained(params)
+    system, _ = _build_system(params, impl, random.Random(params["seed"]))
+    return {"system": system, "rounds": rounds}
+
+
+def _execute_sustained(state: Dict[str, Any]) -> tuple[int, int]:
+    system = state["system"]
+    satisfied = dropped = 0
+    for batch in state["rounds"]:
+        outcome = system.discover_batch(batch)
+        system.end_time_unit()
+        satisfied += outcome.satisfied
+        dropped += outcome.dropped
+    return satisfied, dropped
+
+
 def _sweep_plan(params: Dict[str, Any]):
     from ..experiments.config import ExperimentConfig
     from ..experiments.figures import three_curve_balancers
@@ -471,6 +536,19 @@ SCENARIOS: Dict[str, Scenario] = {
             _execute_flash_crowd,
         ),
         Scenario(
+            "sustained",
+            "uniform key draws at an AIMD-admitted sustained rate",
+            _prepare_sustained,
+            _execute_sustained,
+        ),
+        Scenario(
+            "sustained_hot",
+            "60% of draws hit one service family; backpressure clamps "
+            "admission at the hot hosts' capacity",
+            _prepare_sustained,
+            _execute_sustained,
+        ),
+        Scenario(
             "replay",
             "re-execute a recorded MLT-under-churn run from its trace",
             _prepare_replay,
@@ -483,6 +561,18 @@ SCENARIOS: Dict[str, Scenario] = {
             _execute_sweep_cached,
         ),
     )
+}
+
+#: The sustained scenarios' platform and admission controller, shared by
+#: both suites: the suites differ only in the number of rounds.
+#: ``capacity`` is per-peer requests per round, so the platform absorbs
+#: ``n_peers * capacity`` requests a round; ``sustained_hot`` draws 60% of
+#: its keys from family 0, so backpressure at those hosts (the admission
+#: controller, not the aggregate capacity) sets its admitted rate.
+_SUSTAINED = {
+    "n_peers": 400, "n_keys": 3000, "families": 8, "capacity": 25,
+    "start_rate": 4000, "min_rate": 500, "max_rate": 12_000, "ramp": 500,
+    "drop_tolerance": 0.02,
 }
 
 #: Per-suite scenario parameters.  ``micro`` is the CI regression suite
@@ -513,6 +603,8 @@ SUITES: Dict[str, Dict[str, Dict[str, Any]]] = {
             "n_peers": 400, "n_keys": 3000, "families": 8,
             "units": 24, "req_per_unit": 240, "seed": 5,
         },
+        "sustained": {**_SUSTAINED, "rounds": 12, "hot_fraction": 0.0, "seed": 31},
+        "sustained_hot": {**_SUSTAINED, "rounds": 12, "hot_fraction": 0.6, "seed": 32},
         "replay": {"n_peers": 120, "units": 25, "load": 0.4, "seed": 6},
         # Six cells, two runs each: enough simulation work that the cold
         # side measures computation (not store IO), small enough to stay
@@ -540,6 +632,8 @@ SUITES: Dict[str, Dict[str, Dict[str, Any]]] = {
             "n_peers": 10_000, "n_keys": 50_000, "families": 16,
             "units": 60, "req_per_unit": 300, "seed": 15,
         },
+        "sustained": {**_SUSTAINED, "rounds": 60, "hot_fraction": 0.0, "seed": 31},
+        "sustained_hot": {**_SUSTAINED, "rounds": 60, "hot_fraction": 0.6, "seed": 32},
         "replay": {"n_peers": 500, "units": 50, "load": 0.5, "seed": 16},
         "sweep_cached": {
             "n_peers": 200, "units": 50, "runs": 3, "loads": [0.1, 0.5], "seed": 22,

@@ -245,3 +245,44 @@ class TestPhysicalHops:
     def test_range(self, data):
         keys, query = data
         self._compare(keys, query)
+
+
+class TestInsertionFromEveryEntry:
+    """The write row of the triangle: Algorithm 3 entered at any node of a
+    fixture tree builds the tree the macro model's ``register`` builds, on
+    the same hosts.  Entering below the new key's place makes the
+    insertion climb — a key at or above the entry's father is forwarded up
+    (``a`` via ``abcd`` in a tree of ``ab`` and ``abcd``)."""
+
+    FIXTURE = ("dd", "ddhh", "ddhp", "dp", "pt", "ptc")
+    NEW = ("d", "dd", "ddh", "ddhhc", "dh", "c", "p", "t", "ptcd")
+
+    @staticmethod
+    def _macro(keys):
+        macro = DLPTSystem(capacity_model=FixedCapacity(10**9))
+        rng = random.Random(0)
+        for peer_id in PEERS:
+            macro.add_peer(rng, peer_id=peer_id)
+        macro.register_batch(keys)
+        return macro
+
+    def test_every_entry_node_and_key(self):
+        entries = sorted(build_engine(self.FIXTURE).locator)
+        assert "ddh" in entries  # an internal node enters too
+        for key in self.NEW:
+            macro = self._macro(self.FIXTURE)
+            macro.register(key)
+            host_of = macro.mapping.host_of
+            nodes = list(macro.tree.nodes())
+            locator = {n.label: host_of(n.label).id for n in nodes}
+            edges = {(n.parent.label, n.label) for n in nodes if n.parent is not None}
+            for entry in entries:
+                eng = build_engine(self.FIXTURE)
+                eng.insert_data(key, via=entry)
+                eng.run()
+                eng.check_tree()
+                eng.check_mapping()
+                assert eng.locator == locator, (key, entry)
+                assert eng.tree_edges() == edges, (key, entry)
+                host = eng.locator[key]
+                assert key in eng.peers[host].nodes[key].data, (key, entry)

@@ -77,7 +77,7 @@ class TestBenchmarksDoc:
     def test_schemas_are_documented(self):
         doc = (REPO_ROOT / "docs" / "benchmarks.md").read_text()
         for needle in ("repro-bench/1", "repro-trace/1", "repro-metrics/1",
-                       "--mode ratio", "--mode absolute"):
+                       "SPEEDUP_FLOORS", "sustained_hot"):
             assert needle in doc, f"docs/benchmarks.md must document {needle}"
 
     def test_documented_schema_tags_match_the_code(self):

@@ -693,14 +693,46 @@ class TestRunToCompletionDelivery:
     a queue pop, not a loop turn, and no cascade can keep the loop."""
 
     @pytest.mark.parametrize("factory", LOOP_TRANSPORTS)
-    def test_a_self_resending_handler_cannot_wedge_the_loop(self, factory, monkeypatch):
+    def test_a_self_resending_handler_cannot_wedge_the_loop(self, factory):
         """An endpoint that keeps sending to itself used to never yield
-        (a non-empty queue's ``get()`` does not suspend), so ``drain()``
-        could not time out and nothing else on the loop ran.  The chain is
-        capped so that a transport that runs it to its end fails here
-        instead of hanging."""
+        (a non-empty queue's ``get()`` does not suspend), so nothing else
+        on the loop ran.  Here the chain goes on until other callbacks
+        have had ``turns`` loop turns: a pump that hands the loop back
+        every :data:`_PUMP_BATCH` deliveries ends it within a batch per
+        turn, and one that runs the chain to its end sends up to the cap
+        and fails here instead of hanging.  The bound is a count, so a
+        slower process (a tracer) does not move it."""
+        turns = 3
+        cap = 200_000
 
-        monkeypatch.setattr("repro.net.transport.DRAIN_TIMEOUT", 0.05)
+        async def body():
+            t = factory()
+            await t.start()
+            sends = 0
+            others = _TurnCounter()
+
+            def again(env):
+                nonlocal sends
+                if others.turns < turns and sends < cap:
+                    sends += 1
+                    t.send("a", "a", _msg(0))
+
+            t.register("a", again)
+            t.send("@test", "a", _msg(0))
+            await t.drain()
+            others.live = False
+            assert others.turns >= turns
+            assert _PUMP_BATCH < sends <= (turns + 1) * _PUMP_BATCH
+            await t.close()
+
+        asyncio.run(body())
+
+    @pytest.mark.parametrize("factory", LOOP_TRANSPORTS)
+    def test_a_drain_behind_an_endless_cascade_times_out(self, factory, monkeypatch):
+        """With its deadline already due, ``drain()`` raises at its first
+        check, one batch into a chain that would otherwise run to its cap."""
+        monkeypatch.setattr("repro.net.transport.DRAIN_TIMEOUT", 0.0)
+        cap = 200_000
 
         async def body():
             t = factory()
@@ -709,18 +741,15 @@ class TestRunToCompletionDelivery:
 
             def again(env):
                 nonlocal sends
-                if sends < 200_000:
+                if sends < cap:
                     sends += 1
                     t.send("a", "a", _msg(0))
 
             t.register("a", again)
-            others = _TurnCounter()
             t.send("@test", "a", _msg(0))
             with pytest.raises(TransportError, match="drain timed out"):
                 await t.drain()
-            others.live = False
-            assert 0 < sends < 200_000
-            assert others.turns > 1
+            assert 0 < sends < cap
             await t.close()
 
         asyncio.run(body())

@@ -19,6 +19,13 @@ from repro.perf.bench import (
 from repro.perf.scenarios import SCENARIOS, SUITES, clustered_corpus, family_prefix
 from repro.perf.timing import TimingStats, measure
 
+#: Sized so the admission controller both ramps and backs off.
+_TINY_SUSTAINED = {
+    "n_peers": 12, "n_keys": 60, "families": 4, "capacity": 8, "rounds": 6,
+    "start_rate": 40, "min_rate": 10, "max_rate": 80, "ramp": 10,
+    "drop_tolerance": 0.02,
+}
+
 #: Tiny parameters so tier-1 exercises every scenario end-to-end in ~100ms.
 TINY = {
     "build": {"n_peers": 12, "n_keys": 60, "families": 4, "seed": 1},
@@ -32,6 +39,8 @@ TINY = {
         "n_peers": 12, "n_keys": 60, "families": 4,
         "units": 6, "req_per_unit": 8, "seed": 5,
     },
+    "sustained": {**_TINY_SUSTAINED, "hot_fraction": 0.0, "seed": 9},
+    "sustained_hot": {**_TINY_SUSTAINED, "hot_fraction": 0.6, "seed": 10},
     "replay": {"n_peers": 10, "units": 6, "load": 0.3, "seed": 6},
     "sweep_cached": {"n_peers": 10, "units": 5, "runs": 1, "loads": [0.2], "seed": 7},
 }
@@ -101,7 +110,9 @@ class TestScenarios:
         with pytest.raises(ValueError):
             SCENARIOS["build"].prepare(TINY["build"], "hand-tuned-assembly")
 
-    @pytest.mark.parametrize("name", ["request_flood", "flash_crowd", "replay"])
+    @pytest.mark.parametrize(
+        "name", ["request_flood", "flash_crowd", "replay", "sustained", "sustained_hot"]
+    )
     def test_request_scenarios_do_identical_work(self, name):
         """Seed (frozen walk) and optimised (indexed batch) must serve the
         same requests to the same effect — the bench times implementation
@@ -112,6 +123,19 @@ class TestScenarios:
             for impl in IMPLS
         }
         assert results["seed"] == results["optimised"]
+
+    @pytest.mark.parametrize("name, totals", [
+        ("sustained", (97_247, 95_145, 2_102)),
+        ("sustained_hot", (35_500, 29_219, 6_281)),
+    ])
+    def test_sustained_scale_trajectories_keep_their_totals(self, name, totals):
+        """The admission trajectories of the scale suite, as requests,
+        satisfied and dropped — the totals the sustained-rate numbers are
+        quoted against (requests / ``median_s``)."""
+        scenario = SCENARIOS[name]
+        state = scenario.prepare(SUITES["scale"][name], "optimised")
+        requests = sum(len(batch) for batch in state["rounds"])
+        assert (requests, *scenario.execute(state)) == totals
 
 
 class TestBench:
@@ -144,8 +168,7 @@ class TestBench:
             run_suite("micro", scenarios=["no_such_scenario"])
 
     def test_default_out_covers_suites(self):
-        # Every timed suite plus the sustained-rate driver has a baseline.
-        assert set(DEFAULT_OUT) == set(SUITES) | {"throughput"}
+        assert set(DEFAULT_OUT) == set(SUITES)
 
     def test_host_metadata_recorded(self):
         meta = host_metadata()
