@@ -524,18 +524,18 @@ class Broker:
 
     async def _op_peer_join(self, request: dict) -> dict:
         peer_id, capacity = checked_member(request.get("peer"), request.get("capacity", 10))
-        admitted = admission(self.backend.live_ids(), peer_id)
-        ring = await self.backend.join(peer_id, capacity)
+        ids = self.backend.live_ids()  # sorted once: the admission and the join's seed
+        ring = await self.backend.join(peer_id, capacity, ids)
         if self.journal is not None:
             self.journal.record("join", peer_id, capacity)
-        return {**admitted, **ring}
+        return {**admission(ids, peer_id), **ring}
 
     async def _op_peer_leave(self, request: dict) -> dict:
         peer_id = _text(request, "peer")
         await self.backend.leave(peer_id)
         if self.journal is not None:
             self.journal.record("leave", peer_id)
-        return {"peer": peer_id, "peers": len(self.backend.live_ids())}
+        return {"peer": peer_id, "peers": self.backend.live_count()}
 
     async def _op_info(self, request: dict) -> dict:
         snap = await self.backend.snapshot()

@@ -1,30 +1,46 @@
-"""The cluster: every engine-group step and every backend operation, once.
+"""The cluster: every engine-group step and every shared backend operation, once.
 
 The DLPT is one protocol however its peers are spread over machines, so
 everything above the engine — the :class:`~repro.net.bootstrap.Broker`,
 the conformance driver, ``serve`` bring-up — talks to one *backend*
 surface, ``join / leave / crash / register / discover / discover_many /
-search / snapshot / live_ids / counters / drain / set_chaos / close``,
-with the same argument and record shapes whatever the topology.  It is
-two layers, each written exactly once:
+search / snapshot / live_ids / live_count / counters / drain / set_chaos
+/ close``, with the same argument and record shapes whatever the
+topology.  It is two layers, each written exactly once:
 
 * :class:`EngineGroup` — the *steps*: synchronous, JSON-in/JSON-out
   methods over one :class:`~repro.dlpt.protocol.ProtocolEngine`.  A step
   issues messages or reads/edits the group's state; it never waits.
-* :class:`Cluster` — the *operations*: issue steps on the right group,
-  await quiescence, read the answer.  The protocol has no per-operation
-  acknowledgements, so quiescence *is* the completion signal.
+* :class:`Cluster` — the *operations* both backends share: membership
+  (``join`` / ``leave`` / ``crash``), introspection and the single read,
+  each issuing steps on the right group and awaiting quiescence.  The
+  protocol has no per-operation acknowledgements, so quiescence *is* the
+  completion signal.  It also keeps the read rotation (``_reader``) and
+  the insert group (``_inserter``).
 
 A backend supplies how a group is reached (``call``), what quiescence
-means (``drain``) and where membership is recorded (``_members``):
+means (``drain``), where membership is recorded (``_members``) and its
+data plane — ``register``, ``discover_many``, ``search`` — written once
+per backend:
 
 * :class:`LocalCluster` (here) runs one group per transport in this
   process: a step is a direct call on the group, the engines are the
   registry, and quiescence is every transport drained with no
-  inter-group frame still in a socket;
+  inter-group frame still in a socket.  Its data plane skips the steps
+  altogether: it issues on the chosen group's engine, waits, and builds
+  the reply records (:func:`discovery_record`, :func:`query_record`)
+  from the replies that landed in that engine's own lists;
 * :class:`~repro.net.procgroup.MultiProcessCluster` runs them in worker
   processes: steps travel as control RPCs, quiescence is a counter poll,
   and the coordinator keeps the membership and registration ledgers.
+  Its data plane is the ``insert`` / ``discover`` / ``search`` step, the
+  wait, then ``collect`` (or ``locate``): ``collect`` is how landed
+  replies cross the process boundary, built by the same two record
+  builders.
+
+Either way a batch's records are matched to its keys by one
+re-association (:func:`_associate`), which returns records that landed
+in issue order as they are.
 
 Groups of several make one ring by static placement (:func:`group_of`,
 ``crc32(p) % n_groups``: any group resolves any peer to its owner's
@@ -56,6 +72,7 @@ from __future__ import annotations
 import asyncio
 import bisect
 import collections
+import operator
 import zlib
 from typing import Dict, List, Optional, Sequence
 
@@ -113,6 +130,29 @@ def admission(sorted_ids: Sequence[str], peer_id: str, n_seeds: int = 3) -> Dict
         for k in range(min(n_seeds, len(sorted_ids)))
     ]
     return {"peer": peer_id, "successor": successor_of(sorted_ids, peer_id), "seeds": seeds}
+
+
+def discovery_record(reply, locator) -> dict:
+    """The wire-able record of a discovery reply; ``host`` is per
+    ``locator``, the group's location table read after the wait."""
+    return {
+        "key": reply.key,
+        "found": reply.found,
+        "data": sorted(reply.data, key=repr),
+        "hops": reply.hops,
+        "host": locator.get(reply.key),
+    }
+
+
+def query_record(reply) -> dict:
+    """The wire-able record of a set-query reply."""
+    return {
+        "kind": reply.kind,
+        "lo": reply.lo,
+        "hi": reply.hi,
+        "keys": list(reply.keys),
+        "hops": reply.hops,
+    }
 
 
 class EngineGroup:
@@ -193,31 +233,15 @@ class EngineGroup:
 
     def collect(self) -> dict:
         """Hand over (and forget) the replies landed so far, as wire-able
-        records; a discovery's ``host`` is per the post-drain locator."""
+        records — the read step a control RPC carries across a process
+        boundary; a discovery's ``host`` is per the post-drain locator."""
         engine = self.engine
-        discovery, queries = engine.discovery_replies[:], engine.query_replies[:]
-        del engine.discovery_replies[:], engine.query_replies[:]
+        discovery, queries = engine.discovery_replies, engine.query_replies
+        engine.discovery_replies, engine.query_replies = [], []
+        locator = engine.locator
         return {
-            "discovery": [
-                {
-                    "key": reply.key,
-                    "found": reply.found,
-                    "data": sorted(reply.data, key=repr),
-                    "hops": reply.hops,
-                    "host": engine.locator.get(reply.key),
-                }
-                for reply in discovery
-            ],
-            "queries": [
-                {
-                    "kind": reply.kind,
-                    "lo": reply.lo,
-                    "hi": reply.hi,
-                    "keys": list(reply.keys),
-                    "hops": reply.hops,
-                }
-                for reply in queries
-            ],
+            "discovery": [discovery_record(reply, locator) for reply in discovery],
+            "queries": [query_record(reply) for reply in queries],
         }
 
     def locate(self, label: str) -> dict:
@@ -263,13 +287,19 @@ class EngineGroup:
 STEPS = frozenset(name for name in vars(EngineGroup) if not name.startswith("_"))
 
 
-def _settled(landed: Sequence[dict], asked: int, what: str, *names):
-    """The reply record when exactly the ``asked`` replies landed, else
-    the :class:`ClusterError` counting them (``what % names`` says for
-    what) — returned, not raised, so a batch can report it per key."""
-    if len(landed) != asked:
-        noun = "reply" if asked == 1 else "replies"
-        return ClusterError(f"expected {asked} {noun} for {what % names}, got {len(landed)}")
+def _miscounted(asked: int, got: int, what: str, *names) -> ClusterError:
+    """The error of a wait that collected ``got`` replies, not ``asked``
+    (``what % names`` says for what) — returned, not raised, so a batch can
+    report it per key."""
+    noun = "reply" if asked == 1 else "replies"
+    return ClusterError(f"expected {asked} {noun} for {what % names}, got {got}")
+
+
+def _settled(landed: Sequence[dict], what: str, *names):
+    """The one reply record when exactly one landed, else the
+    :class:`ClusterError` counting them."""
+    if len(landed) != 1:
+        return _miscounted(1, len(landed), what, *names)
     return landed[0]
 
 
@@ -279,12 +309,42 @@ def _raised(outcome):
     return outcome
 
 
+_KEY = operator.itemgetter("key")
+
+
+def _associate(keys: Sequence[str], records: List[dict]) -> list:
+    """Each of ``keys``' outcome from the discovery ``records`` one wait
+    collected: its record, or — when a reply was lost in flight — the
+    :class:`ClusterError` counting what landed for that key instead.
+    Records that landed in issue order are the answer as they are (a
+    single read always does).  Otherwise (a live transport does not tie
+    delivery order to issue order, and a multi-key batch almost never
+    lands in it) they are re-associated by key: duplicates in the batch
+    get identical answers, so one record answers them all.  Only a batch
+    whose keys landed a different number of times than asked — a reply
+    lost or extra — pays for counting them per key."""
+    landed = list(map(_KEY, records))
+    if landed == keys:
+        return records
+    answer = {record["key"]: record for record in records}
+    if sorted(landed) == sorted(keys):
+        return [answer[key] for key in keys]
+    got, asked = collections.Counter(landed), collections.Counter(keys)
+    return [
+        answer[key] if got[key] == asked[key]
+        else _miscounted(asked[key], got[key], "discovery of %r", key)
+        for key in keys
+    ]
+
+
 class Cluster:
-    """The backend operations (module doc), over what a subclass supplies:
+    """The operations both backends share (module doc): membership,
+    introspection and the single read, over what a subclass supplies.
     ``async call(group, step, **body)`` runs one :class:`EngineGroup` step
     on a group, ``async drain()`` waits until no protocol message is in
     flight anywhere, ``_members()`` is the collection of admitted peer
-    ids (O(1) ``in`` and emptiness), and ``start()`` / ``close()`` begin
+    ids (O(1) ``in`` and emptiness), ``register`` / ``discover_many`` /
+    ``search`` are the data plane, and ``start()`` / ``close()`` begin
     and end it."""
 
     #: Engine groups the ring is spread over; peer ``p`` lives in group
@@ -303,20 +363,44 @@ class Cluster:
     def _home(self, peer_id: str) -> int:
         return group_of(peer_id, self.n_groups)
 
+    def _reader(self) -> int:
+        """The group the next read is issued from: reads rotate over the
+        groups."""
+        self._queries_issued += 1
+        return self._queries_issued % self.n_groups
+
+    def _inserter(self) -> int:
+        """The group an insertion is issued from.  It must start where a
+        joined peer lives (the empty-tree Host walk needs a local starting
+        peer): the min live id's group.  One group has no placement to
+        compute."""
+        members = self._members()
+        if not members:
+            raise ClusterError("no peers joined")
+        return self._home(min(members)) if self.n_groups > 1 else 0
+
     # -- membership ---------------------------------------------------------
 
     def live_ids(self) -> List[str]:
         """Sorted ids of the peers currently joined to the ring."""
         return sorted(self._members())
 
+    def live_count(self) -> int:
+        """How many peers are joined: ``len(live_ids())`` without the sort."""
+        return len(self._members())
+
     def _require_member(self, peer_id: str) -> None:
         if peer_id not in self._members():
             raise ClusterError(f"peer {peer_id!r} not joined")
 
-    async def join(self, peer_id: str, capacity: int = 10) -> dict:
+    async def join(self, peer_id: str, capacity: int = 10, ids: Optional[List[str]] = None) -> dict:
         """Admit ``peer_id`` (bootstrap when first), drain, and return its
-        settled ring pointers ``{"pred": ..., "succ": ...}``."""
-        ids, group = self.live_ids(), self._home(peer_id)
+        settled ring pointers ``{"pred": ..., "succ": ...}``.  ``ids`` is
+        ``live_ids()`` when the caller has just read it (the broker's
+        admission): one sort of the ring per join."""
+        group = self._home(peer_id)
+        if ids is None:
+            ids = self.live_ids()
         if ids:
             await self.call(
                 group, "join", peer=peer_id, capacity=capacity, seed=successor_of(ids, peer_id)
@@ -340,79 +424,15 @@ class Cluster:
         """Fail-stop crash + ``r=1`` recovery: the departure (module doc)."""
         await self.leave(victim_id)
 
-    # -- data-plane operations ---------------------------------------------
-
-    async def register(self, key: str, datum: object = None, via: Optional[str] = None) -> dict:
-        """Insert ``key`` at quiescence; returns ``{"key", "host"}`` —
-        ``host`` (per the post-drain locator) is ``None`` when the
-        insertion was lost in flight."""
-        members = self._members()
-        if not members:
-            raise ClusterError("no peers joined")
-        # Inserts must start where a joined peer lives (the empty-tree
-        # Host walk needs a local starting peer): the min live id's group.
-        # One group has no placement to compute.
-        group = self._home(min(members)) if self.n_groups > 1 else 0
-        await self.call(group, "insert", key=key, datum=datum, via=via)
-        await self.drain()
-        located = await self.call(group, "locate", label=key)
-        return {"key": key, "host": located["host"]}
-
-    async def _ask(self, step: str, replies: str, **body) -> Optional[List[dict]]:
-        """Issue one query step from the next group in rotation, await
-        quiescence and collect that group's ``replies`` records; ``None``
-        when the tree is empty (nothing was issued)."""
-        self._queries_issued += 1
-        group = self._queries_issued % self.n_groups
-        if not (await self.call(group, step, **body))["issued"]:
-            return None
-        try:
-            await self.drain()
-        except Exception:
-            # The replies that did land answer this read, which has just
-            # failed — left in place they would be counted into the next
-            # read of the same key ("expected 1 reply …, got 2").
-            await self.call(group, "collect")
-            raise
-        return (await self.call(group, "collect"))[replies]
+    # -- data plane ---------------------------------------------------------
+    # ``register``, ``discover_many`` and ``search`` are each backend's own
+    # (module doc); the single read is their batch of one.
 
     async def discover(self, key: str, via: Optional[str] = None) -> Optional[dict]:
         """One discovery at quiescence — the batch of one; ``None`` when
         the tree is empty (no entry node), else the reply record."""
         rows = await self.discover_many([key], via)
         return None if rows is None else _raised(rows[0])
-
-    async def discover_many(self, keys: Sequence[str], via: Optional[str] = None) -> Optional[list]:
-        """A batch of discoveries sharing one quiescence wait, answered in
-        request order; ``None`` when the tree is empty.  The outcome is
-        per key: its reply record, or — when a reply was lost in flight —
-        the :class:`ClusterError` counting what landed instead, so a
-        caller serving several requests fails only the owner of that key."""
-        if not keys:
-            return []
-        replies = await self._ask("discover", "discovery", keys=list(keys), via=via)
-        if replies is None:
-            return None
-        # Replies land in delivery order, which a live transport does not
-        # tie to issue order: re-associate by key (duplicates in the batch
-        # get identical answers, so one record answers them all).
-        landed: Dict[str, list] = {}
-        for record in replies:
-            landed.setdefault(record["key"], []).append(record)
-        asked: Dict[str, int] = {}
-        for key in keys:
-            asked[key] = asked.get(key, 0) + 1
-        return [_settled(landed.get(key, ()), asked[key], "discovery of %r", key) for key in keys]
-
-    async def search(
-        self, kind: str, lo: str, hi: str = "", via: Optional[str] = None
-    ) -> Optional[dict]:
-        """One set query (``kind`` ``"prefix"`` or ``"range"``) served by
-        the scan-token walk; ``None`` when the tree is empty."""
-        replies = await self._ask("search", "queries", kind=kind, lo=lo, hi=hi, via=via)
-        if replies is None:
-            return None
-        return _raised(_settled(replies, 1, "%s query %r", kind, lo))
 
     # -- introspection ------------------------------------------------------
 
@@ -465,6 +485,58 @@ class LocalCluster(Cluster):
     async def call(self, group: int, step: str, **body) -> Optional[dict]:
         return getattr(self.groups[group], step)(**body)
 
+    # -- data plane: straight on the engines ---------------------------------
+    # Issue on the chosen group's engine, await quiescence, and build the
+    # records from the replies that landed in that engine's own list, which
+    # a read takes whether or not its wait succeeds: left in place after a
+    # failed wait, they would be counted into the next read of the same key
+    # ("expected 1 reply …, got 2").
+
+    async def register(self, key: str, datum: object = None, via: Optional[str] = None) -> dict:
+        """Insert ``key`` at quiescence; returns ``{"key", "host"}`` —
+        ``host`` (per the post-drain locator) is ``None`` when the
+        insertion was lost in flight."""
+        engine = self.groups[self._inserter()].engine
+        engine.insert_data(key, datum, via=via)
+        await self.drain()
+        return {"key": key, "host": engine.locator.get(key)}
+
+    async def discover_many(self, keys: Sequence[str], via: Optional[str] = None) -> Optional[list]:
+        """A batch of discoveries sharing one quiescence wait, answered in
+        request order; ``None`` when the tree is empty.  The outcome is
+        per key: its reply record, or — when a reply was lost in flight —
+        the :class:`ClusterError` counting what landed instead, so a
+        caller serving several requests fails only the owner of that key."""
+        if not keys:
+            return []
+        engine = self.groups[self._reader()].engine
+        if not engine.locator:
+            return None
+        for key in keys:
+            engine.discover(key, via=via)
+        try:
+            await self.drain()
+        finally:
+            replies, engine.discovery_replies = engine.discovery_replies, []
+        locator = engine.locator
+        return _associate(keys, [discovery_record(reply, locator) for reply in replies])
+
+    async def search(
+        self, kind: str, lo: str, hi: str = "", via: Optional[str] = None
+    ) -> Optional[dict]:
+        """One set query (``kind`` ``"prefix"`` or ``"range"``) served by
+        the scan-token walk; ``None`` when the tree is empty."""
+        engine = self.groups[self._reader()].engine
+        if not engine.locator:
+            return None
+        engine.search_query(kind, lo, hi, via=via)
+        try:
+            await self.drain()
+        finally:
+            replies, engine.query_replies = engine.query_replies, []
+        records = [query_record(reply) for reply in replies]
+        return _raised(_settled(records, "%s query %r", kind, lo))
+
     async def drain(self) -> None:
         """One transport's ``drain()``; over several, drain each until one
         look (atomic: one thread reads every counter) finds every group idle
@@ -499,6 +571,9 @@ class LocalCluster(Cluster):
     def live_ids(self) -> List[str]:
         # A peer whose join is still in flight is admitted but not live.
         return sorted(p.id for p in self._peers.values() if p.joined)
+
+    def live_count(self) -> int:
+        return sum(1 for p in self._peers.values() if p.joined)
 
     async def close(self) -> None:
         for t in self.transports:

@@ -4,13 +4,15 @@ The scaling step beyond one process: the ring's peers are partitioned
 into *engine groups*, each group a ``ProtocolEngine`` +
 :class:`~repro.net.asyncio_transport.AsyncioTransport` pair living in its
 own worker process (``multiprocessing`` spawn).  Protocol messages between
-peers of different groups cross real sockets.  The operations and the
-steps they are made of are :mod:`repro.net.cluster`'s — a worker *is* an
+peers of different groups cross real sockets.  The steps and the shared
+operations are :mod:`repro.net.cluster`'s — a worker *is* an
 :class:`~repro.net.cluster.EngineGroup` behind a control channel, and
 :class:`MultiProcessCluster` is the :class:`~repro.net.cluster.Cluster`
 whose ``call`` is a control RPC and whose ``drain`` is global quiescence.
-This module adds only what separate processes need: spawn and lifecycle,
-the control channels, supervision, and the ledgers recovery replays.
+This module adds what separate processes need: spawn and lifecycle, the
+control channels, a data plane over the steps (a read's landed replies
+cross the boundary with ``collect``), supervision, and the ledgers
+recovery replays.
 
 Placement, the per-group endpoints and locator replication are the
 cluster layer's (:mod:`repro.net.cluster`).  The **control channel** —
@@ -46,7 +48,17 @@ from typing import Dict, List, Optional, Tuple
 
 from . import transport as _transport
 from .asyncio_transport import AsyncioTransport, _Connection
-from .cluster import STEPS, Cluster, ClusterError, EngineGroup, _make_resolver, group_of
+from .cluster import (
+    STEPS,
+    Cluster,
+    ClusterError,
+    EngineGroup,
+    _associate,
+    _make_resolver,
+    _raised,
+    _settled,
+    group_of,
+)
 from .transport import TransportError
 from .wire import encode_frame
 
@@ -197,10 +209,13 @@ def _worker_main(index: int, n_groups: int, conn, chaos=None) -> None:
 class MultiProcessCluster(Cluster):
     """Parent-side handle on a ring spread over worker processes.
 
-    The N-group backend (:mod:`repro.net.cluster`): every operation is
-    the shared one, reaching a group through the :meth:`call` control RPC
-    and ending at *global* quiescence (:meth:`drain`); the overrides here
-    only refuse work mid-recovery and keep the ledgers.  Membership is
+    The N-group backend (:mod:`repro.net.cluster`): every operation
+    reaches a group through the :meth:`call` control RPC and ends at
+    *global* quiescence (:meth:`drain`).  Membership and introspection
+    are the shared operations, which the overrides here only refuse
+    mid-recovery and ledger; the data plane is this backend's own, over
+    the ``insert`` / ``locate`` and ``discover`` / ``search`` /
+    ``collect`` steps.  Membership is
     tracked here — the coordinator *is* the bootstrap registry of the
     multi-process runtime (``successor_of`` seeds every join with O(1)
     messages).
@@ -488,7 +503,7 @@ class MultiProcessCluster(Cluster):
             # here could silently lose a ledgered registration.
             if self.chaos is not None:
                 await self.set_chaos(False)
-            # The replay runs the shared admission and insertion directly:
+            # The replay runs the shared admission and the bare insertion:
             # past the ready check, and without re-journaling or re-acking.
             self.members = {}
             for peer, capacity in survivors:
@@ -496,22 +511,22 @@ class MultiProcessCluster(Cluster):
                 self.members[peer] = capacity
             if self.members:
                 for key, datum in list(self.registrations.items()):
-                    await super().register(key, datum)
+                    await self._insert(key, datum, None)
             if self.chaos is not None:
                 await self.set_chaos(True)
         finally:
             self._recovering = False
 
-    # -- operations: the shared ones, behind the ready check, + ledgers -------
+    # -- operations: behind the ready check, + ledgers -----------------------
 
     def _members(self) -> Dict[str, int]:
         return self.members
 
-    async def join(self, peer_id: str, capacity: int = 10) -> dict:
+    async def join(self, peer_id: str, capacity: int = 10, ids: Optional[List[str]] = None) -> dict:
         """The shared admission, plus the worker placement: returns
         ``{"group", "pred", "succ"}``."""
         self._check_ready()
-        ring = await super().join(peer_id, capacity)
+        ring = await super().join(peer_id, capacity, ids)
         self.members[peer_id] = capacity
         return {"group": self._home(peer_id), **ring}
 
@@ -520,27 +535,62 @@ class MultiProcessCluster(Cluster):
         await super().leave(peer_id)
         del self.members[peer_id]
 
+    async def _insert(self, key: str, datum: object, via: Optional[str]) -> dict:
+        """Insert ``key`` at quiescence; ``{"key", "host"}`` with ``host``
+        per the post-drain locator, ``None`` when the insertion was lost
+        in flight."""
+        group = self._inserter()
+        await self.call(group, "insert", key=key, datum=datum, via=via)
+        await self.drain()
+        located = await self.call(group, "locate", label=key)
+        return {"key": key, "host": located["host"]}
+
     async def register(self, key: str, datum: object = None, via: Optional[str] = None) -> dict:
-        """The shared insertion; a located result enters the
+        """The insertion; a located result enters the
         acknowledged-registration ledger, which recovery replays —
         acknowledging a registration *is* the promise it survives a
         worker crash."""
         self._check_ready()
-        result = await super().register(key, datum, via)
+        result = await self._insert(key, datum, via)
         if result["host"] is not None:
             self.registrations[key] = datum
         return result
 
+    async def _ask(self, step: str, replies: str, **body) -> Optional[List[dict]]:
+        """Issue one query step from the next group in rotation, await
+        quiescence and collect that group's ``replies`` records; ``None``
+        when the tree is empty (nothing was issued)."""
+        group = self._reader()
+        if not (await self.call(group, step, **body))["issued"]:
+            return None
+        try:
+            await self.drain()
+        except Exception:
+            # The replies that did land answer this read, which has just
+            # failed — left in place they would be counted into the next
+            # read of the same key ("expected 1 reply …, got 2").
+            await self.call(group, "collect")
+            raise
+        return (await self.call(group, "collect"))[replies]
+
     async def discover_many(self, keys, via: Optional[str] = None) -> Optional[list]:
-        # ``discover`` is the batch of one: this check covers both.
+        """As :meth:`LocalCluster.discover_many
+        <repro.net.cluster.LocalCluster.discover_many>`; ``discover`` is
+        the batch of one, so the ready check covers both."""
         self._check_ready()
-        return await super().discover_many(keys, via)
+        if not keys:
+            return []
+        records = await self._ask("discover", "discovery", keys=list(keys), via=via)
+        return None if records is None else _associate(keys, records)
 
     async def search(
         self, kind: str, lo: str, hi: str = "", via: Optional[str] = None
     ) -> Optional[dict]:
         self._check_ready()
-        return await super().search(kind, lo, hi, via)
+        records = await self._ask("search", "queries", kind=kind, lo=lo, hi=hi, via=via)
+        if records is None:
+            return None
+        return _raised(_settled(records, "%s query %r", kind, lo))
 
     async def snapshot(self) -> dict:
         self._check_ready()

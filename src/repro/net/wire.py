@@ -52,9 +52,27 @@ HEADER_SIZE = _HEADER.size
 #: large ν easily reaches megabytes, anything beyond this is corruption.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: The one encoder of every frame body (sorted keys, no whitespace):
-#: ``json.dumps`` with arguments builds a fresh encoder on every call.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+#: The circular-reference marks of :data:`_ENCODE`.  A successful encode
+#: leaves it empty; a failed one may not, so :func:`encode_frame` clears
+#: it after every encode: a stale mark would refuse a later, innocent
+#: payload.  Threads may share it: a successful encode runs no Python
+#: code, so no other thread runs while its marks are set.
+_MARKERS: dict = {}
+
+#: The one coder of every frame body, built once: CPython's C encoder with
+#: the arguments ``json.JSONEncoder(sort_keys=True, separators=(",", ":"))``
+#: hands it (ASCII escapes, ``NaN`` allowed, the stock ``default`` that
+#: refuses what is not JSON), minus the Python layers ``encode`` →
+#: ``iterencode`` that rebuild it on every call.  Its output is the same
+#: bytes (``tests/net/test_wire.py::TestPrebuiltCoder``).
+_ENCODE = json.encoder.c_make_encoder(
+    _MARKERS, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+    None, ":", ",", True, False, True,
+)
+
+#: ``json.loads``'s C scanner and the whitespace it skips around a value.
+_SCAN = json.JSONDecoder().scan_once
+_SPACE = json.decoder.WHITESPACE.match
 
 #: The protocol dataclasses that may cross the wire, by type name.
 MESSAGE_TYPES = {
@@ -176,25 +194,22 @@ _LAYOUTS = {
 }
 
 
+#: The wire name of each message class (:data:`MESSAGE_TYPES` inverted).
+_NAMES = {cls: name for name, cls in MESSAGE_TYPES.items()}
+
+#: What travels as a ``"json"`` payload (no message class is one of them).
+_JSON_TYPES = (dict, list, str, int, float, bool, type(None))
+
+
 def encode_payload(payload: Any) -> Tuple[str, Any]:
     """``(type-name, fields)`` for a protocol message or a JSON control
     payload; raises :class:`WireError` for anything else."""
-    name = type(payload).__name__
-    if MESSAGE_TYPES.get(name) is type(payload):
-        return name, encode_record(payload)
-    if isinstance(payload, (dict, list, str, int, float, bool)) or payload is None:
+    if isinstance(payload, _JSON_TYPES):
         return "json", payload
+    name = _NAMES.get(type(payload))
+    if name is not None:
+        return name, encode_record(payload)
     raise WireError(f"payload of type {type(payload).__name__!r} is not wire-encodable")
-
-
-def decode_payload(name: str, fields: Any) -> Any:
-    """Inverse of :func:`encode_payload`."""
-    if name == "json":
-        return fields
-    cls = MESSAGE_TYPES.get(name)
-    if cls is None:
-        raise WireError(f"unknown wire message type {name!r}")
-    return decode_record(cls, fields)
 
 
 # -- frame serde -------------------------------------------------------------
@@ -205,18 +220,42 @@ def encode_frame(src: Hashable, dst: Hashable, payload: Any) -> bytes:
     name, fields = encode_payload(payload)
     body = {"w": WIRE_SCHEMA, "s": src, "d": dst, "t": name, "f": fields}
     try:
-        data = _ENCODER.encode(body).encode("utf-8")
+        data = "".join(_ENCODE(body, 0)).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise WireError(f"payload is not JSON-serialisable: {exc}") from exc
-    if len(data) > MAX_FRAME_BYTES:
-        raise WireError(f"frame body of {len(data)} bytes exceeds MAX_FRAME_BYTES")
-    return _HEADER.pack(len(data)) + data
+    finally:
+        _MARKERS.clear()
+    size = len(data)
+    if size > MAX_FRAME_BYTES:
+        raise WireError(f"frame body of {size} bytes exceeds MAX_FRAME_BYTES")
+    return _HEADER.pack(size) + data
+
+
+def _loads(text: str) -> Any:
+    """``json.loads(text)`` minus its Python layers: the C scanner, and
+    the whitespace and extra-data checks ``loads`` makes around it, taken
+    only when the value does not span the whole text.  (A BOM, which
+    ``loads`` refuses by name, is neither a value nor whitespace: the
+    scanner refuses it.)"""
+    try:
+        value, end = _SCAN(text, 0)
+    except StopIteration:
+        try:
+            value, end = _SCAN(text, _SPACE(text, 0).end())
+        except StopIteration as exc:
+            raise json.JSONDecodeError("Expecting value", text, exc.value) from None
+    if end != len(text):
+        end = _SPACE(text, end).end()
+        if end != len(text):
+            raise json.JSONDecodeError("Extra data", text, end)
+    return value
 
 
 def decode_body(data: bytes) -> Envelope:
-    """Decode one frame *body* (the JSON bytes after the length prefix)."""
+    """Decode one frame *body* (the JSON bytes after the length prefix;
+    a ``bytearray`` will do)."""
     try:
-        body = json.loads(data.decode("utf-8"))
+        body = _loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise WireError(f"frame body is not JSON: {exc}") from exc
     if not isinstance(body, dict):
@@ -228,7 +267,12 @@ def decode_body(data: bytes) -> Envelope:
         src, dst, name, fields = body["s"], body["d"], body["t"], body["f"]
     except KeyError as exc:
         raise WireError(f"frame body lacks key {exc}") from exc
-    return Envelope(src, dst, decode_payload(name, fields))
+    if name == "json":
+        return Envelope(src, dst, fields)
+    cls = MESSAGE_TYPES.get(name)
+    if cls is None:
+        raise WireError(f"unknown wire message type {name!r}")
+    return Envelope(src, dst, decode_record(cls, fields))
 
 
 def decode_frame(frame: bytes) -> Envelope:
@@ -254,20 +298,21 @@ class FrameReader:
 
     def feed(self, chunk: bytes) -> Iterator[Envelope]:
         """Absorb ``chunk``; yield every frame completed by it."""
-        self._buffer.extend(chunk)
+        buffer = self._buffer
+        buffer.extend(chunk)
         while True:
-            if len(self._buffer) < HEADER_SIZE:
+            if len(buffer) < HEADER_SIZE:
                 return
-            (length,) = _HEADER.unpack_from(self._buffer)
+            (length,) = _HEADER.unpack_from(buffer)
             if length > MAX_FRAME_BYTES:
                 raise WireError(
                     f"declared frame length {length} exceeds MAX_FRAME_BYTES"
                 )
             end = HEADER_SIZE + length
-            if len(self._buffer) < end:
+            if len(buffer) < end:
                 return
-            body = bytes(self._buffer[HEADER_SIZE:end])
-            del self._buffer[:end]
+            body = buffer[HEADER_SIZE:end]
+            del buffer[:end]
             yield decode_body(body)
 
     @property

@@ -1,6 +1,7 @@
 """The cluster layer's own contract (:mod:`repro.net.cluster`): every
-operation is one sequence of engine-group steps ending at one quiescence
-wait, and it is the same sequence on both backends.
+operation ends at one quiescence wait and answers alike on both backends
+— the shared ones as engine-group steps, each backend's data plane its
+own way — and a batch's records are re-associated to its keys once.
 
 Tier-1 drives a :class:`LocalCluster` on the loopback transport and one
 of two in-process groups; the ``net``-marked twin spawns a 2-process ring.
@@ -17,7 +18,7 @@ import pytest
 from repro.net.asyncio_transport import AsyncioTransport, LoopbackAsyncioTransport
 from repro.net import procgroup
 from repro.net.chaos import ChaosTransport
-from repro.net.cluster import STEPS, ClusterError, LocalCluster
+from repro.net.cluster import STEPS, ClusterError, LocalCluster, _associate
 from repro.net.procgroup import MultiProcessCluster, group_of
 from repro.net.transport import TransportError
 
@@ -296,6 +297,33 @@ class TestSteps:
             "bootstrap", "join", "leave", "insert", "discover", "search", "locate",
             "collect", "ring", "snapshot", "counters", "chaos",
         }
+
+
+def _records(*keys):
+    return [{"key": key, "n": n} for n, key in enumerate(keys)]
+
+
+class TestReassociation:
+    """:func:`repro.net.cluster._associate` on each of its three paths."""
+
+    def test_records_in_issue_order_are_the_answer_as_they_are(self):
+        records = _records("a", "b", "a")
+        assert _associate(["a", "b", "a"], records) is records
+
+    def test_a_complete_permuted_batch_is_put_in_issue_order(self):
+        """Duplicates get one identical answer: the last record of their key."""
+        answer = _associate(["a", "b", "a", "c"], _records("c", "a", "b", "a"))
+        assert [row["key"] for row in answer] == ["a", "b", "a", "c"]
+        assert answer[0] is answer[2]
+
+    def test_a_miscount_fails_only_its_own_key(self):
+        lost = _associate(["a", "b", "a", "c"], _records("c", "a", "b"))
+        assert [row["key"] for row in (lost[1], lost[3])] == ["b", "c"]
+        for row in (lost[0], lost[2]):
+            assert str(row) == "expected 2 replies for discovery of 'a', got 1"
+        extra = _associate(["a", "b"], _records("b", "a", "b"))
+        assert extra[0]["key"] == "a"
+        assert str(extra[1]) == "expected 1 reply for discovery of 'b', got 2"
 
 
 async def _refuse_the_last_peer(cluster, ledger):

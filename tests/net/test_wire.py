@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from strategies import wire_message_builders, wire_messages_st
 
 from repro.dlpt import messages as m
+from repro.net import wire
 from repro.net.wire import (
     HEADER_SIZE,
     MAX_FRAME_BYTES,
@@ -21,6 +22,7 @@ from repro.net.wire import (
     WireError,
     decode_frame,
     encode_frame,
+    encode_payload,
 )
 
 #: JSON control payloads (broker RPCs, hellos): nested lists and objects.
@@ -317,3 +319,105 @@ class TestEveryFieldIsChecked:
         node = {**_NODE, "children": ["ac", "ab", "ac"]}
         payload = decode_frame(_record_frame(m.NodeState, node)).payload.payload
         assert payload.children == ("ab", "ac")
+
+
+#: Any JSON value ``json`` encodes: non-ASCII and escaped text, every
+#: float (``NaN`` and the infinities included), nesting.
+json_values_st = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=16,
+)
+
+#: The stdlib encoder the prebuilt one replaces, built the way frames were.
+_REFERENCE = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _reference_frame(src, dst, payload) -> bytes:
+    name, fields = encode_payload(payload)
+    body = {"w": WIRE_SCHEMA, "s": src, "d": dst, "t": name, "f": fields}
+    data = _REFERENCE.encode(body).encode("utf-8")
+    return len(data).to_bytes(4, "big") + data
+
+
+def _loaded(text: str):
+    """``("ok", canonical value)`` or ``("refused", None)`` for ``json.loads``'s
+    verdict on ``text`` (``NaN`` is not equal to itself, its dump is)."""
+    try:
+        return "ok", json.dumps(json.loads(text), sort_keys=True)
+    except json.JSONDecodeError:
+        return "refused", None
+
+
+def _coded(text: str):
+    try:
+        return "ok", json.dumps(wire._loads(text), sort_keys=True)
+    except json.JSONDecodeError:
+        return "refused", None
+
+
+class TestPrebuiltCoder:
+    """Frames come from one prebuilt C encoder and the C scanner: the bytes,
+    and what is accepted or refused, are those of ``json.JSONEncoder`` /
+    ``json.loads``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=json_values_st)
+    def test_json_frames_equal_the_stdlib_encoders_bytes(self, payload):
+        assert encode_frame("@c-é", "@broker", payload) == _reference_frame("@c-é", "@broker", payload)
+
+    @pytest.mark.parametrize("name", sorted(MESSAGE_TYPES))
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_every_message_records_frames_equal_the_stdlib_encoders_bytes(self, name, data):
+        message = data.draw(wire_message_builders[name])
+        assert encode_frame("pa", "pb", message) == _reference_frame("pa", "pb", message)
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=json_values_st, indent=st.sampled_from([None, 0, 2]))
+    def test_decode_accepts_exactly_what_json_loads_accepts(self, value, indent):
+        text = json.dumps(value, indent=indent, ensure_ascii=indent is None)
+        assert _coded(text) == _loaded(text) == ("ok", json.dumps(value, sort_keys=True))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        value=json_values_st,
+        mutate=st.sampled_from([
+            lambda t: t + "x", lambda t: t + " 1", lambda t: t + t, lambda t: t + "\n",
+            lambda t: " \t\r\n" + t + "\n ", lambda t: "\ufeff" + t, lambda t: t + "\ufeff",
+            lambda t: t[:-1], lambda t: t[1:], lambda t: t[: len(t) // 2],
+            lambda t: t.replace("null", "NaN"), lambda t: t.replace("0", "NaN"),
+            lambda t: "", lambda t: "   ",
+        ]),
+    )
+    def test_decode_refuses_exactly_what_json_loads_refuses(self, value, mutate):
+        text = mutate(json.dumps(value))
+        assert _coded(text) == _loaded(text)
+        frame = len(text.encode()).to_bytes(4, "big") + text.encode()
+        if _loaded(text)[0] == "refused":
+            with pytest.raises(WireError, match="frame body is not JSON"):
+                decode_frame(frame)
+
+    def test_a_bom_is_refused(self):
+        frame = encode_frame("a", "b", {"op": "info"})
+        body = "\ufeff".encode() + frame[HEADER_SIZE:]
+        with pytest.raises(WireError, match="frame body is not JSON"):
+            decode_frame(len(body).to_bytes(4, "big") + body)
+
+    def test_a_circular_payload_is_refused_and_the_next_encode_succeeds(self):
+        loop: list = []
+        loop.append(loop)
+        with pytest.raises(WireError, match="Circular reference"):
+            encode_frame("a", "b", {"loop": loop})
+        assert encode_frame("a", "b", {"ok": [1]}) == _reference_frame("a", "b", {"ok": [1]})
+
+    def test_a_failed_encode_leaves_no_mark_behind(self):
+        """The encoder marks each container it enters and unmarks it on
+        the way out, but not when the encode fails inside it: a stale mark
+        would call that live container circular in the next frame."""
+        payload = {"keys": ["a", "b"], "bad": object()}
+        with pytest.raises(WireError, match="not JSON-serialisable"):
+            encode_frame("a", "b", payload)
+        del payload["bad"]
+        assert encode_frame("a", "b", payload) == _reference_frame("a", "b", payload)
+        assert wire._MARKERS == {}

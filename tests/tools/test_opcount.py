@@ -1,0 +1,113 @@
+"""``tools/opcount.py``: a served op stream counted twice gives the same
+ledger to the opcode, its layers sum to its total, and generated code is
+billed to the layer that ran it."""
+
+from __future__ import annotations
+
+import dataclasses
+import importlib.util
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+REPO = pathlib.Path(__file__).resolve().parents[2]
+TOOL = REPO / "tools" / "opcount.py"
+
+_spec = importlib.util.spec_from_file_location("opcount", TOOL)
+opcount = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(opcount)
+
+
+def _run(out: pathlib.Path) -> dict:
+    done = subprocess.run(
+        [sys.executable, str(TOOL), "--ops", "20", "--preload", "100", "--out", str(out)],
+        cwd=REPO, env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout.decode()[-2000:]
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+def test_two_runs_count_the_same_and_the_layers_sum_to_the_total(tmp_path):
+    """Each run is its own process (its own hash seed): the whole ledger,
+    every function included, must be equal."""
+    first, second = _run(tmp_path / "a.json"), _run(tmp_path / "b.json")
+    assert first == second
+    assert first["schema"] == "repro-opcount/1"
+    assert list(first["streams"]) == list(opcount.STREAMS)
+    for name, stream in first["streams"].items():
+        layers = stream["layers"]
+        assert stream["ops"] == 20, name
+        assert sum(row["opcodes"] for row in layers.values()) == stream["opcodes"], name
+        assert sum(row["c_calls"] for row in layers.values()) == stream["c_calls"], name
+        assert sum(row["opcodes"] for row in stream["functions"].values()) == stream["opcodes"], name
+        for layer in ("engine", "cluster", "broker", "transport", "codec", "client", "asyncio"):
+            assert layers[layer]["opcodes"] > 0, (name, layer)
+        assert layers["other"]["opcodes"] == 0, name  # every executed file has a layer
+        assert stream["messages"] > 0 and stream["loop_turns"] > 0, name
+
+
+def test_files_map_to_layers(tmp_path):
+    root = str(tmp_path / "src" / "repro")
+    layers = opcount.Layers(root)
+    stdlib = os.path.dirname(os.__file__)
+    assert layers.of(os.path.join(root, "net", "wire.py")) == "codec"
+    assert layers.of(os.path.join(root, "net", "cluster.py")) == "cluster"
+    assert layers.of(os.path.join(root, "dlpt", "protocol.py")) == "engine"
+    assert layers.of(os.path.join(root, "net", "serve.py")) == "repro"
+    assert layers.of(os.path.join(stdlib, "json", "decoder.py")) == "json"
+    assert layers.of(os.path.join(stdlib, "asyncio", "events.py")) == "asyncio"
+    assert layers.of(os.path.join(stdlib, "selectors.py")) == "stdlib"
+    assert layers.of("<frozen importlib._bootstrap>") == "stdlib"
+    assert layers.of(str(TOOL)) == "tool"
+    assert layers.relative(os.path.join(root, "net", "wire.py")) == "net/wire.py"
+
+
+def test_generated_code_is_billed_to_its_caller():
+    @dataclasses.dataclass
+    class Point:
+        x: int
+        y: int
+
+    def make():
+        return Point(1, 2)
+
+    ledger = opcount.Ledger()
+    ledger.arm()
+    try:
+        make()
+    finally:
+        ledger.disarm()
+    billed = {code.co_name for code in ledger.opcodes}
+    assert "make" in billed and "__init__" not in billed
+    assert all(code.co_filename != "<string>" for code in ledger.opcodes)
+
+
+def test_the_delta_table_is_per_layer():
+    def doc(cluster, codec):
+        layers = {layer: {"opcodes_per_op": 0.0} for layer in opcount.LAYERS}
+        layers["cluster"]["opcodes_per_op"] = cluster
+        layers["codec"]["opcodes_per_op"] = codec
+        total = cluster + codec
+        return {"streams": {"discover": {
+            "workload": "lookup_serial", "ops": 1, "opcodes": total, "c_calls": 2, "layers": layers,
+        }}}
+
+    lines = opcount.render_delta(doc(300.0, 400.0), doc(150.0, 400.0)).splitlines()
+    assert lines[0] == "discover (lookup_serial): opcodes/op, parent -> this checkout"
+    rows = {line.split()[0]: line.split()[1:] for line in lines[1:]}
+    assert rows["cluster"] == ["300.0", "150.0", "-150.0", "-50.0%"]
+    assert rows["codec"] == ["400.0", "400.0", "+0.0", "+0.0%"]
+    assert rows["total"] == ["700.0", "550.0", "-150.0", "-21.4%"]
+    assert "engine" not in rows  # a layer that ran nothing on either side
+
+
+def test_a_parent_that_is_not_a_checkout_is_refused(tmp_path, capsys):
+    with pytest.raises(SystemExit) as refused:
+        opcount.main(["--parent", str(tmp_path)])
+    assert refused.value.code == 2
+    assert "not a checkout" in capsys.readouterr().err
