@@ -41,8 +41,10 @@ Fidelity notes (divergences from the pseudo-code are deliberate and small):
 from __future__ import annotations
 
 import bisect
+import itertools
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..core.ids import common_prefix_len, gcp
 from ..core.keyspace import in_interval_open_closed
@@ -66,6 +68,9 @@ class ProtocolPeer:
     @property
     def joined(self) -> bool:
         return self.pred is not None
+
+
+_PRED = operator.attrgetter("pred")
 
 
 class ProtocolEngine:
@@ -178,6 +183,13 @@ class ProtocolEngine:
     def _install_peer(self, peer: ProtocolPeer) -> None:
         self.peers[peer.id] = peer
         self.transport.register(peer.id, self._on_peer_message)
+
+    def live_ids(self) -> List[str]:
+        """Sorted ids of the live peers: those that have *joined* (``pred``
+        set; a peer whose join is in flight is installed, not live).  In C:
+        no Python-level call per peer."""
+        joined = map(operator.is_not, map(_PRED, self.peers.values()), itertools.repeat(None))
+        return sorted(itertools.compress(self.peers, joined))
 
     def _any_joined_peer(self) -> str:
         """Where a walk that no tree node can route starts; an empty ring
@@ -679,7 +691,7 @@ class ProtocolEngine:
 
     def check_ring(self) -> None:
         """Ring pointers form a single consistent cycle in id order."""
-        ids = sorted(p.id for p in self.peers.values() if p.joined)
+        ids = self.live_ids()
         n = len(ids)
         for i, pid in enumerate(ids):
             peer = self.peers[pid]
@@ -692,7 +704,7 @@ class ProtocolEngine:
 
     def check_mapping(self) -> None:
         """Every node lives on the lowest peer id >= its label (wrapped)."""
-        ids = sorted(p.id for p in self.peers.values() if p.joined)
+        ids = self.live_ids()
         for label, host in self.locator.items():
             i = bisect.bisect_left(ids, label)
             expected = ids[i] if i < len(ids) else ids[0]

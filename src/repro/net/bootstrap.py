@@ -3,15 +3,16 @@
 :class:`Broker` is a ``"@broker"`` endpoint on a transport accepting JSON
 request payloads (``op`` + ``id`` + ``reply_to``) and answering with
 correlated JSON replies.  It owns admission (argument validation,
-backpressure, fairness, idempotency) and one ``_OPS`` table of few-line
-handlers; the operations themselves are the cluster layer's
-(:mod:`repro.net.cluster`), so clients get identical reply shapes — and
-identical errors — from an in-process ring and a multi-process one.
-Outside input enters here: every argument is type-checked, never coerced,
-and a malformed request is answered with an error naming the field before
-the backend is called — the envelope's own ``id`` and ``reply_to``
-included.  Operations: ``register``, ``discover``, ``discover_batch``,
-``search``, ``peer_join``, ``peer_leave``, ``info``.
+backpressure, fairness, idempotency) and the op table ``Broker._OPS``:
+per op, how its checked arguments come out of the request and its
+few-line handler over the cluster layer (:mod:`repro.net.cluster`), so
+clients get identical reply shapes — and identical errors — from an
+in-process ring and a multi-process one.  Outside input enters here and
+is checked once, at admission: every argument is type-checked, never
+coerced — the envelope's ``id`` and ``reply_to`` included — and a
+malformed request is answered with an error naming the field, never
+reaching the backend.  Operations: ``register``, ``discover``,
+``discover_batch``, ``search``, ``peer_join``, ``peer_leave``, ``info``.
 :class:`~repro.net.client.DLPTClient` is the matching caller.
 
 Service order and quiescence.  Pending requests are popped round-robin
@@ -69,7 +70,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..dlpt.messages import Envelope
 from .asyncio_transport import BROKER_ENDPOINT  # re-exported: the broker's name
-from .cluster import admission
 from .transport import Transport
 from .wire import require_scalar
 
@@ -183,27 +183,12 @@ def _text(request: dict, field: str, default: object = None) -> str:
     return value
 
 
-#: The reads-by-key: what a run of pending requests may be grouped from.
-READ_OPS = ("discover", "discover_batch")
-
-
-def _wanted(request: dict) -> List[str]:
-    """The keys a read asks for: ``discover`` one, ``discover_batch`` a list."""
-    if request["op"] == "discover":
-        return [_text(request, "key")]
+def _keys(request: dict) -> List[str]:
+    """A ``discover_batch``'s keys: a list of strings."""
     keys = request.get("keys")
     if not isinstance(keys, list) or not all(isinstance(k, str) for k in keys):
         raise ValueError(f"'keys' must be a list of strings, got {keys!r}")
     return keys
-
-
-def _shaped(request: dict, rows: list) -> object:
-    """A read's outcome from its own rows: the first lost reply fails it
-    whole (its reply is one frame), else the op's result fields."""
-    for row in rows:
-        if isinstance(row, Exception):
-            return row
-    return rows[0] if request["op"] == "discover" else {"results": rows}
 
 
 class Broker:
@@ -325,42 +310,54 @@ class Broker:
             return
         if rid is not None:
             self._inflight.add(key)
+        # The arguments are checked here, once; a refusal answers the
+        # request in its turn (a malformed read still rides its group).
+        op = request.get("op")
+        try:
+            parse, handler = self._OPS[op]
+        except (KeyError, TypeError):  # not an op, or not even hashable
+            handler, args = Broker._op_unknown, (op,)
+        else:
+            try:
+                args = parse(request)
+            except ValueError as exc:
+                args = exc
         queue = self._queues.get(client)
         if queue is None:
             queue = self._queues[client] = collections.deque()
             self._rr.append(client)
-        queue.append(request)
+        queue.append((client, rid, handler, args))
         self.pending += 1
         if self.pending > self.max_pending:
             self.max_pending = self.pending
 
     # -- serving loop ------------------------------------------------------
 
-    def _next_request(self) -> Tuple[object, dict]:
-        """Round-robin pop: serve the head client's oldest request, then
-        move that client to the back of the rotation."""
+    def _next_request(self) -> tuple:
+        """Round-robin pop: the head client's oldest request, then move
+        that client to the back of the rotation."""
         client = self._rr[0]
         queue = self._queues[client]
-        request = queue.popleft()
+        entry = queue.popleft()
         self.pending -= 1
         if queue:
             self._rr.rotate(-1)
         else:
             self._rr.popleft()
             del self._queues[client]
-        return client, request
+        return entry
 
-    def _next_group(self) -> List[Tuple[object, dict]]:
-        """The next request in rotation and — when it is a read — the run
-        of reads pending behind it, up to :attr:`READ_GROUP`.  Anything
-        else ends the run (and is a group of its own when it comes first),
-        so pop order is exactly one-at-a-time service order."""
+    def _next_group(self) -> list:
+        """The next request in rotation and — when it is a read (no
+        handler) — the run of reads pending behind it, up to
+        :attr:`READ_GROUP`.  Anything else ends the run (and is a group of
+        its own), so pop order is exactly one-at-a-time service order."""
         group = [self._next_request()]
-        if group[0][1].get("op") in READ_OPS:
+        if group[0][2] is None:
             while (
                 len(group) < self.READ_GROUP
                 and self._rr
-                and self._queues[self._rr[0]][0].get("op") in READ_OPS
+                and self._queues[self._rr[0]][0][2] is None
             ):
                 group.append(self._next_request())
         return group
@@ -413,56 +410,50 @@ class Broker:
         """Serve groups in rotation until nothing is pending."""
         while self._rr:
             group = self._next_group()
-            outcomes = await self._outcomes([request for _client, request in group])
-            for (client, request), outcome in zip(group, outcomes):
-                self._answer(client, request, outcome)
-
-    async def _outcomes(self, requests: List[dict]) -> list:
-        """What each request of a group comes to, in order: its result
-        fields, or the exception that ended it."""
-        if requests[0].get("op") in READ_OPS:
-            return await self._discover(requests)
-        (request,) = requests
-        try:
-            op = request.get("op")
-            handler = self._OPS.get(op)
+            client, rid, handler, outcome = group[0]
             if handler is None:
-                raise ValueError(f"unknown broker op {op!r}")
-            return [await handler(self, request)]
-        except Exception as exc:
-            return [exc]
+                await self._discover(group)
+                continue
+            if not isinstance(outcome, ValueError):  # else admission refused it
+                try:
+                    outcome = await handler(self, *outcome)
+                except Exception as exc:
+                    outcome = exc
+            self._answer(client, rid, outcome)
 
-    async def _discover(self, requests: List[dict]) -> list:
-        """Reads, one or many: issue every member's keys through one
-        ``discover_many`` — one quiescence wait — and hand each member its
-        own rows back.  A malformed member fails alone before the backend
-        is called; a lost reply fails the member that owns the key; what
-        ends the shared wait itself (an empty tree, a transport error, a
-        ring mid-recovery) is every member's outcome."""
-        outcomes: list = []  # first pass: a member's keys, or the error refusing it
+    async def _discover(self, group: list) -> None:
+        """Reads (a key or a key list each): issue every member's keys
+        through one ``discover_many`` — one quiescence wait — and answer
+        each from its own rows, in pop order.  A refused member fails alone;
+        a lost reply fails the member that owns the key (a batch, one
+        frame, whole); what ends the shared wait itself (an empty tree, a
+        transport error, a ring mid-recovery) is every member's outcome."""
         keys: List[str] = []
-        for request in requests:
-            try:
-                outcomes.append(_wanted(request))
-            except ValueError as exc:
-                outcomes.append(exc)
-            else:
-                keys += outcomes[-1]
+        for entry in group:
+            wanted = entry[3]
+            if isinstance(wanted, str):
+                keys.append(wanted)
+            elif isinstance(wanted, list):
+                keys += wanted
         try:
             rows = self._answered(await self.backend.discover_many(keys))
         except Exception as exc:
             rows = [exc] * len(keys)
         taken = 0
-        for index, wanted in enumerate(outcomes):
-            if isinstance(wanted, list):
-                outcomes[index] = _shaped(requests[index], rows[taken : taken + len(wanted)])
-                taken += len(wanted)
-        return outcomes
+        for client, rid, _, outcome in group:
+            if isinstance(outcome, str):
+                outcome = rows[taken]
+                taken += 1
+            elif isinstance(outcome, list):
+                mine = rows[taken : taken + len(outcome)]
+                taken += len(outcome)
+                failed = (row for row in mine if isinstance(row, Exception))
+                outcome = next(failed, {"results": mine})
+            self._answer(client, rid, outcome)
 
-    def _answer(self, client: object, request: dict, outcome: object) -> None:
+    def _answer(self, client: object, rid: object, outcome: object) -> None:
         """Send one request's correlated reply and close its idempotency
         bookkeeping."""
-        rid = request.get("id")
         reply = {"id": rid}
         if isinstance(outcome, self.backend.RETRYABLE_ERRORS):
             # Transient (the backend declares it: a multi-process ring
@@ -500,11 +491,8 @@ class Broker:
             raise RuntimeError("tree is empty")
         return reply
 
-    async def _op_register(self, request: dict) -> dict:
-        # Outside input enters here: a datum the codec could not carry
-        # between peers is refused before any handler mutates the tree.
-        datum = require_scalar(request.get("datum"))
-        result = await self.backend.register(_text(request, "key"), datum)
+    async def _op_register(self, key: str, datum: object) -> dict:
+        result = await self.backend.register(key, datum)
         if result["host"] is None:
             # Under fault injection the insertion can be lost in flight;
             # an ok-reply here would be a *false acknowledgement* — the
@@ -515,29 +503,22 @@ class Broker:
             )
         return result
 
-    async def _op_search(self, request: dict) -> dict:
-        return self._answered(
-            await self.backend.search(
-                _text(request, "kind"), _text(request, "lo"), _text(request, "hi", "")
-            )
-        )
+    async def _op_search(self, kind: str, lo: str, hi: str) -> dict:
+        return self._answered(await self.backend.search(kind, lo, hi))
 
-    async def _op_peer_join(self, request: dict) -> dict:
-        peer_id, capacity = checked_member(request.get("peer"), request.get("capacity", 10))
-        ids = self.backend.live_ids()  # sorted once: the admission and the join's seed
-        ring = await self.backend.join(peer_id, capacity, ids)
+    async def _op_peer_join(self, peer_id: str, capacity: int) -> dict:
+        answer = await self.backend.join(peer_id, capacity)
         if self.journal is not None:
             self.journal.record("join", peer_id, capacity)
-        return {**admission(ids, peer_id), **ring}
+        return answer
 
-    async def _op_peer_leave(self, request: dict) -> dict:
-        peer_id = _text(request, "peer")
+    async def _op_peer_leave(self, peer_id: str) -> dict:
         await self.backend.leave(peer_id)
         if self.journal is not None:
             self.journal.record("leave", peer_id)
         return {"peer": peer_id, "peers": self.backend.live_count()}
 
-    async def _op_info(self, request: dict) -> dict:
+    async def _op_info(self) -> dict:
         snap = await self.backend.snapshot()
         return {
             "peers": len(snap["live"]),
@@ -549,10 +530,23 @@ class Broker:
             "max_pending": self.max_pending,
         }
 
+    async def _op_unknown(self, op: object) -> dict:
+        raise ValueError(f"unknown broker op {op!r}")
+
+    #: The op table: op -> (how its checked arguments come out of the
+    #: request, its handler).  A parser raises only ``ValueError`` naming
+    #: the field — a ``datum`` the codec could not carry between peers
+    #: included, so it never reaches a handler that mutates the tree.  The
+    #: reads-by-key have no handler: their keys join the run's one
+    #: ``discover_many``.
     _OPS = {
-        "register": _op_register,
-        "search": _op_search,
-        "peer_join": _op_peer_join,
-        "peer_leave": _op_peer_leave,
-        "info": _op_info,
+        "register": (lambda r: (_text(r, "key"), require_scalar(r.get("datum"))), _op_register),
+        "discover": (lambda r: _text(r, "key"), None),
+        "discover_batch": (_keys, None),
+        "search": (lambda r: (_text(r, "kind"), _text(r, "lo"), _text(r, "hi", "")), _op_search),
+        "peer_join": (
+            lambda r: checked_member(r.get("peer"), r.get("capacity", 10)), _op_peer_join
+        ),
+        "peer_leave": (lambda r: (_text(r, "peer"),), _op_peer_leave),
+        "info": (lambda r: (), _op_info),
     }

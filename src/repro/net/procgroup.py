@@ -511,7 +511,7 @@ class MultiProcessCluster(Cluster):
                 self.members[peer] = capacity
             if self.members:
                 for key, datum in list(self.registrations.items()):
-                    await self._insert(key, datum, None)
+                    await self._insert(key, datum)
             if self.chaos is not None:
                 await self.set_chaos(True)
         finally:
@@ -522,36 +522,36 @@ class MultiProcessCluster(Cluster):
     def _members(self) -> Dict[str, int]:
         return self.members
 
-    async def join(self, peer_id: str, capacity: int = 10, ids: Optional[List[str]] = None) -> dict:
-        """The shared admission, plus the worker placement: returns
-        ``{"group", "pred", "succ"}``."""
+    async def join(self, peer_id: str, capacity: int = 10) -> dict:
+        """The shared join, plus the worker placement: the ``peer_join``
+        answer with ``group`` added."""
         self._check_ready()
-        ring = await super().join(peer_id, capacity, ids)
+        answer = await super().join(peer_id, capacity)
         self.members[peer_id] = capacity
-        return {"group": self._home(peer_id), **ring}
+        return {"group": self._home(peer_id), **answer}
 
     async def leave(self, peer_id: str) -> None:
         self._check_ready()
         await super().leave(peer_id)
         del self.members[peer_id]
 
-    async def _insert(self, key: str, datum: object, via: Optional[str]) -> dict:
+    async def _insert(self, key: str, datum: object) -> dict:
         """Insert ``key`` at quiescence; ``{"key", "host"}`` with ``host``
         per the post-drain locator, ``None`` when the insertion was lost
         in flight."""
         group = self._inserter()
-        await self.call(group, "insert", key=key, datum=datum, via=via)
+        await self.call(group, "insert", key=key, datum=datum, via=None)
         await self.drain()
         located = await self.call(group, "locate", label=key)
         return {"key": key, "host": located["host"]}
 
-    async def register(self, key: str, datum: object = None, via: Optional[str] = None) -> dict:
+    async def register(self, key: str, datum: object = None) -> dict:
         """The insertion; a located result enters the
         acknowledged-registration ledger, which recovery replays —
         acknowledging a registration *is* the promise it survives a
         worker crash."""
         self._check_ready()
-        result = await self._insert(key, datum, via)
+        result = await self._insert(key, datum)
         if result["host"] is not None:
             self.registrations[key] = datum
         return result

@@ -1,6 +1,7 @@
 """``tools/opcount.py``: a served op stream counted twice gives the same
-ledger to the opcode, its layers sum to its total, and generated code is
-billed to the layer that ran it."""
+ledger to the opcode, its layers sum to its total, generated code is
+billed to the layer that ran it, and the committed ledger ``OPCOUNT.json``
+is what the code costs now, layer by layer."""
 
 from __future__ import annotations
 
@@ -16,20 +17,21 @@ import pytest
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 TOOL = REPO / "tools" / "opcount.py"
+LEDGER = REPO / "OPCOUNT.json"
 
 _spec = importlib.util.spec_from_file_location("opcount", TOOL)
 opcount = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(opcount)
 
 
-def _run(out: pathlib.Path) -> dict:
+def _run(out: pathlib.Path, *args: str) -> dict:
     done = subprocess.run(
-        [sys.executable, str(TOOL), "--ops", "20", "--preload", "100", "--out", str(out)],
+        [sys.executable, str(TOOL), *(args or ("--ops", "20", "--preload", "100")), "--out", str(out)],
         cwd=REPO, env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, timeout=300,
     )
     assert done.returncode == 0, done.stdout.decode()[-2000:]
-    return json.loads(out.read_text(encoding="utf-8"))
+    return opcount.read_block(out)
 
 
 def test_two_runs_count_the_same_and_the_layers_sum_to_the_total(tmp_path):
@@ -111,3 +113,78 @@ def test_a_parent_that_is_not_a_checkout_is_refused(tmp_path, capsys):
         opcount.main(["--parent", str(tmp_path)])
     assert refused.value.code == 2
     assert "not a checkout" in capsys.readouterr().err
+
+
+def test_out_writes_this_interpreters_block_and_keeps_the_others(tmp_path):
+    out = tmp_path / "ledger.json"
+    out.write_text(json.dumps({"2.7": {"schema": "old"}}), encoding="utf-8")
+    opcount.write_block(out, {"schema": "repro-opcount/1"})
+    blocks = json.loads(out.read_text(encoding="utf-8"))
+    assert blocks == {"2.7": {"schema": "old"}, opcount.block_name(): {"schema": "repro-opcount/1"}}
+    assert opcount.read_block(out) == {"schema": "repro-opcount/1"}
+    assert opcount.block_name() == "%d.%d" % sys.version_info[:2]
+
+
+def test_drift_is_exact_and_only_over_the_layers_in_src():
+    def doc(**opcodes):
+        layers = {layer: {"opcodes": 100} for layer in opcount.LAYERS}
+        for layer, count in opcodes.items():
+            layers[layer]["opcodes"] = count
+        return {"streams": {"discover": {"layers": layers}}}
+
+    assert opcount.drift(doc(), doc(asyncio=7, stdlib=900, json=1, tool=0)) == []
+    assert opcount.drift(doc(), doc(broker=101, engine=99)) == [
+        ("discover", "engine", 100, 99), ("discover", "broker", 100, 101),
+    ]
+    assert set(opcount.SRC_LAYERS) | {"asyncio", "stdlib", "json", "tool", "other"} == set(opcount.LAYERS)
+
+
+# -- the pinned ledger ------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def pinned_and_measured(tmp_path_factory):
+    """``OPCOUNT.json``'s block for this interpreter and a fresh measurement
+    of the same streams, in a child process as :func:`_run` makes it."""
+    pinned = opcount.read_block(LEDGER)
+    if not pinned:
+        pytest.skip(
+            f"OPCOUNT.json has no block for Python {opcount.block_name()}: "
+            "its counts are reported (CI uploads them), not gated"
+        )
+    measured = _run(tmp_path_factory.mktemp("ledger") / "now.json", *opcount.PINNED_ARGS)
+    for stream, record in pinned["streams"].items():
+        now = measured["streams"][stream]["plan_sha256"]
+        if now != record["plan_sha256"]:
+            pytest.skip(
+                f"the {stream} stream's op plan is not the pinned one (sha256 {now[:12]}, "
+                f"pinned {record['plan_sha256'][:12]}): the benchmark's plan changed, "
+                f"so OPCOUNT.json measures another stream; refresh it: {opcount.REFRESH}"
+            )
+    # The layers outside src/repro move with the interpreter's patch
+    # release: shown (pytest -s, or beside a failure), never gated.
+    for stream, record in pinned["streams"].items():
+        now = measured["streams"][stream]["layers"]
+        moved = {
+            layer: now[layer]["opcodes"] - row["opcodes"]
+            for layer, row in record["layers"].items()
+            if layer not in opcount.SRC_LAYERS and now[layer]["opcodes"] != row["opcodes"]
+        }
+        print(f"{stream}: ungated layers moved by {moved or 'nothing'}")
+    return pinned, measured
+
+
+def _moved(rows) -> str:
+    return "; ".join(f"{stream} {layer} {was} -> {now} ({now - was:+d})" for stream, layer, was, now in rows)
+
+
+def test_no_layer_in_src_costs_more_than_pinned(pinned_and_measured):
+    rises = [row for row in opcount.drift(*pinned_and_measured) if row[3] > row[2]]
+    assert not rises, f"opcodes rose over OPCOUNT.json: {_moved(rises)}"
+
+
+def test_a_layer_that_costs_less_is_pinned(pinned_and_measured):
+    falls = [row for row in opcount.drift(*pinned_and_measured) if row[3] < row[2]]
+    assert not falls, (
+        f"opcodes fell below OPCOUNT.json: {_moved(falls)}; pin the gain: {opcount.REFRESH}"
+    )

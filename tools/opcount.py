@@ -36,11 +36,18 @@ fanin      lookup_fanin     the ``discover`` stream, 8 at a time
 The counts are interpreter work, not time: C work shows only as a call
 count, syscalls not at all, and bytecode differs between Python minor
 versions.  They do not move between runs or hosts of one interpreter.
-``--out`` writes ``repro-opcount/1`` JSON (integer totals, and per-op
-figures, per stream and per layer, plus every function); ``--by function``
-also prints the top functions per stream; ``--parent CHECKOUT`` measures
-that checkout's ``src`` too, both sides in fresh child processes, and
-prints the exact per-layer delta.  Stdlib only.
+``--out FILE`` writes a ``repro-opcount/1`` document (integer totals, and
+per-op figures, per stream and per layer, plus every function and the
+``sha256`` of each stream's op plan) as this interpreter's block of FILE,
+keyed ``major.minor``; the other interpreters' blocks in FILE are kept.
+``--by function`` also prints the top functions per stream; ``--parent
+CHECKOUT`` measures that checkout's ``src`` too, both sides in fresh child
+processes, and prints the exact per-layer delta.  Stdlib only.
+
+The committed ``OPCOUNT.json`` is the pinned ledger, made by
+:data:`REFRESH`: ``tests/tools/test_opcount.py`` measures again and fails
+when a layer whose code lives in ``src/repro`` (:data:`SRC_LAYERS`) costs
+more or less than pinned (:func:`drift`).
 """
 from __future__ import annotations
 
@@ -78,6 +85,15 @@ LAYERS = (
     "engine", "cluster", "broker", "transport", "codec", "json", "client", "core",
     "asyncio", "stdlib", "repro", "tool", "other",
 )
+
+#: The layers whose code lives in ``src/repro``: what the pinned ledger
+#: gates.  The rest move with the interpreter's patch release.
+SRC_LAYERS = ("engine", "cluster", "broker", "transport", "codec", "client", "core", "repro")
+
+#: The stream length the pinned ledger, ``OPCOUNT.json``, is measured at,
+#: and the command that makes it.
+PINNED_ARGS = ("--ops", "50", "--preload", "300")
+REFRESH = f"python3 tools/opcount.py {' '.join(PINNED_ARGS)} --out OPCOUNT.json"
 
 #: ``src/repro`` module or package (relative path) -> layer; the rest of
 #: ``src/repro`` is ``repro``.
@@ -289,7 +305,7 @@ async def run_stream(stream: str, n_ops: int, n_preload: int) -> tuple:
         if bad:
             failures.append(bad)
     record = tally(ledger, Layers(os.path.dirname(repro.__file__)), len(measured_ops))
-    record.update(workload=workload, in_flight=in_flight, messages=delivered)
+    record.update(workload=workload, in_flight=in_flight, messages=delivered, plan_sha256=plan.sha256())
     return record, failures
 
 
@@ -355,6 +371,47 @@ def render_delta(parent: dict, change: dict) -> str:
     return "\n".join(lines)
 
 
+# -- the pinned ledger -----------------------------------------------------------
+
+
+def block_name() -> str:
+    """The key of this interpreter's block in a ledger file: bytecode is
+    fixed per minor version."""
+    return "%d.%d" % sys.version_info[:2]
+
+
+def read_block(path) -> dict:
+    """This interpreter's block of the ledger file at ``path``, or ``{}``."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh).get(block_name(), {})
+
+
+def write_block(path, doc: dict) -> None:
+    """Write ``doc`` as this interpreter's block of the ledger file at
+    ``path``, keeping the other interpreters' blocks."""
+    blocks = {}
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            blocks = json.load(fh)
+    blocks[block_name()] = doc
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(dict(sorted(blocks.items())), fh, indent=1)
+        fh.write("\n")
+
+
+def drift(pinned: dict, measured: dict) -> list:
+    """``(stream, layer, pinned, measured)`` opcodes for every
+    :data:`SRC_LAYERS` layer of every pinned stream whose count moved."""
+    moved = []
+    for stream, old in pinned["streams"].items():
+        new = measured["streams"][stream]["layers"]
+        for layer in SRC_LAYERS:
+            was, now = old["layers"][layer]["opcodes"], new[layer]["opcodes"]
+            if was != now:
+                moved.append((stream, layer, was, now))
+    return moved
+
+
 # -- the command -----------------------------------------------------------------
 
 
@@ -368,8 +425,7 @@ def _child_measure(src: pathlib.Path, streams: list, n_ops: int, n_preload: int)
         done = subprocess.run(argv, env=env, cwd=REPO, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
         if done.returncode != 0:
             raise SystemExit(f"measuring {src} failed ({done.returncode}):\n{done.stdout.decode()[-2000:]}")
-        with open(out, encoding="utf-8") as fh:
-            return json.load(fh)
+        return read_block(out)
 
 
 def main(argv=None) -> int:
@@ -383,7 +439,7 @@ def main(argv=None) -> int:
                         help="print the per-layer table, or the top functions too")
     parser.add_argument("--parent", type=pathlib.Path, metavar="CHECKOUT",
                         help="measure CHECKOUT's src too and print per-layer deltas")
-    parser.add_argument("--out", help="write the repro-opcount/1 JSON here")
+    parser.add_argument("--out", help="write the repro-opcount/1 JSON as this interpreter's block of this file")
     parser.add_argument("--src", type=pathlib.Path, default=REPO / "src", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.ops <= 0:
@@ -403,8 +459,7 @@ def main(argv=None) -> int:
     else:
         doc, failures = measure(args.stream, args.ops, n_preload)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
+        write_block(args.out, doc)
     print(render(doc, args.by == "function"))
     if args.parent is not None:
         print(render_delta(parent, doc))
