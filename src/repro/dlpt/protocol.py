@@ -26,16 +26,22 @@ Fidelity notes (divergences from the pseudo-code are deliberate and small):
   node-to-node addressing the pseudo-code assumes: a message at the old
   host follows the node, and one that arrives first waits for the install.
 * The paper counts a *logical* hop per tree edge and a *physical* hop per
-  message between peers.  The read-only walks — a discovery and both
-  phases of a set query — step through the nodes their current peer hosts
-  inside one handler call and build a message only when the next node
-  lives on another peer: a request costs ``1 + physical hops`` messages,
-  and its ``hops`` counter still counts every logical hop.  Writes
-  (``DataInsertion``, ``SearchingHost``, ``Host``, ``UpdateChild``,
-  ``PeerJoin`` and the ring messages) keep one message per hop, self-sends
-  included: Algorithm 3's correctness depends on how they interleave with
-  the other messages in flight, and no oracle proves a reordering of them
-  safe yet.
+  message between peers.  Reads and writes walk the tree by one rule: a
+  discovery, both phases of a set query, an insertion's
+  ``DataInsertion`` climb and descent and its ``SearchingHost`` descent
+  step through the nodes their current peer hosts inside one handler
+  call, and build a message only when the next node lives on another
+  peer.  A read costs ``1 + physical hops`` messages, and its ``hops``
+  counter still counts every logical hop.  What changes the tree stays a
+  message, in its order: an insertion's terminal ``SearchingHost`` to
+  ``p`` or its father and its ``UpdateChild``, ``PeerJoin`` and the ring
+  messages.  A new node whose ``SearchingHost`` descent ends on a peer
+  where the mapping rule already holds is installed there in place;
+  elsewhere its ``Host`` is sent, and forwarded as note 2 says.  The
+  proof that stepping writes in place is safe is the seeded schedule
+  explorer (``tests/dlpt/test_protocol_schedules.py``): per-pair FIFO,
+  any interleaving across pairs, and the ring, tree, mapping and every
+  key checked after each schedule.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..core.ids import common_prefix_len, gcp
+from ..core.ids import gcp
 from ..core.keyspace import in_interval_open_closed
 from . import messages as m
 from .messages import Envelope, NodeState
@@ -71,6 +77,7 @@ class ProtocolPeer:
 
 
 _PRED = operator.attrgetter("pred")
+_LABEL = operator.attrgetter("label")
 
 
 class ProtocolEngine:
@@ -110,13 +117,13 @@ class ProtocolEngine:
         self.transport = transport
         self.peers: Dict[str, ProtocolPeer] = {}
         #: label -> hosting peer id (node location service); written only
-        #: by :meth:`set_location` — a label moves, it is never dropped.
+        #: by :meth:`set_locations` — a label moves, it is never dropped.
         self.locator: Dict[str, str] = {}
         #: ``min(self.locator)``, ``None`` on an empty tree: the default
         #: entry node of a client operation, kept where the table is written.
         self.lowest_label: Optional[str] = None
         #: Messages for labels not yet installed (a SearchingHost can race
-        #: the Host message creating its target); released by set_location.
+        #: the Host message creating its target); released by set_locations.
         self.pending_node_messages: Dict[str, list] = {}
         self.discovery_replies: list[m.DiscoveryReply] = []
         self.query_replies: list[m.SetQueryReply] = []
@@ -214,8 +221,7 @@ class ProtocolEngine:
         if peer.succ == peer.id:
             raise RuntimeError("cannot leave a single-peer ring")
         nodes = tuple(peer.nodes.values())
-        for st in nodes:
-            self.set_location(st.label, peer.succ)
+        self.set_locations(tuple(peer.nodes), peer.succ)
         self.transport.send(peer.id, peer.succ, m.LeaveTransfer(pred=peer.pred, nodes=nodes))
         self.transport.send(peer.id, peer.pred, m.UpdateSuccessor(new_successor=peer.succ))
         peer.nodes.clear()
@@ -223,8 +229,7 @@ class ProtocolEngine:
         del self.peers[peer_id]
 
     def _on_leave_transfer(self, peer: ProtocolPeer, msg: m.LeaveTransfer) -> None:
-        for st in msg.nodes:
-            self._install_node(peer, st)
+        self._install_nodes(peer, msg.nodes)
         if msg.pred == peer.id:
             # The leaver's predecessor was us: the ring collapsed to one
             # peer — point at ourselves.  (Pointer-local test, not a
@@ -251,10 +256,10 @@ class ProtocolEngine:
             # Empty tree: fabricate the root node and find it a host.
             st = NodeState(key, None, (), {datum})
             start = self._any_joined_peer()
-            self.transport.send(self._client_endpoint, start, m.Host(payload=st))
+            self.transport.send(self._client_endpoint, start, m.Host(st))
             return
         via = self.entry(via)
-        self.send_to_node(self._client_endpoint, via, m.DataInsertion(node=via, key=key, datum=datum))
+        self.send_to_node(self._client_endpoint, via, m.DataInsertion(via, key, datum))
 
     def discover(self, key: str, via: Optional[str] = None) -> None:
         """Issue an asynchronous discovery; the reply lands in
@@ -307,16 +312,29 @@ class ProtocolEngine:
         self.transport.send(src, host, payload)
 
     def set_location(self, label: str, host: str) -> None:
-        """Point ``label`` at ``host``: the one place the location table
-        is written, and so the one place that releases the messages
-        parked for ``label`` — they go to ``host``, and one that gets
-        there ahead of the node waits again until it installs."""
-        self.locator[label] = host
+        """Point ``label`` at ``host`` (:meth:`set_locations` of one)."""
+        self.set_locations((label,), host)
+
+    def set_locations(self, labels, host: str) -> None:
+        """Point every label of the sequence ``labels`` at ``host``: the
+        one place the location table is written, and so the one place
+        that releases the messages parked for a label — they go to
+        ``host``, label by label, and one that gets there ahead of its
+        node waits again until it installs.  A handover moves a peer's
+        nodes in one call: one table update, one ``lowest_label`` test."""
+        if not labels:
+            return
+        self.locator.update(dict.fromkeys(labels, host))
+        low = min(labels)
         lowest = self.lowest_label
-        if lowest is None or label < lowest:
-            self.lowest_label = label
-        for src, msg in self.pending_node_messages.pop(label, ()):
-            self.transport.send(src, host, msg)
+        if lowest is None or low < lowest:
+            self.lowest_label = low
+        pending = self.pending_node_messages
+        if pending:
+            send = self.transport.send
+            for label in labels:
+                for src, msg in pending.pop(label, ()):
+                    send(src, host, msg)
 
     def _on_client_message(self, env: Envelope) -> None:
         if isinstance(env.payload, m.DiscoveryReply):
@@ -407,14 +425,16 @@ class ProtocolEngine:
 
     def _split_nodes(self, peer: ProtocolPeer, joiner: str) -> tuple[NodeState, ...]:
         """ν_P = {n ∈ ν_Q : n ∈ (pred_Q, P]} (lines 2.06–2.07, interval
-        form so the wrapped arc behaves): the records ``peer`` gives up."""
-        pred = peer.pred if peer.pred is not None else peer.id
-        moving_labels = [
-            lbl for lbl in peer.nodes if in_interval_open_closed(lbl, pred, joiner)
-        ]
-        for lbl in moving_labels:
-            self.set_location(lbl, joiner)
-        return tuple(peer.nodes.pop(lbl) for lbl in moving_labels)
+        form so the wrapped arc behaves): the records ``peer`` gives up,
+        pointed at the joiner from the hand-over on, so a message for one
+        of them follows it over the same link.  ``peer`` has joined."""
+        pred = peer.pred
+        if pred < joiner:
+            moving = [lbl for lbl in peer.nodes if pred < lbl <= joiner]
+        else:
+            moving = [lbl for lbl in peer.nodes if lbl > pred or lbl <= joiner]
+        self.set_locations(moving, joiner)
+        return tuple(map(peer.nodes.pop, moving))
 
     def _send_your_information(
         self, peer: ProtocolPeer, joiner: str, pred: str, moving: tuple[NodeState, ...]
@@ -426,8 +446,7 @@ class ProtocolEngine:
     def _on_your_information(self, peer: ProtocolPeer, msg: m.YourInformation) -> None:
         peer.pred = msg.pred
         peer.succ = msg.succ
-        for st in msg.nodes:
-            self._install_node(peer, st)
+        self._install_nodes(peer, msg.nodes)
         deferred, peer.deferred = peer.deferred, []
         for early in deferred:
             self._HANDLERS[type(early)](self, peer, early)
@@ -438,74 +457,98 @@ class ProtocolEngine:
     # ------------------------------------------------------------------
     # Algorithm 3 — data insertion, on node p
     # ------------------------------------------------------------------
+    # Its messages are built positionally, as the read walks build theirs:
+    # keyword passing doubles a constructor's cost.
 
     def _on_data_insertion(self, peer: ProtocolPeer, msg: m.DataInsertion) -> None:
-        p = peer.nodes[msg.node]
+        """Climb or descend towards the key's place, one logical hop per
+        tree edge, stepping through this peer's nodes without a message
+        (module docstring, fidelity note 4); the terminal case sends its
+        structural messages."""
+        nodes = peer.nodes
+        p = nodes[msg.node]
         k = msg.key
         datum = msg.datum
-
-        if p.label == k:  # line 3.03
-            p.data.add(datum)
-            return
-
-        if k.startswith(p.label) and p.label != k:  # lines 3.04–3.09
-            q = p.child_sharing_longer_prefix(k)
-            if q is not None:
-                self.send_to_node(peer.id, q, m.DataInsertion(node=q, key=k, datum=datum))
-            else:
-                st = NodeState(k, p.label, (), {datum})
-                p.add_child(k)
-                self.send_to_node(peer.id, p.label, m.SearchingHost(node=p.label, payload=st))
-            return
-
-        if p.label.startswith(k):  # lines 3.10–3.20 (k properly prefixes p)
-            if p.father is None:
-                st = NodeState(k, None, (p.label,), {datum})
-                p.father = k
-                self.send_to_node(peer.id, p.label, m.SearchingHost(node=p.label, payload=st))
-            else:
-                father = p.father
+        while True:
+            label = p.label
+            if label == k:  # line 3.03
+                p.data.add(datum)
+                return
+            father = p.father
+            if k.startswith(label):  # lines 3.04–3.09
+                nxt = p.child_sharing_longer_prefix(k)
+                if nxt is None:
+                    st = NodeState(k, label, (), {datum})
+                    p.add_child(k)
+                    self.send_to_node(peer.id, label, m.SearchingHost(label, st))
+                    return
+            elif label.startswith(k):  # lines 3.10–3.20 (k properly prefixes p)
+                if father is None:
+                    st = NodeState(k, None, (label,), {datum})
+                    p.father = k
+                    self.send_to_node(peer.id, label, m.SearchingHost(label, st))
+                    return
                 # Line 3.15's printed condition |GCP(k, f_p)| = |p| can
                 # never hold (the GCP is at most |k| < |p|), and reading it
                 # as |f_p| ping-pongs between p and its father.  Both k and
                 # f_p prefix p, so they are totally ordered: climb when k
                 # is at or above the father (k prefixes f_p), splice k
                 # between f_p and p otherwise.
-                if common_prefix_len(k, father) == len(k):
-                    self.send_to_node(peer.id, father, m.DataInsertion(node=father, key=k, datum=datum))
-                else:
-                    st = NodeState(k, father, (p.label,), {datum})
-                    self.send_to_node(peer.id, father, m.SearchingHost(node=father, payload=st))
-                    self.send_to_node(peer.id, father, m.UpdateChild(node=father, old=p.label, new=k))
+                if not father.startswith(k):
+                    st = NodeState(k, father, (label,), {datum})
+                    self.send_to_node(peer.id, father, m.SearchingHost(father, st))
+                    self.send_to_node(peer.id, father, m.UpdateChild(father, label, k))
                     p.father = k
-            return
-
-        # Neither prefixes the other (lines 3.21–3.31).
-        father = p.father
-        if father is not None and common_prefix_len(k, p.label) == common_prefix_len(k, father):
-            self.send_to_node(peer.id, father, m.DataInsertion(node=father, key=k, datum=datum))
-            return
-        g = gcp(p.label, k)
-        parent_st = NodeState(g, father, tuple(sorted((p.label, k))))
-        key_st = NodeState(k, g, (), {datum})
-        if father is None:
-            self.send_to_node(peer.id, p.label, m.SearchingHost(node=p.label, payload=parent_st))
-            self.send_to_node(peer.id, p.label, m.SearchingHost(node=p.label, payload=key_st))
-        else:
-            self.send_to_node(peer.id, father, m.SearchingHost(node=father, payload=parent_st))
-            self.send_to_node(peer.id, father, m.UpdateChild(node=father, old=p.label, new=g))
-            self.send_to_node(peer.id, father, m.SearchingHost(node=father, payload=key_st))
-        p.father = g
+                    return
+                nxt = father
+            # Neither prefixes the other (lines 3.21–3.31).  The father
+            # properly prefixes p, so |GCP(k, p)| = |GCP(k, f_p)| — climb —
+            # exactly when k does not share p's first digit below f_p.
+            elif father is not None and not k.startswith(label[: len(father) + 1]):
+                nxt = father
+            else:
+                g = gcp(label, k)
+                parent_st = NodeState(g, father, tuple(sorted((label, k))))
+                key_st = NodeState(k, g, (), {datum})
+                if father is None:
+                    self.send_to_node(peer.id, label, m.SearchingHost(label, parent_st))
+                    self.send_to_node(peer.id, label, m.SearchingHost(label, key_st))
+                else:
+                    self.send_to_node(peer.id, father, m.SearchingHost(father, parent_st))
+                    self.send_to_node(peer.id, father, m.UpdateChild(father, label, g))
+                    self.send_to_node(peer.id, father, m.SearchingHost(father, key_st))
+                p.father = g
+                return
+            q = nodes.get(nxt)
+            if q is None:
+                self.send_to_node(peer.id, nxt, m.DataInsertion(nxt, k, datum))
+                return
+            p = q
 
     def _on_searching_host(self, peer: ProtocolPeer, msg: m.SearchingHost) -> None:
         # Lines 3.32–3.37: descend to the highest node lower than the new
-        # label, then hand the new node to the peer layer.
-        p = peer.nodes[msg.node]
-        q = p.max_child_leq(msg.payload.label)
-        if q is not None and q != msg.payload.label:
-            self.send_to_node(peer.id, q, m.SearchingHost(node=q, payload=msg.payload))
+        # label, then hand the new node to the peer layer — in place when
+        # the mapping rule ``label ∈ (pred, id]`` holds at this peer.
+        nodes = peer.nodes
+        p = nodes[msg.node]
+        st = msg.payload
+        label = st.label
+        while True:
+            q = p.max_child_leq(label)
+            if q is None or q == label:
+                break
+            p = nodes.get(q)
+            if p is None:
+                self.send_to_node(peer.id, q, m.SearchingHost(q, st))
+                return
+        pid = peer.id
+        pred = peer.pred
+        if pred is not None and (
+            pred < label <= pid if pred < pid else (label > pred or label <= pid)
+        ):
+            self._install_nodes(peer, (st,))
         else:
-            self.transport.send(peer.id, peer.id, m.Host(payload=msg.payload))
+            self.transport.send(pid, pid, m.Host(st))
 
     def _on_host(self, peer: ProtocolPeer, msg: m.Host) -> None:
         # Peer layer: enforce the mapping rule by ring forwarding (module
@@ -521,18 +564,23 @@ class ProtocolEngine:
             # ring anyway.
             self.transport.send(peer.id, peer.succ, msg)
             return
-        self._install_node(peer, msg.payload)
+        self._install_nodes(peer, (msg.payload,))
 
     def _on_update_child(self, peer: ProtocolPeer, msg: m.UpdateChild) -> None:
         peer.nodes[msg.node].replace_child(msg.old, msg.new)
 
-    def _install_node(self, peer: ProtocolPeer, st: NodeState) -> None:
-        """``peer`` takes over the node record its sender gave up."""
-        label = st.label
-        peer.nodes[label] = st
-        self.set_location(label, peer.id)
-        if self.on_node_installed is not None:
-            self.on_node_installed(label, peer.id)
+    def _install_nodes(self, peer: ProtocolPeer, states) -> None:
+        """``peer`` takes over the node records its sender gave up: one
+        batch into its table and the locator, then the install hook once
+        per label."""
+        labels = list(map(_LABEL, states))
+        peer.nodes.update(zip(labels, states))
+        pid = peer.id
+        self.set_locations(labels, pid)
+        hook = self.on_node_installed
+        if hook is not None:
+            for label in labels:
+                hook(label, pid)
 
     # ------------------------------------------------------------------
     # discovery

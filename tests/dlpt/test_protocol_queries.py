@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import keys_st, prefix_queries, range_queries
 
+from repro.core.keyspace import in_interval_open_closed
 from repro.core.queries import PrefixQuery
 from repro.dlpt.protocol import ProtocolEngine
 from repro.dlpt.system import DLPTSystem
@@ -286,3 +287,75 @@ class TestInsertionFromEveryEntry:
                 assert eng.tree_edges() == edges, (key, entry)
                 host = eng.locator[key]
                 assert key in eng.peers[host].nodes[key].data, (key, entry)
+
+
+class TestInsertionSends:
+    """The write row's physical side: Algorithm 3 steps through its own
+    peer's nodes, so for every entry node and key of
+    :class:`TestInsertionFromEveryEntry`'s sweep no ``DataInsertion`` is
+    addressed to the peer that sends it, and a new node's ``Host`` goes to
+    the sender's own peer only when the mapping rule fails there — that
+    ``Host`` is then forwarded along the ring (fidelity note 2), and the
+    sweep must reach it.  The trees are still ``register``'s."""
+
+    @staticmethod
+    def _counted(eng):
+        sent = []
+        send = eng.transport.send
+
+        def counted(src, dst, payload):
+            if src == dst and type(payload).__name__ == "Host":
+                peer = eng.peers[src]
+                label = payload.payload.label
+                rule = in_interval_open_closed(label, peer.pred, peer.id)
+                sent.append(("Host", "self", rule))
+            else:
+                sent.append((type(payload).__name__, "self" if src == dst else "cross", None))
+            send(src, dst, payload)
+
+        eng.transport.send = counted
+        return sent
+
+    def test_every_entry_node_and_key(self):
+        case = TestInsertionFromEveryEntry
+        entries = sorted(build_engine(case.FIXTURE).locator)
+        totals = collections.Counter()
+        for key in case.NEW:
+            macro = case._macro(case.FIXTURE)
+            macro.register(key)
+            host_of = macro.mapping.host_of
+            nodes = list(macro.tree.nodes())
+            locator = {n.label: host_of(n.label).id for n in nodes}
+            edges = {(n.parent.label, n.label) for n in nodes if n.parent is not None}
+            for entry in entries:
+                eng = build_engine(case.FIXTURE)
+                sent = self._counted(eng)
+                eng.insert_data(key, via=entry)
+                eng.run()
+                eng.check_tree()
+                eng.check_mapping()
+                assert eng.locator == locator, (key, entry)
+                assert eng.tree_edges() == edges, (key, entry)
+                assert ("DataInsertion", "self", None) not in sent, (key, entry)
+                assert ("Host", "self", True) not in sent, (key, entry)
+                totals.update(sent)
+        assert totals[("Host", "self", False)] > 0  # a Host the ring forwards
+        assert totals[("Host", "cross", None)] >= totals[("Host", "self", False)]
+        assert totals[("SearchingHost", "self", None)] > 0
+        assert totals[("UpdateChild", "cross", None)] > 0
+        # The client's one per insertion, and at least one step across peers.
+        assert totals[("DataInsertion", "cross", None)] > len(case.NEW) * len(entries)
+
+    def test_a_host_the_mapping_rule_sends_on(self):
+        """``dh`` climbs from ``dd`` to ``d`` and becomes its leaf: the
+        descent ends at ``d`` on ``dddd``, but ``dh`` belongs to ``hhhh``,
+        so the ``Host`` is sent to ``dddd`` itself and forwarded to its
+        successor."""
+        eng = build_engine(TestInsertionFromEveryEntry.FIXTURE)
+        sent = self._counted(eng)
+        eng.insert_data("dh", via="dd")
+        eng.run()
+        eng.check_mapping()
+        assert eng.locator["dh"] == "hhhh"
+        assert sent.count(("Host", "self", False)) == 1
+        assert sent.count(("Host", "cross", None)) == 1
