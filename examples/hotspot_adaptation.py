@@ -32,7 +32,7 @@ def main() -> None:
         churn=DYNAMIC,
         load_fraction=0.5,
         total_units=160,
-        schedule=figure8_schedule(intensity=0.8),
+        workload=figure8_schedule(intensity=0.8),
     )
     print(f"running 3 balancers x {n_runs} runs x 160 units "
           f"({config.n_peers} peers, load {config.load_fraction:.0%}) ...")

@@ -54,10 +54,10 @@ class ExperimentConfig:
     total_units: int = 50
     load_fraction: float = 0.10
     #: A workload spec (string, dict, generator, or schedule — see
-    #: :mod:`repro.workloads.spec`).  When given it *builds* ``schedule``;
-    #: construct ``schedule`` directly only for pre-built objects.
+    #: :mod:`repro.workloads.spec`), or ``None`` for
+    #: :func:`default_schedule`.  Parsed at config time into ``schedule``,
+    #: the schedule the runner draws requests from.
     workload: Optional[object] = None
-    schedule: PhasedSchedule = field(default_factory=default_schedule)
     #: A set-query spec (string, dict, or :class:`QueryWorkload` — see
     #: :mod:`repro.workloads.queries`), or ``None`` for no query axis.
     #: Parsed at config time into ``query_plan``; the runner issues the
@@ -99,12 +99,10 @@ class ExperimentConfig:
         # Workload validation happens here, at config-parse time: specs are
         # built (raising WorkloadSpecError on bad input) and pre-built
         # objects are checked against the runtime protocols; a bare
-        # RequestGenerator passed as `schedule` is wrapped into a steady
-        # schedule.  The runner never sees an invalid workload.
-        if self.workload is not None:
-            self.schedule = parse_spec("workload", self.workload)
-        else:
-            self.schedule = parse_spec("workload", self.schedule)
+        # RequestGenerator is wrapped into a steady schedule.  The runner
+        # never sees an invalid workload.
+        workload = default_schedule() if self.workload is None else self.workload
+        self.schedule = parse_spec("workload", workload)
         # Fault specs are validated here too (FaultSpecError on bad input);
         # the runner consumes the parsed plan, never the raw spec.
         self.fault_plan = parse_spec("faults", self.faults)

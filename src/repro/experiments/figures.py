@@ -174,7 +174,7 @@ def _three_curve_reduce(configs, series) -> FigureResult:
 def _figure8_timeline() -> dict:
     """160 units under uniform → S3L burst → ScaLAPACK 'P' burst → uniform
     (Figures 8 and 9)."""
-    return dict(total_units=160, schedule=figure8_schedule())
+    return dict(total_units=160, workload=figure8_schedule())
 
 
 def _three_curve(name, title, anchor, n_runs, churn, load, timeline=dict) -> Artifact:

@@ -28,6 +28,13 @@ from typing import List, Protocol, Sequence, Tuple, runtime_checkable
 from ..workloads.requests import sort_and_check_phases
 
 
+def _units(value: float, what: str) -> int:
+    """``value`` as a whole number of units: ``40.0`` is ``40``, ``40.5`` refused."""
+    if not float(value).is_integer():
+        raise ValueError(f"{what} must be an integer number of units")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class CrashBurst:
     """One-shot event: crash ``fraction`` of the current population now."""
@@ -74,6 +81,8 @@ class CrashStorm:
     def __init__(self, rate: float, start: int = 0, end: int | None = None) -> None:
         if not 0.0 < rate < 1.0:
             raise ValueError("crash rate must be in (0, 1)")
+        start = _units(start, "start")
+        end = None if end is None else _units(end, "end")
         if start < 0:
             raise ValueError("start must be >= 0")
         if end is not None and end <= start:
@@ -97,6 +106,7 @@ class CorrelatedCrash:
     simultaneously at unit ``at`` (rack loss, a buggy rollout)."""
 
     def __init__(self, fraction: float, at: int) -> None:
+        at = _units(at, "crash unit")
         if at < 0:
             raise ValueError("crash unit must be >= 0")
         self._burst = CrashBurst(fraction)  # validates the fraction
@@ -118,6 +128,7 @@ class PartitionSchedule:
     to them are dropped, not lost."""
 
     def __init__(self, duration: int, at: int = 0, fraction: float = 0.25) -> None:
+        duration, at = _units(duration, "duration"), _units(at, "partition start")
         if at < 0:
             raise ValueError("partition start must be >= 0")
         self._start = PartitionStart(fraction, duration)  # validates both

@@ -3,21 +3,17 @@
 ``parse_spec("balancer", "mlt:fraction=0.5")`` builds a heuristic from a
 compact spec string — the ablation hook the CLI and bench harnesses use
 to sweep balancer parameters (``"mlt:fraction=0.5"``, ``"kc:k=8"``)
-without constructing objects in calling code.  The parser registers here
-as the ``"balancer"`` kind of the spec registry (:mod:`repro.util.specs`),
-raising :class:`BalancerSpecError`.  The kind has no signature surface:
+without constructing objects in calling code.  The kinds are one table of
+the shared grammar (:class:`repro.util.specs.Grammar`), registered as the
+``"balancer"`` kind of the spec registry and raising
+:class:`BalancerSpecError`.  The kind has no signature surface:
 :meth:`repro.experiments.config.ExperimentConfig.signature` names a
 balancer by its class and public constructor state.
 """
 
 from __future__ import annotations
 
-from ..util.specs import (
-    SpecError,
-    parse_options,
-    register_spec_kind,
-    split_spec,
-)
+from ..util.specs import Grammar, Kind, SpecError, register_spec_kind
 from .base import LoadBalancer
 from .kchoices import KChoices
 from .mlt import MLT, SplitDecision, best_split
@@ -33,46 +29,40 @@ class BalancerSpecError(SpecError):
     """A balancer spec that cannot be parsed or validated."""
 
 
+_FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _mlt(fraction: float = 1.0, allow_empty: object = False) -> MLT:
+    """``mlt:fraction=F:allow_empty=FLAG`` (a flag is 1/0, true/false or
+    yes/no)."""
+    flag = _FLAGS.get(str(allow_empty).lower())
+    if flag is None:
+        raise ValueError(f"allow_empty {allow_empty!r} is not one of {', '.join(_FLAGS)}")
+    return MLT(float(fraction), flag)
+
+
+_KINDS = Grammar("balancer spec", BalancerSpecError, {
+    "nolb": Kind(NoLB),
+    "mlt": Kind(_mlt, text=("allow_empty",)),
+    "kc": Kind(KChoices),
+    "kchoices": Kind(KChoices),
+})
+
+
 def _parse_balancer(spec: object) -> LoadBalancer:
     """Build a balancer from ``name[:key=value...]`` (the ``"balancer"``
     kind of :func:`repro.util.specs.parse_spec`).
 
-    Names (case-insensitive): ``nolb``, ``mlt``, ``kc`` (alias
-    ``kchoices``).  Options map to the constructors: ``mlt:fraction=0.5``,
-    ``mlt:allow_empty=1``, ``kc:k=8``.  Raises :class:`BalancerSpecError`
-    (a :class:`ValueError`) naming the spec on any unknown name or option.
+    Names are case-insensitive: ``nolb``, ``mlt``, ``kc`` (alias
+    ``kchoices``).  Options are the constructors' parameters:
+    ``mlt:fraction=0.5``, ``mlt:allow_empty=1``, ``kc:k=8``.
     """
     if isinstance(spec, LoadBalancer):
         return spec
-    if not isinstance(spec, str):
-        raise BalancerSpecError(
-            f"balancer spec must be a string or a LoadBalancer, "
-            f"got {type(spec).__name__}"
-        )
-    name, rest = split_spec(spec)
-    try:
-        options = parse_options(rest, spec, label="balancer spec")
-    except SpecError as exc:
-        raise BalancerSpecError(str(exc)) from exc
-    lowered = name.lower()
-    try:
-        if lowered == "nolb":
-            return NoLB(**options)
-        if lowered == "mlt":
-            if "fraction" in options:
-                options["fraction"] = float(options["fraction"])
-            if "allow_empty" in options:
-                options["allow_empty"] = options["allow_empty"].lower() in ("1", "true", "yes")
-            return MLT(**options)
-        if lowered in ("kc", "kchoices"):
-            if "k" in options:
-                options["k"] = int(options["k"])
-            return KChoices(**options)
-    except (TypeError, ValueError) as exc:
-        raise BalancerSpecError(f"balancer spec {spec!r}: {exc}") from exc
-    raise BalancerSpecError(
-        f"unknown balancer {name!r} in spec {spec!r} (known: nolb, mlt, kc)"
-    )
+    if isinstance(spec, str):
+        name, sep, rest = spec.partition(":")
+        spec = name.lower() + sep + rest
+    return _KINDS.parse(spec)
 
 
 register_spec_kind("balancer", _parse_balancer)

@@ -31,8 +31,8 @@ class KChoices(LoadBalancer):
     name = "KC"
 
     def __init__(self, k: int = 4) -> None:
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        if not isinstance(k, int) or k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {k!r}")
         self.k = k
 
     def score_candidate(self, system: DLPTSystem, candidate: str, capacity: int) -> float:

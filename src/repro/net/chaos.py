@@ -5,7 +5,8 @@
 the live-runtime counterpart of the simulation fault axis
 (:mod:`repro.faults`), so the served system can be subjected to the same
 adversities the sim already measures.  Fault modes, driven by a
-``chaos:`` spec registered through :mod:`repro.util.specs`:
+``chaos:`` spec whose clauses are one table of the shared grammar
+(:class:`repro.util.specs.Grammar`):
 
 * ``drop:P`` — each message is dropped with probability ``P``;
 * ``delay:P[:max=S]`` — each message is held for a uniform delay in
@@ -27,9 +28,10 @@ adversities the sim already measures.  Fault modes, driven by a
   symmetric-blocked (messages count dropped), the live analogue of the
   sim's partition windows.
 
-Clauses compose with ``+`` (``"drop:0.05+delay:0.3:max=0.01:seed=7"``)
-and every random decision flows from one seeded RNG, drop first (a dropped
-message draws nothing else), so a plan and seed replay bit-for-bit.
+Clauses compose with ``+`` (``"drop:0.05+delay:0.3:max=0.01:seed=7"``),
+``seed=N`` on any clause or alone seeds the whole plan, and every random
+decision flows from one seeded RNG, drop first (a dropped message draws
+nothing else), so a plan and seed replay bit-for-bit.
 
 **The counter invariant survives chaos.**  Chaos-dropped messages are
 counted into both ``messages_sent`` and ``messages_dropped``; held
@@ -54,7 +56,7 @@ import zlib
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Deque, Dict, Hashable, Optional, Tuple
 
-from ..util.specs import SpecError, parse_options, register_spec_kind
+from ..util.specs import Grammar, Kind, SpecError, register_spec_kind
 from . import transport as _transport
 from .transport import Handler, Transport, TransportError
 
@@ -67,19 +69,13 @@ class ChaosSpecError(SpecError):
     """A malformed ``chaos:`` spec string or mapping."""
 
 
-def _real(value: Any, what: str) -> float:
+def _check(value: Any, what: str, probability: bool = False) -> None:
+    """``value`` is a real number >= 0, and at most 1 if a ``probability``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ChaosSpecError(f"{what} {value!r} is not a number")
-    return value
-
-
-def _check_probability(value: Any, what: str) -> None:
-    if not 0.0 <= _real(value, what) <= 1.0:
+    if probability and not 0.0 <= value <= 1.0:
         raise ChaosSpecError(f"{what} {value} is outside [0, 1]")
-
-
-def _check_seconds(value: Any, what: str) -> None:
-    if not _real(value, what) >= 0:
+    if not value >= 0:
         raise ChaosSpecError(f"{what} must be >= 0")
 
 
@@ -92,9 +88,9 @@ class PartitionWindow:
     fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        _check_seconds(self.duration, "partition duration")
-        _check_seconds(self.at, "partition at")
-        _check_probability(self.fraction, "partition fraction")
+        _check(self.duration, "partition duration")
+        _check(self.at, "partition at")
+        _check(self.fraction, "partition fraction", probability=True)
 
 
 @dataclass(frozen=True)
@@ -119,13 +115,14 @@ class ChaosPlan:
 
     def __post_init__(self) -> None:
         for name in ("drop", "delay", "dup", "reorder", "kill"):
-            _check_probability(getattr(self, name), f"{name} probability")
-        _check_probability(self.crash, "crash_storm rate")
-        if not _real(self.delay_max, "delay max") > 0:
+            _check(getattr(self, name), f"{name} probability", probability=True)
+        _check(self.crash, "crash_storm rate", probability=True)
+        _check(self.delay_max, "delay max")
+        if not self.delay_max > 0:
             raise ChaosSpecError("delay max must be > 0")
-        _check_seconds(self.crash_start, "crash_storm start")
+        _check(self.crash_start, "crash_storm start")
         if self.crash_end is not None:
-            _check_seconds(self.crash_end, "crash_storm end")
+            _check(self.crash_end, "crash_storm end")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ChaosSpecError("seed must be an integer")
 
@@ -136,93 +133,54 @@ class ChaosPlan:
         )
 
 
-def _number(value: str, spec: str, what: str) -> float:
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise ChaosSpecError(f"chaos spec {spec!r}: {what} {value!r} is not a number") from exc
+def _given(**fields: Any) -> Dict[str, Any]:
+    return {key: value for key, value in fields.items() if value is not None}
 
 
-def _seed(value: str, spec: str) -> int:
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ChaosSpecError(f"chaos spec {spec!r}: seed must be an integer") from exc
+def _chance(mode: str) -> Callable[[float], Dict[str, Any]]:
+    return lambda probability: {mode: probability}
 
 
-def _parse_clause(clause: str, spec: str, fields: Dict[str, Any]) -> None:
-    """Tokenise one ``+`` clause into plan fields; ranges are the plan's."""
-    if "=" in clause.partition(":")[0]:
-        # A bare option clause (``...+seed=7``) applying to the whole plan.
-        options = parse_options([clause], spec, label="chaos spec")
-        if set(options) != {"seed"}:
-            raise ChaosSpecError(
-                f"chaos spec {spec!r}: unknown plan option(s) "
-                f"{', '.join(sorted(set(options) - {'seed'}))}"
-            )
-        fields["seed"] = _seed(options["seed"], spec)
-        return
-    kind, _, rest = clause.partition(":")
-    tokens = rest.split(":") if rest else []
-    positional = None
-    if tokens and "=" not in tokens[0]:
-        positional = tokens[0]
-        tokens = tokens[1:]
-    options = parse_options(tokens, spec, label="chaos spec")
-    if "seed" in options:
-        fields["seed"] = _seed(options.pop("seed"), spec)
-
-    if kind in ("drop", "dup", "reorder", "kill", "delay"):
-        if positional is None:
-            raise ChaosSpecError(f"chaos spec {spec!r}: {kind} needs a probability")
-        fields[kind] = _number(positional, spec, f"{kind} probability")
-        if kind == "delay" and "max" in options:
-            fields["delay_max"] = _number(options.pop("max"), spec, "delay max")
-    elif kind == "crash_storm":
-        if positional is None:
-            raise ChaosSpecError(f"chaos spec {spec!r}: crash_storm needs a rate")
-        fields["crash"] = _number(positional, spec, "crash_storm rate")
-        for bound in ("start", "end"):
-            if bound in options:
-                fields[f"crash_{bound}"] = _number(
-                    options.pop(bound), spec, f"crash_storm {bound}"
-                )
-    elif kind == "partition":
-        if positional is None or "@" not in positional:
-            raise ChaosSpecError(
-                f"chaos spec {spec!r}: partition needs DURATION@AT (e.g. partition:2@4)"
-            )
-        dur_text, _, at_text = positional.partition("@")
-        window = {
-            "duration": _number(dur_text, spec, "partition duration"),
-            "at": _number(at_text, spec, "partition at"),
-            "fraction": _number(options.pop("fraction", "0.5"), spec, "partition fraction"),
-        }
-        fields["partitions"] = fields.get("partitions", ()) + (window,)
-    else:
-        raise ChaosSpecError(
-            f"chaos spec {spec!r}: unknown fault kind {kind!r} (expected one of "
-            "drop, delay, dup, reorder, kill, crash_storm, partition)"
-        )
-    if options:
-        extra = ", ".join(sorted(options))
-        raise ChaosSpecError(f"chaos spec {spec!r}: unknown option(s) {extra} for {kind}")
+#: One row per clause kind: a clause builds the plan fields it sets, or a
+#: partition window.
+_CLAUSES = Grammar("chaos spec", ChaosSpecError, {
+    **{mode: Kind(_chance(mode), "probability", 1) for mode in ("drop", "dup", "reorder", "kill")},
+    "delay": Kind(lambda probability, max=None: _given(delay=probability, delay_max=max),
+                  "probability", 1),
+    "crash_storm": Kind(lambda rate, start=None, end=None: _given(
+        crash=rate, crash_start=start, crash_end=end), "rate", 1),
+    "partition": Kind(PartitionWindow, "duration@at", 2),
+}, shared=("seed",), noun="fault kind")
 
 
 def parse_chaos(value: object) -> ChaosPlan:
     """Parse any accepted form — spec string, mapping, or a ready
-    :class:`ChaosPlan` — into a validated plan."""
+    :class:`ChaosPlan` — into a validated plan.
+
+    A string is ``+``-joined clauses of the shared grammar
+    (:class:`repro.util.specs.Grammar`); ``seed=N`` closes any clause or
+    stands alone, and seeds the whole plan.
+    """
     if isinstance(value, ChaosPlan):
         return value
     if isinstance(value, dict):
         fields = dict(value)
     elif isinstance(value, str) and value.strip():
-        fields = {}
+        fields = {"partitions": ()}
         for clause in value.split("+"):
             clause = clause.strip()
             if not clause:
                 raise ChaosSpecError(f"chaos spec {value!r}: empty clause")
-            _parse_clause(clause, value, fields)
+            kind, options = _CLAUSES.fields(clause)
+            if "seed" in options:
+                fields["seed"] = options.pop("seed")
+            if not kind and options:
+                raise _CLAUSES.error(clause, f"unknown plan option(s) {', '.join(options)}")
+            built = _CLAUSES.build(kind, options, clause) if kind else {}
+            if isinstance(built, PartitionWindow):
+                fields["partitions"] += (built,)
+            else:
+                fields.update(built)
     else:
         raise ChaosSpecError(f"chaos spec must be a string, mapping or ChaosPlan: {value!r}")
     try:

@@ -72,7 +72,7 @@ from __future__ import annotations
 import asyncio
 import bisect
 import collections
-import itertools
+import heapq
 import operator
 import zlib
 from typing import Dict, List, Optional, Sequence
@@ -572,10 +572,11 @@ class LocalCluster(Cluster):
 
     def live_ids(self) -> List[str]:
         # A peer whose join is still in flight is admitted but not live.
-        return sorted(itertools.chain.from_iterable(g.engine.live_ids() for g in self.groups))
+        lists = [g.engine.live_ids() for g in self.groups]  # each sorted
+        return lists[0] if len(lists) == 1 else list(heapq.merge(*lists))
 
     def live_count(self) -> int:
-        return len(self.live_ids())
+        return sum(len(g.engine.live_ids()) for g in self.groups)
 
     async def close(self) -> None:
         for t in self.transports:

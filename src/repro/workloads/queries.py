@@ -5,7 +5,10 @@ this module generates the *set queries* the trie overlay additionally
 serves — prefix completions, lexicographic ranges and exact probes — as a
 per-unit stream riding alongside the request stream.  A
 :class:`QueryWorkload` is parsed from a compact spec
-(``ExperimentConfig(queries=...)``):
+(``ExperimentConfig(queries=...)``), one table of the shared grammar
+(:class:`repro.util.specs.Grammar`) whose every kind takes the options
+``n``, ``len`` and ``span`` (a dict may also spell them ``n_per_unit``,
+``prefix_len``, ``range_span``):
 
 * ``"mixed"`` / ``"mixed:n=6"`` — cycle prefix → range → exact;
 * ``"prefix:n=4:len=2"`` — completions of length-``len`` prefixes of
@@ -24,7 +27,7 @@ config time, never mid-simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..core.queries import (
     ExactQuery,
@@ -33,7 +36,7 @@ from ..core.queries import (
     QuerySpecError,
     RangeQuery,
 )
-from ..util.specs import parse_options, register_spec_kind, split_spec
+from ..util.specs import Grammar, Kind, register_spec_kind
 
 #: Query-workload spec kinds.
 QUERY_KINDS = ("mixed", "prefix", "range", "exact")
@@ -62,6 +65,9 @@ class QueryWorkload:
                 f"unknown query kind {self.kind!r} "
                 f"(known kinds: {', '.join(QUERY_KINDS)})"
             )
+        for value in (self.n_per_unit, self.prefix_len, self.range_span):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise QuerySpecError(f"query workload needs integer n, len, span: {value!r}")
         if self.n_per_unit < 1:
             raise QuerySpecError("query workload needs n >= 1")
         if self.prefix_len < 0:
@@ -128,60 +134,35 @@ def query_from_event(event: Sequence) -> Tuple[Query, str]:
     raise QuerySpecError(f"bad query event {list(event)!r}")
 
 
-def _int_option(value: str, spec: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise QuerySpecError(
-            f"query spec {spec!r}: {value!r} is not an integer"
-        ) from None
+#: The :class:`QueryWorkload` field names a dict may use for the spec's
+#: short option names.
+_FULL = {"n_per_unit": "n", "prefix_len": "len", "range_span": "span"}
 
 
-#: Spec option names → QueryWorkload field names.
-_OPTION_FIELDS = {"n": "n_per_unit", "len": "prefix_len", "span": "range_span"}
+def _plan(kind: str) -> Callable[..., QueryWorkload]:
+    """The row of one query kind, taking the spec's short option names."""
+    def build(n: int = QueryWorkload.n_per_unit, len: int = QueryWorkload.prefix_len,
+              span: int = QueryWorkload.range_span) -> QueryWorkload:
+        return QueryWorkload(kind, n, len, span)
+    return build
+
+
+_KINDS = Grammar("query spec", QuerySpecError, {kind: Kind(_plan(kind)) for kind in QUERY_KINDS})
 
 
 def _parse_query_workload(spec: object) -> Optional[QueryWorkload]:
     """Build and validate a :class:`QueryWorkload` from any spec form (the
     ``"queries"`` kind of :func:`repro.util.specs.parse_spec`).
 
-    Accepts ``None`` (no query axis), a spec string, a dict (string-spec
-    keys or QueryWorkload field names), or a ready :class:`QueryWorkload`.
+    Accepts ``None`` (no query axis), a spec string, a dict (short option
+    names or QueryWorkload field names), or a ready :class:`QueryWorkload`.
     Raises :class:`QuerySpecError` naming the offending spec on any
     problem.
     """
-    if spec is None:
-        return None
-    if isinstance(spec, QueryWorkload):
+    if spec is None or isinstance(spec, QueryWorkload):
         return spec
-    if isinstance(spec, str):
-        kind, rest = split_spec(spec)
-        try:
-            raw = parse_options(rest, spec, label="query spec")
-        except ValueError as exc:
-            raise QuerySpecError(str(exc)) from exc
-        kwargs: Dict[str, Any] = {"kind": kind}
-        for key, value in raw.items():
-            if key not in _OPTION_FIELDS:
-                raise QuerySpecError(
-                    f"query spec {spec!r}: unknown option {key!r} "
-                    f"(known options: {', '.join(_OPTION_FIELDS)})"
-                )
-            kwargs[_OPTION_FIELDS[key]] = _int_option(value, spec)
-        return QueryWorkload(**kwargs)
-    if isinstance(spec, dict):
-        kwargs = dict(spec)
-        for short, full in _OPTION_FIELDS.items():
-            if short in kwargs:
-                kwargs[full] = kwargs.pop(short)
-        try:
-            return QueryWorkload(**kwargs)
-        except TypeError as exc:
-            raise QuerySpecError(f"bad query spec {spec!r}: {exc}") from exc
-    raise QuerySpecError(
-        f"query spec must be None, a string, a dict or a QueryWorkload, "
-        f"got {type(spec).__name__}"
-    )
+    kind, fields = _KINDS.fields(spec)
+    return _KINDS.build(kind, {_FULL.get(k, k): v for k, v in fields.items()}, spec)
 
 
 def queries_signature(plan: QueryWorkload) -> dict:

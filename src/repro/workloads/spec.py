@@ -2,7 +2,8 @@
 
 ``ExperimentConfig(workload=...)`` and the ``python -m repro run --workload``
 CLI flag accept a compact spec instead of constructed objects, so every
-scenario is reachable from a shell or a config file:
+scenario is reachable from a shell or a config file.  The kinds are one
+table of the shared grammar (:class:`repro.util.specs.Grammar`):
 
 * ``"uniform"`` — uniform over the available keys;
 * ``"zipf"`` / ``"zipf:1.2"`` — Zipf popularity, optional exponent;
@@ -13,7 +14,8 @@ scenario is reachable from a shell or a config file:
   a relaxing burst (:class:`repro.workloads.dynamics.FlashCrowd`);
 * ``"diurnal:period=24:amplitude=0.5"`` — sinusoidal rate modulation;
 * ``"adversarial:S3L"`` / ``"adversarial:S3L:s=1.5"`` — prefix stacking;
-* a dict composes: ``{"kind": "mixed", "phases": [{"start": 0, "end": 40,
+* a dict names the same fields (``{"kind": "zipf", "s": 1.2}``) and
+  composes: ``{"kind": "mixed", "phases": [{"start": 0, "end": 40,
   "workload": "uniform"}, {"start": 40, "end": 80, "workload":
   "flash_crowd:S3L", "rate": 1.5}]}`` — and ``{"kind": "diurnal",
   "inner": <spec>, ...}`` nests any inner spec;
@@ -26,9 +28,9 @@ validation happens when the config is parsed, not mid-simulation.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import List, Sequence
 
-from ..util.specs import SpecError, register_spec_kind, spec_helpers, split_spec
+from ..util.specs import Grammar, Kind, SpecError, register_spec_kind
 from .dynamics import (
     AdversarialPrefixStacking,
     DiurnalSchedule,
@@ -48,115 +50,56 @@ from .requests import (
     generator_name,
 )
 
-#: Workload spec kinds (string and dict forms).
-WORKLOAD_KINDS = (
-    "uniform", "zipf", "hotspot", "figure8",
-    "flash_crowd", "diurnal", "adversarial", "mixed",
-)
-
 
 class WorkloadSpecError(SpecError):
     """A workload spec that cannot be parsed or validated."""
 
 
-_number, _options, _apply = spec_helpers("workload spec", WorkloadSpecError)
+def _mixed(phases: Sequence[dict] = (), fallback: object = None) -> MixedSchedule:
+    """The ``mixed`` kind: phases of nested workload specs."""
+    if not phases:
+        raise ValueError("mixed workload spec needs non-empty 'phases'")
+    built: List[SchedulePhase] = []
+    for raw in phases:
+        try:
+            source = _parse_schedule(raw["workload"])
+            built.append(SchedulePhase(int(raw["start"]), int(raw["end"]), source,
+                                       float(raw.get("rate", 1.0))))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"bad mixed phase {raw!r}: {exc}") from exc
+    return MixedSchedule(built, _parse_schedule(fallback))
 
 
-def _parse_string(spec: str) -> object:
-    kind, rest = split_spec(spec)
-    if kind == "uniform":
-        return UniformRequests()
-    if kind == "zipf":
-        s = _number(rest[0], spec) if rest else 1.0
-        return _apply(ZipfRequests, {"s": s}, spec)
-    if kind == "hotspot":
-        if not rest:
-            raise WorkloadSpecError(f"workload spec {spec!r}: hotspot needs a prefix")
-        kwargs: Dict[str, Any] = {"prefix": rest[0]}
-        if len(rest) > 1:
-            kwargs["intensity"] = _number(rest[1], spec)
-        return _apply(HotSpotRequests, kwargs, spec)
-    if kind == "figure8":
-        intensity = _number(rest[0], spec) if rest else 0.8
-        return _apply(figure8_schedule, {"intensity": intensity}, spec)
-    if kind == "flash_crowd":
-        if not rest:
-            raise WorkloadSpecError(f"workload spec {spec!r}: flash_crowd needs a prefix")
-        kwargs = {"prefix": rest[0], **_options(rest[1:], spec)}
-        return _apply(FlashCrowd, kwargs, spec)
-    if kind == "diurnal":
-        return _apply(DiurnalSchedule, dict(_options(rest, spec)), spec)
-    if kind == "adversarial":
-        if not rest:
-            raise WorkloadSpecError(f"workload spec {spec!r}: adversarial needs a prefix")
-        kwargs = {"prefix": rest[0], **_options(rest[1:], spec)}
-        return _apply(AdversarialPrefixStacking, kwargs, spec)
-    raise WorkloadSpecError(
-        f"unknown workload kind {kind!r} in spec {spec!r} "
-        f"(known kinds: {', '.join(WORKLOAD_KINDS)})"
-    )
+_KINDS = Grammar("workload spec", WorkloadSpecError, {
+    "uniform": Kind(UniformRequests),
+    "zipf": Kind(ZipfRequests, "s"),
+    "hotspot": Kind(HotSpotRequests, "prefix:intensity", 1, ("prefix",)),
+    "figure8": Kind(figure8_schedule, "intensity"),
+    "flash_crowd": Kind(FlashCrowd, "prefix", 1, ("prefix",)),
+    "diurnal": Kind(DiurnalSchedule, text=("inner",)),
+    "adversarial": Kind(AdversarialPrefixStacking, "prefix", 1, ("prefix",)),
+    "mixed": Kind(_mixed),
+})
 
-
-def _parse_dict(spec: Dict[str, Any]) -> object:
-    kind = spec.get("kind")
-    if kind == "mixed":
-        raw_phases = spec.get("phases")
-        if not raw_phases:
-            raise WorkloadSpecError(f"mixed workload spec needs non-empty 'phases': {spec!r}")
-        phases: List[SchedulePhase] = []
-        for raw in raw_phases:
-            try:
-                phases.append(
-                    SchedulePhase(
-                        start=int(raw["start"]),
-                        end=int(raw["end"]),
-                        source=_parse_schedule(raw["workload"]),
-                        rate=float(raw.get("rate", 1.0)),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise WorkloadSpecError(f"bad mixed phase {raw!r}: {exc}") from exc
-        fallback = (
-            _parse_schedule(spec["fallback"]) if "fallback" in spec else None
-        )
-        return _apply(MixedSchedule, {"phases": phases, "fallback": fallback}, str(spec))
-    if kind == "diurnal":
-        kwargs = {k: v for k, v in spec.items() if k not in ("kind", "inner")}
-        if "inner" in spec:
-            kwargs["inner"] = _parse_schedule(spec["inner"])
-        return _apply(DiurnalSchedule, kwargs, str(spec))
-    if kind in WORKLOAD_KINDS:
-        # Generic form: {"kind": "flash_crowd", "prefix": "S3L", "onset": 40}
-        factories = {
-            "uniform": UniformRequests,
-            "zipf": ZipfRequests,
-            "hotspot": HotSpotRequests,
-            "figure8": figure8_schedule,
-            "flash_crowd": FlashCrowd,
-            "adversarial": AdversarialPrefixStacking,
-        }
-        kwargs = {k: v for k, v in spec.items() if k != "kind"}
-        return _apply(factories[kind], kwargs, str(spec))
-    raise WorkloadSpecError(
-        f"unknown workload kind {kind!r} in spec {spec!r} "
-        f"(known kinds: {', '.join(WORKLOAD_KINDS)})"
-    )
+#: Workload spec kinds (string and dict forms).
+WORKLOAD_KINDS = tuple(_KINDS.kinds)
 
 
 def _parse_schedule(spec: object) -> WorkloadSchedule:
     """Build and validate a :class:`WorkloadSchedule` from any spec form
     (the ``"workload"`` kind of :func:`repro.util.specs.parse_spec`).
 
-    Accepts a spec string, a composing dict, a ready schedule, or a bare
-    generator (wrapped into a steady schedule).  Raises
+    Accepts a spec string, a dict, a ready schedule, or a bare generator
+    (wrapped into a steady schedule); ``None`` is uniform.  Raises
     :class:`WorkloadSpecError` with the offending spec on any problem.
     """
     if spec is None:
         built: object = UniformRequests()
-    elif isinstance(spec, str):
-        built = _parse_string(spec)
-    elif isinstance(spec, dict):
-        built = _parse_dict(spec)
+    elif isinstance(spec, (str, dict)):
+        kind, fields = _KINDS.fields(spec)
+        if kind == "diurnal" and fields.get("inner") is not None:
+            fields["inner"] = _parse_schedule(fields["inner"])
+        built = _KINDS.build(kind, fields, spec)
     else:
         built = spec
     try:

@@ -100,7 +100,7 @@ class TestFullExperimentPipeline:
             total_units=70,
             load_fraction=0.4,
             churn=DYNAMIC,
-            schedule=figure8_schedule(),
+            workload=figure8_schedule(),
         )
         mlt = run_single(ExperimentConfig(lb=MLT(), **base), 0)
         nolb = run_single(ExperimentConfig(lb=NoLB(), **base), 0)

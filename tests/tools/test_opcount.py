@@ -89,6 +89,43 @@ def test_generated_code_is_billed_to_its_caller():
     assert all(code.co_filename != "<string>" for code in ledger.opcodes)
 
 
+def test_disarm_gives_tracing_back_to_an_outer_tracer():
+    """A ledger armed under another tracer (the line census, a debugger)
+    hands tracing back on disarm: the global trace and profile functions
+    and the running frame's own trace, so the outer tool sees every frame
+    after the measured window."""
+    seen = []
+
+    def outer(frame, event, arg):
+        seen.append(frame.f_code.co_name)
+        return outer
+
+    def profile(frame, event, arg):
+        pass
+
+    def after_the_window():
+        return 1
+
+    previous = (sys.gettrace(), sys.getprofile())
+    here = sys._getframe()
+    saved_frame_trace = here.f_trace
+    sys.setprofile(profile)
+    sys.settrace(outer)
+    here.f_trace = outer
+    try:
+        ledger = opcount.Ledger()
+        ledger.arm()
+        ledger.disarm()
+        back = (sys.gettrace(), sys.getprofile(), here.f_trace)
+        after_the_window()
+    finally:
+        sys.setprofile(previous[1])
+        sys.settrace(previous[0])
+        here.f_trace = saved_frame_trace
+    assert back == (outer, profile, outer)
+    assert "after_the_window" in seen
+
+
 def test_the_delta_table_is_per_layer():
     def doc(cluster, codec):
         layers = {layer: {"opcodes_per_op": 0.0} for layer in opcount.LAYERS}

@@ -132,7 +132,7 @@ class TestConfigIntegration:
         assert "flash:S3L@40" in cfg.describe()
 
     def test_bare_generator_as_schedule_is_wrapped(self):
-        cfg = ExperimentConfig(schedule=ZipfRequests(1.1))
+        cfg = ExperimentConfig(workload=ZipfRequests(1.1))
         assert isinstance(cfg.schedule, SteadySchedule)
 
     def test_default_schedule_still_phased(self):
@@ -142,7 +142,7 @@ class TestConfigIntegration:
         with pytest.raises(WorkloadSpecError):
             ExperimentConfig(workload="bogus")
         with pytest.raises(WorkloadSpecError):
-            ExperimentConfig(schedule=object())
+            ExperimentConfig(workload=object())
 
     def test_with_lb_preserves_workload(self):
         from repro.lb.mlt import MLT

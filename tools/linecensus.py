@@ -14,7 +14,9 @@ Only this process is traced: code run by spawned workers or subprocesses
 (``-m net`` worker processes, the example scripts) counts as unreached.
 Tracing slows the suite, so a timing-sensitive test may fail under it; every
 failed test is printed by node id, the report is still written, and the exit
-status is pytest's.
+status is pytest's.  A run that removed the census tracer (a test calling
+``sys.settrace`` without restoring it) is not a census: it says so on
+stderr and exits non-zero even when pytest passed.
 """
 from __future__ import annotations
 
@@ -91,9 +93,15 @@ class Census:
         threading.settrace(self._call)
         sys.settrace(self._call)
 
-    def stop(self) -> None:
+    def stop(self) -> bool:
+        """Restore the tracing found at :meth:`start`; ``False`` when the
+        census tracer had been removed before (something in the run called
+        ``sys.settrace`` and did not give it back: every line after that
+        counts as unreached)."""
+        intact = sys.gettrace() == self._call
         sys.settrace(self._saved[0])
         threading.settrace(self._saved[1])
+        return intact
 
     def unreached(self) -> dict[str, dict]:
         """``{relative path: {"executable": n, "unreached": [lines]}}`` for
@@ -138,7 +146,12 @@ def main(argv=None) -> int:
     try:
         status = int(pytest.main(args.pytest_args, plugins=[failures]))
     finally:
-        census.stop()
+        intact = census.stop()
+    if not intact:
+        print("error: the census tracer was removed during the run (a test called "
+              "sys.settrace and did not restore it); the counts below are not a census",
+              file=sys.stderr)
+        status = status or 1
     modules = census.unreached()
     report = {"schema": SCHEMA, "pytest_args": args.pytest_args, "pytest_exit": status,
               "failed": failures.failed, "modules": modules}

@@ -159,6 +159,8 @@ class Ledger:
         self.opcodes: collections.Counter = collections.Counter()
         self.c_calls: collections.Counter = collections.Counter()
         self.entries: collections.Counter = collections.Counter()
+        #: What was tracing before :meth:`arm`: (trace, profile, [frame state]).
+        self._saved: tuple = (None, None, [])
 
     @staticmethod
     def billed(frame):
@@ -190,9 +192,12 @@ class Ledger:
 
     def arm(self) -> None:
         """Trace every frame from here on, and the caller's stack too (the
-        frames already running: the event loop and this tool's own)."""
+        frames already running: the event loop and this tool's own).  What
+        was tracing before (a coverage tool, a debugger) is saved."""
+        self._saved = (sys.gettrace(), sys.getprofile(), [])
         frame = sys._getframe(1)
         while frame is not None:
+            self._saved[2].append((frame, frame.f_trace, frame.f_trace_lines, frame.f_trace_opcodes))
             frame.f_trace_lines = False
             frame.f_trace_opcodes = True
             frame.f_trace = self._counter(self.billed(frame))
@@ -201,8 +206,15 @@ class Ledger:
         sys.settrace(self._on_entry)
 
     def disarm(self) -> None:
+        """Stop counting and give tracing back to what :meth:`arm` found."""
         sys.settrace(None)
         sys.setprofile(None)
+        trace, profile, frames = self._saved
+        for frame, f_trace, lines, opcodes in frames:
+            frame.f_trace, frame.f_trace_lines, frame.f_trace_opcodes = f_trace, lines, opcodes
+        self._saved = (None, None, [])
+        sys.setprofile(profile)
+        sys.settrace(trace)
 
 
 def _function(layers: Layers, code) -> str:
