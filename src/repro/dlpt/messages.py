@@ -1,9 +1,11 @@
 """Protocol message types (paper Algorithms 1–3).
 
 Every message the pseudo-code exchanges is a slotted dataclass here, and so
-is the :class:`Envelope` every transport delivers them in.  Node-
-addressed messages carry ``node`` — the label of the logical node they are
-for; peer-addressed messages are delivered to a peer endpoint directly.
+are the reads it leaves out — a discovery, a key batch walking the tree
+once (:class:`DiscoveryBatch`) and a set query — and the
+:class:`Envelope` every transport delivers them in.  Node-addressed
+messages carry ``node`` — the label of the logical node they are for;
+peer-addressed messages are delivered to a peer endpoint directly.
 
 Messages are **values by convention**: compared by field (``==``), never
 hashed (``__hash__`` is ``None``), and never assigned to after construction
@@ -204,8 +206,24 @@ class DiscoveryRequest:
 
 
 @dataclass(slots=True)
+class DiscoveryBatch:
+    """Several lookups walking the tree together, at ``node``: the sorted
+    ``keys`` (duplicates kept, each answered on its own) whose walks all
+    pass through that node.  A tree has one path from the entry to each
+    node, so the keys share one ``hops``; the group forks where their
+    next nodes differ, and a branch of one key travels as a
+    :class:`DiscoveryRequest`."""
+
+    node: str
+    keys: Tuple[str, ...]
+    reply_to: str
+    hops: int = 0
+
+
+@dataclass(slots=True)
 class DiscoveryReply:
-    """Response to a :class:`DiscoveryRequest`."""
+    """Response to a :class:`DiscoveryRequest` (one per key of a
+    :class:`DiscoveryBatch`)."""
 
     key: str
     found: bool

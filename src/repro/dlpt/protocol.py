@@ -31,26 +31,28 @@ Fidelity notes (divergences from the pseudo-code are deliberate and small):
   ``DataInsertion`` climb and descent and its ``SearchingHost`` descent
   step through the nodes their current peer hosts inside one handler
   call, and build a message only when the next node lives on another
-  peer.  A read costs ``1 + physical hops`` messages, and its ``hops``
-  counter still counts every logical hop.  What changes the tree stays a
-  message, in its order: an insertion's terminal ``SearchingHost`` to
-  ``p`` or its father and its ``UpdateChild``, ``PeerJoin`` and the ring
-  messages.  A new node whose ``SearchingHost`` descent ends on a peer
-  where the mapping rule already holds is installed there in place;
-  elsewhere its ``Host`` is sent, and forwarded as note 2 says.  The
-  proof that stepping writes in place is safe is the seeded schedule
-  explorer (``tests/dlpt/test_protocol_schedules.py``): per-pair FIFO,
-  any interleaving across pairs, and the ring, tree, mapping and every
-  key checked after each schedule.
+  peer.  A read costs ``1 + physical hops`` messages — a key batch one
+  per cross-peer edge of the union of its keys' paths, plus one — and
+  its ``hops`` counter still counts every logical hop.  What changes
+  the tree stays a message, in its order: an insertion's terminal
+  ``SearchingHost`` to ``p`` or its father and its ``UpdateChild``,
+  ``PeerJoin`` and the ring messages.  A new node whose
+  ``SearchingHost`` descent ends on a peer where the mapping rule
+  already holds is installed there in place; elsewhere its ``Host`` is
+  sent, and forwarded as note 2 says.  The proof that stepping writes
+  in place is safe is the seeded schedule explorer
+  (``tests/dlpt/test_protocol_schedules.py``): per-pair FIFO, any
+  interleaving across pairs, and the ring, tree, mapping and every key
+  checked after each schedule.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..core.ids import gcp
 from ..core.keyspace import in_interval_open_closed
@@ -267,11 +269,25 @@ class ProtocolEngine:
         if not self.locator:
             raise RuntimeError("tree is empty")
         via = self.entry(via)
-        self.send_to_node(
-            self._client_endpoint,
-            via,
-            m.DiscoveryRequest(node=via, key=key, reply_to=self._client_endpoint),
-        )
+        client = self._client_endpoint
+        self.send_to_node(client, via, m.DiscoveryRequest(via, key, client))
+
+    def discover_batch(self, keys: Sequence[str], via: Optional[str] = None) -> None:
+        """Issue one discovery per key of ``keys`` (duplicates included)
+        as one walk from one entry node: the sorted keys travel together
+        and fork where their next nodes differ, so each tree edge of their
+        paths is stepped once.  One reply per key lands in
+        :attr:`discovery_replies`, in no set order; a batch of one is
+        :meth:`discover`."""
+        if len(keys) == 1:
+            self.discover(keys[0], via)
+            return
+        if not self.locator:
+            raise RuntimeError("tree is empty")
+        if keys:
+            via = self.entry(via)
+            client = self._client_endpoint
+            self.send_to_node(client, via, m.DiscoveryBatch(via, tuple(sorted(keys)), client))
 
     def search_query(
         self, kind: str, lo: str, hi: str = "", via: Optional[str] = None
@@ -586,40 +602,108 @@ class ProtocolEngine:
     # discovery
     # ------------------------------------------------------------------
 
+    # Replies ``(key, found, data, hops)`` and per-hop requests ``(node,
+    # key | keys, reply_to, hops)`` are built positionally: keyword
+    # passing doubles a constructor's cost.
+
     def _on_discovery(self, peer: ProtocolPeer, msg: m.DiscoveryRequest) -> None:
         """Walk up, then down, towards ``msg.key``: every tree edge is one
         hop, and the request becomes a message again only when the next
-        node lives on another peer (module docstring, fidelity note 4)."""
+        node lives on another peer (module docstring, fidelity note 4).
+        Going down, the one child that can prefix the key is the last
+        child ``<= key`` (children diverge right after their father's
+        label)."""
         nodes = peer.nodes
         p = nodes[msg.node]
         k = msg.key
+        reply_to = msg.reply_to
         hops = msg.hops
         while True:
             label = p.label
             if label == k:
                 self.transport.send(
-                    peer.id,
-                    msg.reply_to,
-                    m.DiscoveryReply(key=k, found=True, data=tuple(p.data), hops=hops),
+                    peer.id, reply_to, m.DiscoveryReply(k, True, tuple(p.data), hops)
                 )
                 return
             if k.startswith(label):
-                nxt = p.child_sharing_longer_prefix(k)
-                if nxt is not None and not k.startswith(nxt):
-                    nxt = None
+                kids = p.children
+                i = bisect_right(kids, k)
+                if not i:
+                    break
+                nxt = kids[i - 1]
+                if not k.startswith(nxt):
+                    break
             else:
                 nxt = p.father
-            if nxt is None:
-                break
+                if nxt is None:
+                    break
             hops += 1
             q = nodes.get(nxt)
             if q is None:
-                # (node, key, reply_to, hops) — the per-hop records are built
-                # positionally: keyword passing doubles a constructor's cost.
-                self.send_to_node(peer.id, nxt, m.DiscoveryRequest(nxt, k, msg.reply_to, hops))
+                self.send_to_node(peer.id, nxt, m.DiscoveryRequest(nxt, k, reply_to, hops))
                 return
             p = q
-        self.transport.send(peer.id, msg.reply_to, m.DiscoveryReply(key=k, found=False, hops=hops))
+        self.transport.send(peer.id, reply_to, m.DiscoveryReply(k, False, (), hops))
+
+    def _on_discovery_batch(self, peer: ProtocolPeer, msg: m.DiscoveryBatch) -> None:
+        """:meth:`_on_discovery` for a sorted group of keys at once.  At a
+        node the keys its label prefixes are one run of the group, and
+        those bound for one child are one run of that run; every other key
+        climbs to the father.  Each run goes on as one group with the
+        node's ``hops + 1`` — on this peer as a loop, to another peer as
+        one message, a :class:`~repro.dlpt.messages.DiscoveryRequest` when
+        it holds one key."""
+        nodes = peer.nodes
+        pid = peer.id
+        reply_to = msg.reply_to
+        send = self.transport.send
+        reply = m.DiscoveryReply
+        work = [(nodes[msg.node], msg.keys, msg.hops)]
+        while work:
+            p, keys, hops = work.pop()
+            label = p.label
+            kids = p.children
+            n = len(keys)
+            steps = []
+            i = lo = bisect_left(keys, label)
+            while i < n:
+                k = keys[i]
+                if not k.startswith(label):
+                    break
+                i += 1
+                if k == label:
+                    send(pid, reply_to, reply(k, True, tuple(p.data), hops))
+                    continue
+                j = bisect_right(kids, k)
+                if not (j and k.startswith(kids[j - 1])):
+                    send(pid, reply_to, reply(k, False, (), hops))
+                    continue
+                kid = kids[j - 1]
+                start = i - 1
+                while i < n and keys[i].startswith(kid):
+                    i += 1
+                steps.append((kid, keys[start:i]))
+            if lo or i < n:
+                up = keys if i == lo else keys[:lo] + keys[i:]
+                father = p.father
+                if father is None:
+                    for k in up:
+                        send(pid, reply_to, reply(k, False, (), hops))
+                else:
+                    steps.append((father, up))
+            hops += 1
+            for nxt, group in steps:
+                q = nodes.get(nxt)
+                if len(group) == 1:
+                    request = m.DiscoveryRequest(nxt, group[0], reply_to, hops)
+                    if q is None:
+                        self.send_to_node(pid, nxt, request)
+                    else:
+                        self._on_discovery(peer, request)
+                elif q is None:
+                    self.send_to_node(pid, nxt, m.DiscoveryBatch(nxt, group, reply_to, hops))
+                else:
+                    work.append((q, group, hops))
 
     # ------------------------------------------------------------------
     # set queries (prefix completion / lexicographic range)
@@ -754,7 +838,7 @@ class ProtocolEngine:
         """Every node lives on the lowest peer id >= its label (wrapped)."""
         ids = self.live_ids()
         for label, host in self.locator.items():
-            i = bisect.bisect_left(ids, label)
+            i = bisect_left(ids, label)
             expected = ids[i] if i < len(ids) else ids[0]
             assert host == expected, (
                 f"node {label!r} on {host!r}, mapping rule wants {expected!r}"
@@ -808,5 +892,6 @@ ProtocolEngine._HANDLERS = {
     m.Host: ProtocolEngine._on_host,
     m.UpdateChild: ProtocolEngine._on_update_child,
     m.DiscoveryRequest: ProtocolEngine._on_discovery,
+    m.DiscoveryBatch: ProtocolEngine._on_discovery_batch,
     m.SetQueryRequest: ProtocolEngine._on_set_query,
 }

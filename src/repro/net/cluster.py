@@ -218,12 +218,11 @@ class EngineGroup:
         self.engine.insert_data(key, datum, via=via)
 
     def discover(self, keys: List[str], via: Optional[str]) -> dict:
-        """Issue one discovery per key from the engine's entry node;
+        """Issue the keys as one batch walk from the engine's entry node;
         ``issued`` is false on an empty tree (there is no entry node)."""
         if not self.engine.locator:
             return {"issued": False}
-        for key in keys:
-            self.engine.discover(key, via=via)
+        self.engine.discover_batch(keys, via)
         return {"issued": True}
 
     def search(self, kind: str, lo: str, hi: str, via: Optional[str]) -> dict:
@@ -514,8 +513,7 @@ class LocalCluster(Cluster):
         engine = self.groups[self._reader()].engine
         if not engine.locator:
             return None
-        for key in keys:
-            engine.discover(key, via=via)
+        engine.discover_batch(keys, via)
         try:
             await self.drain()
         finally:

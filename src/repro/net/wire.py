@@ -11,9 +11,9 @@ socket is one *frame*:
 
 ``t`` names the payload type: one of the protocol message dataclasses of
 :mod:`repro.dlpt.messages` (``"DataInsertion"``, ``"DiscoveryRequest"``,
-…) with ``f`` holding its fields, or ``"json"`` for plain JSON control
-payloads (the bootstrap registry and client RPCs of
-:mod:`repro.net.bootstrap`).
+``"DiscoveryBatch"``, …) with ``f`` holding its fields, or ``"json"``
+for plain JSON control payloads (the bootstrap registry and client RPCs
+of :mod:`repro.net.bootstrap`).
 
 A field's wire form is its declared annotation: :data:`_FORMS` maps
 each annotation the records use to an encode/decode pair, and one walk
@@ -88,6 +88,7 @@ MESSAGE_TYPES = {
         m.Host,
         m.UpdateChild,
         m.DiscoveryRequest,
+        m.DiscoveryBatch,
         m.DiscoveryReply,
         m.SetQueryRequest,
         m.SetQueryReply,

@@ -186,6 +186,8 @@ class FlashCrowd:
             raise ValueError("half_life must be positive")
         if rate_surge < 1.0:
             raise ValueError("rate_surge must be >= 1 (a crowd adds traffic)")
+        if base is not None and not isinstance(base, RequestGenerator):
+            raise TypeError(f"base {base!r} does not implement RequestGenerator")
         self.prefix = prefix
         self.onset = onset
         self.peak = peak

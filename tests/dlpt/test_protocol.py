@@ -269,8 +269,8 @@ class TestWireVocabulary:
     def test_the_engine_sends_every_wire_message_type(self):
         """A type the codec accepts but no handler path sends is dead
         protocol; one of each operation — seeded and tree-routed joins, a
-        leave, inserts that split and splice, a discovery and a prefix
-        query — must send exactly the codec's types."""
+        leave, inserts that split and splice, a discovery, a key batch and
+        a prefix query — must send exactly the codec's types."""
         transport = SimTransport()
         sent = set()
         send = transport.send
@@ -292,6 +292,7 @@ class TestWireVocabulary:
         eng.leave_peer("dzzz")
         eng.run()
         eng.discover("dgemm")
+        eng.discover_batch(["dgemm", "sgemm", "sgemm"])
         eng.search_query("prefix", "dge")
         eng.run()
         eng.check_ring()

@@ -8,11 +8,14 @@ inserted keys.  The engine's hop counter must equal the macro model's
 logical climb + descent + scan accounting, and the requests the engine
 sends for one operation must number one (the client's) plus the macro
 model's physical hops: a walk steps through its own peer's nodes without a
-message.
+message.  A key batch walks once: each key's reply is its single
+discovery's, and the batch sends one request per cross-peer edge of the
+union of the keys' macro paths, plus the client's.
 """
 
 from __future__ import annotations
 
+import bisect
 import collections
 import random
 
@@ -23,7 +26,9 @@ from strategies import keys_st, prefix_queries, range_queries
 
 from repro.core.keyspace import in_interval_open_closed
 from repro.core.queries import PrefixQuery
+from repro.dlpt.messages import NodeState
 from repro.dlpt.protocol import ProtocolEngine
+from repro.dlpt.routing import route_path
 from repro.dlpt.system import DLPTSystem
 from repro.peers.capacity import FixedCapacity
 
@@ -173,7 +178,9 @@ class TestPhysicalHops:
     For one request from one entry node the engine's reply counts the
     macro model's *logical* hops, the engine sends ``1 + physical_hops``
     requests (the client's, then one per step to another peer), and the
-    answer is the oracle's."""
+    answer is the oracle's.  A key batch from that entry answers each key
+    as its single discovery does, and sends the client's request plus one
+    per cross-peer edge of the union of the keys' paths."""
 
     def _systems(self, keys):
         eng = build_engine(keys)
@@ -217,6 +224,36 @@ class TestPhysicalHops:
                 assert reply.found == out.found == (key in eng.locator)
                 assert set(reply.data) == ({key} if key in keys else set())
 
+    @settings(max_examples=25, deadline=None)
+    @given(keys=spread_keys_st, data=st.data())
+    def test_discovery_batch(self, keys, data):
+        eng, macro, sent = self._systems(keys)
+        probes = sorted({k for key in keys for k in (key, key + "c", key[:-1], "cc" + key) if k})
+        batch = data.draw(st.lists(st.sampled_from(probes), min_size=1, max_size=12))
+        batch.append(batch[0])  # a duplicate: answered once per copy
+        for entry in self._entries(eng):
+            single = {}
+            for key in set(batch):
+                mark = len(eng.discovery_replies)
+                eng.discover(key, via=entry)
+                eng.run()
+                (single[key],) = eng.discovery_replies[mark:]
+                assert single[key].hops == macro.discover(key, entry_label=entry).logical_hops
+            sent.clear()
+            mark = len(eng.discovery_replies)
+            eng.discover_batch(batch, via=entry)
+            eng.run()
+            replies = eng.discovery_replies[mark:]
+            assert sorted(reply.key for reply in replies) == sorted(batch)
+            for reply in replies:
+                assert reply == single[reply.key]
+            edges = set()
+            for key in batch:
+                labels = route_path(macro.tree, entry, key).labels
+                edges.update(zip(labels, labels[1:]))
+            crossings = sum(eng.locator[a] != eng.locator[b] for a, b in edges)
+            assert sent["DiscoveryRequest"] + sent["DiscoveryBatch"] == 1 + crossings
+
     def _compare(self, keys, query):
         eng, macro, sent = self._systems(keys)
         kind = "prefix" if isinstance(query, PrefixQuery) else "range"
@@ -246,6 +283,29 @@ class TestPhysicalHops:
     def test_range(self, data):
         keys, query = data
         self._compare(keys, query)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    label=st.text(alphabet="abc", max_size=3),
+    digits=st.sets(st.sampled_from("abcd"), max_size=4),
+    data=st.data(),
+)
+def test_the_last_child_at_or_below_a_key_is_the_one_that_can_prefix_it(label, digits, data):
+    """The discovery walks' descent step: of a node's children (which
+    diverge right after its label), the one that prefixes ``key`` is the
+    last child ``<= key`` when that child prefixes it — the rule of
+    :meth:`NodeState.child_sharing_longer_prefix` plus its prefix check."""
+    tails = st.text(alphabet="abcd", max_size=3)
+    kids = tuple(sorted(label + digit + data.draw(tails) for digit in digits))
+    key = data.draw(st.one_of(
+        st.text(alphabet="abcd", max_size=7), tails.map(lambda tail: label + tail)
+    ))
+    want = NodeState(label, None, kids).child_sharing_longer_prefix(key)
+    if want is not None and not key.startswith(want):
+        want = None
+    i = bisect.bisect_right(kids, key)
+    assert (kids[i - 1] if i and key.startswith(kids[i - 1]) else None) == want
 
 
 class TestInsertionFromEveryEntry:

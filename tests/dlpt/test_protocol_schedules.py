@@ -113,6 +113,11 @@ class Schedule:
             self.eng.discover(key, via=self.entry())
             self.reads.append(key)
 
+    def discover_batch(self, n: int) -> None:
+        keys = self.rng.sample(KEYS, n)
+        self.eng.discover_batch(keys, via=self.entry())
+        self.reads.extend(keys)
+
     def join(self, n: int = 1) -> None:
         for pid in JOINERS[:n]:
             self.eng.join_peer(pid, via=self.entry())
@@ -162,6 +167,8 @@ ROWS = {
     "6 inserts that splice and split": lambda s: s.insert("a", "abcd", "bc", "cb", "ea", "d"),
     "leave || 2 inserts": lambda s: (s.leave(), s.insert("abe", "cb")),
     "2 inserts then leave": lambda s: (s.insert("abe", "cb"), s.leave()),
+    "join || 4-key batch": lambda s: (s.join(), s.discover_batch(4)),
+    "4-key batch then leave": lambda s: (s.discover_batch(4), s.leave()),
 }
 
 #: Rows in which a message reaches a peer that has left, on some schedules.
@@ -171,6 +178,9 @@ DEPARTURES = (
     "2 leaves",
     "leave || 2 inserts",
     "2 inserts then leave",
+    # 69 of the 400 schedules: a DiscoveryBatch reaches the leaver late
+    # ("4 discovers then leave": 151, a DiscoveryRequest).
+    "4-key batch then leave",
 )
 
 

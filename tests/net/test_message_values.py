@@ -229,15 +229,18 @@ class TestFieldTuples:
                 assert getattr(decoded, field) == getattr(message, field), (name, field)
 
     def test_the_positionally_built_records_keep_their_declared_order(self):
-        """``ProtocolEngine`` builds the two per-hop requests positionally
-        (``_on_discovery``, ``_on_set_query``): reordering their fields
-        would silently swap arguments there."""
+        """``ProtocolEngine`` builds the per-hop requests and the discovery
+        replies positionally (``_on_discovery``, ``_on_discovery_batch``,
+        ``_on_set_query``): reordering their fields would silently swap
+        arguments there."""
         declared = {
             name: tuple(f.name for f in dataclasses.fields(MESSAGE_TYPES[name]))
-            for name in ("DiscoveryRequest", "SetQueryRequest")
+            for name in ("DiscoveryRequest", "DiscoveryBatch", "DiscoveryReply", "SetQueryRequest")
         }
         assert declared == {
             "DiscoveryRequest": ("node", "key", "reply_to", "hops"),
+            "DiscoveryBatch": ("node", "keys", "reply_to", "hops"),
+            "DiscoveryReply": ("key", "found", "data", "hops"),
             "SetQueryRequest": (
                 "node", "kind", "lo", "hi", "reply_to", "phase", "pending", "keys", "hops",
             ),

@@ -204,6 +204,25 @@ async def _full_lifecycle(cluster):
     _assert_balanced(await _traffic(cluster))
 
 
+async def _key_batch_across_groups(cluster):
+    """A batch with duplicates enters at the root on ``pa`` and forks at
+    ``p`` into groups for ``pb`` and ``pe``, hosted on ``pd`` and ``pg``
+    in the other engine group: a ``DiscoveryBatch`` crosses between the
+    groups, and every row is the key's single discovery."""
+    assert group_of("pa", 2) != group_of("pd", 2) == group_of("pg", 2)
+    for pid in ("pa", "pd", "pg", "pj", "pm", "pq"):
+        await cluster.join(pid)
+    for key in ("dgemm", "pb1", "pb2", "pe1", "pe2", "pk1"):
+        await cluster.register(key)
+    batch = ["pb1", "pe2", "pb1", "pb2", "pe1", "pk1", "dgemm", "nope", "pe2"]
+    rows = await cluster.discover_many(batch)
+    singles = [await cluster.discover(key) for key in batch]
+    assert rows == singles
+    assert [row["found"] for row in rows] == [key != "nope" for key in batch]
+    assert [singles[i]["host"] for i in (0, 1, 6)] == ["pd", "pg", "pa"]
+    _assert_balanced(await _traffic(cluster))
+
+
 async def _crash_adoption_across_groups(cluster):
     for pid in ("pa", "pd", "pg", "pj"):
         await cluster.join(pid)
@@ -265,6 +284,9 @@ class TestClusterLifecycle:
     def test_crash_adoption_across_groups(self):
         _run(MultiProcessCluster(processes=2), _crash_adoption_across_groups)
 
+    def test_a_key_batch_across_groups(self):
+        _run(MultiProcessCluster(processes=2), _key_batch_across_groups)
+
     def test_leave_and_membership_errors(self):
         _run(MultiProcessCluster(processes=2), _leave_and_membership_errors)
 
@@ -309,6 +331,9 @@ class TestInProcessLifecycle:
 
     def test_crash_adoption_across_groups(self):
         _run(_two_groups(), _crash_adoption_across_groups)
+
+    def test_a_key_batch_across_groups(self):
+        _run(_two_groups(), _key_batch_across_groups)
 
     def test_leave_and_membership_errors(self):
         _run(_two_groups(), _leave_and_membership_errors)

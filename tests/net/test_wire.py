@@ -89,6 +89,14 @@ class TestCanonicalForm:
             b'"s":"a","t":"DiscoveryRequest","w":"repro-wire/1"}'
         )
 
+    def test_a_discovery_batch_frame_is_pinned(self):
+        message = m.DiscoveryBatch(node="ab", keys=("abc", "abc", "abd"), reply_to="@c", hops=3)
+        assert encode_frame("a", "b", message) == (
+            b"\x00\x00\x00\x7f"
+            b'{"d":"b","f":{"hops":3,"keys":["abc","abc","abd"],"node":"ab","reply_to":"@c"},'
+            b'"s":"a","t":"DiscoveryBatch","w":"repro-wire/1"}'
+        )
+
     def test_body_carries_schema_tag(self):
         frame = encode_frame("a", "b", {"op": "info"})
         body = json.loads(frame[HEADER_SIZE:].decode("utf-8"))

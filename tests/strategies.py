@@ -217,6 +217,13 @@ wire_message_builders = {
         reply_to=_label_st,
         hops=st.integers(0, 50),
     ),
+    "DiscoveryBatch": st.builds(
+        m.DiscoveryBatch,
+        node=_label_st,
+        keys=_labels_tuple_st,
+        reply_to=_label_st,
+        hops=st.integers(0, 50),
+    ),
     "DiscoveryReply": st.builds(
         m.DiscoveryReply,
         key=_label_st,

@@ -128,6 +128,11 @@ def test_a_token_is_never_dropped(surface, spec):
     _refused(surface, spec)
 
 
+def test_a_flash_crowd_base_must_be_a_request_generator():
+    """Refused when parsed, not when the first request is drawn."""
+    _refused("workload", "flash_crowd:S3L:onset=0:peak=0.5:base=3")
+
+
 def test_an_integer_token_stays_an_int():
     zipf = parse_spec("workload", "zipf:1").generator
     assert zipf.s == 1 and isinstance(zipf.s, int)
