@@ -53,10 +53,10 @@ class NodeState:
     moves — handed over, never shared (module docstring).
 
     ``children`` is a sorted, duplicate-free tuple, and it is its own
-    index: the descent steps of Algorithms 1 and 3 are bisects on it, a
-    set query pushes it as it stands, and a leaf holds the shared empty
-    tuple instead of a container of its own.  It changes only through
-    :meth:`add_child` and :meth:`replace_child`, which build a new tuple.
+    index: the descent steps of Algorithms 1 and 3 and a range scan's step
+    are bisects on it, and a leaf holds the shared empty tuple instead of a
+    container of its own.  It changes only through :meth:`add_child` and
+    :meth:`replace_child`, which build a new tuple.
     """
 
     label: str

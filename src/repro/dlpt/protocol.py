@@ -200,6 +200,10 @@ class ProtocolEngine:
         joined = map(operator.is_not, map(_PRED, self.peers.values()), itertools.repeat(None))
         return sorted(itertools.compress(self.peers, joined))
 
+    def live_count(self) -> int:
+        """``len(live_ids())`` without building or sorting a list."""
+        return len(self.peers) - operator.countOf(map(_PRED, self.peers.values()), None)
+
     def _any_joined_peer(self) -> str:
         """Where a walk that no tree node can route starts; an empty ring
         is a named error, not a ``StopIteration`` leaking into (and out
@@ -302,13 +306,8 @@ class ProtocolEngine:
         if not self.locator:
             raise RuntimeError("tree is empty")
         via = self.entry(via)
-        self.send_to_node(
-            self._client_endpoint,
-            via,
-            m.SetQueryRequest(
-                node=via, kind=kind, lo=lo, hi=hi, reply_to=self._client_endpoint
-            ),
-        )
+        client = self._client_endpoint
+        self.send_to_node(client, via, m.SetQueryRequest(via, kind, lo, hi, client))
 
     # ------------------------------------------------------------------
     # message plumbing
@@ -761,15 +760,20 @@ class ProtocolEngine:
         keys = list(msg.keys)
         pending = list(msg.pending)
         while True:
-            # One scan visit at ``p``: collect its label if filled and
-            # matching, push its in-band children onto the pending stack.
-            label = p.label
-            if p.data and (label.startswith(lo) if prefix else lo <= label <= hi):
-                keys.append(label)
+            # One scan visit at ``p``: collect its label if filled and in band,
+            # push its in-band children.  Under a prefix scan's root all are;
+            # a range's are those ``<= hi`` from the first ``>= lo``, or from
+            # the one before it if it prefixes ``lo`` (at most one child can).
+            if p.data and (prefix or lo <= p.label <= hi):
+                keys.append(p.label)
             kids = p.children
-            if not prefix:
-                kids = [c for c in kids if not (c > hi or (c < lo and not lo.startswith(c)))]
-            pending.extend(reversed(kids))
+            if kids:
+                if not prefix and (kids[0] < lo or kids[-1] > hi):
+                    a = bisect_left(kids, lo)
+                    if a and lo.startswith(kids[a - 1]):
+                        a -= 1
+                    kids = kids[a:bisect_right(kids, hi)]
+                pending += kids[::-1]
             if not pending:
                 break
             nxt = pending.pop()
@@ -788,14 +792,9 @@ class ProtocolEngine:
         self._reply_query(peer, msg, keys, hops)
 
     def _reply_query(self, peer: ProtocolPeer, msg: m.SetQueryRequest, keys, hops: int) -> None:
-        self.transport.send(
-            peer.id,
-            msg.reply_to,
-            m.SetQueryReply(
-                kind=msg.kind, lo=msg.lo, hi=msg.hi,
-                keys=tuple(sorted(keys)), hops=hops,
-            ),
-        )
+        # (kind, lo, hi, keys, hops)
+        reply = m.SetQueryReply(msg.kind, msg.lo, msg.hi, tuple(sorted(keys)), hops)
+        self.transport.send(peer.id, msg.reply_to, reply)
 
     # ------------------------------------------------------------------
     # verification helpers

@@ -574,7 +574,7 @@ class LocalCluster(Cluster):
         return lists[0] if len(lists) == 1 else list(heapq.merge(*lists))
 
     def live_count(self) -> int:
-        return sum(len(g.engine.live_ids()) for g in self.groups)
+        return sum(g.engine.live_count() for g in self.groups)
 
     async def close(self) -> None:
         for t in self.transports:

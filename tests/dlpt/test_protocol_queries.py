@@ -26,8 +26,8 @@ from strategies import keys_st, prefix_queries, range_queries
 
 from repro.core.keyspace import in_interval_open_closed
 from repro.core.queries import PrefixQuery
-from repro.dlpt.messages import NodeState
-from repro.dlpt.protocol import ProtocolEngine
+from repro.dlpt.messages import NodeState, SetQueryReply, SetQueryRequest
+from repro.dlpt.protocol import ProtocolEngine, ProtocolPeer
 from repro.dlpt.routing import route_path
 from repro.dlpt.system import DLPTSystem
 from repro.peers.capacity import FixedCapacity
@@ -306,6 +306,47 @@ def test_the_last_child_at_or_below_a_key_is_the_one_that_can_prefix_it(label, d
         want = None
     i = bisect.bisect_right(kids, key)
     assert (kids[i - 1] if i and key.startswith(kids[i - 1]) else None) == want
+
+
+class _Sends(list):
+    """A transport stand-in that keeps every payload the engine sends."""
+
+    def register(self, endpoint, handler):
+        pass
+
+    def send(self, src, dst, payload):
+        self.append(payload)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    label=st.text(alphabet="abc", max_size=3),
+    digits=st.sets(st.sampled_from("abcd"), max_size=4),
+    data=st.data(),
+)
+def test_a_range_scan_step_pushes_the_children_the_band_filter_keeps(label, digits, data):
+    """A range scan's visit at a node pushes, as one slice of its sorted
+    children, exactly the children the band filter keeps, in order: those
+    ``<= hi`` that are ``>= lo`` or prefix ``lo``.  Bounds are drawn at,
+    around and inside the children, so a bound equal to a child and a
+    ``lo`` that extends one are common.  The node's children live on
+    another peer, so the token's first message names the first pushed
+    child and carries the rest as its pending stack."""
+    tails = st.text(alphabet="abcd", max_size=3)
+    kids = tuple(sorted(label + digit + data.draw(tails) for digit in digits))
+    bounds = [st.text(alphabet="abcd", max_size=7), tails.map(lambda tail: label + tail)]
+    if kids:
+        near = st.sampled_from(kids)
+        bounds += [near, st.tuples(near, tails).map("".join)]
+    lo, hi = sorted(data.draw(st.one_of(bounds)) for _ in range(2))
+    sends = _Sends()
+    eng = ProtocolEngine(transport=sends)
+    eng.locator = dict.fromkeys(kids, "pb")
+    peer = ProtocolPeer("pa", 10, nodes={label: NodeState(label, None, kids)})
+    eng._on_set_query(peer, SetQueryRequest(label, "range", lo, hi, "@client", 1))
+    (sent,) = sends
+    pushed = [] if isinstance(sent, SetQueryReply) else [sent.node, *reversed(sent.pending)]
+    assert pushed == [c for c in kids if not (c > hi or (c < lo and not lo.startswith(c)))]
 
 
 class TestInsertionFromEveryEntry:

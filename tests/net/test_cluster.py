@@ -111,6 +111,23 @@ class TestLocalCluster:
 
         asyncio.run(body())
 
+    def test_live_count_is_the_number_of_live_ids_while_a_join_is_in_flight(self):
+        """A peer whose join is in flight is installed but not live, and
+        ``live_count`` (which builds no list) leaves it out as ``live_ids``
+        does; once the join settles both count it."""
+
+        async def body():
+            cluster = await _local_cluster(PEERS)
+            engine = cluster.engine
+            engine.join_peer("pz", 10, seed="pa")
+            assert "pz" in engine.peers and not engine.peers["pz"].joined
+            assert cluster.live_count() == len(cluster.live_ids()) == len(PEERS)
+            await cluster.drain()
+            assert cluster.live_count() == len(cluster.live_ids()) == len(PEERS) + 1
+            await cluster.close()
+
+        asyncio.run(body())
+
     def test_a_lost_reply_is_a_per_key_outcome_in_discovers_words(self):
         """A discovery reply dropped in flight used to end ``discover_many``
         in ``KeyError: 'dtrsm'``; it is the one lost key's outcome, worded
