@@ -22,7 +22,7 @@ from repro.lb.kchoices import KChoices
 from repro.lb.mlt import MLT
 from repro.lb.nolb import NoLB
 from repro.peers.churn import DYNAMIC
-from repro.workloads.requests import figure8_schedule
+from repro.workloads.dynamics import figure8_schedule
 
 
 def main() -> None:

@@ -82,6 +82,15 @@ _PRED = operator.attrgetter("pred")
 _LABEL = operator.attrgetter("label")
 
 
+def check_set_query(kind: str, lo: str, hi: str) -> None:
+    """Refuse a set query no walk can answer, whatever the tree holds (the
+    engine's and the broker's admission rule)."""
+    if kind not in ("prefix", "range"):
+        raise ValueError(f"unknown set-query kind {kind!r}")
+    if kind == "range" and lo > hi:
+        raise ValueError(f"empty range: {lo!r} > {hi!r}")
+
+
 class ProtocolEngine:
     """Drives peers, nodes and messages over a message transport.
 
@@ -299,10 +308,7 @@ class ProtocolEngine:
         """Issue an asynchronous set query (``kind`` ``"prefix"`` with the
         prefix in ``lo``, or ``"range"`` with both bounds); the reply lands
         in :attr:`query_replies` once the transport drains."""
-        if kind not in ("prefix", "range"):
-            raise ValueError(f"unknown set-query kind {kind!r}")
-        if kind == "range" and lo > hi:
-            raise ValueError(f"empty range: {lo!r} > {hi!r}")
+        check_set_query(kind, lo, hi)
         if not self.locator:
             raise RuntimeError("tree is empty")
         via = self.entry(via)

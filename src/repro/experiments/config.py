@@ -21,7 +21,7 @@ from ..peers.capacity import UniformCapacity
 from ..peers.churn import STABLE, ChurnModel
 from ..util.specs import parse_spec, spec_signature
 from ..workloads.keys import grid_service_corpus
-from ..workloads.requests import PhasedSchedule, Phase, UniformRequests, generator_name
+from ..workloads import Phase, PhasedSchedule, UniformRequests, generator_name
 
 
 def default_schedule() -> PhasedSchedule:

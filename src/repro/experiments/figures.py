@@ -27,7 +27,7 @@ from ..lb.kchoices import KChoices
 from ..lb.mlt import MLT
 from ..lb.nolb import NoLB
 from ..peers.churn import DYNAMIC, STABLE
-from ..workloads.requests import figure8_schedule
+from ..workloads.dynamics import figure8_schedule
 from .ascii_plot import ascii_plot
 from .config import ExperimentConfig
 from .metrics import ExperimentSeries, series_table

@@ -7,7 +7,9 @@ replication / repair primitives of :mod:`repro.dlpt.failures`:
 
 * :mod:`repro.faults.schedules` — declarative fault schedules (crash
   storms, correlated crash bursts, network partitions, phase-spliced
-  mixes) emitting timed one-shot events and per-unit crash rates;
+  mixes) emitting timed one-shot events and per-unit crash rates; a
+  :class:`MixedFaults` timeline is a list of the workloads' one phase
+  record, :class:`repro.workloads.Phase`;
 * :mod:`repro.faults.spec` — compact spec strings/dicts
   (``"crash_storm:0.02:r=2"``) with parse-time validation and the
   canonical ``faults_signature`` the sweep store hashes;
@@ -22,7 +24,6 @@ from .schedules import (
     CorrelatedCrash,
     CrashBurst,
     CrashStorm,
-    FaultPhase,
     FaultPlan,
     FaultSchedule,
     MixedFaults,
@@ -37,7 +38,6 @@ __all__ = [
     "CrashStorm",
     "FAULT_KINDS",
     "FaultInjector",
-    "FaultPhase",
     "FaultPlan",
     "FaultSchedule",
     "FaultSpecError",

@@ -15,9 +15,11 @@ a :class:`FaultPlan`).  Schedules expose two channels:
   churn models.
 
 :class:`MixedFaults` splices schedules over ``[start, end)`` phases exactly
-like :class:`repro.workloads.dynamics.MixedSchedule` splices workloads, so
-scenario timelines compose across both axes (a crash storm during a flash
-crowd, a partition during the recovery window, ...).
+like :class:`repro.workloads.dynamics.MixedSchedule` splices workloads: both
+are lists of one phase record, :class:`repro.workloads.dynamics.Phase`,
+checked and looked up per unit by the same two functions, so scenario
+timelines compose across both axes (a crash storm during a flash crowd, a
+partition during the recovery window, ...).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Protocol, Sequence, Tuple, runtime_checkable
 
-from ..workloads.requests import sort_and_check_phases
+from ..workloads.dynamics import Phase, phase_at, sort_and_check_phases
 
 
 def _units(value: float, what: str) -> int:
@@ -144,58 +146,49 @@ class PartitionSchedule:
         return 0.0
 
 
-@dataclass(frozen=True)
-class FaultPhase:
-    """A half-open window ``[start, end)`` during which ``schedule`` is the
-    active fault source."""
-
-    start: int
-    end: int
-    schedule: FaultSchedule
-
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.end <= self.start:
-            raise ValueError(f"bad fault phase window [{self.start}, {self.end})")
-        if not isinstance(self.schedule, FaultSchedule):
-            raise TypeError(
-                f"{self.schedule!r} does not implement FaultSchedule "
-                "(needs timed_events() and crash_rate(unit))"
-            )
+def _check_schedule(schedule: object) -> None:
+    if not isinstance(schedule, FaultSchedule):
+        raise TypeError(
+            f"{schedule!r} does not implement FaultSchedule "
+            "(needs timed_events() and crash_rate(unit))"
+        )
 
 
 class MixedFaults:
     """Splice fault schedules over phases — the fault-axis twin of
-    :class:`repro.workloads.dynamics.MixedSchedule`.
+    :class:`repro.workloads.dynamics.MixedSchedule`, on the same
+    :class:`~repro.workloads.dynamics.Phase` records.
 
     Sub-schedules see absolute unit indices; their one-shot events are kept
     only when they fall inside the phase window, and their crash rates apply
     only while the phase is active.  Units outside every phase are
-    fault-free.
+    fault-free.  A phase's schedule sets its crash rate, so a phase takes
+    no ``rate`` multiplier.
     """
 
-    def __init__(self, phases: Sequence[FaultPhase]) -> None:
+    def __init__(self, phases: Sequence[Phase]) -> None:
         if not phases:
             raise ValueError("MixedFaults needs at least one phase")
         self.phases = sort_and_check_phases(phases)
+        for phase in self.phases:
+            _check_schedule(phase.schedule)
+            if phase.rate != 1.0:
+                raise ValueError("a fault phase takes no rate")
         self.name = "mixed-faults[" + ",".join(
             getattr(p.schedule, "name", type(p.schedule).__name__) for p in self.phases
         ) + "]"
 
     def timed_events(self) -> List[Tuple[int, object]]:
-        events: List[Tuple[int, object]] = []
-        for phase in self.phases:
-            events.extend(
-                (unit, event)
-                for unit, event in phase.schedule.timed_events()
-                if phase.start <= unit < phase.end
-            )
-        return events
+        return [
+            (unit, event)
+            for phase in self.phases
+            for unit, event in phase.schedule.timed_events()
+            if phase_at(self.phases, unit) is phase
+        ]
 
     def crash_rate(self, unit: int) -> float:
-        for phase in self.phases:
-            if phase.start <= unit < phase.end:
-                return phase.schedule.crash_rate(unit)
-        return 0.0
+        phase = phase_at(self.phases, unit)
+        return 0.0 if phase is None else phase.schedule.crash_rate(unit)
 
 
 @dataclass(frozen=True)
@@ -219,8 +212,4 @@ class FaultPlan:
             raise ValueError("replication factor must be >= 0")
         if self.repair_every < 1:
             raise ValueError("repair_every must be >= 1")
-        if not isinstance(self.schedule, FaultSchedule):
-            raise TypeError(
-                f"{self.schedule!r} does not implement FaultSchedule "
-                "(needs timed_events() and crash_rate(unit))"
-            )
+        _check_schedule(self.schedule)

@@ -28,13 +28,13 @@ validation happens when the config is parsed, not mid-simulation.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from ..util.specs import Grammar, Kind, SpecError, register_spec_kind
+from ..workloads.spec import read_phases
 from .schedules import (
     CorrelatedCrash,
     CrashStorm,
-    FaultPhase,
     FaultPlan,
     FaultSchedule,
     MixedFaults,
@@ -52,15 +52,7 @@ class FaultSpecError(SpecError):
 
 def _mixed(phases: Sequence[dict] = ()) -> MixedFaults:
     """The ``mixed`` kind: phases of nested fault specs."""
-    if not phases:
-        raise ValueError("mixed fault spec needs non-empty 'phases'")
-    built: List[FaultPhase] = []
-    for raw in phases:
-        try:
-            built.append(FaultPhase(int(raw["start"]), int(raw["end"]), _schedule(raw["faults"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"bad mixed fault phase {raw!r}: {exc}") from exc
-    return MixedFaults(built)
+    return MixedFaults(read_phases(phases, "faults", _schedule, "mixed fault phase"))
 
 
 _KINDS = Grammar("fault spec", FaultSpecError, {

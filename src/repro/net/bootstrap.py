@@ -9,7 +9,8 @@ few-line handler over the cluster layer (:mod:`repro.net.cluster`), so
 clients get identical reply shapes — and identical errors — from an
 in-process ring and a multi-process one.  Outside input enters here and
 is checked once, at admission: every argument is type-checked, never
-coerced — the envelope's ``id`` and ``reply_to`` included — and a
+coerced — the envelope's ``id`` and ``reply_to`` included — a search's
+kind and bounds are held to the engine's set-query rule, and a
 malformed request is answered with an error naming the field, never
 reaching the backend.  Operations: ``register``, ``discover``,
 ``discover_batch``, ``search``, ``peer_join``, ``peer_leave``, ``info``.
@@ -69,6 +70,7 @@ import os
 from typing import Dict, List, Optional, Tuple
 
 from ..dlpt.messages import Envelope
+from ..dlpt.protocol import check_set_query
 from .asyncio_transport import BROKER_ENDPOINT  # re-exported: the broker's name
 from .transport import Transport
 from .wire import require_scalar
@@ -181,6 +183,14 @@ def _text(request: dict, field: str, default: object = None) -> str:
     if not isinstance(value, str):
         raise ValueError(f"{field!r} must be a string, got {value!r}")
     return value
+
+
+def _search(request: dict) -> Tuple[str, str, str]:
+    """A ``search``'s kind and bounds, held to the engine's own rule: an
+    empty ring and a filled one refuse a bad query alike."""
+    query = (_text(request, "kind"), _text(request, "lo"), _text(request, "hi", ""))
+    check_set_query(*query)
+    return query
 
 
 def _keys(request: dict) -> List[str]:
@@ -543,7 +553,7 @@ class Broker:
         "register": (lambda r: (_text(r, "key"), require_scalar(r.get("datum"))), _op_register),
         "discover": (lambda r: _text(r, "key"), None),
         "discover_batch": (_keys, None),
-        "search": (lambda r: (_text(r, "kind"), _text(r, "lo"), _text(r, "hi", "")), _op_search),
+        "search": (_search, _op_search),
         "peer_join": (
             lambda r: checked_member(r.get("peer"), r.get("capacity", 10)), _op_peer_join
         ),

@@ -1,14 +1,23 @@
 """Workloads: service-key corpora, request generators, time-varying
-dynamics, spec parsing, and trace record/replay."""
+dynamics, spec parsing, and trace record/replay.
+
+Every phase timeline — :class:`MixedSchedule`, the paper's
+:class:`PhasedSchedule` and the fault axis's
+:class:`repro.faults.MixedFaults` — is a list of one record,
+:class:`Phase`, looked up per unit by :func:`phase_at` and read from a
+``mixed`` spec by :func:`read_phases`."""
 
 from .dynamics import (
     AdversarialPrefixStacking,
     DiurnalSchedule,
     FlashCrowd,
     MixedSchedule,
-    SchedulePhase,
+    Phase,
+    PhasedSchedule,
     SteadySchedule,
     as_schedule,
+    figure8_schedule,
+    phase_at,
 )
 from .keys import (
     blas_routines,
@@ -21,13 +30,10 @@ from .keys import (
 )
 from .requests import (
     HotSpotRequests,
-    Phase,
-    PhasedSchedule,
     RequestGenerator,
     UniformRequests,
     WorkloadSchedule,
     ZipfRequests,
-    figure8_schedule,
     generator_name,
 )
 from .queries import (
@@ -40,6 +46,7 @@ from .queries import (
 from .spec import (
     WORKLOAD_KINDS,
     WorkloadSpecError,
+    read_phases,
     workload_signature,
 )
 from .traces import (
@@ -55,10 +62,10 @@ __all__ = [
     "random_binary_keys",
     "RequestGenerator", "WorkloadSchedule", "generator_name",
     "UniformRequests", "HotSpotRequests", "ZipfRequests",
-    "Phase", "PhasedSchedule", "figure8_schedule",
     "FlashCrowd", "DiurnalSchedule", "AdversarialPrefixStacking",
-    "MixedSchedule", "SchedulePhase", "SteadySchedule", "as_schedule",
-    "WORKLOAD_KINDS", "WorkloadSpecError", "workload_signature",
+    "SteadySchedule", "as_schedule",
+    "Phase", "phase_at", "MixedSchedule", "PhasedSchedule", "figure8_schedule",
+    "WORKLOAD_KINDS", "WorkloadSpecError", "read_phases", "workload_signature",
     "QUERY_KINDS", "QueryWorkload", "parse_query_event",
     "queries_signature", "query_from_event",
     "TRACE_SCHEMA", "TraceError", "TraceUnit", "WorkloadTrace",

@@ -16,7 +16,13 @@ discovery traffic is richer, and each class here opens one axis:
   k-choices placement.
 * :class:`MixedSchedule` — splices any generators or schedules over phases
   (with per-phase rate multipliers), so arbitrary scenario timelines
-  compose from the primitives above.
+  compose from the primitives above.  The paper's own phased workload,
+  :class:`PhasedSchedule` (:func:`figure8_schedule`), is one of them.
+
+A timeline is a list of :class:`Phase` records — ``[start, end)``, what
+runs there, a rate — checked by :func:`sort_and_check_phases` and looked
+up per unit by :func:`phase_at`; the fault axis's
+:class:`repro.faults.schedules.MixedFaults` uses the same three.
 
 All schedules implement :class:`repro.workloads.requests.WorkloadSchedule`:
 ``sample(unit, rng, keys)``, ``generator_at(unit)``, ``rate_multiplier(unit)``
@@ -34,12 +40,11 @@ from typing import List, Optional, Sequence, Tuple
 
 from .keys import keys_with_prefix
 from .requests import (
+    HotSpotRequests,
     RequestGenerator,
     UniformRequests,
     WorkloadSchedule,
     generator_name,
-    sort_and_check_phases,
-    splice_windows,
 )
 
 
@@ -350,18 +355,20 @@ class AdversarialPrefixStacking:
 
 
 # ---------------------------------------------------------------------------
-# phase-spliced composition
+# phase timelines
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class SchedulePhase:
-    """A half-open window ``[start, end)`` driven by ``source`` (a generator
-    or schedule) with an extra per-phase ``rate`` multiplier."""
+class Phase:
+    """A half-open window ``[start, end)`` driven by ``schedule`` with a
+    per-phase ``rate`` multiplier — one record for every timeline: a
+    request generator or schedule in :class:`MixedSchedule`, a fault
+    schedule in :class:`repro.faults.schedules.MixedFaults`."""
 
     start: int
     end: int
-    source: object
+    schedule: object
     rate: float = 1.0
 
     def __post_init__(self) -> None:
@@ -369,6 +376,23 @@ class SchedulePhase:
             raise ValueError(f"bad phase window [{self.start}, {self.end})")
         if self.rate <= 0:
             raise ValueError("phase rate must be positive")
+
+
+def sort_and_check_phases(phases: Sequence[Phase]) -> List[Phase]:
+    """``phases`` ordered by start; overlapping windows are refused."""
+    ordered = sorted(phases, key=lambda p: p.start)
+    for a, b in zip(ordered, ordered[1:]):
+        if a.end > b.start:
+            raise ValueError(f"overlapping phases at unit {b.start}")
+    return ordered
+
+
+def phase_at(phases: Sequence[Phase], unit: int) -> Optional[Phase]:
+    """The phase whose window holds ``unit``, or ``None`` between phases."""
+    for phase in phases:
+        if phase.start <= unit < phase.end:
+            return phase
+    return None
 
 
 class MixedSchedule:
@@ -383,19 +407,19 @@ class MixedSchedule:
 
     def __init__(
         self,
-        phases: Sequence[SchedulePhase],
+        phases: Sequence[Phase],
         fallback: Optional[object] = None,
     ) -> None:
-        self.phases = sort_and_check_phases(phases)
-        self._schedules = [as_schedule(p.source) for p in self.phases]
+        self.phases = [
+            Phase(p.start, p.end, as_schedule(p.schedule), p.rate)
+            for p in sort_and_check_phases(phases)
+        ]
         self._fallback = as_schedule(fallback if fallback is not None else UniformRequests())
-        self.name = "mixed[" + ",".join(generator_name(s) for s in self._schedules) + "]"
+        self.name = "mixed[" + ",".join(generator_name(p.schedule) for p in self.phases) + "]"
 
     def _segment_at(self, unit: int) -> Tuple[WorkloadSchedule, float]:
-        for phase, schedule in zip(self.phases, self._schedules):
-            if phase.start <= unit < phase.end:
-                return schedule, phase.rate
-        return self._fallback, 1.0
+        phase = phase_at(self.phases, unit)
+        return (self._fallback, 1.0) if phase is None else (phase.schedule, phase.rate)
 
     def sample(self, unit: int, rng, available_keys: Sequence[str]) -> str:
         schedule, _ = self._segment_at(unit)
@@ -410,11 +434,47 @@ class MixedSchedule:
         return rate * schedule.rate_multiplier(unit)
 
     def phase_windows(self, total_units: int) -> List[Tuple[str, int, int]]:
-        return splice_windows(
-            [
-                (generator_name(schedule), phase.start, phase.end)
-                for phase, schedule in zip(self.phases, self._schedules)
-            ],
-            generator_name(self._fallback),
-            total_units,
-        )
+        """The phases' windows clipped to ``[0, total_units)``, each gap
+        between them a window of the fallback's."""
+        fallback = generator_name(self._fallback)
+        windows: List[Tuple[str, int, int]] = []
+        cursor = 0
+        for phase in self.phases:
+            if phase.start >= total_units:
+                break
+            if phase.start > cursor:
+                windows.append((fallback, cursor, phase.start))
+            cursor = min(phase.end, total_units)
+            windows.append((generator_name(phase.schedule), phase.start, cursor))
+        if cursor < total_units:
+            windows.append((fallback, cursor, total_units))
+        return windows
+
+
+class PhasedSchedule(MixedSchedule):
+    """The paper's phased workload: request generators over phases at the
+    nominal rate, uniform requests between them (Figure 8).
+
+    A :class:`MixedSchedule` but for its ``phased[…]`` name and its
+    ``phased`` signature, which address the cells earlier revisions
+    stored (the default config's among them).
+    """
+
+    def __init__(self, phases: Sequence[Phase]) -> None:
+        super().__init__(phases)
+        if any(p.rate != 1.0 or not isinstance(p.schedule, SteadySchedule) for p in self.phases):
+            raise ValueError("a phased schedule runs request generators at rate 1")
+        self.name = "phased[" + ",".join(generator_name(p.schedule) for p in self.phases) + "]"
+
+
+def figure8_schedule(intensity: float = 0.8) -> PhasedSchedule:
+    """The exact Figure 8 timeline: uniform for units 0–40, an S3L hot spot
+    for 40–80, a ScaLAPACK ("P") hot spot for 80–120, uniform afterwards."""
+    return PhasedSchedule(
+        [
+            Phase(0, 40, UniformRequests()),
+            Phase(40, 80, HotSpotRequests("S3L", intensity=intensity)),
+            Phase(80, 120, HotSpotRequests("P", intensity=intensity)),
+            Phase(120, 10_000, UniformRequests()),
+        ]
+    )

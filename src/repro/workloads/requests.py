@@ -7,7 +7,7 @@ Section 4 uses two request regimes:
 * the Figure 8 hot spots — "temporarily launching many discovery requests on
   some keys stored in the same region of the tree i.e., lexicographically
   close, in bursts" — :class:`HotSpotRequests` concentrated on a prefix,
-  scheduled over time by :class:`PhasedSchedule`.
+  scheduled over time by :class:`repro.workloads.dynamics.PhasedSchedule`.
 
 :class:`ZipfRequests` is an extension (skewed popularity without locality)
 used by ablation benches.
@@ -19,7 +19,6 @@ import bisect
 import hashlib
 import itertools
 import weakref
-from dataclasses import dataclass
 from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 
@@ -188,99 +187,6 @@ class ZipfRequests:
         return available_keys[self._perm[rank]]
 
 
-@dataclass(frozen=True)
-class Phase:
-    """A half-open time window ``[start, end)`` driven by one generator."""
-
-    start: int
-    end: int
-    generator: RequestGenerator
-
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.end <= self.start:
-            raise ValueError(f"bad phase window [{self.start}, {self.end})")
-
-
-def sort_and_check_phases(phases):
-    """Order phase-like objects (``.start``/``.end``) by start and reject
-    overlaps — shared by :class:`PhasedSchedule` and
-    :class:`repro.workloads.dynamics.MixedSchedule`."""
-    ordered = sorted(phases, key=lambda p: p.start)
-    for a, b in zip(ordered, ordered[1:]):
-        if a.end > b.start:
-            raise ValueError(f"overlapping phases at unit {b.start}")
-    return ordered
-
-
-def splice_windows(
-    spans: Sequence[Tuple[str, int, int]], fallback_name: str, total_units: int
-) -> List[Tuple[str, int, int]]:
-    """Clip ordered ``(name, start, end)`` spans to ``[0, total_units)`` and
-    fill the gaps between them with ``fallback_name`` windows."""
-    windows: List[Tuple[str, int, int]] = []
-    cursor = 0
-    for name, start, end in spans:
-        if start >= total_units:
-            break
-        if start > cursor:
-            windows.append((fallback_name, cursor, start))
-        windows.append((name, start, min(end, total_units)))
-        cursor = min(end, total_units)
-    if cursor < total_units:
-        windows.append((fallback_name, cursor, total_units))
-    return windows
-
-
-class PhasedSchedule:
-    """Time-varying workload: the generator in force depends on the unit.
-
-    Unit indices outside every phase fall back to uniform requests.
-    """
-
-    def __init__(self, phases: Sequence[Phase]) -> None:
-        self.phases = sort_and_check_phases(phases)
-        self._fallback = UniformRequests()
-        self.name = "phased[" + ",".join(
-            generator_name(p.generator) for p in self.phases
-        ) + "]"
-
-    def generator_at(self, unit: int) -> RequestGenerator:
-        for phase in self.phases:
-            if phase.start <= unit < phase.end:
-                return phase.generator
-        return self._fallback
-
-    def rate_multiplier(self, unit: int) -> float:
-        """Phased schedules modulate *what* is requested, not how much."""
-        return 1.0
-
-    def sample(self, unit: int, rng, available_keys: Sequence[str]) -> str:
-        return self.generator_at(unit).sample(rng, available_keys)
-
-    def phase_windows(self, total_units: int) -> List[Tuple[str, int, int]]:
-        """Named ``(name, start, end)`` windows covering ``[0, total_units)``
-        — the breakdown axis of :func:`repro.experiments.metrics.phase_breakdown`.
-        Gaps between declared phases surface as ``uniform`` windows."""
-        return splice_windows(
-            [(generator_name(p.generator), p.start, p.end) for p in self.phases],
-            generator_name(self._fallback),
-            total_units,
-        )
-
-
 def generator_name(generator: object) -> str:
     """Display name of a generator or schedule (legends, phase tables)."""
     return getattr(generator, "name", type(generator).__name__)
-
-
-def figure8_schedule(intensity: float = 0.8) -> PhasedSchedule:
-    """The exact Figure 8 timeline: uniform for units 0–40, an S3L hot spot
-    for 40–80, a ScaLAPACK ("P") hot spot for 80–120, uniform afterwards."""
-    return PhasedSchedule(
-        [
-            Phase(0, 40, UniformRequests()),
-            Phase(40, 80, HotSpotRequests("S3L", intensity=intensity)),
-            Phase(80, 120, HotSpotRequests("P", intensity=intensity)),
-            Phase(120, 10_000, UniformRequests()),
-        ]
-    )

@@ -28,7 +28,7 @@ validation happens when the config is parsed, not mid-simulation.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Callable, List, Sequence
 
 from ..util.specs import Grammar, Kind, SpecError, register_spec_kind
 from .dynamics import (
@@ -36,17 +36,17 @@ from .dynamics import (
     DiurnalSchedule,
     FlashCrowd,
     MixedSchedule,
-    SchedulePhase,
+    Phase,
+    PhasedSchedule,
     SteadySchedule,
     as_schedule,
+    figure8_schedule,
 )
 from .requests import (
     HotSpotRequests,
-    PhasedSchedule,
     UniformRequests,
     WorkloadSchedule,
     ZipfRequests,
-    figure8_schedule,
     generator_name,
 )
 
@@ -55,19 +55,29 @@ class WorkloadSpecError(SpecError):
     """A workload spec that cannot be parsed or validated."""
 
 
-def _mixed(phases: Sequence[dict] = (), fallback: object = None) -> MixedSchedule:
-    """The ``mixed`` kind: phases of nested workload specs."""
+def read_phases(phases: Sequence[dict], field: str, parse: Callable[[object], object],
+                label: str) -> List[Phase]:
+    """The ``phases`` list of a ``mixed`` spec as :class:`Phase` records —
+    the one reader of both ``mixed`` kinds (workloads here, faults in
+    :mod:`repro.faults.spec`).  Each entry names ``start``, ``end``, an
+    optional ``rate`` and its nested spec under ``field``, which ``parse``
+    builds; a bad entry is refused as a ``bad {label}``."""
     if not phases:
-        raise ValueError("mixed workload spec needs non-empty 'phases'")
-    built: List[SchedulePhase] = []
+        raise ValueError("a mixed spec needs non-empty 'phases'")
+    built: List[Phase] = []
     for raw in phases:
         try:
-            source = _parse_schedule(raw["workload"])
-            built.append(SchedulePhase(int(raw["start"]), int(raw["end"]), source,
-                                       float(raw.get("rate", 1.0))))
+            built.append(Phase(int(raw["start"]), int(raw["end"]), parse(raw[field]),
+                               float(raw.get("rate", 1.0))))
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"bad mixed phase {raw!r}: {exc}") from exc
-    return MixedSchedule(built, _parse_schedule(fallback))
+            raise ValueError(f"bad {label} {raw!r}: {exc}") from exc
+    return built
+
+
+def _mixed(phases: Sequence[dict] = (), fallback: object = None) -> MixedSchedule:
+    """The ``mixed`` kind: phases of nested workload specs."""
+    return MixedSchedule(read_phases(phases, "workload", _parse_schedule, "mixed phase"),
+                         _parse_schedule(fallback))
 
 
 _KINDS = Grammar("workload spec", WorkloadSpecError, {
@@ -140,13 +150,14 @@ def workload_signature(obj: object) -> object:
     if isinstance(obj, SteadySchedule):
         return {"kind": "steady", "generator": workload_signature(obj.generator)}
     if isinstance(obj, PhasedSchedule):
+        # Its phases wrap bare generators; sign those, as stored cells do.
         return {
             "kind": "phased",
             "phases": [
                 {
                     "start": p.start,
                     "end": p.end,
-                    "generator": workload_signature(p.generator),
+                    "generator": workload_signature(p.schedule.generator),
                 }
                 for p in obj.phases
             ],
@@ -171,10 +182,10 @@ def workload_signature(obj: object) -> object:
             "inner": workload_signature(obj.inner),
         }
     if isinstance(obj, MixedSchedule):
-        # Sign the as_schedule-normalised sources (what the runtime draws
-        # from), not the raw ones: a phase built from a bare generator and
-        # one built from its SteadySchedule wrapping behave identically
-        # and must share a signature.
+        # The phases hold as_schedule-normalised sources (what the runtime
+        # draws from): a phase built from a bare generator and one built
+        # from its SteadySchedule wrapping behave identically and share a
+        # signature.
         return {
             "kind": "mixed",
             "phases": [
@@ -182,9 +193,9 @@ def workload_signature(obj: object) -> object:
                     "start": p.start,
                     "end": p.end,
                     "rate": p.rate,
-                    "source": workload_signature(schedule),
+                    "source": workload_signature(p.schedule),
                 }
-                for p, schedule in zip(obj.phases, obj._schedules)
+                for p in obj.phases
             ],
             "fallback": workload_signature(obj._fallback),
         }

@@ -112,6 +112,13 @@ class TestParseDicts:
                 "phases": [{"start": 0, "end": 10, "faults": "crash_storm:0.05:r=2"}],
             })
 
+    def test_a_fault_phase_takes_no_rate(self):
+        with pytest.raises(FaultSpecError, match="no rate"):
+            parse_faults({
+                "kind": "mixed",
+                "phases": [{"start": 0, "end": 10, "faults": "crash_storm:0.05", "rate": 2}],
+            })
+
     def test_overlapping_phases_rejected(self):
         with pytest.raises(FaultSpecError):
             parse_faults({

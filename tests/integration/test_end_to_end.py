@@ -13,7 +13,7 @@ from repro.experiments.runner import run_single
 from repro.peers.capacity import UniformCapacity
 from repro.peers.churn import DYNAMIC
 from repro.workloads.keys import grid_service_corpus, s3l_routines
-from repro.workloads.requests import figure8_schedule
+from repro.workloads.dynamics import figure8_schedule
 
 
 class TestGridServiceDiscovery:

@@ -219,6 +219,27 @@ class TestBrokerLoopback:
 
         asyncio.run(body())
 
+    def test_bad_search_is_refused_alike_on_an_empty_and_a_filled_ring(self):
+        """A search's kind and bounds are checked at admission, so what the
+        tree holds cannot change the answer (an empty tree used to answer
+        ``tree is empty`` first)."""
+
+        async def body():
+            transport, engine, broker = await self._cluster()
+            client = _LoopbackClient(transport)
+            bad = [dict(kind="glob", lo="d*"), dict(kind="range", lo="z", hi="a")]
+            empty = [await client.call(op="search", **query) for query in bad]
+            assert (await client.call(op="register", key="dgemm"))["ok"]
+            filled = [await client.call(op="search", **query) for query in bad]
+            assert [r["error"] for r in empty] == [r["error"] for r in filled]
+            assert "unknown set-query kind 'glob'" in filled[0]["error"]
+            assert "empty range: 'z' > 'a'" in filled[1]["error"]
+            assert not any(r["ok"] for r in empty + filled)
+            await broker.close()
+            await transport.close()
+
+        asyncio.run(body())
+
     @pytest.mark.parametrize(
         "request_body, field",
         _MALFORMED,

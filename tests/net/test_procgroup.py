@@ -53,6 +53,14 @@ class TestPlacement:
         resolve = _make_resolver(2, [("unix", "/g0"), ("unix", "/g1")])
         assert resolve(123) is None
 
+    @pytest.mark.parametrize("endpoint", [f"{SYNC_PREFIX}9", f"{CLIENT_PREFIX}9", f"{SYNC_PREFIX}x"])
+    def test_resolver_has_no_address_for_a_group_that_is_not_there(self, endpoint):
+        """A group index past the last group, or one that is no number,
+        resolves to nothing, so a frame for it dead-letters instead of
+        reaching some other group's listener."""
+        resolve = _make_resolver(2, [("unix", "/g0"), ("unix", "/g1")])
+        assert resolve(endpoint) is None
+
     def test_cluster_rejects_zero_processes(self):
         with pytest.raises(ValueError, match="processes"):
             MultiProcessCluster(processes=0)

@@ -100,7 +100,8 @@ class TestCellHash:
         schedule over them must not hash like one over independent RNGs."""
         import random
 
-        from repro.workloads.requests import Phase, PhasedSchedule, ZipfRequests
+        from repro.workloads.dynamics import Phase, PhasedSchedule
+        from repro.workloads.requests import ZipfRequests
 
         def phased(gen_a, gen_b):
             return PhasedSchedule([Phase(0, 5, gen_a), Phase(5, 10, gen_b)])
@@ -119,15 +120,15 @@ class TestCellHash:
     def test_mixed_schedule_signs_normalised_sources(self):
         """A mixed phase built from a bare generator and one built from its
         SteadySchedule wrapping behave identically — same signature."""
-        from repro.workloads.dynamics import MixedSchedule, SchedulePhase, SteadySchedule
+        from repro.workloads.dynamics import MixedSchedule, Phase, SteadySchedule
         from repro.workloads.requests import UniformRequests
 
         bare = tiny_cell(
-            workload=MixedSchedule([SchedulePhase(0, 4, UniformRequests())])
+            workload=MixedSchedule([Phase(0, 4, UniformRequests())])
         )
         wrapped = tiny_cell(
             workload=MixedSchedule(
-                [SchedulePhase(0, 4, SteadySchedule(UniformRequests()))]
+                [Phase(0, 4, SteadySchedule(UniformRequests()))]
             )
         )
         assert bare.key() == wrapped.key()

@@ -13,7 +13,7 @@ from repro.workloads.dynamics import (
     DiurnalSchedule,
     FlashCrowd,
     MixedSchedule,
-    SchedulePhase,
+    Phase,
     SteadySchedule,
     as_schedule,
 )
@@ -37,7 +37,7 @@ class TestProtocols:
             SteadySchedule(UniformRequests()),
             FlashCrowd("S3L"),
             DiurnalSchedule(),
-            MixedSchedule([SchedulePhase(0, 10, UniformRequests())]),
+            MixedSchedule([Phase(0, 10, UniformRequests())]),
         ):
             assert isinstance(schedule, WorkloadSchedule)
 
@@ -170,8 +170,8 @@ class TestMixedSchedule:
     def _mixed(self):
         return MixedSchedule(
             [
-                SchedulePhase(0, 10, AdversarialPrefixStacking("S3L")),
-                SchedulePhase(10, 20, FlashCrowd("d", onset=10, half_life=2), rate=2.0),
+                Phase(0, 10, AdversarialPrefixStacking("S3L")),
+                Phase(10, 20, FlashCrowd("d", onset=10, half_life=2), rate=2.0),
             ]
         )
 
@@ -199,11 +199,11 @@ class TestMixedSchedule:
         with pytest.raises(ValueError, match="overlap"):
             MixedSchedule(
                 [
-                    SchedulePhase(0, 10, UniformRequests()),
-                    SchedulePhase(5, 15, UniformRequests()),
+                    Phase(0, 10, UniformRequests()),
+                    Phase(5, 15, UniformRequests()),
                 ]
             )
         with pytest.raises(ValueError):
-            SchedulePhase(0, 10, UniformRequests(), rate=0.0)
+            Phase(0, 10, UniformRequests(), rate=0.0)
         with pytest.raises(ValueError):
-            SchedulePhase(5, 5, UniformRequests())
+            Phase(5, 5, UniformRequests())

@@ -7,14 +7,8 @@ from collections import Counter
 
 import pytest
 
-from repro.workloads.requests import (
-    HotSpotRequests,
-    Phase,
-    PhasedSchedule,
-    UniformRequests,
-    ZipfRequests,
-    figure8_schedule,
-)
+from repro.workloads.dynamics import Phase, PhasedSchedule, figure8_schedule
+from repro.workloads.requests import HotSpotRequests, UniformRequests, ZipfRequests
 
 KEYS = ["Pdgesv", "S3L_fft", "S3L_sort", "daxpy", "dgemm", "sgemm"]
 
@@ -141,6 +135,14 @@ class TestPhasedSchedule:
     def test_bad_window(self):
         with pytest.raises(ValueError):
             Phase(5, 5, UniformRequests())
+
+    def test_phases_run_generators_at_the_nominal_rate(self):
+        """Its signature names neither a rate nor a schedule, so a phase
+        with either would hash like one without."""
+        with pytest.raises(ValueError, match="rate 1"):
+            PhasedSchedule([Phase(0, 5, UniformRequests(), rate=2.0)])
+        with pytest.raises(ValueError, match="generators"):
+            PhasedSchedule([Phase(0, 5, figure8_schedule())])
 
     def test_figure8_timeline(self):
         sched = figure8_schedule()

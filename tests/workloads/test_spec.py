@@ -13,10 +13,10 @@ from repro.workloads.dynamics import (
     DiurnalSchedule,
     FlashCrowd,
     MixedSchedule,
+    PhasedSchedule,
     SteadySchedule,
 )
 from repro.workloads.requests import (
-    PhasedSchedule,
     UniformRequests,
     WorkloadSchedule,
     ZipfRequests,
