@@ -7,24 +7,50 @@ This module defines those query types as small immutable objects with a
 ``matches(key)`` predicate; executing them against a tree (reference or
 distributed) is the responsibility of the tree / service layer.
 
-:func:`parse_query` builds a query from a compact spec (string or dict)
-and validates it — including every identifier against the configured
+:func:`parse_query` builds a query from a compact spec and validates it —
+including every identifier against the configured
 :class:`~repro.core.alphabet.Alphabet` — at *parse* time, raising
-:class:`QuerySpecError`.  Before this existed an out-of-alphabet range
-bound only failed deep inside the tree walk; now no executor ever sees an
-invalid query.
+:class:`QuerySpecError`, so no executor ever sees an invalid query.  The
+spec forms are one table of the shared grammar
+(:class:`repro.util.specs.Grammar`), :data:`QUERY_SPECS`: a string
+``exact:KEY`` / ``prefix:PARTIAL`` / ``range:LO:HI``, a dict naming the
+same fields (``{"kind": "range", "lo": ..., "hi": ...}``) or ``{"kind":
+"multi", "clauses": {attr: subspec}}``.  A trace event ``[kind, *fields,
+entry]`` (:mod:`repro.workloads.queries`) is the positional form of the
+same single-kind rows, :data:`SINGLE_QUERY_SPECS`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Union
+from dataclasses import dataclass, fields
+from typing import Mapping, Optional, Tuple, Union
 
-from ..util.specs import SpecError
+from ..util.specs import Grammar, Kind, SpecError
+from .ids import gcp
+
+
+class _Identifiers:
+    """What the single-attribute kinds share: every field is an identifier,
+    so one walk over the fields checks, validates (:func:`validate_query`)
+    and rebases them.  Each kind also names the band it scans, ``band() ->
+    (anchor, lo, hi)``: ``None`` bounds mean every label under the anchor.
+    """
+
+    def __post_init__(self) -> None:
+        for value in self.identifiers():
+            if not isinstance(value, str):
+                raise TypeError(f"{type(self).__name__} takes identifier strings, not {value!r}")
+
+    def identifiers(self) -> Tuple[str, ...]:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def rebased(self, prefix: str):
+        """The same query over the keys ``prefix + key``."""
+        return type(self)(*(prefix + value for value in self.identifiers()))
 
 
 @dataclass(frozen=True)
-class ExactQuery:
+class ExactQuery(_Identifiers):
     """Find the service registered under exactly ``key``."""
 
     key: str
@@ -32,12 +58,15 @@ class ExactQuery:
     def matches(self, key: str) -> bool:
         return key == self.key
 
+    def band(self) -> Tuple[str, str, str]:
+        return self.key, self.key, self.key
+
     def describe(self) -> str:
         return f"exact:{self.key}"
 
 
 @dataclass(frozen=True)
-class PrefixQuery:
+class PrefixQuery(_Identifiers):
     """Automatic completion: all keys starting with ``prefix``."""
 
     prefix: str
@@ -45,23 +74,30 @@ class PrefixQuery:
     def matches(self, key: str) -> bool:
         return key.startswith(self.prefix)
 
+    def band(self) -> Tuple[str, None, None]:
+        return self.prefix, None, None
+
     def describe(self) -> str:
         return f"prefix:{self.prefix}*"
 
 
 @dataclass(frozen=True)
-class RangeQuery:
+class RangeQuery(_Identifiers):
     """All keys ``lo <= key <= hi`` in lexicographic order."""
 
     lo: str
     hi: str
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.lo > self.hi:
             raise ValueError(f"empty range: lo={self.lo!r} > hi={self.hi!r}")
 
     def matches(self, key: str) -> bool:
         return self.lo <= key <= self.hi
+
+    def band(self) -> Tuple[str, str, str]:
+        return gcp(self.lo, self.hi), self.lo, self.hi
 
     def describe(self) -> str:
         return f"range:[{self.lo},{self.hi}]"
@@ -103,18 +139,7 @@ class MultiAttributeQuery:
     def attribute_queries(self) -> dict[str, SingleAttributeQuery]:
         """The sub-query to run against each attribute's key band, rebased
         onto composed ``attribute=value`` keys."""
-        out: dict[str, SingleAttributeQuery] = {}
-        for attr, q in self.clauses.items():
-            prefix = attr + ATTR_SEP
-            if isinstance(q, ExactQuery):
-                out[attr] = ExactQuery(prefix + q.key)
-            elif isinstance(q, PrefixQuery):
-                out[attr] = PrefixQuery(prefix + q.prefix)
-            elif isinstance(q, RangeQuery):
-                out[attr] = RangeQuery(prefix + q.lo, prefix + q.hi)
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unsupported clause type {type(q)!r}")
-        return out
+        return {attr: q.rebased(attr + ATTR_SEP) for attr, q in self.clauses.items()}
 
     def describe(self) -> str:
         inner = ", ".join(f"{a}~{q.describe()}" for a, q in sorted(self.clauses.items()))
@@ -134,110 +159,62 @@ def validate_query(query: Query, alphabet=None) -> Query:
     Returns the query unchanged when valid; raises :class:`QuerySpecError`
     otherwise.  With ``alphabet=None`` only the structural constraints
     already enforced by the dataclasses hold (useful for layers that have
-    no alphabet in scope, e.g. the wire broker).
+    no alphabet in scope, e.g. the wire broker).  The empty identifier is
+    valid under every alphabet, so ``prefix:`` (match everything) is too.
     """
     if isinstance(query, MultiAttributeQuery):
-        # Rebasing exercises the clause kinds; validating the rebased keys
-        # covers the attribute names (and the ``=`` separator) too.
+        # Validating the rebased keys covers the attribute names (and the
+        # ``=`` separator) too.
         for sub in query.attribute_queries().values():
             validate_query(sub, alphabet)
-        return query
-    if alphabet is None:
-        return query
-    try:
-        if isinstance(query, ExactQuery):
-            alphabet.validate(query.key)
-        elif isinstance(query, PrefixQuery):
-            if query.prefix:  # the empty prefix (match everything) is legal
-                alphabet.validate(query.prefix)
-        elif isinstance(query, RangeQuery):
-            alphabet.validate(query.lo)
-            alphabet.validate(query.hi)
-        else:
-            raise QuerySpecError(f"unsupported query type {type(query).__name__}")
-    except QuerySpecError:
-        raise
-    except ValueError as exc:
-        raise QuerySpecError(f"{query.describe()}: {exc}") from None
+    elif alphabet is not None:
+        try:
+            for identifier in query.identifiers():
+                alphabet.validate(identifier)
+        except ValueError as exc:
+            raise QuerySpecError(f"{query.describe()}: {exc}") from None
     return query
 
 
-def _single_from_string(spec: str) -> SingleAttributeQuery:
-    kind, sep, rest = spec.partition(":")
-    if not sep:
-        raise QuerySpecError(
-            f"query spec {spec!r} has no ':' — expected exact:KEY, "
-            "prefix:PARTIAL or range:LO:HI"
-        )
-    if kind == "exact":
-        return ExactQuery(rest)
-    if kind == "prefix":
-        return PrefixQuery(rest)
-    if kind == "range":
-        lo, sep, hi = rest.partition(":")
-        if not sep:
-            raise QuerySpecError(f"range spec {spec!r} needs two bounds: range:LO:HI")
-        try:
-            return RangeQuery(lo, hi)
-        except ValueError as exc:
-            raise QuerySpecError(f"range spec {spec!r}: {exc}") from None
-    raise QuerySpecError(f"unknown query kind {kind!r} in {spec!r}")
+#: The single-attribute kinds, one row each: a spec string's positional
+#: tokens are the record's fields (identifiers: text, never numbers), and
+#: a trace event ``[kind, *fields, entry]`` is the same row's positional
+#: form (:func:`repro.workloads.queries.query_from_event`).
+SINGLE_QUERY_SPECS = Grammar("query spec", QuerySpecError, {
+    "exact": Kind(ExactQuery, "key", 1, ("key",)),
+    "prefix": Kind(PrefixQuery, "prefix", 1, ("prefix",)),
+    "range": Kind(RangeQuery, "lo:hi", 2, ("lo", "hi")),
+})
 
 
-def _single_from_dict(spec: dict) -> SingleAttributeQuery:
-    kind = spec.get("kind")
-    try:
-        if kind == "exact":
-            return ExactQuery(str(spec["key"]))
-        if kind == "prefix":
-            return PrefixQuery(str(spec["prefix"]))
-        if kind == "range":
-            return RangeQuery(str(spec["lo"]), str(spec["hi"]))
-    except KeyError as exc:
-        raise QuerySpecError(f"query spec {spec!r} is missing field {exc}") from None
-    except ValueError as exc:
-        raise QuerySpecError(f"query spec {spec!r}: {exc}") from None
-    raise QuerySpecError(f"unknown query kind {kind!r} in {spec!r}")
+def _multi(clauses: Optional[Mapping] = None) -> MultiAttributeQuery:
+    """The ``multi`` kind: each clause parses through the single-kind rows,
+    so a nested ``multi`` is refused."""
+    if not isinstance(clauses, Mapping):
+        raise ValueError("a multi query needs a 'clauses' mapping")
+    return MultiAttributeQuery(
+        {attr: SINGLE_QUERY_SPECS.parse(sub) for attr, sub in clauses.items()}
+    )
+
+
+#: Every query kind: the single-attribute rows and ``multi``.
+QUERY_SPECS = Grammar("query spec", QuerySpecError,
+                      {**SINGLE_QUERY_SPECS.kinds, "multi": Kind(_multi)})
 
 
 def parse_query(spec, alphabet=None) -> Query:
     """Build a query from a compact spec and validate it *now*.
 
     ``spec`` may be an existing query object, a string (``"exact:KEY"``,
-    ``"prefix:PARTIAL"``, ``"range:LO:HI"`` — safe because no stock
-    alphabet contains ``:``), or a dict (``{"kind": "range", "lo": ...,
-    "hi": ...}``; multi-attribute queries use ``{"kind": "multi",
-    "clauses": {attr: subspec}}``).  Passing the configured
+    ``"prefix:PARTIAL"``, ``"range:LO:HI"``) or a dict naming the same
+    fields (``{"kind": "range", "lo": ..., "hi": ...}``; multi-attribute
+    queries use ``{"kind": "multi", "clauses": {attr: subspec}}``).  A
+    string's tokens split at ``:`` and a token holding ``=`` is an option,
+    so a key holding either needs the dict form.  Passing the configured
     :class:`~repro.core.alphabet.Alphabet` moves bound validation to parse
     time: a malformed or out-of-alphabet spec raises
     :class:`QuerySpecError` here instead of failing mid-walk.
     """
-    if isinstance(spec, (ExactQuery, PrefixQuery, RangeQuery, MultiAttributeQuery)):
-        return validate_query(spec, alphabet)
-    if isinstance(spec, str):
-        return validate_query(_single_from_string(spec), alphabet)
-    if isinstance(spec, dict):
-        if spec.get("kind") == "multi":
-            clauses = spec.get("clauses")
-            if not isinstance(clauses, Mapping) or not clauses:
-                raise QuerySpecError(
-                    f"multi query spec {spec!r} needs a non-empty 'clauses' mapping"
-                )
-            parsed = {}
-            for attr, sub in clauses.items():
-                if isinstance(sub, str):
-                    parsed[attr] = _single_from_string(sub)
-                elif isinstance(sub, dict):
-                    parsed[attr] = _single_from_dict(sub)
-                else:
-                    raise QuerySpecError(
-                        f"clause {attr!r}: unsupported sub-spec {sub!r}"
-                    )
-            try:
-                query: Query = MultiAttributeQuery(parsed)
-            except ValueError as exc:  # pragma: no cover - guarded above
-                raise QuerySpecError(str(exc)) from None
-            return validate_query(query, alphabet)
-        return validate_query(_single_from_dict(spec), alphabet)
-    raise QuerySpecError(f"unsupported query spec type {type(spec).__name__}")
-
+    if not isinstance(spec, (_Identifiers, MultiAttributeQuery)):
+        spec = QUERY_SPECS.parse(spec)
+    return validate_query(spec, alphabet)

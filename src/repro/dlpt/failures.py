@@ -196,13 +196,16 @@ def repair(
     # and node index in sync).
     tree.clear()
 
-    pairs: list[tuple[str, object]] = []
-    for key, data in survivors.items():
-        for datum in data or {key}:
-            pairs.append((key, datum))
-    for key, data in recovered.items():
-        for datum in data or {key}:
-            pairs.append((key, datum))
+    # Survivors, then recovered keys, each in key order and a key's data
+    # by ``repr`` (as ``net.cluster.discovery_record`` orders data), so the
+    # rebuild's input does not depend on set iteration order, i.e. on the
+    # string hash seed.
+    pairs = [
+        (key, datum)
+        for books in (survivors, recovered)
+        for key in sorted(books)
+        for datum in sorted(books[key] or {key}, key=repr)
+    ]
     if pairs:
         system.register_pairs(pairs)
     reinserted = len(pairs)

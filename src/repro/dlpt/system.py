@@ -17,15 +17,8 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..core.alphabet import PRINTABLE, Alphabet
-from ..core.ids import gcp
 from ..core.pgcp import PGCPTree
-from ..core.queries import (
-    ExactQuery,
-    MultiAttributeQuery,
-    PrefixQuery,
-    RangeQuery,
-    parse_query,
-)
+from ..core.queries import MultiAttributeQuery, parse_query
 from ..peers.capacity import CapacityModel, UniformCapacity
 from ..peers.peer import Peer
 from ..peers.ring import Ring
@@ -575,18 +568,6 @@ class DLPTSystem:
             out.absorb(self.search(query, entry_label=entry_label))
         return out
 
-    @staticmethod
-    def _query_band(query):
-        """``(anchor, lo, hi)`` of a single query's label band; a ``None``
-        band means prefix mode (everything under the anchor matches)."""
-        if isinstance(query, PrefixQuery):
-            return query.prefix, None, None
-        if isinstance(query, RangeQuery):
-            return gcp(query.lo, query.hi), query.lo, query.hi
-        if isinstance(query, ExactQuery):
-            return query.key, query.key, query.key
-        raise TypeError(f"unsupported query type {type(query).__name__}")
-
     def _search_multi(self, query, entry_label, rng) -> QueryOutcome:
         """Conjunction: one routed scan per rebased ``attr=value`` clause,
         intersecting the primary names stored as data; hop and scan totals
@@ -626,7 +607,7 @@ class DLPTSystem:
         the first one jump (one logical and one physical hop) away, so
         orphaned keys still appear in the answer.  Without an entry the
         query starts at the first scan root."""
-        anchor, lo, hi = self._query_band(query)
+        anchor, lo, hi = query.band()
         tree = self.tree
         router = self.router
         router.sync()

@@ -27,14 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Protocol, Sequence, Tuple, runtime_checkable
 
-from ..workloads.dynamics import Phase, phase_at, sort_and_check_phases
-
-
-def _units(value: float, what: str) -> int:
-    """``value`` as a whole number of units: ``40.0`` is ``40``, ``40.5`` refused."""
-    if not float(value).is_integer():
-        raise ValueError(f"{what} must be an integer number of units")
-    return int(value)
+from ..workloads.dynamics import Phase, phase_at, sort_and_check_phases, whole_units
 
 
 @dataclass(frozen=True)
@@ -83,8 +76,8 @@ class CrashStorm:
     def __init__(self, rate: float, start: int = 0, end: int | None = None) -> None:
         if not 0.0 < rate < 1.0:
             raise ValueError("crash rate must be in (0, 1)")
-        start = _units(start, "start")
-        end = None if end is None else _units(end, "end")
+        start = whole_units(start, "start")
+        end = None if end is None else whole_units(end, "end")
         if start < 0:
             raise ValueError("start must be >= 0")
         if end is not None and end <= start:
@@ -108,7 +101,7 @@ class CorrelatedCrash:
     simultaneously at unit ``at`` (rack loss, a buggy rollout)."""
 
     def __init__(self, fraction: float, at: int) -> None:
-        at = _units(at, "crash unit")
+        at = whole_units(at, "crash unit")
         if at < 0:
             raise ValueError("crash unit must be >= 0")
         self._burst = CrashBurst(fraction)  # validates the fraction
@@ -130,7 +123,7 @@ class PartitionSchedule:
     to them are dropped, not lost."""
 
     def __init__(self, duration: int, at: int = 0, fraction: float = 0.25) -> None:
-        duration, at = _units(duration, "duration"), _units(at, "partition start")
+        duration, at = whole_units(duration, "duration"), whole_units(at, "partition start")
         if at < 0:
             raise ValueError("partition start must be >= 0")
         self._start = PartitionStart(fraction, duration)  # validates both

@@ -1,9 +1,10 @@
 """One spec grammar and one spec registry; ``SpecError``.
 
 Every compact spec — workloads (:mod:`repro.workloads.spec`), faults
-(:mod:`repro.faults.spec`), set queries (:mod:`repro.workloads.queries`),
-balancers (:mod:`repro.lb`), chaos plans (:mod:`repro.net.chaos`) — parses
-here, at two levels:
+(:mod:`repro.faults.spec`), set-query workloads
+(:mod:`repro.workloads.queries`), single set queries and their trace
+events (:mod:`repro.core.queries`), balancers (:mod:`repro.lb`), chaos
+plans (:mod:`repro.net.chaos`) — parses here, at two levels:
 
 * **The grammar** (:class:`Grammar`): a string
   ``kind[:positional…][:key=value…]`` is split once into its kind, its
@@ -15,7 +16,9 @@ here, at two levels:
   stays text.  An unknown kind, a missing required positional, an extra
   positional, an unknown option and a bad number are refused with the
   surface's :class:`SpecError` subclass, naming the spec: no token is
-  dropped.
+  dropped.  A list of every positional's value, in order, is a third
+  form of the same row (:meth:`Grammar.build_positional`: a set query's
+  trace event).
 * **The registry**: each spec kind registers its parser once
   (:func:`register_spec_kind`), and :func:`parse_spec` — the only entry
   point — takes any accepted form (string, dict, built object):
@@ -178,10 +181,15 @@ class Grammar:
             self._check_names(kind, raw, spec, self._names[kind] | self.shared)
         return kind, {k: v if k in row.text else self._number(k, v, spec) for k, v in raw.items()}
 
+    def positionals(self, kind: str) -> List[str]:
+        """The fields ``kind``'s positional tokens fill, in order."""
+        positional = self.kinds[kind].positional
+        return re.split("[:@]", positional) if positional else []
+
     def build(self, kind: Any, fields: Dict[str, Any], spec: object) -> Any:
         """Check ``fields`` against ``kind``'s row and construct it."""
         row = self._row(kind, spec)
-        for name in re.split("[:@]", row.positional)[: row.required]:
+        for name in self.positionals(kind)[: row.required]:
             if name not in fields:
                 article = "an" if name[0] in "aeiou" else "a"
                 raise self.error(spec, f"{kind} needs {article} {name} ({self._usage(kind)})")
@@ -190,6 +198,15 @@ class Grammar:
             return row.build(**fields)
         except (AttributeError, TypeError, ValueError) as exc:  # a field of the wrong type
             raise self.error(spec, str(exc)) from exc
+
+    def build_positional(self, kind: Any, values: List[Any], spec: object) -> Any:
+        """Construct ``kind`` from the values of all its positional fields,
+        in order (a trace event's form), by the checks of :meth:`build`."""
+        self._row(kind, spec)
+        names = self.positionals(kind)
+        if len(values) != len(names):
+            raise self.error(spec, f"{kind} takes {len(names)} value(s) ({self._usage(kind)})")
+        return self.build(kind, dict(zip(names, values)), spec)
 
     def parse(self, spec: object) -> Any:
         """Build what a spec string or ``{"kind": ...}`` dict names."""

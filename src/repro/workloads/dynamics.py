@@ -359,6 +359,13 @@ class AdversarialPrefixStacking:
 # ---------------------------------------------------------------------------
 
 
+def whole_units(value: float, what: str) -> int:
+    """``value`` as a whole number of units: ``40.0`` is ``40``, ``40.5`` refused."""
+    if not float(value).is_integer():
+        raise ValueError(f"{what} must be an integer number of units")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Phase:
     """A half-open window ``[start, end)`` driven by ``schedule`` with a

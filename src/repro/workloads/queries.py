@@ -20,8 +20,12 @@ per-unit stream riding alongside the request stream.  A
 Sampled events serialise into ``repro-trace/1`` units as JSON-able lists —
 ``["prefix", prefix, entry]``, ``["range", lo, hi, entry]``,
 ``["exact", key, entry]`` — so a recorded query stream replays verbatim.
-Every parse failure raises :class:`~repro.core.queries.QuerySpecError` at
-config time, never mid-simulation.
+An event is the positional form of its kind's row in the set-query table
+(:data:`repro.core.queries.SINGLE_QUERY_SPECS`), which builds and checks
+it on load (:func:`parse_query_event`) and on replay
+(:func:`query_from_event`).  Every parse failure raises
+:class:`~repro.core.queries.QuerySpecError` at config or trace-load time,
+never mid-simulation.
 """
 
 from __future__ import annotations
@@ -29,13 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from ..core.queries import (
-    ExactQuery,
-    PrefixQuery,
-    Query,
-    QuerySpecError,
-    RangeQuery,
-)
+from ..core.queries import SINGLE_QUERY_SPECS, Query, QuerySpecError
 from ..util.specs import Grammar, Kind, register_spec_kind
 
 #: Query-workload spec kinds.
@@ -102,36 +100,27 @@ class QueryWorkload:
         return events
 
 
-#: Query-event kinds and their string-payload arity in a trace record
-#: (payload strings after the kind, including the entry label).
-QUERY_EVENT_ARITY = {"prefix": 2, "range": 3, "exact": 2}
-
-
-def parse_query_event(event: Any) -> list:
-    """Coerce and validate one trace query event; raises
-    :class:`QuerySpecError` on anything malformed."""
-    event = list(event)
-    if not event or event[0] not in QUERY_EVENT_ARITY:
-        raise QuerySpecError(f"bad query event {event!r}")
-    kind, payload = event[0], event[1:]
-    if len(payload) != QUERY_EVENT_ARITY[kind]:
-        raise QuerySpecError(f"query event {event!r}: wrong payload length")
-    values = [str(v) for v in payload]
-    if kind == "range" and values[0] > values[1]:
-        raise QuerySpecError(f"query event {event!r}: empty range")
-    return [kind] + values
+#: Query-event kinds and their payload arity in a trace record (the
+#: kind's positional fields, then the entry label).
+QUERY_EVENT_ARITY = {kind: len(SINGLE_QUERY_SPECS.positionals(kind)) + 1
+                     for kind in SINGLE_QUERY_SPECS.kinds}
 
 
 def query_from_event(event: Sequence) -> Tuple[Query, str]:
-    """``(query object, entry label)`` of one validated trace event."""
-    kind = event[0]
-    if kind == "prefix":
-        return PrefixQuery(event[1]), event[2]
-    if kind == "range":
-        return RangeQuery(event[1], event[2]), event[3]
-    if kind == "exact":
-        return ExactQuery(event[1]), event[2]
-    raise QuerySpecError(f"bad query event {list(event)!r}")
+    """``(query object, entry label)`` of one trace event ``[kind, *fields,
+    entry]``: the positional form of the kind's spec row, built through
+    :data:`~repro.core.queries.SINGLE_QUERY_SPECS`.  Raises
+    :class:`QuerySpecError` on anything malformed."""
+    if not isinstance(event, (list, tuple)) or len(event) < 2 or not isinstance(event[-1], str):
+        raise QuerySpecError(f"bad query event {event!r}: expected [kind, *fields, entry]")
+    return SINGLE_QUERY_SPECS.build_positional(event[0], event[1:-1], event), event[-1]
+
+
+def parse_query_event(event: Any) -> list:
+    """Validate one trace query event (as :func:`query_from_event` reads
+    it) and return it as a list."""
+    query_from_event(event)
+    return list(event)
 
 
 #: The :class:`QueryWorkload` field names a dict may use for the spec's

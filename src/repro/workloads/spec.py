@@ -41,6 +41,7 @@ from .dynamics import (
     SteadySchedule,
     as_schedule,
     figure8_schedule,
+    whole_units,
 )
 from .requests import (
     HotSpotRequests,
@@ -59,16 +60,23 @@ def read_phases(phases: Sequence[dict], field: str, parse: Callable[[object], ob
                 label: str) -> List[Phase]:
     """The ``phases`` list of a ``mixed`` spec as :class:`Phase` records —
     the one reader of both ``mixed`` kinds (workloads here, faults in
-    :mod:`repro.faults.spec`).  Each entry names ``start``, ``end``, an
-    optional ``rate`` and its nested spec under ``field``, which ``parse``
-    builds; a bad entry is refused as a ``bad {label}``."""
+    :mod:`repro.faults.spec`).  Each entry names ``start``, ``end`` (whole
+    units: ``40.0`` is ``40``), an optional numeric ``rate`` and its nested
+    spec under ``field``, which ``parse`` builds; any other key, a
+    fractional unit or a non-number rate is refused as a ``bad {label}``."""
     if not phases:
         raise ValueError("a mixed spec needs non-empty 'phases'")
     built: List[Phase] = []
     for raw in phases:
         try:
-            built.append(Phase(int(raw["start"]), int(raw["end"]), parse(raw[field]),
-                               float(raw.get("rate", 1.0))))
+            unknown = set(raw) - {"start", "end", "rate", field}
+            if unknown:
+                raise ValueError(f"unknown key(s) {', '.join(sorted(map(repr, unknown)))}")
+            rate = raw.get("rate", 1.0)
+            if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+                raise TypeError(f"rate {rate!r} is not a number")
+            built.append(Phase(whole_units(raw["start"], "start"), whole_units(raw["end"], "end"),
+                               parse(raw[field]), float(rate)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad {label} {raw!r}: {exc}") from exc
     return built

@@ -158,6 +158,29 @@ class TestRepair:
         repair(s, rep, lost_keys=report.lost_keys)
         assert s.tree.node("1010").data == {"server-A", "server-B"}
 
+    def test_repair_registers_its_pairs_in_sorted_order(self, rng, monkeypatch):
+        """The rebuild's input is the surviving keys, then the recovered
+        ones, each in key order with a key's data by ``repr``, so its work
+        does not depend on set iteration order (the hash seed)."""
+        s = build(rng, keys=KEYS[::-1])  # the tree indexes its nodes unsorted
+        data = {key: {key} for key in KEYS}
+        for datum in ("server-C", "server-A", "server-B"):
+            s.register("000", datum)
+            data["000"].add(datum)
+        rep = ReplicationManager(s, factor=2)
+        rep.replicate_all()
+        victim = max(s.ring.peers(), key=lambda p: sum(bool(s.tree.node(n).data) for n in p.nodes))
+        report = crash_peer(s, victim.id)
+        rep.on_peer_removed(victim.id)
+        seen = []
+        register = s.register_pairs
+        monkeypatch.setattr(s, "register_pairs", lambda pairs: register(seen.extend(pairs) or pairs))
+        repair(s, rep, lost_keys=report.lost_keys)
+        order = sorted(set(KEYS) - report.lost_keys) + sorted(report.lost_keys)
+        assert len(report.lost_keys) >= 2
+        assert seen == [(key, datum) for key in order for datum in sorted(data[key], key=repr)]
+        assert s.registered_keys() == set(KEYS)
+
     def test_repair_counts_cost(self, rng):
         s = build(rng)
         rep = ReplicationManager(s, factor=1)

@@ -249,12 +249,17 @@ class TestQueriesDoc:
             assert needle in doc, f"docs/queries.md must document {needle}"
 
     def test_every_spec_kind_is_documented(self):
+        from repro.core.queries import QUERY_SPECS
         from repro.workloads.queries import QUERY_KINDS
 
         doc = self.DOC.read_text()
         for kind in QUERY_KINDS:
             assert f'"{kind}' in doc, (
                 f"docs/queries.md must document the {kind!r} query spec kind"
+            )
+        for kind in QUERY_SPECS.kinds:
+            assert f'{{"kind": "{kind}"' in doc, (
+                f"docs/queries.md must document the {kind!r} query's dict form"
             )
 
     def test_cross_links(self):
