@@ -88,7 +88,9 @@ class ReplicationManager:
         """Refresh every filled node's replicas (periodic anti-entropy);
         returns the number of replica writes performed."""
         before = self.replica_writes
-        for key in self.system.tree.keys():
+        # Key order, not the tree's set order: ``stores`` keeps first-write
+        # order, so this fixes it under every hash seed.
+        for key in sorted(self.system.tree.keys()):
             self.replicate_key(key)
         return self.replica_writes - before
 

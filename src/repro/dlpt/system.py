@@ -50,8 +50,6 @@ class DLPTSystem:
     mapping_factory:
         Callable ``ring -> mapping``; defaults to the paper's lexicographic
         mapping.  The Figure 9 baseline passes the hashed mapping instead.
-    peer_id_length:
-        Length of randomly generated peer identifiers.
     peer_id_sampler:
         Optional callable ``rng -> str`` drawing peer identifiers.  Peers
         and nodes share one identifier space (Section 3), so deployments
@@ -66,12 +64,10 @@ class DLPTSystem:
         alphabet: Alphabet = PRINTABLE,
         capacity_model: CapacityModel | None = None,
         mapping_factory=None,
-        peer_id_length: int = DEFAULT_PEER_ID_LENGTH,
         peer_id_sampler=None,
     ) -> None:
         self.alphabet = alphabet
         self.capacity_model = capacity_model or UniformCapacity()
-        self.peer_id_length = peer_id_length
         self.peer_id_sampler = peer_id_sampler
         self.ring = Ring()
         self.tree = PGCPTree()
@@ -126,7 +122,7 @@ class DLPTSystem:
             if self.peer_id_sampler is not None:
                 pid = self.peer_id_sampler(rng)
             else:
-                pid = self.alphabet.random_identifier(rng, self.peer_id_length)
+                pid = self.alphabet.random_identifier(rng, DEFAULT_PEER_ID_LENGTH)
             if pid not in self.ring and pid not in taken:
                 return pid
 

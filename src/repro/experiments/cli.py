@@ -34,6 +34,8 @@ import sys
 import time
 
 from . import ARTIFACTS
+from .config import ExperimentConfig
+from .metrics import UnitStats, percentile_from_counts, phase_breakdown, run_metrics_dict
 from .parallel import env_workers
 from .runner import run_labeled_series
 from .tables import phase_table
@@ -79,12 +81,15 @@ def _run_parser() -> argparse.ArgumentParser:
                         "diurnal:period=24:amplitude=0.5, adversarial:S3L")
     parser.add_argument("--peers", type=int, default=100, help="platform size")
     parser.add_argument("--units", type=int, default=None,
-                        help="time units (default 50; a replay runs the trace's length)")
+                        help=f"time units (default {ExperimentConfig.total_units}; "
+                        "a replay runs the trace's length)")
     parser.add_argument("--growth", type=int, default=None,
-                        help="units during which the tree grows (default 10; "
+                        help="units during which the tree grows (default "
+                        f"{ExperimentConfig.growth_units}; "
                         "a replay registers what the trace recorded)")
     parser.add_argument("--load", type=float, default=None,
-                        help="requests per unit / aggregate capacity (default 0.10)")
+                        help="requests per unit / aggregate capacity "
+                        f"(default {ExperimentConfig.load_fraction:.2f})")
     parser.add_argument("--lb", default="nolb",
                         help="balancer spec: nolb, mlt[:fraction=..], kc[:k=..]")
     parser.add_argument("--faults", default=None,
@@ -120,14 +125,26 @@ def _run_main(argv) -> int:
     from ..peers import churn as churn_mod
     from ..util.specs import parse_spec
     from ..workloads.traces import TraceError, WorkloadTrace
-    from .config import ExperimentConfig
-    from .metrics import phase_breakdown, run_metrics_dict
     from .runner import record_single, run_single
 
     parser = _run_parser()
     args = parser.parse_args(argv)
     if args.trace and args.replay:
         parser.error("--trace records and --replay replays; pick one")
+    churns = {"stable": churn_mod.STABLE, "dynamic": churn_mod.DYNAMIC,
+              "frozen": churn_mod.FROZEN}
+    # The workload-side flags given, as (config field, value); a flag left
+    # out keeps ExperimentConfig's default.
+    given = {flag: (name, value) for flag, name, value in (
+        ("--units", "total_units", args.units),
+        ("--growth", "growth_units", args.growth),
+        ("--run-index", None, args.run_index),
+        ("--workload", "workload", args.workload),
+        ("--load", "load_fraction", args.load),
+        ("--queries", "queries", args.queries),
+        ("--churn", "churn", args.churn and churns[args.churn]),
+        ("--seed", "seed", args.seed),
+    ) if value is not None}
     if args.replay:
         # The trace records the workload side (requests, churn events,
         # growth) and pins seed/run-index in its header; rejecting these
@@ -137,30 +154,11 @@ def _run_main(argv) -> int:
         # *events*, while the spec's policy half (r=, repair_every=) selects
         # the system's response — pass the recording's spec to reproduce it
         # byte-identically, a different policy for a controlled comparison.
-        for flag, value in (("--units", args.units), ("--growth", args.growth),
-                            ("--run-index", args.run_index),
-                            ("--workload", args.workload), ("--load", args.load),
-                            ("--queries", args.queries),
-                            ("--churn", args.churn), ("--seed", args.seed)):
-            if value is not None:
-                parser.error(f"{flag} conflicts with --replay: the trace "
-                             "already fixes it")
-
-    churn = {"stable": churn_mod.STABLE, "dynamic": churn_mod.DYNAMIC,
-             "frozen": churn_mod.FROZEN}[args.churn or "stable"]
-    kwargs = dict(
-        n_peers=args.peers,
-        total_units=args.units if args.units is not None else 50,
-        growth_units=args.growth if args.growth is not None else 10,
-        load_fraction=args.load if args.load is not None else 0.10,
-        workload=args.workload,
-        faults=args.faults,
-        queries=args.queries,
-        churn=churn,
-        accounting=args.accounting,
-    )
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
+        for flag in given:
+            parser.error(f"{flag} conflicts with --replay: the trace "
+                         "already fixes it")
+    kwargs = {name: value for name, value in given.values() if name is not None}
+    kwargs.update(n_peers=args.peers, faults=args.faults, accounting=args.accounting)
     try:
         config = ExperimentConfig(lb=parse_spec("balancer", args.lb), **kwargs)
     except ValueError as exc:
@@ -194,11 +192,11 @@ def _run_main(argv) -> int:
 
     print()
     print(phase_table(phase_breakdown(result, windows)))
-    pct = 100.0 * result.total_satisfied / result.total_issued if result.total_issued else 0.0
-    print(f"\ntotal: {result.total_satisfied}/{result.total_issued} "
-          f"satisfied ({pct:.1f}%) in {elapsed:.1f}s")
-    _print_fault_summary(result)
-    _print_query_summary(result)
+    totals = UnitStats.pooled(result.units)
+    print(f"\ntotal: {totals.satisfied}/{totals.issued} "
+          f"satisfied ({totals.satisfied_pct:.1f}%) in {elapsed:.1f}s")
+    _print_fault_summary(result.units, totals)
+    _print_query_summary(totals)
     if args.metrics_out:
         # Label with the system side only (balancer), never the workload
         # source: a recorded run and its replay must serialise identically.
@@ -210,65 +208,42 @@ def _run_main(argv) -> int:
     return 0
 
 
-def _print_query_summary(result) -> None:
-    """Set-query report of a run with a ``--queries`` axis (silent when no
-    set query was issued)."""
-    from .metrics import percentile_from_counts
-
-    units = result.units
-    issued = sum(u.queries_issued for u in units)
+def _print_query_summary(totals) -> None:
+    """Set-query report of a run's pooled units (silent when no set query
+    was issued)."""
+    issued, satisfied = totals.queries_issued, totals.queries_satisfied
     if issued == 0:
         return
-    satisfied = sum(u.queries_satisfied for u in units)
-    results = sum(u.query_results for u in units)
-    logical = sum(u.query_logical_hops for u in units)
-    physical = sum(u.query_physical_hops for u in units)
-    hist: dict[int, int] = {}
-    for u in units:
-        for hops, count in u.query_hop_histogram.items():
-            hist[hops] = hist.get(hops, 0) + count
     print("\nqueries:")
     print(f"  issued: {issued} | satisfied: {satisfied} "
-          f"({100.0 * satisfied / issued:.1f}%) | results: {results}")
+          f"({100.0 * satisfied / issued:.1f}%) | results: {totals.query_results}")
     if satisfied:
-        print(f"  hops/query: {logical / satisfied:.2f} logical, "
-              f"{physical / satisfied:.2f} physical"
+        hist = totals.query_hop_histogram
+        print(f"  hops/query: {totals.query_logical_hops / satisfied:.2f} logical, "
+              f"{totals.query_physical_hops / satisfied:.2f} physical"
               + (f" | logical p95: {percentile_from_counts(hist, 95.0):.0f}"
                  if hist else ""))
 
 
-def _print_fault_summary(result) -> None:
-    """Availability/durability report of a fault-bearing run (silent when
-    no fault event occurred)."""
-    from .metrics import percentile_from_counts
-
-    units = result.units
-    crashes = sum(u.crashes for u in units)
-    partitioned = sum(u.partitioned for u in units)
-    if crashes == 0 and partitioned == 0:
+def _print_fault_summary(units, totals) -> None:
+    """Availability/durability report of a fault-bearing run, from its units
+    and their pooled record (silent when no fault event occurred)."""
+    crashes = totals.crashes
+    if crashes == 0 and totals.partitioned == 0:
         return
-    lost = sum(u.keys_lost for u in units)
-    recovered = sum(u.keys_recovered for u in units)
-    unrecoverable = sum(u.keys_unrecoverable for u in units)
-    repair_cost = sum(u.repair_cost for u in units)
-    ttr: dict[int, int] = {}
-    for u in units:
-        for delay, count in u.ttr_histogram.items():
-            ttr[delay] = ttr.get(delay, 0) + count
     availability = [u.key_availability_pct for u in units if u.keys_expected]
-    failures = 100.0 * sum(u.not_found for u in units) / result.total_issued \
-        if result.total_issued else 0.0
+    failures = 100.0 * totals.not_found / totals.issued if totals.issued else 0.0
     print("\nfaults:")
-    print(f"  crashes: {crashes} | partitioned peer-units: {partitioned}")
-    print(f"  keys lost: {lost} | recovered from replicas: {recovered} | "
-          f"unrecoverable: {unrecoverable}")
-    print(f"  repair cost: {repair_cost} re-registrations"
-          + (f" ({repair_cost / crashes:.1f}/crash)" if crashes else ""))
-    if ttr:
-        print(f"  time-to-repair p95: {percentile_from_counts(ttr, 95.0):.0f} units")
+    print(f"  crashes: {crashes} | partitioned peer-units: {totals.partitioned}")
+    print(f"  keys lost: {totals.keys_lost} | recovered from replicas: "
+          f"{totals.keys_recovered} | unrecoverable: {totals.keys_unrecoverable}")
+    print(f"  repair cost: {totals.repair_cost} re-registrations"
+          + (f" ({totals.repair_cost / crashes:.1f}/crash)" if crashes else ""))
+    if totals.ttr_histogram:
+        print(f"  time-to-repair p95: {totals.p95_ttr:.0f} units")
     if availability:
         print(f"  key availability: mean {sum(availability) / len(availability):.1f}% | "
-              f"final {availability[-1]:.1f}%")
+              f"final {totals.key_availability_pct:.1f}%")
     print(f"  lookup-failure rate: {failures:.1f}% of requests")
 
 

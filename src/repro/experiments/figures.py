@@ -27,10 +27,11 @@ from ..lb.kchoices import KChoices
 from ..lb.mlt import MLT
 from ..lb.nolb import NoLB
 from ..peers.churn import DYNAMIC, STABLE
+from ..util.stats import steady_state_mean
 from ..workloads.dynamics import figure8_schedule
 from .ascii_plot import ascii_plot
 from .config import ExperimentConfig
-from .metrics import ExperimentSeries, series_table
+from .metrics import ExperimentSeries, UnitStats, series_table
 from .runner import SeriesRunner, run_labeled_series
 
 #: Load fractions used for the figures.  "No overload" (10% of aggregate
@@ -291,8 +292,7 @@ def _fault_result(configs, series, x_name, x, curves, **params) -> FigureResult:
 
 def _steady_availability(series) -> float:
     """Mean key availability (%) after the growth transient."""
-    curve = series.mean_curve("key_availability_pct")
-    return float(np.mean(curve[_FAULT_STORM_START:]))
+    return steady_state_mean(series.mean_curve("key_availability_pct"), _FAULT_STORM_START)
 
 
 def _fault_availability_reduce(configs, series) -> FigureResult:
@@ -318,12 +318,8 @@ def _fault_availability_reduce(configs, series) -> FigureResult:
 
 def _repair_cost_per_crash(series) -> float:
     """Mean repair re-registrations per crash across a series' runs."""
-    costs = []
-    for run in series.runs:
-        crashes = sum(u.crashes for u in run.units)
-        cost = sum(u.repair_cost for u in run.units)
-        if crashes:
-            costs.append(cost / crashes)
+    totals = [UnitStats.pooled(run.units) for run in series.runs]
+    costs = [t.repair_cost / t.crashes for t in totals if t.crashes]
     return float(np.mean(costs)) if costs else 0.0
 
 

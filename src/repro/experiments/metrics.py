@@ -8,12 +8,17 @@ The paper's reported quantities:
 * **average hops per request** per time unit — logical, and physical under
   each mapping (Figure 9).
 
-Beyond the paper, each unit also carries a **load-imbalance factor**
-(hottest peer's received load over the mean) and the **per-request hop
-samples** behind tail-latency percentiles; :func:`phase_breakdown` slices
-both along a schedule's phase windows, and :func:`run_metrics_dict` renders
-a run as a stable JSON document (the byte-compared artefact of trace
-replays).
+Each time unit is one :class:`UnitStats`: counters (requests, hops,
+migrations, crashes, repairs, set queries), gauges of the state the unit
+ends in (peers, nodes, capacity, load imbalance, keys present/expected) and
+value→count histograms (hops per satisfied request or query, crash-to-repair
+delay) behind the tail percentiles.  A **pooled window** of units
+(:meth:`UnitStats.pooled`) is again one :class:`UnitStats`: counters
+summed, histograms merged, gauges read from the window's last unit — so a
+phase row, a run total and a fault figure derive their rates and tails the
+way a single unit does.  :func:`phase_breakdown` pools along a schedule's
+phase windows, and :func:`run_metrics_dict` renders a run as a stable JSON
+document (the byte-compared artefact of trace replays).
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..util.stats import SeriesSummary, gain_percent, summarize_series
+from ..util.stats import SeriesSummary, gain_percent, steady_state_mean, summarize_series
 
 #: Schema tag of :func:`run_metrics_dict` documents.
 METRICS_SCHEMA = "repro-metrics/1"
@@ -63,9 +68,16 @@ def percentile_from_counts(counts: Dict[int, int], q: float) -> float:
     return float(max(counts))  # pragma: no cover - rank <= total always hits
 
 
+def _merge_counts(into: Dict[int, int], counts: Dict[int, int]) -> None:
+    """Add a value→count histogram into another, in place."""
+    for value, count in counts.items():
+        into[value] = into.get(value, 0) + count
+
+
 @dataclass
 class UnitStats:
-    """Counters for one time unit of one run."""
+    """One time unit of one run, or a pooled window of units
+    (:meth:`pooled`)."""
 
     issued: int = 0
     satisfied: int = 0
@@ -134,9 +146,7 @@ class UnitStats:
         self.not_found += batch.not_found
         self.logical_hops += batch.logical_hops
         self.physical_hops += batch.physical_hops
-        hist = self.hop_histogram
-        for hops, count in batch.hop_histogram.items():
-            hist[hops] = hist.get(hops, 0) + count
+        _merge_counts(self.hop_histogram, batch.hop_histogram)
 
     def absorb_queries(self, batch) -> None:
         """Fold a batch of served set queries into this unit's counters
@@ -147,9 +157,24 @@ class UnitStats:
         self.query_results += batch.results_total
         self.query_logical_hops += batch.logical_hops
         self.query_physical_hops += batch.physical_hops
-        hist = self.query_hop_histogram
-        for hops, count in batch.hop_histogram.items():
-            hist[hops] = hist.get(hops, 0) + count
+        _merge_counts(self.query_hop_histogram, batch.hop_histogram)
+
+    @classmethod
+    def pooled(cls, units: Sequence["UnitStats"]) -> "UnitStats":
+        """One record for a window of units: every counter summed, every
+        histogram merged, every gauge (:data:`_GAUGE_FIELDS`) taken from
+        the last unit — the state the window ends in.  An empty window is
+        ``UnitStats()``."""
+        out = cls()
+        for u in units:
+            for name in _COUNTER_FIELDS:
+                setattr(out, name, getattr(out, name) + getattr(u, name))
+            for name in _HISTOGRAM_FIELDS:
+                _merge_counts(getattr(out, name), getattr(u, name))
+        if units:
+            for name in _GAUGE_FIELDS:
+                setattr(out, name, getattr(units[-1], name))
+        return out
 
     @property
     def satisfied_pct(self) -> float:
@@ -199,11 +224,11 @@ class RunResult:
 
     @property
     def total_satisfied(self) -> int:
-        return sum(u.satisfied for u in self.units)
+        return UnitStats.pooled(self.units).satisfied
 
     @property
     def total_issued(self) -> int:
-        return sum(u.issued for u in self.units)
+        return UnitStats.pooled(self.units).issued
 
     def __len__(self) -> int:
         return len(self.units)
@@ -231,8 +256,7 @@ class ExperimentSeries:
 
     def steady_state_satisfaction(self, warmup: int = 10) -> float:
         """Mean satisfied % after the tree-growth transient."""
-        curve = self.mean_curve("satisfied_pct")
-        return float(np.mean(curve[warmup:]))
+        return steady_state_mean(self.mean_curve("satisfied_pct"), warmup)
 
 
 def gain_table_row(
@@ -249,44 +273,17 @@ def gain_table_row(
 
 @dataclass(frozen=True)
 class PhaseStats:
-    """Aggregated metrics of one schedule phase (a ``[start, end)`` window).
-
-    ``satisfied_pct`` is computed over the phase's pooled requests;
-    ``p95_hops``/``p99_hops`` pool every satisfied request's hop count in
-    the window (a true tail, not a mean of per-unit tails);
-    ``mean_imbalance`` averages the per-unit load-imbalance factors.
-    """
+    """One schedule phase (a ``[start, end)`` window): its units pooled
+    (:meth:`UnitStats.pooled` — satisfaction over the pooled requests, a
+    true hop tail rather than a mean of per-unit tails) and
+    ``mean_imbalance``, the mean load-imbalance factor of the units that
+    received requests."""
 
     name: str
     start: int
     end: int
-    issued: int
-    satisfied: int
-    dropped: int
-    not_found: int
-    satisfied_pct: float
-    mean_hops: float
-    p95_hops: float
-    p99_hops: float
+    stats: UnitStats
     mean_imbalance: float
-    migrations: int
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "start": self.start,
-            "end": self.end,
-            "issued": self.issued,
-            "satisfied": self.satisfied,
-            "dropped": self.dropped,
-            "not_found": self.not_found,
-            "satisfied_pct": self.satisfied_pct,
-            "mean_hops": self.mean_hops,
-            "p95_hops": self.p95_hops,
-            "p99_hops": self.p99_hops,
-            "mean_imbalance": self.mean_imbalance,
-            "migrations": self.migrations,
-        }
 
 
 def phase_breakdown(
@@ -305,33 +302,9 @@ def phase_breakdown(
         if lo >= hi:
             continue
         units = result.units[lo:hi]
-        issued = sum(u.issued for u in units)
-        satisfied = sum(u.satisfied for u in units)
-        hop_total = sum(u.logical_hops for u in units)
-        pooled: Dict[int, int] = {}
-        for u in units:
-            for hops, count in u.hop_histogram.items():
-                pooled[hops] = pooled.get(hops, 0) + count
         imbalances = [u.load_imbalance for u in units if u.issued]
-        phases.append(
-            PhaseStats(
-                name=name,
-                start=lo,
-                end=hi,
-                issued=issued,
-                satisfied=satisfied,
-                dropped=sum(u.dropped for u in units),
-                not_found=sum(u.not_found for u in units),
-                satisfied_pct=100.0 * satisfied / issued if issued else 0.0,
-                mean_hops=hop_total / satisfied if satisfied else 0.0,
-                p95_hops=percentile_from_counts(pooled, 95.0),
-                p99_hops=percentile_from_counts(pooled, 99.0),
-                mean_imbalance=(
-                    sum(imbalances) / len(imbalances) if imbalances else 0.0
-                ),
-                migrations=sum(u.migrations for u in units),
-            )
-        )
+        mean_imbalance = sum(imbalances) / len(imbalances) if imbalances else 0.0
+        phases.append(PhaseStats(name, lo, hi, UnitStats.pooled(units), mean_imbalance))
     return phases
 
 
@@ -341,6 +314,15 @@ def phase_breakdown(
 _UNIT_FIELDS = tuple(f.name for f in dataclasses.fields(UnitStats))
 _HISTOGRAM_FIELDS = tuple(
     f.name for f in dataclasses.fields(UnitStats) if f.default_factory is dict
+)
+#: The state a unit ends in; a pooled window keeps its last unit's.  Every
+#: other scalar field is a per-unit counter, summed over a window.
+_GAUGE_FIELDS = (
+    "peers", "nodes", "aggregate_capacity", "load_imbalance",
+    "keys_present", "keys_expected",
+)
+_COUNTER_FIELDS = tuple(
+    n for n in _UNIT_FIELDS if n not in _HISTOGRAM_FIELDS and n not in _GAUGE_FIELDS
 )
 _METRICS_FIELDS = tuple(n for n in _UNIT_FIELDS if n not in _HISTOGRAM_FIELDS) + (
     "p95_hops", "p99_hops", "p95_ttr",

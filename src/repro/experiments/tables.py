@@ -254,10 +254,11 @@ def phase_table(phases: Sequence[PhaseStats]) -> str:
     )
     lines = [header, "-" * len(header)]
     for p in phases:
+        s = p.stats
         lines.append(
-            f"{p.name:>{name_w}} {f'{p.start}-{p.end}':>9} {p.issued:>8} "
-            f"{p.satisfied_pct:>6.1f} {p.mean_hops:>6.2f} {p.p95_hops:>5.0f} "
-            f"{p.p99_hops:>5.0f} {p.mean_imbalance:>6.2f} {p.migrations:>6}"
+            f"{p.name:>{name_w}} {f'{p.start}-{p.end}':>9} {s.issued:>8} "
+            f"{s.satisfied_pct:>6.1f} {s.mean_logical_hops:>6.2f} {s.p95_hops:>5.0f} "
+            f"{s.p99_hops:>5.0f} {p.mean_imbalance:>6.2f} {s.migrations:>6}"
         )
     return "\n".join(lines)
 

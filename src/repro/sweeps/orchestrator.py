@@ -137,46 +137,30 @@ def run_sweep(
     # instead of only when a slice completes (work stealing).
     wave_size = max(1, workers if workers is not None else default_workers())
 
-    def compute(cells: List[SweepCell], source: str) -> None:
-        for cell in cells:
-            emit(f"[sweep] computing {cell.label} ({cell.key()[:12]}…, {cell.n_runs} runs)")
-        for cell, (_, share) in zip(cells, _compute_batch(cells, store, workers)):
-            report.outcomes.append(
-                CellOutcome(cell.key(), cell.label, "computed", source, share)
-            )
-
-    remaining = list(own)
-    while remaining:
-        wave, remaining = remaining[:wave_size], remaining[wave_size:]
-        to_compute: List[SweepCell] = []
-        for cell in wave:
-            if not force and cell.key() in store:
+    # Own cells first, then the steal pass.  Each shard walks the foreign
+    # list in its own deterministic shuffled order — concurrently launched
+    # shards then start stealing from *different* cells instead of
+    # colliding head-on and duplicating the slowest shard's whole in-flight
+    # slice.  The store is re-checked at each wave boundary (the owning
+    # shard may publish cells while this one computes); ``force`` skips
+    # that check for own cells only.
+    random.Random(shard_index).shuffle(foreign)
+    for cells, source, recompute in ((own, "own", force), (foreign, "stolen", False)):
+        for lo in range(0, len(cells), wave_size):
+            to_compute: List[SweepCell] = []
+            for cell in cells[lo:lo + wave_size]:
+                if not recompute and cell.key() in store:
+                    report.outcomes.append(
+                        CellOutcome(cell.key(), cell.label, "cached", source, 0.0)
+                    )
+                else:
+                    emit(f"[sweep] computing {cell.label} ({cell.key()[:12]}…, "
+                         f"{cell.n_runs} runs)")
+                    to_compute.append(cell)
+            for cell, (_, share) in zip(to_compute, _compute_batch(to_compute, store, workers)):
                 report.outcomes.append(
-                    CellOutcome(cell.key(), cell.label, "cached", "own", 0.0)
+                    CellOutcome(cell.key(), cell.label, "computed", source, share)
                 )
-            else:
-                to_compute.append(cell)
-        compute(to_compute, "own")
-
-    # Steal pass: re-check the store at each wave boundary (the owning
-    # shard may publish cells while this one computes).  Each shard walks
-    # the foreign list in its own deterministic shuffled order —
-    # concurrently launched shards then start stealing from *different*
-    # cells instead of colliding head-on and duplicating the slowest
-    # shard's whole in-flight slice.
-    remaining = list(foreign)
-    random.Random(shard_index).shuffle(remaining)
-    while remaining:
-        wave, remaining = remaining[:wave_size], remaining[wave_size:]
-        to_steal: List[SweepCell] = []
-        for cell in wave:
-            if cell.key() in store:
-                report.outcomes.append(
-                    CellOutcome(cell.key(), cell.label, "cached", "stolen", 0.0)
-                )
-            else:
-                to_steal.append(cell)
-        compute(to_steal, "stolen")
 
     report.elapsed_s = time.perf_counter() - start
     emit(report.summary())

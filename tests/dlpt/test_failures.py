@@ -327,3 +327,38 @@ class TestCrashBooks:
         assert s.tree.labels() == fresh.tree.labels()
         assert ({lbl: p.id for lbl, p in s.mapping.host.items()}
                 == {lbl: p.id for lbl, p in fresh.mapping.host.items()})
+
+
+#: Builds a seeded system, replicates it and prints the replica-store order
+#: and the write count (run in a child, under a chosen hash seed).
+_STORE_ORDER = """
+import json, random
+from repro.dlpt.failures import ReplicationManager
+from repro.dlpt.system import DLPTSystem
+from repro.workloads.keys import blas_routines
+
+system = DLPTSystem()
+system.build(random.Random(5), 30)
+for key in blas_routines():
+    system.register(key)
+replication = ReplicationManager(system, factor=2)
+replication.replicate_all()
+print(json.dumps([[p.id for p in replication.stores], replication.replica_writes]))
+"""
+
+
+def test_replica_stores_fill_in_the_same_order_under_any_hash_seed():
+    """``on_peer_removed(id)`` scans ``stores`` in insertion order, so that
+    order (and with it the cost of a crash) must not follow the hash seed."""
+    import os
+    import subprocess
+    import sys
+
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _STORE_ORDER], capture_output=True, text=True,
+            timeout=60, check=True, env=dict(os.environ, PYTHONHASHSEED=seed),
+        ).stdout
+        for seed in ("0", "7")
+    ]
+    assert outputs[0] == outputs[1]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import pytest
@@ -39,6 +40,48 @@ class TestUnitStats:
 
     def test_mean_hops_with_no_satisfied(self):
         assert UnitStats(issued=3).mean_logical_hops == 0.0
+
+
+class TestPooled:
+    GAUGES = {"peers", "nodes", "aggregate_capacity", "load_imbalance",
+              "keys_present", "keys_expected"}
+    FIELDS = dataclasses.fields(UnitStats)
+
+    def unit(self, base):
+        """A unit whose every scalar field differs from every other's."""
+        values = {}
+        for i, f in enumerate(self.FIELDS):
+            if f.default_factory is dict:
+                values[f.name] = {1: base + i, base: 2}
+            else:
+                values[f.name] = base * 100 + i
+        values["load_imbalance"] = base + 0.5
+        return UnitStats(**values)
+
+    def test_counters_sum_histograms_merge_gauges_end(self):
+        units = [self.unit(1), self.unit(2), self.unit(3)]
+        pooled = UnitStats.pooled(units)
+        for f in self.FIELDS:
+            got = getattr(pooled, f.name)
+            if f.name in self.GAUGES:
+                assert got == getattr(units[-1], f.name), f.name
+            elif f.default_factory is dict:
+                merged = {}
+                for u in units:
+                    for value, count in getattr(u, f.name).items():
+                        merged[value] = merged.get(value, 0) + count
+                assert got == merged, f.name
+            else:
+                assert got == sum(getattr(u, f.name) for u in units), f.name
+
+    def test_pooling_leaves_the_units_untouched(self):
+        units = [self.unit(1), self.unit(2)]
+        before = copy.deepcopy(units)
+        UnitStats.pooled(units)
+        assert units == before
+
+    def test_empty_window_is_a_fresh_unit(self):
+        assert UnitStats.pooled([]) == UnitStats()
 
 
 class TestSerialisedFieldLists:
